@@ -258,143 +258,6 @@ fn bench_persistent_cache(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// Speculative racing + adaptive ordering (ISSUE 8), on the two
-/// case studies where races are actually won by racers (`globalset`,
-/// `game` — elsewhere BMC, which is deliberately not raced, settles
-/// nearly everything provable).
-///
-/// Before any timing, the determinism contract is *asserted*: racing on
-/// vs. off at 1/2/8 workers must agree bit-for-bit on the deterministic
-/// report and on the canonical (schedule-independent) event stream — a
-/// racing mode that bought speed by moving output would fail here, not
-/// ship a skewed number.
-///
-/// Three measurements per fixture:
-/// * `sequential_cold` — fresh session per iteration, goal cache off:
-///   the from-scratch portfolio walk.
-/// * `racing_cold` — same, with racing on. Prices the race machinery
-///   itself; on a single-core runner the racer threads time-slice one
-///   CPU, so expect ≈1× or a modest regression there and real gains
-///   only at ≥2 cores (losers overlap the winner's wall-clock).
-/// * `racing_adaptive_warm` — one persistent racing+adaptive session,
-///   warmed by a full run outside the timer: the interactive
-///   edit-and-recheck loop (§6 of the paper) with racing on. Adaptive
-///   stats seed every race with the historically-best prover and the
-///   session cache replays settled goals. The acceptance bar is
-///   warm ≥1.5× over `sequential_cold`.
-fn bench_racing(c: &mut Criterion) {
-    use jahob::{Config, MemorySink};
-    use std::sync::Arc;
-
-    let canonical_stream = |src: &str, racing: bool, workers: usize| -> String {
-        let sink = Arc::new(MemorySink::new());
-        Config::builder()
-            .racing(racing)
-            .workers(workers)
-            .sink(sink.clone())
-            .build_verifier()
-            .verify(src)
-            .expect("pipeline");
-        let mut out = String::new();
-        for ev in sink.events() {
-            if !ev.is_schedule_dependent() {
-                out.push_str(&ev.to_json(false));
-                out.push('\n');
-            }
-        }
-        out
-    };
-
-    let mut group = c.benchmark_group("governance/racing");
-    group.sample_size(10);
-    for fixture in ["globalset", "game"] {
-        let path = format!("case_studies/{fixture}.javax");
-        let src = std::fs::read_to_string(format!("../../{path}"))
-            .or_else(|_| std::fs::read_to_string(&path))
-            .unwrap_or_else(|e| panic!("{path}: {e}"));
-
-        // The identity gate: verdicts and canonical streams, racing on
-        // vs. off, at every worker count the determinism suite pins.
-        let report_lines = |racing: bool, workers: usize| {
-            let verifier = Config::builder()
-                .racing(racing)
-                .adaptive(racing)
-                .workers(workers)
-                .build_verifier();
-            verifier
-                .verify(&src)
-                .expect("pipeline")
-                .deterministic_lines()
-        };
-        let want_report = report_lines(false, 1);
-        let want_stream = canonical_stream(&src, false, 1);
-        for workers in [1usize, 2, 8] {
-            assert_eq!(
-                report_lines(true, workers),
-                want_report,
-                "{fixture}: racing report at {workers} workers diverged"
-            );
-            assert_eq!(
-                canonical_stream(&src, true, workers),
-                want_stream,
-                "{fixture}: racing canonical stream at {workers} workers diverged"
-            );
-        }
-
-        group.bench_with_input(
-            BenchmarkId::new("sequential_cold", fixture),
-            &src,
-            |b, src| {
-                b.iter(|| {
-                    let verifier = Config::builder()
-                        .workers(1)
-                        .goal_cache(false)
-                        .build_verifier();
-                    let report = verifier.verify(src).expect("pipeline");
-                    assert!(report.methods.iter().all(|m| m.error.is_none()));
-                    report
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("racing_cold", fixture), &src, |b, src| {
-            b.iter(|| {
-                let verifier = Config::builder()
-                    .workers(1)
-                    .goal_cache(false)
-                    .racing(true)
-                    .build_verifier();
-                let report = verifier.verify(src).expect("pipeline");
-                assert!(report.stats.get("race.start").copied().unwrap_or(0) > 0);
-                report
-            })
-        });
-        // One session, kept warm across iterations — adaptive stats
-        // learned and goal cache populated by the warm-up run.
-        let warm = Config::builder()
-            .workers(1)
-            .racing(true)
-            .adaptive(true)
-            .build_verifier();
-        let warmed = warm.verify(&src).expect("warm-up run");
-        assert!(
-            warmed.stats.get("race.start").copied().unwrap_or(0) > 0,
-            "{fixture}: warm-up run never raced"
-        );
-        group.bench_with_input(
-            BenchmarkId::new("racing_adaptive_warm", fixture),
-            &src,
-            |b, src| {
-                b.iter(|| {
-                    let report = warm.verify(src).expect("pipeline");
-                    assert!(report.stats.get("cache.hit").copied().unwrap_or(0) > 0);
-                    report
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Relevance slicing (ISSUE 10): prove the goal's symbol cone first,
 /// widen on demand. The win is *work*, not machinery: a sliced sequent
 /// often falls inside a cheap decidable fragment (or a smaller search
@@ -407,7 +270,7 @@ fn bench_racing(c: &mut Criterion) {
 /// metered, cheap attempts — that overhead is bounded by the ladder
 /// depth, not the portfolio).
 ///
-/// As with racing, identity is asserted before anything is timed:
+/// Identity is asserted before anything is timed:
 /// verdict classifications slicing on vs. off (proved attributions may
 /// move to a cheaper prover — that is the feature), and bit-for-bit
 /// canonical streams across 1/2/8 workers within the sliced mode.
@@ -704,7 +567,6 @@ criterion_group!(
     bench_goal_cache,
     bench_persistent_cache,
     bench_observability_overhead,
-    bench_racing,
     bench_slicing,
     bench_supervision_overhead,
     bench_service

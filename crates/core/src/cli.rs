@@ -14,9 +14,10 @@
 //!   diagnosed message, never a panic.
 //!
 //! Subcommands (first argument): `verify` (implicit when the first
-//! argument is a path), `serve`, `submit`, `status`, `drain`. The
-//! hidden `worker` mode is the supervisor's child half and is handled
-//! by the binaries *before* this parser runs.
+//! argument is a path), `serve`, `submit`, `status`, `drain`. Each
+//! accepts exactly the flags it uses; any other flag is an error, never
+//! silently dropped. The hidden `worker` mode is the supervisor's child
+//! half and is handled by the binaries *before* this parser runs.
 
 use crate::service::{self, Client, Service, SubmitOptions, SubmitOutcome};
 use crate::verify::{Config, Isolation, ReportRender, RequestOptions, Verifier, VerifyReport};
@@ -50,13 +51,12 @@ impl OutputMode {
     }
 }
 
-/// Flags shared by every subcommand.
+/// The parsed flags of any subcommand; [`parse`] only fills the ones the
+/// subcommand accepts.
 #[derive(Clone, Debug, Default)]
 pub struct CommonOpts {
     pub output: OutputMode,
     pub isolation: Option<Isolation>,
-    pub racing: bool,
-    pub adaptive: bool,
     pub slicing: bool,
     /// `--socket PATH`; unset defers to `JAHOB_SOCKET` in the builder.
     pub socket: Option<PathBuf>,
@@ -87,82 +87,105 @@ pub struct Invocation {
     pub opts: CommonOpts,
 }
 
+/// The flags `subcommand` uses — exactly the ones it reads, so a flag
+/// that would have no effect is rejected instead of silently dropped.
+/// `submit` takes no portfolio flags because the daemon's session is
+/// fixed when `serve` starts; `serve` takes no report or deadline flags
+/// because each `submit` chooses those per request.
+fn flags_for(subcommand: &str) -> &'static [&'static str] {
+    match subcommand {
+        "verify" => &[
+            "--json",
+            "--json-timing",
+            "--isolation",
+            "--slicing",
+            "--deadline-ms",
+        ],
+        "serve" => &["--socket", "--isolation", "--slicing"],
+        "submit" => &["--socket", "--json", "--json-timing", "--deadline-ms"],
+        _ => &["--socket"],
+    }
+}
+
 /// Parse `args` (program name already stripped). `Err` carries the
 /// diagnosis for [`usage`].
 pub fn parse(args: Vec<String>) -> Result<Invocation, String> {
     let mut iter = args.into_iter().peekable();
     // The subcommand is the first argument, git-style; anything else —
     // a flag or a path — falls through to the implicit `verify`.
-    let explicit = match iter.peek().map(String::as_str) {
-        Some("verify") => Some(None),
-        Some("serve") => Some(Some(Command::Serve)),
-        Some("submit") => Some(None),
-        Some("status") => Some(Some(Command::Status)),
-        Some("drain") => Some(Some(Command::Drain)),
-        _ => None,
+    let word = match iter.peek().map(String::as_str) {
+        Some(w @ ("verify" | "serve" | "submit" | "status" | "drain")) => {
+            let w = w.to_owned();
+            iter.next();
+            w
+        }
+        _ => "verify".to_owned(),
     };
-    let word = explicit.is_some().then(|| iter.next().unwrap());
-    let mut command = explicit.flatten();
 
     let mut opts = CommonOpts::default();
     let mut path = None;
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
+        if !arg.starts_with("--") {
+            if path.is_some() {
+                return Err(format!("unexpected argument `{arg}`"));
+            }
+            path = Some(arg);
+            continue;
+        }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) if matches!(flag, "--isolation" | "--socket") => {
+                (flag, Some(value.to_owned()))
+            }
+            _ => (arg.as_str(), None),
+        };
+        let known = ["verify", "serve", "submit"]
+            .iter()
+            .any(|sub| flags_for(sub).contains(&flag));
+        if !known {
+            return Err(format!("unknown flag `{arg}`"));
+        }
+        if !flags_for(&word).contains(&flag) {
+            return Err(format!("`{word}` does not take `{flag}`"));
+        }
+        let takes_value = matches!(flag, "--isolation" | "--socket" | "--deadline-ms");
+        let value = if takes_value {
+            inline.or_else(|| iter.next())
+        } else {
+            None
+        };
+        match flag {
             "--json" => opts.output = OutputMode::Json,
             "--json-timing" => opts.output = OutputMode::JsonTiming,
-            "--racing" => opts.racing = true,
-            "--adaptive" => opts.adaptive = true,
             "--slicing" => opts.slicing = true,
-            "--isolation" => match iter.next() {
+            "--isolation" => match value {
                 Some(mode) => match parse_isolation(&mode) {
                     Some(iso) => opts.isolation = Some(iso),
                     None => return Err(format!("unknown isolation mode `{mode}`")),
                 },
                 None => return Err("--isolation needs a mode (process|in-process)".into()),
             },
-            "--socket" => match iter.next() {
+            "--socket" => match value {
                 Some(p) => opts.socket = Some(PathBuf::from(p)),
                 None => return Err("--socket needs a path".into()),
             },
-            "--deadline-ms" => match iter.next().as_deref().map(str::parse::<u64>) {
+            _ => match value.as_deref().map(str::parse::<u64>) {
                 Some(Ok(ms)) if ms > 0 => opts.deadline = Some(Duration::from_millis(ms)),
                 _ => return Err("--deadline-ms needs a positive integer".into()),
             },
-            other => {
-                if let Some(mode) = other.strip_prefix("--isolation=") {
-                    match parse_isolation(mode) {
-                        Some(iso) => opts.isolation = Some(iso),
-                        None => return Err(format!("unknown isolation mode `{mode}`")),
-                    }
-                } else if let Some(p) = other.strip_prefix("--socket=") {
-                    opts.socket = Some(PathBuf::from(p));
-                } else if other.starts_with("--") {
-                    return Err(format!("unknown flag `{other}`"));
-                } else if path.is_none() {
-                    path = Some(other.to_owned());
-                } else {
-                    return Err(format!("unexpected argument `{other}`"));
-                }
-            }
         }
     }
 
-    if command.is_none() {
+    let command = match (word.as_str(), path) {
         // `verify`/`submit` take the remaining positional as the file.
-        let Some(path) = path.take() else {
-            return Err("no input file".into());
-        };
-        command = Some(match word.as_deref() {
-            Some("submit") => Command::Submit { path },
-            _ => Command::Verify { path },
-        });
-    } else if let Some(stray) = path {
-        return Err(format!("unexpected argument `{stray}`"));
-    }
-    Ok(Invocation {
-        command: command.expect("either branch sets it"),
-        opts,
-    })
+        ("verify", Some(path)) => Command::Verify { path },
+        ("submit", Some(path)) => Command::Submit { path },
+        ("verify" | "submit", None) => return Err("no input file".into()),
+        (_, Some(stray)) => return Err(format!("unexpected argument `{stray}`")),
+        ("serve", None) => Command::Serve,
+        ("status", None) => Command::Status,
+        _ => Command::Drain,
+    };
+    Ok(Invocation { command, opts })
 }
 
 fn parse_isolation(mode: &str) -> Option<Isolation> {
@@ -181,9 +204,10 @@ pub fn usage(program: &str, why: &str, with_service: bool) -> ExitCode {
     if with_service {
         eprintln!(
             "usage: {program} [verify] [--json|--json-timing] \
-             [--isolation process|in-process] [--racing] [--adaptive] \
-             [--slicing] [--deadline-ms N] <file.javax>\n       \
-             {program} serve  [--socket <path>] [--slicing]\n       \
+             [--isolation process|in-process] [--slicing] [--deadline-ms N] \
+             <file.javax>\n       \
+             {program} serve  [--socket <path>] [--isolation process|in-process] \
+             [--slicing]\n       \
              {program} submit [--socket <path>] [--json|--json-timing] \
              [--deadline-ms N] <file.javax>\n       \
              {program} status|drain [--socket <path>]"
@@ -191,8 +215,8 @@ pub fn usage(program: &str, why: &str, with_service: bool) -> ExitCode {
     } else {
         eprintln!(
             "usage: {program} [--json|--json-timing] \
-             [--isolation process|in-process] [--racing] [--adaptive] \
-             [--slicing] [--deadline-ms N] <file.javax>"
+             [--isolation process|in-process] [--slicing] [--deadline-ms N] \
+             <file.javax>"
         );
     }
     ExitCode::from(2)
@@ -209,15 +233,8 @@ pub fn build_config(program: &str, opts: &CommonOpts) -> Config {
     if let Some(iso) = opts.isolation {
         builder = builder.isolation(iso);
     }
-    // Flags only turn racing/adaptive/slicing on; absent flags defer to
-    // the JAHOB_RACING / JAHOB_ADAPTIVE / JAHOB_SLICING environment
-    // inside the builder.
-    if opts.racing {
-        builder = builder.racing(true);
-    }
-    if opts.adaptive {
-        builder = builder.adaptive(true);
-    }
+    // The flag only turns slicing on; an absent flag defers to
+    // JAHOB_SLICING inside the builder.
     if opts.slicing {
         builder = builder.slicing(true);
     }
@@ -510,7 +527,6 @@ mod tests {
     fn slicing_flag_parses() {
         let inv = parse(args(&["--slicing", "x.javax"])).unwrap();
         assert!(inv.opts.slicing);
-        assert!(!inv.opts.racing);
         let inv = parse(args(&["serve", "--slicing", "--socket", "/tmp/s"])).unwrap();
         assert_eq!(inv.command, Command::Serve);
         assert!(inv.opts.slicing);
@@ -553,6 +569,54 @@ mod tests {
         assert!(parse(args(&["--deadline-ms", "zero", "x.javax"])).is_err());
         assert!(parse(args(&["a.javax", "b.javax"])).is_err());
         assert!(parse(args(&["--frobnicate", "x.javax"])).is_err());
+    }
+
+    #[test]
+    fn serve_takes_isolation() {
+        let inv = parse(args(&[
+            "serve",
+            "--isolation",
+            "process",
+            "--socket=/tmp/s",
+        ]))
+        .unwrap();
+        assert_eq!(inv.command, Command::Serve);
+        assert_eq!(inv.opts.isolation, Some(Isolation::Process));
+    }
+
+    #[test]
+    fn flags_a_subcommand_does_not_use_are_rejected() {
+        for bad in [
+            &["submit", "--slicing", "--socket", "s", "x.javax"][..],
+            &["submit", "--isolation", "process", "x.javax"],
+            &["submit", "--isolation=in-process", "x.javax"],
+            &["status", "--slicing"],
+            &["status", "--isolation", "process"],
+            &["drain", "--slicing"],
+            &["drain", "--isolation=process"],
+            &["status", "--json"],
+            &["drain", "--deadline-ms", "5"],
+            &["serve", "--socket", "s", "--json"],
+            &["serve", "--socket", "s", "--json-timing"],
+            &["serve", "--socket", "s", "--deadline-ms", "5"],
+            &["verify", "--socket", "s", "x.javax"],
+            &["--socket=s", "x.javax"],
+        ] {
+            let why = parse(args(bad)).expect_err(&format!("{bad:?} must be rejected"));
+            assert!(why.contains("does not take"), "{bad:?}: {why}");
+        }
+    }
+
+    #[test]
+    fn racing_and_adaptive_are_unknown_flags() {
+        for name in ["racing", "adaptive"] {
+            let flag = format!("--{name}");
+            let flag = flag.as_str();
+            for bad in [&[flag, "x.javax"][..], &["serve", flag, "--socket", "s"]] {
+                let why = parse(args(bad)).expect_err(&format!("{bad:?} must be rejected"));
+                assert_eq!(why, format!("unknown flag `{flag}`"));
+            }
+        }
     }
 
     #[test]

@@ -14,11 +14,11 @@ use jahob_smt::lift_ite;
 use jahob_util::budget::{Budget, Exhaustion, INFINITE_FUEL};
 use jahob_util::chaos::{self, Fault, FaultPlan, Lie};
 use jahob_util::counters::Stats;
-use jahob_util::obs::{self, Event, Recorder, Sink};
-use jahob_util::{pool, FxHashMap, Symbol};
+use jahob_util::obs::{self, Event, Recorder};
+use jahob_util::{FxHashMap, Symbol};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -265,9 +265,7 @@ impl Diagnosis {
     /// severe reason per prover (used when an escalated retry also fails:
     /// the final diagnosis covers both passes). Merging is keyed on the
     /// prover, never on arrival position, so folding the same set of
-    /// attempts in any order yields the same per-prover reasons — the
-    /// property that lets speculative race losers be merged in canonical
-    /// portfolio order rather than wall-clock finish order.
+    /// attempts in any order yields the same per-prover reasons.
     pub fn merge_from(&mut self, earlier: &Diagnosis) {
         for (prover, reason) in &earlier.attempts {
             self.record(*prover, *reason);
@@ -363,48 +361,13 @@ pub struct DispatchConfig {
     /// default — keeps the fast path: the plan is polled per attempt, not
     /// per prover step. Replaces the old `inject_panic` test hook.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Circuit breaker: consecutive hard failures (`Panicked`/`Timeout`)
-    /// before a prover's breaker opens. `0` disables the breakers.
-    pub breaker_threshold: u32,
-    /// How many attempts an open breaker skips before half-opening for a
-    /// probe. Counted in skipped attempts, not wall-clock, so breaker
-    /// behavior is deterministic under test.
-    pub breaker_cooldown: u32,
-    /// Fuel granted to a half-open probe when the obligation is otherwise
-    /// unmetered; metered obligations cap the probe at this or the normal
-    /// slice, whichever is smaller.
-    pub breaker_probe_fuel: u64,
-    /// First-pass attempts get `remaining / divisor` fuel (min 1) so a
-    /// metered obligation is never drained by its first prover; the
-    /// escalated retry re-runs with everything left. `<= 1` restores
-    /// undivided slices.
-    pub attempt_fuel_divisor: u64,
-    /// Retry an obligation that ended `FuelExhausted`/`Timeout` once more
-    /// against the surviving provers with the leftover budget.
-    pub escalating_retry: bool,
     /// Soundness watchdog: cross-check `Proved` against a second
     /// independent prover and `Refuted` against the reference evaluator;
     /// disagreement degrades to `Unknown`, never a silent wrong answer.
     pub cross_check: bool,
-    /// Speculative racing: fan the remotable provers' first-pass attempts
-    /// out concurrently and commit the results through the canonical
-    /// sequential walk, so verdicts, diagnoses, breaker behavior, and the
-    /// canonical event stream are bit-for-bit identical to the sequential
-    /// path. Races only fire for unmetered obligations (no deadline,
-    /// infinite fuel) with every racer's breaker closed and no chaos plan
-    /// armed; everything else falls back to sequential dispatch. Stays out
-    /// of [`DispatchConfig::cache_digest`]: racing changes wall-clock, not
-    /// which proofs are acceptable.
+    /// Has no effect; kept only because the benchmark harness still
+    /// reads it.
     pub racing: bool,
-    /// Chaos knob for the racing path: deterministically revoke some
-    /// racers' budgets *before they start* (keyed on this seed, the goal
-    /// fingerprint, and the racer's canonical index — never on wall-clock
-    /// or worker scheduling). A cancelled racer the commit walk turns out
-    /// to need is transparently re-run inline, so spurious cancellation
-    /// can cost time but never flip a verdict. `None` (the default)
-    /// disables the fault. Out of `cache_digest` for the same reason as
-    /// `racing`.
-    pub race_cancel_seed: Option<u64>,
     /// Relevance slicing: decompose each piece into a sequent, drop
     /// hypotheses outside the goal's symbol cone, and prove the sliced
     /// sequent first, widening the cone on `Unknown` with the full piece
@@ -414,14 +377,14 @@ pub struct DispatchConfig {
     /// can never flip a verdict's classification. Slicing happens
     /// *before* `goal_cache::normalize`/`fingerprint`, so pieces that
     /// differ only in irrelevant hypotheses collapse to one cache entry.
-    /// Like racing, the ladder stands down when a fault plan or armed
-    /// chaos session is present (faults are replayed per attempt, and
-    /// the ladder changes the attempt sequence) and when the obligation
-    /// is metered (the ladder re-spends budget per rung). Non-final
-    /// rungs run under a metered [`SLICE_RUNG_FUEL`] child budget —
-    /// slices are formulas the plain walk never dispatches, and a
-    /// prover with no termination guarantee on them must be cut off
-    /// deterministically rather than hang the pipeline. Stays out of
+    /// The ladder stands down when a fault plan or armed chaos session
+    /// is present (faults are replayed per attempt, and the ladder
+    /// changes the attempt sequence) and when the obligation is metered
+    /// (the ladder re-spends budget per rung). Non-final rungs run under
+    /// a metered [`SLICE_RUNG_FUEL`] child budget — slices are formulas
+    /// the plain walk never dispatches, and a prover with no termination
+    /// guarantee on them must be cut off deterministically rather than
+    /// hang the pipeline. Stays out of
     /// [`DispatchConfig::cache_digest`]: a proof of a sliced sequent is
     /// a proof of that sequent under any config — slicing changes which
     /// goals get looked up, not which proofs are acceptable.
@@ -432,9 +395,9 @@ impl DispatchConfig {
     /// Digest of the semantics-affecting knobs, folded into every goal-cache
     /// fingerprint. Two configs with equal digests accept exactly the same
     /// proofs, so their runs may share cache entries. Budget and robustness
-    /// knobs (timeout, fuel, breakers, retry, `cross_check`) stay out on
-    /// purpose: a proof found under one budget is a proof under any other,
-    /// and the watchdog re-confirms cache hits itself.
+    /// knobs (timeout, fuel, `cross_check`) stay out on purpose: a proof
+    /// found under one budget is a proof under any other, and the watchdog
+    /// re-confirms cache hits itself.
     pub fn cache_digest(&self) -> u64 {
         let mut d = 0x6a09_e667_f3bc_c909u64;
         for knob in [
@@ -461,22 +424,32 @@ impl Default for DispatchConfig {
             obligation_timeout: None,
             obligation_fuel: INFINITE_FUEL,
             fault_plan: None,
-            breaker_threshold: 3,
-            breaker_cooldown: 2,
-            breaker_probe_fuel: 50_000,
-            attempt_fuel_divisor: 4,
-            escalating_retry: true,
             cross_check: false,
             racing: false,
-            race_cancel_seed: None,
             slicing: false,
         }
     }
 }
 
-// ---- circuit breakers ----------------------------------------------------
+/// Circuit breaker: consecutive hard failures (`Panicked`/`Timeout`/
+/// `ResourceExceeded`) before a prover's breaker opens.
+const BREAKER_THRESHOLD: u64 = 3;
 
-/// Breaker states, stored as `u64` in an atomic cell.
+/// How many attempts an open breaker skips before half-opening for a
+/// probe. Counted in skipped attempts, not wall-clock, so breaker
+/// behavior is deterministic under test.
+const BREAKER_COOLDOWN: u64 = 2;
+
+/// Fuel granted to a half-open probe when the obligation is otherwise
+/// unmetered; metered obligations cap the probe at this or the normal
+/// slice, whichever is smaller.
+const BREAKER_PROBE_FUEL: u64 = 50_000;
+
+/// First-pass attempts on a metered obligation get `remaining / divisor`
+/// fuel (min 1), so the obligation is never drained by its first prover;
+/// the escalated retry re-runs with everything left.
+const ATTEMPT_FUEL_DIVISOR: u64 = 4;
+
 /// Sliced rungs per relevance ladder before the full piece (cone depths
 /// `1..=N`). Three covers every chain the cone can usefully distinguish:
 /// deeper cones almost always hit the fixpoint, which the ladder skips.
@@ -564,6 +537,9 @@ fn eval_cost_bound(m: &jahob_logic::Model, form: &Form) -> u64 {
     }
 }
 
+// ---- circuit breakers ----------------------------------------------------
+
+// Breaker states, stored as `u64` in an atomic cell.
 const BREAKER_CLOSED: u64 = 0;
 const BREAKER_OPEN: u64 = 1;
 const BREAKER_HALF_OPEN: u64 = 2;
@@ -605,15 +581,6 @@ pub struct BreakerBank {
 }
 
 impl BreakerBank {
-    /// Mutation-free peek: is this prover's breaker fully closed? Used as
-    /// a speculative-racing precondition — unlike [`BreakerBank::gate`]
-    /// it never consumes a cooldown tick or claims a probe, so peeking
-    /// before a race leaves the breaker state machine exactly where the
-    /// sequential walk (and its `gate` calls) expects it.
-    fn peek_closed(&self, prover: ProverId) -> bool {
-        self.cells[prover.index()].state.load(Ordering::Relaxed) == BREAKER_CLOSED
-    }
-
     fn gate(&self, prover: ProverId) -> Gate {
         let cell = &self.cells[prover.index()];
         match cell.state.load(Ordering::Relaxed) {
@@ -622,8 +589,8 @@ impl BreakerBank {
             // only by the cooldown drainer below and left only by that
             // probe's `observe`. Admitting every caller who glimpses
             // half-open would stampede a prover that just crash-looped
-            // with one probe per racing worker — exactly one caller owns
-            // the probe; everyone else skips until its verdict is in.
+            // with one probe per concurrent worker — exactly one caller
+            // owns the probe; everyone else skips until its verdict is in.
             BREAKER_HALF_OPEN => Gate::Skip,
             _ => {
                 // Atomically consume one cooldown tick; whoever drains the
@@ -653,7 +620,6 @@ impl BreakerBank {
         prover: ProverId,
         probing: bool,
         failure: Option<FailureReason>,
-        config: &DispatchConfig,
     ) -> Option<&'static str> {
         let cell = &self.cells[prover.index()];
         let hard = matches!(
@@ -666,15 +632,13 @@ impl BreakerBank {
             if probing {
                 // The probe misbehaved too: straight back to open.
                 cell.state.store(BREAKER_OPEN, Ordering::Relaxed);
-                cell.cooldown
-                    .store(config.breaker_cooldown as u64, Ordering::Relaxed);
+                cell.cooldown.store(BREAKER_COOLDOWN, Ordering::Relaxed);
                 Some("reopen")
             } else {
                 let streak = cell.consecutive.fetch_add(1, Ordering::Relaxed) + 1;
-                if streak >= config.breaker_threshold as u64 {
+                if streak >= BREAKER_THRESHOLD {
                     cell.state.store(BREAKER_OPEN, Ordering::Relaxed);
-                    cell.cooldown
-                        .store(config.breaker_cooldown as u64, Ordering::Relaxed);
+                    cell.cooldown.store(BREAKER_COOLDOWN, Ordering::Relaxed);
                     cell.consecutive.store(0, Ordering::Relaxed);
                     Some("open")
                 } else {
@@ -716,17 +680,6 @@ pub struct Dispatcher {
     /// degrade gracefully to the in-process path. `None` (the default)
     /// keeps everything in-process.
     pub supervisor: Option<Arc<crate::worker::ProcessBackend>>,
-    /// Raw sink for schedule-dependent racing events (`race.*`): like the
-    /// supervisor's `spawn`/`restart` events they go straight to the sink,
-    /// bypassing the recorder, so the canonical (buffered) stream stays
-    /// bit-for-bit identical with racing on or off. `None` still maintains
-    /// the `race.*` counters.
-    pub raw_sink: Option<Arc<dyn Sink>>,
-    /// Adaptive portfolio statistics (see [`crate::adaptive`]): consulted
-    /// for the race *start order* only — committed results always replay
-    /// in canonical portfolio order — and updated with each race's
-    /// outcomes. `None` races in canonical start order.
-    pub adaptive: Option<Arc<crate::adaptive::AdaptiveStats>>,
     /// Per-prover circuit breakers (state persists across obligations).
     breakers: BreakerBank,
 }
@@ -786,8 +739,6 @@ impl Dispatcher {
             recorder,
             cache: None,
             supervisor: None,
-            raw_sink: None,
-            adaptive: None,
             breakers: BreakerBank::default(),
         }
     }
@@ -803,17 +754,6 @@ impl Dispatcher {
     fn emit(&self, event: Event) {
         event.stat_increments(|name, delta| self.stats.add(name, delta));
         self.recorder.record_with(|| event);
-    }
-
-    /// Emit a schedule-dependent event (`race.*`) straight to the raw
-    /// sink, bypassing the recorder. The counters still tick — they are
-    /// flagged unstable by the report — but the canonical stream never
-    /// sees these events, which is what keeps it identical racing on/off.
-    fn emit_raw(&self, event: Event) {
-        event.stat_increments(|name, delta| self.stats.add(name, delta));
-        if let Some(sink) = &self.raw_sink {
-            sink.emit(&event);
-        }
     }
 
     /// Elaborate a goal against the signature (resolving `<=`/`-`/`=`
@@ -926,8 +866,8 @@ impl Dispatcher {
     /// a ladder that falls all the way through reproduces the unsliced
     /// verdict and diagnosis exactly.
     ///
-    /// Eligibility mirrors racing: unmetered obligations only (each rung
-    /// re-spends budget, so a metered ladder could exhaust fuel a direct
+    /// Eligibility: unmetered obligations only (each rung re-spends
+    /// budget, so a metered ladder could exhaust fuel a direct
     /// dispatch would have spent on the full piece), and no fault plan or
     /// armed chaos session (faults are consumed per attempt, and the
     /// ladder changes the attempt sequence, which would make seeded chaos
@@ -1140,7 +1080,7 @@ impl Dispatcher {
             .iter()
             .any(|(_, r)| matches!(r, FailureReason::FuelExhausted | FailureReason::Timeout));
         let budget_left = budget.poll_deadline().is_ok() && budget.fuel_remaining() > 0;
-        if !(self.config.escalating_retry && recoverable && budget_left) {
+        if !(recoverable && budget_left) {
             return Verdict::Unknown(diag);
         }
         self.emit(Event::RetryEscalated {
@@ -1282,26 +1222,23 @@ impl Dispatcher {
             "first"
         };
         // Circuit breaker gate.
-        let breakers_on = self.config.breaker_threshold > 0;
         let mut probing = false;
-        if breakers_on {
-            match self.breakers.gate(prover) {
-                Gate::Pass => {}
-                Gate::Probe => {
-                    probing = true;
-                    self.emit(Event::Breaker {
-                        prover: prover.name(),
-                        transition: "half-open",
-                    });
-                }
-                Gate::Skip => {
-                    diag.record(prover, FailureReason::CircuitOpen);
-                    self.emit(Event::Breaker {
-                        prover: prover.name(),
-                        transition: "skipped",
-                    });
-                    return None;
-                }
+        match self.breakers.gate(prover) {
+            Gate::Pass => {}
+            Gate::Probe => {
+                probing = true;
+                self.emit(Event::Breaker {
+                    prover: prover.name(),
+                    transition: "half-open",
+                });
+            }
+            Gate::Skip => {
+                diag.record(prover, FailureReason::CircuitOpen);
+                self.emit(Event::Breaker {
+                    prover: prover.name(),
+                    transition: "skipped",
+                });
+                return None;
             }
         }
         // Slice the obligation budget for this attempt. First-pass slices
@@ -1310,18 +1247,11 @@ impl Dispatcher {
         // deliberately small allowance.
         let remaining = budget.fuel_remaining();
         let slice_fuel = if probing {
-            if remaining == INFINITE_FUEL {
-                self.config.breaker_probe_fuel
-            } else {
-                remaining.min(self.config.breaker_probe_fuel)
-            }
-        } else if ctx.escalated
-            || self.config.attempt_fuel_divisor <= 1
-            || remaining == INFINITE_FUEL
-        {
+            remaining.min(BREAKER_PROBE_FUEL)
+        } else if ctx.escalated || remaining == INFINITE_FUEL {
             remaining
         } else {
-            (remaining / self.config.attempt_fuel_divisor).max(1)
+            (remaining / ATTEMPT_FUEL_DIVISOR).max(1)
         };
         let slice = budget.child(None, slice_fuel);
         // Chaos: decide this attempt's fate from the armed plan.
@@ -1426,16 +1356,11 @@ impl Dispatcher {
             fuel: fuel_spent,
             micros: started.elapsed().as_micros() as u64,
         });
-        if breakers_on {
-            if let Some(transition) = self
-                .breakers
-                .observe(prover, probing, failure, &self.config)
-            {
-                self.emit(Event::Breaker {
-                    prover: prover.name(),
-                    transition,
-                });
-            }
+        if let Some(transition) = self.breakers.observe(prover, probing, failure) {
+            self.emit(Event::Breaker {
+                prover: prover.name(),
+                transition,
+            });
         }
         verdict
     }
@@ -1579,210 +1504,6 @@ impl Dispatcher {
             // Quarantined lane: the quarantine event fired when the lane
             // was condemned; every later attempt silently degrades.
             Outcome::Unavailable => None,
-            // Cancellation only exists on the racing path, which issues
-            // its requests through `request_cancellable` directly; the
-            // plain `request` used here never cancels. Degrade in-process
-            // if it ever surfaces.
-            Outcome::Cancelled => None,
-        }
-    }
-
-    /// Try to race one piece's first-pass portfolio attempts. Returns the
-    /// per-racer results (indexed canonically, [`RACERS`] order) when the
-    /// race ran; `None` means "not eligible — dispatch sequentially".
-    ///
-    /// Eligibility is deliberately narrow, because the headline invariant
-    /// is bit-for-bit determinism against the sequential walk:
-    ///
-    /// * first pass only: escalated retries and watchdog confirmations
-    ///   have budget- and exclusion-coupled semantics;
-    /// * unmetered obligations only (no deadline, infinite fuel) — metered
-    ///   slices are order-dependent (each attempt's allowance depends on
-    ///   what earlier attempts burned) and racing would change them;
-    /// * no chaos plan armed: fault decisions consume per-site counters
-    ///   and thread-local obligation scopes on the dispatch thread, which
-    ///   racer threads cannot see;
-    /// * every racer's breaker closed (a mutation-free peek): open or
-    ///   half-open breakers skip and probe provers in ways only the
-    ///   sequential gate calls may decide.
-    fn race_portfolio(
-        &self,
-        piece: &Form,
-        variants: &[(Form, FxHashMap<Symbol, Sort>)],
-        budget: &Budget,
-        ctx: &AttemptCtx<'_>,
-    ) -> Option<Vec<RacerRun>> {
-        if !self.config.racing
-            || ctx.escalated
-            || ctx.retry_only.is_some()
-            || ctx.exclude.is_some()
-            || self.config.fault_plan.is_some()
-            || chaos::armed()
-            || budget.time_remaining().is_some()
-            || budget.fuel_remaining() != INFINITE_FUEL
-            || budget.exhausted().is_some()
-        {
-            return None;
-        }
-        if self.config.breaker_threshold > 0
-            && !RACERS.iter().all(|&p| self.breakers.peek_closed(p))
-        {
-            return None;
-        }
-        let backend = self.supervisor.as_deref();
-        // One encoded request per racer, built once on this thread. The
-        // codec is content-determined, so in-process racers decode the
-        // exact goal a worker child would see (the supervision suite pins
-        // backends verdict- and stream-identical over this codec).
-        let deadline_ms = backend
-            .map(|b| b.deadline_for(budget).as_millis() as u64)
-            .unwrap_or(0);
-        let requests: Vec<Vec<u8>> = RACERS
-            .iter()
-            .map(|&prover| {
-                crate::worker::Request {
-                    prover,
-                    chaos: 0,
-                    fuel: budget.fuel_remaining(),
-                    deadline_ms,
-                    fol_iterations: self.config.fol_iterations as u64,
-                    variants: variants.to_vec(),
-                }
-                .encode()
-            })
-            .collect();
-        let budgets: Vec<Budget> = RACERS.iter().map(|_| Budget::unlimited()).collect();
-        // Spurious-cancellation chaos: decided *before* the fan-out from
-        // (seed, goal fingerprint, racer index) — deterministic across
-        // worker counts and wall-clock, sweepable over seeds. A cancelled
-        // racer the commit walk needs is re-run inline, so this fault can
-        // cost time but never a verdict.
-        if let Some(seed) = self.config.race_cancel_seed {
-            let normal = goal_cache::normalize(piece);
-            let fp = goal_cache::fingerprint(&normal, &variants[0].1, self.config.cache_digest());
-            let key = goal_cache::obligation_key(fp);
-            for (i, b) in budgets.iter().enumerate() {
-                if chaos::splitmix64(seed ^ key ^ (0x7ace_0000 + i as u64)) % 3 == 0 {
-                    b.revoke();
-                }
-            }
-        }
-        self.emit_raw(Event::RaceStart {
-            provers: RACERS.len() as u64,
-        });
-        // Adaptive ordering chooses who *starts* first; commit order stays
-        // canonical regardless, so warm stats can never change output.
-        let order: Vec<usize> = match &self.adaptive {
-            Some(adaptive) => {
-                adaptive.order(crate::adaptive::goal_class(piece, &variants[0].1), &RACERS)
-            }
-            None => (0..RACERS.len()).collect(),
-        };
-        let decided_floor = AtomicUsize::new(usize::MAX);
-        let results = pool::run(RACERS.len(), order, |_cx, i| {
-            let run = race_one(
-                RACERS[i],
-                &requests[i],
-                backend,
-                &budgets[i],
-                i,
-                &decided_floor,
-            );
-            if matches!(run.outcome, RacerOutcome::Proved { .. }) {
-                // The canonically-least decision wins. Only racers at
-                // strictly greater canonical indices are revoked — the
-                // commit walk can never reach past the floor, so every
-                // replayed result is an honest run-to-completion one.
-                let prev = decided_floor.fetch_min(i, Ordering::SeqCst);
-                let floor = prev.min(i);
-                for (j, b) in budgets.iter().enumerate() {
-                    if j > floor {
-                        b.revoke();
-                    }
-                }
-            }
-            (i, run)
-        });
-        let mut slots: Vec<Option<RacerRun>> = RACERS.iter().map(|_| None).collect();
-        // A racer task panicking outside the attempt's own catch_unwind
-        // would be a harness bug; degrade that slot to an inline re-run
-        // rather than guessing an outcome.
-        for (i, run) in results.into_iter().flatten() {
-            slots[i] = Some(run);
-        }
-        let runs: Vec<RacerRun> = slots
-            .into_iter()
-            .map(|r| r.unwrap_or_else(RacerRun::cancelled_before_start))
-            .collect();
-        let floor = decided_floor.load(Ordering::Relaxed);
-        if floor != usize::MAX {
-            self.emit_raw(Event::RaceWin {
-                prover: RACERS[floor].name(),
-            });
-        }
-        for (i, run) in runs.iter().enumerate() {
-            if run.cancelled {
-                self.emit_raw(Event::RaceCancelled {
-                    prover: RACERS[i].name(),
-                });
-            }
-        }
-        // Feed the adaptive store: wins, attempts, and wall-clock cost per
-        // racer for this goal class. Cancelled racers carry no signal.
-        if let Some(adaptive) = &self.adaptive {
-            let class = crate::adaptive::goal_class(piece, &variants[0].1);
-            for (i, run) in runs.iter().enumerate() {
-                if run.cancelled {
-                    continue;
-                }
-                adaptive.record(
-                    class,
-                    RACERS[i],
-                    matches!(run.outcome, RacerOutcome::Proved { .. }),
-                    run.micros,
-                );
-            }
-        }
-        Some(runs)
-    }
-
-    /// The guard body on the racing path: replay one racer's recorded
-    /// result exactly as the sequential attempt would have produced it —
-    /// deferred supervisor events, stat deltas, diagnosis entries, then
-    /// the outcome itself (re-raising recorded panics so the guard's
-    /// `catch_unwind` takes its usual path). Cancelled racers re-run the
-    /// real attempt inline.
-    fn commit_racer(
-        &self,
-        run: &RacerRun,
-        prover: ProverId,
-        variants: &[(Form, FxHashMap<Symbol, Sort>)],
-        slice: &Budget,
-        diag: &mut Diagnosis,
-    ) -> Result<Option<Verdict>, AttemptError> {
-        if run.cancelled {
-            self.emit_raw(Event::RaceRerun {
-                prover: prover.name(),
-            });
-            return self.attempt_body(prover, variants, slice, diag);
-        }
-        for event in &run.deferred {
-            self.emit(event.clone());
-        }
-        for (name, delta) in &run.stats {
-            self.stats.add(name, *delta);
-        }
-        for (p, reason) in &run.diag {
-            diag.record(*p, *reason);
-        }
-        match &run.outcome {
-            RacerOutcome::Proved { prover, bound } => Ok(Some(Verdict::Proved {
-                prover: *prover,
-                bound: *bound,
-            })),
-            RacerOutcome::NoDecision => Ok(None),
-            RacerOutcome::Failed(e) => Err(*e),
-            RacerOutcome::Panicked(msg) => std::panic::resume_unwind(Box::new(msg.clone())),
         }
     }
 
@@ -1816,26 +1537,14 @@ impl Dispatcher {
             }
         }
 
-        // Speculative racing: when eligible, every remotable prover's
-        // attempt runs concurrently *now*; the walk below then commits
-        // the recorded results through the same guards, in the same
-        // canonical order, as the sequential path — so verdicts, events,
-        // diagnoses, and breaker transitions are bit-for-bit identical,
-        // and losers past the winner are discarded wholesale.
-        let race = self.race_portfolio(piece, &variants, budget, ctx);
-
         // Cheap, fragment-specific provers first (their bodies live in
         // [`crate::worker::portfolio_attempt`] so the in-process path and
         // the worker process run the same code; hypothesis filtering moved
         // with them). Each remotable member routes through the process
         // backend when one is attached.
-        for (racer, prover) in [ProverId::Hol, ProverId::Lia, ProverId::Bapa, ProverId::Smt]
-            .into_iter()
-            .enumerate()
-        {
-            let decided = self.guard(prover, budget, &mut diag, ctx, |slice, diag| match &race {
-                Some(runs) => self.commit_racer(&runs[racer], prover, &variants, slice, diag),
-                None => self.attempt_body(prover, &variants, slice, diag),
+        for prover in [ProverId::Hol, ProverId::Lia, ProverId::Bapa, ProverId::Smt] {
+            let decided = self.guard(prover, budget, &mut diag, ctx, |slice, diag| {
+                self.attempt_body(prover, &variants, slice, diag)
             });
             if let Some(v) = decided {
                 return v;
@@ -1870,19 +1579,9 @@ impl Dispatcher {
                 return v;
             }
         }
-        let fol = self.guard(
-            ProverId::Fol,
-            budget,
-            &mut diag,
-            ctx,
-            |slice, diag| match &race {
-                // Fol is racer 4; it raced speculatively past the BMC-refute
-                // pass above, which is sound: if BMC had refuted, the walk
-                // returned there and this result was simply discarded.
-                Some(runs) => self.commit_racer(&runs[4], ProverId::Fol, &variants, slice, diag),
-                None => self.attempt_body(ProverId::Fol, &variants, slice, diag),
-            },
-        );
+        let fol = self.guard(ProverId::Fol, budget, &mut diag, ctx, |slice, diag| {
+            self.attempt_body(ProverId::Fol, &variants, slice, diag)
+        });
         if let Some(v) = fol {
             return v;
         }
@@ -1952,223 +1651,6 @@ impl Dispatcher {
         diag.obligation_spent = budget.exhausted().map(FailureReason::from);
         Verdict::Unknown(diag)
     }
-}
-
-// ---- speculative racing --------------------------------------------------
-
-/// The racing portfolio: every remotable prover, in canonical dispatch
-/// order. BMC is absent on purpose — both its passes (refute, bounded
-/// validity) run inline at their fixed positions during the commit walk,
-/// so a race never changes *what* runs, only *when*.
-const RACERS: [ProverId; 5] = [
-    ProverId::Hol,
-    ProverId::Lia,
-    ProverId::Bapa,
-    ProverId::Smt,
-    ProverId::Fol,
-];
-
-/// Everything one speculative racer ships back from its pool task. All
-/// fields are `Send` by construction: verdict payloads are reduced to
-/// `(prover, bound)` — the racers never produce counter-models; the wire
-/// protocol cannot even express one — diagnosis and stats are replayable
-/// value lists, and deferred events are the canonical supervisor events
-/// the sequential path would have emitted inside this attempt.
-struct RacerRun {
-    outcome: RacerOutcome,
-    /// Per-prover failure reasons in the racer's own attempt order
-    /// (replayed through [`Diagnosis::record`], which merges by prover,
-    /// so one racer's internal order is already canonical).
-    diag: Vec<(ProverId, FailureReason)>,
-    stats: Vec<(String, u64)>,
-    /// Canonical supervisor events (kill / crash / fallback) to replay at
-    /// commit time, in emission order.
-    deferred: Vec<Event>,
-    /// The racer never produced a usable result: its budget was revoked
-    /// before it started (spurious-cancellation chaos), the supervisor
-    /// cancelled it mid-flight, or the attempt produced something that
-    /// cannot cross threads. If the commit walk needs this slot it re-runs
-    /// the attempt inline — slower, never different.
-    cancelled: bool,
-    /// Wall-clock this racer burned. Adaptive-ordering cost signal only;
-    /// never reaches canonical output.
-    micros: u64,
-}
-
-impl RacerRun {
-    fn cancelled_before_start() -> RacerRun {
-        RacerRun {
-            outcome: RacerOutcome::NoDecision,
-            diag: Vec::new(),
-            stats: Vec::new(),
-            deferred: Vec::new(),
-            cancelled: true,
-            micros: 0,
-        }
-    }
-}
-
-enum RacerOutcome {
-    Proved {
-        prover: ProverId,
-        bound: Option<u32>,
-    },
-    NoDecision,
-    Failed(AttemptError),
-    /// The attempt panicked; the message is re-raised at commit time so
-    /// the guard's `catch_unwind` takes exactly the sequential path.
-    Panicked(String),
-}
-
-/// Run one racer to completion on the current thread. Mirrors the
-/// sequential attempt path exactly — remote request first when a backend
-/// is attached, in-process [`crate::worker::portfolio_attempt`] otherwise
-/// or on fallback — but records canonical events instead of emitting them
-/// and returns `Send` data only. A free function on purpose: the
-/// dispatcher itself holds `Rc`-laden formulas and must not cross into
-/// the racer threads.
-fn race_one(
-    prover: ProverId,
-    request_bytes: &[u8],
-    backend: Option<&crate::worker::ProcessBackend>,
-    budget: &Budget,
-    my_index: usize,
-    decided_floor: &AtomicUsize,
-) -> RacerRun {
-    use crate::worker::{DecodedReply, ReplyOutcome};
-    use jahob_util::supervisor::Outcome;
-    let started = Instant::now();
-    let mut run = RacerRun {
-        outcome: RacerOutcome::NoDecision,
-        diag: Vec::new(),
-        stats: Vec::new(),
-        deferred: Vec::new(),
-        cancelled: false,
-        micros: 0,
-    };
-    // Spurious-cancellation chaos revoked this racer before it started.
-    if budget.exhausted().is_some() {
-        run.cancelled = true;
-        return run;
-    }
-    let mut in_process = true;
-    if let Some(backend) = backend {
-        in_process = false;
-        let deadline = backend.deadline_for(budget);
-        // Same hard-deadline margin as the sequential remote path: the
-        // SIGKILL trails the worker's cooperative deadline.
-        let hard = deadline + Duration::from_millis(150);
-        let cancelled =
-            || decided_floor.load(Ordering::Relaxed) < my_index || budget.exhausted().is_some();
-        match backend.supervisor().request_cancellable(
-            prover.name(),
-            request_bytes,
-            hard,
-            &cancelled,
-        ) {
-            Outcome::Reply(payload) => match DecodedReply::decode(&payload) {
-                Ok(reply) => {
-                    run.stats = reply.stats;
-                    run.diag = reply.diag;
-                    run.outcome = match reply.outcome {
-                        ReplyOutcome::NoDecision => RacerOutcome::NoDecision,
-                        ReplyOutcome::Proved { prover, bound } => {
-                            RacerOutcome::Proved { prover, bound }
-                        }
-                        ReplyOutcome::Exhausted(why) => {
-                            RacerOutcome::Failed(AttemptError::Budget(why))
-                        }
-                        ReplyOutcome::Panicked => {
-                            RacerOutcome::Panicked("prover panicked in worker process".to_owned())
-                        }
-                    };
-                }
-                Err(_) => {
-                    run.deferred.push(Event::SupervisorFallback {
-                        lane: prover.name(),
-                    });
-                    in_process = true;
-                }
-            },
-            Outcome::TimedOut => {
-                run.deferred.push(Event::SupervisorKill {
-                    lane: prover.name(),
-                    reason: "deadline",
-                });
-                run.outcome = RacerOutcome::Failed(AttemptError::Budget(Exhaustion::Timeout));
-            }
-            Outcome::Crashed { oom: true, .. } => {
-                run.deferred.push(Event::SupervisorCrash {
-                    lane: prover.name(),
-                    oom: true,
-                });
-                run.outcome = RacerOutcome::Failed(AttemptError::Resource);
-            }
-            Outcome::Crashed { oom: false, .. } => {
-                run.deferred.push(Event::SupervisorCrash {
-                    lane: prover.name(),
-                    oom: false,
-                });
-                run.deferred.push(Event::SupervisorFallback {
-                    lane: prover.name(),
-                });
-                in_process = true;
-            }
-            Outcome::Unavailable => in_process = true,
-            Outcome::Cancelled => {
-                // Mid-flight loss: this racer's canonical index is past
-                // the decided floor, so the commit walk will never reach
-                // it; flag it cancelled anyway so an unexpected reach
-                // degrades to an inline re-run, never a guess.
-                run.deferred.clear();
-                run.cancelled = true;
-                run.micros = started.elapsed().as_micros() as u64;
-                return run;
-            }
-        }
-    }
-    if in_process {
-        // Decode the request on this thread: `Rc`-laden formulas must not
-        // cross threads, and symbols intern globally, so round-tripping
-        // the same bytes a worker child would receive yields a
-        // proof-equivalent goal.
-        let Ok(request) = crate::worker::Request::decode(request_bytes) else {
-            run.cancelled = true;
-            return run;
-        };
-        let stats = Stats::new();
-        let mut diag = Diagnosis::default();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            crate::worker::portfolio_attempt(
-                prover,
-                &request.variants,
-                request.fol_iterations as usize,
-                budget,
-                &mut diag,
-                &stats,
-            )
-        }));
-        run.stats = stats.snapshot();
-        run.diag = diag.attempts;
-        run.outcome = match outcome {
-            Ok(Ok(Some(Verdict::Proved { prover, bound }))) => {
-                RacerOutcome::Proved { prover, bound }
-            }
-            Ok(Ok(Some(_))) => {
-                // A counter-model (`Rc`-laden, must not cross threads) or
-                // an inline Unknown — neither of which the racing provers
-                // actually produce. Have the commit walk re-run inline so
-                // nothing is lost if that ever changes.
-                run.cancelled = true;
-                RacerOutcome::NoDecision
-            }
-            Ok(Ok(None)) => RacerOutcome::NoDecision,
-            Ok(Err(why)) => RacerOutcome::Failed(AttemptError::Budget(why)),
-            Err(panic) => RacerOutcome::Panicked(pool::panic_message(&*panic).to_owned()),
-        };
-    }
-    run.micros = started.elapsed().as_micros() as u64;
-    run
 }
 
 /// Replace every set-valued application (head symbol of sort
@@ -2402,11 +1884,8 @@ mod tests {
             0..3,
             Fault::Panic,
         )));
-        d.config.breaker_threshold = 3;
-        d.config.breaker_cooldown = 2;
         d.config.bmc_bound = 0;
         d.config.fol_iterations = 10;
-        d.config.escalating_retry = false;
         let goal = form("card (S Un T) <= card S + card T");
         // Three panics open the breaker …
         for _ in 0..3 {
@@ -2434,7 +1913,7 @@ mod tests {
     }
 
     #[test]
-    fn half_open_admits_exactly_one_probe_across_racing_workers() {
+    fn half_open_admits_exactly_one_probe_across_concurrent_workers() {
         // Regression: half-open used to answer `Probe` to every caller, so
         // N workers racing past an expired cooldown all probed a prover
         // that had just crash-looped. Half-open now means "probe in
@@ -2462,29 +1941,25 @@ mod tests {
         assert_eq!(
             probes.load(Ordering::Relaxed),
             1,
-            "exactly one racing worker may own the half-open probe"
+            "exactly one concurrent worker may own the half-open probe"
         );
         assert_eq!(skips.load(Ordering::Relaxed), 31);
 
-        // A failed probe reopens the breaker and the next drain hands out
-        // exactly one fresh probe — again regardless of who races.
-        let config = DispatchConfig {
-            breaker_cooldown: 1,
-            ..DispatchConfig::default()
-        };
+        // A failed probe reopens the breaker and, after the cooldown, the
+        // next drain hands out exactly one fresh probe — again regardless
+        // of who races.
         assert_eq!(
-            bank.observe(ProverId::Bapa, true, Some(FailureReason::Panicked), &config),
+            bank.observe(ProverId::Bapa, true, Some(FailureReason::Panicked)),
             Some("reopen")
         );
-        assert!(matches!(bank.gate(ProverId::Bapa), Gate::Skip));
+        for _ in 0..BREAKER_COOLDOWN {
+            assert!(matches!(bank.gate(ProverId::Bapa), Gate::Skip));
+        }
         assert!(matches!(bank.gate(ProverId::Bapa), Gate::Probe));
         assert!(matches!(bank.gate(ProverId::Bapa), Gate::Skip));
 
         // A well-behaved probe closes the breaker for everyone.
-        assert_eq!(
-            bank.observe(ProverId::Bapa, true, None, &config),
-            Some("close")
-        );
+        assert_eq!(bank.observe(ProverId::Bapa, true, None), Some("close"));
         assert!(matches!(bank.gate(ProverId::Bapa), Gate::Pass));
     }
 

@@ -41,7 +41,6 @@
 //!   crash-looping lanes quarantine with graceful in-process fallback —
 //!   verdicts are bit-for-bit identical either way.
 
-pub mod adaptive;
 pub mod cli;
 pub mod dispatcher;
 pub mod goal_cache;
@@ -49,7 +48,6 @@ pub mod service;
 pub mod verify;
 pub mod worker;
 
-pub use adaptive::{goal_class, AdaptiveStats};
 pub use dispatcher::{
     Diagnosis, DispatchConfig, Dispatcher, FailureReason, ProverId, Verdict, VerdictKind,
 };

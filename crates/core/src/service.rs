@@ -1,8 +1,8 @@
 //! The persistent verification daemon behind `jahob serve`.
 //!
 //! One warm [`Verifier`] session — goal cache, persistent store,
-//! adaptive statistics, supervisor lanes — is shared across every
-//! client of a Unix-domain socket. The wire protocol is the same
+//! supervisor lanes — is shared across every client of a Unix-domain
+//! socket. The wire protocol is the same
 //! length-prefixed, CRC-framed codec the supervisor already speaks
 //! ([`jahob_util::ipc`]), extended with the `SUBMIT`/`REPORT`/`BUSY`/
 //! `STATUS`/`DRAIN` kinds.
@@ -31,11 +31,12 @@
 //! streams ride out as `REPORT` frames (tag 0), rendered through the
 //! same [`Event::to_json`] as every other sink.
 //!
-//! Session-wide portfolio knobs — racing, adaptive ordering, relevance
-//! slicing — are fixed when the daemon starts (`jahob serve --slicing`,
-//! or the `JAHOB_*` environment), not per request: they shape the shared
-//! session's caches and statistics, and identity (contract 1) holds for
-//! whatever combination the daemon was started with. Note per-request
+//! Session-wide portfolio knobs — relevance slicing, process isolation
+//! — are fixed when the daemon starts (`jahob serve --slicing`, or the
+//! `JAHOB_*` environment), not per request: they shape the shared
+//! session, and identity (contract 1) holds for whatever combination
+//! the daemon was started with. `jahob submit` therefore rejects
+//! `--slicing` and `--isolation` instead of silently ignoring them. Note per-request
 //! deadlines meter their obligations, which stands the slicing ladder
 //! down for that request — deadline requests get the direct dispatch
 //! path, exactly as a one-shot `--deadline-ms` run would.

@@ -19,7 +19,6 @@
 //! configured the pipeline records nothing and each potential recording
 //! site costs one pointer test.
 
-use crate::adaptive::AdaptiveStats;
 use crate::dispatcher::{Diagnosis, DispatchConfig, Dispatcher, ProverId, Verdict};
 use crate::goal_cache::GoalCache;
 use crate::worker::ProcessBackend;
@@ -111,15 +110,8 @@ pub struct Config {
     /// deadline for obligations whose budget carries no deadline of its
     /// own. Unset defers to `JAHOB_WORKER_DEADLINE_MS`, else 10 s.
     pub worker_deadline: Duration,
-    /// Learn per-(goal-class, prover) statistics and use them to seed
-    /// each speculative race with the historically best prover first
-    /// (see [`crate::adaptive`]). Only observable as wall-clock: the
-    /// start order never changes what is committed, so reports and
-    /// canonical streams are bit-for-bit identical cold vs. warm. The
-    /// statistics persist under `<cache_path>/adaptive` when the session
-    /// has a cache directory, else live for the session only. Resolved
-    /// by the builder (explicit value, else `JAHOB_ADAPTIVE`, else off);
-    /// racing itself is `DispatchConfig::racing` / `JAHOB_RACING`.
+    /// Has no effect; kept only because the benchmark harness still
+    /// reads it. The builder always leaves it `false`.
     pub adaptive: bool,
     /// Unix-domain socket path for the verification daemon
     /// (`jahob serve` / [`crate::service`]). Resolved by the builder
@@ -212,8 +204,6 @@ pub struct ConfigBuilder {
     worker_program: Option<PathBuf>,
     worker_memory: Option<u64>,
     worker_deadline: Option<Duration>,
-    racing: Option<bool>,
-    adaptive: Option<bool>,
     slicing: Option<bool>,
     socket: Option<PathBuf>,
     queue_depth: Option<usize>,
@@ -232,8 +222,6 @@ impl ConfigBuilder {
             worker_program: None,
             worker_memory: None,
             worker_deadline: None,
-            racing: None,
-            adaptive: None,
             slicing: None,
             socket: None,
             queue_depth: None,
@@ -315,21 +303,15 @@ impl ConfigBuilder {
         self
     }
 
-    /// Race the remotable provers speculatively on eligible obligations
-    /// (sets [`DispatchConfig::racing`]). Unset defers to `JAHOB_RACING`
-    /// (`1`/`true`/`on` enables, resolved once in
-    /// [`ConfigBuilder::build`]), else whatever the dispatch config says
-    /// (off by default). Verdicts and canonical streams are bit-for-bit
-    /// identical racing on or off — racing only moves wall-clock.
-    pub fn racing(mut self, on: bool) -> Self {
-        self.racing = Some(on);
+    /// Has no effect: the argument is ignored. Kept only because the
+    /// benchmark harness still calls it.
+    pub fn racing(self, _on: bool) -> Self {
         self
     }
 
-    /// Adaptive race ordering from learned per-goal-class statistics.
-    /// Unset defers to `JAHOB_ADAPTIVE`, else off.
-    pub fn adaptive(mut self, on: bool) -> Self {
-        self.adaptive = Some(on);
+    /// Has no effect: the argument is ignored. Kept only because the
+    /// benchmark harness still calls it.
+    pub fn adaptive(self, _on: bool) -> Self {
         self
     }
 
@@ -410,17 +392,10 @@ impl ConfigBuilder {
             .unwrap_or(Duration::from_secs(10));
         let mut dispatch = self.dispatch;
         // Only apply when something was said: an explicit `.dispatch()`
-        // carrying `racing: true` must not be clobbered by an unset env.
-        if let Some(racing) = self.racing.or_else(|| env_flag("JAHOB_RACING")) {
-            dispatch.racing = racing;
-        }
+        // carrying `slicing: true` must not be clobbered by an unset env.
         if let Some(slicing) = self.slicing.or_else(|| env_flag("JAHOB_SLICING")) {
             dispatch.slicing = slicing;
         }
-        let adaptive = self
-            .adaptive
-            .or_else(|| env_flag("JAHOB_ADAPTIVE"))
-            .unwrap_or(false);
         let socket = self
             .socket
             .or_else(|| std::env::var_os("JAHOB_SOCKET").map(PathBuf::from));
@@ -445,7 +420,7 @@ impl ConfigBuilder {
             worker_program,
             worker_memory,
             worker_deadline,
-            adaptive,
+            adaptive: false,
             socket,
             queue_depth,
         }
@@ -515,11 +490,6 @@ pub struct Verifier {
     /// so worker children, crash-window history, and quarantine decisions
     /// survive across `verify` calls exactly like the goal cache.
     backend: Option<Arc<ProcessBackend>>,
-    /// The adaptive race-ordering statistics (present iff
-    /// `config.adaptive`): store-backed under `<cache_path>/adaptive`
-    /// when the session has a cache directory, else in-memory. Session-
-    /// owned so warmth accumulates across `verify` calls.
-    adaptive: Option<Arc<AdaptiveStats>>,
 }
 
 /// The invalidation key for persisted cache entries: the semantic
@@ -570,23 +540,10 @@ impl Verifier {
             // path rather than guessing one (see `Config::worker_program`).
             _ => None,
         };
-        let adaptive = config.adaptive.then(|| {
-            if let Some(dir) = &config.cache_path {
-                Arc::new(AdaptiveStats::open_persistent(
-                    &dir.join("adaptive"),
-                    persistent_digest(&config.dispatch),
-                    config.dispatch.fault_plan.clone(),
-                    config.sink.clone(),
-                ))
-            } else {
-                Arc::new(AdaptiveStats::in_memory())
-            }
-        });
         Verifier {
             config,
             cache,
             backend,
-            adaptive,
         }
     }
 
@@ -615,8 +572,8 @@ impl Verifier {
     /// other, so per-request deadlines never poison the goal cache —
     /// see `DispatchConfig::cache_digest`) and the event sink (where
     /// this request's stream goes, not what it contains). The session's
-    /// warm state — goal cache, persistent store, adaptive statistics,
-    /// supervised lanes — is shared untouched.
+    /// warm state — goal cache, persistent store, supervised lanes — is
+    /// shared untouched.
     pub fn verify_with(
         &self,
         src: &str,
@@ -635,13 +592,7 @@ impl Verifier {
         } else {
             &self.config
         };
-        run_pipeline(
-            src,
-            config,
-            self.cache.as_ref(),
-            self.backend.as_ref(),
-            self.adaptive.as_ref(),
-        )
+        run_pipeline(src, config, self.cache.as_ref(), self.backend.as_ref())
     }
 
     /// The session's process-isolation backend, if one is active —
@@ -649,11 +600,6 @@ impl Verifier {
     /// a worker binary.
     pub fn process_backend(&self) -> Option<&Arc<ProcessBackend>> {
         self.backend.as_ref()
-    }
-
-    /// The session's adaptive race-ordering statistics, if enabled.
-    pub fn adaptive_stats(&self) -> Option<&Arc<AdaptiveStats>> {
-        self.adaptive.as_ref()
     }
 }
 
@@ -832,12 +778,6 @@ fn unstable_stat(name: &str) -> bool {
         || name.starts_with("store.")
         || name.starts_with("sink.")
         || name.starts_with("supervisor.")
-        // Race and adaptive counters depend on scheduling and on what
-        // statistics were learned before the run; the determinism
-        // contract is that everything *outside* these groups is
-        // identical racing on/off, cold or warm.
-        || name.starts_with("race.")
-        || name.starts_with("adaptive.")
 }
 
 impl VerifyReport {
@@ -987,7 +927,6 @@ fn run_pipeline(
     config: &Config,
     cache: Option<&Arc<GoalCache>>,
     backend: Option<&Arc<ProcessBackend>>,
-    adaptive: Option<&Arc<AdaptiveStats>>,
 ) -> Result<VerifyReport, VerifyError> {
     let run_started = Instant::now();
     let observing = config.sink.is_some();
@@ -1018,9 +957,7 @@ fn run_pipeline(
         jobs.iter()
             .enumerate()
             .map(|(i, &(ci, mi))| {
-                verify_method(
-                    &typed, ci, mi, i, config, cache, backend, adaptive, observing,
-                )
+                verify_method(&typed, ci, mi, i, config, cache, backend, observing)
             })
             .collect()
     } else {
@@ -1033,7 +970,6 @@ fn run_pipeline(
         // never reaches a prover.
         pool::run_with_local_observed(
             workers,
-            None,
             Some(&run_stats),
             jobs.iter().copied().enumerate().collect(),
             |_worker| {
@@ -1041,9 +977,7 @@ fn run_pipeline(
                 resolve(&program).expect("resolved on the caller thread")
             },
             |typed, _cx, (i, (ci, mi))| {
-                verify_method(
-                    typed, ci, mi, i, config, cache, backend, adaptive, observing,
-                )
+                verify_method(typed, ci, mi, i, config, cache, backend, observing)
             },
         )
         .into_iter()
@@ -1112,15 +1046,6 @@ fn run_pipeline(
             stats.insert(name, value);
         }
     }
-    // Adaptive statistics are session-cumulative too: flush the learned
-    // ordering so the next (session or process) run starts warm, and
-    // overwrite the `adaptive.*` counters like the persistence ones.
-    if let Some(adaptive) = adaptive {
-        adaptive.flush();
-        for (name, value) in adaptive.persist_stats() {
-            stats.insert(name, value);
-        }
-    }
     // Supervisor counters are session-cumulative like the persistence
     // counters (the backend outlives individual runs), so they overwrite
     // rather than accumulate; they too are marked unstable.
@@ -1175,7 +1100,6 @@ fn verify_method(
     config: &Config,
     cache: Option<&Arc<GoalCache>>,
     backend: Option<&Arc<ProcessBackend>>,
-    adaptive: Option<&Arc<AdaptiveStats>>,
     observing: bool,
 ) -> (MethodReport, Vec<(String, u64)>, Vec<Event>) {
     let method_started = Instant::now();
@@ -1198,11 +1122,6 @@ fn verify_method(
     dispatcher.cache = cache.map(Arc::clone);
     dispatcher.supervisor = backend.map(Arc::clone);
     dispatcher.recorder = recorder.clone();
-    // Race events (`race.*`) are schedule-dependent by construction, so
-    // they bypass the canonicalized recorder stream and go straight to
-    // the sink; adaptive statistics are session-owned like the cache.
-    dispatcher.raw_sink = config.sink.clone();
-    dispatcher.adaptive = adaptive.map(Arc::clone);
 
     let mut report = MethodReport {
         class: m.class,

@@ -192,17 +192,6 @@ impl Budget {
         Ok(())
     }
 
-    /// Revoke the budget from outside: the next `check()`/`charge()`/
-    /// `poll_deadline()` on any thread reports a sticky [`Exhaustion::Fuel`].
-    /// This is the cooperative half of race cancellation — a speculative
-    /// attempt that lost its race is asked to unwind at its next fuel
-    /// check, exactly as if its allowance had run dry. First writer wins:
-    /// revoking a budget that already expired does not change the
-    /// recorded reason.
-    pub fn revoke(&self) {
-        let _ = self.mark(Exhaustion::Fuel);
-    }
-
     /// Poll the deadline *now*, bypassing amortization. Use at phase
     /// boundaries (e.g. before starting an expensive sub-procedure).
     pub fn poll_deadline(&self) -> Result<(), Exhaustion> {
@@ -300,24 +289,6 @@ mod tests {
         let child = parent.child(Some(Duration::from_secs(1)), 42);
         assert_eq!(child.fuel_remaining(), 42);
         assert!(child.time_remaining().is_some());
-    }
-
-    #[test]
-    fn revoke_is_sticky_fuel_exhaustion() {
-        let b = Budget::unlimited();
-        assert!(b.check().is_ok());
-        b.revoke();
-        assert_eq!(b.check(), Err(Exhaustion::Fuel));
-        assert_eq!(b.poll_deadline(), Err(Exhaustion::Fuel));
-        assert_eq!(b.exhausted(), Some(Exhaustion::Fuel));
-    }
-
-    #[test]
-    fn revoke_never_rewrites_an_earlier_reason() {
-        let b = Budget::with_deadline(Duration::from_secs(0));
-        assert_eq!(b.poll_deadline(), Err(Exhaustion::Timeout));
-        b.revoke();
-        assert_eq!(b.exhausted(), Some(Exhaustion::Timeout));
     }
 
     #[test]

@@ -176,27 +176,11 @@ pub enum Event {
     /// A worker's heartbeat went late (suspect state) without the hard
     /// deadline having expired yet.
     SupervisorHeartbeat { lane: String },
-    /// A speculative race fanned `provers` prover attempts out
-    /// concurrently for one obligation piece. Schedule-dependent: whether
-    /// a race engages at all depends on breaker state and budget shape,
-    /// and its payload is physical, so it stays out of canonical streams.
-    RaceStart { provers: u64 },
-    /// The first racer to decide (physically — the canonical winner is
-    /// whatever the committed attempt stream says).
-    RaceWin { prover: &'static str },
-    /// A racer was cancelled — cooperatively via a revoked budget, by the
-    /// supervisor's SIGKILL backstop, or spuriously by the race-cancel
-    /// chaos knob.
-    RaceCancelled { prover: &'static str },
-    /// A cancelled racer's attempt was re-run inline because the
-    /// canonical commit walk still needed its outcome (cancellation must
-    /// never change what gets committed).
-    RaceRerun { prover: &'static str },
     /// The relevance slicer dropped hypotheses outside the goal's symbol
     /// cone before dispatching a piece: the narrowest rung kept `kept` of
     /// `kept + dropped` hypotheses. Content-determined (the cone depends
     /// only on the formula), so it is canonical — bit-stable across
-    /// worker counts, racing, and process isolation.
+    /// worker counts and process isolation.
     SliceApplied { kept: u64, dropped: u64 },
     /// A sliced rung ended `Unknown` (or its counter-model was spurious),
     /// so the ladder widened the cone: the next dispatch is rung `rung`
@@ -206,11 +190,6 @@ pub enum Event {
     /// re-confirmation against the full sequent: it may depend on a
     /// dropped hypothesis being false, so it widens instead of refuting.
     SliceSpurious { rung: u64 },
-    /// Adaptive-ordering statistics were loaded (`entries` distinct
-    /// (goal-class, prover) records survived).
-    AdaptiveLoad { entries: u64 },
-    /// Adaptive-ordering statistics were flushed to the stats segment.
-    AdaptiveFlush { entries: u64 },
     /// The verification daemon bound its socket and began accepting.
     ServiceStart { socket: String },
     /// The daemon accepted a client connection.
@@ -274,15 +253,9 @@ impl Event {
             Event::SupervisorFallback { .. } => "supervisor.fallback",
             Event::SupervisorQuarantined { .. } => "supervisor.quarantined",
             Event::SupervisorHeartbeat { .. } => "supervisor.heartbeat",
-            Event::RaceStart { .. } => "race.start",
-            Event::RaceWin { .. } => "race.win",
-            Event::RaceCancelled { .. } => "race.cancelled",
-            Event::RaceRerun { .. } => "race.rerun",
             Event::SliceApplied { .. } => "slice.applied",
             Event::SliceWidened { .. } => "slice.widened",
             Event::SliceSpurious { .. } => "slice.spurious",
-            Event::AdaptiveLoad { .. } => "adaptive.load",
-            Event::AdaptiveFlush { .. } => "adaptive.flush",
             Event::ServiceStart { .. } => "service.start",
             Event::ServiceAccept { .. } => "service.accept",
             Event::ServiceSubmit { .. } => "service.submit",
@@ -310,12 +283,6 @@ impl Event {
                 | Event::SupervisorRestart { .. }
                 | Event::SupervisorQuarantined { .. }
                 | Event::SupervisorHeartbeat { .. }
-                | Event::RaceStart { .. }
-                | Event::RaceWin { .. }
-                | Event::RaceCancelled { .. }
-                | Event::RaceRerun { .. }
-                | Event::AdaptiveLoad { .. }
-                | Event::AdaptiveFlush { .. }
                 | Event::ServiceStart { .. }
                 | Event::ServiceAccept { .. }
                 | Event::ServiceSubmit { .. }
@@ -455,15 +422,9 @@ impl Event {
                 o.str("lane", lane).u64("crashes", *crashes)
             }
             Event::SupervisorHeartbeat { lane } => o.str("lane", lane),
-            Event::RaceStart { provers } => o.u64("provers", *provers),
-            Event::RaceWin { prover } => o.str("prover", prover),
-            Event::RaceCancelled { prover } => o.str("prover", prover),
-            Event::RaceRerun { prover } => o.str("prover", prover),
             Event::SliceApplied { kept, dropped } => o.u64("kept", *kept).u64("dropped", *dropped),
             Event::SliceWidened { rung, kept } => o.u64("rung", *rung).u64("kept", *kept),
             Event::SliceSpurious { rung } => o.u64("rung", *rung),
-            Event::AdaptiveLoad { entries } => o.u64("entries", *entries),
-            Event::AdaptiveFlush { entries } => o.u64("entries", *entries),
             Event::ServiceStart { socket } => o.str("socket", socket),
             Event::ServiceAccept { client } => o.u64("client", *client),
             Event::ServiceSubmit { client, queued } => {
@@ -552,34 +513,15 @@ impl Event {
             Event::SupervisorFallback { .. } => bump("supervisor.fallback", 1),
             Event::SupervisorQuarantined { .. } => bump("supervisor.quarantined", 1),
             Event::SupervisorHeartbeat { .. } => bump("supervisor.heartbeat.late", 1),
-            // Race/adaptive counters carry their prefixes on purpose: the
-            // verify pipeline marks both groups unstable (whether a race
-            // engages, who physically wins, and how many losers get far
-            // enough to cancel are all scheduling artifacts).
-            Event::RaceStart { provers } => {
-                bump("race.start", 1);
-                bump("race.provers", *provers);
-            }
-            Event::RaceWin { prover } => bump(&format!("race.win.{prover}"), 1),
-            Event::RaceCancelled { .. } => bump("race.cancelled", 1),
-            Event::RaceRerun { .. } => bump("race.rerun", 1),
             // Slice counters are *stable*: the cone and the ladder are
             // functions of the formula alone, so the counts are identical
-            // at any worker count, racing on or off, cold or warm.
+            // at any worker count, cold or warm.
             Event::SliceApplied { dropped, .. } => {
                 bump("slice.applied", 1);
                 bump("slice.dropped", *dropped);
             }
             Event::SliceWidened { .. } => bump("slice.widened", 1),
             Event::SliceSpurious { .. } => bump("slice.spurious", 1),
-            Event::AdaptiveLoad { entries } => {
-                bump("adaptive.load", 1);
-                bump("adaptive.load.entries", *entries);
-            }
-            Event::AdaptiveFlush { entries } => {
-                bump("adaptive.flush", 1);
-                bump("adaptive.flush.entries", *entries);
-            }
             // Service counters carry the `service.` prefix on purpose:
             // they count connection-lifecycle traffic, which is daemon
             // state, not verification semantics — they never enter a
@@ -723,10 +665,6 @@ impl Event {
             Event::SupervisorHeartbeat { lane } => {
                 format!("supervisor: {lane} heartbeat late")
             }
-            Event::RaceStart { provers } => format!("      race: {provers} provers fan out"),
-            Event::RaceWin { prover } => format!("      race: {prover} decided first"),
-            Event::RaceCancelled { prover } => format!("      race: {prover} cancelled"),
-            Event::RaceRerun { prover } => format!("      race: {prover} re-run inline"),
             Event::SliceApplied { kept, dropped } => {
                 format!("      slice: kept {kept}/{} hypotheses", kept + dropped)
             }
@@ -735,10 +673,6 @@ impl Event {
             }
             Event::SliceSpurious { rung } => {
                 format!("      slice: rung {rung} counter-model spurious; widening")
-            }
-            Event::AdaptiveLoad { entries } => format!("adaptive stats: {entries} entries loaded"),
-            Event::AdaptiveFlush { entries } => {
-                format!("adaptive stats: {entries} entries flushed")
             }
             Event::ServiceStart { socket } => format!("service listening on {socket}"),
             Event::ServiceAccept { client } => format!("service: client {client} connected"),

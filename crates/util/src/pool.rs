@@ -22,22 +22,14 @@
 //!   as [`TaskPanic`] in its own result slot; the worker carries on with
 //!   the next task. One poisoned obligation must never take down the other
 //!   N-1.
-//! * **Budget-slice inheritance.** When the caller hands in a parent
-//!   [`Budget`], each task can derive a child slice via
-//!   [`TaskCtx::budget_slice`]: the parent's deadline is inherited and the
-//!   parent's remaining fuel is divided fairly over the tasks not yet
-//!   started, so an early heavyweight task cannot drain the fuel the rest
-//!   of the batch was promised.
 //! * **Worker-local state.** [`run_with_local`] gives every worker thread
 //!   a locally constructed value (e.g. a parsed program full of un-`Send`
 //!   `Rc`s) built once per worker and reused across its tasks. The local
 //!   value never crosses a thread boundary, so it needs no `Send` bound.
 
-use crate::budget::{Budget, INFINITE_FUEL};
 use crate::counters::Stats;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A task panicked; the payload message stands in for its result.
@@ -57,32 +49,11 @@ impl std::fmt::Display for TaskPanic {
 }
 
 /// Per-task context handed to the task body.
-pub struct TaskCtx<'p> {
+pub struct TaskCtx {
     /// Which worker thread is running this task.
     pub worker: usize,
     /// The task's index in the submitted item list.
     pub index: usize,
-    parent: Option<&'p Budget>,
-    unstarted: &'p AtomicUsize,
-}
-
-impl TaskCtx<'_> {
-    /// Derive a fair budget slice from the pool's parent budget, if one was
-    /// provided: the parent's deadline is inherited and the parent's
-    /// remaining fuel is split evenly over the tasks that have not started
-    /// yet (this one included). Returns `None` when the pool is ungoverned.
-    pub fn budget_slice(&self) -> Option<Budget> {
-        self.parent.map(|parent| {
-            let pending = self.unstarted.load(Ordering::Relaxed).max(1) as u64;
-            let remaining = parent.fuel_remaining();
-            let fair = if remaining == INFINITE_FUEL {
-                INFINITE_FUEL
-            } else {
-                (remaining / pending).max(1)
-            };
-            parent.child(None, fair)
-        })
-    }
 }
 
 /// Run `f` over `items` on `workers` threads. Results come back in
@@ -91,34 +62,18 @@ pub fn run<T, R, F>(workers: usize, items: Vec<T>, f: F) -> Vec<Result<R, TaskPa
 where
     T: Send,
     R: Send,
-    F: Fn(&TaskCtx<'_>, T) -> R + Sync,
+    F: Fn(&TaskCtx, T) -> R + Sync,
 {
-    run_governed(workers, None, items, f)
+    run_with_local(workers, items, |_| (), |(), cx, item| f(cx, item))
 }
 
-/// [`run`] with an optional parent budget for [`TaskCtx::budget_slice`].
-pub fn run_governed<T, R, F>(
-    workers: usize,
-    parent: Option<&Budget>,
-    items: Vec<T>,
-    f: F,
-) -> Vec<Result<R, TaskPanic>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&TaskCtx<'_>, T) -> R + Sync,
-{
-    run_with_local(workers, parent, items, |_| (), |(), cx, item| f(cx, item))
-}
-
-/// The full-featured entry point: like [`run_governed`], but every worker
+/// The full-featured entry point: like [`run`], but every worker
 /// thread first builds a local value with `init(worker_id)` and hands a
 /// mutable reference to it to each task it runs. The local value is
 /// constructed *on* the worker thread and never leaves it, so it may
 /// contain non-`Send` data (`Rc`-heavy ASTs, caches, scratch buffers).
 pub fn run_with_local<L, T, R, I, F>(
     workers: usize,
-    parent: Option<&Budget>,
     items: Vec<T>,
     init: I,
     f: F,
@@ -127,9 +82,9 @@ where
     T: Send,
     R: Send,
     I: Fn(usize) -> L + Sync,
-    F: Fn(&mut L, &TaskCtx<'_>, T) -> R + Sync,
+    F: Fn(&mut L, &TaskCtx, T) -> R + Sync,
 {
-    run_with_local_observed(workers, parent, None, items, init, f)
+    run_with_local_observed(workers, None, items, init, f)
 }
 
 /// [`run_with_local`] plus pool-level telemetry: when `stats` is given,
@@ -140,7 +95,6 @@ where
 /// pipeline's `deterministic_lines` does.
 pub fn run_with_local_observed<L, T, R, I, F>(
     workers: usize,
-    parent: Option<&Budget>,
     stats: Option<&Stats>,
     items: Vec<T>,
     init: I,
@@ -150,7 +104,7 @@ where
     T: Send,
     R: Send,
     I: Fn(usize) -> L + Sync,
-    F: Fn(&mut L, &TaskCtx<'_>, T) -> R + Sync,
+    F: Fn(&mut L, &TaskCtx, T) -> R + Sync,
 {
     let n = items.len();
     if n == 0 {
@@ -172,13 +126,11 @@ where
 
     let results: Vec<Mutex<Option<Result<R, TaskPanic>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
-    let unstarted = AtomicUsize::new(n);
 
     std::thread::scope(|scope| {
         for w in 0..workers {
             let queues = &queues;
             let results = &results;
-            let unstarted = &unstarted;
             let init = &init;
             let f = &f;
             scope.spawn(move || {
@@ -205,13 +157,7 @@ where
                             stats.bump("pool.steals");
                         }
                     }
-                    unstarted.fetch_sub(1, Ordering::Relaxed);
-                    let cx = TaskCtx {
-                        worker: w,
-                        index,
-                        parent,
-                        unstarted,
-                    };
+                    let cx = TaskCtx { worker: w, index };
                     let out = catch_unwind(AssertUnwindSafe(|| f(&mut local, &cx, item))).map_err(
                         |payload| TaskPanic {
                             index,
@@ -250,7 +196,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn results_come_back_in_submission_order() {
@@ -333,33 +279,10 @@ mod tests {
     }
 
     #[test]
-    fn budget_slices_inherit_and_divide() {
-        let parent = Budget::with_fuel(1000);
-        let out = run_governed(2, Some(&parent), (0..4).collect(), |cx, _i: u32| {
-            let slice = cx.budget_slice().expect("governed pool");
-            let fuel = slice.fuel_remaining();
-            assert!(fuel >= 1, "fair share is never zero");
-            assert!(fuel <= 1000, "slice cannot exceed the parent");
-            // Burn the slice, not the parent: the parent is only drained
-            // by what tasks explicitly charge back.
-            let _ = slice.charge(fuel.min(10));
-            fuel
-        });
-        assert!(out.iter().all(|r| r.is_ok()));
-    }
-
-    #[test]
-    fn ungoverned_pool_has_no_budget() {
-        let out = run(2, vec![0u32], |cx, _| cx.budget_slice().is_none());
-        assert_eq!(out[0], Ok(true));
-    }
-
-    #[test]
     fn observed_pool_counts_every_task() {
         let stats = Stats::new();
         let out = run_with_local_observed(
             3,
-            None,
             Some(&stats),
             (0..40).collect(),
             |_| (),
@@ -376,7 +299,6 @@ mod tests {
         let inits = AtomicU64::new(0);
         let out = run_with_local(
             3,
-            None,
             (0..30).collect(),
             |w| {
                 inits.fetch_add(1, Ordering::Relaxed);

@@ -108,11 +108,6 @@ pub enum Outcome {
     /// The deadline expired; the child was SIGKILLed and reaped. Not a
     /// crash-window entry — the hang belongs to the request, not the lane.
     TimedOut,
-    /// The caller cancelled the request mid-flight (see
-    /// [`Supervisor::request_cancellable`]); the child was SIGKILLed and
-    /// reaped. Like a deadline kill this is not a crash-window entry —
-    /// the kill belongs to the caller's race, not the lane.
-    Cancelled,
     /// The child died or broke protocol mid-request (counts toward
     /// quarantine). `oom` is set when the death looks like the memory
     /// ceiling: the caller must *not* retry in-process, where the same
@@ -221,23 +216,6 @@ impl Supervisor {
     /// the heartbeat and the hard `deadline`. Spawns (or respawns) the
     /// child on demand.
     pub fn request(&self, lane: &str, payload: &[u8], deadline: Duration) -> Outcome {
-        self.request_cancellable(lane, payload, deadline, &|| false)
-    }
-
-    /// [`Supervisor::request`] with a cancellation hook: `cancelled` is
-    /// polled once per heartbeat tick while the parent waits, and a
-    /// `true` answer SIGKILLs the child immediately — the non-cooperative
-    /// backstop for speculative racing, where a worker wedged past its
-    /// loser's revoked budget must still die promptly. Returns
-    /// [`Outcome::Cancelled`]; like deadline kills, cancellations never
-    /// count toward crash-loop quarantine.
-    pub fn request_cancellable(
-        &self,
-        lane: &str,
-        payload: &[u8],
-        deadline: Duration,
-        cancelled: &(dyn Fn() -> bool + Sync),
-    ) -> Outcome {
         let handle = self.lane(lane);
         let mut state = handle.lock().unwrap();
         if state.quarantined {
@@ -289,13 +267,6 @@ impl Supervisor {
                 let _ = live.child.kill();
                 let _ = live.child.wait();
                 return Outcome::TimedOut;
-            }
-            if cancelled() {
-                // The caller lost interest (race loser): same hard
-                // preemption as a deadline kill, same non-crash status.
-                let _ = live.child.kill();
-                let _ = live.child.wait();
-                return Outcome::Cancelled;
             }
             let wait = (hard_deadline - now).min(beat);
             match live.incoming.recv_timeout(wait) {
@@ -749,30 +720,6 @@ mod tests {
             "kill must not wait for the child's sleep"
         );
         // Deadline kills never count toward quarantine.
-        assert!(sup.quarantined_lanes().is_empty());
-        assert_eq!(sup.lane("lane").lock().unwrap().crashes.len(), 0);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn cancellation_kills_the_child_without_a_crash_entry() {
-        // HELLO then silence: an already-cancelled request must SIGKILL
-        // the child at the first poll instead of waiting out the deadline.
-        let script = format!(
-            "printf '{}'; sleep 600",
-            frame_escapes(ipc::kind::HELLO, b""),
-        );
-        let sup = Supervisor::new(test_config("sh", &["-c", &script]), None);
-        let started = Instant::now();
-        match sup.request_cancellable("lane", b"ping", Duration::from_secs(60), &|| true) {
-            Outcome::Cancelled => {}
-            other => panic!("expected cancellation, got {other:?}"),
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "cancel must not wait for the deadline"
-        );
-        // Cancellations never count toward quarantine.
         assert!(sup.quarantined_lanes().is_empty());
         assert_eq!(sup.lane("lane").lock().unwrap().crashes.len(), 0);
     }

@@ -47,15 +47,6 @@ SCHEMA = {
     "supervisor.fallback": {"lane"},
     "supervisor.quarantined": {"lane", "crashes"},
     "supervisor.heartbeat": {"lane"},
-    # Speculative-racing events (ISSUE 8). Schedule-dependent like the
-    # supervisor lifecycle: they bypass the canonical recorder stream and
-    # only appear in raw sinks, in wall-clock order.
-    "race.start": {"provers"},
-    "race.win": {"prover"},
-    "race.cancelled": {"prover"},
-    "race.rerun": {"prover"},
-    "adaptive.load": {"entries"},
-    "adaptive.flush": {"entries"},
     # Relevance-slicing events (ISSUE 10). Content-determined, NOT
     # schedule-dependent: the ladder runs inside one obligation's
     # dispatch, so these appear in canonical streams, between piece

@@ -7,8 +7,8 @@ Stdlib only. Run with:
     python3 scripts/test_check_jsonl.py
 
 Each test feeds the checker a small accept/reject fixture per event
-family — including the speculative-racing events — and asserts the exit
-status and, on rejection, that the diagnostic names the offending line.
+family and asserts the exit status and, on rejection, that the
+diagnostic names the offending line.
 The checker is exercised through its real entry point (a subprocess with
 a file argument), exactly as CI invokes it.
 """
@@ -86,21 +86,6 @@ class AcceptsWellFormedStreams(unittest.TestCase):
                     {"type": "obligation.end", "index": 0, "verdict": "proved"},
                 )
             )
-        )
-
-    def test_race_events_accepted(self):
-        # Race events are raw-sink residents: they may appear anywhere,
-        # including interleaved with span structure, in wall-clock order.
-        self.assert_ok(
-            [
-                {"type": "adaptive.load", "entries": 3},
-                {"type": "race.start", "provers": 5},
-                {"type": "race.win", "prover": "presburger"},
-                {"type": "race.cancelled", "prover": "fol-resolution"},
-                {"type": "race.rerun", "prover": "fol-resolution"},
-                *run_span(),
-                {"type": "adaptive.flush", "entries": 4},
-            ]
         )
 
     def test_supervisor_and_store_events_accepted(self):
@@ -186,23 +171,31 @@ class RejectsMalformedStreams(unittest.TestCase):
     def test_unknown_event_type(self):
         self.assert_rejected(run_span({"type": "race.telemetry"}), "unknown event type")
 
-    def test_race_start_missing_provers(self):
+    def test_removed_race_and_adaptive_events(self):
+        for event in [
+            {"type": "race.start", "provers": 5},
+            {"type": "race.win", "prover": "presburger"},
+            {"type": "race.cancelled", "prover": "fol-resolution"},
+            {"type": "race.rerun", "prover": "fol-resolution"},
+            {"type": "adaptive.load", "entries": 3},
+            {"type": "adaptive.flush", "entries": 4},
+        ]:
+            with self.subTest(event=event["type"]):
+                self.assert_rejected(
+                    [event, *run_span()], "unknown event type", lineno=1
+                )
+
+    def test_supervisor_spawn_missing_lane(self):
         self.assert_rejected(
-            [{"type": "race.start"}, *run_span()],
-            "race.start missing fields ['provers']",
+            [{"type": "supervisor.spawn"}, *run_span()],
+            "supervisor.spawn missing fields ['lane']",
             lineno=1,
         )
 
-    def test_race_win_missing_prover(self):
+    def test_store_flush_missing_bytes(self):
         self.assert_rejected(
-            [{"type": "race.win"}, *run_span()],
-            "race.win missing fields ['prover']",
-        )
-
-    def test_adaptive_flush_missing_entries(self):
-        self.assert_rejected(
-            [*run_span(), {"type": "adaptive.flush"}],
-            "adaptive.flush missing fields ['entries']",
+            [*run_span(), {"type": "store.flush", "records": 1}],
+            "store.flush missing fields ['bytes']",
         )
 
     def test_attempt_missing_fields(self):
@@ -298,8 +291,8 @@ class RejectsMalformedStreams(unittest.TestCase):
         )
 
 
-class ChecksARealRacingStream(unittest.TestCase):
-    """End-to-end: a stream captured from an actual racing run (when the
+class ChecksARealStream(unittest.TestCase):
+    """End-to-end: a stream captured from an actual CLI run (when the
     release binary exists) passes the checker. Skipped if the binary has
     not been built — CI builds it first."""
 
@@ -314,7 +307,7 @@ class ChecksARealRacingStream(unittest.TestCase):
         try:
             env = dict(os.environ, JAHOB_OBS=obs_path)
             subprocess.run(
-                [binary, "--racing", "--adaptive", fixture],
+                [binary, fixture],
                 capture_output=True,
                 env=env,
                 check=True,
@@ -326,7 +319,7 @@ class ChecksARealRacingStream(unittest.TestCase):
                 check=False,
             )
             self.assertEqual(proc.returncode, 0, msg=proc.stderr)
-            self.assertIn("race.start", proc.stdout)
+            self.assertIn("attempt", proc.stdout)
         finally:
             os.unlink(obs_path)
 

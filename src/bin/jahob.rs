@@ -15,9 +15,9 @@
 //!
 //! * `verify <file>` — one-shot verification in this process.
 //! * `serve` — the persistent verification daemon: one warm session
-//!   (goal cache, persistent store, adaptive statistics, supervisor
-//!   lanes) shared across every client of a Unix-domain socket, with a
-//!   bounded admission queue and graceful drain on SIGTERM.
+//!   (goal cache, persistent store, supervisor lanes) shared across
+//!   every client of a Unix-domain socket, with a bounded admission
+//!   queue and graceful drain on SIGTERM.
 //! * `submit <file>` — ship a file to a running daemon; prints exactly
 //!   what `verify` would, and with `JAHOB_OBS=<path>` writes the
 //!   request's streamed JSONL event lines client-side.

@@ -208,102 +208,3 @@ class Counter {
         prop_assert_eq!(got, baseline);
     }
 }
-
-// ---------------------------------------------------------------------------
-// ISSUE 8: speculative racing joins the determinism contract. Racing (and
-// adaptive ordering) may only move wall-clock: the deterministic report
-// and the canonical event stream must be bit-for-bit identical racing on
-// vs. off, at any worker count, cold or warm.
-
-/// Racing on/off × worker matrix × adaptive on/off: the deterministic
-/// report never moves.
-#[test]
-fn racing_agrees_with_sequential_across_worker_counts() {
-    for path in CASE_STUDIES {
-        let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let baseline = run(&src, &config(1, true));
-        for workers in WORKER_MATRIX {
-            for adaptive in [false, true] {
-                let racy = Config::builder()
-                    .racing(true)
-                    .adaptive(adaptive)
-                    .workers(workers)
-                    .build();
-                let got = run(&src, &racy);
-                assert_eq!(
-                    got, baseline,
-                    "{path}: racing report (workers={workers}, adaptive={adaptive}) \
-                     diverged from the sequential baseline"
-                );
-            }
-        }
-    }
-}
-
-/// The canonical (schedule-independent) slice of the event stream is
-/// bit-for-bit identical racing on vs. off. The raw stream legitimately
-/// differs — `race.*` events exist only when racing and arrive in
-/// schedule order — which is exactly why they are flagged
-/// schedule-dependent like the `supervisor.*` family.
-#[test]
-fn racing_canonical_event_streams_match_sequential() {
-    let canonical_stream = |src: &str, racing: bool, workers: usize| -> String {
-        let sink = Arc::new(MemorySink::new());
-        Config::builder()
-            .racing(racing)
-            .workers(workers)
-            .sink(sink.clone())
-            .build_verifier()
-            .verify(src)
-            .expect("pipeline");
-        let mut out = String::new();
-        for ev in sink.events() {
-            if !ev.is_schedule_dependent() {
-                out.push_str(&ev.to_json(false));
-                out.push('\n');
-            }
-        }
-        out
-    };
-    for path in ["case_studies/globalset.javax", "case_studies/game.javax"] {
-        let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let baseline = canonical_stream(&src, false, 1);
-        assert!(!baseline.is_empty());
-        for workers in WORKER_MATRIX {
-            assert_eq!(
-                canonical_stream(&src, true, workers),
-                baseline,
-                "{path}: canonical stream with racing at {workers} workers diverged"
-            );
-        }
-    }
-}
-
-/// Warm adaptive statistics may reorder race *starts* only: a session
-/// whose stats table has already learned the case study produces the
-/// same deterministic report as a cold one.
-#[test]
-fn warm_adaptive_stats_never_move_the_report() {
-    for path in ["case_studies/globalset.javax", "case_studies/game.javax"] {
-        let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        // Both sessions keep their goal cache alive across calls, so the
-        // second run is cache-warm in *both* — the only difference left
-        // is the adaptive stats table, which must not show at all.
-        let sequential = Config::builder().build_verifier();
-        let racing = Config::builder()
-            .racing(true)
-            .adaptive(true)
-            .build_verifier();
-        for round in 0..2 {
-            let want = sequential
-                .verify(&src)
-                .expect("pipeline")
-                .deterministic_lines();
-            let got = racing.verify(&src).expect("pipeline").deterministic_lines();
-            assert_eq!(
-                got, want,
-                "{path}: racing+adaptive round {round} diverged from sequential"
-            );
-        }
-    }
-}

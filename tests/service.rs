@@ -78,10 +78,7 @@ fn is_canonical_line(line: &str) -> bool {
         .strip_prefix("{\"type\":\"")
         .and_then(|rest| rest.split('"').next())
         .unwrap_or_else(|| panic!("unparseable event line: {line}"));
-    !(ty.starts_with("supervisor.")
-        || ty.starts_with("race.")
-        || ty.starts_with("adaptive.")
-        || ty.starts_with("service."))
+    !(ty.starts_with("supervisor.") || ty.starts_with("service."))
 }
 
 /// One-shot reference for request `k` of a session: the report JSON

@@ -5,8 +5,7 @@
 //! untouched original formula. The pins:
 //!
 //! * **Verdict classification is invariant.** Slicing on vs. off, at 1,
-//!   2, and 8 workers, racing on or off: every obligation keeps its
-//!   classification (proved / refuted / unknown). The *attribution* of a
+//!   2, and 8 workers: every obligation keeps its classification (proved / refuted / unknown). The *attribution* of a
 //!   proof may move to a cheaper prover — a sliced goal can fall inside
 //!   a fragment the full goal escapes — which is the whole point, so
 //!   proved lines are compared by classification, not prover name.
@@ -67,7 +66,8 @@ fn classification_lines(report: &jahob::VerifyReport) -> Vec<String> {
 }
 
 /// The canonical (schedule-independent) serialization of a run's event
-/// stream, exactly as `parallel_determinism.rs` pins it for racing.
+/// stream, exactly as `parallel_determinism.rs` pins it across worker
+/// counts.
 fn canonical_stream(sink: &MemorySink) -> String {
     let mut out = String::new();
     for ev in sink.events() {
@@ -99,29 +99,21 @@ fn slicing_preserves_classifications_on_every_case_study() {
     }
 }
 
-/// The worker-matrix × racing cross product, on the two case studies
-/// where racing actually engages (the rest are covered at 1 worker
-/// above; the determinism of the *within-mode* report across worker
-/// counts is pinned separately below).
+/// The worker matrix, on two case studies (the rest are covered at 1
+/// worker above; the determinism of the *within-mode* report across
+/// worker counts is pinned separately below).
 #[test]
-fn slicing_preserves_classifications_under_racing_and_workers() {
+fn slicing_preserves_classifications_across_worker_counts() {
     for path in ["case_studies/globalset.javax", "case_studies/game.javax"] {
         let src = fixture(path);
         let baseline = classification_lines(&run(&src, &Config::builder().workers(1).build()));
         for workers in WORKER_MATRIX {
-            for racing in [false, true] {
-                let sliced = Config::builder()
-                    .slicing(true)
-                    .racing(racing)
-                    .workers(workers)
-                    .build();
-                assert_eq!(
-                    classification_lines(&run(&src, &sliced)),
-                    baseline,
-                    "{path}: slicing (workers={workers}, racing={racing}) \
-                     changed a verdict classification"
-                );
-            }
+            let sliced = Config::builder().slicing(true).workers(workers).build();
+            assert_eq!(
+                classification_lines(&run(&src, &sliced)),
+                baseline,
+                "{path}: slicing (workers={workers}) changed a verdict classification"
+            );
         }
     }
 }

@@ -1,19 +1,16 @@
-//! Soundness regression corpus (ISSUE 8): deliberately broken case-study
-//! variants that must never verify, under any dispatch strategy.
+//! Soundness regression corpus: deliberately broken case-study variants
+//! that must never verify, under any execution strategy.
 //!
-//! Speculative racing, adaptive ordering, process isolation, and chaos
-//! cancellation all reshuffle *when* and *where* provers run — none of
-//! them may ever reshuffle *what is true*. Each `*_bug.javax` fixture
-//! seeds a specific bug (see the fixture headers); this suite pins that
-//! the broken methods' `ensures` obligations stay un-`Proved` across:
+//! Worker fan-out, process isolation, and chaos faults all reshuffle
+//! *when* and *where* provers run — none of them may ever reshuffle
+//! *what is true*. Each `*_bug.javax` fixture seeds a specific bug (see
+//! the fixture headers); this suite pins that the broken methods'
+//! `ensures` obligations stay un-`Proved` across:
 //!
 //! * the sequential baseline;
-//! * racing and racing+adaptive at 1/2/8 workers;
+//! * 1/2/8 workers;
 //! * both isolation modes (in-process and supervised child processes);
-//! * 48 chaos seeds — fault-plan seeds (under which racing stands down
-//!   by design and the faults batter the sequential path) and
-//!   `race_cancel_seed` sweeps (under which races fire and lose racers
-//!   to injected pre-cancellation, exercising the inline re-run path).
+//! * 24 fault-plan chaos seeds.
 
 use jahob_repro::jahob::{self, verify::VerdictSummary, Config, FaultPlan, Isolation, Verifier};
 use std::sync::Arc;
@@ -74,37 +71,14 @@ fn sequential_baseline_never_proves_broken_methods() {
 }
 
 #[test]
-fn racing_and_adaptive_never_prove_broken_methods() {
+fn worker_counts_never_prove_broken_methods() {
     for (path, broken) in CORPUS {
         let src = fixture(path);
         for workers in WORKER_MATRIX {
-            for adaptive in [false, true] {
-                let config = Config::builder()
-                    .racing(true)
-                    .adaptive(adaptive)
-                    .workers(workers)
-                    .build();
-                let report = run(&src, config);
-                assert_bugs_unproved(
-                    &report,
-                    broken,
-                    &format!("{path} racing workers={workers} adaptive={adaptive}"),
-                );
-            }
+            let report = run(&src, Config::builder().workers(workers).build());
+            assert_bugs_unproved(&report, broken, &format!("{path} workers={workers}"));
         }
     }
-}
-
-/// Racing must actually engage on the corpus — a soundness suite whose
-/// racing leg silently falls back to sequential dispatch tests nothing.
-#[test]
-fn racing_engages_on_the_corpus() {
-    let report = run(
-        &fixture("case_studies/globalset_bug.javax"),
-        Config::builder().racing(true).build(),
-    );
-    let starts = report.stats.get("race.start").copied().unwrap_or(0);
-    assert!(starts > 0, "racing never fired on the corpus:\n{report:?}");
 }
 
 #[test]
@@ -113,7 +87,6 @@ fn isolation_modes_never_prove_broken_methods() {
         let src = fixture(path);
         for isolation in [Isolation::InProcess, Isolation::Process] {
             let config = Config::builder()
-                .racing(true)
                 .isolation(isolation)
                 .worker_program(WORKER_BIN)
                 .build();
@@ -123,60 +96,20 @@ fn isolation_modes_never_prove_broken_methods() {
     }
 }
 
-/// Fault-plan chaos: seeds 0..24. Racing is requested but stands down
-/// under an armed plan (by design — racer threads cannot see the
-/// per-obligation fault scopes), so this leg batters the sequential path
-/// the race would fall back to. The cross-check watchdog is on, exactly
-/// as in the chaos suite: lying-prover faults are only defeated by
-/// cross-checking, and an unwatched lie flipping a verdict is the known,
-/// documented threat — not a racing regression.
+/// Fault-plan chaos: seeds 0..24. The cross-check watchdog is on,
+/// exactly as in the chaos suite: lying-prover faults are only defeated
+/// by cross-checking, and an unwatched lie flipping a verdict is the
+/// known, documented threat.
 #[test]
 fn fault_plan_seeds_never_prove_broken_methods() {
     let src = fixture("case_studies/globalset_bug.javax");
     let broken = CORPUS[1].1;
     for seed in 0..24u64 {
         let mut config = Config::builder()
-            .racing(true)
             .fault_plan(Arc::new(FaultPlan::from_seed(seed)))
             .build();
         config.dispatch.cross_check = true;
         let report = run(&src, config);
         assert_bugs_unproved(&report, broken, &format!("fault-plan seed={seed}"));
-    }
-}
-
-/// Race-cancellation chaos: seeds 0..24 on the fast fixture plus a
-/// spot-check on the list fixture. Races fire and racers are spuriously
-/// pre-cancelled by seed; cancelled racers re-run inline (`race.rerun`),
-/// so verdicts — and in particular the seeded bugs — must be untouched.
-#[test]
-fn race_cancel_seeds_never_prove_broken_methods() {
-    let baseline = run(
-        &fixture("case_studies/globalset_bug.javax"),
-        Config::default(),
-    )
-    .deterministic_lines();
-    for seed in 0..24u64 {
-        let mut config = Config::builder().racing(true).build();
-        config.dispatch.race_cancel_seed = Some(seed);
-        let report = run(&fixture("case_studies/globalset_bug.javax"), config);
-        assert_bugs_unproved(&report, CORPUS[1].1, &format!("race-cancel seed={seed}"));
-        // Stronger than "not proved": injected cancellation must not
-        // perturb the deterministic report at all.
-        assert_eq!(
-            report.deterministic_lines(),
-            baseline,
-            "race-cancel seed={seed} drifted from the sequential baseline"
-        );
-    }
-    for seed in [0u64, 7, 23] {
-        let mut config = Config::builder().racing(true).build();
-        config.dispatch.race_cancel_seed = Some(seed);
-        let report = run(&fixture("case_studies/list_bug.javax"), config);
-        assert_bugs_unproved(
-            &report,
-            CORPUS[0].1,
-            &format!("list race-cancel seed={seed}"),
-        );
     }
 }
