@@ -634,8 +634,27 @@ fn conj_sat(conj: &[PAtom], budget: &Budget) -> Result<bool, Exhaustion> {
         let f = PForm::and(conj.iter().cloned().map(PForm::Atom).collect());
         return cooper::sat_budgeted(&f, budget);
     }
-    // t != 0 splits into t ≥ 1 or t ≤ −1; try every sign choice.
+    // t != 0 splits into t ≥ 1 (mask bit set) or t ≤ −1 (bit clear). When
+    // the fixed atoms already force t ≥ 0, the t ≤ −1 branch is
+    // infeasible, and sign choices that pick it are skipped without
+    // calling Omega. Region-cardinality sums such as `card S` in
+    // `S ~= {}` are always forced, so n of them cost one branch, not 2^n.
+    let lower_bounded = zero_lower_bounded(conj);
+    let forced: u32 = neqs
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| {
+            t.konst >= 0
+                && t.coeffs
+                    .iter()
+                    .all(|(v, &k)| k > 0 && lower_bounded.contains(v))
+        })
+        .map(|(i, _)| 1 << i)
+        .sum();
     for mask in 0u32..(1 << neqs.len()) {
+        if mask & forced != forced {
+            continue;
+        }
         budget.check()?;
         let mut sys = fixed.clone();
         for (i, t) in neqs.iter().enumerate() {
@@ -651,6 +670,21 @@ fn conj_sat(conj: &[PAtom], budget: &Budget) -> Result<bool, Exhaustion> {
         }
     }
     Ok(false)
+}
+
+/// Variables some atom of `conj` bounds below by zero: `−c·v + k ≤ 0`
+/// with `c > 0` and `k ≥ 0`, i.e. `v ≥ k/c ≥ 0`. Every region cardinality
+/// qualifies through `translate`'s `r ≥ 0`.
+fn zero_lower_bounded(conj: &[PAtom]) -> Vec<Symbol> {
+    conj.iter()
+        .filter_map(|a| match a {
+            PAtom::Le(t) if t.konst >= 0 && t.coeffs.len() == 1 => {
+                let (&v, &k) = t.coeffs.iter().next()?;
+                (k < 0).then_some(v)
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// DNF of a formula as lists of atoms; `None` if more than `limit` disjuncts
@@ -774,6 +808,36 @@ mod tests {
         // A generous budget agrees with the unlimited entry point.
         let roomy = Budget::with_fuel(10_000_000);
         assert_eq!(bapa_valid_budgeted(&goal, &default_sig(), &roomy), Ok(true));
+    }
+
+    #[test]
+    fn forced_sign_branches_are_skipped_and_answers_match_cooper() {
+        // Five region-cardinality disequalities (each forced positive) and
+        // one mixed-sign one (`card S - card T`, free either way). With
+        // |S - T|, |S Int T|, |T - S| >= 1 and |S| ~= |T| the union has at
+        // least 1 + 1 + 2 = 4 elements, and exactly 4 is reachable.
+        let hyps = "S Int T ~= {} & S - T ~= {} & T - S ~= {} & S ~= {} & T ~= {} \
+                    & card S ~= card T";
+        // (goal, valid, fuel): one unit for the lone DNF disjunct plus one
+        // per sign branch handed to Omega. The valid goal tries both
+        // branches of the mixed disequality; the invalid one is satisfied
+        // by the first. An exhaustive split would try up to 2^6 branches.
+        for (concl, want, fuel) in [
+            ("4 <= card (S Un T)", true, 3),
+            ("5 <= card (S Un T)", false, 2),
+        ] {
+            let goal = form(&format!("{hyps} --> {concl}"));
+            let budget = Budget::with_fuel(1_000);
+            assert_eq!(
+                bapa_valid_budgeted(&goal, &default_sig(), &budget),
+                Ok(want),
+                "{concl}"
+            );
+            assert_eq!(1_000 - budget.fuel_remaining(), fuel, "{concl}");
+            let (matrix, wf, _) = translate(&Form::not(goal), &default_sig()).unwrap();
+            let full = PForm::and(vec![wf, matrix]);
+            assert_eq!(cooper::sat(&full), !want, "{concl}: cooper disagrees");
+        }
     }
 
     #[test]

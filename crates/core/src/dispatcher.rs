@@ -1550,33 +1550,17 @@ impl Dispatcher {
                 return v;
             }
         }
-        // Counter-model search before the expensive provers: a refutation
-        // settles the obligation for good.
+        // One bounded-model search, before the expensive provers: a
+        // refutation settles the obligation for good, and a bounded proof
+        // is held while FOL tries for an unbounded one.
+        let mut bounded = None;
         if self.config.bmc_bound > 0 {
-            let refuted = self.guard(ProverId::Bmc, budget, &mut diag, ctx, |slice, diag| {
-                for (goal, sig) in variants.iter().rev() {
-                    self.stats.bump("tried.bmc-refute");
-                    for universe in 1..=self.config.bmc_bound {
-                        match jahob_models::refute_budgeted(goal, sig, universe, slice) {
-                            Ok(Some(model)) => {
-                                self.stats.bump("refuted.bmc");
-                                return Ok(Some(Verdict::CounterModel(Box::new(model))));
-                            }
-                            Ok(None) => {}
-                            Err(jahob_models::ModelsFailure::Fragment(_)) => {
-                                diag.record(ProverId::Bmc, FailureReason::Unsupported);
-                                break;
-                            }
-                            Err(jahob_models::ModelsFailure::Exhausted(why)) => {
-                                return Err(why.into())
-                            }
-                        }
-                    }
-                }
-                Ok(None)
-            });
-            if let Some(v) = refuted {
-                return v;
+            match self.guard(ProverId::Bmc, budget, &mut diag, ctx, |slice, diag| {
+                self.bounded_search(&variants, slice, diag)
+            }) {
+                Some(proof @ Verdict::Proved { .. }) => bounded = Some(proof),
+                Some(refuted) => return refuted,
+                None => {}
             }
         }
         let fol = self.guard(ProverId::Fol, budget, &mut diag, ctx, |slice, diag| {
@@ -1585,71 +1569,98 @@ impl Dispatcher {
         if let Some(v) = fol {
             return v;
         }
-        if self.config.bmc_bound > 0 && self.config.bmc_as_validity {
-            let bmc = self.guard(ProverId::Bmc, budget, &mut diag, ctx, |slice, diag| {
-                for (goal, sig) in variants.iter().rev() {
-                    self.stats.bump("tried.bmc-validity");
-                    // Opaque set-valued applications (`List.content a`) are
-                    // abstracted into fresh set variables so client-level
-                    // goals ground; the abstraction is sound for validity,
-                    // and any counter-model of a weakened goal (abstracted
-                    // or with hypotheses filtered) is NOT reported as a
-                    // refutation.
-                    let (abstracted, abs_sig, was_abstracted) = abstract_set_apps(goal, sig);
-                    let filtered_candidate = crate::worker::filtered(&abstracted, &mut |h| {
-                        let ok = jahob_models::in_fragment(h, &abs_sig, 1);
-                        if !ok {
-                            self.recorder.record_with(|| {
-                                let t = h.to_string();
-                                Event::Note {
-                                    text: format!(
-                                        "bmc drops hyp: {}",
-                                        t.chars().take(120).collect::<String>()
-                                    ),
-                                }
-                            });
-                        }
-                        ok
-                    });
-                    let weakened = was_abstracted || filtered_candidate.is_some();
-                    let candidate = filtered_candidate.unwrap_or_else(|| abstracted.clone());
-                    let bmc_result = jahob_models::bmc_valid_with_bound_budgeted(
-                        &candidate,
-                        &abs_sig,
-                        self.config.bmc_bound,
-                        slice,
-                    );
-                    match bmc_result {
-                        Ok(BmcVerdict::ValidUpTo(bound)) => {
-                            self.stats.bump("proved.bmc");
-                            return Ok(Some(Verdict::Proved {
-                                prover: ProverId::Bmc,
-                                bound: Some(bound),
-                            }));
-                        }
-                        Ok(BmcVerdict::CounterModel(model)) => {
-                            if !weakened {
-                                self.stats.bump("refuted.bmc");
-                                return Ok(Some(Verdict::CounterModel(model)));
-                            }
-                            // Counter-model of a weakened goal: inconclusive.
-                            diag.record(ProverId::Bmc, FailureReason::GaveUp);
-                        }
-                        Err(jahob_models::ModelsFailure::Fragment(_)) => {
-                            diag.record(ProverId::Bmc, FailureReason::Unsupported)
-                        }
-                        Err(jahob_models::ModelsFailure::Exhausted(why)) => return Err(why.into()),
-                    }
-                }
-                Ok(None)
-            });
-            if let Some(v) = bmc {
-                return v;
-            }
+        if let Some(proof) = bounded {
+            self.stats.bump("proved.bmc");
+            return proof;
         }
         self.stats.bump("unknown");
         diag.obligation_spent = budget.exhausted().map(FailureReason::from);
         Verdict::Unknown(diag)
+    }
+
+    /// The model finder's one pass over a piece's variants, unfolded
+    /// first. Each raw variant is searched over universes `1..=bmc_bound`:
+    /// a counter-model refutes, and exhausting the bound is a bounded
+    /// proof when `bmc_as_validity` is on. A variant outside the boundable
+    /// fragment is weakened into it and searched again; that search can
+    /// prove, but its counter-models may rest on what the weakening
+    /// forgot, so they refute nothing. Once one variant is bounded-valid,
+    /// the rest are searched raw, for a counter-model only.
+    fn bounded_search(
+        &self,
+        variants: &[(Form, FxHashMap<Symbol, Sort>)],
+        slice: &Budget,
+        diag: &mut Diagnosis,
+    ) -> Result<Option<Verdict>, AttemptError> {
+        use jahob_models::ModelsFailure;
+        let bound = self.config.bmc_bound;
+        let mut proved = false;
+        for (goal, sig) in variants.iter().rev() {
+            self.stats.bump("tried.bmc");
+            match jahob_models::bmc_valid_with_bound_budgeted(goal, sig, bound, slice) {
+                Ok(BmcVerdict::CounterModel(model)) => {
+                    self.stats.bump("refuted.bmc");
+                    return Ok(Some(Verdict::CounterModel(model)));
+                }
+                Ok(BmcVerdict::ValidUpTo(_)) => {
+                    proved |= self.config.bmc_as_validity;
+                    continue;
+                }
+                Err(ModelsFailure::Fragment(_)) => {
+                    diag.record(ProverId::Bmc, FailureReason::Unsupported)
+                }
+                Err(ModelsFailure::Exhausted(why)) => return Err(why.into()),
+            }
+            // Outside the fragment: weaken into it, unless a bounded proof
+            // is already held or bounded proofs are off.
+            if proved || !self.config.bmc_as_validity {
+                continue;
+            }
+            let Some((candidate, cand_sig)) = self.weakened_for_bmc(goal, sig) else {
+                continue;
+            };
+            match jahob_models::bmc_valid_with_bound_budgeted(&candidate, &cand_sig, bound, slice) {
+                Ok(BmcVerdict::ValidUpTo(_)) => proved = true,
+                Ok(BmcVerdict::CounterModel(_)) => {
+                    diag.record(ProverId::Bmc, FailureReason::GaveUp)
+                }
+                Err(ModelsFailure::Fragment(_)) => {}
+                Err(ModelsFailure::Exhausted(why)) => return Err(why.into()),
+            }
+        }
+        Ok(proved.then_some(Verdict::Proved {
+            prover: ProverId::Bmc,
+            bound: Some(bound),
+        }))
+    }
+
+    /// Weaken a goal outside the boundable fragment toward it: opaque
+    /// set-valued applications (`List.content a`) become fresh set
+    /// variables, so client-level goals ground, and hypotheses that still
+    /// do not ground are dropped, each with a `bmc drops hyp` note. Both
+    /// steps are sound for validity. `None` when neither changed anything.
+    fn weakened_for_bmc(
+        &self,
+        goal: &Form,
+        sig: &FxHashMap<Symbol, Sort>,
+    ) -> Option<(Form, FxHashMap<Symbol, Sort>)> {
+        let (abstracted, abs_sig, was_abstracted) = abstract_set_apps(goal, sig);
+        let filtered = crate::worker::filtered(&abstracted, &mut |h| {
+            let ok = jahob_models::in_fragment(h, &abs_sig, 1);
+            if !ok {
+                self.recorder.record_with(|| {
+                    let t = h.to_string();
+                    Event::Note {
+                        text: format!("bmc drops hyp: {}", t.chars().take(120).collect::<String>()),
+                    }
+                });
+            }
+            ok
+        });
+        match filtered {
+            Some(candidate) => Some((candidate, abs_sig)),
+            None => was_abstracted.then_some((abstracted, abs_sig)),
+        }
     }
 }
 
@@ -1805,6 +1816,47 @@ mod tests {
             ),
             Some(ProverId::Fol)
         );
+    }
+
+    #[test]
+    fn bounded_proof_takes_one_model_search_and_is_held_through_fol() {
+        // Acyclicity of a `tree` backbone: only the model finder proves it.
+        // One search finds the bounded proof before FOL, and FOL still
+        // gets its try at an unbounded one.
+        let mut d = dispatcher();
+        let sink = Arc::new(obs::MemorySink::new());
+        d.recorder = Recorder::streaming(sink.clone());
+        let v = d.prove(&form("tree [next] & x..next = y & y ~= null --> x ~= y"));
+        assert!(
+            matches!(
+                v,
+                Verdict::Proved {
+                    prover: ProverId::Bmc,
+                    bound: Some(3)
+                }
+            ),
+            "{v:?}"
+        );
+        let tail: Vec<(&str, String)> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Attempt {
+                    prover, outcome, ..
+                } if prover == "bounded-models" || prover == "fol-resolution" => {
+                    Some((prover, outcome))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            tail,
+            [
+                ("bounded-models", "proved".to_owned()),
+                ("fol-resolution", "no-decision".to_owned()),
+            ]
+        );
+        assert_eq!(d.stats.get("proved.bmc"), 1);
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!
 //! * [`dispatcher`] — goal decomposition ("a simple goal decomposition
 //!   technique to prove different conjuncts in the goal using different
-//!   decision procedures", §3) and the prover portfolio: simplifier, HOL
-//!   `auto`, Presburger (Cooper/Omega), BAPA, Nelson–Oppen SMT, the
-//!   first-order prover with reachability axioms, and the bounded model
-//!   finder (counterexamples + bounded validity).
+//!   decision procedures", §3) and the prover portfolio, in walk order:
+//!   simplifier, HOL `auto`, Presburger (Cooper/Omega), BAPA,
+//!   Nelson–Oppen SMT, the bounded model finder (counterexamples +
+//!   bounded validity, one search per piece), and the first-order prover
+//!   with reachability axioms.
 //! * [`goal_cache`] — the run-wide normalized-goal verdict cache:
 //!   alpha-equivalent obligations are dispatched once and every later
 //!   occurrence is a constant-time hit, with in-flight deduplication so

@@ -1064,16 +1064,15 @@ pub fn bmc_valid_with_bound(
 }
 
 /// Budgeted [`bmc_valid_with_bound`]: each universe size's model search
-/// runs against the caller's budget, so a deadline can stop the climb.
+/// is one [`refute_budgeted`] call against the caller's budget, so a
+/// deadline can stop the climb.
 pub fn bmc_valid_with_bound_budgeted(
     goal: &Form,
     sig: &FxHashMap<Symbol, Sort>,
     bound: u32,
     budget: &Budget,
 ) -> Result<BmcVerdict, ModelsFailure> {
-    jahob_util::chaos::boundary("models.bmc-validity", budget).map_err(ModelsFailure::Exhausted)?;
     for universe in 1..=bound {
-        budget.check().map_err(ModelsFailure::Exhausted)?;
         if let Some(model) = refute_budgeted(goal, sig, universe, budget)? {
             return Ok(BmcVerdict::CounterModel(Box::new(model)));
         }
