@@ -204,8 +204,8 @@ fn bench_observability_overhead(c: &mut Criterion) {
 /// 6): `cold` verifies into a fresh store directory every iteration;
 /// `warm_restart` builds a brand-new session per iteration — exactly what
 /// a second process does — over a directory populated once up front, so
-/// every proof replays from disk. The acceptance bar is warm ≥5× faster
-/// than cold.
+/// every proof replays from disk. No speed ratio is asserted; the asserts
+/// check verdicts and store replay.
 fn bench_persistent_cache(c: &mut Criterion) {
     use jahob::Config;
     let mut group = c.benchmark_group("governance/persistent_cache");
@@ -504,8 +504,8 @@ fn bench_supervision_overhead(c: &mut Criterion) {
 /// costs; `warm_daemon` submits the same file to one long-lived
 /// `jahob serve` session over its Unix socket, so every proof replays
 /// from the warm goal cache and the socket round-trip is all that is
-/// added. The acceptance bar is warm daemon ≥5× faster than cold
-/// one-shot.
+/// added. No speed ratio is asserted; the asserts check report identity
+/// and warm cache replay.
 fn bench_service(c: &mut Criterion) {
     use jahob::cli::OutputMode;
     use jahob::{Client, Config, Service, SubmitOptions, SubmitOutcome};

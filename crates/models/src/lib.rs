@@ -17,7 +17,7 @@
 //! * `fieldWrite` (update matrices), `rtrancl_pt` over arbitrary lambda
 //!   edge formulas (transitive closure by iterated squaring — exact within
 //!   the bound),
-//! * `tree [f₁, …]` (indegree ≤ 1 plus rank-based acyclicity),
+//! * `tree [f₁, …]` (indegree ≤ 1 plus closure-based acyclicity),
 //! * quantifiers and comprehensions over `obj` (expanded).
 //!
 //! Integer arithmetic and cardinalities are *not* grounded — those goals
@@ -128,6 +128,14 @@ impl Atoms {
     }
 }
 
+/// A `w × w` matrix of propositional entries, indexed `[from][to]`.
+type Matrix = Vec<Vec<PropForm>>;
+
+/// What a closure's edge matrix depends on: the lambda body with its two
+/// binders renamed to reserved symbols, plus the values the environment
+/// gives the body's other free variables.
+type ClosureKey = (Form, Vec<(Symbol, u32)>);
+
 /// The grounding context for one universe size.
 struct Grounder<'a> {
     n: u32,
@@ -136,8 +144,12 @@ struct Grounder<'a> {
     /// Structural constraints collected during encoding (functionality,
     /// one-hot, tree constraints, definitional iffs).
     constraints: Vec<PropForm>,
-    /// Fresh defined atoms for closure layers: cache by (edge-id, layer).
-    defined: u32,
+    /// Definition → its atom. Every atom has one fixed meaning within a
+    /// grounder, so structurally equal definitions share one atom.
+    defs: FxHashMap<PropForm, u32>,
+    /// Reflexive-transitive closure matrices, one per distinct edge
+    /// relation.
+    closures: FxHashMap<ClosureKey, Rc<Matrix>>,
 }
 
 /// Number of object ids (including null).
@@ -152,7 +164,8 @@ impl<'a> Grounder<'a> {
             sig,
             atoms: Atoms::new(),
             constraints: Vec::new(),
-            defined: 0,
+            defs: FxHashMap::default(),
+            closures: FxHashMap::default(),
         }
     }
 
@@ -269,18 +282,19 @@ impl<'a> Grounder<'a> {
             .collect()
     }
 
-    /// A fresh defined atom with an asserted definition.
+    /// The atom standing for `def`; its definition is asserted on first use.
     fn define(&mut self, def: PropForm) -> PropForm {
-        match def {
-            PropForm::True | PropForm::False | PropForm::Atom(_) => def,
-            _ => {
-                let base = self.atoms.alloc(1);
-                self.defined += 1;
-                let atom = PropForm::atom(base);
-                self.constraints.push(PropForm::iff(atom.clone(), def));
-                atom
-            }
+        if matches!(def, PropForm::True | PropForm::False | PropForm::Atom(_)) {
+            return def;
         }
+        if let Some(&atom) = self.defs.get(&def) {
+            return PropForm::atom(atom);
+        }
+        let atom = self.atoms.alloc(1);
+        self.constraints
+            .push(PropForm::iff(PropForm::atom(atom), def.clone()));
+        self.defs.insert(def, atom);
+        PropForm::atom(atom)
     }
 
     // ---- term encodings -----------------------------------------------------
@@ -665,8 +679,8 @@ impl<'a> Grounder<'a> {
         }
     }
 
-    /// Transitive closure of a lambda edge, by iterated squaring with
-    /// defined layer atoms.
+    /// Reachability along a lambda edge: `from` and `to` picked out of the
+    /// edge relation's closure matrix.
     fn rtrancl(
         &mut self,
         lambda: &Form,
@@ -681,39 +695,7 @@ impl<'a> Grounder<'a> {
         if binders.len() != 2 {
             return err("rtrancl_pt lambda must be binary");
         }
-        let (x, y) = (binders[0].0, binders[1].0);
-        // Edge matrix.
-        let mut r: Vec<Vec<PropForm>> = vec![vec![PropForm::False; w]; w];
-        for i in 0..w as u32 {
-            for j in 0..w as u32 {
-                let mut inner_env = env.clone();
-                inner_env.insert(x, i);
-                inner_env.insert(y, j);
-                let e = self.bool_prop(body, &inner_env)?;
-                let refl = if i == j {
-                    PropForm::True
-                } else {
-                    PropForm::False
-                };
-                r[i as usize][j as usize] = self.define(PropForm::or(vec![refl, e]));
-            }
-        }
-        // Squaring: ⌈log₂ w⌉ rounds reach all path lengths ≤ w.
-        let rounds = (usize::BITS - (w - 1).leading_zeros()) as usize;
-        for _ in 0..rounds.max(1) {
-            let mut next = vec![vec![PropForm::False; w]; w];
-            for i in 0..w {
-                for j in 0..w {
-                    let mut cases = vec![r[i][j].clone()];
-                    for (m, r_m) in r.iter().enumerate() {
-                        let _ = m;
-                        cases.push(PropForm::and(vec![r[i][m].clone(), r_m[j].clone()]));
-                    }
-                    next[i][j] = self.define(PropForm::or(cases));
-                }
-            }
-            r = next;
-        }
+        let r = self.closure(binders[0].0, binders[1].0, body, env)?;
         let fb = self.obj_bits(from, env)?;
         let tb = self.obj_bits(to, env)?;
         let mut cases = Vec::with_capacity(w * w);
@@ -729,21 +711,79 @@ impl<'a> Grounder<'a> {
         Ok(PropForm::or(cases))
     }
 
-    /// `tree [f₁, …]`: union graph over non-null nodes has indegree ≤ 1 and
-    /// is acyclic (via per-node rank variables: every edge strictly
-    /// decreases a ⌈log₂ n⌉-bit rank). Field terms may be updated fields
-    /// (`fieldWrite` chains).
-    #[allow(clippy::needless_range_loop)] // adjacency-matrix closure indexing
+    /// Reflexive-transitive closure of the edge relation `% x y. body`
+    /// under `env`: the edge matrix with defined atoms, then squaring.
+    /// Built once per distinct edge relation (see [`ClosureKey`]).
+    fn closure(
+        &mut self,
+        x: Symbol,
+        y: Symbol,
+        body: &Form,
+        env: &FxHashMap<Symbol, u32>,
+    ) -> Result<Rc<Matrix>, GroundError> {
+        let key = closure_key(x, y, body, env);
+        if let Some(r) = self.closures.get(&key) {
+            return Ok(Rc::clone(r));
+        }
+        let w = width(self.n);
+        let mut r: Matrix = vec![vec![PropForm::False; w]; w];
+        for i in 0..w as u32 {
+            for j in 0..w as u32 {
+                let mut inner_env = env.clone();
+                inner_env.insert(x, i);
+                inner_env.insert(y, j);
+                let e = self.bool_prop(body, &inner_env)?;
+                let refl = if i == j {
+                    PropForm::True
+                } else {
+                    PropForm::False
+                };
+                r[i as usize][j as usize] = self.define(PropForm::or(vec![refl, e]));
+            }
+        }
+        let r = Rc::new(self.squared(r));
+        self.closures.insert(key, Rc::clone(&r));
+        Ok(r)
+    }
+
+    /// ⌈log₂ w⌉ rounds of `r := r ∨ r·r` with defined atoms: the result
+    /// relates every pair joined by an `r`-path of length ≤ w.
+    fn squared(&mut self, mut r: Matrix) -> Matrix {
+        let w = r.len();
+        let rounds = usize::BITS - (w.max(2) - 1).leading_zeros();
+        for _ in 0..rounds {
+            let mut next = vec![vec![PropForm::False; w]; w];
+            for (i, next_row) in next.iter_mut().enumerate() {
+                for (j, next_ij) in next_row.iter_mut().enumerate() {
+                    let mut cases = vec![r[i][j].clone()];
+                    for (r_im, r_m) in r[i].iter().zip(&r) {
+                        cases.push(PropForm::and(vec![r_im.clone(), r_m[j].clone()]));
+                    }
+                    *next_ij = self.define(PropForm::or(cases));
+                }
+            }
+            r = next;
+        }
+        r
+    }
+
+    /// `tree [f₁, …]`: the union graph over non-null nodes has indegree
+    /// ≤ 1 and is acyclic. Field terms may be updated fields (`fieldWrite`
+    /// chains).
+    #[allow(clippy::needless_range_loop)] // adjacency-matrix indexing
     fn tree_constraint(
         &mut self,
         fields: &[Form],
         env: &FxHashMap<Symbol, u32>,
     ) -> Result<PropForm, GroundError> {
         let w = width(self.n);
+        let matrices = fields
+            .iter()
+            .map(|f| self.fun_matrix_term(f, env))
+            .collect::<Result<Vec<Matrix>, _>>()?;
         // Edge (i,j) present (i ≥ 1, j ≥ 1) iff some field maps i to j.
         let mut edge = vec![vec![PropForm::False; w]; w];
-        for f in fields {
-            let m = self.fun_matrix_term(f, env)?;
+        for m in &matrices {
             for i in 1..w {
                 for j in 1..w {
                     edge[i][j] = PropForm::or(vec![edge[i][j].clone(), m[i][j].clone()]);
@@ -754,8 +794,7 @@ impl<'a> Grounder<'a> {
         // Indegree ≤ 1: for each j, at most one incoming (i, field) pair —
         // counting multiplicity across fields requires per-field edges:
         let mut incoming: Vec<Vec<PropForm>> = vec![Vec::new(); w];
-        for f in fields {
-            let m = self.fun_matrix_term(f, env)?;
+        for m in &matrices {
             for i in 1..w {
                 for (j, inc) in incoming.iter_mut().enumerate().skip(1) {
                     inc.push(m[i][j].clone());
@@ -776,26 +815,11 @@ impl<'a> Grounder<'a> {
         // strict-path closure of the edge relation with iff-defined layer
         // atoms and require no self-path. An existential witness encoding
         // (ranks) would be unsound under negation.
-        let mut r: Vec<Vec<PropForm>> = edge.clone();
-        for i in 0..w {
-            for j in 0..w {
-                r[i][j] = self.define(r[i][j].clone());
-            }
-        }
-        let rounds = (usize::BITS - (w.max(2) - 1).leading_zeros()) as usize;
-        for _ in 0..rounds {
-            let mut next = vec![vec![PropForm::False; w]; w];
-            for i in 0..w {
-                for j in 0..w {
-                    let mut cases = vec![r[i][j].clone()];
-                    for m in 0..w {
-                        cases.push(PropForm::and(vec![r[i][m].clone(), r[m][j].clone()]));
-                    }
-                    next[i][j] = self.define(PropForm::or(cases));
-                }
-            }
-            r = next;
-        }
+        let r = edge
+            .into_iter()
+            .map(|row| row.into_iter().map(|e| self.define(e)).collect())
+            .collect();
+        let r = self.squared(r);
         for (i, row) in r.iter().enumerate() {
             parts.push(PropForm::not(row[i].clone()));
         }
@@ -803,19 +827,24 @@ impl<'a> Grounder<'a> {
     }
 }
 
-/// Bit-vector comparison `a > b` (most-significant bit first).
-#[allow(dead_code)]
-fn rank_gt(a: &[PropForm], b: &[PropForm]) -> PropForm {
-    // a > b ⇔ ∃k. a_k ∧ ¬b_k ∧ ∀m<k (prefix): a_m = b_m.
-    let mut cases = Vec::new();
-    for k in 0..a.len() {
-        let mut conj = vec![a[k].clone(), PropForm::not(b[k].clone())];
-        for m in 0..k {
-            conj.push(PropForm::iff(a[m].clone(), b[m].clone()));
-        }
-        cases.push(PropForm::and(conj));
-    }
-    PropForm::or(cases)
+/// The [`ClosureKey`] of edge relation `% x y. body` under `env`. Free
+/// variables `env` does not bind are signature symbols, which are fixed
+/// within one grounder. The reserved names cannot occur in any input.
+/// `Form::subst` rebuilds the body through the smart constructors, which
+/// keep its meaning, so bodies it identifies denote the same relation.
+fn closure_key(x: Symbol, y: Symbol, body: &Form, env: &FxHashMap<Symbol, u32>) -> ClosureKey {
+    // Inserted in binder order, so `% a a. e` renames `a` to the second.
+    let mut renaming = FxHashMap::default();
+    renaming.insert(x, Form::Var(Symbol::intern("rtrancl%from")));
+    renaming.insert(y, Form::Var(Symbol::intern("rtrancl%to")));
+    let body = body.subst(&renaming);
+    let mut values: Vec<(Symbol, u32)> = body
+        .free_vars()
+        .into_iter()
+        .filter_map(|s| env.get(&s).map(|&v| (s, v)))
+        .collect();
+    values.sort_unstable();
+    (body, values)
 }
 
 /// Is the formula groundable at the given universe? (Cheap probe used by
@@ -849,19 +878,8 @@ pub fn find_model_budgeted(
     universe: u32,
     budget: &Budget,
 ) -> Result<Option<Model>, ModelsFailure> {
-    let mut grounder = Grounder::new(universe, sig);
-    let env = FxHashMap::default();
-    let main = grounder
-        .bool_prop(form, &env)
-        .map_err(ModelsFailure::Fragment)?;
-    let mut solver = Solver::new();
-    let mut builder = CnfBuilder::new();
-    // Constraints may keep growing while encoding (lazy allocation), so
-    // assert them after the main formula is built.
-    builder.assert(&mut solver, &main);
-    for c in &grounder.constraints {
-        builder.assert(&mut solver, c);
-    }
+    let (grounder, mut builder, mut solver) =
+        encode(form, sig, universe).map_err(ModelsFailure::Fragment)?;
     // The encoding is designed to be exact, and the test suite checks it on
     // every supported construct — but any residual over-approximation is
     // caught here: a SAT model that fails the reference evaluator is
@@ -925,6 +943,25 @@ pub fn find_model_budgeted(
         }
     }
     err("internal: too many spurious models (encoding mismatch)").map_err(ModelsFailure::Fragment)
+}
+
+/// Ground `form` at `universe` and load its CNF into a fresh solver.
+fn encode<'a>(
+    form: &Form,
+    sig: &'a FxHashMap<Symbol, Sort>,
+    universe: u32,
+) -> Result<(Grounder<'a>, CnfBuilder, Solver), GroundError> {
+    let mut grounder = Grounder::new(universe, sig);
+    let main = grounder.bool_prop(form, &FxHashMap::default())?;
+    let mut solver = Solver::new();
+    let mut builder = CnfBuilder::new();
+    // Constraints may keep growing while encoding (lazy allocation), so
+    // assert them after the main formula is built.
+    builder.assert(&mut solver, &main);
+    for c in &grounder.constraints {
+        builder.assert(&mut solver, c);
+    }
+    Ok((grounder, builder, solver))
 }
 
 /// Debug aid: descend into conjunction/negation structure printing each
@@ -1191,6 +1228,56 @@ mod tests {
         ));
         // Reflexive always.
         assert!(!has_model("~(rtrancl_pt (% a c. a..next = c) x x)", 2));
+    }
+
+    /// Atoms allocated and closures built when grounding `src` at universe
+    /// `n`.
+    fn grounded(src: &str, n: u32) -> (u32, usize) {
+        let s = sig();
+        let mut grounder = Grounder::new(n, &s);
+        grounder
+            .bool_prop(&form(src), &FxHashMap::default())
+            .unwrap_or_else(|e| panic!("{src:?}: {e}"));
+        (grounder.atoms.next, grounder.closures.len())
+    }
+
+    #[test]
+    fn equal_definitions_and_closures_are_grounded_once() {
+        let reach = "rtrancl_pt (% a c. a..next = c) x y";
+        assert_eq!(grounded(reach, 3), (48, 1));
+        assert_eq!(
+            grounded(&format!("{reach} & rtrancl_pt (% b d. b..next = d) y x"), 3),
+            (48, 1)
+        );
+        // A repeated field read reuses its definitions; only `z` is new.
+        assert_eq!(
+            grounded("x..next = y & x..next = z", 3).0,
+            grounded("x..next = y", 3).0 + 4
+        );
+    }
+
+    #[test]
+    fn closure_sharing_respects_quantifier_binders_and_fields() {
+        // `has_model` blocks spurious models, so check the raw encoding too.
+        let exact = |src: &str, n: u32| {
+            let found = has_model(src, n);
+            let s = sig();
+            let (_, _, mut solver) = encode(&form(src), &s, n).unwrap();
+            let sat = matches!(solver.solve(), SolveResult::Sat(_));
+            assert_eq!(sat, found, "{src:?}: the encoding is not exact");
+            found
+        };
+        // The edge names `o`, so each value of `o` has its own closure; one
+        // shared across `o` would let `x` reach `y` through the last edge.
+        assert!(!exact(
+            "x ~= null & y ~= null & x ~= y & x..next = y & \
+             (ALL o. rtrancl_pt (% a c. a..next = c & c ~= o) x y)",
+            2
+        ));
+        assert!(exact(
+            "rtrancl_pt (% a c. a..next = c) x y & ~(rtrancl_pt (% a c. a..data = c) x y)",
+            2
+        ));
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! propositional structure and need it in clausal form. [`CnfBuilder`] wraps
 //! a [`Solver`](crate::Solver)-compatible clause sink and performs the
 //! standard Tseitin transformation with structural hashing, so shared
-//! subformulas get one definition variable.
+//! subformulas get one definition variable. The hash is keyed on a gate's
+//! connective and its already-encoded child literals, so a lookup hashes
+//! one level of the formula and an insert clones none of it.
 
 use crate::solver::{Lit, Solver, Var};
 use jahob_util::FxHashMap;
@@ -105,12 +107,22 @@ impl PropForm {
     }
 }
 
+/// A Tseitin gate: a connective over the literals of its children.
+#[derive(PartialEq, Eq, Hash)]
+enum Gate {
+    And(Vec<Lit>),
+    Or(Vec<Lit>),
+    Iff(Lit, Lit),
+}
+
 /// Tseitin CNF builder over a [`Solver`].
 pub struct CnfBuilder {
     /// SAT variable for each atom index.
     atom_vars: FxHashMap<u32, Var>,
-    /// Structural hash: formula → defining literal.
-    defs: FxHashMap<PropForm, Lit>,
+    /// Structural hash: gate → defining literal. Formulas built by the
+    /// smart constructors share a gate exactly when they are structurally
+    /// equal, because those keep `Implies` and double negations out.
+    defs: FxHashMap<Gate, Lit>,
     /// A variable fixed true (for encoding constants).
     const_true: Option<Lit>,
 }
@@ -154,54 +166,54 @@ impl CnfBuilder {
     /// Return a literal equisatisfiably representing `form`, adding defining
     /// clauses to the solver.
     pub fn literal(&mut self, solver: &mut Solver, form: &PropForm) -> Lit {
-        if let Some(&l) = self.defs.get(form) {
+        let gate = match form {
+            PropForm::True => return self.true_lit(solver),
+            PropForm::False => return self.true_lit(solver).negate(),
+            PropForm::Atom(i) => return self.atom_var(solver, *i).positive(),
+            PropForm::Not(inner) => return self.literal(solver, inner).negate(),
+            PropForm::Implies(a, b) => {
+                let f = PropForm::or(vec![PropForm::not(a.as_ref().clone()), b.as_ref().clone()]);
+                return self.literal(solver, &f);
+            }
+            PropForm::And(parts) => Gate::And(self.literals(solver, parts)),
+            PropForm::Or(parts) => Gate::Or(self.literals(solver, parts)),
+            PropForm::Iff(a, b) => Gate::Iff(self.literal(solver, a), self.literal(solver, b)),
+        };
+        if let Some(&l) = self.defs.get(&gate) {
             return l;
         }
-        let lit = match form {
-            PropForm::True => self.true_lit(solver),
-            PropForm::False => self.true_lit(solver).negate(),
-            PropForm::Atom(i) => self.atom_var(solver, *i).positive(),
-            PropForm::Not(inner) => self.literal(solver, inner).negate(),
-            PropForm::And(parts) => {
-                let lits: Vec<Lit> = parts.iter().map(|p| self.literal(solver, p)).collect();
-                let d = solver.new_var().positive();
+        let d = solver.new_var().positive();
+        match &gate {
+            Gate::And(lits) => {
                 // d -> each part; (all parts) -> d.
-                for &l in &lits {
+                for &l in lits {
                     solver.add_clause(&[d.negate(), l]);
                 }
                 let mut clause: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
                 clause.push(d);
                 solver.add_clause(&clause);
-                d
             }
-            PropForm::Or(parts) => {
-                let lits: Vec<Lit> = parts.iter().map(|p| self.literal(solver, p)).collect();
-                let d = solver.new_var().positive();
-                for &l in &lits {
+            Gate::Or(lits) => {
+                for &l in lits {
                     solver.add_clause(&[l.negate(), d]);
                 }
                 let mut clause = lits.clone();
                 clause.push(d.negate());
                 solver.add_clause(&clause);
-                d
             }
-            PropForm::Implies(a, b) => {
-                let f = PropForm::or(vec![PropForm::not(a.as_ref().clone()), b.as_ref().clone()]);
-                self.literal(solver, &f)
-            }
-            PropForm::Iff(a, b) => {
-                let la = self.literal(solver, a);
-                let lb = self.literal(solver, b);
-                let d = solver.new_var().positive();
+            &Gate::Iff(la, lb) => {
                 solver.add_clause(&[d.negate(), la.negate(), lb]);
                 solver.add_clause(&[d.negate(), la, lb.negate()]);
                 solver.add_clause(&[d, la, lb]);
                 solver.add_clause(&[d, la.negate(), lb.negate()]);
-                d
             }
-        };
-        self.defs.insert(form.clone(), lit);
-        lit
+        }
+        self.defs.insert(gate, d);
+        d
+    }
+
+    fn literals(&mut self, solver: &mut Solver, parts: &[PropForm]) -> Vec<Lit> {
+        parts.iter().map(|p| self.literal(solver, p)).collect()
     }
 
     /// Assert `form` as a top-level constraint.
@@ -219,7 +231,7 @@ impl CnfBuilder {
                 solver.add_clause(&[]);
             }
             PropForm::Or(parts) if parts.iter().all(is_literal) => {
-                let lits: Vec<Lit> = parts.iter().map(|p| self.literal(solver, p)).collect();
+                let lits = self.literals(solver, parts);
                 solver.add_clause(&lits);
             }
             other => {

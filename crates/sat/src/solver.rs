@@ -390,10 +390,10 @@ impl Solver {
         }
 
         // Clause minimization: drop literals implied by the rest.
-        let marked: Vec<Lit> = learned[1..].to_vec();
+        let clause_vars = seen_set(&learned);
         let mut kept = vec![learned[0]];
-        for &l in &marked {
-            if !self.literal_redundant(l, &seen_set(&learned)) {
+        for &l in &learned[1..] {
+            if !self.literal_redundant(l, &clause_vars) {
                 kept.push(l);
             }
         }
