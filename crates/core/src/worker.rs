@@ -112,11 +112,6 @@ pub(crate) fn portfolio_attempt(
     match prover {
         ProverId::Hol => {
             for (goal, _) in variants {
-                // The structural tactic is for small goals; its
-                // case-splitting is exponential in disjunctive hypotheses.
-                if goal.size() > 180 {
-                    continue;
-                }
                 if jahob_hol::auto_proves_governed(goal, slice)? {
                     stats.bump("proved.hol");
                     return Ok(Some(Verdict::Proved {
