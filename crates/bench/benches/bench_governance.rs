@@ -258,175 +258,6 @@ fn bench_persistent_cache(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// Relevance slicing (ISSUE 10): prove the goal's symbol cone first,
-/// widen on demand. The win is *work*, not machinery: a sliced sequent
-/// often falls inside a cheap decidable fragment (or a smaller search
-/// space) that the full hypothesis pile escapes, so the portfolio walks
-/// fewer, cheaper attempts. Attempt counts are content-determined (fuel
-/// totals would read 0 — unmetered budgets never charge), so the
-/// acceptance bar is asserted, not eyeballed: slicing must cut the
-/// prover-attempt count ≥1.3× on at least one case study, cold, and
-/// must never balloon it past 2× on any (failed sliced rungs add
-/// metered, cheap attempts — that overhead is bounded by the ladder
-/// depth, not the portfolio).
-///
-/// Identity is asserted before anything is timed:
-/// verdict classifications slicing on vs. off (proved attributions may
-/// move to a cheaper prover — that is the feature), and bit-for-bit
-/// canonical streams across 1/2/8 workers within the sliced mode.
-///
-/// Measurements per fixture: `plain_cold` vs `sliced_cold` wall-clock
-/// (fresh session, goal cache off), plus a printed cold-cache hit-rate
-/// delta — sliced rungs of obligations that differ only in irrelevant
-/// hypotheses normalize to the same fingerprint and collapse.
-fn bench_slicing(c: &mut Criterion) {
-    use jahob::{Config, MemorySink};
-    use jahob_util::obs::Event;
-    use std::sync::Arc;
-
-    let fixtures = ["client", "assoclist", "globalset", "game"];
-    let read = |fixture: &str| -> String {
-        let path = format!("case_studies/{fixture}.javax");
-        std::fs::read_to_string(format!("../../{path}"))
-            .or_else(|_| std::fs::read_to_string(&path))
-            .unwrap_or_else(|e| panic!("{path}: {e}"))
-    };
-
-    // Classification lines: proved attributions erased, stats dropped.
-    let classifications = |src: &str, slicing: bool, workers: usize| -> Vec<String> {
-        Config::builder()
-            .slicing(slicing)
-            .workers(workers)
-            .build_verifier()
-            .verify(src)
-            .expect("pipeline")
-            .deterministic_lines()
-            .into_iter()
-            .filter(|l| !l.starts_with("stat "))
-            .map(|line| match line.find(" :: proved") {
-                Some(at) => line[..at + " :: proved".len()].to_owned(),
-                None => line,
-            })
-            .collect()
-    };
-    let canonical_stream = |src: &str, workers: usize| -> String {
-        let sink = Arc::new(MemorySink::new());
-        Config::builder()
-            .slicing(true)
-            .workers(workers)
-            .sink(sink.clone())
-            .build_verifier()
-            .verify(src)
-            .expect("pipeline");
-        let mut out = String::new();
-        for ev in sink.events() {
-            if !ev.is_schedule_dependent() {
-                out.push_str(&ev.to_json(false));
-                out.push('\n');
-            }
-        }
-        out
-    };
-    // Deterministic cost of a cold run: the number of prover attempts
-    // (fuel totals would read 0 — unmetered budgets never charge), plus
-    // the cache hit/miss split (workers=1, session cache on — the
-    // collapse is intra-run). Attempt counts are content-determined, so
-    // the ratio below is stable run to run; wall-clock is what the
-    // criterion groups measure.
-    let cold_costs = |src: &str, slicing: bool| -> (u64, u64, u64) {
-        let sink = Arc::new(MemorySink::new());
-        Config::builder()
-            .slicing(slicing)
-            .workers(1)
-            .sink(sink.clone())
-            .build_verifier()
-            .verify(src)
-            .expect("pipeline");
-        let mut attempts = 0;
-        let mut hits = 0;
-        let mut misses = 0;
-        for ev in sink.events() {
-            match ev {
-                Event::Attempt { .. } => attempts += 1,
-                Event::CacheLookup { hit: true, .. } => hits += 1,
-                Event::CacheLookup { hit: false, .. } => misses += 1,
-                _ => {}
-            }
-        }
-        (attempts, hits, misses)
-    };
-
-    let mut best_ratio = 0f64;
-    let mut group = c.benchmark_group("governance/slicing");
-    group.sample_size(10);
-    for fixture in fixtures {
-        let src = read(fixture);
-
-        // Identity gate.
-        let want = classifications(&src, false, 1);
-        let want_stream = canonical_stream(&src, 1);
-        for workers in [1usize, 2, 8] {
-            assert_eq!(
-                classifications(&src, true, workers),
-                want,
-                "{fixture}: slicing changed a classification at {workers} workers"
-            );
-            assert_eq!(
-                canonical_stream(&src, workers),
-                want_stream,
-                "{fixture}: sliced canonical stream at {workers} workers diverged"
-            );
-        }
-
-        // Deterministic attempt + cache accounting.
-        let (plain_attempts, plain_hits, plain_misses) = cold_costs(&src, false);
-        let (sliced_attempts, sliced_hits, sliced_misses) = cold_costs(&src, true);
-        let ratio = plain_attempts as f64 / sliced_attempts.max(1) as f64;
-        best_ratio = best_ratio.max(ratio);
-        let rate = |h: u64, m: u64| 100.0 * h as f64 / ((h + m).max(1)) as f64;
-        println!(
-            "governance/slicing/{fixture}: attempts {plain_attempts} -> {sliced_attempts} \
-             ({ratio:.2}x), cold cache hit-rate {:.1}% -> {:.1}%",
-            rate(plain_hits, plain_misses),
-            rate(sliced_hits, sliced_misses),
-        );
-        // The ladder may *add* attempts (extra rungs are metered and
-        // cheap), but never wildly: anything past 2x means the cone is
-        // mis-slicing and every rung is wasted work.
-        assert!(
-            sliced_attempts as f64 <= plain_attempts as f64 * 2.0,
-            "{fixture}: slicing ballooned the attempt count \
-             {plain_attempts} -> {sliced_attempts}"
-        );
-
-        group.bench_with_input(BenchmarkId::new("plain_cold", fixture), &src, |b, src| {
-            b.iter(|| {
-                let verifier = Config::builder()
-                    .workers(1)
-                    .goal_cache(false)
-                    .build_verifier();
-                verifier.verify(src).expect("pipeline")
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("sliced_cold", fixture), &src, |b, src| {
-            b.iter(|| {
-                let verifier = Config::builder()
-                    .workers(1)
-                    .goal_cache(false)
-                    .slicing(true)
-                    .build_verifier();
-                verifier.verify(src).expect("pipeline")
-            })
-        });
-    }
-    assert!(
-        best_ratio >= 1.3,
-        "slicing must cut the prover-attempt count ≥1.3x on at least one \
-         case study (best observed: {best_ratio:.2}x)"
-    );
-    group.finish();
-}
-
 /// Process-supervision overhead (ISSUE 7). `ipc_roundtrip` prices the
 /// framing codec alone — encode + CRC + decode through memory, the fixed
 /// per-request tax both sides pay. `process_backend` prices a whole
@@ -567,7 +398,6 @@ criterion_group!(
     bench_goal_cache,
     bench_persistent_cache,
     bench_observability_overhead,
-    bench_slicing,
     bench_supervision_overhead,
     bench_service
 );

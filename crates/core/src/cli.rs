@@ -57,7 +57,6 @@ impl OutputMode {
 pub struct CommonOpts {
     pub output: OutputMode,
     pub isolation: Option<Isolation>,
-    pub slicing: bool,
     /// `--socket PATH`; unset defers to `JAHOB_SOCKET` in the builder.
     pub socket: Option<PathBuf>,
     /// `--deadline-ms N`: per-obligation wall-clock ceiling for this
@@ -94,14 +93,8 @@ pub struct Invocation {
 /// because each `submit` chooses those per request.
 fn flags_for(subcommand: &str) -> &'static [&'static str] {
     match subcommand {
-        "verify" => &[
-            "--json",
-            "--json-timing",
-            "--isolation",
-            "--slicing",
-            "--deadline-ms",
-        ],
-        "serve" => &["--socket", "--isolation", "--slicing"],
+        "verify" => &["--json", "--json-timing", "--isolation", "--deadline-ms"],
+        "serve" => &["--socket", "--isolation"],
         "submit" => &["--socket", "--json", "--json-timing", "--deadline-ms"],
         _ => &["--socket"],
     }
@@ -156,7 +149,6 @@ pub fn parse(args: Vec<String>) -> Result<Invocation, String> {
         match flag {
             "--json" => opts.output = OutputMode::Json,
             "--json-timing" => opts.output = OutputMode::JsonTiming,
-            "--slicing" => opts.slicing = true,
             "--isolation" => match value {
                 Some(mode) => match parse_isolation(&mode) {
                     Some(iso) => opts.isolation = Some(iso),
@@ -204,10 +196,9 @@ pub fn usage(program: &str, why: &str, with_service: bool) -> ExitCode {
     if with_service {
         eprintln!(
             "usage: {program} [verify] [--json|--json-timing] \
-             [--isolation process|in-process] [--slicing] [--deadline-ms N] \
+             [--isolation process|in-process] [--deadline-ms N] \
              <file.javax>\n       \
-             {program} serve  [--socket <path>] [--isolation process|in-process] \
-             [--slicing]\n       \
+             {program} serve  [--socket <path>] [--isolation process|in-process]\n       \
              {program} submit [--socket <path>] [--json|--json-timing] \
              [--deadline-ms N] <file.javax>\n       \
              {program} status|drain [--socket <path>]"
@@ -215,7 +206,7 @@ pub fn usage(program: &str, why: &str, with_service: bool) -> ExitCode {
     } else {
         eprintln!(
             "usage: {program} [--json|--json-timing] \
-             [--isolation process|in-process] [--slicing] [--deadline-ms N] \
+             [--isolation process|in-process] [--deadline-ms N] \
              <file.javax>"
         );
     }
@@ -232,11 +223,6 @@ pub fn build_config(program: &str, opts: &CommonOpts) -> Config {
     let mut builder = Config::builder();
     if let Some(iso) = opts.isolation {
         builder = builder.isolation(iso);
-    }
-    // The flag only turns slicing on; an absent flag defers to
-    // JAHOB_SLICING inside the builder.
-    if opts.slicing {
-        builder = builder.slicing(true);
     }
     if let Some(socket) = &opts.socket {
         builder = builder.socket(socket.clone());
@@ -524,17 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn slicing_flag_parses() {
-        let inv = parse(args(&["--slicing", "x.javax"])).unwrap();
-        assert!(inv.opts.slicing);
-        let inv = parse(args(&["serve", "--slicing", "--socket", "/tmp/s"])).unwrap();
-        assert_eq!(inv.command, Command::Serve);
-        assert!(inv.opts.slicing);
-        // Absent flag stays off (deferring to JAHOB_SLICING in the builder).
-        assert!(!parse(args(&["x.javax"])).unwrap().opts.slicing);
-    }
-
-    #[test]
     fn subcommands_parse() {
         assert_eq!(
             parse(args(&["serve", "--socket", "/tmp/s"]))
@@ -587,12 +562,9 @@ mod tests {
     #[test]
     fn flags_a_subcommand_does_not_use_are_rejected() {
         for bad in [
-            &["submit", "--slicing", "--socket", "s", "x.javax"][..],
-            &["submit", "--isolation", "process", "x.javax"],
+            &["submit", "--isolation", "process", "x.javax"][..],
             &["submit", "--isolation=in-process", "x.javax"],
-            &["status", "--slicing"],
             &["status", "--isolation", "process"],
-            &["drain", "--slicing"],
             &["drain", "--isolation=process"],
             &["status", "--json"],
             &["drain", "--deadline-ms", "5"],
@@ -608,8 +580,8 @@ mod tests {
     }
 
     #[test]
-    fn racing_and_adaptive_are_unknown_flags() {
-        for name in ["racing", "adaptive"] {
+    fn racing_adaptive_and_slicing_are_unknown_flags() {
+        for name in ["racing", "adaptive", "slicing"] {
             let flag = format!("--{name}");
             let flag = flag.as_str();
             for bad in [&[flag, "x.javax"][..], &["serve", flag, "--socket", "s"]] {

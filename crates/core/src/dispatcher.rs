@@ -368,26 +368,8 @@ pub struct DispatchConfig {
     /// Has no effect; kept only because the benchmark harness still
     /// reads it.
     pub racing: bool,
-    /// Relevance slicing: decompose each piece into a sequent, drop
-    /// hypotheses outside the goal's symbol cone, and prove the sliced
-    /// sequent first, widening the cone on `Unknown` with the full piece
-    /// as the ladder's last rung. `Proved` on a slice is sound
-    /// (weakening); a counter-model on a slice is re-confirmed against
-    /// the full piece and widens when it does not survive, so slicing
-    /// can never flip a verdict's classification. Slicing happens
-    /// *before* `goal_cache::normalize`/`fingerprint`, so pieces that
-    /// differ only in irrelevant hypotheses collapse to one cache entry.
-    /// The ladder stands down when a fault plan or armed chaos session
-    /// is present (faults are replayed per attempt, and the ladder
-    /// changes the attempt sequence) and when the obligation is metered
-    /// (the ladder re-spends budget per rung). Non-final rungs run under
-    /// a metered [`SLICE_RUNG_FUEL`] child budget — slices are formulas
-    /// the plain walk never dispatches, and a prover with no termination
-    /// guarantee on them must be cut off deterministically rather than
-    /// hang the pipeline. Stays out of
-    /// [`DispatchConfig::cache_digest`]: a proof of a sliced sequent is
-    /// a proof of that sequent under any config — slicing changes which
-    /// goals get looked up, not which proofs are acceptable.
+    /// Has no effect; kept only because the benchmark harness still
+    /// reads it.
     pub slicing: bool,
 }
 
@@ -449,93 +431,6 @@ const BREAKER_PROBE_FUEL: u64 = 50_000;
 /// fuel (min 1), so the obligation is never drained by its first prover;
 /// the escalated retry re-runs with everything left.
 const ATTEMPT_FUEL_DIVISOR: u64 = 4;
-
-/// Sliced rungs per relevance ladder before the full piece (cone depths
-/// `1..=N`). Three covers every chain the cone can usefully distinguish:
-/// deeper cones almost always hit the fixpoint, which the ladder skips.
-const MAX_SLICED_RUNGS: usize = 3;
-
-/// Fuel allowance for each *sliced* rung of the widening ladder. Sliced
-/// rungs are speculation: slicing sends provers formulas the plain walk
-/// never dispatches, and nothing guarantees termination on those (a
-/// resolution or enumeration loop that gives up fast on the full piece
-/// can diverge on a slice of it). Every non-final rung therefore runs
-/// under a metered child budget — a runaway prover is cut off
-/// deterministically, the rung resolves `Unknown`, and the ladder
-/// widens; the final rung runs under the obligation's own (unmetered)
-/// budget, reproducing the unsliced dispatch exactly. The allowance is
-/// deliberately small: a slice pays off precisely when it is *easy*
-/// (the corpus' winning slices prove in a handful of cheap attempts),
-/// and a rung that fails burns its whole allowance across every
-/// portfolio member, so generosity here multiplies into the ladder's
-/// overhead on refutable or hard pieces. A provable slice that does
-/// starve merely widens — the final rung still settles the piece.
-const SLICE_RUNG_FUEL: u64 = 20_000;
-
-/// Work ceiling for re-confirming a sliced counter-model against the
-/// *full* piece with the reference evaluator. `Model::eval_bool` has no
-/// budget of its own and enumerates every quantifier domain, so its cost
-/// is bounded by `Π domain(binder)` per nesting level — harmless on the
-/// small pieces bounded model search refutes, explosive on a deep WP
-/// chain. When the bound exceeds this cap the confirmation is skipped
-/// and the model is treated as spurious, which is always sound: the
-/// ladder widens and the final rung re-dispatches the complete piece.
-const SPURIOUS_CONFIRM_EVAL_CAP: u64 = 100_000;
-
-/// Size of the domain `Model::domain` would enumerate for `sort`, as an
-/// upper bound (saturating; unsupported sorts read as "too big").
-fn model_domain_size(m: &jahob_logic::Model, sort: &Sort) -> u64 {
-    match sort {
-        Sort::Bool => 2,
-        Sort::Int => {
-            let (lo, hi) = m.int_range;
-            hi.saturating_sub(lo).saturating_add(1).max(0) as u64
-        }
-        Sort::Set(inner) => {
-            let base = model_domain_size(m, inner).min(63);
-            1u64 << base
-        }
-        Sort::Fun(_, _) => u64::MAX,
-        // `Obj`, and unelaborated `Var` binders which default to obj.
-        _ => u64::from(m.universe) + 1,
-    }
-}
-
-/// Upper bound on the number of evaluation steps `Model::eval_bool`
-/// performs on `form`: node count, with every binder's body multiplied
-/// by its enumeration fan-out. Saturating throughout.
-fn eval_cost_bound(m: &jahob_logic::Model, form: &Form) -> u64 {
-    let seq = |parts: &[Form]| {
-        parts
-            .iter()
-            .fold(1u64, |acc, f| acc.saturating_add(eval_cost_bound(m, f)))
-    };
-    match form {
-        Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => 1,
-        Form::FiniteSet(parts) | Form::And(parts) | Form::Or(parts) | Form::Tree(parts) => {
-            seq(parts)
-        }
-        Form::Unop(_, a) | Form::Old(a) => 1u64.saturating_add(eval_cost_bound(m, a)),
-        Form::Binop(_, a, b) => 1u64
-            .saturating_add(eval_cost_bound(m, a))
-            .saturating_add(eval_cost_bound(m, b)),
-        Form::App(head, args) => eval_cost_bound(m, head).saturating_add(seq(args)),
-        Form::Ite(c, t, e) => 1u64
-            .saturating_add(eval_cost_bound(m, c))
-            .saturating_add(eval_cost_bound(m, t))
-            .saturating_add(eval_cost_bound(m, e)),
-        Form::Quant(_, binders, body) | Form::Lambda(binders, body) => {
-            let fan = binders.iter().fold(1u64, |acc, (_, sort)| {
-                acc.saturating_mul(model_domain_size(m, sort))
-            });
-            fan.saturating_mul(eval_cost_bound(m, body))
-                .saturating_add(1)
-        }
-        Form::Compr(_, sort, body) => model_domain_size(m, sort)
-            .saturating_mul(eval_cost_bound(m, body))
-            .saturating_add(1),
-    }
-}
 
 // ---- circuit breakers ----------------------------------------------------
 
@@ -851,104 +746,8 @@ impl Dispatcher {
         }
     }
 
-    /// Prove one piece of a split obligation, through the relevance-slicing
-    /// widening ladder when it is engaged, else directly.
-    ///
-    /// The ladder (Jahob's assumption-filtering approximation): decompose
-    /// the piece into a sequent, dispatch the slice keeping only hypotheses
-    /// in the goal's symbol cone, and widen the cone one step on `Unknown`,
-    /// with the unmodified piece as the final rung. `Proved` on any rung is
-    /// sound by weakening. A counter-model on a sliced rung is re-confirmed
-    /// against the *full* piece with the watchdog's reference check; one
-    /// that does not survive is spurious — it may rely on a dropped
-    /// hypothesis being false — and widens instead of refuting. The final
-    /// rung dispatches the piece bit-for-bit as an unsliced run would, so
-    /// a ladder that falls all the way through reproduces the unsliced
-    /// verdict and diagnosis exactly.
-    ///
-    /// Eligibility: unmetered obligations only (each rung re-spends
-    /// budget, so a metered ladder could exhaust fuel a direct
-    /// dispatch would have spent on the full piece), and no fault plan or
-    /// armed chaos session (faults are consumed per attempt, and the
-    /// ladder changes the attempt sequence, which would make seeded chaos
-    /// replays schedule-shaped).
+    /// Prove one piece of a split obligation.
     fn prove_piece(
-        &self,
-        piece: &Form,
-        budget: &Budget,
-        goal_sig: &FxHashMap<Symbol, Sort>,
-    ) -> Verdict {
-        let engaged = self.config.slicing
-            && self.config.fault_plan.is_none()
-            && !chaos::armed()
-            && budget.time_remaining().is_none()
-            && budget.fuel_remaining() == INFINITE_FUEL;
-        if !engaged {
-            return self.dispatch_piece(piece, budget, goal_sig);
-        }
-        let rungs = jahob_logic::sequent::relevance_ladder(piece, MAX_SLICED_RUNGS);
-        let last = rungs.len() - 1;
-        if last == 0 {
-            // Nothing to drop at any depth: the ladder is just the piece.
-            return self.dispatch_piece(piece, budget, goal_sig);
-        }
-        self.emit(Event::SliceApplied {
-            kept: rungs[0].kept as u64,
-            dropped: rungs[0].dropped as u64,
-        });
-        for (i, rung) in rungs.iter().enumerate() {
-            if i > 0 {
-                self.emit(Event::SliceWidened {
-                    rung: (i + 1) as u64,
-                    kept: rung.kept as u64,
-                });
-            }
-            // Non-final rungs are metered (see `SLICE_RUNG_FUEL`); the
-            // final rung inherits the obligation's unmetered budget.
-            let rung_budget;
-            let rung_budget = if i == last {
-                budget
-            } else {
-                rung_budget = budget.child(None, SLICE_RUNG_FUEL);
-                &rung_budget
-            };
-            match self.dispatch_piece(&rung.form, rung_budget, goal_sig) {
-                proved @ Verdict::Proved { .. } => return proved,
-                Verdict::CounterModel(m) => {
-                    if i == last {
-                        // The slice and the piece coincide: the direct
-                        // dispatch's verdict stands unchallenged.
-                        return Verdict::CounterModel(m);
-                    }
-                    // A counter-model found on a *slice* may only exploit
-                    // a dropped hypothesis. Re-confirm it against the full
-                    // piece with the reference evaluator — but only when
-                    // enumeration is affordable (see
-                    // `SPURIOUS_CONFIRM_EVAL_CAP`); otherwise treat it as
-                    // spurious and widen, which the final rung makes sound.
-                    if m.universe > 0
-                        && eval_cost_bound(&m, piece) <= SPURIOUS_CONFIRM_EVAL_CAP
-                        && m.eval_bool(piece) == Ok(false)
-                    {
-                        return Verdict::CounterModel(m);
-                    }
-                    self.emit(Event::SliceSpurious {
-                        rung: (i + 1) as u64,
-                    });
-                }
-                unknown @ Verdict::Unknown(_) => {
-                    // The needed assumption may have been sliced away;
-                    // only the full rung's diagnosis is authoritative.
-                    if i == last {
-                        return unknown;
-                    }
-                }
-            }
-        }
-        unreachable!("the ladder's final rung always returns")
-    }
-
-    fn dispatch_piece(
         &self,
         piece: &Form,
         budget: &Budget,
@@ -1329,6 +1128,17 @@ impl Dispatcher {
             spent
         };
         let (verdict, failure) = match outcome {
+            // Only the model finder builds counter-models, and it checks
+            // each one with the reference evaluator before returning it;
+            // one from any other prover is fabricated and decides nothing.
+            Ok(Ok(Some(Verdict::CounterModel(_)))) if prover != ProverId::Bmc => {
+                let reason = FailureReason::Disagreement {
+                    claimed: VerdictKind::Refuted,
+                    witness: VerdictKind::Proved,
+                };
+                diag.record(prover, reason);
+                (None, Some(reason))
+            }
             Ok(Ok(verdict)) => (verdict, None),
             Ok(Err(why)) => {
                 let reason = FailureReason::from(why);
@@ -2088,6 +1898,37 @@ mod tests {
             }
             other => panic!("expected demoted unknown, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn only_the_model_finder_may_refute_without_the_watchdog() {
+        let mut d = dispatcher();
+        // BAPA fabricates a refutation of a valid goal and nothing
+        // re-checks it: the dispatcher itself must not take a
+        // counter-model from a prover that cannot build one.
+        d.config.fault_plan = Some(Arc::new(FaultPlan::quiet().inject(
+            ProverId::Bapa.site(),
+            0..u64::MAX,
+            Fault::WrongVerdict(Lie::ClaimRefuted),
+        )));
+        assert!(!d.config.cross_check);
+        let sink = Arc::new(obs::MemorySink::new());
+        d.recorder = Recorder::streaming(sink.clone());
+        let v = d.prove(&form("S Int T <= S"));
+        assert!(v.is_proved(), "{v:?}");
+        let bapa: Vec<String> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Attempt {
+                    prover: "bapa",
+                    outcome,
+                    ..
+                } => Some(outcome),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(bapa, ["disagreement (claimed refuted, witness proved)"]);
     }
 
     #[test]

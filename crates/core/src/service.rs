@@ -31,15 +31,12 @@
 //! streams ride out as `REPORT` frames (tag 0), rendered through the
 //! same [`Event::to_json`] as every other sink.
 //!
-//! Session-wide portfolio knobs — relevance slicing, process isolation
-//! — are fixed when the daemon starts (`jahob serve --slicing`, or the
+//! Session-wide portfolio knobs, such as process isolation, are fixed
+//! when the daemon starts (`jahob serve --isolation process`, or the
 //! `JAHOB_*` environment), not per request: they shape the shared
-//! session, and identity (contract 1) holds for whatever combination
-//! the daemon was started with. `jahob submit` therefore rejects
-//! `--slicing` and `--isolation` instead of silently ignoring them. Note per-request
-//! deadlines meter their obligations, which stands the slicing ladder
-//! down for that request — deadline requests get the direct dispatch
-//! path, exactly as a one-shot `--deadline-ms` run would.
+//! session, and identity (contract 1) holds for whatever the daemon was
+//! started with. `jahob submit` therefore rejects `--isolation` instead
+//! of silently ignoring it.
 
 use crate::cli::{self, OutputMode};
 use crate::verify::{Config, RequestOptions, Verifier};

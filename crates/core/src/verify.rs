@@ -204,7 +204,6 @@ pub struct ConfigBuilder {
     worker_program: Option<PathBuf>,
     worker_memory: Option<u64>,
     worker_deadline: Option<Duration>,
-    slicing: Option<bool>,
     socket: Option<PathBuf>,
     queue_depth: Option<usize>,
 }
@@ -222,7 +221,6 @@ impl ConfigBuilder {
             worker_program: None,
             worker_memory: None,
             worker_deadline: None,
-            slicing: None,
             socket: None,
             queue_depth: None,
         }
@@ -315,18 +313,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Relevance-slice each obligation piece before dispatch (sets
-    /// [`DispatchConfig::slicing`]): drop hypotheses outside the goal's
-    /// symbol cone and prove the sliced sequent first, widening on
-    /// `Unknown` with the full piece as the last rung. Unset defers to
-    /// `JAHOB_SLICING` (`1`/`true`/`on` enables, resolved once in
-    /// [`ConfigBuilder::build`]), else whatever the dispatch config says
-    /// (off by default). Slicing preserves every verdict's classification
-    /// (proved/refuted/unknown, with unknown diagnoses bit-identical);
-    /// `Proved` attributions may move to a cheaper prover — that is the
-    /// point.
-    pub fn slicing(mut self, on: bool) -> Self {
-        self.slicing = Some(on);
+    /// Has no effect: the argument is ignored. Kept only because the
+    /// benchmark harness still calls it.
+    pub fn slicing(self, _on: bool) -> Self {
         self
     }
 
@@ -390,12 +379,6 @@ impl ConfigBuilder {
                     .map(Duration::from_millis)
             })
             .unwrap_or(Duration::from_secs(10));
-        let mut dispatch = self.dispatch;
-        // Only apply when something was said: an explicit `.dispatch()`
-        // carrying `slicing: true` must not be clobbered by an unset env.
-        if let Some(slicing) = self.slicing.or_else(|| env_flag("JAHOB_SLICING")) {
-            dispatch.slicing = slicing;
-        }
         let socket = self
             .socket
             .or_else(|| std::env::var_os("JAHOB_SOCKET").map(PathBuf::from));
@@ -410,7 +393,7 @@ impl ConfigBuilder {
             .unwrap_or(32)
             .max(1);
         Config {
-            dispatch,
+            dispatch: self.dispatch,
             workers: workers.max(1),
             goal_cache: self.goal_cache,
             shared_cache: self.shared_cache,
@@ -429,22 +412,6 @@ impl ConfigBuilder {
     /// Shorthand for `Verifier::new(self.build())`.
     pub fn build_verifier(self) -> Verifier {
         Verifier::new(self.build())
-    }
-}
-
-/// A tri-state boolean environment flag: `None` when unset or garbage,
-/// so a missing variable never overrides an explicit builder/dispatch
-/// choice.
-fn env_flag(name: &str) -> Option<bool> {
-    match std::env::var(name)
-        .ok()?
-        .trim()
-        .to_ascii_lowercase()
-        .as_str()
-    {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
     }
 }
 
@@ -712,6 +679,18 @@ impl MethodReport {
             .any(|o| o.verdict == VerdictSummary::Refuted)
     }
 
+    /// The largest bound among the method's proofs: `None` when every
+    /// proof holds for all universe sizes.
+    pub fn bound(&self) -> Option<u32> {
+        self.obligations
+            .iter()
+            .filter_map(|o| match o.verdict {
+                VerdictSummary::Proved { bound, .. } => bound,
+                _ => None,
+            })
+            .max()
+    }
+
     fn status(&self) -> &'static str {
         if self.all_proved() {
             "verified"
@@ -872,14 +851,13 @@ impl VerifyReport {
 impl fmt::Display for VerifyReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for m in &self.methods {
-            let status = if m.all_proved() {
-                "VERIFIED"
-            } else if m.any_refuted() {
-                "REFUTED"
-            } else {
-                "INCOMPLETE"
-            };
-            writeln!(f, "{}.{}: {status}", m.class, m.method)?;
+            write!(f, "{}.{}: ", m.class, m.method)?;
+            match (m.all_proved(), m.bound()) {
+                (true, None) => writeln!(f, "VERIFIED")?,
+                (true, Some(k)) => writeln!(f, "VERIFIED (bounded, universe ≤ {k})")?,
+                (false, _) if m.any_refuted() => writeln!(f, "REFUTED")?,
+                (false, _) => writeln!(f, "INCOMPLETE")?,
+            }
             if let Some(err) = &m.error {
                 writeln!(f, "    (pipeline failure: {err})")?;
             }
@@ -1332,6 +1310,53 @@ class Counter {
                 .collect::<Vec<_>>()
         };
         assert_eq!(strip_stats(&cold), strip_stats(&warm));
+    }
+
+    #[test]
+    fn verified_says_when_it_is_only_bounded() {
+        let obligation = |label: &str, bound: Option<u32>| ObligationReport {
+            label: label.to_owned(),
+            verdict: VerdictSummary::Proved {
+                prover: if bound.is_some() {
+                    ProverId::Bmc
+                } else {
+                    ProverId::Hol
+                },
+                bound,
+            },
+            millis: 0,
+        };
+        let method = |name: &str, obligations: Vec<ObligationReport>| MethodReport {
+            class: Symbol::intern("C"),
+            method: Symbol::intern(name),
+            obligations,
+            error: None,
+        };
+        let report = VerifyReport {
+            methods: vec![
+                method("full", vec![obligation("a", None), obligation("b", None)]),
+                method(
+                    "bounded",
+                    vec![obligation("a", None), obligation("b", Some(3))],
+                ),
+            ],
+            stats: BTreeMap::new(),
+            quarantined: Vec::new(),
+        };
+        assert_eq!(report.methods[0].bound(), None);
+        assert_eq!(report.methods[1].bound(), Some(3));
+        let text = report.to_string();
+        assert!(text.contains("C.full: VERIFIED\n"), "{text}");
+        assert!(
+            text.contains("C.bounded: VERIFIED (bounded, universe ≤ 3)\n"),
+            "{text}"
+        );
+        // The JSON status stays `verified` for both.
+        for m in &report.methods {
+            assert!(m
+                .to_json(ReportRender::STABLE)
+                .contains(r#""status":"verified""#));
+        }
     }
 
     #[test]

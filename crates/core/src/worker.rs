@@ -79,9 +79,7 @@ pub(crate) fn remotable(prover: ProverId) -> bool {
 /// one foreign conjunct must not take the rest of its conjunction down
 /// with it ([`jahob_logic::sequent::Sequent::of`] does the flattening).
 /// Dropping hypotheses is sound for validity. Returns `None` when nothing
-/// was dropped (the full goal was already tried). This is the per-prover,
-/// fragment-keyed cousin of the dispatcher's goal-directed relevance
-/// slicer — both are weakenings of the same sequent decomposition.
+/// was dropped (the full goal was already tried).
 pub(crate) fn filtered(goal: &Form, keep: &mut dyn FnMut(&Form) -> bool) -> Option<Form> {
     let mut seq = jahob_logic::sequent::Sequent::of(goal);
     if seq.hyps.is_empty() {

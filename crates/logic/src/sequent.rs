@@ -1,30 +1,18 @@
-//! Explicit sequents and goal-directed relevance slicing.
+//! Explicit sequents.
 //!
 //! A proof obligation piece leaving [`crate::transform::split_conjuncts`]
 //! is an implication chain `H1 --> H2 --> ... --> G`. This module gives
 //! that shape a first-class representation — a [`Sequent`] of named
-//! hypotheses and a goal — and implements Jahob's assumption-filtering
-//! approximation on top of it: compute the **symbol cone** of the goal
-//! (iterated free-symbol reachability through the hypotheses), drop every
-//! hypothesis outside the cone, and hand the prover the smallest sequent
-//! that can plausibly discharge the goal.
-//!
-//! Soundness is structural. Dropping hypotheses only ever makes a sequent
-//! *harder* to prove (`H, H' ⊢ G` follows from `H ⊢ G` by weakening), so
-//! `Proved` on a slice transfers to the full sequent. Nothing else
-//! transfers: a counter-model of a slice may satisfy a dropped hypothesis
-//! vacuously and says nothing about the full sequent, and `Unknown` on a
-//! slice may just mean the needed assumption was sliced away. The
-//! [`relevance_ladder`] therefore always ends with the unmodified input
-//! formula, and callers must treat non-final counter-models as suspect
-//! (the dispatcher re-confirms them against the full sequent and widens
-//! when they do not survive).
+//! hypotheses and a goal — so callers can drop hypotheses and refold the
+//! rest. Dropping hypotheses is a weakening (`H, H' ⊢ G` follows from
+//! `H ⊢ G`), so a proof of the smaller sequent is a proof of the full
+//! one; the dispatcher's per-prover fragment filter relies on exactly
+//! that.
 
 use crate::form::{BinOp, Form};
-use jahob_util::{FxHashSet, Symbol};
 
 /// One named hypothesis. Names are positional (`h0`, `h1`, …) in source
-/// order — stable across runs, so slices are content-determined.
+/// order, so they are stable across runs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Hyp {
     pub name: String,
@@ -32,9 +20,9 @@ pub struct Hyp {
 }
 
 /// A sequent `h0, h1, ..., hn ⊢ goal`, peeled from an implication chain.
-/// Conjunctive hypotheses are flattened to conjunct granularity, matching
-/// the per-prover fragment filtering: one irrelevant conjunct must not
-/// drag the rest of its conjunction into the slice.
+/// Conjunctive hypotheses are flattened to conjunct granularity, so a
+/// filter can drop one conjunct without taking the rest of its
+/// conjunction down with it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sequent {
     pub hyps: Vec<Hyp>,
@@ -83,119 +71,6 @@ impl Sequent {
             Form::implies(h.form.clone(), acc)
         })
     }
-
-    /// Which hypotheses fall inside the goal's symbol cone after `depth`
-    /// rounds of reachability? Round one admits every hypothesis sharing a
-    /// free symbol with the goal; each admitted hypothesis contributes its
-    /// own free symbols to the cone for the next round. Returns a keep-mask
-    /// over `self.hyps`. Closed hypotheses (no free symbols) are never
-    /// reached by the cone — only the full sequent retains them.
-    pub fn cone_mask(&self, depth: usize) -> Vec<bool> {
-        let frees: Vec<FxHashSet<Symbol>> = self.hyps.iter().map(|h| h.form.free_vars()).collect();
-        let mut cone: FxHashSet<Symbol> = self.goal.free_vars();
-        let mut keep = vec![false; self.hyps.len()];
-        for _ in 0..depth {
-            let mut grew = false;
-            // Collect the round's additions separately so `depth` counts
-            // whole rounds, independent of hypothesis order.
-            let mut added: Vec<usize> = Vec::new();
-            for (i, hyp_frees) in frees.iter().enumerate() {
-                if keep[i] {
-                    continue;
-                }
-                if hyp_frees.iter().any(|s| cone.contains(s)) {
-                    added.push(i);
-                }
-            }
-            for i in added {
-                keep[i] = true;
-                cone.extend(frees[i].iter().copied());
-                grew = true;
-            }
-            if !grew {
-                break;
-            }
-        }
-        keep
-    }
-
-    /// The slice keeping only hypotheses inside the depth-`depth` cone.
-    pub fn slice(&self, depth: usize) -> Sequent {
-        let mask = self.cone_mask(depth);
-        Sequent {
-            hyps: self
-                .hyps
-                .iter()
-                .zip(&mask)
-                .filter(|(_, keep)| **keep)
-                .map(|(h, _)| h.clone())
-                .collect(),
-            goal: self.goal.clone(),
-        }
-    }
-}
-
-/// One rung of the widening ladder: the formula to dispatch plus how many
-/// hypotheses the slice kept and dropped (for the `slice.*` events).
-#[derive(Clone, Debug, PartialEq)]
-pub struct Rung {
-    pub form: Form,
-    pub kept: usize,
-    pub dropped: usize,
-}
-
-impl Rung {
-    /// The final rung dispatches the caller's formula unchanged.
-    pub fn is_full(&self) -> bool {
-        self.dropped == 0
-    }
-}
-
-/// Build the widening ladder for a piece: successively wider slices of its
-/// sequent (cone depth 1, 2, … up to `max_sliced` rungs, deduplicated),
-/// always ending with the *unmodified* input formula. The last rung is the
-/// caller's own form — not a refold of the full sequent — so a ladder that
-/// falls all the way through dispatches bit-for-bit what an unsliced
-/// dispatch would have. When slicing drops nothing at any depth the ladder
-/// is just `[form]`.
-pub fn relevance_ladder(form: &Form, max_sliced: usize) -> Vec<Rung> {
-    let seq = Sequent::of(form);
-    let total = seq.hyps.len();
-    let mut rungs: Vec<Rung> = Vec::new();
-    if total > 0 {
-        let mut prev_kept = usize::MAX;
-        for depth in 1..=max_sliced {
-            let mask = seq.cone_mask(depth);
-            let kept = mask.iter().filter(|k| **k).count();
-            // A slice that keeps everything is the full sequent; a slice
-            // that stopped growing will never grow again.
-            if kept == total || kept == prev_kept {
-                break;
-            }
-            prev_kept = kept;
-            let sliced = Sequent {
-                hyps: seq
-                    .hyps
-                    .iter()
-                    .zip(&mask)
-                    .filter(|(_, keep)| **keep)
-                    .map(|(h, _)| h.clone())
-                    .collect(),
-                goal: seq.goal.clone(),
-            };
-            rungs.push(Rung {
-                form: sliced.to_form(),
-                kept,
-                dropped: total - kept,
-            });
-        }
-    }
-    rungs.push(Rung {
-        form: form.clone(),
-        kept: total,
-        dropped: 0,
-    });
-    rungs
 }
 
 #[cfg(test)]
@@ -222,69 +97,5 @@ mod tests {
     fn to_form_refolds_chain() {
         let seq = Sequent::of(&p("a --> b --> goal"));
         assert_eq!(seq.to_form(), p("a --> b --> goal"));
-    }
-
-    #[test]
-    fn cone_keeps_symbol_connected_hypotheses() {
-        // goal mentions x; `x = y` connects y in round one; `y < z`
-        // joins only in round two; `u = v` is never reachable.
-        let seq = Sequent::of(&p("x = y --> y < z --> u = v --> x < 5"));
-        assert_eq!(seq.cone_mask(1), vec![true, false, false]);
-        assert_eq!(seq.cone_mask(2), vec![true, true, false]);
-        assert_eq!(seq.cone_mask(9), vec![true, true, false]);
-    }
-
-    #[test]
-    fn slice_is_weakening() {
-        let seq = Sequent::of(&p("x = y --> u = v --> x < 5"));
-        let sliced = seq.slice(1);
-        assert_eq!(sliced.hyps.len(), 1);
-        assert_eq!(sliced.to_form(), p("x = y --> x < 5"));
-    }
-
-    #[test]
-    fn ladder_ends_with_unmodified_form() {
-        let f = p("x = y --> y < z --> u = v --> x < 5");
-        let rungs = relevance_ladder(&f, 3);
-        assert_eq!(rungs.len(), 3);
-        assert_eq!(rungs[0].form, p("x = y --> x < 5"));
-        assert_eq!(rungs[0].kept, 1);
-        assert_eq!(rungs[0].dropped, 2);
-        assert_eq!(rungs[1].form, p("x = y --> y < z --> x < 5"));
-        assert!(!rungs[1].is_full());
-        assert_eq!(rungs.last().unwrap().form, f);
-        assert!(rungs.last().unwrap().is_full());
-    }
-
-    #[test]
-    fn ladder_collapses_when_everything_is_relevant() {
-        // Both hypotheses mention goal symbols directly: the depth-1 cone
-        // already keeps everything, so the ladder is just the full rung.
-        let f = p("x = y --> x < y + 1 --> x < 5");
-        let rungs = relevance_ladder(&f, 3);
-        assert_eq!(rungs.len(), 1);
-        assert_eq!(rungs[0].form, f);
-        assert!(rungs[0].is_full());
-    }
-
-    #[test]
-    fn ladder_on_hypothesis_free_goal_is_singleton() {
-        let f = p("x < 5");
-        let rungs = relevance_ladder(&f, 3);
-        assert_eq!(rungs.len(), 1);
-        assert_eq!(rungs[0].form, f);
-    }
-
-    #[test]
-    fn disconnected_hypotheses_only_return_on_the_full_rung() {
-        // The contradiction `j <= k & k + 1 <= j` shares no symbol with
-        // the goal: every sliced rung is the bare (falsifiable) goal, and
-        // only the full rung restores validity.
-        let f = p("j <= k --> k + 1 <= j --> y < 0");
-        let rungs = relevance_ladder(&f, 3);
-        assert_eq!(rungs.len(), 2);
-        assert_eq!(rungs[0].form, p("y < 0"));
-        assert_eq!(rungs[0].dropped, 2);
-        assert_eq!(rungs[1].form, f);
     }
 }

@@ -176,20 +176,6 @@ pub enum Event {
     /// A worker's heartbeat went late (suspect state) without the hard
     /// deadline having expired yet.
     SupervisorHeartbeat { lane: String },
-    /// The relevance slicer dropped hypotheses outside the goal's symbol
-    /// cone before dispatching a piece: the narrowest rung kept `kept` of
-    /// `kept + dropped` hypotheses. Content-determined (the cone depends
-    /// only on the formula), so it is canonical — bit-stable across
-    /// worker counts and process isolation.
-    SliceApplied { kept: u64, dropped: u64 },
-    /// A sliced rung ended `Unknown` (or its counter-model was spurious),
-    /// so the ladder widened the cone: the next dispatch is rung `rung`
-    /// (1-based) carrying `kept` hypotheses.
-    SliceWidened { rung: u64, kept: u64 },
-    /// A counter-model found on sliced rung `rung` did not survive
-    /// re-confirmation against the full sequent: it may depend on a
-    /// dropped hypothesis being false, so it widens instead of refuting.
-    SliceSpurious { rung: u64 },
     /// The verification daemon bound its socket and began accepting.
     ServiceStart { socket: String },
     /// The daemon accepted a client connection.
@@ -253,9 +239,6 @@ impl Event {
             Event::SupervisorFallback { .. } => "supervisor.fallback",
             Event::SupervisorQuarantined { .. } => "supervisor.quarantined",
             Event::SupervisorHeartbeat { .. } => "supervisor.heartbeat",
-            Event::SliceApplied { .. } => "slice.applied",
-            Event::SliceWidened { .. } => "slice.widened",
-            Event::SliceSpurious { .. } => "slice.spurious",
             Event::ServiceStart { .. } => "service.start",
             Event::ServiceAccept { .. } => "service.accept",
             Event::ServiceSubmit { .. } => "service.submit",
@@ -422,9 +405,6 @@ impl Event {
                 o.str("lane", lane).u64("crashes", *crashes)
             }
             Event::SupervisorHeartbeat { lane } => o.str("lane", lane),
-            Event::SliceApplied { kept, dropped } => o.u64("kept", *kept).u64("dropped", *dropped),
-            Event::SliceWidened { rung, kept } => o.u64("rung", *rung).u64("kept", *kept),
-            Event::SliceSpurious { rung } => o.u64("rung", *rung),
             Event::ServiceStart { socket } => o.str("socket", socket),
             Event::ServiceAccept { client } => o.u64("client", *client),
             Event::ServiceSubmit { client, queued } => {
@@ -513,15 +493,6 @@ impl Event {
             Event::SupervisorFallback { .. } => bump("supervisor.fallback", 1),
             Event::SupervisorQuarantined { .. } => bump("supervisor.quarantined", 1),
             Event::SupervisorHeartbeat { .. } => bump("supervisor.heartbeat.late", 1),
-            // Slice counters are *stable*: the cone and the ladder are
-            // functions of the formula alone, so the counts are identical
-            // at any worker count, cold or warm.
-            Event::SliceApplied { dropped, .. } => {
-                bump("slice.applied", 1);
-                bump("slice.dropped", *dropped);
-            }
-            Event::SliceWidened { .. } => bump("slice.widened", 1),
-            Event::SliceSpurious { .. } => bump("slice.spurious", 1),
             // Service counters carry the `service.` prefix on purpose:
             // they count connection-lifecycle traffic, which is daemon
             // state, not verification semantics — they never enter a
@@ -664,15 +635,6 @@ impl Event {
             }
             Event::SupervisorHeartbeat { lane } => {
                 format!("supervisor: {lane} heartbeat late")
-            }
-            Event::SliceApplied { kept, dropped } => {
-                format!("      slice: kept {kept}/{} hypotheses", kept + dropped)
-            }
-            Event::SliceWidened { rung, kept } => {
-                format!("      slice: widened to rung {rung} ({kept} hypotheses)")
-            }
-            Event::SliceSpurious { rung } => {
-                format!("      slice: rung {rung} counter-model spurious; widening")
             }
             Event::ServiceStart { socket } => format!("service listening on {socket}"),
             Event::ServiceAccept { client } => format!("service: client {client} connected"),

@@ -32,10 +32,7 @@ pub struct Obligation {
 impl Obligation {
     /// The obligation as an explicit sequent: the implication chain the
     /// WP transformer built (entry assumptions, background axioms, path
-    /// conditions) peeled into named hypotheses and a goal. This is the
-    /// shape the dispatcher's relevance slicer works on; exposing it
-    /// here makes the VC-gen → dispatcher boundary sequent-shaped
-    /// rather than an opaque formula.
+    /// conditions) peeled into named hypotheses and a goal.
     pub fn sequent(&self) -> jahob_logic::sequent::Sequent {
         jahob_logic::sequent::Sequent::of(&self.form)
     }

@@ -17,13 +17,13 @@ fn main() {
     println!("{report}");
 
     if let Some(m) = report.method("Client", "move") {
+        let verdict = match (m.all_proved(), m.bound()) {
+            (true, None) => "VERIFIED".to_owned(),
+            (true, Some(k)) => format!("VERIFIED (bounded, universe ≤ {k})"),
+            (false, _) => "NOT fully verified".to_owned(),
+        };
         println!(
-            "Client.move {} — the disjointness invariant of Figure 2 is {}.",
-            if m.all_proved() {
-                "VERIFIED"
-            } else {
-                "NOT fully verified"
-            },
+            "Client.move {verdict} — the disjointness invariant of Figure 2 is {}.",
             if m.all_proved() {
                 "preserved across the draining loop"
             } else {

@@ -47,13 +47,6 @@ SCHEMA = {
     "supervisor.fallback": {"lane"},
     "supervisor.quarantined": {"lane", "crashes"},
     "supervisor.heartbeat": {"lane"},
-    # Relevance-slicing events (ISSUE 10). Content-determined, NOT
-    # schedule-dependent: the ladder runs inside one obligation's
-    # dispatch, so these appear in canonical streams, between piece
-    # spans of the same obligation.
-    "slice.applied": {"kept", "dropped"},
-    "slice.widened": {"rung", "kept"},
-    "slice.spurious": {"rung"},
     # Verification-daemon lifecycle events (ISSUE 9). Schedule-dependent:
     # connection threads emit them in wall-clock order, so they appear
     # only in raw daemon sinks — a daemon stream holds one run span per

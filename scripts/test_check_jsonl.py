@@ -101,26 +101,6 @@ class AcceptsWellFormedStreams(unittest.TestCase):
             ]
         )
 
-    def test_slice_events_accepted_inside_an_obligation(self):
-        # Slice events are canonical residents of the obligation span:
-        # `applied` before the first rung's piece span, `spurious` and
-        # `widened` between rung dispatches.
-        self.assert_ok(
-            run_span(
-                *method_span(
-                    {"type": "obligation.start", "index": 0, "label": "ensures", "size": 9},
-                    {"type": "slice.applied", "kept": 1, "dropped": 2},
-                    {"type": "piece.start", "fingerprint": 1, "size": 2},
-                    {"type": "piece.end", "verdict": "counter-model"},
-                    {"type": "slice.spurious", "rung": 1},
-                    {"type": "slice.widened", "rung": 2, "kept": 2},
-                    {"type": "piece.start", "fingerprint": 2, "size": 5},
-                    {"type": "piece.end", "verdict": "proved"},
-                    {"type": "obligation.end", "index": 0, "verdict": "proved"},
-                )
-            )
-        )
-
     def test_wall_clock_fields_are_optional(self):
         # No `micros` anywhere: the deterministic serialization omits it.
         self.assert_ok(run_span(*method_span()))
@@ -250,25 +230,6 @@ class RejectsMalformedStreams(unittest.TestCase):
         self.assert_rejected(
             [*run_span(), *run_span()],
             "exactly one run span",
-        )
-
-    def test_slice_applied_missing_kept(self):
-        self.assert_rejected(
-            [{"type": "slice.applied", "dropped": 2}, *run_span()],
-            "slice.applied missing fields ['kept']",
-            lineno=1,
-        )
-
-    def test_slice_widened_missing_rung(self):
-        self.assert_rejected(
-            [{"type": "slice.widened", "kept": 1}, *run_span()],
-            "slice.widened missing fields ['rung']",
-        )
-
-    def test_slice_spurious_missing_rung(self):
-        self.assert_rejected(
-            [{"type": "slice.spurious"}, *run_span()],
-            "slice.spurious missing fields ['rung']",
         )
 
     def test_service_submit_missing_queued(self):

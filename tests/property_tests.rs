@@ -454,9 +454,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// ISSUE 10: relevance slicing is a weakening. Dropping hypotheses can
-// only make a sequent *harder* to prove, so a valid rung certifies the
-// full formula — brute-forced here over every valuation.
+// The sequent decomposition the per-prover hypothesis filter works on.
 
 /// Random implication chains `h0 --> h1 --> ... --> goal` over
 /// propositional pieces, the shape `Sequent::of` peels.
@@ -469,28 +467,6 @@ fn implication_chain() -> impl Strategy<Value = Form> {
 }
 
 proptest! {
-    /// Soundness of the ladder: if any rung is valid, the full formula
-    /// is valid; and the final rung is the untouched original.
-    #[test]
-    fn sliced_validity_implies_full_validity(f in implication_chain()) {
-        use jahob_repro::logic::sequent::relevance_ladder;
-        let valid = |g: &Form| (0..16u32).all(|bits| eval_prop(g, bits));
-        let rungs = relevance_ladder(&f, 3);
-        let last = rungs.last().expect("the ladder is never empty");
-        prop_assert_eq!(&last.form, &f, "final rung must be the untouched formula");
-        prop_assert_eq!(last.dropped, 0);
-        for rung in &rungs {
-            if valid(&rung.form) {
-                prop_assert!(
-                    valid(&f),
-                    "rung with {} hyps is valid but the full formula is not: \
-                     {:?} sliced from {:?}",
-                    rung.kept, rung.form, f
-                );
-            }
-        }
-    }
-
     /// The sequent decomposition round-trips meaning: peeling into
     /// hypotheses and goal and refolding evaluates identically on every
     /// valuation (the refold may reassociate `&`-joined hypotheses).

@@ -1,273 +1,14 @@
-//! Relevance-sliced sequents (ISSUE 10).
+//! The one pin that outlived relevance slicing.
 //!
-//! Slicing drops hypotheses outside the goal's symbol cone and proves
-//! the sliced sequent first, widening one cone step at a time up to the
-//! untouched original formula. The pins:
-//!
-//! * **Verdict classification is invariant.** Slicing on vs. off, at 1,
-//!   2, and 8 workers: every obligation keeps its classification (proved / refuted / unknown). The *attribution* of a
-//!   proof may move to a cheaper prover — a sliced goal can fall inside
-//!   a fragment the full goal escapes — which is the whole point, so
-//!   proved lines are compared by classification, not prover name.
-//!   Refuted and unknown lines must match verbatim: a counter-model is
-//!   only ever reported against the full sequent, and an unknown is
-//!   diagnosed on the ladder's final (full) rung.
-//! * **Streams stay deterministic.** With slicing on, the canonical
-//!   event stream — including the `slice.*` family, which is
-//!   content-determined and deliberately *not* schedule-dependent — is
-//!   bit-for-bit identical at any worker count.
-//! * **Stand-down.** Under an armed fault plan or a metered budget the
-//!   ladder disengages completely: no `slice.*` events, bit-for-bit the
-//!   same report as slicing off.
-//! * **Spurious counter-models widen, never refute.** A counter-model
-//!   found on a slice that does not falsify the full sequent is
-//!   discarded (`slice.spurious`) and the ladder widens; the obligation
-//!   still proves.
-//! * **Cache collapse.** Obligations that differ only in irrelevant
-//!   hypotheses share the sliced rung's cache entry.
+//! Slicing (dropping hypotheses outside the goal's symbol cone, then
+//! widening) has been removed; every piece now takes the single guarded
+//! portfolio walk. What stays is its plain-path check: a method whose
+//! preconditions contradict each other verifies, even though its bare
+//! postcondition has counter-models. `REFUTED` here would be a
+//! soundness bug.
 
-use jahob_repro::jahob::{self, Config, FaultPlan, Isolation, MemorySink, Verifier};
-use std::sync::Arc;
+use jahob_repro::jahob::{Config, Verifier};
 
-const CASE_STUDIES: [&str; 5] = [
-    "case_studies/list.javax",
-    "case_studies/client.javax",
-    "case_studies/assoclist.javax",
-    "case_studies/globalset.javax",
-    "case_studies/game.javax",
-];
-
-const WORKER_MATRIX: [usize; 3] = [1, 2, 8];
-
-fn fixture(path: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"))
-}
-
-fn run(src: &str, config: &Config) -> jahob::VerifyReport {
-    Verifier::new(config.clone()).verify(src).expect("pipeline")
-}
-
-/// Deterministic report lines with proved attributions erased: `proved
-/// [hol]` and `proved [presburger]` both become `proved`. Slicing
-/// legitimately moves a proof to a cheaper prover; it must never move
-/// anything else. Stat lines are dropped — slicing adds `slice.*`
-/// counters and shifts per-prover `attempt.*`/`fuel.*` tallies by
-/// design.
-fn classification_lines(report: &jahob::VerifyReport) -> Vec<String> {
-    report
-        .deterministic_lines()
-        .into_iter()
-        .filter(|line| !line.starts_with("stat "))
-        .map(|line| match line.find(" :: proved") {
-            Some(at) => line[..at + " :: proved".len()].to_owned(),
-            None => line,
-        })
-        .collect()
-}
-
-/// The canonical (schedule-independent) serialization of a run's event
-/// stream, exactly as `parallel_determinism.rs` pins it across worker
-/// counts.
-fn canonical_stream(sink: &MemorySink) -> String {
-    let mut out = String::new();
-    for ev in sink.events() {
-        if !ev.is_schedule_dependent() {
-            out.push_str(&ev.to_json(false));
-            out.push('\n');
-        }
-    }
-    out
-}
-
-fn stat(report: &jahob::VerifyReport, name: &str) -> u64 {
-    report.stats.get(name).copied().unwrap_or(0)
-}
-
-// ---- verdict-classification identity ------------------------------------
-
-#[test]
-fn slicing_preserves_classifications_on_every_case_study() {
-    for path in CASE_STUDIES {
-        let src = fixture(path);
-        let baseline = classification_lines(&run(&src, &Config::builder().workers(1).build()));
-        let sliced = Config::builder().slicing(true).workers(1).build();
-        assert_eq!(
-            classification_lines(&run(&src, &sliced)),
-            baseline,
-            "{path}: slicing changed a verdict classification"
-        );
-    }
-}
-
-/// The worker matrix, on two case studies (the rest are covered at 1
-/// worker above; the determinism of the *within-mode* report across
-/// worker counts is pinned separately below).
-#[test]
-fn slicing_preserves_classifications_across_worker_counts() {
-    for path in ["case_studies/globalset.javax", "case_studies/game.javax"] {
-        let src = fixture(path);
-        let baseline = classification_lines(&run(&src, &Config::builder().workers(1).build()));
-        for workers in WORKER_MATRIX {
-            let sliced = Config::builder().slicing(true).workers(workers).build();
-            assert_eq!(
-                classification_lines(&run(&src, &sliced)),
-                baseline,
-                "{path}: slicing (workers={workers}) changed a verdict classification"
-            );
-        }
-    }
-}
-
-/// Within the slicing-on mode the full deterministic report — stats
-/// included — is identical at every worker count. (Slicing on vs. off is
-/// compared only by classification above; 1-vs-8-workers within a mode
-/// has no such allowance.)
-#[test]
-fn sliced_reports_are_deterministic_across_worker_counts() {
-    for path in CASE_STUDIES {
-        let src = fixture(path);
-        let sliced = |workers: usize| {
-            run(
-                &src,
-                &Config::builder().slicing(true).workers(workers).build(),
-            )
-            .deterministic_lines()
-        };
-        let baseline = sliced(1);
-        for workers in WORKER_MATRIX {
-            assert_eq!(
-                sliced(workers),
-                baseline,
-                "{path}: sliced report at {workers} workers diverged"
-            );
-        }
-    }
-}
-
-/// Process isolation does not interact with the ladder: each rung is
-/// dispatched through the same supervised path, and the sliced report is
-/// identical to the in-process one.
-#[test]
-fn sliced_reports_survive_process_isolation() {
-    let src = fixture("case_studies/globalset.javax");
-    let in_process = run(&src, &Config::builder().slicing(true).build());
-    let supervised = run(
-        &src,
-        &Config::builder()
-            .slicing(true)
-            .isolation(Isolation::Process)
-            .worker_program(env!("CARGO_BIN_EXE_jahob"))
-            .build(),
-    );
-    let strip = |r: &jahob::VerifyReport| -> Vec<String> {
-        r.deterministic_lines()
-            .into_iter()
-            .filter(|l| !l.starts_with("stat "))
-            .collect()
-    };
-    assert_eq!(strip(&supervised), strip(&in_process));
-    assert!(in_process.all_proved());
-}
-
-// ---- canonical event streams --------------------------------------------
-
-#[test]
-fn sliced_canonical_streams_agree_across_worker_counts() {
-    let stream = |src: &str, workers: usize| -> String {
-        let sink = Arc::new(MemorySink::new());
-        Config::builder()
-            .slicing(true)
-            .workers(workers)
-            .sink(sink.clone())
-            .build_verifier()
-            .verify(src)
-            .expect("pipeline");
-        canonical_stream(&sink)
-    };
-    for path in ["case_studies/globalset.javax", "case_studies/game.javax"] {
-        let src = fixture(path);
-        let baseline = stream(&src, 1);
-        assert!(!baseline.is_empty());
-        for workers in WORKER_MATRIX {
-            assert_eq!(
-                stream(&src, workers),
-                baseline,
-                "{path}: sliced canonical stream at {workers} workers diverged"
-            );
-        }
-    }
-}
-
-// ---- stand-down ----------------------------------------------------------
-
-/// An armed fault plan stands the ladder down completely: the run is
-/// bit-for-bit the run with slicing off, and no `slice.*` event or stat
-/// ever appears. (Faults are drawn per dispatch attempt; a ladder would
-/// change which attempts exist.)
-#[test]
-fn slicing_stands_down_under_chaos() {
-    let src = fixture("case_studies/list.javax");
-    let chaos = |slicing: bool| -> (Vec<String>, String) {
-        let sink = Arc::new(MemorySink::new());
-        let report = Config::builder()
-            .slicing(slicing)
-            .sink(sink.clone())
-            .dispatch(jahob::DispatchConfig {
-                slicing,
-                fault_plan: Some(Arc::new(FaultPlan::from_seed(11))),
-                cross_check: true,
-                obligation_fuel: 150_000,
-                bmc_bound: 2,
-                bmc_as_validity: false,
-                ..Default::default()
-            })
-            .build_verifier()
-            .verify(&src)
-            .expect("pipeline");
-        (report.deterministic_lines(), canonical_stream(&sink))
-    };
-    let (plain_report, plain_stream) = chaos(false);
-    let (sliced_report, sliced_stream) = chaos(true);
-    assert_eq!(sliced_report, plain_report);
-    assert_eq!(sliced_stream, plain_stream);
-    assert!(
-        !sliced_stream.contains("slice."),
-        "ladder must stand down under an armed fault plan"
-    );
-}
-
-/// A metered fuel budget also stands the ladder down: re-spending the
-/// budget once per rung would change exhaustion diagnoses.
-#[test]
-fn slicing_stands_down_under_metered_fuel() {
-    let src = fixture("case_studies/list.javax");
-    let metered = |slicing: bool| -> jahob::VerifyReport {
-        run(
-            &src,
-            &Config::builder()
-                .slicing(slicing)
-                .dispatch(jahob::DispatchConfig {
-                    slicing,
-                    obligation_fuel: 200_000,
-                    ..Default::default()
-                })
-                .build(),
-        )
-    };
-    let plain = metered(false);
-    let sliced = metered(true);
-    assert_eq!(sliced.deterministic_lines(), plain.deterministic_lines());
-    assert_eq!(stat(&sliced, "slice.applied"), 0);
-}
-
-// ---- the ladder at work --------------------------------------------------
-
-/// A goal whose hypotheses are irrelevant *and contradictory*: `j <= k`,
-/// `k + 1 <= j` against goal `y < 0`. The depth-1 cone keeps nothing —
-/// the sliced rung is the bare (falsifiable) goal — so any counter-model
-/// found there is spurious: it cannot falsify the full sequent, whose
-/// hypotheses are unsatisfiable. The ladder must widen to the full rung
-/// and prove; `REFUTED` here would be a soundness bug.
 #[test]
 fn spurious_counter_models_widen_and_never_refute() {
     let src = r#"
@@ -278,78 +19,12 @@ class Spur {
   }
 }
 "#;
-    let plain = run(src, &Config::builder().build());
-    assert!(plain.all_proved(), "fixture must verify without slicing");
-    let sliced = run(src, &Config::builder().slicing(true).build());
+    let report = Verifier::new(Config::builder().build())
+        .verify(src)
+        .expect("pipeline");
     assert!(
-        sliced.all_proved(),
-        "a spurious slice counter-model leaked into the verdict:\n{}",
-        sliced.deterministic_lines().join("\n")
+        report.all_proved(),
+        "a counter-model of the bare goal leaked into the verdict:\n{}",
+        report.deterministic_lines().join("\n")
     );
-    assert!(stat(&sliced, "slice.applied") >= 1, "ladder never engaged");
-    assert!(
-        stat(&sliced, "slice.widened") >= 1,
-        "the bare goal is falsifiable; the ladder must have widened"
-    );
-}
-
-/// Slicing engages on the case-study corpus and actually drops
-/// hypotheses (the stats are stable, so exact counts are pinned by the
-/// determinism tests above; here we only require the feature is live).
-#[test]
-fn slicing_engages_on_the_corpus() {
-    let mut applied = 0;
-    for path in CASE_STUDIES {
-        let report = run(&fixture(path), &Config::builder().slicing(true).build());
-        applied += stat(&report, "slice.applied");
-    }
-    assert!(
-        applied > 0,
-        "relevance slicing never engaged on any case study"
-    );
-}
-
-// ---- cache collapse ------------------------------------------------------
-
-/// Two methods whose proof obligations differ only in an irrelevant
-/// hypothesis: without slicing they are distinct cache entries; with
-/// slicing the depth-1 rung of both normalizes to the same formula, so
-/// the second lookup hits.
-#[test]
-fn sliced_rungs_collapse_in_the_goal_cache() {
-    let src = r#"
-class Twins {
-  public static void first(int x, int a)
-  /*: requires "0 <= x & a = 7" ensures "0 <= x + x" */
-  {
-  }
-  public static void second(int x, int b)
-  /*: requires "0 <= x & b = 9" ensures "0 <= x + x" */
-  {
-  }
-}
-"#;
-    let report = |slicing: bool| run(src, &Config::builder().slicing(slicing).build());
-    let plain = report(false);
-    let sliced = report(true);
-    assert!(plain.all_proved() && sliced.all_proved());
-    assert!(
-        stat(&sliced, "cache.hit") > stat(&plain, "cache.hit"),
-        "sliced rungs of obligations differing only in irrelevant \
-         hypotheses must share a cache entry (plain hits: {}, sliced hits: {})",
-        stat(&plain, "cache.hit"),
-        stat(&sliced, "cache.hit")
-    );
-}
-
-// ---- config plumbing -----------------------------------------------------
-
-#[test]
-fn env_flag_and_builder_agree() {
-    // The builder's explicit setting wins; the env var is only a
-    // default. (Direct env-var coverage lives in the CLI tests — mutating
-    // the process environment in a parallel test binary is UB-adjacent.)
-    assert!(!Config::builder().build().dispatch.slicing);
-    assert!(Config::builder().slicing(true).build().dispatch.slicing);
-    assert!(!Config::builder().slicing(false).build().dispatch.slicing);
 }

@@ -95,3 +95,34 @@ fn e13_bug_finding() {
     let (_, refuted, _) = report.tally();
     assert!(refuted > 0, "the seeded bug must be refuted:\n{report}");
 }
+
+/// Unbounded proofs per case study: obligations proved for every
+/// universe size, not only up to the model finder's bound. The floors
+/// keep proofs from sliding back to bounded ones unnoticed.
+#[test]
+fn unbounded_proofs_per_case_study() {
+    for (path, floor) in [
+        ("case_studies/list.javax", 15),
+        ("case_studies/client.javax", 12),
+        ("case_studies/assoclist.javax", 6),
+        ("case_studies/globalset.javax", 6),
+        ("case_studies/game.javax", 10),
+    ] {
+        let report = verify(path);
+        let unbounded = report
+            .methods
+            .iter()
+            .flat_map(|m| &m.obligations)
+            .filter(|o| {
+                matches!(
+                    o.verdict,
+                    jahob::verify::VerdictSummary::Proved { bound: None, .. }
+                )
+            })
+            .count();
+        assert!(
+            unbounded >= floor,
+            "{path}: {unbounded} unbounded proofs, expected at least {floor}:\n{report}"
+        );
+    }
+}
