@@ -4,9 +4,8 @@
 //! finite-model-finding complement to verification ("bug finding can be
 //! combined with verification in productive ways"). This crate implements
 //! that component from scratch: a specification-logic formula is *grounded*
-//! over a small universe of objects (`0` is `null`, `1..=n` proper), the
-//! grounding is Tseitin-encoded, and the CDCL solver from `jahob-sat`
-//! searches for a model.
+//! over a small universe of objects (`0` is `null`, `1..=n` proper) into
+//! CNF, and the CDCL solver from `jahob-sat` searches for a model.
 //!
 //! Supported structure — chosen to cover Jahob's list obligations exactly:
 //!
@@ -23,20 +22,27 @@
 //! Integer arithmetic and cardinalities are *not* grounded — those goals
 //! belong to `jahob-presburger`/`jahob-bapa`.
 //!
-//! Two uses:
+//! Two uses, both through [`bmc_valid_with_bound_budgeted`], which the
+//! pipeline runs over universes `1..=bmc_bound` (3 by default), one search
+//! per size:
 //!
-//! * **Bug finding** ([`refute`]): search for a counter-model of a goal; a
+//! * **Bug finding**: a counter-model at some size refutes the goal. A
 //!   found model is checked against the reference evaluator
 //!   (`jahob_logic::model`) before being reported, so reported bugs are
 //!   always genuine.
-//! * **Bounded validity** ([`bmc_valid`]): the "decision procedures for
-//!   linked lists with membership in NP" style of §4 — for the ground list
-//!   fragment, absence of models up to a term-count-derived bound implies
-//!   validity; the verdict records the bound so reports stay honest.
+//! * **Bounded proof**: no counter-model up to the bound. That is not
+//!   validity, and the pipeline reports it as a bounded proof carrying the
+//!   bound ([`BmcVerdict::ValidUpTo`]).
+//!
+//! The grounding is built straight into the solver through
+//! `jahob_sat::CnfBuilder`: every subformula is one hash-consed literal, and
+//! a term whose object the environment fixes (a quantifier, comprehension
+//! or closure instance, or `null`) selects one row or entry instead of
+//! building a disjunction over the universe.
 
 use jahob_logic::model::{Key, Model, Value};
 use jahob_logic::{BinOp, Form, QKind, Sort, UnOp};
-use jahob_sat::{CnfBuilder, PropForm, SolveResult, Solver};
+use jahob_sat::{CnfBuilder, Lit, SolveResult, Solver, Var};
 use jahob_util::budget::{Budget, Exhaustion};
 use jahob_util::{FxHashMap, Symbol};
 use std::collections::BTreeSet;
@@ -94,59 +100,48 @@ enum Kind {
     ObjPred,
 }
 
-/// Atom index allocator shared by all encoded entities.
-struct Atoms {
-    next: u32,
-    /// Object variable one-hot bits: sym → base index (n+1 consecutive).
-    obj_vars: FxHashMap<Symbol, u32>,
-    /// Set bits: sym → base index (n+1 consecutive).
-    set_vars: FxHashMap<Symbol, u32>,
-    /// Boolean variables.
-    bool_vars: FxHashMap<Symbol, u32>,
-    /// Field matrices: sym → base ( (n+1)² consecutive, row-major ).
-    field_vars: FxHashMap<Symbol, u32>,
-    /// Object predicates: sym → base (n+1 consecutive).
-    pred_vars: FxHashMap<Symbol, u32>,
+/// The solver variables of the declared entities: each symbol's first
+/// variable, the rest following it consecutively.
+#[derive(Default)]
+struct Entities {
+    /// Object variables: `w` one-hot bits.
+    objs: FxHashMap<Symbol, u32>,
+    /// Object sets: `w` membership bits.
+    sets: FxHashMap<Symbol, u32>,
+    /// Boolean variables: one bit.
+    bools: FxHashMap<Symbol, u32>,
+    /// Fields: `w²` bits, row-major, each row one-hot.
+    fields: FxHashMap<Symbol, u32>,
+    /// Object predicates: `w` bits.
+    preds: FxHashMap<Symbol, u32>,
 }
 
-impl Atoms {
-    fn new() -> Self {
-        Atoms {
-            next: 0,
-            obj_vars: FxHashMap::default(),
-            set_vars: FxHashMap::default(),
-            bool_vars: FxHashMap::default(),
-            field_vars: FxHashMap::default(),
-            pred_vars: FxHashMap::default(),
-        }
-    }
-
-    fn alloc(&mut self, count: u32) -> u32 {
-        let base = self.next;
-        self.next += count;
-        base
-    }
+/// An object term's grounding.
+#[derive(Clone)]
+enum Obj {
+    /// An object the environment fixes: a binder instance, or `null`.
+    Const(u32),
+    /// One-hot indicator literals, one per object id.
+    Bits(Vec<Lit>),
 }
 
-/// A `w × w` matrix of propositional entries, indexed `[from][to]`.
-type Matrix = Vec<Vec<PropForm>>;
+/// A `w × w` matrix of literals, indexed `[from][to]`.
+type Matrix = Vec<Vec<Lit>>;
 
 /// What a closure's edge matrix depends on: the lambda body with its two
 /// binders renamed to reserved symbols, plus the values the environment
 /// gives the body's other free variables.
 type ClosureKey = (Form, Vec<(Symbol, u32)>);
 
-/// The grounding context for one universe size.
+/// The grounding context for one universe size: the formula is built
+/// straight into `solver` through `cnf`, so every subformula is one
+/// hash-consed literal.
 struct Grounder<'a> {
     n: u32,
     sig: &'a FxHashMap<Symbol, Sort>,
-    atoms: Atoms,
-    /// Structural constraints collected during encoding (functionality,
-    /// one-hot, tree constraints, definitional iffs).
-    constraints: Vec<PropForm>,
-    /// Definition → its atom. Every atom has one fixed meaning within a
-    /// grounder, so structurally equal definitions share one atom.
-    defs: FxHashMap<PropForm, u32>,
+    solver: Solver,
+    cnf: CnfBuilder,
+    entities: Entities,
     /// Reflexive-transitive closure matrices, one per distinct edge
     /// relation.
     closures: FxHashMap<ClosureKey, Rc<Matrix>>,
@@ -157,14 +152,21 @@ fn width(n: u32) -> usize {
     n as usize + 1
 }
 
+/// The positive literals of variables `base..base + count`.
+fn var_lits(base: u32, count: usize) -> Vec<Lit> {
+    (base..base + count as u32)
+        .map(|v| Var(v).positive())
+        .collect()
+}
+
 impl<'a> Grounder<'a> {
     fn new(n: u32, sig: &'a FxHashMap<Symbol, Sort>) -> Self {
         Grounder {
             n,
             sig,
-            atoms: Atoms::new(),
-            constraints: Vec::new(),
-            defs: FxHashMap::default(),
+            solver: Solver::new(),
+            cnf: CnfBuilder::new(),
+            entities: Entities::default(),
             closures: FxHashMap::default(),
         }
     }
@@ -189,182 +191,204 @@ impl<'a> Grounder<'a> {
         }
     }
 
+    // ---- gates ----------------------------------------------------------------
+
+    fn constant(&mut self, value: bool) -> Lit {
+        self.cnf.constant(&mut self.solver, value)
+    }
+
+    fn and(&mut self, lits: &[Lit]) -> Lit {
+        self.cnf.and(&mut self.solver, lits)
+    }
+
+    fn or(&mut self, lits: &[Lit]) -> Lit {
+        self.cnf.or(&mut self.solver, lits)
+    }
+
+    fn iff(&mut self, a: Lit, b: Lit) -> Lit {
+        self.cnf.iff(&mut self.solver, a, b)
+    }
+
+    fn implies(&mut self, a: Lit, b: Lit) -> Lit {
+        self.cnf.implies(&mut self.solver, a, b)
+    }
+
+    /// `if c then t else e`.
+    fn ite(&mut self, c: Lit, t: Lit, e: Lit) -> Lit {
+        let then = self.and(&[c, t]);
+        let otherwise = self.and(&[c.negate(), e]);
+        self.or(&[then, otherwise])
+    }
+
+    /// The entry of `entries` at object `x`: the entry itself when `x` is
+    /// fixed, else the disjunction over ids `i` of `x = i ∧ entries[i]`.
+    fn select(&mut self, x: &Obj, entries: &[Lit]) -> Lit {
+        match x {
+            Obj::Const(i) => entries[*i as usize],
+            Obj::Bits(bits) => {
+                let cases: Vec<Lit> = bits
+                    .iter()
+                    .zip(entries)
+                    .map(|(&b, &e)| self.and(&[b, e]))
+                    .collect();
+                self.or(&cases)
+            }
+        }
+    }
+
+    /// `x`'s indicator literals.
+    fn bits(&mut self, x: Obj) -> Vec<Lit> {
+        match x {
+            Obj::Const(id) => (0..width(self.n) as u32)
+                .map(|i| self.constant(i == id))
+                .collect(),
+            Obj::Bits(bits) => bits,
+        }
+    }
+
     // ---- entity encodings ---------------------------------------------------
 
-    fn obj_var_bits(&mut self, name: Symbol) -> Vec<PropForm> {
-        let w = width(self.n) as u32;
-        let base = match self.atoms.obj_vars.get(&name) {
+    /// `count` fresh solver variables; returns the first.
+    fn fresh(&mut self, count: usize) -> u32 {
+        let base = self.solver.num_vars() as u32;
+        self.solver.reserve_vars(base as usize + count);
+        base
+    }
+
+    /// Exactly one of `bits` is true.
+    fn one_hot(&mut self, bits: &[Lit]) {
+        self.solver.add_clause(bits);
+        for (i, &a) in bits.iter().enumerate() {
+            for &b in &bits[i + 1..] {
+                self.solver.add_clause(&[a.negate(), b.negate()]);
+            }
+        }
+    }
+
+    fn obj_var_bits(&mut self, name: Symbol) -> Vec<Lit> {
+        let w = width(self.n);
+        let base = match self.entities.objs.get(&name) {
             Some(&b) => b,
             None => {
-                let b = self.atoms.alloc(w);
-                self.atoms.obj_vars.insert(name, b);
-                // Exactly-one constraint.
-                let bits: Vec<PropForm> = (0..w).map(|i| PropForm::atom(b + i)).collect();
-                self.constraints.push(PropForm::or(bits.clone()));
-                for i in 0..w as usize {
-                    for j in (i + 1)..w as usize {
-                        self.constraints.push(PropForm::or(vec![
-                            PropForm::not(bits[i].clone()),
-                            PropForm::not(bits[j].clone()),
-                        ]));
-                    }
-                }
+                let b = self.fresh(w);
+                self.entities.objs.insert(name, b);
+                self.one_hot(&var_lits(b, w));
                 b
             }
         };
-        (0..w).map(|i| PropForm::atom(base + i)).collect()
+        var_lits(base, w)
     }
 
-    fn set_var_bits(&mut self, name: Symbol) -> Vec<PropForm> {
-        let w = width(self.n) as u32;
-        let base = *self.atoms.set_vars.entry(name).or_insert_with(|| {
-            let b = self.atoms.next;
-            self.atoms.next += w;
-            b
-        });
-        (0..w).map(|i| PropForm::atom(base + i)).collect()
+    fn set_var_bits(&mut self, name: Symbol) -> Vec<Lit> {
+        let w = width(self.n);
+        let base = match self.entities.sets.get(&name) {
+            Some(&b) => b,
+            None => {
+                let b = self.fresh(w);
+                self.entities.sets.insert(name, b);
+                b
+            }
+        };
+        var_lits(base, w)
     }
 
-    fn bool_var(&mut self, name: Symbol) -> PropForm {
-        let base = *self.atoms.bool_vars.entry(name).or_insert_with(|| {
-            let b = self.atoms.next;
-            self.atoms.next += 1;
-            b
-        });
-        PropForm::atom(base)
+    fn bool_var(&mut self, name: Symbol) -> Lit {
+        let base = match self.entities.bools.get(&name) {
+            Some(&b) => b,
+            None => {
+                let b = self.fresh(1);
+                self.entities.bools.insert(name, b);
+                b
+            }
+        };
+        Var(base).positive()
     }
 
-    fn pred_var_bits(&mut self, name: Symbol) -> Vec<PropForm> {
-        let w = width(self.n) as u32;
-        let base = *self.atoms.pred_vars.entry(name).or_insert_with(|| {
-            let b = self.atoms.next;
-            self.atoms.next += w;
-            b
-        });
-        (0..w).map(|i| PropForm::atom(base + i)).collect()
+    fn pred_var_bits(&mut self, name: Symbol) -> Vec<Lit> {
+        let w = width(self.n);
+        let base = match self.entities.preds.get(&name) {
+            Some(&b) => b,
+            None => {
+                let b = self.fresh(w);
+                self.entities.preds.insert(name, b);
+                b
+            }
+        };
+        var_lits(base, w)
     }
 
     /// Field matrix M[i][j] ⇔ f(i) = j, with functionality constraints.
-    fn field_matrix(&mut self, name: Symbol) -> Vec<Vec<PropForm>> {
+    fn field_matrix(&mut self, name: Symbol) -> Matrix {
         let w = width(self.n);
-        let base = match self.atoms.field_vars.get(&name) {
+        let base = match self.entities.fields.get(&name) {
             Some(&b) => b,
             None => {
-                let b = self.atoms.alloc((w * w) as u32);
-                self.atoms.field_vars.insert(name, b);
-                // Each row: exactly one target.
+                let b = self.fresh(w * w);
+                self.entities.fields.insert(name, b);
                 for i in 0..w {
-                    let row: Vec<PropForm> = (0..w)
-                        .map(|j| PropForm::atom(b + (i * w + j) as u32))
-                        .collect();
-                    self.constraints.push(PropForm::or(row.clone()));
-                    for x in 0..w {
-                        for y in (x + 1)..w {
-                            self.constraints.push(PropForm::or(vec![
-                                PropForm::not(row[x].clone()),
-                                PropForm::not(row[y].clone()),
-                            ]));
-                        }
-                    }
+                    self.one_hot(&var_lits(b + (i * w) as u32, w));
                 }
                 // Fields map null to null (the Jahob convention the
                 // reference evaluator also uses).
-                self.constraints.push(PropForm::atom(b));
+                self.solver.add_clause(&[Var(b).positive()]);
                 b
             }
         };
-        (0..w)
-            .map(|i| {
-                (0..w)
-                    .map(|j| PropForm::atom(base + (i * w + j) as u32))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// The atom standing for `def`; its definition is asserted on first use.
-    fn define(&mut self, def: PropForm) -> PropForm {
-        if matches!(def, PropForm::True | PropForm::False | PropForm::Atom(_)) {
-            return def;
-        }
-        if let Some(&atom) = self.defs.get(&def) {
-            return PropForm::atom(atom);
-        }
-        let atom = self.atoms.alloc(1);
-        self.constraints
-            .push(PropForm::iff(PropForm::atom(atom), def.clone()));
-        self.defs.insert(def, atom);
-        PropForm::atom(atom)
+        (0..w).map(|i| var_lits(base + (i * w) as u32, w)).collect()
     }
 
     // ---- term encodings -----------------------------------------------------
 
-    /// Environment: binder → concrete object id.
-    /// Encode an object term as an indicator vector.
-    #[allow(clippy::needless_range_loop)] // matrix row/column indexing
-    fn obj_bits(
-        &mut self,
-        form: &Form,
-        env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Vec<PropForm>, GroundError> {
-        let w = width(self.n);
+    /// Encode an object term. `env` maps binders to concrete object ids.
+    fn obj(&mut self, form: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Obj, GroundError> {
         match form {
-            Form::Null => {
-                let mut v = vec![PropForm::False; w];
-                v[0] = PropForm::True;
-                Ok(v)
-            }
+            Form::Null => Ok(Obj::Const(0)),
             Form::Var(name) => {
                 if let Some(&id) = env.get(name) {
-                    let mut v = vec![PropForm::False; w];
-                    v[id as usize] = PropForm::True;
-                    return Ok(v);
+                    return Ok(Obj::Const(id));
                 }
                 match self.kind_of(*name)? {
-                    Kind::Obj => Ok(self.obj_var_bits(*name)),
+                    Kind::Obj => Ok(Obj::Bits(self.obj_var_bits(*name))),
                     other => err(format!("`{name}` used as object but is {other:?}")),
                 }
             }
-            Form::App(_, _) => {
-                // fun-term applied to an object argument.
-                let (head, args) = match form {
-                    Form::App(h, a) => (h.as_ref(), a),
-                    _ => unreachable!(),
-                };
-                // A flattened `fieldWrite f a b x`: function part is the
-                // first three arguments.
+            Form::App(head, args) => {
+                // fun-term applied to an object argument. A flattened
+                // `fieldWrite f a b x`: function part is the first three
+                // arguments.
                 let (matrix, arg_term) = if args.len() == 4
-                    && matches!(head, Form::Var(h) if h.as_str() == jahob_logic::form::sym::FIELD_WRITE)
+                    && matches!(head.as_ref(), Form::Var(h) if h.as_str() == jahob_logic::form::sym::FIELD_WRITE)
                 {
-                    let fun = Form::app(head.clone(), args[..3].to_vec());
+                    let fun = Form::app(head.as_ref().clone(), args[..3].to_vec());
                     (self.fun_matrix_term(&fun, env)?, &args[3])
                 } else if args.len() == 1 {
                     (self.fun_matrix_term(head, env)?, &args[0])
                 } else {
                     return err(format!("non-unary application `{form}`"));
                 };
-                let arg = self.obj_bits(arg_term, env)?;
-                let mut out = Vec::with_capacity(w);
-                for j in 0..w {
-                    let cases: Vec<PropForm> = (0..w)
-                        .map(|i| PropForm::and(vec![arg[i].clone(), matrix[i][j].clone()]))
-                        .collect();
-                    out.push(self.define(PropForm::or(cases)));
-                }
-                Ok(out)
+                let arg = self.obj(arg_term, env)?;
+                Ok(Obj::Bits(match arg {
+                    // A fixed argument reads its row.
+                    Obj::Const(i) => matrix[i as usize].clone(),
+                    arg => (0..width(self.n))
+                        .map(|j| {
+                            let column: Vec<Lit> = matrix.iter().map(|row| row[j]).collect();
+                            self.select(&arg, &column)
+                        })
+                        .collect(),
+                }))
             }
             Form::Ite(c, t, e) => {
-                let cond = self.bool_prop(c, env)?;
-                let tb = self.obj_bits(t, env)?;
-                let eb = self.obj_bits(e, env)?;
-                Ok((0..w)
-                    .map(|i| {
-                        PropForm::or(vec![
-                            PropForm::and(vec![cond.clone(), tb[i].clone()]),
-                            PropForm::and(vec![PropForm::not(cond.clone()), eb[i].clone()]),
-                        ])
-                    })
-                    .collect())
+                let cond = self.bool_lit(c, env)?;
+                let tb = self.obj(t, env)?;
+                let eb = self.obj(e, env)?;
+                let (tb, eb) = (self.bits(tb), self.bits(eb));
+                Ok(Obj::Bits(
+                    tb.iter()
+                        .zip(&eb)
+                        .map(|(&t, &e)| self.ite(cond, t, e))
+                        .collect(),
+                ))
             }
             other => err(format!("object term expected: `{other}`")),
         }
@@ -376,8 +400,7 @@ impl<'a> Grounder<'a> {
         &mut self,
         form: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Vec<Vec<PropForm>>, GroundError> {
-        let w = width(self.n);
+    ) -> Result<Matrix, GroundError> {
         match form {
             Form::Var(name) => match self.kind_of(*name)? {
                 Kind::Field => Ok(self.field_matrix(*name)),
@@ -387,20 +410,20 @@ impl<'a> Grounder<'a> {
                 // fieldWrite f at val — possibly nested.
                 if let Form::Var(fw) = head.as_ref() {
                     if fw.as_str() == jahob_logic::form::sym::FIELD_WRITE && args.len() == 3 {
-                        let base = self.fun_matrix_term(&args[0], env)?;
-                        let at = self.obj_bits(&args[1], env)?;
-                        let val = self.obj_bits(&args[2], env)?;
-                        let mut out = vec![vec![PropForm::False; w]; w];
-                        for i in 0..w {
-                            for (j, out_ij) in out[i].iter_mut().enumerate() {
-                                // M'(i,j) = (at=i ∧ val=j) ∨ (at≠i ∧ M(i,j)).
-                                *out_ij = PropForm::or(vec![
-                                    PropForm::and(vec![at[i].clone(), val[j].clone()]),
-                                    PropForm::and(vec![
-                                        PropForm::not(at[i].clone()),
-                                        base[i][j].clone(),
-                                    ]),
-                                ]);
+                        let mut out = self.fun_matrix_term(&args[0], env)?;
+                        let at = self.obj(&args[1], env)?;
+                        let val = self.obj(&args[2], env)?;
+                        let val = self.bits(val);
+                        match at {
+                            // A write at a fixed cell replaces its row.
+                            Obj::Const(i) => out[i as usize] = val,
+                            // M'(i,j) = (at=i ∧ val=j) ∨ (at≠i ∧ M(i,j)).
+                            Obj::Bits(at) => {
+                                for (row, &at_i) in out.iter_mut().zip(&at) {
+                                    for (m_ij, &val_j) in row.iter_mut().zip(&val) {
+                                        *m_ij = self.ite(at_i, val_j, *m_ij);
+                                    }
+                                }
                             }
                         }
                         return Ok(out);
@@ -417,32 +440,35 @@ impl<'a> Grounder<'a> {
         &mut self,
         form: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Vec<PropForm>, GroundError> {
+    ) -> Result<Vec<Lit>, GroundError> {
         let w = width(self.n);
         match form {
-            Form::EmptySet => Ok(vec![PropForm::False; w]),
+            Form::EmptySet => Ok(vec![self.constant(false); w]),
             Form::Var(name) => match self.kind_of(*name)? {
                 Kind::ObjSet => Ok(self.set_var_bits(*name)),
                 other => err(format!("`{name}` used as set but is {other:?}")),
             },
             Form::FiniteSet(elems) => {
-                let mut out = vec![PropForm::False; w];
+                let mut cases: Vec<Vec<Lit>> = vec![Vec::new(); w];
                 for e in elems {
-                    let bits = self.obj_bits(e, env)?;
-                    for i in 0..w {
-                        out[i] = PropForm::or(vec![out[i].clone(), bits[i].clone()]);
+                    let bits = self.obj(e, env)?;
+                    let bits = self.bits(bits);
+                    for (case, b) in cases.iter_mut().zip(bits) {
+                        case.push(b);
                     }
                 }
-                Ok(out)
+                Ok(cases.iter().map(|c| self.or(c)).collect())
             }
             Form::Binop(op @ (BinOp::Union | BinOp::Inter | BinOp::Diff | BinOp::Sub), a, b) => {
                 let av = self.set_bits(a, env)?;
                 let bv = self.set_bits(b, env)?;
-                Ok((0..w)
-                    .map(|i| match op {
-                        BinOp::Union => PropForm::or(vec![av[i].clone(), bv[i].clone()]),
-                        BinOp::Inter => PropForm::and(vec![av[i].clone(), bv[i].clone()]),
-                        _ => PropForm::and(vec![av[i].clone(), PropForm::not(bv[i].clone())]),
+                Ok(av
+                    .iter()
+                    .zip(&bv)
+                    .map(|(&x, &y)| match op {
+                        BinOp::Union => self.or(&[x, y]),
+                        BinOp::Inter => self.and(&[x, y]),
+                        _ => self.and(&[x, y.negate()]),
                     })
                     .collect())
             }
@@ -451,8 +477,7 @@ impl<'a> Grounder<'a> {
                 for i in 0..w as u32 {
                     let mut inner_env = env.clone();
                     inner_env.insert(*x, i);
-                    let b = self.bool_prop(body, &inner_env)?;
-                    out.push(self.define(b));
+                    out.push(self.bool_lit(body, &inner_env)?);
                 }
                 Ok(out)
             }
@@ -460,53 +485,50 @@ impl<'a> Grounder<'a> {
         }
     }
 
-    /// Encode a boolean formula.
-    fn bool_prop(
+    fn bool_lits(
         &mut self,
-        form: &Form,
+        parts: &[Form],
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<PropForm, GroundError> {
+    ) -> Result<Vec<Lit>, GroundError> {
+        parts.iter().map(|p| self.bool_lit(p, env)).collect()
+    }
+
+    /// Encode a boolean formula.
+    fn bool_lit(&mut self, form: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Lit, GroundError> {
         let w = width(self.n);
         match form {
-            Form::BoolLit(b) => Ok(if *b { PropForm::True } else { PropForm::False }),
-            Form::And(parts) => Ok(PropForm::and(
-                parts
-                    .iter()
-                    .map(|p| self.bool_prop(p, env))
-                    .collect::<Result<_, _>>()?,
-            )),
-            Form::Or(parts) => Ok(PropForm::or(
-                parts
-                    .iter()
-                    .map(|p| self.bool_prop(p, env))
-                    .collect::<Result<_, _>>()?,
-            )),
-            Form::Unop(UnOp::Not, inner) => Ok(PropForm::not(self.bool_prop(inner, env)?)),
-            Form::Binop(BinOp::Implies, a, b) => Ok(PropForm::implies(
-                self.bool_prop(a, env)?,
-                self.bool_prop(b, env)?,
-            )),
-            Form::Binop(BinOp::Iff, a, b) => Ok(PropForm::iff(
-                self.bool_prop(a, env)?,
-                self.bool_prop(b, env)?,
-            )),
+            Form::BoolLit(b) => Ok(self.constant(*b)),
+            Form::And(parts) => {
+                let lits = self.bool_lits(parts, env)?;
+                Ok(self.and(&lits))
+            }
+            Form::Or(parts) => {
+                let lits = self.bool_lits(parts, env)?;
+                Ok(self.or(&lits))
+            }
+            Form::Unop(UnOp::Not, inner) => Ok(self.bool_lit(inner, env)?.negate()),
+            Form::Binop(BinOp::Implies, a, b) => {
+                let (a, b) = (self.bool_lit(a, env)?, self.bool_lit(b, env)?);
+                Ok(self.implies(a, b))
+            }
+            Form::Binop(BinOp::Iff, a, b) => {
+                let (a, b) = (self.bool_lit(a, env)?, self.bool_lit(b, env)?);
+                Ok(self.iff(a, b))
+            }
             Form::Binop(BinOp::Elem, x, s) => {
-                let xb = self.obj_bits(x, env)?;
+                let xb = self.obj(x, env)?;
                 let sb = self.set_bits(s, env)?;
-                Ok(PropForm::or(
-                    (0..w)
-                        .map(|i| PropForm::and(vec![xb[i].clone(), sb[i].clone()]))
-                        .collect(),
-                ))
+                Ok(self.select(&xb, &sb))
             }
             Form::Binop(BinOp::Subseteq, a, b) | Form::Binop(BinOp::Le, a, b) => {
                 let av = self.set_bits(a, env)?;
                 let bv = self.set_bits(b, env)?;
-                Ok(PropForm::and(
-                    (0..w)
-                        .map(|i| PropForm::implies(av[i].clone(), bv[i].clone()))
-                        .collect(),
-                ))
+                let parts: Vec<Lit> = av
+                    .iter()
+                    .zip(&bv)
+                    .map(|(&x, &y)| self.implies(x, y))
+                    .collect();
+                Ok(self.and(&parts))
             }
             Form::Binop(BinOp::Eq, a, b) => self.equality(a, b, env),
             Form::Quant(kind, binders, body) => {
@@ -528,11 +550,11 @@ impl<'a> Grounder<'a> {
                 }
                 let mut parts = Vec::with_capacity(expanded.len());
                 for e in &expanded {
-                    parts.push(self.bool_prop(body, e)?);
+                    parts.push(self.bool_lit(body, e)?);
                 }
                 Ok(match kind {
-                    QKind::All => PropForm::and(parts),
-                    QKind::Ex => PropForm::or(parts),
+                    QKind::All => self.and(&parts),
+                    QKind::Ex => self.or(&parts),
                 })
             }
             Form::Tree(fields) => self.tree_constraint(fields, env),
@@ -545,12 +567,8 @@ impl<'a> Grounder<'a> {
                     if args.len() == 1 {
                         if let Ok(Kind::ObjPred) = self.kind_of(*name) {
                             let bits = self.pred_var_bits(*name);
-                            let arg = self.obj_bits(&args[0], env)?;
-                            return Ok(PropForm::or(
-                                (0..w)
-                                    .map(|i| PropForm::and(vec![arg[i].clone(), bits[i].clone()]))
-                                    .collect(),
-                            ));
+                            let arg = self.obj(&args[0], env)?;
+                            return Ok(self.select(&arg, &bits));
                         }
                     }
                 }
@@ -569,50 +587,41 @@ impl<'a> Grounder<'a> {
         a: &Form,
         b: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<PropForm, GroundError> {
-        let w = width(self.n);
+    ) -> Result<Lit, GroundError> {
         // Try object equality first, then set, then function, then bool.
-        if let (Ok(ab), Ok(bb)) = (self.obj_bits_try(a, env), self.obj_bits_try(b, env)) {
-            return Ok(PropForm::or(
-                (0..w)
-                    .map(|i| PropForm::and(vec![ab[i].clone(), bb[i].clone()]))
-                    .collect(),
-            ));
+        if let (Ok(ab), Ok(bb)) = (self.obj_try(a, env), self.obj_try(b, env)) {
+            return Ok(match (ab, bb) {
+                (Obj::Const(i), Obj::Const(j)) => self.constant(i == j),
+                (Obj::Bits(bits), other) | (other, Obj::Bits(bits)) => self.select(&other, &bits),
+            });
         }
         if let (Ok(av), Ok(bv)) = (self.set_bits_try(a, env), self.set_bits_try(b, env)) {
-            return Ok(PropForm::and(
-                (0..w)
-                    .map(|i| PropForm::iff(av[i].clone(), bv[i].clone()))
-                    .collect(),
-            ));
+            let parts: Vec<Lit> = av.iter().zip(&bv).map(|(&x, &y)| self.iff(x, y)).collect();
+            return Ok(self.and(&parts));
         }
         if let (Ok(am), Ok(bm)) = (self.fun_matrix_try(a, env), self.fun_matrix_try(b, env)) {
-            let mut parts = Vec::with_capacity(w * w);
-            for i in 0..w {
-                for j in 0..w {
-                    parts.push(PropForm::iff(am[i][j].clone(), bm[i][j].clone()));
-                }
-            }
-            return Ok(PropForm::and(parts));
+            let parts: Vec<Lit> = am
+                .iter()
+                .flatten()
+                .zip(bm.iter().flatten())
+                .map(|(&x, &y)| self.iff(x, y))
+                .collect();
+            return Ok(self.and(&parts));
         }
         // Boolean equality.
-        let ap = self.bool_prop(a, env)?;
-        let bp = self.bool_prop(b, env)?;
-        Ok(PropForm::iff(ap, bp))
+        let ap = self.bool_lit(a, env)?;
+        let bp = self.bool_lit(b, env)?;
+        Ok(self.iff(ap, bp))
     }
 
-    fn obj_bits_try(
-        &mut self,
-        f: &Form,
-        env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Vec<PropForm>, GroundError> {
+    fn obj_try(&mut self, f: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Obj, GroundError> {
         // Cheap syntactic pre-check to avoid committing variable kinds
         // incorrectly.
         match f {
-            Form::Null | Form::Ite(_, _, _) => self.obj_bits(f, env),
+            Form::Null | Form::Ite(_, _, _) => self.obj(f, env),
             Form::Var(name) => {
                 if env.contains_key(name) || self.kind_of(*name)? == Kind::Obj {
-                    self.obj_bits(f, env)
+                    self.obj(f, env)
                 } else {
                     err("not an object")
                 }
@@ -625,7 +634,7 @@ impl<'a> Grounder<'a> {
                         if self.kind_of(*h) == Ok(Kind::Field)
                             || h.as_str() == jahob_logic::form::sym::FIELD_WRITE =>
                     {
-                        self.obj_bits(f, env)
+                        self.obj(f, env)
                     }
                     _ => err("not an object application"),
                 }
@@ -636,7 +645,7 @@ impl<'a> Grounder<'a> {
                     Form::Var(h) if h.as_str() == jahob_logic::form::sym::FIELD_WRITE => {
                         let fun = Form::app(Form::Var(*h), args[..3].to_vec());
                         let rebuilt = Form::App(Rc::new(fun), vec![args[3].clone()]);
-                        self.obj_bits(&rebuilt, env)
+                        self.obj(&rebuilt, env)
                     }
                     _ => err("not an object application"),
                 }
@@ -649,7 +658,7 @@ impl<'a> Grounder<'a> {
         &mut self,
         f: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Vec<PropForm>, GroundError> {
+    ) -> Result<Vec<Lit>, GroundError> {
         match f {
             Form::EmptySet
             | Form::FiniteSet(_)
@@ -664,7 +673,7 @@ impl<'a> Grounder<'a> {
         &mut self,
         f: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Vec<Vec<PropForm>>, GroundError> {
+    ) -> Result<Matrix, GroundError> {
         match f {
             Form::Var(name) if self.kind_of(*name) == Ok(Kind::Field) => {
                 self.fun_matrix_term(f, env)
@@ -680,15 +689,15 @@ impl<'a> Grounder<'a> {
     }
 
     /// Reachability along a lambda edge: `from` and `to` picked out of the
-    /// edge relation's closure matrix.
+    /// edge relation's closure matrix — one entry, row or column when the
+    /// environment fixes an endpoint.
     fn rtrancl(
         &mut self,
         lambda: &Form,
         from: &Form,
         to: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<PropForm, GroundError> {
-        let w = width(self.n);
+    ) -> Result<Lit, GroundError> {
         let Form::Lambda(binders, body) = lambda else {
             return err("rtrancl_pt needs a lambda edge");
         };
@@ -696,24 +705,29 @@ impl<'a> Grounder<'a> {
             return err("rtrancl_pt lambda must be binary");
         }
         let r = self.closure(binders[0].0, binders[1].0, body, env)?;
-        let fb = self.obj_bits(from, env)?;
-        let tb = self.obj_bits(to, env)?;
-        let mut cases = Vec::with_capacity(w * w);
-        for i in 0..w {
-            for j in 0..w {
-                cases.push(PropForm::and(vec![
-                    fb[i].clone(),
-                    tb[j].clone(),
-                    r[i][j].clone(),
-                ]));
+        let fb = self.obj(from, env)?;
+        let tb = self.obj(to, env)?;
+        Ok(match (fb, tb) {
+            (Obj::Const(i), tb) => self.select(&tb, &r[i as usize]),
+            (fb, Obj::Const(j)) => {
+                let column: Vec<Lit> = r.iter().map(|row| row[j as usize]).collect();
+                self.select(&fb, &column)
             }
-        }
-        Ok(PropForm::or(cases))
+            (Obj::Bits(fb), Obj::Bits(tb)) => {
+                let mut cases = Vec::with_capacity(fb.len() * tb.len());
+                for (&f_i, row) in fb.iter().zip(r.iter()) {
+                    for (&t_j, &r_ij) in tb.iter().zip(row) {
+                        cases.push(self.and(&[f_i, t_j, r_ij]));
+                    }
+                }
+                self.or(&cases)
+            }
+        })
     }
 
     /// Reflexive-transitive closure of the edge relation `% x y. body`
-    /// under `env`: the edge matrix with defined atoms, then squaring.
-    /// Built once per distinct edge relation (see [`ClosureKey`]).
+    /// under `env`: the edge matrix, then squaring. Built once per distinct
+    /// edge relation (see [`ClosureKey`]).
     fn closure(
         &mut self,
         x: Symbol,
@@ -725,42 +739,45 @@ impl<'a> Grounder<'a> {
         if let Some(r) = self.closures.get(&key) {
             return Ok(Rc::clone(r));
         }
-        let w = width(self.n);
-        let mut r: Matrix = vec![vec![PropForm::False; w]; w];
-        for i in 0..w as u32 {
-            for j in 0..w as u32 {
+        let w = width(self.n) as u32;
+        let mut r: Matrix = Vec::with_capacity(w as usize);
+        for i in 0..w {
+            let mut row = Vec::with_capacity(w as usize);
+            for j in 0..w {
                 let mut inner_env = env.clone();
                 inner_env.insert(x, i);
                 inner_env.insert(y, j);
-                let e = self.bool_prop(body, &inner_env)?;
-                let refl = if i == j {
-                    PropForm::True
+                // Reflexive: the diagonal is true whatever the edge.
+                row.push(if i == j {
+                    self.constant(true)
                 } else {
-                    PropForm::False
-                };
-                r[i as usize][j as usize] = self.define(PropForm::or(vec![refl, e]));
+                    self.bool_lit(body, &inner_env)?
+                });
             }
+            r.push(row);
         }
         let r = Rc::new(self.squared(r));
         self.closures.insert(key, Rc::clone(&r));
         Ok(r)
     }
 
-    /// ⌈log₂ w⌉ rounds of `r := r ∨ r·r` with defined atoms: the result
-    /// relates every pair joined by an `r`-path of length ≤ w.
+    /// ⌈log₂ w⌉ rounds of `r := r ∨ r·r`: the result relates every pair
+    /// joined by an `r`-path of length ≤ w.
     fn squared(&mut self, mut r: Matrix) -> Matrix {
         let w = r.len();
         let rounds = usize::BITS - (w.max(2) - 1).leading_zeros();
         for _ in 0..rounds {
-            let mut next = vec![vec![PropForm::False; w]; w];
-            for (i, next_row) in next.iter_mut().enumerate() {
-                for (j, next_ij) in next_row.iter_mut().enumerate() {
-                    let mut cases = vec![r[i][j].clone()];
-                    for (r_im, r_m) in r[i].iter().zip(&r) {
-                        cases.push(PropForm::and(vec![r_im.clone(), r_m[j].clone()]));
+            let mut next = Vec::with_capacity(w);
+            for r_i in &r {
+                let mut row = Vec::with_capacity(w);
+                for j in 0..w {
+                    let mut cases = vec![r_i[j]];
+                    for (&r_im, r_m) in r_i.iter().zip(&r) {
+                        cases.push(self.and(&[r_im, r_m[j]]));
                     }
-                    *next_ij = self.define(PropForm::or(cases));
+                    row.push(self.or(&cases));
                 }
+                next.push(row);
             }
             r = next;
         }
@@ -775,55 +792,47 @@ impl<'a> Grounder<'a> {
         &mut self,
         fields: &[Form],
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<PropForm, GroundError> {
+    ) -> Result<Lit, GroundError> {
         let w = width(self.n);
         let matrices = fields
             .iter()
             .map(|f| self.fun_matrix_term(f, env))
             .collect::<Result<Vec<Matrix>, _>>()?;
         // Edge (i,j) present (i ≥ 1, j ≥ 1) iff some field maps i to j.
-        let mut edge = vec![vec![PropForm::False; w]; w];
-        for m in &matrices {
-            for i in 1..w {
-                for j in 1..w {
-                    edge[i][j] = PropForm::or(vec![edge[i][j].clone(), m[i][j].clone()]);
-                }
+        let mut edge = vec![vec![self.constant(false); w]; w];
+        for i in 1..w {
+            for j in 1..w {
+                let cases: Vec<Lit> = matrices.iter().map(|m| m[i][j]).collect();
+                edge[i][j] = self.or(&cases);
             }
         }
         let mut parts = Vec::new();
         // Indegree ≤ 1: for each j, at most one incoming (i, field) pair —
         // counting multiplicity across fields requires per-field edges:
-        let mut incoming: Vec<Vec<PropForm>> = vec![Vec::new(); w];
+        let mut incoming: Vec<Vec<Lit>> = vec![Vec::new(); w];
         for m in &matrices {
             for i in 1..w {
                 for (j, inc) in incoming.iter_mut().enumerate().skip(1) {
-                    inc.push(m[i][j].clone());
+                    inc.push(m[i][j]);
                 }
             }
         }
         for inc in incoming.iter().skip(1) {
             for a in 0..inc.len() {
                 for b in (a + 1)..inc.len() {
-                    parts.push(PropForm::or(vec![
-                        PropForm::not(inc[a].clone()),
-                        PropForm::not(inc[b].clone()),
-                    ]));
+                    parts.push(self.or(&[inc[a].negate(), inc[b].negate()]));
                 }
             }
         }
         // Acyclicity, exactly (sound in both polarities): compute the
-        // strict-path closure of the edge relation with iff-defined layer
-        // atoms and require no self-path. An existential witness encoding
-        // (ranks) would be unsound under negation.
-        let r = edge
-            .into_iter()
-            .map(|row| row.into_iter().map(|e| self.define(e)).collect())
-            .collect();
-        let r = self.squared(r);
+        // strict-path closure of the edge relation and require no
+        // self-path. An existential witness encoding (ranks) would be
+        // unsound under negation.
+        let r = self.squared(edge);
         for (i, row) in r.iter().enumerate() {
-            parts.push(PropForm::not(row[i].clone()));
+            parts.push(row[i].negate());
         }
-        Ok(PropForm::and(parts))
+        Ok(self.and(&parts))
     }
 }
 
@@ -853,7 +862,7 @@ fn closure_key(x: Symbol, y: Symbol, body: &Form, env: &FxHashMap<Symbol, u32>) 
 pub fn in_fragment(form: &Form, sig: &FxHashMap<Symbol, Sort>, universe: u32) -> bool {
     let mut grounder = Grounder::new(universe, sig);
     let env = FxHashMap::default();
-    grounder.bool_prop(form, &env).is_ok()
+    grounder.bool_lit(form, &env).is_ok()
 }
 
 /// Search for a model of `form` with `universe` proper objects. A found
@@ -878,8 +887,7 @@ pub fn find_model_budgeted(
     universe: u32,
     budget: &Budget,
 ) -> Result<Option<Model>, ModelsFailure> {
-    let (grounder, mut builder, mut solver) =
-        encode(form, sig, universe).map_err(ModelsFailure::Fragment)?;
+    let mut grounder = encode(form, sig, universe).map_err(ModelsFailure::Fragment)?;
     // The encoding is designed to be exact, and the test suite checks it on
     // every supported construct — but any residual over-approximation is
     // caught here: a SAT model that fails the reference evaluator is
@@ -889,50 +897,24 @@ pub fn find_model_budgeted(
     const MAX_SPURIOUS: usize = 64;
     for _ in 0..=MAX_SPURIOUS {
         budget.check().map_err(ModelsFailure::Exhausted)?;
-        match solver
+        match grounder
+            .solver
             .solve_budgeted(budget)
             .map_err(ModelsFailure::Exhausted)?
         {
             SolveResult::Unsat => return Ok(None),
             SolveResult::Sat(model) => {
-                let decoded = decode(&grounder, &model, &builder, universe);
+                let decoded = grounder.decode(&model);
                 match decoded.eval_bool(form) {
                     Ok(true) => return Ok(Some(decoded)),
                     Ok(false) => {
-                        if std::env::var("JAHOB_DEBUG_MODELS").is_ok() {
-                            eprintln!("spurious model at universe {universe}:");
-                            debug_disagreement(form, &decoded, 0);
-                        }
                         // Spurious: block this assignment of the declared
-                        // entity atoms and retry.
-                        let mut clause: Vec<PropForm> = Vec::new();
-                        let mut block = |base: u32, count: u32| {
-                            for i in 0..count {
-                                let atom = PropForm::atom(base + i);
-                                clause.push(if builder.atom_value(&model, base + i) {
-                                    PropForm::not(atom)
-                                } else {
-                                    atom
-                                });
-                            }
-                        };
-                        let w = width(universe) as u32;
-                        for &b in grounder.atoms.obj_vars.values() {
-                            block(b, w);
-                        }
-                        for &b in grounder.atoms.set_vars.values() {
-                            block(b, w);
-                        }
-                        for &b in grounder.atoms.bool_vars.values() {
-                            block(b, 1);
-                        }
-                        for &b in grounder.atoms.field_vars.values() {
-                            block(b, w * w);
-                        }
-                        for &b in grounder.atoms.pred_vars.values() {
-                            block(b, w);
-                        }
-                        builder.assert(&mut solver, &PropForm::or(clause));
+                        // entities' variables and retry.
+                        let clause: Vec<Lit> = grounder
+                            .entity_vars()
+                            .map(|v| Var(v).lit(!model[v as usize]))
+                            .collect();
+                        grounder.solver.add_clause(&clause);
                     }
                     Err(e) => {
                         return err(format!("internal: decoded model not evaluable: {e}"))
@@ -945,95 +927,70 @@ pub fn find_model_budgeted(
     err("internal: too many spurious models (encoding mismatch)").map_err(ModelsFailure::Fragment)
 }
 
-/// Ground `form` at `universe` and load its CNF into a fresh solver.
+/// Ground `form` at `universe` into a fresh solver, asserting it.
 fn encode<'a>(
     form: &Form,
     sig: &'a FxHashMap<Symbol, Sort>,
     universe: u32,
-) -> Result<(Grounder<'a>, CnfBuilder, Solver), GroundError> {
+) -> Result<Grounder<'a>, GroundError> {
     let mut grounder = Grounder::new(universe, sig);
-    let main = grounder.bool_prop(form, &FxHashMap::default())?;
-    let mut solver = Solver::new();
-    let mut builder = CnfBuilder::new();
-    // Constraints may keep growing while encoding (lazy allocation), so
-    // assert them after the main formula is built.
-    builder.assert(&mut solver, &main);
-    for c in &grounder.constraints {
-        builder.assert(&mut solver, c);
-    }
-    Ok((grounder, builder, solver))
+    let root = grounder.bool_lit(form, &FxHashMap::default())?;
+    grounder.solver.add_clause(&[root]);
+    Ok(grounder)
 }
 
-/// Debug aid: descend into conjunction/negation structure printing each
-/// piece's reference-evaluator verdict, to localize encoding mismatches.
-fn debug_disagreement(form: &Form, model: &Model, depth: usize) {
-    let verdict = model.eval_bool(form);
-    let indent = "  ".repeat(depth + 1);
-    let text = form.to_string();
-    let short: String = text.chars().take(140).collect();
-    eprintln!("{indent}[{verdict:?}] {short}");
-    if depth >= 3 {
-        return;
+impl Grounder<'_> {
+    /// Every variable of a declared entity.
+    fn entity_vars(&self) -> impl Iterator<Item = u32> + '_ {
+        let w = width(self.n) as u32;
+        let e = &self.entities;
+        let spans = (e.objs.values().map(move |&b| (b, w)))
+            .chain(e.sets.values().map(move |&b| (b, w)))
+            .chain(e.bools.values().map(|&b| (b, 1)))
+            .chain(e.fields.values().map(move |&b| (b, w * w)))
+            .chain(e.preds.values().map(move |&b| (b, w)));
+        spans.flat_map(|(base, count)| base..base + count)
     }
-    match form {
-        Form::And(ps) | Form::Or(ps) => {
-            for p in ps {
-                debug_disagreement(p, model, depth + 1);
+
+    /// The model a solver assignment denotes.
+    fn decode(&self, model: &[bool]) -> Model {
+        let w = width(self.n) as u32;
+        let mut out = Model::new(self.n);
+        let bit = |v: u32| model[v as usize];
+        for (&name, &base) in &self.entities.objs {
+            let id = (0..w).find(|i| bit(base + i)).unwrap_or(0);
+            out.interp.insert(name, Value::Obj(id));
+        }
+        for (&name, &base) in &self.entities.sets {
+            let set: BTreeSet<Key> = (0..w).filter(|i| bit(base + i)).map(Key::Obj).collect();
+            out.interp.insert(name, Value::Set(set));
+        }
+        for (&name, &base) in &self.entities.bools {
+            out.interp.insert(name, Value::Bool(bit(base)));
+        }
+        for (&name, &base) in &self.entities.fields {
+            let table: Vec<u32> = (0..w)
+                .map(|i| (0..w).find(|j| bit(base + i * w + j)).unwrap_or(0))
+                .collect();
+            out.set_obj_field(name.as_str(), &table);
+        }
+        for (&name, &base) in &self.entities.preds {
+            // obj => bool predicate as a table.
+            let mut map = FxHashMap::default();
+            for i in 0..w {
+                map.insert(vec![Key::Obj(i)], Value::Bool(bit(base + i)));
             }
+            out.interp.insert(
+                name,
+                Value::Fun(Rc::new(jahob_logic::model::FunV::Table {
+                    arity: 1,
+                    map,
+                    default: Box::new(Value::Bool(false)),
+                })),
+            );
         }
-        Form::Unop(UnOp::Not, a) => debug_disagreement(a, model, depth + 1),
-        Form::Binop(BinOp::Implies, a, b) => {
-            debug_disagreement(a, model, depth + 1);
-            debug_disagreement(b, model, depth + 1);
-        }
-        _ => {}
+        out
     }
-}
-
-fn decode(grounder: &Grounder, model: &[bool], builder: &CnfBuilder, universe: u32) -> Model {
-    let w = width(universe);
-    let mut out = Model::new(universe);
-    let bit = |idx: u32| builder.atom_value(model, idx);
-    for (&name, &base) in &grounder.atoms.obj_vars {
-        let id = (0..w as u32).find(|i| bit(base + i)).unwrap_or(0);
-        out.interp.insert(name, Value::Obj(id));
-    }
-    for (&name, &base) in &grounder.atoms.set_vars {
-        let set: BTreeSet<Key> = (0..w as u32)
-            .filter(|i| bit(base + i))
-            .map(Key::Obj)
-            .collect();
-        out.interp.insert(name, Value::Set(set));
-    }
-    for (&name, &base) in &grounder.atoms.bool_vars {
-        out.interp.insert(name, Value::Bool(bit(base)));
-    }
-    for (&name, &base) in &grounder.atoms.field_vars {
-        let table: Vec<u32> = (0..w)
-            .map(|i| {
-                (0..w as u32)
-                    .find(|j| bit(base + (i as u32) * w as u32 + j))
-                    .unwrap_or(0)
-            })
-            .collect();
-        out.set_obj_field(name.as_str(), &table);
-    }
-    for (&name, &base) in &grounder.atoms.pred_vars {
-        // obj => bool predicate as a table.
-        let mut map = FxHashMap::default();
-        for i in 0..w as u32 {
-            map.insert(vec![Key::Obj(i)], Value::Bool(bit(base + i)));
-        }
-        out.interp.insert(
-            name,
-            Value::Fun(Rc::new(jahob_logic::model::FunV::Table {
-                arity: 1,
-                map,
-                default: Box::new(Value::Bool(false)),
-            })),
-        );
-    }
-    out
 }
 
 /// Search for a counter-model of `goal` within the bound.
@@ -1059,32 +1016,11 @@ pub fn refute_budgeted(
 /// Verdict of the bounded-validity check.
 #[derive(Clone, Debug)]
 pub enum BmcVerdict {
-    /// No counter-model up to the bound. For goals in the ground
-    /// list-fragment this implies validity (small-model property); the
-    /// bound is recorded so reports stay honest.
+    /// No counter-model in any universe up to the bound. This is bounded
+    /// validity only; the bound is recorded so reports stay honest.
     ValidUpTo(u32),
     /// A genuine counter-model (verified by the reference evaluator).
     CounterModel(Box<Model>),
-}
-
-/// Heuristic small-model bound: number of distinct ground object-denoting
-/// names plus slack for list positions the terms can distinguish.
-pub fn small_model_bound(goal: &Form, sig: &FxHashMap<Symbol, Sort>) -> u32 {
-    let mut count = 0u32;
-    for v in goal.free_vars() {
-        match sig.get(&v) {
-            Some(Sort::Obj) => count += 1,
-            Some(Sort::Set(_)) => count += 1,
-            _ => {}
-        }
-    }
-    (2 * count + 2).clamp(3, 8)
-}
-
-/// Bounded validity: refute up to the small-model bound.
-pub fn bmc_valid(goal: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<BmcVerdict, GroundError> {
-    let bound = small_model_bound(goal, sig);
-    bmc_valid_with_bound(goal, sig, bound)
 }
 
 /// Bounded validity at an explicit bound.
@@ -1121,6 +1057,8 @@ pub fn bmc_valid_with_bound_budgeted(
 mod tests {
     use super::*;
     use jahob_logic::form;
+    use jahob_logic::model::enumerate_models;
+    use proptest::prelude::*;
 
     fn sig() -> FxHashMap<Symbol, Sort> {
         [
@@ -1230,29 +1168,28 @@ mod tests {
         assert!(!has_model("~(rtrancl_pt (% a c. a..next = c) x x)", 2));
     }
 
-    /// Atoms allocated and closures built when grounding `src` at universe
-    /// `n`.
-    fn grounded(src: &str, n: u32) -> (u32, usize) {
+    /// Solver variables made and closures built when grounding `src` at
+    /// universe `n`.
+    fn grounded(src: &str, n: u32) -> (usize, usize) {
         let s = sig();
-        let mut grounder = Grounder::new(n, &s);
-        grounder
-            .bool_prop(&form(src), &FxHashMap::default())
-            .unwrap_or_else(|e| panic!("{src:?}: {e}"));
-        (grounder.atoms.next, grounder.closures.len())
+        let grounder = encode(&form(src), &s, n).unwrap_or_else(|e| panic!("{src:?}: {e}"));
+        (grounder.solver.num_vars(), grounder.closures.len())
     }
 
     #[test]
     fn equal_definitions_and_closures_are_grounded_once() {
+        // A second closure that differs only in binder names costs what an
+        // identically named one costs, and shares its one matrix.
         let reach = "rtrancl_pt (% a c. a..next = c) x y";
-        assert_eq!(grounded(reach, 3), (48, 1));
+        let renamed = grounded(&format!("{reach} & rtrancl_pt (% b d. b..next = d) y x"), 3);
+        let same = grounded(&format!("{reach} & rtrancl_pt (% a c. a..next = c) y x"), 3);
+        assert_eq!(renamed, same);
+        assert_eq!(renamed.1, 1);
+        // A repeated field read reuses its gates: adding a second read
+        // costs what adding a second plain equality costs.
         assert_eq!(
-            grounded(&format!("{reach} & rtrancl_pt (% b d. b..next = d) y x"), 3),
-            (48, 1)
-        );
-        // A repeated field read reuses its definitions; only `z` is new.
-        assert_eq!(
-            grounded("x..next = y & x..next = z", 3).0,
-            grounded("x..next = y", 3).0 + 4
+            grounded("x..next = y & x..next = z", 3).0 - grounded("x..next = y", 3).0,
+            grounded("x = y & x = z", 3).0 - grounded("x = y", 3).0
         );
     }
 
@@ -1262,8 +1199,7 @@ mod tests {
         let exact = |src: &str, n: u32| {
             let found = has_model(src, n);
             let s = sig();
-            let (_, _, mut solver) = encode(&form(src), &s, n).unwrap();
-            let sat = matches!(solver.solve(), SolveResult::Sat(_));
+            let sat = encode(&form(src), &s, n).unwrap().solver.solve().is_sat();
             assert_eq!(sat, found, "{src:?}: the encoding is not exact");
             found
         };
@@ -1306,12 +1242,12 @@ mod tests {
     fn bmc_validity_verdicts() {
         let s = sig();
         // Valid: congruence.
-        match bmc_valid(&form("x = y --> x..next = y..next"), &s).unwrap() {
+        match bmc_valid_with_bound(&form("x = y --> x..next = y..next"), &s, 3).unwrap() {
             BmcVerdict::ValidUpTo(_) => {}
             BmcVerdict::CounterModel(m) => panic!("spurious counter-model {m:?}"),
         }
         // Invalid with a genuine counter-model.
-        match bmc_valid(&form("x..next = y..next --> x = y"), &s).unwrap() {
+        match bmc_valid_with_bound(&form("x..next = y..next --> x = y"), &s, 3).unwrap() {
             BmcVerdict::CounterModel(_) => {}
             BmcVerdict::ValidUpTo(b) => panic!("should find counter-model within {b}"),
         }
@@ -1356,5 +1292,134 @@ mod tests {
         let s = sig();
         assert!(find_model(&form("card S = 2"), &s, 2).is_err());
         assert!(find_model(&form("k + 1 <= k2"), &s, 2).is_err());
+    }
+
+    // ---- exactness of the raw encoding on the heap fragment ---------------
+
+    fn v(name: &str) -> Form {
+        Form::v(name)
+    }
+
+    fn sym(name: &str) -> Symbol {
+        Symbol::intern(name)
+    }
+
+    /// Object terms over `x`, `y`, `null` and the binder `o`, with field
+    /// reads and `fieldWrite`s of `next`.
+    fn obj_term() -> impl Strategy<Value = Form> {
+        let leaf = prop_oneof![Just(v("x")), Just(v("y")), Just(Form::Null), Just(v("o"))];
+        leaf.prop_recursive(2, 6, 3, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(|t| Form::app(v("next"), vec![t])),
+                (inner.clone(), inner.clone(), inner)
+                    .prop_map(|(a, b, t)| { Form::app(v("fieldWrite"), vec![v("next"), a, b, t]) }),
+            ]
+        })
+    }
+
+    /// `next`, or `next` written at one cell.
+    fn field_term() -> impl Strategy<Value = Form> {
+        let leaf = || prop_oneof![Just(v("x")), Just(v("y")), Just(Form::Null), Just(v("o"))];
+        prop_oneof![
+            Just(v("next")),
+            (leaf(), leaf()).prop_map(|(a, b)| Form::app(v("fieldWrite"), vec![v("next"), a, b])),
+        ]
+    }
+
+    /// Set terms: `S`, `{}`, singletons, comprehensions binding `o`, and
+    /// their unions, intersections and differences.
+    fn set_term() -> impl Strategy<Value = Form> {
+        let body = prop_oneof![
+            (obj_term(), obj_term()).prop_map(|(a, b)| Form::eq(a, b)),
+            obj_term().prop_map(|t| Form::elem(t, v("S"))),
+        ];
+        let leaf = prop_oneof![
+            Just(v("S")),
+            Just(Form::EmptySet),
+            obj_term().prop_map(|t| Form::FiniteSet(vec![t])),
+            body.prop_map(|b| Form::Compr(sym("o"), Sort::Obj, Rc::new(b))),
+        ];
+        leaf.prop_recursive(1, 4, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::binop(BinOp::Union, a, b)),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::binop(BinOp::Inter, a, b)),
+                (inner.clone(), inner).prop_map(|(a, b)| Form::binop(BinOp::Diff, a, b)),
+            ]
+        })
+    }
+
+    /// Formulas over the heap fragment, `o` closed by a quantifier.
+    fn heap_form() -> impl Strategy<Value = Form> {
+        let reach = (field_term(), obj_term(), obj_term()).prop_map(|(f, from, to)| {
+            let edge = Form::eq(Form::app(f, vec![v("a")]), v("c"));
+            let lambda = Form::Lambda(
+                vec![(sym("a"), Sort::Obj), (sym("c"), Sort::Obj)],
+                Rc::new(edge),
+            );
+            Form::app(v("rtrancl_pt"), vec![lambda, from, to])
+        });
+        let atom = prop_oneof![
+            (obj_term(), obj_term()).prop_map(|(a, b)| Form::eq(a, b)),
+            (obj_term(), set_term()).prop_map(|(t, s)| Form::elem(t, s)),
+            (set_term(), set_term()).prop_map(|(a, b)| Form::binop(BinOp::Subseteq, a, b)),
+            (set_term(), set_term()).prop_map(|(a, b)| Form::eq(a, b)),
+            (field_term(), field_term()).prop_map(|(f, g)| Form::eq(f, g)),
+            reach,
+            field_term().prop_map(|f| Form::Tree(vec![f])),
+        ];
+        let quantified =
+            |kind: QKind, body: Form| Form::quant(kind, vec![(sym("o"), Sort::Obj)], body);
+        let form = atom.prop_recursive(3, 12, 2, move |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::and(vec![a, b])),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::or(vec![a, b])),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::implies(a, b)),
+                inner.clone().prop_map(Form::not),
+                inner.clone().prop_map(move |f| quantified(QKind::All, f)),
+                inner.prop_map(move |f| quantified(QKind::Ex, f)),
+            ]
+        });
+        (form, any::<bool>()).prop_map(move |(f, all)| {
+            if f.free_vars().contains(&sym("o")) {
+                quantified(if all { QKind::All } else { QKind::Ex }, f)
+            } else {
+                f
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The raw encoding, with no evaluator re-check and no spurious-model
+        /// blocking, is satisfiable exactly when some model of the universe
+        /// whose `next` maps `null` to `null` satisfies the formula.
+        #[test]
+        fn raw_encoding_matches_enumeration(f in heap_form()) {
+            let sig: FxHashMap<Symbol, Sort> = [
+                ("x", Sort::Obj),
+                ("y", Sort::Obj),
+                ("S", Sort::objset()),
+                ("next", Sort::field(Sort::Obj)),
+            ]
+            .iter()
+            .map(|(n, s)| (sym(n), s.clone()))
+            .collect();
+            let mut syms: Vec<(Symbol, Sort)> = sig.iter().map(|(k, s)| (*k, s.clone())).collect();
+            syms.sort_by_key(|(k, _)| k.as_str().to_owned());
+            let null_to_null = Form::eq(Form::app(v("next"), vec![Form::Null]), Form::Null);
+            // The negation too, so that valid formulas give unsatisfiable cases.
+            for (g, n) in [f.clone(), Form::not(f)].iter().flat_map(|g| [(g, 1), (g, 2)]) {
+                let encoded = encode(g, &sig, n)
+                    .unwrap_or_else(|e| panic!("{g}: {e}"))
+                    .solver
+                    .solve()
+                    .is_sat();
+                let enumerated = !enumerate_models(n, (0, 0), &syms, &mut |m| {
+                    m.eval_bool(&null_to_null) != Ok(true) || m.eval_bool(g) != Ok(true)
+                });
+                prop_assert_eq!(encoded, enumerated, "universe {}: {}", n, g);
+            }
+        }
     }
 }

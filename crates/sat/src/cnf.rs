@@ -1,364 +1,328 @@
-//! Propositional formulas and Tseitin conversion to CNF.
+//! A gate builder over solver literals.
 //!
 //! The bounded model finder and the DPLL(T) skeleton both build arbitrary
-//! propositional structure and need it in clausal form. [`CnfBuilder`] wraps
-//! a [`Solver`](crate::Solver)-compatible clause sink and performs the
-//! standard Tseitin transformation with structural hashing, so shared
-//! subformulas get one definition variable. The hash is keyed on a gate's
-//! connective and its already-encoded child literals, so a lookup hashes
-//! one level of the formula and an insert clones none of it.
+//! propositional structure and need it in clausal form. [`CnfBuilder`]
+//! builds it straight into a [`Solver`]: each connective returns one
+//! literal, and a gate's Tseitin definition is added the first time the gate
+//! is built. Constants fold away, and each gate is hash-consed on its sorted,
+//! deduplicated input literals, so equal gates share one variable and a
+//! lookup hashes one level of structure. Negation is [`Lit::negate`]; a
+//! literal is asserted with [`Solver::add_clause`].
 
-use crate::solver::{Lit, Solver, Var};
+use crate::solver::{Lit, Solver};
 use jahob_util::FxHashMap;
-use std::rc::Rc;
 
-/// A propositional formula.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum PropForm {
-    /// Constant true.
-    True,
-    /// Constant false.
-    False,
-    /// A named atom (index into the builder's atom table).
-    Atom(u32),
-    Not(Rc<PropForm>),
-    And(Vec<PropForm>),
-    Or(Vec<PropForm>),
-    Implies(Rc<PropForm>, Rc<PropForm>),
-    Iff(Rc<PropForm>, Rc<PropForm>),
-}
-
-impl PropForm {
-    pub fn atom(i: u32) -> PropForm {
-        PropForm::Atom(i)
-    }
-
-    #[allow(clippy::should_implement_trait)]
-    pub fn not(f: PropForm) -> PropForm {
-        match f {
-            PropForm::True => PropForm::False,
-            PropForm::False => PropForm::True,
-            PropForm::Not(inner) => inner.as_ref().clone(),
-            other => PropForm::Not(Rc::new(other)),
-        }
-    }
-
-    pub fn and(fs: Vec<PropForm>) -> PropForm {
-        let mut out = Vec::with_capacity(fs.len());
-        for f in fs {
-            match f {
-                PropForm::True => {}
-                PropForm::False => return PropForm::False,
-                PropForm::And(inner) => out.extend(inner),
-                other => out.push(other),
-            }
-        }
-        match out.len() {
-            0 => PropForm::True,
-            1 => out.pop().unwrap(),
-            _ => PropForm::And(out),
-        }
-    }
-
-    pub fn or(fs: Vec<PropForm>) -> PropForm {
-        let mut out = Vec::with_capacity(fs.len());
-        for f in fs {
-            match f {
-                PropForm::False => {}
-                PropForm::True => return PropForm::True,
-                PropForm::Or(inner) => out.extend(inner),
-                other => out.push(other),
-            }
-        }
-        match out.len() {
-            0 => PropForm::False,
-            1 => out.pop().unwrap(),
-            _ => PropForm::Or(out),
-        }
-    }
-
-    pub fn implies(a: PropForm, b: PropForm) -> PropForm {
-        PropForm::or(vec![PropForm::not(a), b])
-    }
-
-    pub fn iff(a: PropForm, b: PropForm) -> PropForm {
-        match (&a, &b) {
-            (PropForm::True, _) => b,
-            (_, PropForm::True) => a,
-            (PropForm::False, _) => PropForm::not(b),
-            (_, PropForm::False) => PropForm::not(a),
-            _ if a == b => PropForm::True,
-            _ => PropForm::Iff(Rc::new(a), Rc::new(b)),
-        }
-    }
-
-    /// Evaluate under an atom valuation (for differential tests).
-    pub fn eval(&self, atoms: &dyn Fn(u32) -> bool) -> bool {
-        match self {
-            PropForm::True => true,
-            PropForm::False => false,
-            PropForm::Atom(i) => atoms(*i),
-            PropForm::Not(f) => !f.eval(atoms),
-            PropForm::And(fs) => fs.iter().all(|f| f.eval(atoms)),
-            PropForm::Or(fs) => fs.iter().any(|f| f.eval(atoms)),
-            PropForm::Implies(a, b) => !a.eval(atoms) || b.eval(atoms),
-            PropForm::Iff(a, b) => a.eval(atoms) == b.eval(atoms),
-        }
-    }
-}
-
-/// A Tseitin gate: a connective over the literals of its children.
-#[derive(PartialEq, Eq, Hash)]
-enum Gate {
-    And(Vec<Lit>),
-    Or(Vec<Lit>),
-    Iff(Lit, Lit),
-}
-
-/// Tseitin CNF builder over a [`Solver`].
+/// Tseitin gate builder over a [`Solver`]'s literals.
+#[derive(Default)]
 pub struct CnfBuilder {
-    /// SAT variable for each atom index.
-    atom_vars: FxHashMap<u32, Var>,
-    /// Structural hash: gate → defining literal. Formulas built by the
-    /// smart constructors share a gate exactly when they are structurally
-    /// equal, because those keep `Implies` and double negations out.
-    defs: FxHashMap<Gate, Lit>,
-    /// A variable fixed true (for encoding constants).
-    const_true: Option<Lit>,
-}
-
-impl Default for CnfBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// `and` gates, keyed on their sorted, deduplicated inputs.
+    ands: FxHashMap<Vec<Lit>, Lit>,
+    /// `iff` gates, keyed on their inputs' positive literals in order; the
+    /// inputs' signs are carried outside the gate.
+    iffs: FxHashMap<(Lit, Lit), Lit>,
+    /// A variable fixed true, made when a constant is first needed.
+    true_lit: Option<Lit>,
+    /// Scratch for normalizing `and` inputs.
+    scratch: Vec<Lit>,
 }
 
 impl CnfBuilder {
     pub fn new() -> Self {
-        CnfBuilder {
-            atom_vars: FxHashMap::default(),
-            defs: FxHashMap::default(),
-            const_true: None,
-        }
+        Self::default()
     }
 
-    /// The SAT variable representing atom `i` (allocated on demand).
-    pub fn atom_var(&mut self, solver: &mut Solver, i: u32) -> Var {
-        if let Some(&v) = self.atom_vars.get(&i) {
-            return v;
-        }
-        let v = solver.new_var();
-        self.atom_vars.insert(i, v);
-        v
-    }
-
-    fn true_lit(&mut self, solver: &mut Solver) -> Lit {
-        if let Some(l) = self.const_true {
-            return l;
-        }
-        let v = solver.new_var();
-        solver.add_clause(&[v.positive()]);
-        let l = v.positive();
-        self.const_true = Some(l);
-        l
-    }
-
-    /// Return a literal equisatisfiably representing `form`, adding defining
-    /// clauses to the solver.
-    pub fn literal(&mut self, solver: &mut Solver, form: &PropForm) -> Lit {
-        let gate = match form {
-            PropForm::True => return self.true_lit(solver),
-            PropForm::False => return self.true_lit(solver).negate(),
-            PropForm::Atom(i) => return self.atom_var(solver, *i).positive(),
-            PropForm::Not(inner) => return self.literal(solver, inner).negate(),
-            PropForm::Implies(a, b) => {
-                let f = PropForm::or(vec![PropForm::not(a.as_ref().clone()), b.as_ref().clone()]);
-                return self.literal(solver, &f);
+    /// The literal of a constant.
+    pub fn constant(&mut self, solver: &mut Solver, value: bool) -> Lit {
+        let t = match self.true_lit {
+            Some(t) => t,
+            None => {
+                let t = solver.new_var().positive();
+                solver.add_clause(&[t]);
+                self.true_lit = Some(t);
+                t
             }
-            PropForm::And(parts) => Gate::And(self.literals(solver, parts)),
-            PropForm::Or(parts) => Gate::Or(self.literals(solver, parts)),
-            PropForm::Iff(a, b) => Gate::Iff(self.literal(solver, a), self.literal(solver, b)),
         };
-        if let Some(&l) = self.defs.get(&gate) {
-            return l;
-        }
-        let d = solver.new_var().positive();
-        match &gate {
-            Gate::And(lits) => {
-                // d -> each part; (all parts) -> d.
-                for &l in lits {
-                    solver.add_clause(&[d.negate(), l]);
-                }
-                let mut clause: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
-                clause.push(d);
-                solver.add_clause(&clause);
-            }
-            Gate::Or(lits) => {
-                for &l in lits {
-                    solver.add_clause(&[l.negate(), d]);
-                }
-                let mut clause = lits.clone();
-                clause.push(d.negate());
-                solver.add_clause(&clause);
-            }
-            &Gate::Iff(la, lb) => {
-                solver.add_clause(&[d.negate(), la.negate(), lb]);
-                solver.add_clause(&[d.negate(), la, lb.negate()]);
-                solver.add_clause(&[d, la, lb]);
-                solver.add_clause(&[d, la.negate(), lb.negate()]);
-            }
-        }
-        self.defs.insert(gate, d);
-        d
-    }
-
-    fn literals(&mut self, solver: &mut Solver, parts: &[PropForm]) -> Vec<Lit> {
-        parts.iter().map(|p| self.literal(solver, p)).collect()
-    }
-
-    /// Assert `form` as a top-level constraint.
-    pub fn assert(&mut self, solver: &mut Solver, form: &PropForm) {
-        // Top-level conjunctions split into separate assertions (fewer
-        // definition variables).
-        match form {
-            PropForm::And(parts) => {
-                for p in parts {
-                    self.assert(solver, p);
-                }
-            }
-            PropForm::True => {}
-            PropForm::False => {
-                solver.add_clause(&[]);
-            }
-            PropForm::Or(parts) if parts.iter().all(is_literal) => {
-                let lits = self.literals(solver, parts);
-                solver.add_clause(&lits);
-            }
-            other => {
-                let l = self.literal(solver, other);
-                solver.add_clause(&[l]);
-            }
+        if value {
+            t
+        } else {
+            t.negate()
         }
     }
 
-    /// The value of atom `i` in a SAT model (false if never mentioned).
-    pub fn atom_value(&self, model: &[bool], i: u32) -> bool {
-        self.atom_vars
-            .get(&i)
-            .map(|v| model[v.0 as usize])
-            .unwrap_or(false)
+    /// The conjunction of `inputs`.
+    pub fn and(&mut self, solver: &mut Solver, inputs: &[Lit]) -> Lit {
+        self.and_of(solver, inputs.iter().copied())
     }
-}
 
-fn is_literal(f: &PropForm) -> bool {
-    matches!(f, PropForm::Atom(_))
-        || matches!(f, PropForm::Not(inner) if matches!(inner.as_ref(), PropForm::Atom(_)))
+    /// The disjunction of `inputs`: `¬and(¬…)`.
+    pub fn or(&mut self, solver: &mut Solver, inputs: &[Lit]) -> Lit {
+        self.and_of(solver, inputs.iter().map(|l| l.negate()))
+            .negate()
+    }
+
+    /// `a → b`.
+    pub fn implies(&mut self, solver: &mut Solver, a: Lit, b: Lit) -> Lit {
+        self.or(solver, &[a.negate(), b])
+    }
+
+    /// `a ↔ b`.
+    pub fn iff(&mut self, solver: &mut Solver, a: Lit, b: Lit) -> Lit {
+        let t = self.true_lit;
+        for (x, y) in [(a, b), (b, a)] {
+            if Some(x) == t {
+                return y;
+            }
+            if Some(x.negate()) == t {
+                return y.negate();
+            }
+        }
+        if a == b || a == b.negate() {
+            return self.constant(solver, a == b);
+        }
+        // ¬x ↔ y is ¬(x ↔ y): key the gate on the positive literals.
+        let negated = a.is_neg() != b.is_neg();
+        let (pa, pb) = (a.var().positive(), b.var().positive());
+        let key = (pa.min(pb), pa.max(pb));
+        let d = match self.iffs.get(&key) {
+            Some(&d) => d,
+            None => {
+                let d = solver.new_var().positive();
+                solver.add_clause(&[d.negate(), pa.negate(), pb]);
+                solver.add_clause(&[d.negate(), pa, pb.negate()]);
+                solver.add_clause(&[d, pa, pb]);
+                solver.add_clause(&[d, pa.negate(), pb.negate()]);
+                self.iffs.insert(key, d);
+                d
+            }
+        };
+        if negated {
+            d.negate()
+        } else {
+            d
+        }
+    }
+
+    /// The conjunction of `inputs`: true inputs drop out; a false input or a
+    /// complementary pair gives false; the rest is sorted, deduplicated and
+    /// looked up before a new gate is defined.
+    fn and_of(&mut self, solver: &mut Solver, inputs: impl Iterator<Item = Lit>) -> Lit {
+        let mut lits = std::mem::take(&mut self.scratch);
+        lits.clear();
+        let t = self.true_lit;
+        let mut falsified = false;
+        for l in inputs {
+            if Some(l) == t {
+                continue;
+            }
+            if Some(l.negate()) == t {
+                falsified = true;
+                break;
+            }
+            lits.push(l);
+        }
+        lits.sort_unstable();
+        lits.dedup();
+        // A literal and its negation sort next to each other.
+        falsified |= lits.windows(2).any(|p| p[0] == p[1].negate());
+        let gate = if falsified {
+            self.constant(solver, false)
+        } else if lits.len() <= 1 {
+            match lits.first() {
+                Some(&l) => l,
+                None => self.constant(solver, true),
+            }
+        } else if let Some(&d) = self.ands.get(lits.as_slice()) {
+            d
+        } else {
+            // d → each input; all inputs → d.
+            let d = solver.new_var().positive();
+            for &l in &lits {
+                solver.add_clause(&[d.negate(), l]);
+            }
+            let mut clause: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
+            clause.push(d);
+            solver.add_clause(&clause);
+            self.ands.insert(lits.clone(), d);
+            d
+        };
+        self.scratch = lits;
+        gate
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::Solver;
+    use crate::solver::{SolveResult, Var};
 
-    fn solve(form: &PropForm) -> Option<Vec<(u32, bool)>> {
+    /// A builder and solver with three atom variables.
+    fn setup() -> (CnfBuilder, Solver, [Lit; 3]) {
         let mut solver = Solver::new();
-        let mut builder = CnfBuilder::new();
-        builder.assert(&mut solver, form);
-        match solver.solve() {
-            crate::solver::SolveResult::Sat(model) => {
-                let mut atoms: Vec<(u32, bool)> = builder
-                    .atom_vars
-                    .keys()
-                    .map(|&i| (i, builder.atom_value(&model, i)))
-                    .collect();
-                atoms.sort();
-                Some(atoms)
-            }
-            crate::solver::SolveResult::Unsat => None,
-        }
+        let atoms = [(); 3].map(|_| solver.new_var().positive());
+        (CnfBuilder::new(), solver, atoms)
     }
 
-    fn a(i: u32) -> PropForm {
-        PropForm::atom(i)
+    /// The atoms' values in a model of `root`, or `None` when unsatisfiable.
+    fn solve(mut solver: Solver, atoms: &[Lit], root: Lit) -> Option<Vec<bool>> {
+        solver.add_clause(&[root]);
+        match solver.solve() {
+            SolveResult::Sat(model) => {
+                Some(atoms.iter().map(|a| model[a.var().0 as usize]).collect())
+            }
+            SolveResult::Unsat => None,
+        }
     }
 
     #[test]
     fn sat_and_model_correct() {
-        let f = PropForm::and(vec![a(0), PropForm::not(a(1))]);
-        let model = solve(&f).expect("sat");
-        assert_eq!(model, vec![(0, true), (1, false)]);
+        let (mut b, mut s, [a0, a1, _]) = setup();
+        let f = b.and(&mut s, &[a0, a1.negate()]);
+        assert_eq!(solve(s, &[a0, a1], f), Some(vec![true, false]));
     }
 
     #[test]
     fn unsat_contradiction() {
-        let f = PropForm::and(vec![a(0), PropForm::not(a(0))]);
-        assert!(solve(&f).is_none());
+        let (mut b, mut s, [a0, ..]) = setup();
+        let f = b.and(&mut s, &[a0, a0.negate()]);
+        assert_eq!(f, b.constant(&mut s, false));
+        assert!(solve(s, &[a0], f).is_none());
     }
 
     #[test]
     fn implication_encoding() {
         // (a -> b) & a & ~b is unsat.
-        let f = PropForm::and(vec![
-            PropForm::implies(a(0), a(1)),
-            a(0),
-            PropForm::not(a(1)),
-        ]);
-        assert!(solve(&f).is_none());
+        let (mut b, mut s, [a0, a1, _]) = setup();
+        let imp = b.implies(&mut s, a0, a1);
+        let f = b.and(&mut s, &[imp, a0, a1.negate()]);
+        assert!(solve(s, &[a0, a1], f).is_none());
     }
 
     #[test]
     fn iff_encoding() {
-        let f = PropForm::and(vec![PropForm::iff(a(0), a(1)), a(0)]);
-        let model = solve(&f).expect("sat");
-        assert_eq!(model, vec![(0, true), (1, true)]);
-        let g = PropForm::and(vec![PropForm::iff(a(0), a(1)), a(0), PropForm::not(a(1))]);
-        assert!(solve(&g).is_none());
+        let (mut b, mut s, [a0, a1, _]) = setup();
+        let iff = b.iff(&mut s, a0, a1);
+        let f = b.and(&mut s, &[iff, a0]);
+        assert_eq!(solve(s, &[a0, a1], f), Some(vec![true, true]));
+        let (mut b, mut s, [a0, a1, _]) = setup();
+        let iff = b.iff(&mut s, a0, a1);
+        let g = b.and(&mut s, &[iff, a0, a1.negate()]);
+        assert!(solve(s, &[a0, a1], g).is_none());
+        // A negated input flips the shared gate's sign.
+        let (mut b, mut s, [a0, a1, _]) = setup();
+        let pos = b.iff(&mut s, a0, a1);
+        assert_eq!(b.iff(&mut s, a0.negate(), a1), pos.negate());
+        assert_eq!(b.iff(&mut s, a1.negate(), a0.negate()), pos);
     }
 
     #[test]
     fn constants() {
-        assert!(solve(&PropForm::True).is_some());
-        assert!(solve(&PropForm::False).is_none());
-        assert!(solve(&PropForm::implies(PropForm::False, PropForm::False)).is_some());
+        let (mut b, mut s, [a0, ..]) = setup();
+        let t = b.constant(&mut s, true);
+        let f = t.negate();
+        assert_eq!(b.constant(&mut s, false), f);
+        assert_eq!(b.and(&mut s, &[t, a0]), a0);
+        assert_eq!(b.and(&mut s, &[f, a0]), f);
+        assert_eq!(b.or(&mut s, &[f, a0]), a0);
+        assert_eq!(b.or(&mut s, &[t, a0]), t);
+        assert_eq!(b.and(&mut s, &[]), t);
+        assert_eq!(b.or(&mut s, &[]), f);
+        assert_eq!(b.iff(&mut s, f, a0), a0.negate());
+        assert_eq!(b.implies(&mut s, f, f), t);
+        assert!(s.solve_with_assumptions(&[t]).is_sat());
+        assert!(!s.solve_with_assumptions(&[f]).is_sat());
+    }
+
+    /// A formula over three atoms, for the exhaustive check.
+    #[derive(Clone, Debug)]
+    enum Expr {
+        Atom(usize),
+        Not(Box<Expr>),
+        And(Box<Expr>, Box<Expr>),
+        Or(Box<Expr>, Box<Expr>),
+        Iff(Box<Expr>, Box<Expr>),
+    }
+
+    impl Expr {
+        fn eval(&self, mask: u32) -> bool {
+            match self {
+                Expr::Atom(i) => mask & (1 << i) != 0,
+                Expr::Not(a) => !a.eval(mask),
+                Expr::And(a, b) => a.eval(mask) && b.eval(mask),
+                Expr::Or(a, b) => a.eval(mask) || b.eval(mask),
+                Expr::Iff(a, b) => a.eval(mask) == b.eval(mask),
+            }
+        }
+
+        fn build(&self, b: &mut CnfBuilder, s: &mut Solver, atoms: &[Lit; 3]) -> Lit {
+            match self {
+                Expr::Atom(i) => atoms[*i],
+                Expr::Not(a) => a.build(b, s, atoms).negate(),
+                Expr::And(x, y) | Expr::Or(x, y) | Expr::Iff(x, y) => {
+                    let (x, y) = (x.build(b, s, atoms), y.build(b, s, atoms));
+                    match self {
+                        Expr::And(..) => b.and(s, &[x, y]),
+                        Expr::Or(..) => b.or(s, &[x, y]),
+                        _ => b.iff(s, x, y),
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn tseitin_equisatisfiable_exhaustive() {
-        // For all formulas over 3 atoms from a small grammar, CNF
-        // satisfiability must match brute-force satisfiability.
-        let atoms = [a(0), a(1), a(2)];
-        let mut formulas: Vec<PropForm> = atoms.to_vec();
-        // Depth-2 combinations.
-        let base = formulas.clone();
-        for x in &base {
-            formulas.push(PropForm::not(x.clone()));
+        // For all formulas over 3 atoms from a small grammar, the gate
+        // literal is satisfiable exactly when the formula is, and under
+        // every atom valuation it takes the formula's value.
+        let mut formulas: Vec<Expr> = (0..3).map(Expr::Atom).collect();
+        for i in 0..3 {
+            formulas.push(Expr::Not(Box::new(Expr::Atom(i))));
         }
         let level1 = formulas.clone();
         for x in &level1 {
             for y in &level1 {
-                formulas.push(PropForm::and(vec![x.clone(), y.clone()]));
-                formulas.push(PropForm::or(vec![x.clone(), y.clone()]));
-                formulas.push(PropForm::iff(x.clone(), y.clone()));
+                let (x, y) = (Box::new(x.clone()), Box::new(y.clone()));
+                formulas.push(Expr::And(x.clone(), y.clone()));
+                formulas.push(Expr::Or(x.clone(), y.clone()));
+                formulas.push(Expr::Iff(x, y));
             }
         }
-        for f in formulas.iter().take(300) {
-            let brute = (0u32..8).any(|mask| f.eval(&|i| mask & (1 << i) != 0));
-            let got = solve(f).is_some();
-            assert_eq!(got, brute, "mismatch on {f:?}");
+        // Depth three: constant and self-cancelling shapes.
+        for x in level1.iter().take(3) {
+            let x = Box::new(x.clone());
+            let not_x = Box::new(Expr::Not(x.clone()));
+            formulas.push(Expr::Or(x.clone(), not_x.clone()));
+            formulas.push(Expr::Not(Box::new(Expr::And(x.clone(), not_x.clone()))));
+            formulas.push(Expr::Iff(Box::new(Expr::Iff(x.clone(), not_x)), x));
+        }
+        for f in &formulas {
+            let (mut b, mut s, atoms) = setup();
+            let root = f.build(&mut b, &mut s, &atoms);
+            let brute = (0u32..8).any(|mask| f.eval(mask));
+            assert_eq!(s.solve_with_assumptions(&[root]).is_sat(), brute, "{f:?}");
+            for mask in 0u32..8 {
+                let mut assumptions: Vec<Lit> =
+                    (0..3).map(|i| Var(i).lit(mask & (1 << i) != 0)).collect();
+                assumptions.push(root);
+                let sat = s.solve_with_assumptions(&assumptions).is_sat();
+                assert_eq!(sat, f.eval(mask), "{f:?} at {mask:03b}");
+            }
+            assert_eq!(solve(s, &atoms, root).is_some(), brute, "{f:?}");
         }
     }
 
     #[test]
-    fn shared_subformulas_reuse_definitions() {
-        let shared = PropForm::and(vec![a(0), a(1)]);
-        let f = PropForm::or(vec![shared.clone(), PropForm::not(shared.clone())]);
-        let mut solver = Solver::new();
-        let mut builder = CnfBuilder::new();
-        builder.assert(&mut solver, &f);
-        let n1 = solver.num_vars();
-        // Re-asserting something mentioning the same subformula adds no new
-        // definition variable for it.
-        builder.assert(&mut solver, &shared);
-        assert_eq!(solver.num_vars(), n1);
+    fn shared_gates_reuse_their_variable() {
+        let (mut b, mut s, [a0, a1, a2]) = setup();
+        let shared = b.and(&mut s, &[a0, a1]);
+        let n1 = s.num_vars();
+        // Equal gates, whatever the input order or repetition, add nothing.
+        assert_eq!(b.and(&mut s, &[a1, a0, a1]), shared);
+        assert_eq!(b.or(&mut s, &[a0.negate(), a1.negate()]), shared.negate());
+        assert_eq!(s.num_vars(), n1);
+        let iff = b.iff(&mut s, a0, a2);
+        let n2 = s.num_vars();
+        assert_eq!(b.iff(&mut s, a2, a0), iff);
+        assert_eq!(s.num_vars(), n2);
     }
 }

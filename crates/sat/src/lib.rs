@@ -1,22 +1,21 @@
 //! `jahob-sat`: a CDCL SAT solver.
 //!
 //! Jahob-era decision procedures lean on propositional reasoning in several
-//! places: the DPLL(T) core of the Nelson–Oppen combination (`jahob-smt`),
-//! the bounded model finder that substitutes for the Alloy Analyzer
-//! (`jahob-models`), and predicate-abstraction style reasoning in the shape
-//! analysis. This crate provides the shared engine: a conflict-driven
-//! clause-learning solver with two-watched-literal propagation, first-UIP
-//! learning with recursive clause minimization, VSIDS-style activity
-//! decisions with phase saving, and Luby restarts.
+//! places: the DPLL(T) core of the Nelson–Oppen combination (`jahob-smt`)
+//! and the bounded model finder that substitutes for the Alloy Analyzer
+//! (`jahob-models`). This crate provides the shared engine: a
+//! conflict-driven clause-learning solver with two-watched-literal
+//! propagation, first-UIP learning with clause minimization, VSIDS-style
+//! activity decisions with phase saving, and Luby restarts.
 //!
-//! The solver supports incremental use through assumptions
-//! ([`Solver::solve_with_assumptions`]) — the mechanism DPLL(T) uses to ask
-//! "is this theory-consistent valuation extendable?" — and exposes a simple
-//! [`cnf`] builder plus DIMACS I/O for testing against brute force.
+//! The solver supports incremental use — clauses added between solves, and
+//! assumptions ([`Solver::solve_with_assumptions`]) — which the model
+//! finder's spurious-model loop and the DPLL(T) theory loop rely on. Both
+//! build their propositional structure through one gate builder,
+//! [`CnfBuilder`].
 
 pub mod cnf;
-pub mod dimacs;
 pub mod solver;
 
-pub use cnf::{CnfBuilder, PropForm};
+pub use cnf::CnfBuilder;
 pub use solver::{Lit, SolveResult, Solver, Var};

@@ -1,9 +1,15 @@
 //! The CDCL engine.
 //!
 //! Standard architecture (MiniSat lineage): two-watched-literal propagation,
-//! first-UIP conflict analysis with recursive minimization, VSIDS decision
+//! first-UIP conflict analysis with one-level minimization, VSIDS decision
 //! heuristic with phase saving, Luby-sequence restarts, and learned-clause
 //! retention (no aggressive deletion — problem sizes here stay moderate).
+//!
+//! Clause literals live in one arena, each clause a span of it. A watch
+//! carries a blocker literal, so a clause it shows satisfied is skipped
+//! unread. Decisions come from a heap ordered by activity, and conflict
+//! analysis works in per-variable marks and scratch buffers the solver
+//! keeps, allocating nothing per conflict once they have grown.
 
 use std::fmt;
 
@@ -111,16 +117,35 @@ impl SolveResult {
 
 const CLAUSE_NONE: u32 = u32::MAX;
 
-#[derive(Clone)]
-struct Clause {
-    lits: Vec<Lit>,
+/// Where a clause's literals sit in the solver's literal arena.
+#[derive(Clone, Copy)]
+struct ClauseSpan {
+    start: u32,
+    len: u32,
+}
+
+impl ClauseSpan {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// A watch on a clause. While `blocker`, another literal of the clause, is
+/// true the clause is satisfied and propagation skips it unread.
+#[derive(Clone, Copy)]
+struct Watch {
+    clause: u32,
+    blocker: Lit,
 }
 
 /// A CDCL SAT solver.
 pub struct Solver {
-    clauses: Vec<Clause>,
-    /// For each literal, the clause indices watching it.
-    watches: Vec<Vec<u32>>,
+    /// The literals of every clause, back to back.
+    arena: Vec<Lit>,
+    /// Each clause's span of `arena`; a clause is named by its index here.
+    clauses: Vec<ClauseSpan>,
+    /// For each literal, the watches of the clauses that watch its negation.
+    watches: Vec<Vec<Watch>>,
     /// Assignment per variable.
     assign: Vec<LBool>,
     /// Saved phase per variable (for phase-saving decisions).
@@ -138,6 +163,15 @@ pub struct Solver {
     /// VSIDS activity per variable.
     activity: Vec<f64>,
     var_inc: f64,
+    /// Decision candidates: every unassigned variable, plus assigned ones
+    /// not yet popped.
+    order: VarHeap,
+    /// Per-variable marks of `analyze`, all false between conflicts.
+    seen: Vec<bool>,
+    /// The clause the last `analyze` learned, asserting literal first.
+    learnt: Vec<Lit>,
+    /// Literals whose `seen` marks `analyze` still has to clear.
+    to_clear: Vec<Lit>,
     /// Set when the clause database is unconditionally unsatisfiable.
     unsat: bool,
     /// Statistics: conflicts, decisions, propagations.
@@ -156,6 +190,7 @@ impl Solver {
     /// An empty solver.
     pub fn new() -> Self {
         Solver {
+            arena: Vec::new(),
             clauses: Vec::new(),
             watches: Vec::new(),
             assign: Vec::new(),
@@ -167,6 +202,10 @@ impl Solver {
             qhead: 0,
             activity: Vec::new(),
             var_inc: 1.0,
+            order: VarHeap::default(),
+            seen: Vec::new(),
+            learnt: Vec::new(),
+            to_clear: Vec::new(),
             unsat: false,
             conflicts: 0,
             decisions: 0,
@@ -187,8 +226,10 @@ impl Solver {
         self.level.push(0);
         self.reason.push(CLAUSE_NONE);
         self.activity.push(0.0);
+        self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
+        self.order.push(v.0, &self.activity);
         v
     }
 
@@ -215,28 +256,45 @@ impl Solver {
         if self.unsat {
             return false;
         }
-        // Normalize: sort, dedupe, drop tautologies and false literals.
-        let mut c: Vec<Lit> = lits.to_vec();
-        c.sort();
-        c.dedup();
-        let mut i = 0;
-        while i + 1 < c.len() {
-            if c[i].var() == c[i + 1].var() {
+        // Normalize in place at the end of the arena: sort, then drop
+        // duplicates and false literals; a tautology or a true literal
+        // drops the clause.
+        let start = self.arena.len();
+        self.arena.extend_from_slice(lits);
+        self.arena[start..].sort_unstable();
+        let mut len = 0;
+        let mut prev: Option<Lit> = None;
+        for i in start..self.arena.len() {
+            let l = self.arena[i];
+            if prev == Some(l) {
+                continue;
+            }
+            if prev == Some(l.negate()) {
+                self.arena.truncate(start);
                 return true; // x | ~x: tautology
             }
-            i += 1;
+            prev = Some(l);
+            match self.value_lit(l) {
+                LBool::True => {
+                    self.arena.truncate(start);
+                    return true;
+                }
+                LBool::False => {}
+                LBool::Undef => {
+                    self.arena[start + len] = l;
+                    len += 1;
+                }
+            }
         }
-        c.retain(|&l| self.value_lit(l) != LBool::False);
-        if c.iter().any(|&l| self.value_lit(l) == LBool::True) {
-            return true;
-        }
-        match c.len() {
+        self.arena.truncate(start + len);
+        match len {
             0 => {
                 self.unsat = true;
                 false
             }
             1 => {
-                self.enqueue(c[0], CLAUSE_NONE);
+                let unit = self.arena.pop().expect("one literal kept");
+                self.enqueue(unit, CLAUSE_NONE);
                 if self.propagate().is_some() {
                     self.unsat = true;
                     false
@@ -245,13 +303,30 @@ impl Solver {
                 }
             }
             _ => {
-                let idx = self.clauses.len() as u32;
-                self.watches[c[0].negate().index()].push(idx);
-                self.watches[c[1].negate().index()].push(idx);
-                self.clauses.push(Clause { lits: c });
+                self.attach(start, len);
                 true
             }
         }
+    }
+
+    /// Register the clause `arena[start..start + len]` (at least two
+    /// literals), watching its first two literals.
+    fn attach(&mut self, start: usize, len: usize) -> u32 {
+        let idx = self.clauses.len() as u32;
+        self.clauses.push(ClauseSpan {
+            start: start as u32,
+            len: len as u32,
+        });
+        let (c0, c1) = (self.arena[start], self.arena[start + 1]);
+        self.watches[c0.negate().index()].push(Watch {
+            clause: idx,
+            blocker: c1,
+        });
+        self.watches[c1.negate().index()].push(Watch {
+            clause: idx,
+            blocker: c0,
+        });
+        idx
     }
 
     fn decision_level(&self) -> u32 {
@@ -278,52 +353,66 @@ impl Solver {
             let lit = self.trail[self.qhead];
             self.qhead += 1;
             self.propagations += 1;
-            // Clauses watching ~lit must be visited: their watched literal
-            // `lit.negate()`... our convention: watches[l] holds clauses that
-            // are watching a literal whose negation is l; i.e. when l is
-            // assigned true the clause may be affected. We stored watchers
-            // under c[k].negate(), so visit watches[lit].
+            // `watches[lit]` holds the clauses watching `lit`'s negation,
+            // which just became false.
+            let false_lit = lit.negate();
             let mut watchers = std::mem::take(&mut self.watches[lit.index()]);
-            let mut i = 0;
+            let mut conflict = None;
+            let (mut i, mut kept) = (0, 0);
             'watcher: while i < watchers.len() {
-                let ci = watchers[i];
-                // The falsified literal is lit.negate().
-                let false_lit = lit.negate();
-                {
-                    let clause = &mut self.clauses[ci as usize];
-                    // Ensure the falsified literal is at position 1.
-                    if clause.lits[0] == false_lit {
-                        clause.lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(clause.lits[1], false_lit);
+                let watch = watchers[i];
+                i += 1;
+                if self.value_lit(watch.blocker) == LBool::True {
+                    watchers[kept] = watch;
+                    kept += 1;
+                    continue;
                 }
-                let first = self.clauses[ci as usize].lits[0];
-                if self.value_lit(first) == LBool::True {
-                    i += 1;
+                let span = self.clauses[watch.clause as usize];
+                let start = span.start as usize;
+                // Keep the falsified literal at position 1.
+                if self.arena[start] == false_lit {
+                    self.arena.swap(start, start + 1);
+                }
+                debug_assert_eq!(self.arena[start + 1], false_lit);
+                let first = self.arena[start];
+                let rewatch = Watch {
+                    clause: watch.clause,
+                    blocker: first,
+                };
+                if first != watch.blocker && self.value_lit(first) == LBool::True {
+                    watchers[kept] = rewatch;
+                    kept += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[ci as usize].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[ci as usize].lits[k];
+                for k in start + 2..start + span.len as usize {
+                    let lk = self.arena[k];
                     if self.value_lit(lk) != LBool::False {
-                        self.clauses[ci as usize].lits.swap(1, k);
-                        self.watches[lk.negate().index()].push(ci);
-                        watchers.swap_remove(i);
+                        self.arena.swap(start + 1, k);
+                        self.watches[lk.negate().index()].push(rewatch);
                         continue 'watcher;
                     }
                 }
-                // No new watch: clause is unit or conflicting.
+                // No new watch: the clause is unit or conflicting.
+                watchers[kept] = rewatch;
+                kept += 1;
                 if self.value_lit(first) == LBool::False {
-                    // Conflict: restore remaining watchers.
-                    self.watches[lit.index()].append(&mut watchers);
+                    conflict = Some(watch.clause);
                     self.qhead = self.trail.len();
-                    return Some(ci);
+                    while i < watchers.len() {
+                        watchers[kept] = watchers[i];
+                        kept += 1;
+                        i += 1;
+                    }
+                } else {
+                    self.enqueue(first, watch.clause);
                 }
-                self.enqueue(first, ci);
-                i += 1;
             }
-            self.watches[lit.index()].extend(watchers);
+            watchers.truncate(kept);
+            self.watches[lit.index()] = watchers;
+            if conflict.is_some() {
+                return conflict;
+            }
         }
         None
     }
@@ -335,6 +424,11 @@ impl Solver {
                 *a *= 1e-100;
             }
             self.var_inc *= 1e-100;
+            // Rescaling can round distinct activities to equal ones, whose
+            // order then falls to the index: restore the heap from scratch.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.raised(v.0, &self.activity);
         }
     }
 
@@ -342,113 +436,129 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
-    /// First-UIP conflict analysis. Returns (learned clause, backjump level).
-    fn analyze(&mut self, confl: u32) -> (Vec<Lit>, u32) {
-        let mut learned: Vec<Lit> = vec![Lit(0)]; // placeholder for the UIP
-        let mut seen = vec![false; self.num_vars()];
+    /// First-UIP conflict analysis. Leaves the learned clause in `learnt`,
+    /// asserting literal first and a literal of the backjump level second,
+    /// and returns the backjump level.
+    fn analyze(&mut self, confl: u32) -> u32 {
+        self.learnt.clear();
+        self.learnt.push(Lit(0)); // placeholder for the UIP
+        let level_now = self.decision_level();
         let mut counter = 0u32;
-        let mut lit_opt: Option<Lit> = None;
+        let mut skip = 0; // a reason's position 0 holds the pivot itself
         let mut clause_idx = confl;
         let mut trail_pos = self.trail.len();
 
         loop {
-            let clause_lits = self.clauses[clause_idx as usize].lits.clone();
-            let start = if lit_opt.is_none() { 0 } else { 1 };
-            for &q in &clause_lits[start..] {
-                let v = q.var();
-                if !seen[v.0 as usize] && self.level[v.0 as usize] > 0 {
-                    seen[v.0 as usize] = true;
-                    self.bump_var(v);
-                    if self.level[v.0 as usize] >= self.decision_level() {
+            let span = self.clauses[clause_idx as usize];
+            for k in span.range().skip(skip) {
+                let q = self.arena[k];
+                let v = q.var().0 as usize;
+                if !self.seen[v] && self.level[v] > 0 {
+                    self.seen[v] = true;
+                    self.bump_var(q.var());
+                    if self.level[v] >= level_now {
                         counter += 1;
                     } else {
-                        learned.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
-            // Find the next literal on the trail to resolve on.
-            loop {
+            // The next marked literal on the trail is the next pivot. A
+            // reason holds only literals assigned before its pivot, so a
+            // resolved variable is never met again and its mark can go.
+            let p = loop {
                 trail_pos -= 1;
                 let l = self.trail[trail_pos];
-                if seen[l.var().0 as usize] {
-                    lit_opt = Some(l);
-                    break;
+                if self.seen[l.var().0 as usize] {
+                    break l;
                 }
-            }
-            let p = lit_opt.unwrap();
+            };
+            self.seen[p.var().0 as usize] = false;
             counter -= 1;
-            seen[p.var().0 as usize] = false;
             if counter == 0 {
-                learned[0] = p.negate();
+                self.learnt[0] = p.negate();
                 break;
             }
             clause_idx = self.reason[p.var().0 as usize];
             debug_assert_ne!(clause_idx, CLAUSE_NONE);
-            // Re-mark: `seen` for p cleared above, but p is the resolvent
-            // pivot; we skip position 0 of its reason (which is p itself).
-            seen[p.var().0 as usize] = true;
+            skip = 1;
         }
 
-        // Clause minimization: drop literals implied by the rest.
-        let clause_vars = seen_set(&learned);
-        let mut kept = vec![learned[0]];
-        for &l in &learned[1..] {
-            if !self.literal_redundant(l, &clause_vars) {
-                kept.push(l);
+        // Clause minimization: drop literals implied by the rest. The marks
+        // are now exactly the variables of `learnt[1..]`.
+        self.to_clear.clear();
+        self.to_clear.extend_from_slice(&self.learnt[1..]);
+        let mut kept = 1;
+        for i in 1..self.learnt.len() {
+            let l = self.learnt[i];
+            if !self.literal_redundant(l) {
+                self.learnt[kept] = l;
+                kept += 1;
             }
         }
-        let learned = kept;
+        self.learnt.truncate(kept);
+        for &l in &self.to_clear {
+            self.seen[l.var().0 as usize] = false;
+        }
 
-        // Backjump level: second-highest level in the clause.
-        let backjump = if learned.len() == 1 {
-            0
-        } else {
-            let mut max = 0;
-            for &l in &learned[1..] {
-                max = max.max(self.level[l.var().0 as usize]);
+        // Backjump level: the highest level among the other literals, whose
+        // first such literal moves to position 1 to be watched.
+        if self.learnt.len() == 1 {
+            return 0;
+        }
+        let mut best = 1;
+        for k in 2..self.learnt.len() {
+            if self.level[self.learnt[k].var().0 as usize]
+                > self.level[self.learnt[best].var().0 as usize]
+            {
+                best = k;
             }
-            max
-        };
-        (learned, backjump)
+        }
+        self.learnt.swap(1, best);
+        self.level[self.learnt[1].var().0 as usize]
     }
 
     /// Is `lit`'s negation implied by the other literals of the learned
-    /// clause (i.e. its reason literals are all in the clause or themselves
-    /// redundant)? A simple one-level check — cheap and sound.
-    fn literal_redundant(&self, lit: Lit, clause_vars: &std::collections::HashSet<u32>) -> bool {
+    /// clause (its reason's other literals are all marked or at level 0)?
+    /// A simple one-level check — cheap and sound.
+    fn literal_redundant(&self, lit: Lit) -> bool {
         let reason = self.reason[lit.var().0 as usize];
         if reason == CLAUSE_NONE {
             return false;
         }
-        self.clauses[reason as usize].lits[1..]
+        self.arena[self.clauses[reason as usize].range()][1..]
             .iter()
-            .all(|&q| self.level[q.var().0 as usize] == 0 || clause_vars.contains(&q.var().0))
+            .all(|&q| {
+                let v = q.var().0 as usize;
+                self.level[v] == 0 || self.seen[v]
+            })
     }
 
     fn backtrack(&mut self, target_level: u32) {
-        while self.decision_level() > target_level {
-            let start = self.trail_lim.pop().unwrap();
-            while self.trail.len() > start {
-                let l = self.trail.pop().unwrap();
-                self.assign[l.var().0 as usize] = LBool::Undef;
-                self.reason[l.var().0 as usize] = CLAUSE_NONE;
-            }
+        if self.decision_level() <= target_level {
+            return;
         }
-        self.qhead = self.trail.len();
+        let start = self.trail_lim[target_level as usize];
+        self.trail_lim.truncate(target_level as usize);
+        for k in start..self.trail.len() {
+            let v = self.trail[k].var().0;
+            self.assign[v as usize] = LBool::Undef;
+            self.reason[v as usize] = CLAUSE_NONE;
+            self.order.push(v, &self.activity);
+        }
+        self.trail.truncate(start);
+        self.qhead = start;
     }
 
-    fn pick_branch_var(&self) -> Option<Var> {
-        let mut best: Option<(Var, f64)> = None;
-        for v in 0..self.num_vars() {
-            if self.assign[v] == LBool::Undef {
-                let a = self.activity[v];
-                match best {
-                    Some((_, ba)) if ba >= a => {}
-                    _ => best = Some((Var(v as u32), a)),
-                }
+    /// The unassigned variable with the highest activity, the lowest index
+    /// among equals.
+    fn pick_branch_var(&mut self) -> Option<Var> {
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.assign[v as usize] == LBool::Undef {
+                return Some(Var(v));
             }
         }
-        best.map(|(v, _)| v)
+        None
     }
 
     /// Solve with no assumptions.
@@ -503,15 +613,15 @@ impl Solver {
                     self.unsat = true;
                     return Ok(SolveResult::Unsat);
                 }
-                let (learned, backjump) = self.analyze(confl);
+                let backjump = self.analyze(confl);
                 self.backtrack(backjump);
                 // After backjumping, the asserting literal is unassigned and
                 // all other clause literals are false, so it propagates.
                 // Assumptions invalidated by the backjump are re-imposed in
                 // the decision branch; if one is now forced false, that
                 // branch reports unsat-under-assumptions.
-                let unit = learned[0];
-                let ci = self.learn(&learned);
+                let unit = self.learnt[0];
+                let ci = self.learn();
                 debug_assert_eq!(self.value_lit(unit), LBool::Undef);
                 self.enqueue(unit, ci);
                 self.decay_activities();
@@ -560,32 +670,112 @@ impl Solver {
         }
     }
 
-    /// Store a learned clause and set up its watches. Returns its index, or
-    /// CLAUSE_NONE for unit clauses.
-    fn learn(&mut self, lits: &[Lit]) -> u32 {
-        if lits.len() == 1 {
+    /// Store the clause in `learnt` and watch it. Returns its index, or
+    /// CLAUSE_NONE for a unit clause.
+    fn learn(&mut self) -> u32 {
+        if self.learnt.len() == 1 {
             return CLAUSE_NONE;
         }
-        let idx = self.clauses.len() as u32;
-        // Watch the UIP literal and the highest-level other literal so the
-        // clause is correctly watched after backjumping.
-        let mut c = lits.to_vec();
-        let mut best = 1;
-        for k in 2..c.len() {
-            if self.level[c[k].var().0 as usize] > self.level[c[best].var().0 as usize] {
-                best = k;
-            }
-        }
-        c.swap(1, best);
-        self.watches[c[0].negate().index()].push(idx);
-        self.watches[c[1].negate().index()].push(idx);
-        self.clauses.push(Clause { lits: c });
-        idx
+        let start = self.arena.len();
+        self.arena.extend_from_slice(&self.learnt);
+        self.attach(start, self.learnt.len())
     }
 }
 
-fn seen_set(learned: &[Lit]) -> std::collections::HashSet<u32> {
-    learned.iter().map(|l| l.var().0).collect()
+const ABSENT: u32 = u32::MAX;
+
+/// A binary heap of variables, highest activity on top and the lower index
+/// first among equal activities: the variable a scan for the most active
+/// unassigned variable would pick.
+#[derive(Default)]
+struct VarHeap {
+    heap: Vec<u32>,
+    /// Each variable's position in `heap`, or `ABSENT`.
+    pos: Vec<u32>,
+}
+
+impl VarHeap {
+    fn before(activity: &[f64], a: u32, b: u32) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn push(&mut self, v: u32, activity: &[f64]) {
+        if self.pos.len() <= v as usize {
+            self.pos.resize(v as usize + 1, ABSENT);
+        }
+        if self.pos[v as usize] != ABSENT {
+            return;
+        }
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<u32> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("heap is non-empty");
+        self.pos[top as usize] = ABSENT;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    /// Restore the order after `v`'s activity grew.
+    fn raised(&mut self, v: u32, activity: &[f64]) {
+        let i = self.pos[v as usize];
+        if i != ABSENT {
+            self.sift_up(i as usize, activity);
+        }
+    }
+
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(activity, v, self.heap[parent]) {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            if !Self::before(activity, self.heap[child], v) {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.pos[self.heap[i] as usize] = i as u32;
+            i = child;
+        }
+        self.heap[i] = v;
+        self.pos[v as usize] = i as u32;
+    }
 }
 
 /// The Luby restart sequence (1-indexed): 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,...
@@ -608,6 +798,7 @@ fn luby(mut i: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn lit(solver: &mut Solver, v: i32) -> Lit {
         let var = (v.unsigned_abs() - 1) as usize;
@@ -841,6 +1032,90 @@ mod tests {
             }
             let got = s.solve().is_sat();
             assert_eq!(got, expected, "instance {instance}: {clauses:?}");
+        }
+    }
+
+    /// Does the model satisfy every clause?
+    fn satisfies(model: &[bool], clauses: &[Vec<i32>]) -> bool {
+        clauses.iter().all(|c| {
+            c.iter()
+                .any(|&v| model[(v.unsigned_abs() - 1) as usize] == (v > 0))
+        })
+    }
+
+    /// Solve under `assumptions` and check the answer against brute force
+    /// over `clauses` plus the assumptions as units, and a SAT model
+    /// against every one of them.
+    fn check_against_brute_force(
+        s: &mut Solver,
+        num_vars: usize,
+        clauses: &[Vec<i32>],
+        assumptions: &[i32],
+    ) {
+        let lits: Vec<Lit> = assumptions.iter().map(|&v| lit(s, v)).collect();
+        let mut constrained = clauses.to_vec();
+        constrained.extend(assumptions.iter().map(|&v| vec![v]));
+        let expected = brute_force(num_vars, &constrained);
+        match s.solve_with_assumptions(&lits) {
+            SolveResult::Sat(model) => {
+                assert!(expected, "SAT, brute force says UNSAT: {constrained:?}");
+                assert!(
+                    satisfies(&model, &constrained),
+                    "model {model:?} violates {constrained:?}"
+                );
+            }
+            SolveResult::Unsat => {
+                assert!(!expected, "UNSAT, brute force says SAT: {constrained:?}")
+            }
+        }
+    }
+
+    /// A clause over variables `1..=12` (negative = negated), to be folded
+    /// into the instance's variable count.
+    fn clause() -> impl Strategy<Value = Vec<i32>> {
+        proptest::collection::vec(
+            (1i32..=12, any::<bool>()).prop_map(|(v, pos)| if pos { v } else { -v }),
+            1..=4,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The incremental pattern the spurious-model loop and the theory
+        /// loop use: solve, add clauses, solve again, then solve under
+        /// assumptions (twice, so an assumption must not outlive its call).
+        #[test]
+        fn incremental_solving_matches_brute_force(
+            num_vars in 1usize..=12,
+            first in proptest::collection::vec(clause(), 0..=40),
+            more in proptest::collection::vec(clause(), 0..=20),
+            assumed in proptest::collection::vec(clause(), 1..=2),
+        ) {
+            let fold = |c: &Vec<i32>| -> Vec<i32> {
+                c.iter()
+                    .map(|&v| (v.abs() - 1) % num_vars as i32 + 1)
+                    .zip(c)
+                    .map(|(folded, &v)| if v > 0 { folded } else { -folded })
+                    .collect()
+            };
+            let first: Vec<Vec<i32>> = first.iter().map(fold).collect();
+            let more: Vec<Vec<i32>> = more.iter().map(fold).collect();
+            let mut s = Solver::new();
+            s.reserve_vars(num_vars);
+            for c in &first {
+                add(&mut s, c);
+            }
+            check_against_brute_force(&mut s, num_vars, &first, &[]);
+            for c in &more {
+                add(&mut s, c);
+            }
+            let all: Vec<Vec<i32>> = first.iter().chain(&more).cloned().collect();
+            check_against_brute_force(&mut s, num_vars, &all, &[]);
+            for a in &assumed {
+                check_against_brute_force(&mut s, num_vars, &all, &fold(a));
+            }
+            check_against_brute_force(&mut s, num_vars, &all, &[]);
         }
     }
 }

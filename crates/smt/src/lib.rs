@@ -27,7 +27,7 @@ mod purify;
 mod theory;
 
 use jahob_logic::{transform, BinOp, Form, Sort, UnOp};
-use jahob_sat::{CnfBuilder, PropForm, SolveResult, Solver};
+use jahob_sat::{CnfBuilder, Lit, SolveResult, Solver, Var};
 use jahob_util::budget::{Budget, Exhaustion};
 use jahob_util::{FxHashMap, Symbol};
 use std::fmt;
@@ -100,8 +100,7 @@ pub fn smt_valid_budgeted(
 /// probe used by the dispatcher's hypothesis filtering.)
 pub fn in_fragment(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> bool {
     let prepared = lift_ite(form);
-    let mut atoms = AtomTable::new(sig);
-    atoms.skeleton(&prepared).is_ok()
+    Skeleton::new(sig).lit(&prepared).is_ok()
 }
 
 /// Satisfiability of a ground EUF+LIA formula.
@@ -126,11 +125,12 @@ pub fn smt_sat_budgeted(
         return Ok(*b);
     }
     // Collect atoms and build the propositional skeleton.
-    let mut atoms = AtomTable::new(sig);
-    let skeleton = atoms.skeleton(&prepared).map_err(SmtFailure::Fragment)?;
-    let mut solver = Solver::new();
-    let mut builder = CnfBuilder::new();
-    builder.assert(&mut solver, &skeleton);
+    let mut skeleton = Skeleton::new(sig);
+    let root = skeleton.lit(&prepared).map_err(SmtFailure::Fragment)?;
+    let Skeleton {
+        atoms, mut solver, ..
+    } = skeleton;
+    solver.add_clause(&[root]);
 
     // Lazy theory loop.
     const MAX_ROUNDS: usize = 400;
@@ -143,30 +143,21 @@ pub fn smt_sat_budgeted(
             SolveResult::Unsat => return Ok(false),
             SolveResult::Sat(model) => {
                 // The literal set this model commits to.
-                let mut literals: Vec<(Form, bool)> = Vec::new();
-                for (i, atom) in atoms.forms.iter().enumerate() {
-                    let value = builder.atom_value(&model, i as u32);
-                    literals.push((atom.clone(), value));
-                }
+                let literals: Vec<(Form, bool)> = atoms
+                    .iter()
+                    .map(|(atom, var)| (atom.clone(), model[var.0 as usize]))
+                    .collect();
                 match theory::check(&literals, sig) {
                     TheoryVerdict::Consistent => return Ok(true),
                     TheoryVerdict::Conflict => {
                         // Block this total atom valuation. (Coarse but
                         // sound; the loop terminates because each blocking
                         // clause removes at least one total valuation.)
-                        let clause: Vec<PropForm> = literals
+                        let clause: Vec<Lit> = atoms
                             .iter()
-                            .enumerate()
-                            .map(|(i, (_, value))| {
-                                let a = PropForm::atom(i as u32);
-                                if *value {
-                                    PropForm::not(a)
-                                } else {
-                                    a
-                                }
-                            })
+                            .map(|(_, var)| var.lit(!model[var.0 as usize]))
                             .collect();
-                        builder.assert(&mut solver, &PropForm::or(clause));
+                        solver.add_clause(&clause);
                     }
                 }
             }
@@ -177,55 +168,62 @@ pub fn smt_sat_budgeted(
     Ok(true)
 }
 
-/// Atom table: maps each theory atom to a propositional index.
-struct AtomTable<'a> {
+/// The propositional skeleton of a ground goal, built into a solver: one
+/// variable per theory atom, gates for the boolean structure.
+struct Skeleton<'a> {
     sig: &'a FxHashMap<Symbol, Sort>,
-    forms: Vec<Form>,
-    index: FxHashMap<Form, u32>,
+    /// Each theory atom with its variable, in first-seen order.
+    atoms: Vec<(Form, Var)>,
+    index: FxHashMap<Form, Var>,
+    cnf: CnfBuilder,
+    solver: Solver,
 }
 
-impl<'a> AtomTable<'a> {
+impl<'a> Skeleton<'a> {
     fn new(sig: &'a FxHashMap<Symbol, Sort>) -> Self {
-        AtomTable {
+        Skeleton {
             sig,
-            forms: Vec::new(),
+            atoms: Vec::new(),
             index: FxHashMap::default(),
+            cnf: CnfBuilder::new(),
+            solver: Solver::new(),
         }
     }
 
-    fn atom(&mut self, form: &Form) -> Result<PropForm, SmtError> {
+    fn atom(&mut self, form: &Form) -> Result<Lit, SmtError> {
         check_ground_term(form, self.sig)?;
-        if let Some(&i) = self.index.get(form) {
-            return Ok(PropForm::atom(i));
+        if let Some(&var) = self.index.get(form) {
+            return Ok(var.positive());
         }
-        let i = self.forms.len() as u32;
-        self.forms.push(form.clone());
-        self.index.insert(form.clone(), i);
-        Ok(PropForm::atom(i))
+        let var = self.solver.new_var();
+        self.atoms.push((form.clone(), var));
+        self.index.insert(form.clone(), var);
+        Ok(var.positive())
     }
 
-    fn skeleton(&mut self, form: &Form) -> Result<PropForm, SmtError> {
+    fn lits(&mut self, parts: &[Form]) -> Result<Vec<Lit>, SmtError> {
+        parts.iter().map(|p| self.lit(p)).collect()
+    }
+
+    fn lit(&mut self, form: &Form) -> Result<Lit, SmtError> {
         match form {
-            Form::BoolLit(true) => Ok(PropForm::True),
-            Form::BoolLit(false) => Ok(PropForm::False),
-            Form::And(parts) => Ok(PropForm::and(
-                parts
-                    .iter()
-                    .map(|p| self.skeleton(p))
-                    .collect::<Result<_, _>>()?,
-            )),
-            Form::Or(parts) => Ok(PropForm::or(
-                parts
-                    .iter()
-                    .map(|p| self.skeleton(p))
-                    .collect::<Result<_, _>>()?,
-            )),
-            Form::Unop(UnOp::Not, inner) => Ok(PropForm::not(self.skeleton(inner)?)),
+            Form::BoolLit(b) => Ok(self.cnf.constant(&mut self.solver, *b)),
+            Form::And(parts) => {
+                let lits = self.lits(parts)?;
+                Ok(self.cnf.and(&mut self.solver, &lits))
+            }
+            Form::Or(parts) => {
+                let lits = self.lits(parts)?;
+                Ok(self.cnf.or(&mut self.solver, &lits))
+            }
+            Form::Unop(UnOp::Not, inner) => Ok(self.lit(inner)?.negate()),
             Form::Binop(BinOp::Implies, lhs, rhs) => {
-                Ok(PropForm::implies(self.skeleton(lhs)?, self.skeleton(rhs)?))
+                let (a, b) = (self.lit(lhs)?, self.lit(rhs)?);
+                Ok(self.cnf.implies(&mut self.solver, a, b))
             }
             Form::Binop(BinOp::Iff, lhs, rhs) => {
-                Ok(PropForm::iff(self.skeleton(lhs)?, self.skeleton(rhs)?))
+                let (a, b) = (self.lit(lhs)?, self.lit(rhs)?);
+                Ok(self.cnf.iff(&mut self.solver, a, b))
             }
             // Theory atoms.
             Form::Binop(BinOp::Eq | BinOp::Le | BinOp::Lt, _, _) => self.atom(form),
