@@ -701,9 +701,10 @@ impl MethodReport {
         }
     }
 
-    /// One stable JSON object per method. [`ReportRender::TIMING`] adds
-    /// the per-obligation wall-clock (`millis`); the stable view omits
-    /// it so two runs of the same code diff byte-for-byte.
+    /// One stable JSON object per method, with the method's
+    /// [`bound`](Self::bound) after its status. [`ReportRender::TIMING`]
+    /// adds the per-obligation wall-clock (`millis`); the stable view
+    /// omits it so two runs of the same code diff byte-for-byte.
     pub fn to_json(&self, render: ReportRender) -> String {
         let obligations = array(self.obligations.iter().map(|o| {
             let o_json = Obj::new()
@@ -719,6 +720,7 @@ impl MethodReport {
             .str("class", self.class.as_str())
             .str("method", self.method.as_str())
             .str("status", self.status())
+            .opt_u64("bound", self.bound().map(u64::from))
             .opt_str("error", self.error.as_deref())
             .raw("obligations", &obligations)
             .finish()
@@ -1351,12 +1353,23 @@ class Counter {
             text.contains("C.bounded: VERIFIED (bounded, universe ≤ 3)\n"),
             "{text}"
         );
-        // The JSON status stays `verified` for both.
-        for m in &report.methods {
-            assert!(m
-                .to_json(ReportRender::STABLE)
-                .contains(r#""status":"verified""#));
-        }
+        // The JSON status stays `verified` for both; the method-level
+        // bound follows it.
+        let json: Vec<String> = report
+            .methods
+            .iter()
+            .map(|m| m.to_json(ReportRender::STABLE))
+            .collect();
+        assert!(
+            json[0].contains(r#""status":"verified","bound":null"#),
+            "{}",
+            json[0]
+        );
+        assert!(
+            json[1].contains(r#""status":"verified","bound":3"#),
+            "{}",
+            json[1]
+        );
     }
 
     #[test]
