@@ -1078,10 +1078,16 @@ mod tests {
         .collect()
     }
 
+    /// Does `src` have a model at universe `n`? The raw encoding, with no
+    /// evaluator re-check and no spurious-model blocking, must agree.
     fn has_model(src: &str, n: u32) -> bool {
-        find_model(&form(src), &sig(), n)
+        let s = sig();
+        let found = find_model(&form(src), &s, n)
             .unwrap_or_else(|e| panic!("{src:?}: {e}"))
-            .is_some()
+            .is_some();
+        let raw = encode(&form(src), &s, n).unwrap().solver.solve().is_sat();
+        assert_eq!(raw, found, "{src:?}: the encoding is not exact");
+        found
     }
 
     #[test]
@@ -1166,6 +1172,13 @@ mod tests {
         ));
         // Reflexive always.
         assert!(!has_model("~(rtrancl_pt (% a c. a..next = c) x x)", 2));
+        // A three-step path needs the last squaring round.
+        assert!(!has_model(
+            "x ~= null & y ~= null & z ~= null & x ~= y & y ~= z & x ~= z & \
+             x..next = y & y..next = z & z..next = null & \
+             ~(rtrancl_pt (% a c. a..next = c) x null)",
+            3
+        ));
     }
 
     /// Solver variables made and closures built when grounding `src` at
@@ -1195,22 +1208,14 @@ mod tests {
 
     #[test]
     fn closure_sharing_respects_quantifier_binders_and_fields() {
-        // `has_model` blocks spurious models, so check the raw encoding too.
-        let exact = |src: &str, n: u32| {
-            let found = has_model(src, n);
-            let s = sig();
-            let sat = encode(&form(src), &s, n).unwrap().solver.solve().is_sat();
-            assert_eq!(sat, found, "{src:?}: the encoding is not exact");
-            found
-        };
         // The edge names `o`, so each value of `o` has its own closure; one
         // shared across `o` would let `x` reach `y` through the last edge.
-        assert!(!exact(
+        assert!(!has_model(
             "x ~= null & y ~= null & x ~= y & x..next = y & \
              (ALL o. rtrancl_pt (% a c. a..next = c & c ~= o) x y)",
             2
         ));
-        assert!(exact(
+        assert!(has_model(
             "rtrancl_pt (% a c. a..next = c) x y & ~(rtrancl_pt (% a c. a..data = c) x y)",
             2
         ));
@@ -1388,12 +1393,54 @@ mod tests {
         })
     }
 
+    /// Assumptions fixing the grounder's entity variables to `m`'s values.
+    fn fixed_to(grounder: &Grounder, m: &Model) -> Vec<Lit> {
+        let w = width(grounder.n) as u32;
+        let obj = |v: &Value| match v {
+            Value::Obj(id) => *id,
+            other => panic!("object expected, got {other:?}"),
+        };
+        let mut out = Vec::new();
+        let mut fix = |base: u32, bits: &mut dyn Iterator<Item = bool>| {
+            out.extend(bits.zip(base..).map(|(b, v)| Var(v).lit(b)));
+        };
+        for (name, &base) in &grounder.entities.objs {
+            let id = obj(&m.interp[name]);
+            fix(base, &mut (0..w).map(|i| i == id));
+        }
+        for (name, &base) in &grounder.entities.sets {
+            let Value::Set(set) = &m.interp[name] else {
+                panic!("set expected for {name}")
+            };
+            fix(base, &mut (0..w).map(|i| set.contains(&Key::Obj(i))));
+        }
+        for (name, &base) in &grounder.entities.fields {
+            let Value::Fun(table) = &m.interp[name] else {
+                panic!("field expected for {name}")
+            };
+            let jahob_logic::model::FunV::Table { map, default, .. } = table.as_ref() else {
+                panic!("table expected for {name}")
+            };
+            let image: Vec<u32> = (0..w)
+                .map(|i| obj(map.get(&vec![Key::Obj(i)]).unwrap_or(default)))
+                .collect();
+            fix(
+                base,
+                &mut image.iter().flat_map(|&j| (0..w).map(move |k| k == j)),
+            );
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The raw encoding, with no evaluator re-check and no spurious-model
-        /// blocking, is satisfiable exactly when some model of the universe
-        /// whose `next` maps `null` to `null` satisfies the formula.
+        /// blocking, is exact at universes 1 and 2 over the models whose
+        /// `next` maps `null` to `null`: it is satisfiable exactly when one
+        /// of them satisfies the formula, and with its entity variables
+        /// fixed to a model's values it is satisfiable exactly when that
+        /// model satisfies the formula.
         #[test]
         fn raw_encoding_matches_enumeration(f in heap_form()) {
             let sig: FxHashMap<Symbol, Sort> = [
@@ -1408,17 +1455,21 @@ mod tests {
             let mut syms: Vec<(Symbol, Sort)> = sig.iter().map(|(k, s)| (*k, s.clone())).collect();
             syms.sort_by_key(|(k, _)| k.as_str().to_owned());
             let null_to_null = Form::eq(Form::app(v("next"), vec![Form::Null]), Form::Null);
-            // The negation too, so that valid formulas give unsatisfiable cases.
-            for (g, n) in [f.clone(), Form::not(f)].iter().flat_map(|g| [(g, 1), (g, 2)]) {
-                let encoded = encode(g, &sig, n)
-                    .unwrap_or_else(|e| panic!("{g}: {e}"))
-                    .solver
-                    .solve()
-                    .is_sat();
-                let enumerated = !enumerate_models(n, (0, 0), &syms, &mut |m| {
-                    m.eval_bool(&null_to_null) != Ok(true) || m.eval_bool(g) != Ok(true)
+            for n in 1..=2 {
+                let mut grounder = encode(&f, &sig, n).unwrap_or_else(|e| panic!("{f}: {e}"));
+                let encoded = grounder.solver.solve().is_sat();
+                let mut satisfied = false;
+                enumerate_models(n, (0, 0), &syms, &mut |m| {
+                    if m.eval_bool(&null_to_null) == Ok(true) {
+                        let holds = m.eval_bool(&f) == Ok(true);
+                        let fixed = fixed_to(&grounder, m);
+                        let sat = grounder.solver.solve_with_assumptions(&fixed).is_sat();
+                        assert_eq!(sat, holds, "universe {n} at {:?}: {f}", m.interp);
+                        satisfied |= holds;
+                    }
+                    true
                 });
-                prop_assert_eq!(encoded, enumerated, "universe {}: {}", n, g);
+                prop_assert_eq!(encoded, satisfied, "universe {}: {}", n, f);
             }
         }
     }
