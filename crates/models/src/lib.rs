@@ -100,24 +100,7 @@ enum Kind {
     ObjPred,
 }
 
-/// The solver variables of the declared entities: each symbol's first
-/// variable, the rest following it consecutively.
-#[derive(Default)]
-struct Entities {
-    /// Object variables: `w` one-hot bits.
-    objs: FxHashMap<Symbol, u32>,
-    /// Object sets: `w` membership bits.
-    sets: FxHashMap<Symbol, u32>,
-    /// Boolean variables: one bit.
-    bools: FxHashMap<Symbol, u32>,
-    /// Fields: `w²` bits, row-major, each row one-hot.
-    fields: FxHashMap<Symbol, u32>,
-    /// Object predicates: `w` bits.
-    preds: FxHashMap<Symbol, u32>,
-}
-
 /// An object term's grounding.
-#[derive(Clone)]
 enum Obj {
     /// An object the environment fixes: a binder instance, or `null`.
     Const(u32),
@@ -141,7 +124,11 @@ struct Grounder<'a> {
     sig: &'a FxHashMap<Symbol, Sort>,
     solver: Solver,
     cnf: CnfBuilder,
-    entities: Entities,
+    /// Each declared entity's first solver variable, the rest of its
+    /// [`entity_width`](Grounder::entity_width) following consecutively:
+    /// one-hot bits for an object, membership bits for a set or predicate,
+    /// one bit for a boolean, one-hot rows for a field.
+    entities: FxHashMap<Symbol, u32>,
     /// Reflexive-transitive closure matrices, one per distinct edge
     /// relation.
     closures: FxHashMap<ClosureKey, Rc<Matrix>>,
@@ -166,7 +153,7 @@ impl<'a> Grounder<'a> {
             sig,
             solver: Solver::new(),
             cnf: CnfBuilder::new(),
-            entities: Entities::default(),
+            entities: FxHashMap::default(),
             closures: FxHashMap::default(),
         }
     }
@@ -248,11 +235,30 @@ impl<'a> Grounder<'a> {
 
     // ---- entity encodings ---------------------------------------------------
 
-    /// `count` fresh solver variables; returns the first.
-    fn fresh(&mut self, count: usize) -> u32 {
-        let base = self.solver.num_vars() as u32;
-        self.solver.reserve_vars(base as usize + count);
-        base
+    /// The number of solver variables entity `name` takes.
+    fn entity_width(&self, name: Symbol) -> u32 {
+        let w = width(self.n) as u32;
+        match self.kind_of(name).expect("entities have boundable sorts") {
+            Kind::Obj | Kind::ObjSet | Kind::ObjPred => w,
+            Kind::Bool => 1,
+            Kind::Field => w * w,
+        }
+    }
+
+    /// The literals of entity `name`'s variables, allocated on first use;
+    /// the flag tells whether they were.
+    fn entity(&mut self, name: Symbol) -> (Vec<Lit>, bool) {
+        let count = self.entity_width(name) as usize;
+        let (base, new) = match self.entities.get(&name) {
+            Some(&base) => (base, false),
+            None => {
+                let base = self.solver.num_vars() as u32;
+                self.solver.reserve_vars(base as usize + count);
+                self.entities.insert(name, base);
+                (base, true)
+            }
+        };
+        (var_lits(base, count), new)
     }
 
     /// Exactly one of `bits` is true.
@@ -265,76 +271,28 @@ impl<'a> Grounder<'a> {
         }
     }
 
+    /// An object variable's one-hot bits.
     fn obj_var_bits(&mut self, name: Symbol) -> Vec<Lit> {
-        let w = width(self.n);
-        let base = match self.entities.objs.get(&name) {
-            Some(&b) => b,
-            None => {
-                let b = self.fresh(w);
-                self.entities.objs.insert(name, b);
-                self.one_hot(&var_lits(b, w));
-                b
-            }
-        };
-        var_lits(base, w)
-    }
-
-    fn set_var_bits(&mut self, name: Symbol) -> Vec<Lit> {
-        let w = width(self.n);
-        let base = match self.entities.sets.get(&name) {
-            Some(&b) => b,
-            None => {
-                let b = self.fresh(w);
-                self.entities.sets.insert(name, b);
-                b
-            }
-        };
-        var_lits(base, w)
-    }
-
-    fn bool_var(&mut self, name: Symbol) -> Lit {
-        let base = match self.entities.bools.get(&name) {
-            Some(&b) => b,
-            None => {
-                let b = self.fresh(1);
-                self.entities.bools.insert(name, b);
-                b
-            }
-        };
-        Var(base).positive()
-    }
-
-    fn pred_var_bits(&mut self, name: Symbol) -> Vec<Lit> {
-        let w = width(self.n);
-        let base = match self.entities.preds.get(&name) {
-            Some(&b) => b,
-            None => {
-                let b = self.fresh(w);
-                self.entities.preds.insert(name, b);
-                b
-            }
-        };
-        var_lits(base, w)
+        let (bits, new) = self.entity(name);
+        if new {
+            self.one_hot(&bits);
+        }
+        bits
     }
 
     /// Field matrix M[i][j] ⇔ f(i) = j, with functionality constraints.
     fn field_matrix(&mut self, name: Symbol) -> Matrix {
-        let w = width(self.n);
-        let base = match self.entities.fields.get(&name) {
-            Some(&b) => b,
-            None => {
-                let b = self.fresh(w * w);
-                self.entities.fields.insert(name, b);
-                for i in 0..w {
-                    self.one_hot(&var_lits(b + (i * w) as u32, w));
-                }
-                // Fields map null to null (the Jahob convention the
-                // reference evaluator also uses).
-                self.solver.add_clause(&[Var(b).positive()]);
-                b
+        let (bits, new) = self.entity(name);
+        let rows: Matrix = bits.chunks(width(self.n)).map(<[Lit]>::to_vec).collect();
+        if new {
+            for row in &rows {
+                self.one_hot(row);
             }
-        };
-        (0..w).map(|i| var_lits(base + (i * w) as u32, w)).collect()
+            // Fields map null to null (the Jahob convention the
+            // reference evaluator also uses).
+            self.solver.add_clause(&[rows[0][0]]);
+        }
+        rows
     }
 
     // ---- term encodings -----------------------------------------------------
@@ -445,7 +403,7 @@ impl<'a> Grounder<'a> {
         match form {
             Form::EmptySet => Ok(vec![self.constant(false); w]),
             Form::Var(name) => match self.kind_of(*name)? {
-                Kind::ObjSet => Ok(self.set_var_bits(*name)),
+                Kind::ObjSet => Ok(self.entity(*name).0),
                 other => err(format!("`{name}` used as set but is {other:?}")),
             },
             Form::FiniteSet(elems) => {
@@ -566,7 +524,7 @@ impl<'a> Grounder<'a> {
                     }
                     if args.len() == 1 {
                         if let Ok(Kind::ObjPred) = self.kind_of(*name) {
-                            let bits = self.pred_var_bits(*name);
+                            let bits = self.entity(*name).0;
                             let arg = self.obj(&args[0], env)?;
                             return Ok(self.select(&arg, &bits));
                         }
@@ -575,7 +533,7 @@ impl<'a> Grounder<'a> {
                 err(format!("unsupported atom `{form}`"))
             }
             Form::Var(name) => match self.kind_of(*name)? {
-                Kind::Bool => Ok(self.bool_var(*name)),
+                Kind::Bool => Ok(self.entity(*name).0[0]),
                 other => err(format!("`{name}` used as boolean but is {other:?}")),
             },
             other => err(format!("unsupported formula `{other}`")),
@@ -942,14 +900,9 @@ fn encode<'a>(
 impl Grounder<'_> {
     /// Every variable of a declared entity.
     fn entity_vars(&self) -> impl Iterator<Item = u32> + '_ {
-        let w = width(self.n) as u32;
-        let e = &self.entities;
-        let spans = (e.objs.values().map(move |&b| (b, w)))
-            .chain(e.sets.values().map(move |&b| (b, w)))
-            .chain(e.bools.values().map(|&b| (b, 1)))
-            .chain(e.fields.values().map(move |&b| (b, w * w)))
-            .chain(e.preds.values().map(move |&b| (b, w)));
-        spans.flat_map(|(base, count)| base..base + count)
+        self.entities
+            .iter()
+            .flat_map(|(&name, &base)| base..base + self.entity_width(name))
     }
 
     /// The model a solver assignment denotes.
@@ -957,37 +910,41 @@ impl Grounder<'_> {
         let w = width(self.n) as u32;
         let mut out = Model::new(self.n);
         let bit = |v: u32| model[v as usize];
-        for (&name, &base) in &self.entities.objs {
-            let id = (0..w).find(|i| bit(base + i)).unwrap_or(0);
-            out.interp.insert(name, Value::Obj(id));
-        }
-        for (&name, &base) in &self.entities.sets {
-            let set: BTreeSet<Key> = (0..w).filter(|i| bit(base + i)).map(Key::Obj).collect();
-            out.interp.insert(name, Value::Set(set));
-        }
-        for (&name, &base) in &self.entities.bools {
-            out.interp.insert(name, Value::Bool(bit(base)));
-        }
-        for (&name, &base) in &self.entities.fields {
-            let table: Vec<u32> = (0..w)
-                .map(|i| (0..w).find(|j| bit(base + i * w + j)).unwrap_or(0))
-                .collect();
-            out.set_obj_field(name.as_str(), &table);
-        }
-        for (&name, &base) in &self.entities.preds {
-            // obj => bool predicate as a table.
-            let mut map = FxHashMap::default();
-            for i in 0..w {
-                map.insert(vec![Key::Obj(i)], Value::Bool(bit(base + i)));
+        for (&name, &base) in &self.entities {
+            match self.kind_of(name).expect("entities have boundable sorts") {
+                Kind::Obj => {
+                    let id = (0..w).find(|i| bit(base + i)).unwrap_or(0);
+                    out.interp.insert(name, Value::Obj(id));
+                }
+                Kind::ObjSet => {
+                    let set: BTreeSet<Key> =
+                        (0..w).filter(|i| bit(base + i)).map(Key::Obj).collect();
+                    out.interp.insert(name, Value::Set(set));
+                }
+                Kind::Bool => {
+                    out.interp.insert(name, Value::Bool(bit(base)));
+                }
+                Kind::Field => {
+                    let table: Vec<u32> = (0..w)
+                        .map(|i| (0..w).find(|j| bit(base + i * w + j)).unwrap_or(0))
+                        .collect();
+                    out.set_obj_field(name.as_str(), &table);
+                }
+                Kind::ObjPred => {
+                    // obj => bool predicate as a table.
+                    let map = (0..w)
+                        .map(|i| (vec![Key::Obj(i)], Value::Bool(bit(base + i))))
+                        .collect();
+                    out.interp.insert(
+                        name,
+                        Value::Fun(Rc::new(jahob_logic::model::FunV::Table {
+                            arity: 1,
+                            map,
+                            default: Box::new(Value::Bool(false)),
+                        })),
+                    );
+                }
             }
-            out.interp.insert(
-                name,
-                Value::Fun(Rc::new(jahob_logic::model::FunV::Table {
-                    arity: 1,
-                    map,
-                    default: Box::new(Value::Bool(false)),
-                })),
-            );
         }
         out
     }
@@ -1401,33 +1358,25 @@ mod tests {
             other => panic!("object expected, got {other:?}"),
         };
         let mut out = Vec::new();
-        let mut fix = |base: u32, bits: &mut dyn Iterator<Item = bool>| {
-            out.extend(bits.zip(base..).map(|(b, v)| Var(v).lit(b)));
-        };
-        for (name, &base) in &grounder.entities.objs {
-            let id = obj(&m.interp[name]);
-            fix(base, &mut (0..w).map(|i| i == id));
-        }
-        for (name, &base) in &grounder.entities.sets {
-            let Value::Set(set) = &m.interp[name] else {
-                panic!("set expected for {name}")
+        for (name, &base) in &grounder.entities {
+            let bits: Vec<bool> = match &m.interp[name] {
+                Value::Obj(id) => (0..w).map(|i| i == *id).collect(),
+                Value::Set(set) => (0..w).map(|i| set.contains(&Key::Obj(i))).collect(),
+                Value::Fun(table) => {
+                    let jahob_logic::model::FunV::Table { map, default, .. } = table.as_ref()
+                    else {
+                        panic!("table expected for {name}")
+                    };
+                    (0..w)
+                        .flat_map(|i| {
+                            let j = obj(map.get(&vec![Key::Obj(i)]).unwrap_or(default));
+                            (0..w).map(move |k| k == j)
+                        })
+                        .collect()
+                }
+                other => panic!("unexpected value {other:?} for {name}"),
             };
-            fix(base, &mut (0..w).map(|i| set.contains(&Key::Obj(i))));
-        }
-        for (name, &base) in &grounder.entities.fields {
-            let Value::Fun(table) = &m.interp[name] else {
-                panic!("field expected for {name}")
-            };
-            let jahob_logic::model::FunV::Table { map, default, .. } = table.as_ref() else {
-                panic!("table expected for {name}")
-            };
-            let image: Vec<u32> = (0..w)
-                .map(|i| obj(map.get(&vec![Key::Obj(i)]).unwrap_or(default)))
-                .collect();
-            fix(
-                base,
-                &mut image.iter().flat_map(|&j| (0..w).map(move |k| k == j)),
-            );
+            out.extend(bits.iter().zip(base..).map(|(&b, v)| Var(v).lit(b)));
         }
         out
     }
