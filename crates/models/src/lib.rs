@@ -125,9 +125,9 @@ struct Grounder<'a> {
     solver: Solver,
     cnf: CnfBuilder,
     /// Each declared entity's first solver variable, the rest of its
-    /// [`entity_width`](Grounder::entity_width) following consecutively:
-    /// one-hot bits for an object, membership bits for a set or predicate,
-    /// one bit for a boolean, one-hot rows for a field.
+    /// `entity_width` following consecutively: one-hot bits for an
+    /// object, membership bits for a set or predicate, one bit for a
+    /// boolean, one-hot rows for a field.
     entities: FxHashMap<Symbol, u32>,
     /// Reflexive-transitive closure matrices, one per distinct edge
     /// relation.

@@ -312,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_gates_reuse_their_variable() {
+    fn shared_subformulas_reuse_definitions() {
         let (mut b, mut s, [a0, a1, a2]) = setup();
         let shared = b.and(&mut s, &[a0, a1]);
         let n1 = s.num_vars();
