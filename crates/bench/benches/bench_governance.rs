@@ -258,78 +258,6 @@ fn bench_persistent_cache(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
-/// Process-supervision overhead (ISSUE 7). `ipc_roundtrip` prices the
-/// framing codec alone — encode + CRC + decode through memory, the fixed
-/// per-request tax both sides pay. `process_backend` prices a whole
-/// verification with the remotable provers in supervised children
-/// against the in-process baseline; it needs a worker binary
-/// (`JAHOB_WORKER_BIN`, or a previously built `target/*/jahob`) and
-/// skips with a note otherwise, since benches cannot re-exec themselves.
-/// Verdicts are asserted identical across backends on every iteration.
-fn bench_supervision_overhead(c: &mut Criterion) {
-    use jahob::{Config, Isolation};
-    use jahob_util::ipc::{kind, read_frame, write_frame, Frame, DEFAULT_MAX_FRAME};
-
-    let mut group = c.benchmark_group("governance/supervision");
-    group.sample_size(10);
-
-    for size in [1usize << 10, 64 << 10] {
-        let frame = Frame::new(kind::REQUEST, vec![0xA5; size]);
-        group.bench_with_input(BenchmarkId::new("ipc_roundtrip", size), &frame, |b, f| {
-            b.iter(|| {
-                let mut buf = Vec::with_capacity(f.payload.len() + 16);
-                write_frame(&mut buf, f).expect("encode");
-                let decoded = read_frame(&mut buf.as_slice(), DEFAULT_MAX_FRAME).expect("decode");
-                assert_eq!(decoded.payload.len(), f.payload.len());
-                decoded
-            })
-        });
-    }
-
-    let src = std::fs::read_to_string("../../case_studies/globalset.javax")
-        .or_else(|_| std::fs::read_to_string("case_studies/globalset.javax"))
-        .expect("case_studies/globalset.javax");
-    let worker = std::env::var_os("JAHOB_WORKER_BIN")
-        .map(std::path::PathBuf::from)
-        .or_else(|| {
-            ["../../target/release/jahob", "../../target/debug/jahob"]
-                .iter()
-                .map(std::path::PathBuf::from)
-                .find(|p| p.is_file())
-        });
-    let run = |isolation: Isolation, worker: Option<&std::path::Path>| {
-        let mut builder = Config::builder().workers(1).isolation(isolation);
-        if let Some(program) = worker {
-            builder = builder.worker_program(program);
-        }
-        let report = builder.build_verifier().verify(&src).expect("pipeline");
-        assert!(report.methods.iter().all(|m| m.error.is_none()));
-        report
-    };
-    let baseline = run(Isolation::InProcess, None).to_json(jahob::ReportRender::STABLE);
-    group.bench_function("in_process", |b| b.iter(|| run(Isolation::InProcess, None)));
-    match worker {
-        Some(worker) => {
-            group.bench_function("process_backend", |b| {
-                b.iter(|| {
-                    let report = run(Isolation::Process, Some(&worker));
-                    assert_eq!(
-                        report.to_json(jahob::ReportRender::STABLE),
-                        baseline,
-                        "backends disagree"
-                    );
-                    report
-                })
-            });
-        }
-        None => eprintln!(
-            "governance/supervision: no worker binary (set JAHOB_WORKER_BIN or \
-             `cargo build -p jahob-repro`); skipping process_backend"
-        ),
-    }
-    group.finish();
-}
-
 /// The verification daemon (ISSUE 9): `cold_oneshot` builds a fresh
 /// session per iteration — exactly what a one-shot `jahob verify`
 /// costs; `warm_daemon` submits the same file to one long-lived
@@ -398,7 +326,6 @@ criterion_group!(
     bench_goal_cache,
     bench_persistent_cache,
     bench_observability_overhead,
-    bench_supervision_overhead,
     bench_service
 );
 criterion_main!(benches);

@@ -5,35 +5,19 @@
 //! ```sh
 //! cargo run -p jahob --example verify_file -- case_studies/list.javax
 //! cargo run -p jahob --example verify_file -- --json case_studies/list.javax
-//! JAHOB_ISOLATION=process cargo run -p jahob --example verify_file -- case_studies/list.javax
+//! cargo run -p jahob --example verify_file -- --deadline-ms 10000 case_studies/list.javax
 //! JAHOB_OBS=run.jsonl cargo run -p jahob --example verify_file -- case_studies/list.javax
 //! ```
 //!
 //! The flags and environment variables are documented on
 //! [`jahob::Config`] and in the `jahob` binary; everything resolves
 //! exactly once inside `Config::builder`.
-//!
-//! The hidden `worker` mode is the supervised child half of process
-//! isolation (this example re-exec'd by its own supervisor); it is not
-//! for interactive use.
 use jahob::cli::{self, Command};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let program = "verify_file";
-    let mut args = std::env::args().skip(1).peekable();
-
-    if args.peek().map(String::as_str) == Some("worker") {
-        return match jahob::worker_main() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{program} worker: pipe error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let invocation = match cli::parse(args.collect()) {
+    let invocation = match cli::parse(std::env::args().skip(1).collect()) {
         Ok(invocation) => invocation,
         Err(why) => return cli::usage(program, &why, false),
     };

@@ -16,11 +16,10 @@
 //! Subcommands (first argument): `verify` (implicit when the first
 //! argument is a path), `serve`, `submit`, `status`, `drain`. Each
 //! accepts exactly the flags it uses; any other flag is an error, never
-//! silently dropped. The hidden `worker` mode is the supervisor's child
-//! half and is handled by the binaries *before* this parser runs.
+//! silently dropped.
 
 use crate::service::{self, Client, Service, SubmitOptions, SubmitOutcome};
-use crate::verify::{Config, Isolation, ReportRender, RequestOptions, Verifier, VerifyReport};
+use crate::verify::{Config, ReportRender, RequestOptions, Verifier, VerifyReport};
 use jahob_util::obs::JsonlSink;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -56,7 +55,6 @@ impl OutputMode {
 #[derive(Clone, Debug, Default)]
 pub struct CommonOpts {
     pub output: OutputMode,
-    pub isolation: Option<Isolation>,
     /// `--socket PATH`; unset defers to `JAHOB_SOCKET` in the builder.
     pub socket: Option<PathBuf>,
     /// `--deadline-ms N`: per-obligation wall-clock ceiling for this
@@ -88,13 +86,11 @@ pub struct Invocation {
 
 /// The flags `subcommand` uses — exactly the ones it reads, so a flag
 /// that would have no effect is rejected instead of silently dropped.
-/// `submit` takes no portfolio flags because the daemon's session is
-/// fixed when `serve` starts; `serve` takes no report or deadline flags
-/// because each `submit` chooses those per request.
+/// `serve` takes no report or deadline flags because each `submit`
+/// chooses those per request.
 fn flags_for(subcommand: &str) -> &'static [&'static str] {
     match subcommand {
-        "verify" => &["--json", "--json-timing", "--isolation", "--deadline-ms"],
-        "serve" => &["--socket", "--isolation"],
+        "verify" => &["--json", "--json-timing", "--deadline-ms"],
         "submit" => &["--socket", "--json", "--json-timing", "--deadline-ms"],
         _ => &["--socket"],
     }
@@ -126,9 +122,7 @@ pub fn parse(args: Vec<String>) -> Result<Invocation, String> {
             continue;
         }
         let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) if matches!(flag, "--isolation" | "--socket") => {
-                (flag, Some(value.to_owned()))
-            }
+            Some((flag, value)) if flag == "--socket" => (flag, Some(value.to_owned())),
             _ => (arg.as_str(), None),
         };
         let known = ["verify", "serve", "submit"]
@@ -140,7 +134,7 @@ pub fn parse(args: Vec<String>) -> Result<Invocation, String> {
         if !flags_for(&word).contains(&flag) {
             return Err(format!("`{word}` does not take `{flag}`"));
         }
-        let takes_value = matches!(flag, "--isolation" | "--socket" | "--deadline-ms");
+        let takes_value = matches!(flag, "--socket" | "--deadline-ms");
         let value = if takes_value {
             inline.or_else(|| iter.next())
         } else {
@@ -149,13 +143,6 @@ pub fn parse(args: Vec<String>) -> Result<Invocation, String> {
         match flag {
             "--json" => opts.output = OutputMode::Json,
             "--json-timing" => opts.output = OutputMode::JsonTiming,
-            "--isolation" => match value {
-                Some(mode) => match parse_isolation(&mode) {
-                    Some(iso) => opts.isolation = Some(iso),
-                    None => return Err(format!("unknown isolation mode `{mode}`")),
-                },
-                None => return Err("--isolation needs a mode (process|in-process)".into()),
-            },
             "--socket" => match value {
                 Some(p) => opts.socket = Some(PathBuf::from(p)),
                 None => return Err("--socket needs a path".into()),
@@ -180,14 +167,6 @@ pub fn parse(args: Vec<String>) -> Result<Invocation, String> {
     Ok(Invocation { command, opts })
 }
 
-fn parse_isolation(mode: &str) -> Option<Isolation> {
-    match mode {
-        "process" => Some(Isolation::Process),
-        "in-process" => Some(Isolation::InProcess),
-        _ => None,
-    }
-}
-
 /// Diagnose a bad invocation onto stderr and return the ladder's `2`.
 /// `with_service` includes the daemon subcommands in the usage line
 /// (the `verify_file` example only verifies).
@@ -195,20 +174,15 @@ pub fn usage(program: &str, why: &str, with_service: bool) -> ExitCode {
     eprintln!("{program}: {why}");
     if with_service {
         eprintln!(
-            "usage: {program} [verify] [--json|--json-timing] \
-             [--isolation process|in-process] [--deadline-ms N] \
+            "usage: {program} [verify] [--json|--json-timing] [--deadline-ms N] \
              <file.javax>\n       \
-             {program} serve  [--socket <path>] [--isolation process|in-process]\n       \
+             {program} serve  [--socket <path>]\n       \
              {program} submit [--socket <path>] [--json|--json-timing] \
              [--deadline-ms N] <file.javax>\n       \
              {program} status|drain [--socket <path>]"
         );
     } else {
-        eprintln!(
-            "usage: {program} [--json|--json-timing] \
-             [--isolation process|in-process] [--deadline-ms N] \
-             <file.javax>"
-        );
+        eprintln!("usage: {program} [--json|--json-timing] [--deadline-ms N] <file.javax>");
     }
     ExitCode::from(2)
 }
@@ -216,30 +190,13 @@ pub fn usage(program: &str, why: &str, with_service: bool) -> ExitCode {
 /// Build the front-door [`Config`]: flags layered over the environment,
 /// everything resolved exactly once inside [`Config::builder`].
 ///
-/// `program` prefixes the diagnosed degradations (an unresolvable own
-/// executable, an unwritable `JAHOB_OBS` path) — both degrade with a
-/// message, never block verification.
+/// `program` prefixes the diagnosed degradation of an unwritable
+/// `JAHOB_OBS` path, which costs the event stream with a message and
+/// never blocks verification.
 pub fn build_config(program: &str, opts: &CommonOpts) -> Config {
     let mut builder = Config::builder();
-    if let Some(iso) = opts.isolation {
-        builder = builder.isolation(iso);
-    }
     if let Some(socket) = &opts.socket {
         builder = builder.socket(socket.clone());
-    }
-    // The front-door binaries serve worker mode themselves, so — unlike
-    // the library, which never guesses — it is safe to point the
-    // supervisor at the current executable. An explicit
-    // JAHOB_WORKER_BIN still wins.
-    if std::env::var_os("JAHOB_WORKER_BIN").is_none() {
-        match std::env::current_exe() {
-            Ok(me) => builder = builder.worker_program(me),
-            Err(e) => {
-                // Process isolation silently degrades to in-process when
-                // no worker binary resolves; say why instead of silence.
-                eprintln!("{program}: cannot resolve own executable ({e}); running in-process");
-            }
-        }
     }
     if let Ok(obs_path) = std::env::var("JAHOB_OBS") {
         match JsonlSink::create(std::path::Path::new(&obs_path)) {
@@ -263,13 +220,8 @@ pub fn human_report(report: &VerifyReport, verifier: &Verifier) -> String {
     let get = |k: &str| report.stats.get(k).copied().unwrap_or(0);
     let _ = writeln!(
         out,
-        "workers: {}; isolation: {}; goal cache: {} hit / {} miss",
+        "workers: {}; goal cache: {} hit / {} miss",
         verifier.config().effective_workers(),
-        match (verifier.config().isolation, verifier.process_backend()) {
-            (Isolation::Process, Some(_)) => "process",
-            (Isolation::Process, None) => "process (no worker binary; in-process)",
-            (Isolation::InProcess, _) => "in-process",
-        },
         get("cache.hit"),
         get("cache.miss")
     );
@@ -537,8 +489,6 @@ mod tests {
     #[test]
     fn bad_invocations_diagnose() {
         assert!(parse(args(&[])).is_err());
-        assert!(parse(args(&["--isolation"])).is_err());
-        assert!(parse(args(&["--isolation", "weird", "x.javax"])).is_err());
         assert!(parse(args(&["serve", "stray.javax"])).is_err());
         assert!(parse(args(&["submit"])).is_err());
         assert!(parse(args(&["--deadline-ms", "zero", "x.javax"])).is_err());
@@ -547,26 +497,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_takes_isolation() {
-        let inv = parse(args(&[
-            "serve",
-            "--isolation",
-            "process",
-            "--socket=/tmp/s",
-        ]))
-        .unwrap();
-        assert_eq!(inv.command, Command::Serve);
-        assert_eq!(inv.opts.isolation, Some(Isolation::Process));
-    }
-
-    #[test]
     fn flags_a_subcommand_does_not_use_are_rejected() {
         for bad in [
-            &["submit", "--isolation", "process", "x.javax"][..],
-            &["submit", "--isolation=in-process", "x.javax"],
-            &["status", "--isolation", "process"],
-            &["drain", "--isolation=process"],
-            &["status", "--json"],
+            &["status", "--json"][..],
             &["drain", "--deadline-ms", "5"],
             &["serve", "--socket", "s", "--json"],
             &["serve", "--socket", "s", "--json-timing"],
@@ -581,7 +514,7 @@ mod tests {
 
     #[test]
     fn racing_adaptive_and_slicing_are_unknown_flags() {
-        for name in ["racing", "adaptive", "slicing"] {
+        for name in ["racing", "adaptive", "slicing", "isolation"] {
             let flag = format!("--{name}");
             let flag = flag.as_str();
             for bad in [&[flag, "x.javax"][..], &["serve", flag, "--socket", "s"]] {

@@ -91,22 +91,6 @@ impl ProverId {
         }
     }
 
-    /// The chaos-boundary site for this prover's *out-of-process* worker
-    /// requests. Distinct from [`ProverId::site`] so a fault plan can aim
-    /// IPC faults at the supervision layer without also perturbing the
-    /// in-process attempt path.
-    pub fn supervisor_site(self) -> &'static str {
-        match self {
-            ProverId::Simplifier => "supervisor.simplifier",
-            ProverId::Hol => "supervisor.hol-auto",
-            ProverId::Lia => "supervisor.presburger",
-            ProverId::Bapa => "supervisor.bapa",
-            ProverId::Smt => "supervisor.nelson-oppen",
-            ProverId::Fol => "supervisor.fol-resolution",
-            ProverId::Bmc => "supervisor.bounded-models",
-        }
-    }
-
     /// The display name as a static string, so event payloads carry it
     /// without allocating.
     pub fn name(self) -> &'static str {
@@ -164,11 +148,6 @@ pub enum FailureReason {
     Timeout,
     /// The prover panicked; the panic was caught and isolated.
     Panicked,
-    /// The prover's worker process blew its memory ceiling (or an
-    /// equivalent hard resource limit) and was reaped. Only produced by
-    /// the process-isolation backend; the in-process path has no ceiling
-    /// to hit.
-    ResourceExceeded,
     /// The soundness watchdog demoted this prover's `Proved`: no
     /// independent portfolio member could confirm it.
     Unconfirmed,
@@ -190,7 +169,6 @@ impl fmt::Display for FailureReason {
             FailureReason::FuelExhausted => f.write_str("fuel-exhausted"),
             FailureReason::Timeout => f.write_str("timeout"),
             FailureReason::Panicked => f.write_str("panicked"),
-            FailureReason::ResourceExceeded => f.write_str("resource-exceeded"),
             FailureReason::Unconfirmed => f.write_str("unconfirmed"),
             FailureReason::Disagreement { claimed, witness } => {
                 write!(f, "disagreement (claimed {claimed}, witness {witness})")
@@ -204,30 +182,6 @@ impl From<Exhaustion> for FailureReason {
         match e {
             Exhaustion::Timeout => FailureReason::Timeout,
             Exhaustion::Fuel => FailureReason::FuelExhausted,
-        }
-    }
-}
-
-/// How a guarded prover attempt can fail. Budget exhaustion is the
-/// cooperative path every prover reports; `Resource` is minted only by
-/// the process-isolation backend when a worker blows a hard ceiling.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum AttemptError {
-    Budget(Exhaustion),
-    Resource,
-}
-
-impl From<Exhaustion> for AttemptError {
-    fn from(e: Exhaustion) -> AttemptError {
-        AttemptError::Budget(e)
-    }
-}
-
-impl From<AttemptError> for FailureReason {
-    fn from(e: AttemptError) -> FailureReason {
-        match e {
-            AttemptError::Budget(why) => FailureReason::from(why),
-            AttemptError::Resource => FailureReason::ResourceExceeded,
         }
     }
 }
@@ -413,8 +367,8 @@ impl Default for DispatchConfig {
     }
 }
 
-/// Circuit breaker: consecutive hard failures (`Panicked`/`Timeout`/
-/// `ResourceExceeded`) before a prover's breaker opens.
+/// Circuit breaker: consecutive hard failures (`Panicked`/`Timeout`)
+/// before a prover's breaker opens.
 const BREAKER_THRESHOLD: u64 = 3;
 
 /// How many attempts an open breaker skips before half-opening for a
@@ -519,9 +473,7 @@ impl BreakerBank {
         let cell = &self.cells[prover.index()];
         let hard = matches!(
             failure,
-            Some(FailureReason::Panicked)
-                | Some(FailureReason::Timeout)
-                | Some(FailureReason::ResourceExceeded)
+            Some(FailureReason::Panicked) | Some(FailureReason::Timeout)
         );
         if hard {
             if probing {
@@ -570,11 +522,6 @@ pub struct Dispatcher {
     /// Run-wide normalized-goal cache, shared (via `Arc`) across the
     /// dispatchers of one verification run. `None` disables caching.
     pub cache: Option<Arc<GoalCache>>,
-    /// Out-of-process execution backend. When set, remotable prover
-    /// attempts run in supervised worker children; crashes and quarantine
-    /// degrade gracefully to the in-process path. `None` (the default)
-    /// keeps everything in-process.
-    pub supervisor: Option<Arc<crate::worker::ProcessBackend>>,
     /// Per-prover circuit breakers (state persists across obligations).
     breakers: BreakerBank,
 }
@@ -633,7 +580,6 @@ impl Dispatcher {
             stats: Stats::new(),
             recorder,
             cache: None,
-            supervisor: None,
             breakers: BreakerBank::default(),
         }
     }
@@ -988,7 +934,7 @@ impl Dispatcher {
         budget: &Budget,
         diag: &mut Diagnosis,
         ctx: &AttemptCtx<'_>,
-        body: impl FnOnce(&Budget, &mut Diagnosis) -> Result<Option<Verdict>, AttemptError>,
+        body: impl FnOnce(&Budget, &mut Diagnosis) -> Result<Option<Verdict>, Exhaustion>,
     ) -> Option<Verdict> {
         // Watchdog confirmation: the claimer may not confirm itself.
         if ctx.exclude == Some(prover) {
@@ -1069,15 +1015,15 @@ impl Dispatcher {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             match fault {
                 Some(Fault::Panic) => panic!("chaos: injected panic in {prover}"),
-                Some(Fault::Timeout) => return Err(Exhaustion::Timeout.into()),
-                Some(Fault::Starvation) => return Err(Exhaustion::Fuel.into()),
+                Some(Fault::Timeout) => return Err(Exhaustion::Timeout),
+                Some(Fault::Starvation) => return Err(Exhaustion::Fuel),
                 Some(Fault::SlowBurn) => {
                     // A prover that spins: burn the whole slice, no progress.
                     let r = slice.fuel_remaining();
                     if r != INFINITE_FUEL {
                         let _ = slice.charge(r);
                     }
-                    return Err(Exhaustion::Fuel.into());
+                    return Err(Exhaustion::Fuel);
                 }
                 Some(Fault::WrongVerdict(lie)) => {
                     // Single-liar rule: only the plan's designated liar may
@@ -1108,13 +1054,12 @@ impl Dispatcher {
                         }));
                     }
                 }
-                // Disk faults target the persistent store's IO boundary,
-                // IPC faults the supervisor's worker requests, and socket
-                // faults the daemon's client connections — not in-process
+                // Disk faults target the persistent store's IO boundary
+                // and socket faults the daemon's client connections — not
                 // prover attempts; a seeded roll landing one here is
                 // impossible (`decide` never yields them) and a targeted
                 // rule aiming one at a prover site is inert.
-                Some(Fault::Disk(_)) | Some(Fault::Ipc(_)) | Some(Fault::Socket(_)) | None => {}
+                Some(Fault::Disk(_)) | Some(Fault::Socket(_)) | None => {}
             }
             body(&slice, diag)
         }));
@@ -1175,148 +1120,6 @@ impl Dispatcher {
         verdict
     }
 
-    /// The body `guard` runs for a remotable portfolio member: try the
-    /// process backend first (when one is attached and eligible), fall
-    /// back to the shared in-process implementation.
-    fn attempt_body(
-        &self,
-        prover: ProverId,
-        variants: &[(Form, FxHashMap<Symbol, Sort>)],
-        slice: &Budget,
-        diag: &mut Diagnosis,
-    ) -> Result<Option<Verdict>, AttemptError> {
-        if let Some(outcome) = self.remote_attempt(prover, variants, slice, diag) {
-            return outcome;
-        }
-        crate::worker::portfolio_attempt(
-            prover,
-            variants,
-            self.config.fol_iterations,
-            slice,
-            diag,
-            &self.stats,
-        )
-        .map_err(AttemptError::from)
-    }
-
-    /// Attempt one prover out of process. Returns `None` when the attempt
-    /// should (or must) run in-process instead: no backend attached, a
-    /// non-remotable prover, a seeded chaos plan armed, a quarantined
-    /// lane, or a worker crash after the crash has been diagnosed —
-    /// graceful degradation, never a changed verdict.
-    fn remote_attempt(
-        &self,
-        prover: ProverId,
-        variants: &[(Form, FxHashMap<Symbol, Sort>)],
-        slice: &Budget,
-        diag: &mut Diagnosis,
-    ) -> Option<Result<Option<Verdict>, AttemptError>> {
-        use crate::worker::{DecodedReply, ReplyOutcome};
-        use jahob_util::supervisor::Outcome;
-        let backend = self.supervisor.as_deref()?;
-        if !crate::worker::remotable(prover) {
-            return None;
-        }
-        let plan = self.config.fault_plan.as_deref();
-        // Seeded plans stand the process backend down entirely: their
-        // faults fire at thread-local boundaries *inside* the provers,
-        // which a child process cannot see, so running remotely would
-        // silently change which faults a run replays. (The goal cache
-        // stands down under seeded plans for the analogous reason.)
-        if plan.is_some_and(FaultPlan::is_seeded) {
-            return None;
-        }
-        // Targeted IPC faults are decided here, at the named supervisor
-        // boundary, and shipped to the worker as cooperative-misbehavior
-        // flags; the observable effect on the parent is the real thing.
-        let ipc_fault = plan.and_then(|p| p.decide_ipc(prover.supervisor_site()));
-        if let Some(kind) = ipc_fault {
-            self.emit(Event::ChaosInjected {
-                site: prover.supervisor_site().to_owned(),
-                fault: Fault::Ipc(kind).to_string(),
-            });
-        }
-        let deadline = backend.deadline_for(slice);
-        let request = crate::worker::Request {
-            prover,
-            chaos: ipc_fault.map(crate::worker::ipc_fault_flag).unwrap_or(0),
-            fuel: slice.fuel_remaining(),
-            deadline_ms: deadline.as_millis() as u64,
-            fol_iterations: self.config.fol_iterations as u64,
-            variants: variants.to_vec(),
-        };
-        // The hard SIGKILL deadline trails the worker's cooperative one,
-        // so a healthy-but-slow worker reports its own Timeout; the kill
-        // is reserved for the genuinely wedged.
-        let hard = deadline + Duration::from_millis(150);
-        match backend
-            .supervisor()
-            .request(prover.name(), &request.encode(), hard)
-        {
-            Outcome::Reply(payload) => match DecodedReply::decode(&payload) {
-                Ok(reply) => {
-                    for (name, delta) in &reply.stats {
-                        self.stats.add(name, *delta);
-                    }
-                    for (p, reason) in &reply.diag {
-                        diag.record(*p, *reason);
-                    }
-                    let _ = slice.charge(reply.fuel_spent);
-                    Some(match reply.outcome {
-                        ReplyOutcome::NoDecision => Ok(None),
-                        ReplyOutcome::Proved { prover, bound } => {
-                            Ok(Some(Verdict::Proved { prover, bound }))
-                        }
-                        ReplyOutcome::Exhausted(why) => Err(AttemptError::Budget(why)),
-                        // Re-raise the worker's caught panic so the guard's
-                        // catch_unwind takes exactly the in-process path
-                        // (diagnosis, breaker, Attempt event). resume_unwind
-                        // skips the panic hook: the worker's stderr already
-                        // carries the original message.
-                        ReplyOutcome::Panicked => {
-                            std::panic::resume_unwind(Box::new("prover panicked in worker process"))
-                        }
-                    })
-                }
-                Err(_) => {
-                    // CRC-clean but undecodable: a protocol-version bug,
-                    // not line noise. Degrade to the in-process path.
-                    self.emit(Event::SupervisorFallback {
-                        lane: prover.name(),
-                    });
-                    None
-                }
-            },
-            Outcome::TimedOut => {
-                self.emit(Event::SupervisorKill {
-                    lane: prover.name(),
-                    reason: "deadline",
-                });
-                Some(Err(AttemptError::Budget(Exhaustion::Timeout)))
-            }
-            Outcome::Crashed { oom: true, .. } => {
-                self.emit(Event::SupervisorCrash {
-                    lane: prover.name(),
-                    oom: true,
-                });
-                Some(Err(AttemptError::Resource))
-            }
-            Outcome::Crashed { oom: false, .. } => {
-                self.emit(Event::SupervisorCrash {
-                    lane: prover.name(),
-                    oom: false,
-                });
-                self.emit(Event::SupervisorFallback {
-                    lane: prover.name(),
-                });
-                None
-            }
-            // Quarantined lane: the quarantine event fired when the lane
-            // was condemned; every later attempt silently degrades.
-            Outcome::Unavailable => None,
-        }
-    }
-
     fn prove_piece_inner(&self, piece: &Form, budget: &Budget, ctx: &AttemptCtx<'_>) -> Verdict {
         let mut diag = Diagnosis::default();
         if simplify(piece) == Form::tt() {
@@ -1347,14 +1150,17 @@ impl Dispatcher {
             }
         }
 
-        // Cheap, fragment-specific provers first (their bodies live in
-        // [`crate::worker::portfolio_attempt`] so the in-process path and
-        // the worker process run the same code; hypothesis filtering moved
-        // with them). Each remotable member routes through the process
-        // backend when one is attached.
+        // Cheap, fragment-specific provers first.
         for prover in [ProverId::Hol, ProverId::Lia, ProverId::Bapa, ProverId::Smt] {
             let decided = self.guard(prover, budget, &mut diag, ctx, |slice, diag| {
-                self.attempt_body(prover, &variants, slice, diag)
+                portfolio_attempt(
+                    prover,
+                    &variants,
+                    self.config.fol_iterations,
+                    slice,
+                    diag,
+                    &self.stats,
+                )
             });
             if let Some(v) = decided {
                 return v;
@@ -1374,7 +1180,14 @@ impl Dispatcher {
             }
         }
         let fol = self.guard(ProverId::Fol, budget, &mut diag, ctx, |slice, diag| {
-            self.attempt_body(ProverId::Fol, &variants, slice, diag)
+            portfolio_attempt(
+                ProverId::Fol,
+                &variants,
+                self.config.fol_iterations,
+                slice,
+                diag,
+                &self.stats,
+            )
         });
         if let Some(v) = fol {
             return v;
@@ -1401,7 +1214,7 @@ impl Dispatcher {
         variants: &[(Form, FxHashMap<Symbol, Sort>)],
         slice: &Budget,
         diag: &mut Diagnosis,
-    ) -> Result<Option<Verdict>, AttemptError> {
+    ) -> Result<Option<Verdict>, Exhaustion> {
         use jahob_models::ModelsFailure;
         let bound = self.config.bmc_bound;
         let mut proved = false;
@@ -1419,7 +1232,7 @@ impl Dispatcher {
                 Err(ModelsFailure::Fragment(_)) => {
                     diag.record(ProverId::Bmc, FailureReason::Unsupported)
                 }
-                Err(ModelsFailure::Exhausted(why)) => return Err(why.into()),
+                Err(ModelsFailure::Exhausted(why)) => return Err(why),
             }
             // Outside the fragment: weaken into it, unless a bounded proof
             // is already held or bounded proofs are off.
@@ -1435,7 +1248,7 @@ impl Dispatcher {
                     diag.record(ProverId::Bmc, FailureReason::GaveUp)
                 }
                 Err(ModelsFailure::Fragment(_)) => {}
-                Err(ModelsFailure::Exhausted(why)) => return Err(why.into()),
+                Err(ModelsFailure::Exhausted(why)) => return Err(why),
             }
         }
         Ok(proved.then_some(Verdict::Proved {
@@ -1455,7 +1268,7 @@ impl Dispatcher {
         sig: &FxHashMap<Symbol, Sort>,
     ) -> Option<(Form, FxHashMap<Symbol, Sort>)> {
         let (abstracted, abs_sig, was_abstracted) = abstract_set_apps(goal, sig);
-        let filtered = crate::worker::filtered(&abstracted, &mut |h| {
+        let filtered = filtered(&abstracted, &mut |h| {
             let ok = jahob_models::in_fragment(h, &abs_sig, 1);
             if !ok {
                 self.recorder.record_with(|| {
@@ -1471,6 +1284,175 @@ impl Dispatcher {
             Some(candidate) => Some((candidate, abs_sig)),
             None => was_abstracted.then_some((abstracted, abs_sig)),
         }
+    }
+}
+
+/// Drop hypotheses outside a prover's fragment, at conjunct granularity:
+/// one foreign conjunct must not take the rest of its conjunction down
+/// with it ([`jahob_logic::sequent::Sequent::of`] does the flattening).
+/// Dropping hypotheses is sound for validity. Returns `None` when nothing
+/// was dropped (the full goal was already tried).
+fn filtered(goal: &Form, keep: &mut dyn FnMut(&Form) -> bool) -> Option<Form> {
+    let mut seq = jahob_logic::sequent::Sequent::of(goal);
+    if seq.hyps.is_empty() {
+        return None;
+    }
+    let total = seq.hyps.len();
+    seq.hyps.retain(|h| keep(&h.form));
+    if seq.hyps.len() == total {
+        return None;
+    }
+    Some(seq.to_form())
+}
+
+/// One prover's pass over the goal variants — the body `guard` runs for
+/// every portfolio member except the model finder, which has
+/// [`Dispatcher::bounded_search`]. It stops only through `slice`.
+fn portfolio_attempt(
+    prover: ProverId,
+    variants: &[(Form, FxHashMap<Symbol, Sort>)],
+    fol_iterations: usize,
+    slice: &Budget,
+    diag: &mut Diagnosis,
+    stats: &Stats,
+) -> Result<Option<Verdict>, Exhaustion> {
+    match prover {
+        ProverId::Hol => {
+            for (goal, _) in variants {
+                if jahob_hol::auto_proves_governed(goal, slice)? {
+                    stats.bump("proved.hol");
+                    return Ok(Some(Verdict::Proved {
+                        prover: ProverId::Hol,
+                        bound: None,
+                    }));
+                }
+                diag.record(ProverId::Hol, FailureReason::GaveUp);
+            }
+            Ok(None)
+        }
+        ProverId::Lia => {
+            for (goal, _) in variants {
+                stats.bump("tried.presburger");
+                let mut candidates = vec![goal.clone()];
+                if let Some(f) = filtered(goal, &mut |h| {
+                    jahob_presburger::translate::form_to_pform(h).is_ok()
+                }) {
+                    candidates.push(f);
+                }
+                for g in &candidates {
+                    match jahob_presburger::translate::decide_valid_budgeted(g, slice) {
+                        Ok(true) => {
+                            stats.bump("proved.presburger");
+                            return Ok(Some(Verdict::Proved {
+                                prover: ProverId::Lia,
+                                bound: None,
+                            }));
+                        }
+                        Ok(false) => diag.record(ProverId::Lia, FailureReason::GaveUp),
+                        Err(jahob_presburger::PresburgerFailure::Fragment(_)) => {
+                            diag.record(ProverId::Lia, FailureReason::Unsupported)
+                        }
+                        Err(jahob_presburger::PresburgerFailure::Exhausted(why)) => {
+                            return Err(why)
+                        }
+                    }
+                }
+            }
+            Ok(None)
+        }
+        ProverId::Bapa => {
+            for (goal, sig) in variants {
+                stats.bump("tried.bapa");
+                let mut candidates = vec![goal.clone()];
+                if let Some(f) = filtered(goal, &mut |h| jahob_bapa::base_set_count(h, sig).is_ok())
+                {
+                    candidates.push(f);
+                }
+                for g in &candidates {
+                    match jahob_bapa::bapa_valid_budgeted(g, sig, slice) {
+                        Ok(true) => {
+                            stats.bump("proved.bapa");
+                            return Ok(Some(Verdict::Proved {
+                                prover: ProverId::Bapa,
+                                bound: None,
+                            }));
+                        }
+                        Ok(false) => diag.record(ProverId::Bapa, FailureReason::GaveUp),
+                        Err(jahob_bapa::BapaFailure::Fragment(_)) => {
+                            diag.record(ProverId::Bapa, FailureReason::Unsupported)
+                        }
+                        Err(jahob_bapa::BapaFailure::Exhausted(why)) => return Err(why),
+                    }
+                }
+            }
+            Ok(None)
+        }
+        ProverId::Smt => {
+            for (goal, sig) in variants {
+                // The Nelson–Oppen core is for compact ground goals; on big
+                // VC chains the lazy loop + arrangement enumeration
+                // dominates.
+                if goal.size() > 150 {
+                    continue;
+                }
+                stats.bump("tried.smt");
+                let mut candidates = vec![goal.clone()];
+                if let Some(f) = filtered(goal, &mut |h| jahob_smt::in_fragment(h, sig)) {
+                    candidates.push(f);
+                }
+                for g in &candidates {
+                    let prepared = jahob_smt::lift_ite(g);
+                    match jahob_smt::smt_valid_budgeted(&prepared, sig, slice) {
+                        Ok(true) => {
+                            stats.bump("proved.smt");
+                            return Ok(Some(Verdict::Proved {
+                                prover: ProverId::Smt,
+                                bound: None,
+                            }));
+                        }
+                        Ok(false) => diag.record(ProverId::Smt, FailureReason::GaveUp),
+                        Err(jahob_smt::SmtFailure::Fragment(_)) => {
+                            diag.record(ProverId::Smt, FailureReason::Unsupported)
+                        }
+                        Err(jahob_smt::SmtFailure::Exhausted(why)) => return Err(why),
+                    }
+                }
+            }
+            Ok(None)
+        }
+        ProverId::Fol => {
+            for (goal, sig) in variants {
+                stats.bump("tried.fol");
+                let config = jahob_fol::ProverConfig {
+                    max_iterations: fol_iterations,
+                    ..Default::default()
+                };
+                let (prepared, axioms) = jahob_fol::reach::prepare(goal, sig);
+                let negated = Form::not(prepared);
+                let clauses = (|| -> Result<_, jahob_fol::clause::ClausifyError> {
+                    let mut clauses = jahob_fol::clausify(&negated)?;
+                    for ax in &axioms {
+                        clauses.extend(jahob_fol::clausify(ax)?);
+                    }
+                    Ok(clauses)
+                })();
+                match clauses {
+                    Err(_) => diag.record(ProverId::Fol, FailureReason::Unsupported),
+                    Ok(clauses) => match jahob_fol::prove_budgeted(clauses, &config, slice)? {
+                        jahob_fol::ProveResult::Proved => {
+                            stats.bump("proved.fol");
+                            return Ok(Some(Verdict::Proved {
+                                prover: ProverId::Fol,
+                                bound: None,
+                            }));
+                        }
+                        _ => diag.record(ProverId::Fol, FailureReason::GaveUp),
+                    },
+                }
+            }
+            Ok(None)
+        }
+        ProverId::Simplifier | ProverId::Bmc => Ok(None),
     }
 }
 

@@ -12,7 +12,9 @@
 //!   simplifier, HOL `auto`, Presburger (Cooper/Omega), BAPA,
 //!   Nelson–Oppen SMT, the bounded model finder (counterexamples +
 //!   bounded validity, one search per piece), and the first-order prover
-//!   with reachability axioms.
+//!   with reachability axioms. Every prover is a linked library run
+//!   in-process; each attempt stops only through its cooperative
+//!   [`Budget`] slice.
 //! * [`goal_cache`] — the run-wide normalized-goal verdict cache:
 //!   alpha-equivalent obligations are dispatched once and every later
 //!   occurrence is a constant-time hit, with in-flight deduplication so
@@ -33,21 +35,12 @@
 //!   through the daemon are bit-for-bit identical to one-shot runs.
 //! * [`cli`] — the shared front-door argument parser and exit-code
 //!   ladder used by the `jahob` binary and the `verify_file` example.
-//! * [`worker`] — out-of-process prover execution: the wire codec for
-//!   shipping obligations to supervised worker children, the child-side
-//!   entry point ([`worker_main`]) behind a hidden `worker` CLI mode,
-//!   and the parent-side [`ProcessBackend`] the dispatcher consults when
-//!   the session was built with [`Isolation::Process`]. Hung provers are
-//!   SIGKILLed at a hard deadline, memory is capped per child, and
-//!   crash-looping lanes quarantine with graceful in-process fallback —
-//!   verdicts are bit-for-bit identical either way.
 
 pub mod cli;
 pub mod dispatcher;
 pub mod goal_cache;
 pub mod service;
 pub mod verify;
-pub mod worker;
 
 pub use dispatcher::{
     Diagnosis, DispatchConfig, Dispatcher, FailureReason, ProverId, Verdict, VerdictKind,
@@ -61,4 +54,3 @@ pub use verify::{
     Config, ConfigBuilder, Isolation, MethodReport, ObligationReport, ReportRender, RequestOptions,
     VerdictSummary, Verifier, VerifyError, VerifyReport,
 };
-pub use worker::{worker_main, ProcessBackend};

@@ -1,11 +1,9 @@
 //! The persistent verification daemon behind `jahob serve`.
 //!
-//! One warm [`Verifier`] session — goal cache, persistent store,
-//! supervisor lanes — is shared across every client of a Unix-domain
-//! socket. The wire protocol is the same
-//! length-prefixed, CRC-framed codec the supervisor already speaks
-//! ([`jahob_util::ipc`]), extended with the `SUBMIT`/`REPORT`/`BUSY`/
-//! `STATUS`/`DRAIN` kinds.
+//! One warm [`Verifier`] session — goal cache and persistent store — is
+//! shared across every client of a Unix-domain socket. The wire protocol
+//! is the length-prefixed, CRC-framed codec of [`jahob_util::ipc`], with
+//! the `SUBMIT`/`REPORT`/`BUSY`/`STATUS`/`DRAIN` kinds.
 //!
 //! Design contract, in order of precedence:
 //!
@@ -31,12 +29,10 @@
 //! streams ride out as `REPORT` frames (tag 0), rendered through the
 //! same [`Event::to_json`] as every other sink.
 //!
-//! Session-wide portfolio knobs, such as process isolation, are fixed
-//! when the daemon starts (`jahob serve --isolation process`, or the
-//! `JAHOB_*` environment), not per request: they shape the shared
-//! session, and identity (contract 1) holds for whatever the daemon was
-//! started with. `jahob submit` therefore rejects `--isolation` instead
-//! of silently ignoring it.
+//! Session-wide knobs, such as the worker count and the persistent
+//! cache, are fixed when the daemon starts (the `JAHOB_*` environment of
+//! `jahob serve`), not per request: they shape the shared session, and
+//! identity (contract 1) holds for whatever the daemon was started with.
 
 use crate::cli::{self, OutputMode};
 use crate::verify::{Config, RequestOptions, Verifier};

@@ -21,13 +21,11 @@
 
 use crate::dispatcher::{Diagnosis, DispatchConfig, Dispatcher, ProverId, Verdict};
 use crate::goal_cache::GoalCache;
-use crate::worker::ProcessBackend;
 use jahob_javalite::{parse_program, resolve, TypedProgram};
 use jahob_util::chaos::FaultPlan;
 use jahob_util::counters::Stats;
-use jahob_util::json::{array, string as json_string, Obj};
+use jahob_util::json::{array, Obj};
 use jahob_util::obs::{self, Event, Recorder, Sink, StderrSink};
-use jahob_util::supervisor::SupervisorConfig;
 use jahob_util::{pool, trace_enabled, Symbol};
 use jahob_vcgen::method_obligations;
 use std::collections::BTreeMap;
@@ -37,22 +35,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where prover attempts execute.
-///
-/// `InProcess` is the classical path: every decision procedure runs on
-/// the dispatching thread, guarded by `catch_unwind` and cooperative
-/// budgets. `Process` moves the remotable provers into supervised child
-/// processes (see [`jahob_util::supervisor`]): hangs are SIGKILLed at a
-/// hard wall-clock deadline, memory is capped by `RLIMIT_AS`, and a
-/// crash-looping lane is quarantined with graceful fallback to the
-/// in-process path — verdicts never change, only survivability does.
+/// Has no effect; kept only because the benchmark harness still reads
+/// it. Every prover attempt runs on the dispatching thread, guarded by
+/// `catch_unwind` and its cooperative budget.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Isolation {
-    /// Run every prover on the dispatching thread (the default).
+    /// The only variant.
     #[default]
     InProcess,
-    /// Run remotable provers in supervised worker processes.
-    Process,
 }
 
 /// Pipeline configuration. Build one with [`Config::builder`] — the
@@ -91,25 +81,9 @@ pub struct Config {
     /// set and no sink was given, so the old tracing flag keeps working —
     /// through the typed pipeline instead of scattered `eprintln!`s.
     pub sink: Option<Arc<dyn Sink>>,
-    /// Execution backend for prover attempts. Resolved by the builder
-    /// (explicit value, else `JAHOB_ISOLATION=process|in-process`, else
-    /// in-process). `Process` only takes effect when `worker_program` is
-    /// also resolved — the library never guesses a worker binary.
+    /// Has no effect; kept only because the benchmark harness still
+    /// reads it. Always [`Isolation::InProcess`].
     pub isolation: Isolation,
-    /// The worker executable for process isolation, invoked as
-    /// `<program> worker`. Unset defers to `JAHOB_WORKER_BIN`; still
-    /// unset means `Process` degrades to the in-process path. The
-    /// library deliberately has no `current_exe()` default: re-exec'ing
-    /// an arbitrary host binary that embeds jahob would fork-bomb, so
-    /// only the CLI (which knows its binary serves worker mode) opts in.
-    pub worker_program: Option<PathBuf>,
-    /// `RLIMIT_AS` ceiling per worker child, in bytes. Unset defers to
-    /// `JAHOB_WORKER_MEM`; still unset leaves children unlimited.
-    pub worker_memory: Option<u64>,
-    /// Hard wall-clock ceiling per supervised attempt — the SIGKILL
-    /// deadline for obligations whose budget carries no deadline of its
-    /// own. Unset defers to `JAHOB_WORKER_DEADLINE_MS`, else 10 s.
-    pub worker_deadline: Duration,
     /// Has no effect; kept only because the benchmark harness still
     /// reads it. The builder always leaves it `false`.
     pub adaptive: bool,
@@ -136,9 +110,6 @@ impl fmt::Debug for Config {
             .field("cache_path", &self.cache_path)
             .field("sink", &self.sink.as_ref().map(|_| "Sink"))
             .field("isolation", &self.isolation)
-            .field("worker_program", &self.worker_program)
-            .field("worker_memory", &self.worker_memory)
-            .field("worker_deadline", &self.worker_deadline)
             .field("adaptive", &self.adaptive)
             .field("socket", &self.socket)
             .field("queue_depth", &self.queue_depth)
@@ -174,11 +145,6 @@ impl Config {
 /// * `workers`: explicit value, else `JAHOB_WORKERS`, else 1;
 /// * sink: explicit [`ConfigBuilder::sink`], else a [`StderrSink`] when
 ///   `JAHOB_TRACE` is set, else none;
-/// * isolation: explicit [`ConfigBuilder::isolation`], else
-///   `JAHOB_ISOLATION` (`process` / `in-process`), else in-process —
-///   with the worker binary, memory ceiling, and attempt deadline from
-///   `JAHOB_WORKER_BIN` / `JAHOB_WORKER_MEM` / `JAHOB_WORKER_DEADLINE_MS`
-///   when not set on the builder;
 /// * service: socket path from [`ConfigBuilder::socket`] else
 ///   `JAHOB_SOCKET`, admission-queue bound from
 ///   [`ConfigBuilder::queue_depth`] else `JAHOB_QUEUE_DEPTH`, else 32.
@@ -200,10 +166,6 @@ pub struct ConfigBuilder {
     shared_cache: Option<Arc<GoalCache>>,
     cache_path: Option<PathBuf>,
     sink: Option<Arc<dyn Sink>>,
-    isolation: Option<Isolation>,
-    worker_program: Option<PathBuf>,
-    worker_memory: Option<u64>,
-    worker_deadline: Option<Duration>,
     socket: Option<PathBuf>,
     queue_depth: Option<usize>,
 }
@@ -217,10 +179,6 @@ impl ConfigBuilder {
             shared_cache: None,
             cache_path: None,
             sink: None,
-            isolation: None,
-            worker_program: None,
-            worker_memory: None,
-            worker_deadline: None,
             socket: None,
             queue_depth: None,
         }
@@ -272,32 +230,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Execution backend for prover attempts. Unset defers to
-    /// `JAHOB_ISOLATION` (`process` / `in-process`, resolved once in
-    /// [`ConfigBuilder::build`]), else in-process.
-    pub fn isolation(mut self, isolation: Isolation) -> Self {
-        self.isolation = Some(isolation);
-        self
-    }
-
-    /// Worker executable for [`Isolation::Process`], invoked as
-    /// `<program> worker`. Unset defers to `JAHOB_WORKER_BIN`.
-    pub fn worker_program(mut self, program: impl Into<PathBuf>) -> Self {
-        self.worker_program = Some(program.into());
-        self
-    }
-
-    /// Per-child `RLIMIT_AS` ceiling in bytes for process isolation.
-    /// Unset defers to `JAHOB_WORKER_MEM`.
-    pub fn worker_memory(mut self, bytes: u64) -> Self {
-        self.worker_memory = Some(bytes);
-        self
-    }
-
-    /// Hard wall-clock ceiling per supervised attempt. Unset defers to
-    /// `JAHOB_WORKER_DEADLINE_MS`, else 10 s.
-    pub fn worker_deadline(mut self, deadline: Duration) -> Self {
-        self.worker_deadline = Some(deadline);
+    /// Has no effect: the argument is ignored. Kept only because the
+    /// benchmark harness still calls it.
+    pub fn isolation(self, _isolation: Isolation) -> Self {
         self
     }
 
@@ -348,37 +283,6 @@ impl ConfigBuilder {
         let cache_path = self
             .cache_path
             .or_else(|| std::env::var_os("JAHOB_CACHE").map(PathBuf::from));
-        let isolation = self.isolation.unwrap_or_else(|| {
-            match std::env::var("JAHOB_ISOLATION")
-                .ok()
-                .as_deref()
-                .map(str::trim)
-            {
-                Some("process") => Isolation::Process,
-                // Anything else — unset, `in-process`, or garbage — is the
-                // safe classical path; an env typo must not fork children.
-                _ => Isolation::InProcess,
-            }
-        });
-        let worker_program = self
-            .worker_program
-            .or_else(|| std::env::var_os("JAHOB_WORKER_BIN").map(PathBuf::from));
-        let worker_memory = self.worker_memory.or_else(|| {
-            std::env::var("JAHOB_WORKER_MEM")
-                .ok()
-                .and_then(|raw| raw.trim().parse::<u64>().ok())
-                .filter(|&b| b > 0)
-        });
-        let worker_deadline = self
-            .worker_deadline
-            .or_else(|| {
-                std::env::var("JAHOB_WORKER_DEADLINE_MS")
-                    .ok()
-                    .and_then(|raw| raw.trim().parse::<u64>().ok())
-                    .filter(|&ms| ms > 0)
-                    .map(Duration::from_millis)
-            })
-            .unwrap_or(Duration::from_secs(10));
         let socket = self
             .socket
             .or_else(|| std::env::var_os("JAHOB_SOCKET").map(PathBuf::from));
@@ -399,10 +303,7 @@ impl ConfigBuilder {
             shared_cache: self.shared_cache,
             cache_path,
             sink,
-            isolation,
-            worker_program,
-            worker_memory,
-            worker_deadline,
+            isolation: Isolation::InProcess,
             adaptive: false,
             socket,
             queue_depth,
@@ -452,11 +353,6 @@ pub struct Verifier {
     /// `config.shared_cache` or created fresh, and kept alive across
     /// `verify` calls.
     cache: Option<Arc<GoalCache>>,
-    /// The process-isolation backend (present iff the config asked for
-    /// [`Isolation::Process`] *and* named a worker binary). Session-owned
-    /// so worker children, crash-window history, and quarantine decisions
-    /// survive across `verify` calls exactly like the goal cache.
-    backend: Option<Arc<ProcessBackend>>,
 }
 
 /// The invalidation key for persisted cache entries: the semantic
@@ -493,25 +389,7 @@ impl Verifier {
                 Arc::new(GoalCache::new())
             }
         });
-        let backend = match (&config.isolation, &config.worker_program) {
-            (Isolation::Process, Some(program)) => {
-                let mut sup = SupervisorConfig::new(program);
-                sup.memory_limit = config.worker_memory;
-                Some(Arc::new(ProcessBackend::new(
-                    sup,
-                    config.sink.clone(),
-                    config.worker_deadline,
-                )))
-            }
-            // `Process` without a worker binary degrades to the classical
-            // path rather than guessing one (see `Config::worker_program`).
-            _ => None,
-        };
-        Verifier {
-            config,
-            cache,
-            backend,
-        }
+        Verifier { config, cache }
     }
 
     pub fn config(&self) -> &Config {
@@ -559,14 +437,7 @@ impl Verifier {
         } else {
             &self.config
         };
-        run_pipeline(src, config, self.cache.as_ref(), self.backend.as_ref())
-    }
-
-    /// The session's process-isolation backend, if one is active —
-    /// `Some` iff the config asked for [`Isolation::Process`] and named
-    /// a worker binary.
-    pub fn process_backend(&self) -> Option<&Arc<ProcessBackend>> {
-        self.backend.as_ref()
+        run_pipeline(src, config, self.cache.as_ref())
     }
 }
 
@@ -576,9 +447,8 @@ impl Verifier {
 /// same way and the serializations cannot drift apart.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReportRender {
-    /// Include wall-clock fields (per-obligation `millis`), the
-    /// schedule-dependent counters, and the quarantine list. Off is the
-    /// stable view: two runs of the same code serialize to identical
+    /// Include wall-clock fields (per-obligation `millis`) and the
+    /// schedule-dependent counters. Off is the stable view: two runs of the same code serialize to identical
     /// bytes at any worker count, cold or warm.
     pub timing: bool,
 }
@@ -736,14 +606,6 @@ pub struct VerifyReport {
     /// injections, breaker transitions, …) plus the pool's task/steal
     /// tallies when the run was parallel.
     pub stats: BTreeMap<String, u64>,
-    /// Supervisor lanes quarantined by crash-loop detection, as of the
-    /// end of the run (empty without process isolation). Verdicts are
-    /// unaffected — quarantined lanes fall back to the in-process path —
-    /// but the degradation is surfaced here so operators see it without
-    /// digging through the event stream. Excluded from the stable report
-    /// sections: *when* a lane crossed its crash threshold depends on
-    /// scheduling, so two otherwise-identical runs may disagree.
-    pub quarantined: Vec<String>,
 }
 
 /// A stat name whose value legitimately varies run-to-run or with the
@@ -758,7 +620,6 @@ fn unstable_stat(name: &str) -> bool {
         || name.starts_with("pool.")
         || name.starts_with("store.")
         || name.starts_with("sink.")
-        || name.starts_with("supervisor.")
 }
 
 impl VerifyReport {
@@ -833,20 +694,14 @@ impl VerifyReport {
             }
             stats = stats.u64(name, *value);
         }
-        let mut obj = Obj::new()
+        Obj::new()
             .raw(
                 "methods",
                 &array(self.methods.iter().map(|m| m.to_json(render))),
             )
             .raw("tally", &tally)
-            .raw("stats", &stats.finish());
-        if render.timing {
-            obj = obj.raw(
-                "quarantined",
-                &array(self.quarantined.iter().map(|lane| json_string(lane))),
-            );
-        }
-        obj.finish()
+            .raw("stats", &stats.finish())
+            .finish()
     }
 }
 
@@ -869,13 +724,6 @@ impl fmt::Display for VerifyReport {
             if m.obligations.is_empty() && m.error.is_none() {
                 writeln!(f, "    (all obligations discharged during generation)")?;
             }
-        }
-        for lane in &self.quarantined {
-            writeln!(
-                f,
-                "warning: prover lane `{lane}` quarantined (crash loop); \
-                 its attempts ran in-process"
-            )?;
         }
         let (p, r, u) = self.tally();
         writeln!(f, "total: {p} proved, {r} refuted, {u} unknown")
@@ -906,7 +754,6 @@ fn run_pipeline(
     src: &str,
     config: &Config,
     cache: Option<&Arc<GoalCache>>,
-    backend: Option<&Arc<ProcessBackend>>,
 ) -> Result<VerifyReport, VerifyError> {
     let run_started = Instant::now();
     let observing = config.sink.is_some();
@@ -936,9 +783,7 @@ fn run_pipeline(
     let results: Vec<MethodOutcome> = if workers <= 1 {
         jobs.iter()
             .enumerate()
-            .map(|(i, &(ci, mi))| {
-                verify_method(&typed, ci, mi, i, config, cache, backend, observing)
-            })
+            .map(|(i, &(ci, mi))| verify_method(&typed, ci, mi, i, config, cache, observing))
             .collect()
     } else {
         // Formula ASTs are `Rc`-based and must not cross threads, so each
@@ -956,9 +801,7 @@ fn run_pipeline(
                 let program = parse_program(src).expect("parsed on the caller thread");
                 resolve(&program).expect("resolved on the caller thread")
             },
-            |typed, _cx, (i, (ci, mi))| {
-                verify_method(typed, ci, mi, i, config, cache, backend, observing)
-            },
+            |typed, _cx, (i, (ci, mi))| verify_method(typed, ci, mi, i, config, cache, observing),
         )
         .into_iter()
         .enumerate()
@@ -1026,21 +869,7 @@ fn run_pipeline(
             stats.insert(name, value);
         }
     }
-    // Supervisor counters are session-cumulative like the persistence
-    // counters (the backend outlives individual runs), so they overwrite
-    // rather than accumulate; they too are marked unstable.
-    let mut quarantined = Vec::new();
-    if let Some(backend) = backend {
-        for (name, value) in backend.supervisor().stats_snapshot() {
-            stats.insert(name, value);
-        }
-        quarantined = backend.supervisor().quarantined_lanes();
-    }
-    let report = VerifyReport {
-        methods,
-        stats,
-        quarantined,
-    };
+    let report = VerifyReport { methods, stats };
 
     if let Some(sink) = &config.sink {
         let (proved, refuted, unknown) = report.tally();
@@ -1071,7 +900,6 @@ fn run_pipeline(
 /// report while every other method still verifies. One bad method — or
 /// one bug in a reasoning substrate that escapes the dispatcher's
 /// per-attempt isolation — must not abort the whole run.
-#[allow(clippy::too_many_arguments)]
 fn verify_method(
     typed: &TypedProgram,
     class_index: usize,
@@ -1079,7 +907,6 @@ fn verify_method(
     run_index: usize,
     config: &Config,
     cache: Option<&Arc<GoalCache>>,
-    backend: Option<&Arc<ProcessBackend>>,
     observing: bool,
 ) -> (MethodReport, Vec<(String, u64)>, Vec<Event>) {
     let method_started = Instant::now();
@@ -1100,7 +927,6 @@ fn verify_method(
     let mut dispatcher = Dispatcher::new(typed.sig.clone(), jahob_util::FxHashMap::default());
     dispatcher.config = config.dispatch.clone();
     dispatcher.cache = cache.map(Arc::clone);
-    dispatcher.supervisor = backend.map(Arc::clone);
     dispatcher.recorder = recorder.clone();
 
     let mut report = MethodReport {
@@ -1343,7 +1169,6 @@ class Counter {
                 ),
             ],
             stats: BTreeMap::new(),
-            quarantined: Vec::new(),
         };
         assert_eq!(report.methods[0].bound(), None);
         assert_eq!(report.methods[1].bound(), Some(3));

@@ -11,9 +11,14 @@
 //! obligations.
 //!
 //! The kernel datatype [`Thm`] has no public constructor: every `Thm` value
-//! witnesses a natural-deduction derivation of `hypotheses ⊢ conclusion`.
-//! Soundness of everything above the kernel (tactics, automation) reduces to
-//! the ~10 rules below — the LCF discipline.
+//! witnesses a natural-deduction derivation of `hypotheses ⊢ conclusion`
+//! through the ~10 rules below — the LCF discipline.
+//!
+//! The tactics do not build `Thm`s yet. [`auto_governed`], the only entry
+//! point the dispatcher calls, returns an unchecked [`TacticResult::Proved`],
+//! and no `Thm` is built outside this crate's unit tests. So the trusted
+//! base for a hol-auto proof today is the tactic code plus
+//! [`jahob_logic::transform::simplify`], not the kernel.
 
 use jahob_logic::transform::simplify;
 use jahob_logic::{BinOp, Form};

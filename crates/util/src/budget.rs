@@ -2,15 +2,14 @@
 //!
 //! Every reasoning substrate in the workspace is worst-case exponential
 //! somewhere (subset construction, Cooper elimination, Venn-region
-//! expansion, grounding). On the default in-process backend there is no
-//! child to `kill -9`, so termination has to be cooperative: hot loops
-//! call [`Budget::check`] and bail out with a structured [`Exhaustion`]
-//! reason when the deadline passes or the fuel runs dry. The dispatcher
-//! then records the failure and moves on to the next prover instead of
-//! hanging the whole verification run. (The process backend in
-//! [`crate::supervisor`] adds the non-cooperative backstop — SIGKILL at
-//! a hard deadline — but the fuel accounting below still governs what an
-//! attempt *records*, so the two backends stay verdict-identical.)
+//! expansion, grounding). Every prover runs in-process as a linked
+//! library, so there is no child to `kill -9` and termination is
+//! cooperative: hot loops call [`Budget::check`] and bail out with a
+//! structured [`Exhaustion`] reason when the deadline passes or the fuel
+//! runs dry. The dispatcher then records the failure and moves on to the
+//! next prover instead of hanging the whole verification run. The budget
+//! is the only way an attempt stops, so a hot loop without a `check()` is
+//! a bug in its prover.
 //!
 //! Design constraints:
 //!

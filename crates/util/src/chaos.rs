@@ -100,41 +100,6 @@ impl std::fmt::Display for DiskFault {
     }
 }
 
-/// Failure modes for the out-of-process worker boundary (see
-/// [`crate::supervisor`]). Each models one way a child prover process
-/// betrays its parent: wedging in a loop the fuel meter cannot see,
-/// dying outright, corrupting the reply stream, blowing its memory
-/// ceiling, or going quiet without actually hanging. The supervisor must
-/// degrade every one of them to a diagnosed failure or an in-process
-/// fallback — never to a stuck run or a changed verdict.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum IpcFault {
-    /// The worker stops responding mid-attempt (still beating or not);
-    /// only the parent's hard deadline + SIGKILL can end it.
-    HungChild,
-    /// The worker process dies abruptly mid-attempt.
-    KilledChild,
-    /// The worker's reply frame arrives with a corrupted checksum.
-    GarbledFrame,
-    /// The worker suppresses heartbeats and dawdles past the suspect
-    /// threshold, then answers normally.
-    SlowHeartbeat,
-    /// The worker allocates until its `RLIMIT_AS` ceiling aborts it.
-    OomChild,
-}
-
-impl std::fmt::Display for IpcFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IpcFault::HungChild => "hung-child",
-            IpcFault::KilledChild => "killed-child",
-            IpcFault::GarbledFrame => "garbled-frame",
-            IpcFault::SlowHeartbeat => "slow-heartbeat",
-            IpcFault::OomChild => "oom-child",
-        })
-    }
-}
-
 /// Failure modes for the verification service's socket boundary (see
 /// `jahob-core::service`). Each models one way a client betrays the
 /// daemon: a frame torn mid-write, a connection that goes silent, a
@@ -190,10 +155,6 @@ pub enum Fault {
     /// A disk fault at the persistent store's IO boundary. Only the
     /// store applies these (see [`FaultPlan::decide_disk`]).
     Disk(DiskFault),
-    /// A worker-process fault at a `supervisor.*` boundary. Only the
-    /// process-isolation backend applies these (see
-    /// [`FaultPlan::decide_ipc`]).
-    Ipc(IpcFault),
     /// A client-connection fault at a `service.*` boundary. Only the
     /// verification daemon applies these (see
     /// [`FaultPlan::decide_socket`]).
@@ -210,7 +171,6 @@ impl std::fmt::Display for Fault {
             Fault::WrongVerdict(Lie::ClaimProved) => write!(f, "wrong-verdict-proved"),
             Fault::WrongVerdict(Lie::ClaimRefuted) => write!(f, "wrong-verdict-refuted"),
             Fault::Disk(d) => write!(f, "disk-{d}"),
-            Fault::Ipc(k) => write!(f, "ipc-{k}"),
             Fault::Socket(s) => write!(f, "socket-{s}"),
         }
     }
@@ -415,31 +375,12 @@ impl FaultPlan {
         }
     }
 
-    /// Decide the fate of the next worker request at supervisor boundary
-    /// `site` (`supervisor.<prover>`). The seeded distribution maps onto
-    /// the five [`IpcFault`] kinds; targeted rules fire only when they
-    /// name a `Fault::Ipc` (other rule kinds aimed at a supervisor site
-    /// are ignored, exactly as store sites ignore prover faults).
-    pub fn decide_ipc(&self, site: &str) -> Option<IpcFault> {
-        match self.raw_decide(site)? {
-            RawDecision::Rule(Fault::Ipc(k)) => Some(k),
-            RawDecision::Rule(_) => None,
-            RawDecision::Seeded(kind) => Some(match kind % 5 {
-                0 => IpcFault::HungChild,
-                1 => IpcFault::KilledChild,
-                2 => IpcFault::GarbledFrame,
-                3 => IpcFault::SlowHeartbeat,
-                _ => IpcFault::OomChild,
-            }),
-        }
-    }
-
     /// Decide the fate of the next connection operation at service
     /// boundary `site` (`service.accept`/`service.read`/`service.write`).
     /// The seeded distribution maps onto the four [`SocketFault`] kinds;
     /// targeted rules fire only when they name a `Fault::Socket` (other
-    /// rule kinds aimed at a service site are ignored, exactly as
-    /// supervisor sites ignore disk faults).
+    /// rule kinds aimed at a service site are ignored, exactly as store
+    /// sites ignore prover faults).
     pub fn decide_socket(&self, site: &str) -> Option<SocketFault> {
         match self.raw_decide(site)? {
             RawDecision::Rule(Fault::Socket(s)) => Some(s),
@@ -624,14 +565,11 @@ fn boundary_slow(site: &str, budget: &Budget) -> Result<(), Exhaustion> {
     }
     match fault {
         // Wrong-verdict faults are dispatcher-only; disk faults fire only
-        // at store IO sites via `decide_disk`; IPC faults only at
-        // supervisor boundaries via `decide_ipc`; socket faults only at
+        // at store IO sites via `decide_disk`; socket faults only at
         // service boundaries via `decide_socket`. All no-ops here.
-        None
-        | Some(Fault::WrongVerdict(_))
-        | Some(Fault::Disk(_))
-        | Some(Fault::Ipc(_))
-        | Some(Fault::Socket(_)) => Ok(()),
+        None | Some(Fault::WrongVerdict(_)) | Some(Fault::Disk(_)) | Some(Fault::Socket(_)) => {
+            Ok(())
+        }
         Some(Fault::Panic) => panic!("chaos: injected panic at boundary `{site}`"),
         Some(Fault::Timeout) => Err(Exhaustion::Timeout),
         Some(Fault::Starvation) => Err(Exhaustion::Fuel),
@@ -818,53 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn targeted_ipc_rules_fire_only_via_decide_ipc() {
-        let plan = FaultPlan::quiet()
-            .inject("supervisor.hol-auto", 0..2, Fault::Ipc(IpcFault::HungChild))
-            .inject("supervisor.hol-auto", 2..3, Fault::Panic);
-        assert_eq!(
-            plan.decide_ipc("supervisor.hol-auto"),
-            Some(IpcFault::HungChild)
-        );
-        assert_eq!(
-            plan.decide_ipc("supervisor.hol-auto"),
-            Some(IpcFault::HungChild)
-        );
-        // A prover fault aimed at a supervisor site is inert there.
-        assert_eq!(plan.decide_ipc("supervisor.hol-auto"), None);
-        // An IPC rule is equally inert at the disk decider, and a generic
-        // boundary treats it as a no-op.
-        let plan = Arc::new(FaultPlan::quiet().inject("s", 0..10, Fault::Ipc(IpcFault::OomChild)));
-        assert_eq!(plan.decide_disk("s"), None);
-        let _g = arm(Arc::clone(&plan));
-        let b = Budget::unlimited();
-        assert_eq!(boundary("s", &b), Ok(()));
-    }
-
-    #[test]
-    fn seeded_ipc_decisions_replay_and_cover_every_kind() {
-        let seed = env_seed().unwrap_or(0) ^ 0x51c3;
-        let site = "supervisor.nelson-oppen";
-        let roll = |plan: &FaultPlan| -> Vec<Option<IpcFault>> {
-            (0..512)
-                .map(|i| {
-                    let _scope = obligation_scope(i);
-                    plan.decide_ipc(site)
-                })
-                .collect()
-        };
-        let seq_a = roll(&FaultPlan::from_seed(seed));
-        let seq_b = roll(&FaultPlan::from_seed(seed));
-        assert_eq!(seq_a, seq_b, "seeded IPC decisions must replay");
-        let kinds: std::collections::HashSet<_> = seq_a.into_iter().flatten().collect();
-        assert_eq!(
-            kinds.len(),
-            5,
-            "512 rolls must cover all IPC kinds: {kinds:?}"
-        );
-    }
-
-    #[test]
     fn targeted_socket_rules_fire_only_via_decide_socket() {
         let plan = FaultPlan::quiet()
             .inject("service.read", 0..2, Fault::Socket(SocketFault::TornFrame))
@@ -879,12 +770,11 @@ mod tests {
         );
         // A prover fault aimed at a service site is inert there.
         assert_eq!(plan.decide_socket("service.read"), None);
-        // A socket rule is equally inert at the disk and IPC deciders,
-        // and a generic boundary treats it as a no-op.
+        // A socket rule is equally inert at the disk decider, and a
+        // generic boundary treats it as a no-op.
         let plan =
             Arc::new(FaultPlan::quiet().inject("s", 0..10, Fault::Socket(SocketFault::Disconnect)));
         assert_eq!(plan.decide_disk("s"), None);
-        assert_eq!(plan.decide_ipc("s"), None);
         let _g = arm(Arc::clone(&plan));
         let b = Budget::unlimited();
         assert_eq!(boundary("s", &b), Ok(()));

@@ -1,15 +1,16 @@
-//! Length-prefixed, CRC-framed IPC codec for the prover worker protocol.
+//! Length-prefixed, CRC-framed codec for the verification daemon's socket
+//! protocol.
 //!
-//! The supervisor ([`crate::supervisor`]) talks to its child worker
-//! processes over plain stdin/stdout pipes. Every message is a *frame*:
+//! The daemon (`jahob-core::service`) and its clients talk over a
+//! Unix-domain socket. Every message is a *frame*:
 //!
 //! ```text
 //! [magic u32 LE][len u32 LE][crc32 u32 LE][body: kind u8 + payload]
 //! ```
 //!
-//! * `magic` is a fixed sentinel so a desynchronized stream (a worker
-//!   that printed to stdout, a partial write) is detected immediately
-//!   instead of misparsing garbage as a length.
+//! * `magic` is a fixed sentinel so a desynchronized stream (a peer that
+//!   wrote garbage, a partial write) is detected immediately instead of
+//!   misparsing garbage as a length.
 //! * `len` is the body length (kind byte included) and is bounded by the
 //!   reader's `max_len`, so a corrupt length can never trigger an
 //!   unbounded allocation.
@@ -27,21 +28,15 @@ use std::io;
 /// Frame sentinel: `b"JHOB"` read as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"JHOB");
 
-/// Default cap on a frame body. Requests carry one obligation's formula
-/// variants; 16 MiB is orders of magnitude above anything the pipeline
-/// produces while still bounding a corrupt length field.
+/// Default cap on a frame body. A submission carries one source file and
+/// a report one rendered report; 16 MiB is orders of magnitude above
+/// anything the pipeline produces while still bounding a corrupt length
+/// field.
 pub const DEFAULT_MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Message kinds carried in the leading body byte.
+/// Message kinds carried in the leading body byte. Values 1–4 belonged
+/// to a retired protocol and are not reused.
 pub mod kind {
-    /// Worker → parent: ready banner after start-up.
-    pub const HELLO: u8 = 1;
-    /// Worker → parent: liveness beat while an attempt is running.
-    pub const HEARTBEAT: u8 = 2;
-    /// Parent → worker: one prover attempt.
-    pub const REQUEST: u8 = 3;
-    /// Worker → parent: the attempt's result.
-    pub const REPLY: u8 = 4;
     /// Client → daemon: one verification request (source + options).
     pub const SUBMIT: u8 = 5;
     /// Daemon → client: a streamed obs line, the final rendered report,
@@ -74,13 +69,13 @@ impl Frame {
 }
 
 /// Why a frame could not be read. `Eof` at a frame boundary is the
-/// normal end-of-stream; everything else is a protocol violation the
-/// supervisor treats as a crashed lane.
+/// normal end-of-stream; everything else is a protocol violation that
+/// costs the daemon that one connection.
 #[derive(Debug)]
 pub enum FrameError {
     /// Clean end of stream (no bytes at a frame boundary).
     Eof,
-    /// Underlying pipe error (includes mid-frame truncation).
+    /// Underlying socket error (includes mid-frame truncation).
     Io(io::Error),
     /// The magic sentinel did not match: the stream is desynchronized.
     BadMagic(u32),
@@ -125,8 +120,9 @@ pub fn write_frame(w: &mut impl io::Write, frame: &Frame) -> io::Result<()> {
     write_raw(w, &body, crc32(&body))
 }
 
-/// Write a frame whose checksum field is deliberately wrong — the chaos
-/// harness uses this to exercise the receiver's corruption rejection.
+/// Write a frame whose checksum field is deliberately wrong — the
+/// daemon's torn-frame chaos fault uses this to exercise the receiver's
+/// corruption rejection.
 pub fn write_corrupt_frame(w: &mut impl io::Write, frame: &Frame) -> io::Result<()> {
     let mut body = Vec::with_capacity(1 + frame.payload.len());
     body.push(frame.kind);
@@ -217,10 +213,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Length-prefixed byte run.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
@@ -238,7 +230,7 @@ impl Writer {
 }
 
 /// Decoding error for [`Reader`]: the payload ran short or held invalid
-/// data. The supervisor maps this onto a crashed-lane outcome.
+/// data. The daemon and its clients treat it as a protocol violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Truncated;
 
@@ -282,10 +274,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn get_i64(&mut self) -> Result<i64, Truncated> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     pub fn get_bytes(&mut self) -> Result<&'a [u8], Truncated> {
         let len = self.get_u32()? as usize;
         self.take(len)
@@ -313,18 +301,18 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
-        let frame = Frame::new(kind::REQUEST, b"hello worker".to_vec());
+        let frame = Frame::new(kind::SUBMIT, b"hello daemon".to_vec());
         assert_eq!(roundtrip(&frame), frame);
-        let empty_payload = Frame::new(kind::HEARTBEAT, Vec::new());
+        let empty_payload = Frame::new(kind::STATUS, Vec::new());
         assert_eq!(roundtrip(&empty_payload), empty_payload);
     }
 
     #[test]
     fn several_frames_stream_back_to_back() {
         let frames = [
-            Frame::new(kind::HELLO, vec![1, 2, 3]),
-            Frame::new(kind::HEARTBEAT, Vec::new()),
-            Frame::new(kind::REPLY, vec![0xff; 1000]),
+            Frame::new(kind::SUBMIT, vec![1, 2, 3]),
+            Frame::new(kind::STATUS, Vec::new()),
+            Frame::new(kind::REPORT, vec![0xff; 1000]),
         ];
         let mut wire = Vec::new();
         for f in &frames {
@@ -342,7 +330,7 @@ mod tests {
 
     #[test]
     fn bit_flips_anywhere_are_rejected() {
-        let frame = Frame::new(kind::REPLY, b"the payload under test".to_vec());
+        let frame = Frame::new(kind::REPORT, b"the payload under test".to_vec());
         let mut wire = Vec::new();
         write_frame(&mut wire, &frame).unwrap();
         for bit in 0..wire.len() * 8 {
@@ -359,7 +347,7 @@ mod tests {
 
     #[test]
     fn truncation_at_every_length_is_rejected() {
-        let frame = Frame::new(kind::REQUEST, vec![7; 64]);
+        let frame = Frame::new(kind::SUBMIT, vec![7; 64]);
         let mut wire = Vec::new();
         write_frame(&mut wire, &frame).unwrap();
         for cut in 1..wire.len() {
@@ -385,7 +373,7 @@ mod tests {
 
     #[test]
     fn corrupt_writer_is_rejected_by_reader() {
-        let frame = Frame::new(kind::REPLY, b"garbled".to_vec());
+        let frame = Frame::new(kind::REPORT, b"garbled".to_vec());
         let mut wire = Vec::new();
         write_corrupt_frame(&mut wire, &frame).unwrap();
         assert!(matches!(
@@ -400,7 +388,6 @@ mod tests {
         w.put_u8(9);
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX);
-        w.put_i64(-42);
         w.put_str("obligation");
         w.put_bytes(&[1, 2, 3]);
         let buf = w.into_vec();
@@ -408,7 +395,6 @@ mod tests {
         assert_eq!(r.get_u8().unwrap(), 9);
         assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
-        assert_eq!(r.get_i64().unwrap(), -42);
         assert_eq!(r.get_str().unwrap(), "obligation");
         assert_eq!(r.get_bytes().unwrap(), &[1, 2, 3]);
         assert!(r.is_empty());

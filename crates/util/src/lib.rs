@@ -33,14 +33,9 @@
 //! * [`store`] — a crash-safe, checksummed, append-only segment store
 //!   that persists the goal cache across processes; corruption degrades
 //!   to a cold cache, never a wrong answer.
-//! * [`ipc`] — the length-prefixed, CRC-framed request/response protocol
-//!   spoken between a verification session and its out-of-process prover
-//!   workers, plus the little binary codec the frames carry.
-//! * [`supervisor`] — the parent side of out-of-process prover execution:
-//!   spawns worker children, enforces hard wall-clock deadlines with
-//!   SIGKILL, applies memory ceilings, and quarantines crash-looping
-//!   lanes so the session degrades to in-process execution instead of
-//!   dying with its provers.
+//! * [`ipc`] — the length-prefixed, CRC-framed protocol spoken between
+//!   the verification daemon and its clients, plus the little binary
+//!   codec the frames carry.
 
 pub mod bitset;
 pub mod budget;
@@ -53,13 +48,12 @@ pub mod json;
 pub mod obs;
 pub mod pool;
 pub mod store;
-pub mod supervisor;
 pub mod trace;
 pub mod union_find;
 
 pub use bitset::BitSet;
 pub use budget::{Budget, Exhaustion};
-pub use chaos::{DiskFault, Fault, FaultPlan, IpcFault, Lie, SocketFault};
+pub use chaos::{DiskFault, Fault, FaultPlan, Lie, SocketFault};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::Symbol;
 pub use obs::{Event, JsonlSink, MemorySink, NullSink, Recorder, Sink, StderrSink};

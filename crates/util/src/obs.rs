@@ -154,28 +154,6 @@ pub enum Event {
     /// A store IO operation (`open`, `flush`) failed; persistence
     /// degrades — the verification run itself is unaffected.
     StoreError { op: &'static str, error: String },
-    /// A supervised worker lane spawned its first child process.
-    SupervisorSpawn { lane: String },
-    /// A lane replaced a dead child with a fresh one.
-    SupervisorRestart { lane: String },
-    /// The parent SIGKILLed a worker that overran its hard deadline
-    /// (`reason` is `timeout`); the attempt records a `Timeout` failure.
-    SupervisorKill {
-        lane: &'static str,
-        reason: &'static str,
-    },
-    /// A worker child died (or broke protocol) mid-attempt. `oom` marks
-    /// deaths attributed to the memory ceiling, which surface as
-    /// `resource-exceeded` instead of being retried in-process.
-    SupervisorCrash { lane: &'static str, oom: bool },
-    /// The attempt re-ran on the in-process path after a lane failure.
-    SupervisorFallback { lane: &'static str },
-    /// Crash-loop detection quarantined the lane after `crashes` failures
-    /// inside the window; later attempts degrade to the in-process path.
-    SupervisorQuarantined { lane: String, crashes: u64 },
-    /// A worker's heartbeat went late (suspect state) without the hard
-    /// deadline having expired yet.
-    SupervisorHeartbeat { lane: String },
     /// The verification daemon bound its socket and began accepting.
     ServiceStart { socket: String },
     /// The daemon accepted a client connection.
@@ -232,13 +210,6 @@ impl Event {
             Event::StoreQuarantined { .. } => "store.quarantined",
             Event::StoreLock { .. } => "store.lock",
             Event::StoreError { .. } => "store.error",
-            Event::SupervisorSpawn { .. } => "supervisor.spawn",
-            Event::SupervisorRestart { .. } => "supervisor.restart",
-            Event::SupervisorKill { .. } => "supervisor.kill",
-            Event::SupervisorCrash { .. } => "supervisor.crash",
-            Event::SupervisorFallback { .. } => "supervisor.fallback",
-            Event::SupervisorQuarantined { .. } => "supervisor.quarantined",
-            Event::SupervisorHeartbeat { .. } => "supervisor.heartbeat",
             Event::ServiceStart { .. } => "service.start",
             Event::ServiceAccept { .. } => "service.accept",
             Event::ServiceSubmit { .. } => "service.submit",
@@ -252,21 +223,16 @@ impl Event {
     }
 
     /// True for events whose *presence* in the stream depends on thread
-    /// and process scheduling, not on the verification semantics: the
-    /// supervisor's lane-lifecycle events and the daemon's `service.*`
-    /// connection-lifecycle events, which go straight to the sink
-    /// from the monitor threads. Deterministic stream comparisons
+    /// scheduling, not on the verification semantics: the daemon's
+    /// `service.*` connection-lifecycle events, which go straight to the
+    /// sink from the connection threads. Deterministic stream comparisons
     /// (goldens, worker-count identity) must filter these out, the same
     /// way `to_json(false)` strips wall-clock fields; everything else is
     /// ordered by the per-method recorder and is bit-stable.
     pub fn is_schedule_dependent(&self) -> bool {
         matches!(
             self,
-            Event::SupervisorSpawn { .. }
-                | Event::SupervisorRestart { .. }
-                | Event::SupervisorQuarantined { .. }
-                | Event::SupervisorHeartbeat { .. }
-                | Event::ServiceStart { .. }
+            Event::ServiceStart { .. }
                 | Event::ServiceAccept { .. }
                 | Event::ServiceSubmit { .. }
                 | Event::ServiceBusy { .. }
@@ -396,15 +362,6 @@ impl Event {
             Event::StoreQuarantined { segments } => o.u64("segments", *segments),
             Event::StoreLock { state } => o.str("state", state),
             Event::StoreError { op, error } => o.str("op", op).str("error", error),
-            Event::SupervisorSpawn { lane } => o.str("lane", lane),
-            Event::SupervisorRestart { lane } => o.str("lane", lane),
-            Event::SupervisorKill { lane, reason } => o.str("lane", lane).str("reason", reason),
-            Event::SupervisorCrash { lane, oom } => o.str("lane", lane).bool("oom", *oom),
-            Event::SupervisorFallback { lane } => o.str("lane", lane),
-            Event::SupervisorQuarantined { lane, crashes } => {
-                o.str("lane", lane).u64("crashes", *crashes)
-            }
-            Event::SupervisorHeartbeat { lane } => o.str("lane", lane),
             Event::ServiceStart { socket } => o.str("socket", socket),
             Event::ServiceAccept { client } => o.u64("client", *client),
             Event::ServiceSubmit { client, queued } => {
@@ -478,21 +435,6 @@ impl Event {
             Event::StoreQuarantined { segments } => bump("store.quarantined", *segments),
             Event::StoreLock { state } => bump(&format!("store.lock.{state}"), 1),
             Event::StoreError { .. } => bump("store.error", 1),
-            // Supervisor counters carry the `supervisor.` prefix on
-            // purpose: the verify pipeline marks the group unstable
-            // (spawn/restart timing races across pool workers).
-            Event::SupervisorSpawn { .. } => bump("supervisor.spawn", 1),
-            Event::SupervisorRestart { .. } => bump("supervisor.restart", 1),
-            Event::SupervisorKill { .. } => bump("supervisor.kill", 1),
-            Event::SupervisorCrash { oom, .. } => {
-                bump("supervisor.crash", 1);
-                if *oom {
-                    bump("supervisor.crash.oom", 1);
-                }
-            }
-            Event::SupervisorFallback { .. } => bump("supervisor.fallback", 1),
-            Event::SupervisorQuarantined { .. } => bump("supervisor.quarantined", 1),
-            Event::SupervisorHeartbeat { .. } => bump("supervisor.heartbeat.late", 1),
             // Service counters carry the `service.` prefix on purpose:
             // they count connection-lifecycle traffic, which is daemon
             // state, not verification semantics — they never enter a
@@ -511,10 +453,7 @@ impl Event {
                 // Only governance failures are counted at the attempt
                 // level; successes keep their historical `proved.*` /
                 // `refuted.*` names, bumped where the verdict is made.
-                if matches!(
-                    outcome.as_str(),
-                    "fuel-exhausted" | "timeout" | "panicked" | "resource-exceeded"
-                ) {
+                if matches!(outcome.as_str(), "fuel-exhausted" | "timeout" | "panicked") {
                     bump(&format!("failure.{prover}.{outcome}"), 1);
                 }
             }
@@ -616,26 +555,6 @@ impl Event {
             }
             Event::StoreLock { state } => format!("store lock: {state}"),
             Event::StoreError { op, error } => format!("store {op} failed: {error}"),
-            Event::SupervisorSpawn { lane } => format!("supervisor spawn: {lane}"),
-            Event::SupervisorRestart { lane } => format!("supervisor restart: {lane}"),
-            Event::SupervisorKill { lane, reason } => {
-                format!("      supervisor killed {lane} ({reason})")
-            }
-            Event::SupervisorCrash { lane, oom: true } => {
-                format!("      supervisor: {lane} hit its memory ceiling")
-            }
-            Event::SupervisorCrash { lane, oom: false } => {
-                format!("      supervisor: {lane} worker crashed")
-            }
-            Event::SupervisorFallback { lane } => {
-                format!("      supervisor: {lane} fell back in-process")
-            }
-            Event::SupervisorQuarantined { lane, crashes } => {
-                format!("supervisor quarantined {lane} after {crashes} crashes")
-            }
-            Event::SupervisorHeartbeat { lane } => {
-                format!("supervisor: {lane} heartbeat late")
-            }
             Event::ServiceStart { socket } => format!("service listening on {socket}"),
             Event::ServiceAccept { client } => format!("service: client {client} connected"),
             Event::ServiceSubmit { client, queued } => {

@@ -35,18 +35,6 @@ SCHEMA = {
     "chaos.lied": {"prover"},
     "watchdog": {"outcome"},
     "note": {"text"},
-    # Persistent-store lifecycle events (emitted at session open/flush,
-    # outside the run span — the span checker ignores them).
-    # Supervisor lifecycle events. kill/crash/fallback are attempt-scoped
-    # and deterministic; spawn/restart/quarantined/heartbeat are
-    # schedule-dependent and appear only in unstable streams.
-    "supervisor.spawn": {"lane"},
-    "supervisor.restart": {"lane"},
-    "supervisor.kill": {"lane", "reason"},
-    "supervisor.crash": {"lane", "oom"},
-    "supervisor.fallback": {"lane"},
-    "supervisor.quarantined": {"lane", "crashes"},
-    "supervisor.heartbeat": {"lane"},
     # Verification-daemon lifecycle events (ISSUE 9). Schedule-dependent:
     # connection threads emit them in wall-clock order, so they appear
     # only in raw daemon sinks — a daemon stream holds one run span per
@@ -58,6 +46,8 @@ SCHEMA = {
     "service.done": {"client", "outcome"},
     "service.disconnect": {"client"},
     "service.drain": {"queued"},
+    # Persistent-store lifecycle events (emitted at session open/flush,
+    # outside the run span — the span checker ignores them).
     "store.open": {"entries", "segments", "lock"},
     "store.load": {"entries"},
     "store.flush": {"records", "bytes"},

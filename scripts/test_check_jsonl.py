@@ -88,15 +88,11 @@ class AcceptsWellFormedStreams(unittest.TestCase):
             )
         )
 
-    def test_supervisor_and_store_events_accepted(self):
+    def test_store_events_accepted(self):
         self.assert_ok(
             [
                 {"type": "store.open", "entries": 0, "segments": 1, "lock": "held"},
-                *run_span(
-                    {"type": "supervisor.kill", "lane": "bapa", "reason": "deadline"},
-                    {"type": "supervisor.crash", "lane": "bapa", "oom": False},
-                    {"type": "supervisor.fallback", "lane": "bapa"},
-                ),
+                *run_span(),
                 {"type": "store.flush", "records": 2, "bytes": 96},
             ]
         )
@@ -159,18 +155,18 @@ class RejectsMalformedStreams(unittest.TestCase):
             {"type": "race.rerun", "prover": "fol-resolution"},
             {"type": "adaptive.load", "entries": 3},
             {"type": "adaptive.flush", "entries": 4},
+            {"type": "supervisor.spawn", "lane": "bapa"},
+            {"type": "supervisor.restart", "lane": "bapa"},
+            {"type": "supervisor.kill", "lane": "bapa", "reason": "deadline"},
+            {"type": "supervisor.crash", "lane": "bapa", "oom": False},
+            {"type": "supervisor.fallback", "lane": "bapa"},
+            {"type": "supervisor.quarantined", "lane": "bapa", "crashes": 3},
+            {"type": "supervisor.heartbeat", "lane": "bapa"},
         ]:
             with self.subTest(event=event["type"]):
                 self.assert_rejected(
                     [event, *run_span()], "unknown event type", lineno=1
                 )
-
-    def test_supervisor_spawn_missing_lane(self):
-        self.assert_rejected(
-            [{"type": "supervisor.spawn"}, *run_span()],
-            "supervisor.spawn missing fields ['lane']",
-            lineno=1,
-        )
 
     def test_store_flush_missing_bytes(self):
         self.assert_rejected(

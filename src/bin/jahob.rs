@@ -3,7 +3,7 @@
 //! ```sh
 //! jahob case_studies/list.javax
 //! jahob --json case_studies/list.javax
-//! jahob --isolation process case_studies/list.javax
+//! jahob --deadline-ms 10000 case_studies/list.javax
 //! jahob serve --socket /tmp/jahob.sock &
 //! jahob submit --socket /tmp/jahob.sock case_studies/list.javax
 //! jahob status --socket /tmp/jahob.sock
@@ -13,11 +13,12 @@
 //! Subcommands (the first argument; a path or flag falls through to the
 //! implicit `verify`):
 //!
-//! * `verify <file>` — one-shot verification in this process.
+//! * `verify <file>` — one-shot verification in this process;
+//!   `--deadline-ms N` bounds each obligation.
 //! * `serve` — the persistent verification daemon: one warm session
-//!   (goal cache, persistent store, supervisor lanes) shared across
-//!   every client of a Unix-domain socket, with a bounded admission
-//!   queue and graceful drain on SIGTERM.
+//!   (goal cache, persistent store) shared across every client of a
+//!   Unix-domain socket, with a bounded admission queue and graceful
+//!   drain on SIGTERM.
 //! * `submit <file>` — ship a file to a running daemon; prints exactly
 //!   what `verify` would, and with `JAHOB_OBS=<path>` writes the
 //!   request's streamed JSONL event lines client-side.
@@ -29,30 +30,12 @@
 //! verdicts), `1` on a pipeline error or broken daemon conversation,
 //! `2` on unusable arguments, unreadable paths, a refused connection,
 //! or a BUSY admission refusal — always diagnosed, never a panic.
-//!
-//! The hidden `worker` subcommand is the child half of process
-//! isolation: this same binary re-exec'd by the supervisor, speaking the
-//! framed IPC protocol on stdin/stdout. It is not for interactive use.
 use jahob::cli::{self, Command};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let program = "jahob";
-    let mut args = std::env::args().skip(1).peekable();
-
-    // Hidden worker mode: checked before the front-door parser so the
-    // supervisor's child half never collides with user flags.
-    if args.peek().map(String::as_str) == Some("worker") {
-        return match jahob::worker_main() {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{program} worker: pipe error: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let invocation = match cli::parse(args.collect()) {
+    let invocation = match cli::parse(std::env::args().skip(1).collect()) {
         Ok(invocation) => invocation,
         Err(why) => return cli::usage(program, &why, true),
     };

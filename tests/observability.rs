@@ -47,16 +47,7 @@ fn run(src: &str, workers: usize, chaos: bool) -> (Vec<Event>, jahob::VerifyRepo
         builder = builder.dispatch(chaos_dispatch(11));
     }
     let report = builder.build_verifier().verify(src).expect("pipeline");
-    // Under `JAHOB_ISOLATION=process` the supervisor's monitor threads
-    // write lane-lifecycle events straight into the sink; their presence
-    // is schedule-dependent by design, so the deterministic pins below
-    // compare the canonical stream without them.
-    let events = sink
-        .events()
-        .into_iter()
-        .filter(|ev| !ev.is_schedule_dependent())
-        .collect();
-    (events, report)
+    (sink.events(), report)
 }
 
 fn jsonl(events: &[Event]) -> String {

@@ -337,7 +337,6 @@ fn failure_reason_severity_order_is_pinned() {
         FuelExhausted,
         Timeout,
         Panicked,
-        ResourceExceeded,
         Unconfirmed,
         disagreement(),
     ];
@@ -360,7 +359,6 @@ fn any_reason() -> impl Strategy<Value = FailureReason> {
         Just(FuelExhausted),
         Just(Timeout),
         Just(Panicked),
-        Just(ResourceExceeded),
         Just(Unconfirmed),
         Just(disagreement()),
     ]

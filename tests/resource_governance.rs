@@ -46,10 +46,11 @@ fn pathological_obligation_times_out_with_diagnosis() {
     let start = Instant::now();
     let v = d.prove(&pathological);
     let elapsed = start.elapsed();
-    // Generous slack over the 1 s deadline: budget polling is cooperative,
-    // but it must fire within the same order of magnitude.
+    // The cooperative budget is the only way an attempt stops, so the
+    // deadline must hold tightly: about 1.02 s in release builds and up
+    // to 1.15 s in debug builds on a 2-vCPU VM.
     assert!(
-        elapsed < Duration::from_secs(30),
+        elapsed < Duration::from_secs(2),
         "deadline did not cut dispatch short: took {elapsed:?}"
     );
     match v {

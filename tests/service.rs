@@ -1,6 +1,6 @@
 //! The persistent verification service (ISSUE 9).
 //!
-//! Four pins:
+//! Five pins:
 //!
 //! * **Identity.** Verdicts and canonical event streams through the
 //!   daemon are bit-for-bit identical to one-shot session runs — for
@@ -14,6 +14,8 @@
 //! * **Socket chaos.** Every `SocketFault` kind at every `service.*`
 //!   site degrades to at worst a dropped connection — a retrying client
 //!   always lands the identical report, and the daemon keeps serving.
+//! * **Codec integrity.** Property tests: frames round-trip, and no
+//!   truncation or single-bit corruption ever parses back.
 
 use jahob_repro::jahob::cli::OutputMode;
 use jahob_repro::jahob::{
@@ -23,6 +25,7 @@ use jahob_repro::jahob::{
 use jahob_repro::util::ipc::{
     self, kind, read_frame, write_frame, Frame, Writer, DEFAULT_MAX_FRAME,
 };
+use proptest::prelude::*;
 use std::io::Read;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -78,7 +81,7 @@ fn is_canonical_line(line: &str) -> bool {
         .strip_prefix("{\"type\":\"")
         .and_then(|rest| rest.split('"').next())
         .unwrap_or_else(|| panic!("unparseable event line: {line}"));
-    !(ty.starts_with("supervisor.") || ty.starts_with("service."))
+    !ty.starts_with("service.")
 }
 
 /// One-shot reference for request `k` of a session: the report JSON
@@ -514,4 +517,43 @@ fn stale_sockets_are_reclaimed_and_live_daemons_are_not() {
     let mut client = Client::connect(&path).expect("connect");
     client.drain().expect("drain");
     handle.join().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Frame codec
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #[test]
+    fn frames_round_trip(kind in 0u8..255, payload in proptest::collection::vec(0u8..255, 0..512)) {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Frame::new(kind, payload.clone())).expect("write");
+        let got = read_frame(&mut &buf[..], DEFAULT_MAX_FRAME).expect("round trip");
+        prop_assert_eq!(got.kind, kind);
+        prop_assert_eq!(got.payload, payload);
+    }
+
+    #[test]
+    fn truncated_frames_never_parse(kind in 0u8..255, payload in proptest::collection::vec(0u8..255, 0..256), keep in 0usize..1000) {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Frame::new(kind, payload)).expect("write");
+        let keep = keep % buf.len();
+        prop_assert!(
+            read_frame(&mut &buf[..keep], DEFAULT_MAX_FRAME).is_err(),
+            "a {keep}-byte prefix of a {}-byte frame parsed",
+            buf.len()
+        );
+    }
+
+    #[test]
+    fn single_bit_corruption_is_always_rejected(kind in 0u8..255, payload in proptest::collection::vec(0u8..255, 0..256), flip in 0usize..100_000) {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &Frame::new(kind, payload)).expect("write");
+        let bit = flip % (buf.len() * 8);
+        buf[bit / 8] ^= 1 << (bit % 8);
+        prop_assert!(
+            read_frame(&mut &buf[..], DEFAULT_MAX_FRAME).is_err(),
+            "bit {bit} flipped and the frame still parsed"
+        );
+    }
 }

@@ -1,23 +1,18 @@
 //! Soundness regression corpus: deliberately broken case-study variants
 //! that must never verify, under any execution strategy.
 //!
-//! Worker fan-out, process isolation, and chaos faults all reshuffle
-//! *when* and *where* provers run — none of them may ever reshuffle
-//! *what is true*. Each `*_bug.javax` fixture seeds a specific bug (see
-//! the fixture headers); this suite pins that the broken methods'
-//! `ensures` obligations stay un-`Proved` across:
+//! Worker fan-out and chaos faults both reshuffle *when* and *where*
+//! provers run — neither may ever reshuffle *what is true*. Each
+//! `*_bug.javax` fixture seeds a specific bug (see the fixture headers);
+//! this suite pins that the broken methods' `ensures` obligations stay
+//! un-`Proved` across:
 //!
 //! * the sequential baseline;
 //! * 1/2/8 workers;
-//! * both isolation modes (in-process and supervised child processes);
 //! * 24 fault-plan chaos seeds.
 
-use jahob_repro::jahob::{self, verify::VerdictSummary, Config, FaultPlan, Isolation, Verifier};
+use jahob_repro::jahob::{self, verify::VerdictSummary, Config, FaultPlan, Verifier};
 use std::sync::Arc;
-
-/// The worker binary for process isolation: this workspace's own `jahob`
-/// CLI, whose hidden `worker` subcommand is the supervisor's child half.
-const WORKER_BIN: &str = env!("CARGO_BIN_EXE_jahob");
 
 const WORKER_MATRIX: [usize; 3] = [1, 2, 8];
 
@@ -77,21 +72,6 @@ fn worker_counts_never_prove_broken_methods() {
         for workers in WORKER_MATRIX {
             let report = run(&src, Config::builder().workers(workers).build());
             assert_bugs_unproved(&report, broken, &format!("{path} workers={workers}"));
-        }
-    }
-}
-
-#[test]
-fn isolation_modes_never_prove_broken_methods() {
-    for (path, broken) in CORPUS {
-        let src = fixture(path);
-        for isolation in [Isolation::InProcess, Isolation::Process] {
-            let config = Config::builder()
-                .isolation(isolation)
-                .worker_program(WORKER_BIN)
-                .build();
-            let report = run(&src, config);
-            assert_bugs_unproved(&report, broken, &format!("{path} isolation={isolation:?}"));
         }
     }
 }
