@@ -190,9 +190,8 @@ pub fn usage(program: &str, why: &str, with_service: bool) -> ExitCode {
 /// Build the front-door [`Config`]: flags layered over the environment,
 /// everything resolved exactly once inside [`Config::builder`].
 ///
-/// `program` prefixes the diagnosed degradation of an unwritable
-/// `JAHOB_OBS` path, which costs the event stream with a message and
-/// never blocks verification.
+/// `program` prefixes the diagnosis of an unwritable `JAHOB_OBS` path,
+/// which costs the run its event stream and never blocks verification.
 pub fn build_config(program: &str, opts: &CommonOpts) -> Config {
     let mut builder = Config::builder();
     if let Some(socket) = &opts.socket {

@@ -1306,8 +1306,8 @@ fn filtered(goal: &Form, keep: &mut dyn FnMut(&Form) -> bool) -> Option<Form> {
 }
 
 /// One prover's pass over the goal variants — the body `guard` runs for
-/// every portfolio member except the model finder, which has
-/// [`Dispatcher::bounded_search`]. It stops only through `slice`.
+/// hol-auto, Presburger, BAPA, Nelson–Oppen and FOL (the model finder's
+/// is [`Dispatcher::bounded_search`]). It stops only through `slice`.
 fn portfolio_attempt(
     prover: ProverId,
     variants: &[(Form, FxHashMap<Symbol, Sort>)],

@@ -448,8 +448,9 @@ impl Verifier {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReportRender {
     /// Include wall-clock fields (per-obligation `millis`) and the
-    /// schedule-dependent counters. Off is the stable view: two runs of the same code serialize to identical
-    /// bytes at any worker count, cold or warm.
+    /// schedule-dependent counters. Off is the stable view: two runs of
+    /// the same code serialize to identical bytes at any worker count,
+    /// cold or warm.
     pub timing: bool,
 }
 
