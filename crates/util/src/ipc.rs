@@ -34,8 +34,8 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"JHOB");
 /// field.
 pub const DEFAULT_MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Message kinds carried in the leading body byte. Values 1–4 belonged
-/// to a retired protocol and are not reused.
+/// Message kinds carried in the leading body byte. The values are wire
+/// format: a client and a daemon from different builds must agree on them.
 pub mod kind {
     /// Client → daemon: one verification request (source + options).
     pub const SUBMIT: u8 = 5;
