@@ -5,11 +5,17 @@
 //! * E9 — the Omega test vs Cooper's QE on the same existential family.
 //! * E10 — Nelson–Oppen on the classic `fⁿ(a) = a` congruence family.
 //! * SAT — pigeonhole instances (the CDCL engine under every prover).
+//! * Elaboration — sort inference over the 98 case-study obligations, the
+//!   one elaboration the dispatcher runs per obligation, in ns per node.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use jahob_bench::{bapa_union_bound, euf_cycle, lia_interval, lia_interval_cooper};
+use jahob_bench::{
+    bapa_union_bound, case_study_obligations, elaborate, euf_cycle, lia_interval,
+    lia_interval_cooper,
+};
 use jahob_logic::Sort;
 use jahob_util::{FxHashMap, Symbol};
+use std::time::{Duration, Instant};
 
 fn bapa_sig() -> FxHashMap<Symbol, Sort> {
     (1..=8)
@@ -87,5 +93,41 @@ fn bench_sat(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bapa, bench_presburger, bench_smt, bench_sat);
+fn bench_elaboration(c: &mut Criterion) {
+    let programs = case_study_obligations();
+    let goals: Vec<_> = programs
+        .iter()
+        .flat_map(|(sig, goals)| goals.iter().map(move |g| (sig, g)))
+        .collect();
+    let nodes: usize = goals.iter().map(|(_, g)| g.size()).sum();
+    let mut group = c.benchmark_group("front/elaborate_obligations");
+    group.sample_size(50);
+    let mut elapsed = Duration::ZERO;
+    let mut rounds = 0u32;
+    group.bench_function("case_studies", |b| {
+        b.iter(|| {
+            let started = Instant::now();
+            for (sig, goal) in &goals {
+                assert!(elaborate(sig, goal).is_some(), "{goal}");
+            }
+            elapsed += started.elapsed();
+            rounds += 1;
+        })
+    });
+    group.finish();
+    let per_node = elapsed.as_nanos() as f64 / (f64::from(rounds) * nodes as f64);
+    println!(
+        "bench front/elaborate_obligations: {per_node:.0} ns/node ({} obligations, {nodes} nodes)",
+        goals.len()
+    );
+}
+
+criterion_group!(
+    benches,
+    bench_bapa,
+    bench_presburger,
+    bench_smt,
+    bench_sat,
+    bench_elaboration
+);
 criterion_main!(benches);

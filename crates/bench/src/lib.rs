@@ -4,7 +4,8 @@
 //! workloads stay meaningful (each family must produce the expected
 //! verdicts before it is worth timing).
 
-use jahob_logic::Form;
+use jahob_logic::{Form, Sort, SortCx};
+use jahob_util::{FxHashMap, Symbol};
 
 /// E8 workload: a valid BAPA family sweeping the number of base sets —
 /// `card(S1 ∪ … ∪ Sk) ≤ card S1 + … + card Sk`.
@@ -99,6 +100,51 @@ pub fn game_source() -> &'static str {
     include_str!("../../../case_studies/game.javax")
 }
 
+/// Elaboration workload: every obligation of the five case studies (E1–E5)
+/// with its `ite`s lifted, exactly as the dispatcher hands it to sort
+/// inference, grouped per program with the program's signature.
+pub fn case_study_obligations() -> Vec<(FxHashMap<Symbol, Sort>, Vec<Form>)> {
+    [
+        list_source(),
+        client_source(),
+        assoclist_source(),
+        globalset_source(),
+        game_source(),
+    ]
+    .into_iter()
+    .map(|src| {
+        let program = jahob_javalite::parse_program(src).expect("case study parses");
+        let typed = jahob_javalite::resolve(&program).expect("case study resolves");
+        let mut goals = Vec::new();
+        for class in &typed.classes {
+            for m in class.methods.iter().filter(|m| !m.contract.assumed) {
+                let vcs = jahob_vcgen::method_obligations(&typed, m).expect("VC generation");
+                goals.extend(
+                    vcs.obligations
+                        .iter()
+                        .map(|ob| jahob_smt::lift_ite(&ob.form)),
+                );
+            }
+        }
+        (typed.sig, goals)
+    })
+    .collect()
+}
+
+/// Elaborate one obligation as the dispatcher does: a sort context primed
+/// with the program signature, `check_bool`, then the resolved signature.
+pub fn elaborate(
+    sig: &FxHashMap<Symbol, Sort>,
+    goal: &Form,
+) -> Option<(Form, FxHashMap<Symbol, Sort>)> {
+    let mut cx = SortCx::new();
+    for (name, sort) in sig {
+        cx.declare(*name, sort.clone());
+    }
+    let elaborated = cx.check_bool(goal).ok()?;
+    Some((elaborated, cx.resolved_sig()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +174,16 @@ mod tests {
             let cooper = jahob_presburger::decide_closed(&lia_interval_cooper(n)).unwrap();
             assert_eq!(omega, cooper, "n={n}");
             assert_eq!(omega, n % 2 == 0, "n={n}");
+        }
+        // Elaboration: the 98 case-study obligations all elaborate.
+        let programs = case_study_obligations();
+        let goals: Vec<_> = programs
+            .iter()
+            .flat_map(|(sig, goals)| goals.iter().map(move |g| (sig, g)))
+            .collect();
+        assert_eq!(goals.len(), 98);
+        for (sig, goal) in goals {
+            assert!(elaborate(sig, goal).is_some(), "{goal}");
         }
         // E10: valid for every k.
         let esig = jahob_util::FxHashMap::default();

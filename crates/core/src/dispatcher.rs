@@ -6,7 +6,7 @@
 //! in order of increasing generality and cost. Abstraction-function symbols
 //! (`vardefs`) are unfolded on demand when the abstract attempt fails.
 
-use crate::goal_cache::{self, CachedProof, GoalCache, Lookup};
+use crate::goal_cache::{self, CachedProof, GoalCache, Lookup, NormalGoal};
 use jahob_logic::transform::{simplify, split_conjuncts, unfold_defs};
 use jahob_logic::{Form, Sort, SortCx};
 use jahob_models::BmcVerdict;
@@ -526,6 +526,28 @@ pub struct Dispatcher {
     breakers: BreakerBank,
 }
 
+/// One piece of a split obligation, as the portfolio sees it.
+#[derive(Clone, Debug)]
+pub struct Piece {
+    /// The piece in cache-canonical form (see [`goal_cache::normalize`]).
+    pub goal: NormalGoal,
+    /// The sorts the provers read, keyed by the names the piece uses.
+    pub sig: FxHashMap<Symbol, Sort>,
+}
+
+/// An obligation after the dispatcher's front matter: `ite`s lifted,
+/// elaborated, simplified, split and normalized.
+#[derive(Clone, Debug)]
+pub struct Prepared {
+    /// The elaborated, simplified obligation.
+    pub simplified: Form,
+    /// The signature elaboration resolved: the dispatcher's, plus a sort
+    /// for every symbol the obligation introduces.
+    pub sig: FxHashMap<Symbol, Sort>,
+    /// The pieces, in dispatch order; none when `simplified` is `True`.
+    pub pieces: Vec<Piece>,
+}
+
 /// How one pass over the portfolio should behave.
 #[derive(Clone, Copy, Default)]
 struct AttemptCtx<'a> {
@@ -613,6 +635,47 @@ impl Dispatcher {
         }
     }
 
+    /// The front matter every obligation goes through before the
+    /// portfolio: lift `ite`s, elaborate, simplify, split (when
+    /// `decompose` is on), and normalize each piece and give it its
+    /// signature.
+    pub fn prepare(&self, goal: &Form) -> Prepared {
+        let (elaborated, sig) = self.elaborate(&lift_ite(goal));
+        let simplified = simplify(&elaborated);
+        if simplified == Form::tt() {
+            return Prepared {
+                simplified,
+                sig,
+                pieces: Vec::new(),
+            };
+        }
+        let split = if self.config.decompose {
+            split_conjuncts(&simplified)
+        } else {
+            vec![simplified.clone()]
+        };
+        let pieces = split
+            .iter()
+            .map(|piece| {
+                // Canonicalize before dispatch: bound binders go
+                // positional, fresh havoc/snapshot names go
+                // first-occurrence. The provers then never see the global
+                // fresh-counter suffixes — which vary with worker
+                // scheduling — so their search is identical across runs and
+                // thread counts, and the cache key falls out of the same
+                // pass.
+                let goal = goal_cache::normalize(piece);
+                let (_, sig) = self.elaborate(&goal.form);
+                Piece { goal, sig }
+            })
+            .collect();
+        Prepared {
+            simplified,
+            sig,
+            pieces,
+        }
+    }
+
     /// The per-obligation budget this dispatcher's configuration implies.
     pub fn obligation_budget(&self) -> Budget {
         Budget::new(self.config.obligation_timeout, self.config.obligation_fuel)
@@ -645,9 +708,8 @@ impl Dispatcher {
         // no dispatcher reference (chaos boundaries inside prover crates)
         // contributes its events to the same stream.
         let _obs = obs::scope(&self.recorder);
-        let (elaborated, goal_sig) = self.elaborate(&lift_ite(goal));
-        let simplified = simplify(&elaborated);
-        if simplified == Form::tt() {
+        let prepared = self.prepare(goal);
+        if prepared.simplified == Form::tt() {
             self.stats.bump("proved.simplifier");
             return Verdict::Proved {
                 prover: ProverId::Simplifier,
@@ -659,20 +721,15 @@ impl Dispatcher {
         // the same fault sequence per obligation regardless of the order
         // obligations reach the prover boundaries.
         let _scope = self.config.fault_plan.as_ref().map(|_| {
-            let normal = goal_cache::normalize(&simplified);
-            let fp = goal_cache::fingerprint(&normal, &goal_sig, self.config.cache_digest());
+            let normal = goal_cache::normalize(&prepared.simplified);
+            let fp = goal_cache::fingerprint(&normal, &prepared.sig, self.config.cache_digest());
             chaos::obligation_scope(goal_cache::obligation_key(fp))
         });
-        let pieces = if self.config.decompose {
-            split_conjuncts(&simplified)
-        } else {
-            vec![simplified.clone()]
-        };
-        self.stats.add("goal.pieces", pieces.len() as u64);
+        self.stats.add("goal.pieces", prepared.pieces.len() as u64);
         let mut worst_bound: Option<u32> = None;
         let mut weakest: Option<ProverId> = None;
-        for piece in pieces {
-            match self.prove_piece(&piece, budget, &goal_sig) {
+        for piece in &prepared.pieces {
+            match self.prove_piece(piece, budget, &prepared.sig) {
                 Verdict::Proved { prover, bound } => {
                     if bound.is_some() {
                         worst_bound = worst_bound.max(bound);
@@ -695,27 +752,21 @@ impl Dispatcher {
     /// Prove one piece of a split obligation.
     fn prove_piece(
         &self,
-        piece: &Form,
+        piece: &Piece,
         budget: &Budget,
         goal_sig: &FxHashMap<Symbol, Sort>,
     ) -> Verdict {
         let start = Instant::now();
-        // Canonicalize before dispatch: bound binders go positional, fresh
-        // havoc/snapshot names go first-occurrence. The provers then never
-        // see the global fresh-counter suffixes — which vary with worker
-        // scheduling — so their search is identical across runs and thread
-        // counts, and the cache key falls out of the same pass.
-        let normal = goal_cache::normalize(piece);
         if self.recorder.enabled() {
             // The fingerprint is content-determined, so the piece span is
             // identifiable in the stream even when the cache is off.
-            let fp = goal_cache::fingerprint(&normal, goal_sig, self.config.cache_digest());
+            let fp = goal_cache::fingerprint(&piece.goal, goal_sig, self.config.cache_digest());
             self.recorder.record_with(|| Event::PieceStart {
                 fingerprint: Some(fp),
-                size: normal.form.size() as u64,
+                size: piece.goal.form.size() as u64,
             });
         }
-        let verdict = self.prove_piece_routed(&normal, budget, goal_sig);
+        let verdict = self.prove_piece_routed(piece, budget, goal_sig);
         self.recorder.record_with(|| Event::PieceEnd {
             verdict: match &verdict {
                 Verdict::Proved { .. } => "proved",
@@ -736,11 +787,10 @@ impl Dispatcher {
     /// ways.
     fn prove_piece_routed(
         &self,
-        normal: &goal_cache::NormalGoal,
+        piece: &Piece,
         budget: &Budget,
         goal_sig: &FxHashMap<Symbol, Sort>,
     ) -> Verdict {
-        let piece = &normal.form;
         let seeded_chaos = self
             .config
             .fault_plan
@@ -749,7 +799,7 @@ impl Dispatcher {
         let Some(cache) = self.cache.as_deref().filter(|_| !seeded_chaos) else {
             return self.prove_piece_checked(piece, budget);
         };
-        let key = goal_cache::fingerprint(normal, goal_sig, self.config.cache_digest());
+        let key = goal_cache::fingerprint(&piece.goal, goal_sig, self.config.cache_digest());
         match cache.begin(key) {
             Lookup::Hit(proof) => {
                 self.emit(Event::CacheLookup {
@@ -804,7 +854,7 @@ impl Dispatcher {
         }
     }
 
-    fn prove_piece_checked(&self, piece: &Form, budget: &Budget) -> Verdict {
+    fn prove_piece_checked(&self, piece: &Piece, budget: &Budget) -> Verdict {
         let mut verdict = self.prove_piece_attempts(piece, budget);
         if self.config.cross_check {
             verdict = self.cross_check(piece, verdict, budget);
@@ -815,7 +865,7 @@ impl Dispatcher {
     /// First pass over the portfolio with divided budget slices; if the
     /// obligation ended `FuelExhausted`/`Timeout` while budget remains, one
     /// escalated retry against the surviving provers with everything left.
-    fn prove_piece_attempts(&self, piece: &Form, budget: &Budget) -> Verdict {
+    fn prove_piece_attempts(&self, piece: &Piece, budget: &Budget) -> Verdict {
         let first = self.prove_piece_inner(piece, budget, &AttemptCtx::first());
         let Verdict::Unknown(diag) = first else {
             return first;
@@ -848,7 +898,7 @@ impl Dispatcher {
     /// minus the claiming prover; `Refuted` is re-checked against the
     /// reference model evaluator. Disagreement degrades the verdict to a
     /// diagnosed `Unknown` — never a silent wrong answer.
-    fn cross_check(&self, piece: &Form, verdict: Verdict, budget: &Budget) -> Verdict {
+    fn cross_check(&self, piece: &Piece, verdict: Verdict, budget: &Budget) -> Verdict {
         match verdict {
             // The simplifier is the trusted equivalence-preserving core;
             // re-proving `True` would be circular anyway.
@@ -897,7 +947,7 @@ impl Dispatcher {
                 // claiming the degenerate empty universe is structurally
                 // fabricated no matter what it evaluates to.
                 self.emit(Event::Watchdog { outcome: "checked" });
-                if m.universe > 0 && m.eval_bool(piece) == Ok(false) {
+                if m.universe > 0 && m.eval_bool(&piece.goal.form) == Ok(false) {
                     self.emit(Event::Watchdog {
                         outcome: "confirmed",
                     });
@@ -1120,25 +1170,25 @@ impl Dispatcher {
         verdict
     }
 
-    fn prove_piece_inner(&self, piece: &Form, budget: &Budget, ctx: &AttemptCtx<'_>) -> Verdict {
+    fn prove_piece_inner(&self, piece: &Piece, budget: &Budget, ctx: &AttemptCtx<'_>) -> Verdict {
         let mut diag = Diagnosis::default();
-        if simplify(piece) == Form::tt() {
+        let form = &piece.goal.form;
+        if simplify(form) == Form::tt() {
             self.stats.bump("proved.simplifier");
             return Verdict::Proved {
                 prover: ProverId::Simplifier,
                 bound: None,
             };
         }
-        // Candidate goals (each with its inferred signature): the abstract
-        // piece, then the vardef-unfolded variant (ites lifted and
-        // re-elaborated since unfolding exposes new structure).
-        let (_, piece_sig) = self.elaborate(piece);
-        let mut variants = vec![(piece.clone(), piece_sig)];
+        // Candidate goals (each with its signature): the abstract piece,
+        // then the vardef-unfolded variant (ites lifted and elaborated,
+        // since unfolding exposes new structure).
+        let mut variants = vec![(form.clone(), piece.sig.clone())];
         if self.config.unfold && !self.defs.is_empty() {
-            let raw = lift_ite(&unfold_defs(piece, &self.defs));
+            let raw = lift_ite(&unfold_defs(form, &self.defs));
             let (elaborated, sig) = self.elaborate(&raw);
             let unfolded = simplify(&elaborated);
-            if unfolded != *piece {
+            if unfolded != *form {
                 if unfolded == Form::tt() {
                     self.stats.bump("proved.simplifier");
                     return Verdict::Proved {

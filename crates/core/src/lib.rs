@@ -43,7 +43,8 @@ pub mod service;
 pub mod verify;
 
 pub use dispatcher::{
-    Diagnosis, DispatchConfig, Dispatcher, FailureReason, ProverId, Verdict, VerdictKind,
+    Diagnosis, DispatchConfig, Dispatcher, FailureReason, Piece, Prepared, ProverId, Verdict,
+    VerdictKind,
 };
 pub use goal_cache::{normalize, GoalCache, NormalGoal};
 pub use jahob_util::budget::{Budget, Exhaustion, INFINITE_FUEL};
