@@ -533,6 +533,10 @@ pub struct Piece {
     pub goal: NormalGoal,
     /// The sorts the provers read, keyed by the names the piece uses.
     pub sig: FxHashMap<Symbol, Sort>,
+    /// Whether the piece is a proper part of its obligation. Only such a
+    /// piece can still simplify to `True`: the obligation was simplified
+    /// already, and simplifying its normalized form changes nothing.
+    pub split: bool,
 }
 
 /// An obligation after the dispatcher's front matter: `ite`s lifted,
@@ -547,6 +551,9 @@ pub struct Prepared {
     /// The pieces, in dispatch order; none when `simplified` is `True`.
     pub pieces: Vec<Piece>,
 }
+
+/// A goal the portfolio tries for a piece, with its signature.
+type Variant<'a> = (&'a Form, &'a FxHashMap<Symbol, Sort>);
 
 /// How one pass over the portfolio should behave.
 #[derive(Clone, Copy, Default)]
@@ -638,7 +645,8 @@ impl Dispatcher {
     /// The front matter every obligation goes through before the
     /// portfolio: lift `ite`s, elaborate, simplify, split (when
     /// `decompose` is on), and normalize each piece and give it its
-    /// signature.
+    /// signature. The obligation is elaborated once, here, and its pieces
+    /// inherit its sorts.
     pub fn prepare(&self, goal: &Form) -> Prepared {
         let (elaborated, sig) = self.elaborate(&lift_ite(goal));
         let simplified = simplify(&elaborated);
@@ -654,6 +662,7 @@ impl Dispatcher {
         } else {
             vec![simplified.clone()]
         };
+        let whole = matches!(split.as_slice(), [only] if *only == simplified);
         let pieces = split
             .iter()
             .map(|piece| {
@@ -665,8 +674,24 @@ impl Dispatcher {
                 // thread counts, and the cache key falls out of the same
                 // pass.
                 let goal = goal_cache::normalize(piece);
-                let (_, sig) = self.elaborate(&goal.form);
-                Piece { goal, sig }
+                // A piece is not re-inferred on its own: split away from
+                // the conjunct that fixes its symbols' sorts, it would
+                // default them to `obj`. It keeps the obligation's sorts,
+                // under the names normalization gave the fresh symbols.
+                let mut piece_sig = sig.clone();
+                for (canon, orig) in &goal.frees {
+                    let canon = Symbol::intern(canon);
+                    if canon != *orig {
+                        if let Some(sort) = sig.get(orig) {
+                            piece_sig.insert(canon, sort.clone());
+                        }
+                    }
+                }
+                Piece {
+                    goal,
+                    sig: piece_sig,
+                    split: !whole,
+                }
             })
             .collect();
         Prepared {
@@ -816,7 +841,9 @@ impl Dispatcher {
                     // is re-confirmed by an independent prover, and an
                     // entry that cannot be confirmed is evicted and
                     // demoted — a lying prover's cached verdict dies here.
-                    let checked = self.cross_check(piece, verdict, budget);
+                    let checked = self.with_variants(piece, |variants| {
+                        self.cross_check(variants, verdict, budget)
+                    });
                     if !checked.is_proved() {
                         self.emit(Event::CacheEvict { fingerprint: key });
                         cache.evict(key);
@@ -855,18 +882,60 @@ impl Dispatcher {
     }
 
     fn prove_piece_checked(&self, piece: &Piece, budget: &Budget) -> Verdict {
-        let mut verdict = self.prove_piece_attempts(piece, budget);
-        if self.config.cross_check {
-            verdict = self.cross_check(piece, verdict, budget);
+        self.with_variants(piece, |variants| {
+            let verdict = self.prove_piece_attempts(variants, budget);
+            if self.config.cross_check {
+                self.cross_check(variants, verdict, budget)
+            } else {
+                verdict
+            }
+        })
+    }
+
+    /// Run `body` over the goals the portfolio tries for a piece, each
+    /// with its signature: the piece itself, then its vardef-unfolded
+    /// variant (`ite`s lifted and elaborated, since unfolding exposes new
+    /// structure) when unfolding changes it. They are built once per
+    /// piece, for every pass. A split piece, or its unfolded variant, that
+    /// simplifies to `True` is the simplifier's proof instead.
+    fn with_variants(
+        &self,
+        piece: &Piece,
+        body: impl FnOnce(&[Variant<'_>]) -> Verdict,
+    ) -> Verdict {
+        let form = &piece.goal.form;
+        let simplifier_proof = || {
+            self.stats.bump("proved.simplifier");
+            Verdict::Proved {
+                prover: ProverId::Simplifier,
+                bound: None,
+            }
+        };
+        if piece.split && simplify(form) == Form::tt() {
+            return simplifier_proof();
         }
-        verdict
+        let mut unfolded = None;
+        if self.config.unfold && !self.defs.is_empty() {
+            let raw = lift_ite(&unfold_defs(form, &self.defs));
+            let (elaborated, sig) = self.elaborate(&raw);
+            let variant = simplify(&elaborated);
+            if variant != *form {
+                if variant == Form::tt() {
+                    return simplifier_proof();
+                }
+                unfolded = Some((variant, sig));
+            }
+        }
+        let mut variants = vec![(form, &piece.sig)];
+        variants.extend(unfolded.as_ref().map(|(variant, sig)| (variant, sig)));
+        body(&variants)
     }
 
     /// First pass over the portfolio with divided budget slices; if the
     /// obligation ended `FuelExhausted`/`Timeout` while budget remains, one
     /// escalated retry against the surviving provers with everything left.
-    fn prove_piece_attempts(&self, piece: &Piece, budget: &Budget) -> Verdict {
-        let first = self.prove_piece_inner(piece, budget, &AttemptCtx::first());
+    fn prove_piece_attempts(&self, variants: &[Variant<'_>], budget: &Budget) -> Verdict {
+        let first = self.prove_piece_inner(variants, budget, &AttemptCtx::first());
         let Verdict::Unknown(diag) = first else {
             return first;
         };
@@ -881,7 +950,7 @@ impl Dispatcher {
         self.emit(Event::RetryEscalated {
             fuel: budget.fuel_remaining(),
         });
-        match self.prove_piece_inner(piece, budget, &AttemptCtx::retry(&diag)) {
+        match self.prove_piece_inner(variants, budget, &AttemptCtx::retry(&diag)) {
             Verdict::Unknown(mut second) => {
                 second.merge_from(&diag);
                 Verdict::Unknown(second)
@@ -898,13 +967,13 @@ impl Dispatcher {
     /// minus the claiming prover; `Refuted` is re-checked against the
     /// reference model evaluator. Disagreement degrades the verdict to a
     /// diagnosed `Unknown` — never a silent wrong answer.
-    fn cross_check(&self, piece: &Piece, verdict: Verdict, budget: &Budget) -> Verdict {
+    fn cross_check(&self, variants: &[Variant<'_>], verdict: Verdict, budget: &Budget) -> Verdict {
         match verdict {
             // The simplifier is the trusted equivalence-preserving core;
             // re-proving `True` would be circular anyway.
             Verdict::Proved { prover, bound } if prover != ProverId::Simplifier => {
                 self.emit(Event::Watchdog { outcome: "checked" });
-                match self.prove_piece_inner(piece, budget, &AttemptCtx::confirm(prover)) {
+                match self.prove_piece_inner(variants, budget, &AttemptCtx::confirm(prover)) {
                     Verdict::Proved { .. } => {
                         self.emit(Event::Watchdog {
                             outcome: "confirmed",
@@ -941,13 +1010,14 @@ impl Dispatcher {
             Verdict::CounterModel(m) => {
                 // The reference evaluator is the independent opinion for
                 // refutations. Note this re-checks against the dispatched
-                // piece itself, so a counter-model found only for a
-                // vardef-unfolded variant is conservatively demoted. The
+                // piece itself (the first variant), so a counter-model
+                // found only for a vardef-unfolded variant is
+                // conservatively demoted. The
                 // model finder's searches start at universe 1, so a model
                 // claiming the degenerate empty universe is structurally
                 // fabricated no matter what it evaluates to.
                 self.emit(Event::Watchdog { outcome: "checked" });
-                if m.universe > 0 && m.eval_bool(&piece.goal.form) == Ok(false) {
+                if m.universe > 0 && m.eval_bool(variants[0].0) == Ok(false) {
                     self.emit(Event::Watchdog {
                         outcome: "confirmed",
                     });
@@ -1170,42 +1240,20 @@ impl Dispatcher {
         verdict
     }
 
-    fn prove_piece_inner(&self, piece: &Piece, budget: &Budget, ctx: &AttemptCtx<'_>) -> Verdict {
+    /// One pass over the portfolio.
+    fn prove_piece_inner(
+        &self,
+        variants: &[Variant<'_>],
+        budget: &Budget,
+        ctx: &AttemptCtx<'_>,
+    ) -> Verdict {
         let mut diag = Diagnosis::default();
-        let form = &piece.goal.form;
-        if simplify(form) == Form::tt() {
-            self.stats.bump("proved.simplifier");
-            return Verdict::Proved {
-                prover: ProverId::Simplifier,
-                bound: None,
-            };
-        }
-        // Candidate goals (each with its signature): the abstract piece,
-        // then the vardef-unfolded variant (ites lifted and elaborated,
-        // since unfolding exposes new structure).
-        let mut variants = vec![(form.clone(), piece.sig.clone())];
-        if self.config.unfold && !self.defs.is_empty() {
-            let raw = lift_ite(&unfold_defs(form, &self.defs));
-            let (elaborated, sig) = self.elaborate(&raw);
-            let unfolded = simplify(&elaborated);
-            if unfolded != *form {
-                if unfolded == Form::tt() {
-                    self.stats.bump("proved.simplifier");
-                    return Verdict::Proved {
-                        prover: ProverId::Simplifier,
-                        bound: None,
-                    };
-                }
-                variants.push((unfolded, sig));
-            }
-        }
-
         // Cheap, fragment-specific provers first.
         for prover in [ProverId::Hol, ProverId::Lia, ProverId::Bapa, ProverId::Smt] {
             let decided = self.guard(prover, budget, &mut diag, ctx, |slice, diag| {
                 portfolio_attempt(
                     prover,
-                    &variants,
+                    variants,
                     self.config.fol_iterations,
                     slice,
                     diag,
@@ -1222,7 +1270,7 @@ impl Dispatcher {
         let mut bounded = None;
         if self.config.bmc_bound > 0 {
             match self.guard(ProverId::Bmc, budget, &mut diag, ctx, |slice, diag| {
-                self.bounded_search(&variants, slice, diag)
+                self.bounded_search(variants, slice, diag)
             }) {
                 Some(proof @ Verdict::Proved { .. }) => bounded = Some(proof),
                 Some(refuted) => return refuted,
@@ -1232,7 +1280,7 @@ impl Dispatcher {
         let fol = self.guard(ProverId::Fol, budget, &mut diag, ctx, |slice, diag| {
             portfolio_attempt(
                 ProverId::Fol,
-                &variants,
+                variants,
                 self.config.fol_iterations,
                 slice,
                 diag,
@@ -1261,7 +1309,7 @@ impl Dispatcher {
     /// the rest are searched raw, for a counter-model only.
     fn bounded_search(
         &self,
-        variants: &[(Form, FxHashMap<Symbol, Sort>)],
+        variants: &[Variant<'_>],
         slice: &Budget,
         diag: &mut Diagnosis,
     ) -> Result<Option<Verdict>, Exhaustion> {
@@ -1360,7 +1408,7 @@ fn filtered(goal: &Form, keep: &mut dyn FnMut(&Form) -> bool) -> Option<Form> {
 /// is [`Dispatcher::bounded_search`]). It stops only through `slice`.
 fn portfolio_attempt(
     prover: ProverId,
-    variants: &[(Form, FxHashMap<Symbol, Sort>)],
+    variants: &[Variant<'_>],
     fol_iterations: usize,
     slice: &Budget,
     diag: &mut Diagnosis,
@@ -1383,7 +1431,7 @@ fn portfolio_attempt(
         ProverId::Lia => {
             for (goal, _) in variants {
                 stats.bump("tried.presburger");
-                let mut candidates = vec![goal.clone()];
+                let mut candidates = vec![(*goal).clone()];
                 if let Some(f) = filtered(goal, &mut |h| {
                     jahob_presburger::translate::form_to_pform(h).is_ok()
                 }) {
@@ -1413,7 +1461,7 @@ fn portfolio_attempt(
         ProverId::Bapa => {
             for (goal, sig) in variants {
                 stats.bump("tried.bapa");
-                let mut candidates = vec![goal.clone()];
+                let mut candidates = vec![(*goal).clone()];
                 if let Some(f) = filtered(goal, &mut |h| jahob_bapa::base_set_count(h, sig).is_ok())
                 {
                     candidates.push(f);
@@ -1446,7 +1494,7 @@ fn portfolio_attempt(
                     continue;
                 }
                 stats.bump("tried.smt");
-                let mut candidates = vec![goal.clone()];
+                let mut candidates = vec![(*goal).clone()];
                 if let Some(f) = filtered(goal, &mut |h| jahob_smt::in_fragment(h, sig)) {
                     candidates.push(f);
                 }
@@ -2023,6 +2071,40 @@ mod tests {
             }
             other => panic!("expected diagnosed unknown, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn pieces_keep_the_sorts_their_obligation_fixes() {
+        // `u + w = w + u` makes all five symbols `int`; the first conjunct
+        // alone says nothing about their sorts. Re-inferred on its own, it
+        // defaulted them to `obj`, and over three objects five pairwise
+        // distinct ones cannot exist, so the piece came back bounded-valid
+        // and the obligation `Proved`. Over the `int`s it is invalid.
+        let d = Dispatcher::new(FxHashMap::default(), FxHashMap::default());
+        let goal = form(
+            "(u ~= w & u ~= v & u ~= x & u ~= y & w ~= v & w ~= x & w ~= y & v ~= x & v ~= y \
+             & x ~= y --> False) & u + w = w + u",
+        );
+        let prepared = d.prepare(&goal);
+        assert_eq!(prepared.pieces.len(), 2);
+        for piece in &prepared.pieces {
+            for name in ["u", "w", "v", "x", "y"] {
+                assert_eq!(piece.sig.get(&Symbol::intern(name)), Some(&Sort::Int));
+            }
+        }
+        let v = d.prove(&goal);
+        assert!(!v.is_proved(), "{v:?}");
+    }
+
+    #[test]
+    fn split_pieces_can_still_simplify_to_true() {
+        // The obligation does not simplify to `True`, but its split piece
+        // `b --> b` does: split pieces keep their simplifier check.
+        let d = dispatcher();
+        let v = d.prove(&form("b --> b & (b | c)"));
+        assert!(v.is_proved(), "{v:?}");
+        assert_eq!(d.stats.get("goal.pieces"), 2);
+        assert_eq!(d.stats.get("proved.simplifier"), 1);
     }
 
     #[test]

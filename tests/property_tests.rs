@@ -3,10 +3,12 @@
 //!
 //! * parser/printer round-trips on randomly generated formulas,
 //! * NNF preserves meaning (checked against the reference evaluator),
+//! * simplification is idempotent up to normalization,
 //! * the CDCL solver agrees with brute force on random CNF,
 //! * BAPA never claims validity of a goal a small model refutes,
 //! * the bounded model finder's verdicts match exhaustive enumeration.
 
+use jahob_repro::jahob::normalize;
 use jahob_repro::logic::model::enumerate_models;
 use jahob_repro::logic::{transform, BinOp, Form, Sort};
 use jahob_repro::util::{FxHashMap, Symbol};
@@ -118,6 +120,25 @@ proptest! {
         let g = transform::simplify(&f);
         for bits in 0..16u32 {
             prop_assert_eq!(eval_prop(&f, bits), eval_prop(&g, bits));
+        }
+    }
+
+    /// Simplification is idempotent up to normalization: simplifying the
+    /// normalized form of a simplified formula changes nothing, also under
+    /// a binder that normalization renames. The dispatcher relies on it
+    /// to skip the simplifier check on an obligation that did not split.
+    #[test]
+    fn simplify_is_idempotent_after_normalize(f in prop_form(), g in set_form()) {
+        let p0 = Symbol::intern("p0");
+        let x0 = Symbol::intern("x0");
+        for form in [
+            Form::forall(vec![(p0, Sort::Bool)], f.clone()),
+            f,
+            Form::forall(vec![(x0, Sort::Obj)], g.clone()),
+            g,
+        ] {
+            let normal = normalize(&transform::simplify(&form)).form;
+            prop_assert_eq!(transform::simplify(&normal), normal);
         }
     }
 
