@@ -13,8 +13,15 @@
 //!   `obj`, the sort Jahob quantifiers range over when unannotated).
 //!
 //! Symbols not present in the signature are auto-declared with fresh sorts;
-//! the frontend pre-declares all program symbols so this only fires in
-//! ad-hoc uses (tests, the `prove` example CLI).
+//! the dispatcher pre-declares all program symbols, so this fires for the
+//! fresh symbols of verification conditions and in ad-hoc uses (tests, the
+//! `prove` example CLI).
+//!
+//! Elaboration takes two passes over a formula. Inference unifies, and
+//! records each overload decision and each unannotated binder's sort
+//! variable in side tables, in the order it meets them. Finalization walks
+//! the formula again in the same order, reads the decisions back, and
+//! returns every subtree that does not change as it is.
 
 use crate::form::{sym, BinOp, Form, UnOp};
 use crate::parser::unknown_sort;
@@ -22,6 +29,7 @@ use crate::sort::{Sort, SortTable, UnifyError};
 use jahob_util::{FxHashMap, Symbol};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// A sort-checking failure.
 #[derive(Debug, Clone)]
@@ -50,8 +58,75 @@ impl fmt::Display for SortError {
 
 impl std::error::Error for SortError {}
 
-/// Marker prefix for pending overload decisions (internal to this module).
-const MARKER: &str = "#ov#";
+/// An operator whose meaning depends on the sort of its operands.
+#[derive(Clone, Copy)]
+enum Overloaded {
+    /// `=`: `Iff` at `bool`, `Eq` elsewhere.
+    Eq,
+    /// `<=`: `Subseteq` at a set sort, `Le` elsewhere.
+    Le,
+    /// `-`: `Diff` at a set sort, `Sub` elsewhere.
+    Sub,
+}
+
+impl Overloaded {
+    fn of(op: BinOp) -> Option<Overloaded> {
+        match op {
+            BinOp::Eq => Some(Overloaded::Eq),
+            BinOp::Le | BinOp::Subseteq => Some(Overloaded::Le),
+            BinOp::Sub | BinOp::Diff => Some(Overloaded::Sub),
+            _ => None,
+        }
+    }
+
+    /// The operator at operand sort `sort`, whose outermost constructor is
+    /// final (an unbound variable counts as the default `obj`).
+    fn resolve(self, sort: &Sort) -> BinOp {
+        match (self, sort) {
+            (Overloaded::Eq, Sort::Bool) => BinOp::Iff,
+            (Overloaded::Eq, _) => BinOp::Eq,
+            (Overloaded::Le, Sort::Set(_)) => BinOp::Subseteq,
+            (Overloaded::Le, _) => BinOp::Le,
+            (Overloaded::Sub, Sort::Set(_)) => BinOp::Diff,
+            (Overloaded::Sub, _) => BinOp::Sub,
+        }
+    }
+}
+
+/// One overload decision, recorded by inference in the order it meets the
+/// overloaded operators (after their operands) and read back by
+/// finalization in the same order.
+#[derive(Clone, Copy)]
+enum Decision {
+    /// The operand sort's constructor was already known.
+    Made(BinOp),
+    /// Decided once all constraints are in, from this sort variable.
+    Pending(u32),
+}
+
+/// The names of the builtins inference treats specially, interned once.
+struct Builtins {
+    field_write: Symbol,
+    field_read: Symbol,
+    array_read: Symbol,
+    array_write: Symbol,
+    rtrancl: Symbol,
+    alloc: Symbol,
+    this: Symbol,
+}
+
+fn builtins() -> &'static Builtins {
+    static BUILTINS: OnceLock<Builtins> = OnceLock::new();
+    BUILTINS.get_or_init(|| Builtins {
+        field_write: Symbol::intern(sym::FIELD_WRITE),
+        field_read: Symbol::intern(sym::FIELD_READ),
+        array_read: Symbol::intern(sym::ARRAY_READ),
+        array_write: Symbol::intern(sym::ARRAY_WRITE),
+        rtrancl: Symbol::intern(sym::RTRANCL),
+        alloc: Symbol::intern(sym::ALLOC),
+        this: Symbol::intern(sym::THIS),
+    })
+}
 
 /// A sort-inference context: a signature of known symbols plus a persistent
 /// unification table, so constraints accumulate across multiple formulas
@@ -59,6 +134,13 @@ const MARKER: &str = "#ov#";
 pub struct SortCx {
     sig: FxHashMap<Symbol, Sort>,
     table: SortTable,
+    /// The current formula's overload decisions, in inference order.
+    decisions: Vec<Decision>,
+    /// The sort variables of the current formula's unannotated binders, in
+    /// inference order.
+    binders: Vec<u32>,
+    /// Argument sorts of the applications being inferred (a stack).
+    args: Vec<Sort>,
 }
 
 impl Default for SortCx {
@@ -70,13 +152,17 @@ impl Default for SortCx {
 impl SortCx {
     /// A context primed with the builtin signature of the logic.
     pub fn new() -> Self {
+        let b = builtins();
         let mut cx = SortCx {
             sig: FxHashMap::default(),
             table: SortTable::new(),
+            decisions: Vec::new(),
+            binders: Vec::new(),
+            args: Vec::new(),
         };
         // rtrancl_pt : (obj => obj => bool) => obj => obj => bool
         cx.declare(
-            Symbol::intern(sym::RTRANCL),
+            b.rtrancl,
             Sort::Fun(
                 vec![
                     Sort::Fun(vec![Sort::Obj, Sort::Obj], Box::new(Sort::Bool)),
@@ -87,9 +173,9 @@ impl SortCx {
             ),
         );
         // Object.alloc : objset
-        cx.declare(Symbol::intern(sym::ALLOC), Sort::objset());
+        cx.declare(b.alloc, Sort::objset());
         // this : obj
-        cx.declare(Symbol::intern(sym::THIS), Sort::Obj);
+        cx.declare(b.this, Sort::Obj);
         cx
     }
 
@@ -116,400 +202,528 @@ impl SortCx {
     /// Infer the sort of `form` and elaborate it. Returns the elaborated term
     /// and its (resolved) sort.
     pub fn infer(&mut self, form: &Form) -> Result<(Form, Sort), SortError> {
-        let mut env: Vec<(Symbol, Sort)> = Vec::new();
-        let (marked, sort) = self.infer_rec(form, &mut env)?;
-        let finalized = self.finalize(&marked);
-        Ok((finalized, self.table.resolve_default(&sort)))
+        let sort = self.infer_pass(form)?;
+        Ok((self.finalized(form), self.table.resolve_default(&sort)))
     }
 
     /// Infer and require sort `bool` (the common case for specifications).
     pub fn check_bool(&mut self, form: &Form) -> Result<Form, SortError> {
+        let sort = self.infer_pass(form)?;
+        unify_at(&mut self.table, form, &sort, &Sort::Bool)?;
+        Ok(self.finalized(form))
+    }
+
+    /// Pass 1 over a fresh formula: unification, recording the overload
+    /// decisions and binder variables pass 2 reads back.
+    fn infer_pass(&mut self, form: &Form) -> Result<Sort, SortError> {
+        self.decisions.clear();
+        self.binders.clear();
+        self.args.clear();
         let mut env: Vec<(Symbol, Sort)> = Vec::new();
-        let (marked, sort) = self.infer_rec(form, &mut env)?;
-        self.unify(form, &sort, &Sort::Bool)?;
-        Ok(self.finalize(&marked))
+        self.infer_rec(form, &mut env)
+    }
+
+    /// Pass 2: `form` with its overloads resolved and its binders grounded.
+    fn finalized(&self, form: &Form) -> Form {
+        let mut at = Cursor::default();
+        let out = self.finalize(form, &mut at).unwrap_or_else(|| form.clone());
+        debug_assert_eq!(at.decision, self.decisions.len());
+        debug_assert_eq!(at.binder, self.binders.len());
+        out
     }
 
     fn unify(&mut self, at: &Form, a: &Sort, b: &Sort) -> Result<(), SortError> {
-        self.table.unify(a, b).map_err(|error| SortError::Mismatch {
-            term: at.to_string(),
-            error,
-        })
+        unify_at(&mut self.table, at, a, b)
+    }
+
+    /// A fresh instance of a polymorphic builtin's sort, if `name` is one.
+    fn instantiate(&mut self, name: Symbol) -> Option<Sort> {
+        let b = builtins();
+        if name == b.field_write {
+            let a = self.table.fresh();
+            Some(Sort::Fun(
+                vec![Sort::field(a.clone()), Sort::Obj, a.clone()],
+                Box::new(Sort::field(a)),
+            ))
+        } else if name == b.field_read {
+            let a = self.table.fresh();
+            Some(Sort::Fun(
+                vec![Sort::field(a.clone()), Sort::Obj],
+                Box::new(a),
+            ))
+        } else if name == b.array_read {
+            let a = self.table.fresh();
+            Some(Sort::Fun(
+                vec![
+                    Sort::Fun(vec![Sort::Obj, Sort::Int], Box::new(a.clone())),
+                    Sort::Obj,
+                    Sort::Int,
+                ],
+                Box::new(a),
+            ))
+        } else if name == b.array_write {
+            let a = self.table.fresh();
+            let arr = Sort::Fun(vec![Sort::Obj, Sort::Int], Box::new(a.clone()));
+            Some(Sort::Fun(
+                vec![arr.clone(), Sort::Obj, Sort::Int, a],
+                Box::new(arr),
+            ))
+        } else {
+            None
+        }
     }
 
     fn lookup(&mut self, name: Symbol, env: &[(Symbol, Sort)]) -> Sort {
-        for (binder, sort) in env.iter().rev() {
-            if *binder == name {
-                return sort.clone();
-            }
+        if let Some((_, sort)) = env.iter().rev().find(|(binder, _)| *binder == name) {
+            return sort.clone();
         }
-        match name.as_str() {
-            // Polymorphic builtins: instantiate fresh at each use.
-            sym::FIELD_WRITE => {
-                let a = self.table.fresh();
-                Sort::Fun(
-                    vec![Sort::field(a.clone()), Sort::Obj, a.clone()],
-                    Box::new(Sort::field(a)),
-                )
-            }
-            sym::FIELD_READ => {
-                let a = self.table.fresh();
-                Sort::Fun(vec![Sort::field(a.clone()), Sort::Obj], Box::new(a))
-            }
-            sym::ARRAY_READ => {
-                let a = self.table.fresh();
-                Sort::Fun(
-                    vec![
-                        Sort::Fun(vec![Sort::Obj, Sort::Int], Box::new(a.clone())),
-                        Sort::Obj,
-                        Sort::Int,
-                    ],
-                    Box::new(a),
-                )
-            }
-            sym::ARRAY_WRITE => {
-                let a = self.table.fresh();
-                let arr = Sort::Fun(vec![Sort::Obj, Sort::Int], Box::new(a.clone()));
-                Sort::Fun(vec![arr.clone(), Sort::Obj, Sort::Int, a], Box::new(arr))
-            }
-            _ => {
-                if let Some(sort) = self.sig.get(&name) {
-                    sort.clone()
-                } else {
-                    let fresh = self.table.fresh();
-                    self.sig.insert(name, fresh.clone());
-                    fresh
+        if let Some(sort) = self.instantiate(name) {
+            return sort;
+        }
+        if let Some(sort) = self.sig.get(&name) {
+            sort.clone()
+        } else {
+            let fresh = self.table.fresh();
+            self.sig.insert(name, fresh.clone());
+            fresh
+        }
+    }
+
+    /// The sorts of `binders`, unannotated ones as fresh variables recorded
+    /// for pass 2, pushed onto `env`.
+    fn bind(&mut self, binders: &[(Symbol, Sort)], env: &mut Vec<(Symbol, Sort)>) {
+        for (name, sort) in binders {
+            let sort = if *sort == unknown_sort() {
+                let fresh = self.table.fresh();
+                if let Sort::Var(v) = fresh {
+                    self.binders.push(v);
                 }
-            }
+                fresh
+            } else {
+                sort.clone()
+            };
+            env.push((*name, sort));
         }
     }
 
-    fn fresh_binders(&mut self, binders: &[(Symbol, Sort)]) -> Vec<(Symbol, Sort)> {
-        binders
-            .iter()
-            .map(|(name, sort)| {
-                let sort = if *sort == unknown_sort() {
-                    self.table.fresh()
-                } else {
-                    sort.clone()
-                };
-                (*name, sort)
-            })
-            .collect()
+    /// Record the overload decision for an operator whose operands have
+    /// sort `deciding`.
+    fn decide(&mut self, op: Overloaded, deciding: &Sort) {
+        let decision = match self.table.shallow(deciding) {
+            Sort::Var(v) => Decision::Pending(*v),
+            known => Decision::Made(op.resolve(known)),
+        };
+        self.decisions.push(decision);
     }
 
-    /// Pass 1: unification + rebuild with overload markers and sort-variable
-    /// binder annotations.
-    fn infer_rec(
-        &mut self,
-        form: &Form,
-        env: &mut Vec<(Symbol, Sort)>,
-    ) -> Result<(Form, Sort), SortError> {
+    /// Pass 1: unification. Operands are inferred before their operator's
+    /// overload is decided, and binders before their body; pass 2 walks
+    /// the formula in the same order.
+    fn infer_rec(&mut self, form: &Form, env: &mut Vec<(Symbol, Sort)>) -> Result<Sort, SortError> {
         match form {
-            Form::Var(name) => {
-                let sort = self.lookup(*name, env);
-                Ok((form.clone(), sort))
-            }
-            Form::IntLit(_) => Ok((form.clone(), Sort::Int)),
-            Form::BoolLit(_) => Ok((form.clone(), Sort::Bool)),
-            Form::Null => Ok((form.clone(), Sort::Obj)),
-            Form::EmptySet => {
-                let a = self.table.fresh();
-                Ok((form.clone(), Sort::Set(Box::new(a))))
-            }
+            Form::Var(name) => Ok(self.lookup(*name, env)),
+            Form::IntLit(_) => Ok(Sort::Int),
+            Form::BoolLit(_) => Ok(Sort::Bool),
+            Form::Null => Ok(Sort::Obj),
+            Form::EmptySet => Ok(Sort::Set(Box::new(self.table.fresh()))),
             Form::FiniteSet(elems) => {
                 let a = self.table.fresh();
-                let mut new_elems = Vec::with_capacity(elems.len());
                 for e in elems {
-                    let (ne, es) = self.infer_rec(e, env)?;
+                    let es = self.infer_rec(e, env)?;
                     self.unify(e, &es, &a)?;
-                    new_elems.push(ne);
                 }
-                Ok((Form::FiniteSet(new_elems), Sort::Set(Box::new(a))))
+                Ok(Sort::Set(Box::new(a)))
             }
             Form::Unop(op, inner) => {
-                let (ni, is) = self.infer_rec(inner, env)?;
+                let is = self.infer_rec(inner, env)?;
                 let (req, out) = match op {
                     UnOp::Not => (Sort::Bool, Sort::Bool),
                     UnOp::Neg => (Sort::Int, Sort::Int),
-                    UnOp::Card => {
-                        let a = self.table.fresh();
-                        (Sort::Set(Box::new(a)), Sort::Int)
-                    }
+                    UnOp::Card => (Sort::Set(Box::new(self.table.fresh())), Sort::Int),
                 };
                 self.unify(inner, &is, &req)?;
-                Ok((Form::Unop(*op, Rc::new(ni)), out))
+                Ok(out)
             }
             Form::And(parts) | Form::Or(parts) => {
-                let mut new_parts = Vec::with_capacity(parts.len());
                 for p in parts {
-                    let (np, ps) = self.infer_rec(p, env)?;
+                    let ps = self.infer_rec(p, env)?;
                     self.unify(p, &ps, &Sort::Bool)?;
-                    new_parts.push(np);
                 }
-                let rebuilt = if matches!(form, Form::And(_)) {
-                    Form::And(new_parts)
-                } else {
-                    Form::Or(new_parts)
-                };
-                Ok((rebuilt, Sort::Bool))
+                Ok(Sort::Bool)
             }
             Form::Binop(op, lhs, rhs) => {
-                let (nl, ls) = self.infer_rec(lhs, env)?;
-                let (nr, rs) = self.infer_rec(rhs, env)?;
+                let ls = self.infer_rec(lhs, env)?;
+                let rs = self.infer_rec(rhs, env)?;
                 match op {
                     BinOp::Implies | BinOp::Iff => {
                         self.unify(lhs, &ls, &Sort::Bool)?;
                         self.unify(rhs, &rs, &Sort::Bool)?;
-                        Ok((Form::binop(*op, nl, nr), Sort::Bool))
+                        Ok(Sort::Bool)
                     }
                     BinOp::Eq => {
                         self.unify(form, &ls, &rs)?;
-                        // Pending: Eq at bool becomes Iff. Record the shared
-                        // sort variable in a marker.
-                        Ok((self.marker("eq", &ls, nl, nr), Sort::Bool))
+                        self.decide(Overloaded::Eq, &ls);
+                        Ok(Sort::Bool)
+                    }
+                    BinOp::Le | BinOp::Subseteq => {
+                        self.unify(form, &ls, &rs)?;
+                        self.decide(Overloaded::Le, &ls);
+                        Ok(Sort::Bool)
+                    }
+                    BinOp::Sub | BinOp::Diff => {
+                        self.unify(form, &ls, &rs)?;
+                        self.decide(Overloaded::Sub, &ls);
+                        Ok(ls)
                     }
                     BinOp::Elem => {
-                        self.unify(form, &rs, &Sort::Set(Box::new(ls)))?;
-                        Ok((Form::binop(BinOp::Elem, nl, nr), Sort::Bool))
+                        if let Sort::Set(elem) = self.table.shallow(&rs) {
+                            let elem = elem.as_ref().clone();
+                            self.unify(form, &elem, &ls)?;
+                        } else {
+                            self.unify(form, &rs, &Sort::Set(Box::new(ls)))?;
+                        }
+                        Ok(Sort::Bool)
                     }
                     BinOp::Lt => {
                         self.unify(lhs, &ls, &Sort::Int)?;
                         self.unify(rhs, &rs, &Sort::Int)?;
-                        Ok((Form::binop(BinOp::Lt, nl, nr), Sort::Bool))
-                    }
-                    BinOp::Le | BinOp::Subseteq => {
-                        self.unify(form, &ls, &rs)?;
-                        Ok((self.marker("le", &ls, nl, nr), Sort::Bool))
-                    }
-                    BinOp::Sub | BinOp::Diff => {
-                        self.unify(form, &ls, &rs)?;
-                        Ok((self.marker("sub", &ls, nl, nr), ls))
+                        Ok(Sort::Bool)
                     }
                     BinOp::Add | BinOp::Mul => {
                         self.unify(lhs, &ls, &Sort::Int)?;
                         self.unify(rhs, &rs, &Sort::Int)?;
-                        Ok((Form::binop(*op, nl, nr), Sort::Int))
+                        Ok(Sort::Int)
                     }
                     BinOp::Union | BinOp::Inter => {
-                        let a = self.table.fresh();
-                        let set = Sort::Set(Box::new(a));
+                        let set = Sort::Set(Box::new(self.table.fresh()));
                         self.unify(lhs, &ls, &set)?;
                         self.unify(rhs, &rs, &set)?;
-                        Ok((Form::binop(*op, nl, nr), set))
+                        Ok(set)
                     }
                 }
             }
             Form::App(head, args) => {
-                let (nh, hs) = self.infer_rec(head, env)?;
-                let mut new_args = Vec::with_capacity(args.len());
-                let mut arg_sorts = Vec::with_capacity(args.len());
-                for a in args {
-                    let (na, asort) = self.infer_rec(a, env)?;
-                    new_args.push(na);
-                    arg_sorts.push(asort);
-                }
-                let ret = self.apply_sort(form, hs, &arg_sorts)?;
-                Ok((Form::app(nh, new_args), ret))
+                let Form::Var(name) = **head else {
+                    let hs = self.infer_rec(head, env)?;
+                    let base = self.infer_args(args, env)?;
+                    let ret = apply_sort(&mut self.table, form, &hs, &self.args[base..]);
+                    self.args.truncate(base);
+                    return ret;
+                };
+                // A symbol head (a field or function of the signature, the
+                // common case) is applied in place: its sort is never
+                // copied out of the signature.
+                let base = self.infer_args(args, env)?;
+                let ret = if let Some((_, sort)) = env.iter().rev().find(|(b, _)| *b == name) {
+                    apply_sort(&mut self.table, form, sort, &self.args[base..])
+                } else if let Some(sort) = self.instantiate(name) {
+                    apply_sort(&mut self.table, form, &sort, &self.args[base..])
+                } else if let Some(sort) = self.sig.get(&name) {
+                    apply_sort(&mut self.table, form, sort, &self.args[base..])
+                } else {
+                    let fresh = self.table.fresh();
+                    self.sig.insert(name, fresh.clone());
+                    apply_sort(&mut self.table, form, &fresh, &self.args[base..])
+                };
+                self.args.truncate(base);
+                ret
             }
-            Form::Quant(kind, binders, body) => {
-                let new_binders = self.fresh_binders(binders);
+            Form::Quant(_, binders, body) => {
                 let depth = env.len();
-                env.extend(new_binders.iter().cloned());
-                let (nb, bs) = self.infer_rec(body, env)?;
+                self.bind(binders, env);
+                let bs = self.infer_rec(body, env);
                 env.truncate(depth);
-                self.unify(body, &bs, &Sort::Bool)?;
-                Ok((Form::Quant(*kind, new_binders, Rc::new(nb)), Sort::Bool))
+                self.unify(body, &bs?, &Sort::Bool)?;
+                Ok(Sort::Bool)
             }
             Form::Lambda(binders, body) => {
-                let new_binders = self.fresh_binders(binders);
                 let depth = env.len();
-                env.extend(new_binders.iter().cloned());
-                let (nb, bs) = self.infer_rec(body, env)?;
-                env.truncate(depth);
-                let sorts = new_binders.iter().map(|(_, s)| s.clone()).collect();
-                Ok((
-                    Form::Lambda(new_binders, Rc::new(nb)),
-                    Sort::Fun(sorts, Box::new(bs)),
-                ))
+                self.bind(binders, env);
+                let bs = self.infer_rec(body, env);
+                let sorts = env.drain(depth..).map(|(_, s)| s).collect();
+                Ok(Sort::Fun(sorts, Box::new(bs?)))
             }
             Form::Compr(x, sort, body) => {
-                let xsort = if *sort == unknown_sort() {
-                    self.table.fresh()
-                } else {
-                    sort.clone()
-                };
-                env.push((*x, xsort.clone()));
-                let (nb, bs) = self.infer_rec(body, env)?;
-                env.pop();
-                self.unify(body, &bs, &Sort::Bool)?;
-                Ok((
-                    Form::Compr(*x, xsort.clone(), Rc::new(nb)),
-                    Sort::Set(Box::new(xsort)),
-                ))
+                let depth = env.len();
+                self.bind(&[(*x, sort.clone())], env);
+                let bs = self.infer_rec(body, env);
+                let (_, xsort) = env.pop().expect("the comprehension's binder");
+                debug_assert_eq!(env.len(), depth);
+                self.unify(body, &bs?, &Sort::Bool)?;
+                Ok(Sort::Set(Box::new(xsort)))
             }
-            Form::Old(inner) => {
-                let (ni, is) = self.infer_rec(inner, env)?;
-                Ok((Form::Old(Rc::new(ni)), is))
-            }
+            Form::Old(inner) => self.infer_rec(inner, env),
             Form::Ite(c, t, e) => {
-                let (nc, cs) = self.infer_rec(c, env)?;
-                let (nt, ts) = self.infer_rec(t, env)?;
-                let (ne, es) = self.infer_rec(e, env)?;
+                let cs = self.infer_rec(c, env)?;
+                let ts = self.infer_rec(t, env)?;
+                let es = self.infer_rec(e, env)?;
                 self.unify(c, &cs, &Sort::Bool)?;
                 self.unify(form, &ts, &es)?;
-                Ok((Form::Ite(Rc::new(nc), Rc::new(nt), Rc::new(ne)), ts))
+                Ok(ts)
             }
             Form::Tree(fields) => {
-                let mut new_fields = Vec::with_capacity(fields.len());
                 for field in fields {
-                    let (nf, fsort) = self.infer_rec(field, env)?;
+                    let fsort = self.infer_rec(field, env)?;
                     if self.table.unify(&fsort, &Sort::field(Sort::Obj)).is_err() {
                         return Err(SortError::BadTreeField {
                             field: Symbol::intern(&field.to_string()),
                         });
                     }
-                    new_fields.push(nf);
                 }
-                Ok((Form::Tree(new_fields), Sort::Bool))
+                Ok(Sort::Bool)
             }
         }
     }
 
-    /// Apply a head sort to argument sorts, supporting partial application
-    /// and curried (`Fun` returning `Fun`) heads.
-    fn apply_sort(&mut self, at: &Form, head: Sort, args: &[Sort]) -> Result<Sort, SortError> {
-        if args.is_empty() {
-            return Ok(head);
+    /// Infer each argument and push its sort on the argument stack;
+    /// returns where this application's arguments start.
+    fn infer_args(
+        &mut self,
+        args: &[Form],
+        env: &mut Vec<(Symbol, Sort)>,
+    ) -> Result<usize, SortError> {
+        let base = self.args.len();
+        for a in args {
+            let sort = self.infer_rec(a, env)?;
+            self.args.push(sort);
         }
-        let head = self.table.resolve(&head);
-        match head {
-            Sort::Fun(params, ret) => {
-                let flat = flatten_fun(params, *ret);
-                let (params, ret) = match flat {
-                    Sort::Fun(p, r) => (p, *r),
-                    other => (vec![], other),
-                };
-                if params.len() < args.len() {
-                    return Err(SortError::NotAFunction {
-                        term: at.to_string(),
-                    });
-                }
-                for (p, a) in params.iter().zip(args.iter()) {
-                    self.unify(at, p, a)?;
-                }
-                if params.len() == args.len() {
-                    Ok(ret)
-                } else {
-                    Ok(Sort::Fun(params[args.len()..].to_vec(), Box::new(ret)))
-                }
-            }
-            Sort::Var(_) => {
-                let ret = self.table.fresh();
-                let expect = Sort::Fun(args.to_vec(), Box::new(ret.clone()));
-                self.unify(at, &head, &expect)?;
-                Ok(ret)
-            }
-            _ => Err(SortError::NotAFunction {
-                term: at.to_string(),
-            }),
-        }
+        Ok(base)
     }
 
-    /// Build an overload marker carrying the deciding sort. The sort is
-    /// stored by embedding a fresh variable that we bind to it, so finalize
-    /// can resolve the decision after all constraints are in.
-    fn marker(&mut self, op: &str, deciding: &Sort, lhs: Form, rhs: Form) -> Form {
-        let v = match self.table.resolve(deciding) {
-            Sort::Var(v) => v,
-            ground => {
-                // Already ground: no need to defer, but keep uniform handling
-                // by allocating a variable bound to the ground sort.
-                let fresh = self.table.fresh();
-                let v = match fresh {
-                    Sort::Var(v) => v,
-                    _ => unreachable!(),
-                };
-                self.table.unify(&Sort::Var(v), &ground).expect("fresh var");
-                v
-            }
-        };
-        let name = Symbol::intern(&format!("{MARKER}{op}#{v}"));
-        Form::App(Rc::new(Form::Var(name)), vec![lhs, rhs])
-    }
-
-    /// Pass 2: resolve overload markers and ground binder sorts.
-    fn finalize(&self, form: &Form) -> Form {
+    /// Pass 2: resolve overloads and ground binder sorts. `None` when
+    /// `form` comes out unchanged, so unchanged subtrees are shared, not
+    /// rebuilt.
+    fn finalize(&self, form: &Form, at: &mut Cursor) -> Option<Form> {
         match form {
-            Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
-                form.clone()
-            }
-            Form::Tree(fields) => Form::Tree(fields.iter().map(|f| self.finalize(f)).collect()),
-            Form::FiniteSet(elems) => {
-                Form::FiniteSet(elems.iter().map(|e| self.finalize(e)).collect())
-            }
-            Form::And(parts) => Form::And(parts.iter().map(|p| self.finalize(p)).collect()),
-            Form::Or(parts) => Form::Or(parts.iter().map(|p| self.finalize(p)).collect()),
-            Form::Unop(op, inner) => Form::Unop(*op, Rc::new(self.finalize(inner))),
-            Form::Old(inner) => Form::Old(Rc::new(self.finalize(inner))),
-            Form::Binop(op, lhs, rhs) => Form::Binop(
-                *op,
-                Rc::new(self.finalize(lhs)),
-                Rc::new(self.finalize(rhs)),
-            ),
-            Form::Ite(c, t, e) => Form::Ite(
-                Rc::new(self.finalize(c)),
-                Rc::new(self.finalize(t)),
-                Rc::new(self.finalize(e)),
-            ),
-            Form::App(head, args) => {
-                if let Form::Var(name) = head.as_ref() {
-                    let text = name.as_str();
-                    if let Some(rest) = text.strip_prefix(MARKER) {
-                        let (op, var_text) = rest.split_once('#').expect("marker format");
-                        let v: u32 = var_text.parse().expect("marker var");
-                        let sort = self.table.resolve_default(&Sort::Var(v));
-                        let lhs = self.finalize(&args[0]);
-                        let rhs = self.finalize(&args[1]);
-                        let is_set = matches!(sort, Sort::Set(_));
-                        let resolved = match (op, is_set, &sort) {
-                            ("eq", _, Sort::Bool) => BinOp::Iff,
-                            ("eq", _, _) => BinOp::Eq,
-                            ("le", true, _) => BinOp::Subseteq,
-                            ("le", false, _) => BinOp::Le,
-                            ("sub", true, _) => BinOp::Diff,
-                            ("sub", false, _) => BinOp::Sub,
-                            _ => unreachable!("unknown marker op {op}"),
-                        };
-                        return Form::binop(resolved, lhs, rhs);
+            Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => None,
+            Form::Tree(fields) => self.finalize_all(fields, at).map(Form::Tree),
+            Form::FiniteSet(elems) => self.finalize_all(elems, at).map(Form::FiniteSet),
+            Form::And(parts) => self.finalize_all(parts, at).map(Form::And),
+            Form::Or(parts) => self.finalize_all(parts, at).map(Form::Or),
+            Form::Unop(op, inner) => self.finalize_rc(inner, at).map(|i| Form::Unop(*op, i)),
+            Form::Old(inner) => self.finalize_rc(inner, at).map(Form::Old),
+            Form::Binop(op, lhs, rhs) => {
+                let l = self.finalize_rc(lhs, at);
+                let r = self.finalize_rc(rhs, at);
+                let resolved = match Overloaded::of(*op) {
+                    Some(overloaded) => {
+                        let decision = self.decisions[at.decision];
+                        at.decision += 1;
+                        match decision {
+                            Decision::Made(resolved) => resolved,
+                            Decision::Pending(v) => {
+                                overloaded.resolve(self.table.shallow(&Sort::Var(v)))
+                            }
+                        }
                     }
+                    None => *op,
+                };
+                if resolved == *op && l.is_none() && r.is_none() {
+                    return None;
                 }
-                Form::app(
-                    self.finalize(head),
-                    args.iter().map(|a| self.finalize(a)).collect(),
-                )
+                Some(Form::Binop(
+                    resolved,
+                    l.unwrap_or_else(|| Rc::clone(lhs)),
+                    r.unwrap_or_else(|| Rc::clone(rhs)),
+                ))
             }
-            Form::Quant(kind, binders, body) => Form::Quant(
-                *kind,
-                binders
-                    .iter()
-                    .map(|(n, s)| (*n, self.table.resolve_default(s)))
-                    .collect(),
-                Rc::new(self.finalize(body)),
-            ),
-            Form::Lambda(binders, body) => Form::Lambda(
-                binders
-                    .iter()
-                    .map(|(n, s)| (*n, self.table.resolve_default(s)))
-                    .collect(),
-                Rc::new(self.finalize(body)),
-            ),
-            Form::Compr(x, sort, body) => Form::Compr(
-                *x,
-                self.table.resolve_default(sort),
-                Rc::new(self.finalize(body)),
-            ),
+            Form::Ite(c, t, e) => {
+                let nc = self.finalize_rc(c, at);
+                let nt = self.finalize_rc(t, at);
+                let ne = self.finalize_rc(e, at);
+                if nc.is_none() && nt.is_none() && ne.is_none() {
+                    return None;
+                }
+                Some(Form::Ite(
+                    nc.unwrap_or_else(|| Rc::clone(c)),
+                    nt.unwrap_or_else(|| Rc::clone(t)),
+                    ne.unwrap_or_else(|| Rc::clone(e)),
+                ))
+            }
+            Form::App(head, args) => {
+                let nh = self.finalize_rc(head, at);
+                let na = self.finalize_all(args, at);
+                if args.is_empty() || matches!(**head, Form::App(..)) {
+                    // `Form::app` flattens a nested application and
+                    // drops an empty one.
+                    let head = nh.map_or_else(|| head.as_ref().clone(), Rc::unwrap_or_clone);
+                    return Some(Form::app(head, na.unwrap_or_else(|| args.clone())));
+                }
+                if nh.is_none() && na.is_none() {
+                    return None;
+                }
+                Some(Form::App(
+                    nh.unwrap_or_else(|| Rc::clone(head)),
+                    na.unwrap_or_else(|| args.clone()),
+                ))
+            }
+            Form::Quant(kind, binders, body) => {
+                let nb = self.finalize_binders(binders, at);
+                let body_out = self.finalize_rc(body, at);
+                if nb.is_none() && body_out.is_none() {
+                    return None;
+                }
+                Some(Form::Quant(
+                    *kind,
+                    nb.unwrap_or_else(|| binders.clone()),
+                    body_out.unwrap_or_else(|| Rc::clone(body)),
+                ))
+            }
+            Form::Lambda(binders, body) => {
+                let nb = self.finalize_binders(binders, at);
+                let body_out = self.finalize_rc(body, at);
+                if nb.is_none() && body_out.is_none() {
+                    return None;
+                }
+                Some(Form::Lambda(
+                    nb.unwrap_or_else(|| binders.clone()),
+                    body_out.unwrap_or_else(|| Rc::clone(body)),
+                ))
+            }
+            Form::Compr(x, sort, body) => {
+                let ns = self.finalize_sort(sort, at);
+                let body_out = self.finalize_rc(body, at);
+                if ns.is_none() && body_out.is_none() {
+                    return None;
+                }
+                Some(Form::Compr(
+                    *x,
+                    ns.unwrap_or_else(|| sort.clone()),
+                    body_out.unwrap_or_else(|| Rc::clone(body)),
+                ))
+            }
         }
+    }
+
+    fn finalize_rc(&self, form: &Rc<Form>, at: &mut Cursor) -> Option<Rc<Form>> {
+        self.finalize(form, at).map(Rc::new)
+    }
+
+    /// Finalize a list; `None` when every element comes out unchanged.
+    fn finalize_all(&self, forms: &[Form], at: &mut Cursor) -> Option<Vec<Form>> {
+        let mut out: Option<Vec<Form>> = None;
+        for (i, f) in forms.iter().enumerate() {
+            match (self.finalize(f, at), &mut out) {
+                (Some(new), Some(out)) => out.push(new),
+                (Some(new), None) => {
+                    let mut changed = Vec::with_capacity(forms.len());
+                    changed.extend_from_slice(&forms[..i]);
+                    changed.push(new);
+                    out = Some(changed);
+                }
+                (None, Some(out)) => out.push(f.clone()),
+                (None, None) => {}
+            }
+        }
+        out
+    }
+
+    /// A binder's ground sort: an unannotated binder reads its variable
+    /// back from pass 1. `None` when the sort is already ground.
+    fn finalize_sort(&self, sort: &Sort, at: &mut Cursor) -> Option<Sort> {
+        if *sort == unknown_sort() {
+            let v = self.binders[at.binder];
+            at.binder += 1;
+            Some(self.table.resolve_default(&Sort::Var(v)))
+        } else if sort.is_ground() {
+            None
+        } else {
+            Some(self.table.resolve_default(sort))
+        }
+    }
+
+    fn finalize_binders(
+        &self,
+        binders: &[(Symbol, Sort)],
+        at: &mut Cursor,
+    ) -> Option<Vec<(Symbol, Sort)>> {
+        let mut out: Option<Vec<(Symbol, Sort)>> = None;
+        for (i, (name, sort)) in binders.iter().enumerate() {
+            match (self.finalize_sort(sort, at), &mut out) {
+                (Some(new), Some(out)) => out.push((*name, new)),
+                (Some(new), None) => {
+                    let mut changed = Vec::with_capacity(binders.len());
+                    changed.extend_from_slice(&binders[..i]);
+                    changed.push((*name, new));
+                    out = Some(changed);
+                }
+                (None, Some(out)) => out.push((*name, sort.clone())),
+                (None, None) => {}
+            }
+        }
+        out
+    }
+}
+
+/// Where pass 2 is in pass 1's side tables.
+#[derive(Default)]
+struct Cursor {
+    decision: usize,
+    binder: usize,
+}
+
+fn unify_at(table: &mut SortTable, at: &Form, a: &Sort, b: &Sort) -> Result<(), SortError> {
+    table.unify(a, b).map_err(|error| SortError::Mismatch {
+        term: at.to_string(),
+        error,
+    })
+}
+
+/// Apply a head sort to argument sorts, supporting partial application
+/// and curried (`Fun` returning `Fun`) heads.
+fn apply_sort(
+    table: &mut SortTable,
+    at: &Form,
+    head: &Sort,
+    args: &[Sort],
+) -> Result<Sort, SortError> {
+    if args.is_empty() {
+        return Ok(head.clone());
+    }
+    // An uncurried function sort, the shape of every field and function
+    // of a program's signature: unify parameter by parameter in place.
+    if let Sort::Fun(params, ret) = head {
+        let uncurried = matches!(**ret, Sort::Bool | Sort::Int | Sort::Obj | Sort::Set(_));
+        if uncurried && params.len() >= args.len() {
+            for (p, a) in params.iter().zip(args) {
+                unify_at(table, at, p, a)?;
+            }
+            return Ok(if params.len() == args.len() {
+                ret.as_ref().clone()
+            } else {
+                Sort::Fun(params[args.len()..].to_vec(), ret.clone())
+            });
+        }
+    }
+    match table.resolve(head) {
+        Sort::Fun(params, ret) => {
+            let (params, ret) = match flatten_fun(params, *ret) {
+                Sort::Fun(p, r) => (p, *r),
+                other => (vec![], other),
+            };
+            if params.len() < args.len() {
+                return Err(SortError::NotAFunction {
+                    term: at.to_string(),
+                });
+            }
+            for (p, a) in params.iter().zip(args.iter()) {
+                unify_at(table, at, p, a)?;
+            }
+            if params.len() == args.len() {
+                Ok(ret)
+            } else {
+                Ok(Sort::Fun(params[args.len()..].to_vec(), Box::new(ret)))
+            }
+        }
+        head @ Sort::Var(_) => {
+            let ret = table.fresh();
+            let expect = Sort::Fun(args.to_vec(), Box::new(ret.clone()));
+            unify_at(table, at, &head, &expect)?;
+            Ok(ret)
+        }
+        _ => Err(SortError::NotAFunction {
+            term: at.to_string(),
+        }),
     }
 }
 

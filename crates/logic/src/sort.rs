@@ -115,12 +115,13 @@ impl SortTable {
         Sort::Var(v)
     }
 
-    /// Resolve the outermost binding of `s` (shallow).
-    fn shallow(&self, mut s: Sort) -> Sort {
+    /// Resolve the outermost binding of `s` (shallow): the first sort
+    /// along its chain of bound variables that is not a bound variable.
+    pub(crate) fn shallow<'a>(&'a self, mut s: &'a Sort) -> &'a Sort {
         while let Sort::Var(v) = s {
-            match &self.bindings[v as usize] {
-                Some(bound) => s = bound.clone(),
-                None => return Sort::Var(v),
+            match &self.bindings[*v as usize] {
+                Some(bound) => s = bound,
+                None => break,
             }
         }
         s
@@ -130,30 +131,30 @@ impl SortTable {
     /// Unbound variables default to `Obj` — the only sort Jahob quantifiers
     /// range over when unannotated (e.g. `ALL n. ...` over heap nodes).
     pub fn resolve_default(&self, s: &Sort) -> Sort {
-        match self.shallow(s.clone()) {
+        match self.shallow(s) {
             Sort::Var(_) => Sort::Obj,
             Sort::Bool => Sort::Bool,
             Sort::Int => Sort::Int,
             Sort::Obj => Sort::Obj,
-            Sort::Set(e) => Sort::Set(Box::new(self.resolve_default(&e))),
+            Sort::Set(e) => Sort::Set(Box::new(self.resolve_default(e))),
             Sort::Fun(args, ret) => Sort::Fun(
                 args.iter().map(|a| self.resolve_default(a)).collect(),
-                Box::new(self.resolve_default(&ret)),
+                Box::new(self.resolve_default(ret)),
             ),
         }
     }
 
     /// Fully resolve `s`, keeping unbound variables as variables.
     pub fn resolve(&self, s: &Sort) -> Sort {
-        match self.shallow(s.clone()) {
-            Sort::Var(v) => Sort::Var(v),
+        match self.shallow(s) {
+            Sort::Var(v) => Sort::Var(*v),
             Sort::Bool => Sort::Bool,
             Sort::Int => Sort::Int,
             Sort::Obj => Sort::Obj,
-            Sort::Set(e) => Sort::Set(Box::new(self.resolve(&e))),
+            Sort::Set(e) => Sort::Set(Box::new(self.resolve(e))),
             Sort::Fun(args, ret) => Sort::Fun(
                 args.iter().map(|a| self.resolve(a)).collect(),
-                Box::new(self.resolve(&ret)),
+                Box::new(self.resolve(ret)),
             ),
         }
     }
@@ -161,47 +162,53 @@ impl SortTable {
     /// Does variable `v` occur in `s` (after resolution)? Guards against
     /// infinite sorts.
     fn occurs(&self, v: u32, s: &Sort) -> bool {
-        match self.shallow(s.clone()) {
-            Sort::Var(w) => w == v,
+        match self.shallow(s) {
+            Sort::Var(w) => *w == v,
             Sort::Bool | Sort::Int | Sort::Obj => false,
-            Sort::Set(e) => self.occurs(v, &e),
-            Sort::Fun(args, ret) => args.iter().any(|a| self.occurs(v, a)) || self.occurs(v, &ret),
+            Sort::Set(e) => self.occurs(v, e),
+            Sort::Fun(args, ret) => args.iter().any(|a| self.occurs(v, a)) || self.occurs(v, ret),
         }
     }
 
-    /// Unify two sorts, extending the binding table.
+    /// Unify two sorts, extending the binding table. Equal sorts unify by
+    /// comparison and sorts of the same shape part by part, with no
+    /// clones; only a variable bound to a compound sort is copied out of
+    /// the table.
     pub fn unify(&mut self, a: &Sort, b: &Sort) -> Result<(), UnifyError> {
-        let a = self.shallow(a.clone());
-        let b = self.shallow(b.clone());
         match (a, b) {
-            (Sort::Var(v), Sort::Var(w)) if v == w => Ok(()),
+            _ if a == b => Ok(()),
+            (Sort::Var(v), _) if self.bindings[*v as usize].is_some() => {
+                let bound = self.bindings[*v as usize].clone().expect("bound");
+                self.unify(&bound, b)
+            }
+            (_, Sort::Var(w)) if self.bindings[*w as usize].is_some() => {
+                let bound = self.bindings[*w as usize].clone().expect("bound");
+                self.unify(a, &bound)
+            }
             (Sort::Var(v), other) | (other, Sort::Var(v)) => {
-                if self.occurs(v, &other) {
+                if self.occurs(*v, other) {
                     return Err(UnifyError {
-                        left: Sort::Var(v),
-                        right: other,
+                        left: Sort::Var(*v),
+                        right: other.clone(),
                     });
                 }
-                self.bindings[v as usize] = Some(other);
+                self.bindings[*v as usize] = Some(other.clone());
                 Ok(())
             }
-            (Sort::Bool, Sort::Bool) | (Sort::Int, Sort::Int) | (Sort::Obj, Sort::Obj) => Ok(()),
-            (Sort::Set(x), Sort::Set(y)) => self.unify(&x, &y),
-            (Sort::Fun(a1, r1), Sort::Fun(a2, r2)) => {
-                if a1.len() != a2.len() {
-                    return Err(UnifyError {
-                        left: Sort::Fun(a1, r1),
-                        right: Sort::Fun(a2, r2),
-                    });
-                }
-                for (x, y) in a1.iter().zip(a2.iter()) {
+            (Sort::Set(x), Sort::Set(y)) => self.unify(x, y),
+            (Sort::Fun(a1, r1), Sort::Fun(a2, r2)) if a1.len() == a2.len() => {
+                for (x, y) in a1.iter().zip(a2) {
                     self.unify(x, y)?;
                 }
-                self.unify(&r1, &r2)
+                self.unify(r1, r2)
             }
-            (l, r) => Err(UnifyError {
-                left: self.resolve(&l),
-                right: self.resolve(&r),
+            (Sort::Fun(..), Sort::Fun(..)) => Err(UnifyError {
+                left: a.clone(),
+                right: b.clone(),
+            }),
+            _ => Err(UnifyError {
+                left: self.resolve(a),
+                right: self.resolve(b),
             }),
         }
     }
