@@ -1,10 +1,14 @@
 //! The prover portfolio and goal decomposition.
 //!
-//! Each proof obligation is simplified, split into conjuncts (pushing the
-//! split under hypotheses and universal quantifiers — §3's "simple goal
-//! decomposition technique"), and every piece is offered to the portfolio
-//! in order of increasing generality and cost. Abstraction-function symbols
-//! (`vardefs`) are unfolded on demand when the abstract attempt fails.
+//! Each proof obligation is elaborated (sort inference resolves the
+//! overloaded operators and gives every fresh symbol its sort), simplified,
+//! split into conjuncts (pushing the split under hypotheses and universal
+//! quantifiers — §3's "simple goal decomposition technique"), and every
+//! piece is offered to the portfolio in order of increasing generality and
+//! cost. [`Dispatcher::prepare`] does this front matter; elaboration runs
+//! there once per obligation, and the pieces inherit the obligation's
+//! sorts. Abstraction-function symbols (`vardefs`) are unfolded on demand
+//! when the abstract attempt fails.
 
 use crate::goal_cache::{self, CachedProof, GoalCache, Lookup, NormalGoal};
 use jahob_logic::transform::{simplify, split_conjuncts, unfold_defs};
@@ -626,29 +630,13 @@ impl Dispatcher {
         self.recorder.record_with(|| event);
     }
 
-    /// Elaborate a goal against the signature (resolving `<=`/`-`/`=`
-    /// overloads) and return the *goal-specific* signature: verification
-    /// conditions contain fresh havoc/snapshot symbols whose sorts only
-    /// inference can recover. Falls back to the raw goal and the base
-    /// signature when inference fails.
-    fn elaborate(&self, goal: &Form) -> (Form, FxHashMap<Symbol, Sort>) {
-        let mut cx = SortCx::new();
-        for (name, sort) in &self.sig {
-            cx.declare(*name, sort.clone());
-        }
-        match cx.check_bool(goal) {
-            Ok(elaborated) => (elaborated, cx.resolved_sig()),
-            Err(_) => (goal.clone(), self.sig.clone()),
-        }
-    }
-
     /// The front matter every obligation goes through before the
     /// portfolio: lift `ite`s, elaborate, simplify, split (when
     /// `decompose` is on), and normalize each piece and give it its
     /// signature. The obligation is elaborated once, here, and its pieces
     /// inherit its sorts.
     pub fn prepare(&self, goal: &Form) -> Prepared {
-        let (elaborated, sig) = self.elaborate(&lift_ite(goal));
+        let (elaborated, sig) = elaborate(&lift_ite(goal), &self.sig);
         let simplified = simplify(&elaborated);
         if simplified == Form::tt() {
             return Prepared {
@@ -894,9 +882,10 @@ impl Dispatcher {
 
     /// Run `body` over the goals the portfolio tries for a piece, each
     /// with its signature: the piece itself, then its vardef-unfolded
-    /// variant (`ite`s lifted and elaborated, since unfolding exposes new
-    /// structure) when unfolding changes it. They are built once per
-    /// piece, for every pass. A split piece, or its unfolded variant, that
+    /// variant when unfolding changes it. The variant has its `ite`s
+    /// lifted and is elaborated against the piece's signature, since
+    /// unfolding exposes new structure. They are built once per piece,
+    /// for every pass. A split piece, or its unfolded variant, that
     /// simplifies to `True` is the simplifier's proof instead.
     fn with_variants(
         &self,
@@ -917,7 +906,7 @@ impl Dispatcher {
         let mut unfolded = None;
         if self.config.unfold && !self.defs.is_empty() {
             let raw = lift_ite(&unfold_defs(form, &self.defs));
-            let (elaborated, sig) = self.elaborate(&raw);
+            let (elaborated, sig) = elaborate(&raw, &piece.sig);
             let variant = simplify(&elaborated);
             if variant != *form {
                 if variant == Form::tt() {
@@ -1012,10 +1001,10 @@ impl Dispatcher {
                 // refutations. Note this re-checks against the dispatched
                 // piece itself (the first variant), so a counter-model
                 // found only for a vardef-unfolded variant is
-                // conservatively demoted. The
-                // model finder's searches start at universe 1, so a model
-                // claiming the degenerate empty universe is structurally
-                // fabricated no matter what it evaluates to.
+                // conservatively demoted. The model finder's searches
+                // start at universe 1, so a model claiming the degenerate
+                // empty universe is structurally fabricated no matter
+                // what it evaluates to.
                 self.emit(Event::Watchdog { outcome: "checked" });
                 if m.universe > 0 && m.eval_bool(variants[0].0) == Ok(false) {
                     self.emit(Event::Watchdog {
@@ -1382,6 +1371,22 @@ impl Dispatcher {
             Some(candidate) => Some((candidate, abs_sig)),
             None => was_abstracted.then_some((abstracted, abs_sig)),
         }
+    }
+}
+
+/// Elaborate a goal against a signature (resolving `<=`/`-`/`=`
+/// overloads) and return the *goal-specific* signature: verification
+/// conditions contain fresh havoc/snapshot symbols whose sorts only
+/// inference can recover. Falls back to the raw goal and the given
+/// signature when inference fails.
+fn elaborate(goal: &Form, sig: &FxHashMap<Symbol, Sort>) -> (Form, FxHashMap<Symbol, Sort>) {
+    let mut cx = SortCx::new();
+    for (name, sort) in sig {
+        cx.declare(*name, sort.clone());
+    }
+    match cx.check_bool(goal) {
+        Ok(elaborated) => (elaborated, cx.resolved_sig()),
+        Err(_) => (goal.clone(), sig.clone()),
     }
 }
 
@@ -2093,6 +2098,16 @@ mod tests {
             }
         }
         let v = d.prove(&goal);
+        assert!(!v.is_proved(), "{v:?}");
+        // The same through a definition: the piece's unfolded variant is
+        // elaborated against the piece's sorts, not re-typed on its own.
+        let mut defs = FxHashMap::default();
+        defs.insert(Symbol::intern("nothing"), form("False"));
+        let d = Dispatcher::new(FxHashMap::default(), defs);
+        let v = d.prove(&form(
+            "(u ~= w & u ~= v & u ~= x & u ~= y & w ~= v & w ~= x & w ~= y & v ~= x & v ~= y \
+             & x ~= y --> nothing) & u + w = w + u",
+        ));
         assert!(!v.is_proved(), "{v:?}");
     }
 
