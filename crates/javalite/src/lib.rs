@@ -22,8 +22,12 @@
 //!   verified").
 //!
 //! [`resolve`] typechecks the program, builds the global logical signature
-//! (fields and per-instance specvars become `obj => T` functions), and
-//! elaborates every formula with `jahob-logic`'s sort inference.
+//! (fields and per-instance specvars become `obj => T` functions) and
+//! qualifies the names in annotations. It runs no sort inference: the
+//! overloaded operators leave the frontend as parsed. `jahob-logic`'s sort
+//! inference elaborates each verification condition once, in the
+//! dispatcher (`jahob::Dispatcher::prepare`), and the pieces the
+//! obligation splits into inherit its sorts.
 
 pub mod ast;
 pub mod lexer;

@@ -918,6 +918,26 @@ mod tests {
     }
 
     #[test]
+    fn unchanged_subtrees_are_shared() {
+        let mut cx = SortCx::new();
+        cx.declare(s("flagU"), Sort::Bool);
+        let f = parse_form("(i2u < j2u --> k2u < i2u) & flagU = (i2u < 3)").unwrap();
+        let e = cx.check_bool(&f).unwrap();
+        let (Form::And(before), Form::And(after)) = (&f, &e) else {
+            panic!("expected conjunctions, got {e:?}");
+        };
+        // The first conjunct needs no elaboration and comes back as it
+        // was parsed, its subterms shared; only `=` at bool changes.
+        match (&before[0], &after[0]) {
+            (Form::Binop(_, l1, r1), Form::Binop(_, l2, r2)) => {
+                assert!(Rc::ptr_eq(l1, l2) && Rc::ptr_eq(r1, r2));
+            }
+            other => panic!("expected implications, got {other:?}"),
+        }
+        assert!(matches!(&after[1], Form::Binop(BinOp::Iff, _, _)));
+    }
+
+    #[test]
     fn ite_branches_unify() {
         let mut cx = SortCx::new();
         let t = Form::Ite(
