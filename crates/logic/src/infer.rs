@@ -273,6 +273,9 @@ impl SortCx {
         }
     }
 
+    /// The sort of symbol `name`: its binder's, a fresh instance of a
+    /// polymorphic builtin, or its signature entry (declared with a fresh
+    /// variable on first sight).
     fn lookup(&mut self, name: Symbol, env: &[(Symbol, Sort)]) -> Sort {
         if let Some((_, sort)) = env.iter().rev().find(|(binder, _)| *binder == name) {
             return sort.clone();
@@ -280,13 +283,10 @@ impl SortCx {
         if let Some(sort) = self.instantiate(name) {
             return sort;
         }
-        if let Some(sort) = self.sig.get(&name) {
-            sort.clone()
-        } else {
-            let fresh = self.table.fresh();
-            self.sig.insert(name, fresh.clone());
-            fresh
-        }
+        self.sig
+            .entry(name)
+            .or_insert_with(|| self.table.fresh())
+            .clone()
     }
 
     /// The sorts of `binders`, unannotated ones as fresh variables recorded
@@ -411,20 +411,21 @@ impl SortCx {
                     return ret;
                 };
                 // A symbol head (a field or function of the signature, the
-                // common case) is applied in place: its sort is never
-                // copied out of the signature.
+                // common case) is looked up as `lookup` does, but applied
+                // in place: its sort is never copied out of the signature.
                 let base = self.infer_args(args, env)?;
-                let ret = if let Some((_, sort)) = env.iter().rev().find(|(b, _)| *b == name) {
-                    apply_sort(&mut self.table, form, sort, &self.args[base..])
-                } else if let Some(sort) = self.instantiate(name) {
-                    apply_sort(&mut self.table, form, &sort, &self.args[base..])
-                } else if let Some(sort) = self.sig.get(&name) {
-                    apply_sort(&mut self.table, form, sort, &self.args[base..])
-                } else {
-                    let fresh = self.table.fresh();
-                    self.sig.insert(name, fresh.clone());
-                    apply_sort(&mut self.table, form, &fresh, &self.args[base..])
+                let instance;
+                let sort = match env.iter().rev().find(|(binder, _)| *binder == name) {
+                    Some((_, sort)) => sort,
+                    None => match self.instantiate(name) {
+                        Some(sort) => {
+                            instance = sort;
+                            &instance
+                        }
+                        None => self.sig.entry(name).or_insert_with(|| self.table.fresh()),
+                    },
                 };
+                let ret = apply_sort(&mut self.table, form, sort, &self.args[base..]);
                 self.args.truncate(base);
                 ret
             }
@@ -503,8 +504,7 @@ impl SortCx {
             Form::Unop(op, inner) => self.finalize_rc(inner, at).map(|i| Form::Unop(*op, i)),
             Form::Old(inner) => self.finalize_rc(inner, at).map(Form::Old),
             Form::Binop(op, lhs, rhs) => {
-                let l = self.finalize_rc(lhs, at);
-                let r = self.finalize_rc(rhs, at);
+                let (l, r) = (self.finalize_rc(lhs, at), self.finalize_rc(rhs, at));
                 let resolved = match Overloaded::of(*op) {
                     Some(overloaded) => {
                         let decision = self.decisions[at.decision];
@@ -521,75 +521,55 @@ impl SortCx {
                 if resolved == *op && l.is_none() && r.is_none() {
                     return None;
                 }
-                Some(Form::Binop(
-                    resolved,
-                    l.unwrap_or_else(|| Rc::clone(lhs)),
-                    r.unwrap_or_else(|| Rc::clone(rhs)),
-                ))
+                Some(Form::Binop(resolved, keep(l, lhs), keep(r, rhs)))
             }
             Form::Ite(c, t, e) => {
-                let nc = self.finalize_rc(c, at);
-                let nt = self.finalize_rc(t, at);
+                let (nc, nt) = (self.finalize_rc(c, at), self.finalize_rc(t, at));
                 let ne = self.finalize_rc(e, at);
                 if nc.is_none() && nt.is_none() && ne.is_none() {
                     return None;
                 }
-                Some(Form::Ite(
-                    nc.unwrap_or_else(|| Rc::clone(c)),
-                    nt.unwrap_or_else(|| Rc::clone(t)),
-                    ne.unwrap_or_else(|| Rc::clone(e)),
-                ))
+                Some(Form::Ite(keep(nc, c), keep(nt, t), keep(ne, e)))
             }
             Form::App(head, args) => {
-                let nh = self.finalize_rc(head, at);
-                let na = self.finalize_all(args, at);
+                let (nh, na) = (self.finalize_rc(head, at), self.finalize_all(args, at));
                 if args.is_empty() || matches!(**head, Form::App(..)) {
                     // `Form::app` flattens a nested application and
                     // drops an empty one.
-                    let head = nh.map_or_else(|| head.as_ref().clone(), Rc::unwrap_or_clone);
+                    let head = Rc::unwrap_or_clone(keep(nh, head));
                     return Some(Form::app(head, na.unwrap_or_else(|| args.clone())));
                 }
                 if nh.is_none() && na.is_none() {
                     return None;
                 }
                 Some(Form::App(
-                    nh.unwrap_or_else(|| Rc::clone(head)),
+                    keep(nh, head),
                     na.unwrap_or_else(|| args.clone()),
                 ))
             }
-            Form::Quant(kind, binders, body) => {
-                let nb = self.finalize_binders(binders, at);
-                let body_out = self.finalize_rc(body, at);
-                if nb.is_none() && body_out.is_none() {
+            Form::Quant(_, binders, body) | Form::Lambda(binders, body) => {
+                let nb = changed_copy(binders, |(name, sort)| {
+                    self.finalize_sort(sort, at).map(|sort| (*name, sort))
+                });
+                let nbody = self.finalize_rc(body, at);
+                if nb.is_none() && nbody.is_none() {
                     return None;
                 }
-                Some(Form::Quant(
-                    *kind,
-                    nb.unwrap_or_else(|| binders.clone()),
-                    body_out.unwrap_or_else(|| Rc::clone(body)),
-                ))
-            }
-            Form::Lambda(binders, body) => {
-                let nb = self.finalize_binders(binders, at);
-                let body_out = self.finalize_rc(body, at);
-                if nb.is_none() && body_out.is_none() {
-                    return None;
-                }
-                Some(Form::Lambda(
-                    nb.unwrap_or_else(|| binders.clone()),
-                    body_out.unwrap_or_else(|| Rc::clone(body)),
-                ))
+                let binders = nb.unwrap_or_else(|| binders.clone());
+                Some(match form {
+                    Form::Quant(kind, ..) => Form::Quant(*kind, binders, keep(nbody, body)),
+                    _ => Form::Lambda(binders, keep(nbody, body)),
+                })
             }
             Form::Compr(x, sort, body) => {
-                let ns = self.finalize_sort(sort, at);
-                let body_out = self.finalize_rc(body, at);
-                if ns.is_none() && body_out.is_none() {
+                let (ns, nbody) = (self.finalize_sort(sort, at), self.finalize_rc(body, at));
+                if ns.is_none() && nbody.is_none() {
                     return None;
                 }
                 Some(Form::Compr(
                     *x,
                     ns.unwrap_or_else(|| sort.clone()),
-                    body_out.unwrap_or_else(|| Rc::clone(body)),
+                    keep(nbody, body),
                 ))
             }
         }
@@ -599,23 +579,8 @@ impl SortCx {
         self.finalize(form, at).map(Rc::new)
     }
 
-    /// Finalize a list; `None` when every element comes out unchanged.
     fn finalize_all(&self, forms: &[Form], at: &mut Cursor) -> Option<Vec<Form>> {
-        let mut out: Option<Vec<Form>> = None;
-        for (i, f) in forms.iter().enumerate() {
-            match (self.finalize(f, at), &mut out) {
-                (Some(new), Some(out)) => out.push(new),
-                (Some(new), None) => {
-                    let mut changed = Vec::with_capacity(forms.len());
-                    changed.extend_from_slice(&forms[..i]);
-                    changed.push(new);
-                    out = Some(changed);
-                }
-                (None, Some(out)) => out.push(f.clone()),
-                (None, None) => {}
-            }
-        }
-        out
+        changed_copy(forms, |f| self.finalize(f, at))
     }
 
     /// A binder's ground sort: an unannotated binder reads its variable
@@ -631,28 +596,31 @@ impl SortCx {
             Some(self.table.resolve_default(sort))
         }
     }
+}
 
-    fn finalize_binders(
-        &self,
-        binders: &[(Symbol, Sort)],
-        at: &mut Cursor,
-    ) -> Option<Vec<(Symbol, Sort)>> {
-        let mut out: Option<Vec<(Symbol, Sort)>> = None;
-        for (i, (name, sort)) in binders.iter().enumerate() {
-            match (self.finalize_sort(sort, at), &mut out) {
-                (Some(new), Some(out)) => out.push((*name, new)),
-                (Some(new), None) => {
-                    let mut changed = Vec::with_capacity(binders.len());
-                    changed.extend_from_slice(&binders[..i]);
-                    changed.push((*name, new));
-                    out = Some(changed);
-                }
-                (None, Some(out)) => out.push((*name, sort.clone())),
-                (None, None) => {}
+/// The finalized subtree, or the original one when it came out unchanged.
+fn keep(new: Option<Rc<Form>>, old: &Rc<Form>) -> Rc<Form> {
+    new.unwrap_or_else(|| Rc::clone(old))
+}
+
+/// `items` with `f` applied, copied only once some item changes; `None`
+/// when `f` changes none (`f` returns `None` for an unchanged item).
+fn changed_copy<T: Clone>(items: &[T], mut f: impl FnMut(&T) -> Option<T>) -> Option<Vec<T>> {
+    let mut out: Option<Vec<T>> = None;
+    for (i, item) in items.iter().enumerate() {
+        match (f(item), &mut out) {
+            (Some(new), Some(out)) => out.push(new),
+            (Some(new), None) => {
+                let mut changed = Vec::with_capacity(items.len());
+                changed.extend_from_slice(&items[..i]);
+                changed.push(new);
+                out = Some(changed);
             }
+            (None, Some(out)) => out.push(item.clone()),
+            (None, None) => {}
         }
-        out
     }
+    out
 }
 
 /// Where pass 2 is in pass 1's side tables.
