@@ -742,7 +742,7 @@ impl Dispatcher {
         let mut worst_bound: Option<u32> = None;
         let mut weakest: Option<ProverId> = None;
         for piece in &prepared.pieces {
-            match self.prove_piece(piece, budget, &prepared.sig) {
+            match self.prove_piece(piece, budget) {
                 Verdict::Proved { prover, bound } => {
                     if bound.is_some() {
                         worst_bound = worst_bound.max(bound);
@@ -763,23 +763,18 @@ impl Dispatcher {
     }
 
     /// Prove one piece of a split obligation.
-    fn prove_piece(
-        &self,
-        piece: &Piece,
-        budget: &Budget,
-        goal_sig: &FxHashMap<Symbol, Sort>,
-    ) -> Verdict {
+    fn prove_piece(&self, piece: &Piece, budget: &Budget) -> Verdict {
         let start = Instant::now();
         if self.recorder.enabled() {
             // The fingerprint is content-determined, so the piece span is
             // identifiable in the stream even when the cache is off.
-            let fp = goal_cache::fingerprint(&piece.goal, goal_sig, self.config.cache_digest());
+            let fp = goal_cache::fingerprint(&piece.goal, &piece.sig, self.config.cache_digest());
             self.recorder.record_with(|| Event::PieceStart {
                 fingerprint: Some(fp),
                 size: piece.goal.form.size() as u64,
             });
         }
-        let verdict = self.prove_piece_routed(piece, budget, goal_sig);
+        let verdict = self.prove_piece_routed(piece, budget);
         self.recorder.record_with(|| Event::PieceEnd {
             verdict: match &verdict {
                 Verdict::Proved { .. } => "proved",
@@ -798,12 +793,7 @@ impl Dispatcher {
     /// replaying one obligation's (possibly fault-riddled) outcome for
     /// another would leak faults across obligations in schedule-dependent
     /// ways.
-    fn prove_piece_routed(
-        &self,
-        piece: &Piece,
-        budget: &Budget,
-        goal_sig: &FxHashMap<Symbol, Sort>,
-    ) -> Verdict {
+    fn prove_piece_routed(&self, piece: &Piece, budget: &Budget) -> Verdict {
         let seeded_chaos = self
             .config
             .fault_plan
@@ -812,7 +802,7 @@ impl Dispatcher {
         let Some(cache) = self.cache.as_deref().filter(|_| !seeded_chaos) else {
             return self.prove_piece_checked(piece, budget);
         };
-        let key = goal_cache::fingerprint(&piece.goal, goal_sig, self.config.cache_digest());
+        let key = goal_cache::fingerprint(&piece.goal, &piece.sig, self.config.cache_digest());
         match cache.begin(key) {
             Lookup::Hit(proof) => {
                 self.emit(Event::CacheLookup {
