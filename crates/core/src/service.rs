@@ -493,7 +493,6 @@ impl Shared {
         state.in_flight -= 1;
         let dry = state.admitted() == 0;
         drop(state);
-        self.completed.fetch_add(1, Ordering::SeqCst);
         if dry {
             self.idle.notify_all();
         }
@@ -717,6 +716,9 @@ fn dispatch_loop(shared: Arc<Shared>, config: Config) {
         let mut w = Writer::new();
         w.put_u8(tag);
         w.put_str(&text);
+        // Count the request completed before its report goes out: a
+        // client holding the report may ask for STATUS at once.
+        shared.completed.fetch_add(1, Ordering::SeqCst);
         request
             .conn
             .send(&shared, &Frame::new(kind::REPORT, w.into_vec()));
