@@ -66,7 +66,7 @@ fn bench_governed_dispatch(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &timeout, |b, t| {
             b.iter(|| {
-                let mut d = jahob::Dispatcher::new(sig.clone(), FxHashMap::default());
+                let mut d = jahob::Dispatcher::new(sig.clone());
                 d.config.obligation_timeout = *t;
                 for g in &goals {
                     assert!(d.prove(g).is_proved());
@@ -111,7 +111,7 @@ fn bench_chaos_overhead(c: &mut Criterion) {
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(name), &plan, |b, p| {
             b.iter(|| {
-                let mut d = jahob::Dispatcher::new(sig.clone(), FxHashMap::default());
+                let mut d = jahob::Dispatcher::new(sig.clone());
                 d.config.fault_plan = p.clone();
                 for g in &goals {
                     assert!(d.prove(g).is_proved());

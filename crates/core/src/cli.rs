@@ -1,10 +1,8 @@
-//! The shared command-line front door.
+//! The command-line front door of the `jahob` binary.
 //!
-//! The `jahob` binary and the `verify_file` example used to carry two
-//! hand-rolled copies of the same flag loop; this module is the single
-//! grammar both parse, the single place flags are layered over the
-//! environment (everything resolves exactly once, inside
-//! [`Config::builder`]), and the single exit-code ladder:
+//! This module is the one grammar the binary parses, the one place flags
+//! are layered over the environment (everything resolves exactly once,
+//! inside [`Config::builder`]), and the one exit-code ladder:
 //!
 //! * `0` — a completed run (whatever the verdicts);
 //! * `1` — a pipeline error (parse/resolve) or a broken daemon
@@ -168,22 +166,16 @@ pub fn parse(args: Vec<String>) -> Result<Invocation, String> {
 }
 
 /// Diagnose a bad invocation onto stderr and return the ladder's `2`.
-/// `with_service` includes the daemon subcommands in the usage line
-/// (the `verify_file` example only verifies).
-pub fn usage(program: &str, why: &str, with_service: bool) -> ExitCode {
+pub fn usage(program: &str, why: &str) -> ExitCode {
     eprintln!("{program}: {why}");
-    if with_service {
-        eprintln!(
-            "usage: {program} [verify] [--json|--json-timing] [--deadline-ms N] \
-             <file.javax>\n       \
-             {program} serve  [--socket <path>]\n       \
-             {program} submit [--socket <path>] [--json|--json-timing] \
-             [--deadline-ms N] <file.javax>\n       \
-             {program} status|drain [--socket <path>]"
-        );
-    } else {
-        eprintln!("usage: {program} [--json|--json-timing] [--deadline-ms N] <file.javax>");
-    }
+    eprintln!(
+        "usage: {program} [verify] [--json|--json-timing] [--deadline-ms N] \
+         <file.javax>\n       \
+         {program} serve  [--socket <path>]\n       \
+         {program} submit [--socket <path>] [--json|--json-timing] \
+         [--deadline-ms N] <file.javax>\n       \
+         {program} status|drain [--socket <path>]"
+    );
     ExitCode::from(2)
 }
 
@@ -249,8 +241,7 @@ pub fn render_report(report: &VerifyReport, verifier: &Verifier, output: OutputM
 }
 
 /// One-shot verification: read, build a session, verify, render, exit
-/// through the ladder. The body behind `jahob verify` and the whole of
-/// the `verify_file` example.
+/// through the ladder. The body behind `jahob verify`.
 pub fn run_verify(program: &str, path: &str, opts: &CommonOpts) -> ExitCode {
     let src = match std::fs::read_to_string(path) {
         Ok(src) => src,
@@ -281,7 +272,7 @@ pub fn run_verify(program: &str, path: &str, opts: &CommonOpts) -> ExitCode {
 pub fn run_serve(program: &str, opts: &CommonOpts) -> ExitCode {
     let config = build_config(program, opts);
     if config.socket.is_none() {
-        return usage(program, "serve needs --socket <path> or JAHOB_SOCKET", true);
+        return usage(program, "serve needs --socket <path> or JAHOB_SOCKET");
     }
     service::install_termination_handler();
     let service = match Service::bind(config) {
@@ -314,11 +305,7 @@ pub fn run_submit(program: &str, path: &str, opts: &CommonOpts) -> ExitCode {
         }
     };
     let Some(socket) = build_config(program, opts).socket else {
-        return usage(
-            program,
-            "submit needs --socket <path> or JAHOB_SOCKET",
-            true,
-        );
+        return usage(program, "submit needs --socket <path> or JAHOB_SOCKET");
     };
     let mut obs = match std::env::var("JAHOB_OBS") {
         Ok(obs_path) => match std::fs::File::create(&obs_path) {
@@ -381,11 +368,7 @@ pub fn run_submit(program: &str, path: &str, opts: &CommonOpts) -> ExitCode {
 /// `jahob status`: one line of queue state from a running daemon.
 pub fn run_status(program: &str, opts: &CommonOpts) -> ExitCode {
     let Some(socket) = build_config(program, opts).socket else {
-        return usage(
-            program,
-            "status needs --socket <path> or JAHOB_SOCKET",
-            true,
-        );
+        return usage(program, "status needs --socket <path> or JAHOB_SOCKET");
     };
     let mut client = match Client::connect(&socket) {
         Ok(client) => client,
@@ -419,7 +402,7 @@ pub fn run_status(program: &str, opts: &CommonOpts) -> ExitCode {
 /// Returns once the daemon acknowledges the drain is complete.
 pub fn run_drain(program: &str, opts: &CommonOpts) -> ExitCode {
     let Some(socket) = build_config(program, opts).socket else {
-        return usage(program, "drain needs --socket <path> or JAHOB_SOCKET", true);
+        return usage(program, "drain needs --socket <path> or JAHOB_SOCKET");
     };
     let mut client = match Client::connect(&socket) {
         Ok(client) => client,

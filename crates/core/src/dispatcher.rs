@@ -7,11 +7,12 @@
 //! piece is offered to the portfolio in order of increasing generality and
 //! cost. [`Dispatcher::prepare`] does this front matter; elaboration runs
 //! there once per obligation, and the pieces inherit the obligation's
-//! sorts. Abstraction-function symbols (`vardefs`) are unfolded on demand
-//! when the abstract attempt fails.
+//! sorts. Each piece is the one goal the portfolio proves, under one
+//! signature and one cache key: the VC generator has already unfolded
+//! the abstraction functions (`vardefs`) of the class being verified.
 
 use crate::goal_cache::{self, CachedProof, GoalCache, Lookup, NormalGoal};
-use jahob_logic::transform::{simplify, split_conjuncts, unfold_defs};
+use jahob_logic::transform::{simplify, split_conjuncts};
 use jahob_logic::{Form, Sort, SortCx};
 use jahob_models::BmcVerdict;
 use jahob_smt::lift_ite;
@@ -300,8 +301,6 @@ impl Verdict {
 pub struct DispatchConfig {
     /// Split goals into conjuncts before dispatch.
     pub decompose: bool,
-    /// Unfold `vardefs` when the abstract goal fails.
-    pub unfold: bool,
     /// Counter-model search bound (0 disables BMC entirely).
     pub bmc_bound: u32,
     /// Accept BMC exhaustion as (bounded) validity. When false the model
@@ -342,7 +341,9 @@ impl DispatchConfig {
         let mut d = 0x6a09_e667_f3bc_c909u64;
         for knob in [
             self.decompose as u64,
-            self.unfold as u64,
+            // The slot of the removed `unfold` knob, which was always on:
+            // keeping it keeps every fingerprint and store key.
+            1,
             self.bmc_bound as u64,
             self.bmc_as_validity as u64,
             self.fol_iterations as u64,
@@ -357,7 +358,6 @@ impl Default for DispatchConfig {
     fn default() -> Self {
         DispatchConfig {
             decompose: true,
-            unfold: true,
             bmc_bound: 3,
             bmc_as_validity: true,
             fol_iterations: 700,
@@ -510,11 +510,9 @@ impl BreakerBank {
     }
 }
 
-/// The dispatcher: signature + definitions + portfolio.
+/// The dispatcher: signature + portfolio.
 pub struct Dispatcher {
     pub sig: FxHashMap<Symbol, Sort>,
-    /// `vardefs`: abstraction-function definitions.
-    pub defs: FxHashMap<Symbol, Form>,
     pub config: DispatchConfig,
     pub stats: Stats,
     /// Structured observability (see [`jahob_util::obs`]): every cache
@@ -537,6 +535,10 @@ pub struct Piece {
     pub goal: NormalGoal,
     /// The sorts the provers read, keyed by the names the piece uses.
     pub sig: FxHashMap<Symbol, Sort>,
+    /// The goal-cache key: [`goal_cache::fingerprint`] of `goal`, `sig`
+    /// and the dispatcher's `cache_digest()`. The piece's span in the
+    /// event stream and its cache lookup both carry it.
+    pub key: u128,
     /// Whether the piece is a proper part of its obligation. Only such a
     /// piece can still simplify to `True`: the obligation was simplified
     /// already, and simplifying its normalized form changes nothing.
@@ -544,7 +546,7 @@ pub struct Piece {
 }
 
 /// An obligation after the dispatcher's front matter: `ite`s lifted,
-/// elaborated, simplified, split and normalized.
+/// elaborated, simplified, split, normalized and keyed.
 #[derive(Clone, Debug)]
 pub struct Prepared {
     /// The elaborated, simplified obligation.
@@ -555,9 +557,6 @@ pub struct Prepared {
     /// The pieces, in dispatch order; none when `simplified` is `True`.
     pub pieces: Vec<Piece>,
 }
-
-/// A goal the portfolio tries for a piece, with its signature.
-type Variant<'a> = (&'a Form, &'a FxHashMap<Symbol, Sort>);
 
 /// How one pass over the portfolio should behave.
 #[derive(Clone, Copy, Default)]
@@ -595,7 +594,7 @@ impl<'a> AttemptCtx<'a> {
 }
 
 impl Dispatcher {
-    pub fn new(sig: FxHashMap<Symbol, Sort>, defs: FxHashMap<Symbol, Form>) -> Self {
+    pub fn new(sig: FxHashMap<Symbol, Sort>) -> Self {
         // Stand-alone dispatchers (the `prove` / `governed_prove`
         // examples, unit tests) honor `JAHOB_TRACE=1` by streaming the
         // event outline to stderr, like the pre-pipeline eprintln!s did.
@@ -608,7 +607,6 @@ impl Dispatcher {
         };
         Dispatcher {
             sig,
-            defs,
             config: DispatchConfig::default(),
             stats: Stats::new(),
             recorder,
@@ -633,8 +631,9 @@ impl Dispatcher {
     /// The front matter every obligation goes through before the
     /// portfolio: lift `ite`s, elaborate, simplify, split (when
     /// `decompose` is on), and normalize each piece and give it its
-    /// signature. The obligation is elaborated once, here, and its pieces
-    /// inherit its sorts.
+    /// signature and cache key. The obligation is elaborated once, here,
+    /// and its pieces inherit its sorts. `ite`s are lifted only here:
+    /// nothing after this step puts one back in atom position.
     pub fn prepare(&self, goal: &Form) -> Prepared {
         let (elaborated, sig) = elaborate(&lift_ite(goal), &self.sig);
         let simplified = simplify(&elaborated);
@@ -651,6 +650,7 @@ impl Dispatcher {
             vec![simplified.clone()]
         };
         let whole = matches!(split.as_slice(), [only] if *only == simplified);
+        let digest = self.config.cache_digest();
         let pieces = split
             .iter()
             .map(|piece| {
@@ -668,16 +668,17 @@ impl Dispatcher {
                 // under the names normalization gave the fresh symbols.
                 let mut piece_sig = sig.clone();
                 for (canon, orig) in &goal.frees {
-                    let canon = Symbol::intern(canon);
-                    if canon != *orig {
+                    if canon != orig {
                         if let Some(sort) = sig.get(orig) {
-                            piece_sig.insert(canon, sort.clone());
+                            piece_sig.insert(*canon, sort.clone());
                         }
                     }
                 }
+                let key = goal_cache::fingerprint(&goal, &piece_sig, digest);
                 Piece {
                     goal,
                     sig: piece_sig,
+                    key,
                     split: !whole,
                 }
             })
@@ -765,15 +766,12 @@ impl Dispatcher {
     /// Prove one piece of a split obligation.
     fn prove_piece(&self, piece: &Piece, budget: &Budget) -> Verdict {
         let start = Instant::now();
-        if self.recorder.enabled() {
-            // The fingerprint is content-determined, so the piece span is
-            // identifiable in the stream even when the cache is off.
-            let fp = goal_cache::fingerprint(&piece.goal, &piece.sig, self.config.cache_digest());
-            self.recorder.record_with(|| Event::PieceStart {
-                fingerprint: Some(fp),
-                size: piece.goal.form.size() as u64,
-            });
-        }
+        // The key is content-determined, so the piece span is identifiable
+        // in the stream even when the cache is off.
+        self.recorder.record_with(|| Event::PieceStart {
+            fingerprint: piece.key,
+            size: piece.goal.form.size() as u64,
+        });
         let verdict = self.prove_piece_routed(piece, budget);
         self.recorder.record_with(|| Event::PieceEnd {
             verdict: match &verdict {
@@ -802,7 +800,7 @@ impl Dispatcher {
         let Some(cache) = self.cache.as_deref().filter(|_| !seeded_chaos) else {
             return self.prove_piece_checked(piece, budget);
         };
-        let key = goal_cache::fingerprint(&piece.goal, &piece.sig, self.config.cache_digest());
+        let key = piece.key;
         match cache.begin(key) {
             Lookup::Hit(proof) => {
                 self.emit(Event::CacheLookup {
@@ -819,9 +817,10 @@ impl Dispatcher {
                     // is re-confirmed by an independent prover, and an
                     // entry that cannot be confirmed is evicted and
                     // demoted — a lying prover's cached verdict dies here.
-                    let checked = self.with_variants(piece, |variants| {
-                        self.cross_check(variants, verdict, budget)
-                    });
+                    // The simplifier check of `prove_piece_checked` is
+                    // not needed: a key whose piece simplifies to `True`
+                    // only ever holds the simplifier's proof.
+                    let checked = self.cross_check(piece, verdict, budget);
                     if !checked.is_proved() {
                         self.emit(Event::CacheEvict { fingerprint: key });
                         cache.evict(key);
@@ -859,62 +858,30 @@ impl Dispatcher {
         }
     }
 
+    /// Prove one piece through the portfolio, under the watchdog when it
+    /// is on. A split piece that simplifies to `True` is the simplifier's
+    /// proof instead.
     fn prove_piece_checked(&self, piece: &Piece, budget: &Budget) -> Verdict {
-        self.with_variants(piece, |variants| {
-            let verdict = self.prove_piece_attempts(variants, budget);
-            if self.config.cross_check {
-                self.cross_check(variants, verdict, budget)
-            } else {
-                verdict
-            }
-        })
-    }
-
-    /// Run `body` over the goals the portfolio tries for a piece, each
-    /// with its signature: the piece itself, then its vardef-unfolded
-    /// variant when unfolding changes it. The variant has its `ite`s
-    /// lifted and is elaborated against the piece's signature, since
-    /// unfolding exposes new structure. They are built once per piece,
-    /// for every pass. A split piece, or its unfolded variant, that
-    /// simplifies to `True` is the simplifier's proof instead.
-    fn with_variants(
-        &self,
-        piece: &Piece,
-        body: impl FnOnce(&[Variant<'_>]) -> Verdict,
-    ) -> Verdict {
-        let form = &piece.goal.form;
-        let simplifier_proof = || {
+        if piece.split && simplify(&piece.goal.form) == Form::tt() {
             self.stats.bump("proved.simplifier");
-            Verdict::Proved {
+            return Verdict::Proved {
                 prover: ProverId::Simplifier,
                 bound: None,
-            }
-        };
-        if piece.split && simplify(form) == Form::tt() {
-            return simplifier_proof();
+            };
         }
-        let mut unfolded = None;
-        if self.config.unfold && !self.defs.is_empty() {
-            let raw = lift_ite(&unfold_defs(form, &self.defs));
-            let (elaborated, sig) = elaborate(&raw, &piece.sig);
-            let variant = simplify(&elaborated);
-            if variant != *form {
-                if variant == Form::tt() {
-                    return simplifier_proof();
-                }
-                unfolded = Some((variant, sig));
-            }
+        let verdict = self.prove_piece_attempts(piece, budget);
+        if self.config.cross_check {
+            self.cross_check(piece, verdict, budget)
+        } else {
+            verdict
         }
-        let mut variants = vec![(form, &piece.sig)];
-        variants.extend(unfolded.as_ref().map(|(variant, sig)| (variant, sig)));
-        body(&variants)
     }
 
     /// First pass over the portfolio with divided budget slices; if the
     /// obligation ended `FuelExhausted`/`Timeout` while budget remains, one
     /// escalated retry against the surviving provers with everything left.
-    fn prove_piece_attempts(&self, variants: &[Variant<'_>], budget: &Budget) -> Verdict {
-        let first = self.prove_piece_inner(variants, budget, &AttemptCtx::first());
+    fn prove_piece_attempts(&self, piece: &Piece, budget: &Budget) -> Verdict {
+        let first = self.prove_piece_inner(piece, budget, &AttemptCtx::first());
         let Verdict::Unknown(diag) = first else {
             return first;
         };
@@ -929,7 +896,7 @@ impl Dispatcher {
         self.emit(Event::RetryEscalated {
             fuel: budget.fuel_remaining(),
         });
-        match self.prove_piece_inner(variants, budget, &AttemptCtx::retry(&diag)) {
+        match self.prove_piece_inner(piece, budget, &AttemptCtx::retry(&diag)) {
             Verdict::Unknown(mut second) => {
                 second.merge_from(&diag);
                 Verdict::Unknown(second)
@@ -946,13 +913,13 @@ impl Dispatcher {
     /// minus the claiming prover; `Refuted` is re-checked against the
     /// reference model evaluator. Disagreement degrades the verdict to a
     /// diagnosed `Unknown` — never a silent wrong answer.
-    fn cross_check(&self, variants: &[Variant<'_>], verdict: Verdict, budget: &Budget) -> Verdict {
+    fn cross_check(&self, piece: &Piece, verdict: Verdict, budget: &Budget) -> Verdict {
         match verdict {
             // The simplifier is the trusted equivalence-preserving core;
             // re-proving `True` would be circular anyway.
             Verdict::Proved { prover, bound } if prover != ProverId::Simplifier => {
                 self.emit(Event::Watchdog { outcome: "checked" });
-                match self.prove_piece_inner(variants, budget, &AttemptCtx::confirm(prover)) {
+                match self.prove_piece_inner(piece, budget, &AttemptCtx::confirm(prover)) {
                     Verdict::Proved { .. } => {
                         self.emit(Event::Watchdog {
                             outcome: "confirmed",
@@ -988,15 +955,12 @@ impl Dispatcher {
             }
             Verdict::CounterModel(m) => {
                 // The reference evaluator is the independent opinion for
-                // refutations. Note this re-checks against the dispatched
-                // piece itself (the first variant), so a counter-model
-                // found only for a vardef-unfolded variant is
-                // conservatively demoted. The model finder's searches
-                // start at universe 1, so a model claiming the degenerate
-                // empty universe is structurally fabricated no matter
-                // what it evaluates to.
+                // refutations: the model must falsify the piece. The model
+                // finder's searches start at universe 1, so a model
+                // claiming the degenerate empty universe is structurally
+                // fabricated no matter what it evaluates to.
                 self.emit(Event::Watchdog { outcome: "checked" });
-                if m.universe > 0 && m.eval_bool(variants[0].0) == Ok(false) {
+                if m.universe > 0 && m.eval_bool(&piece.goal.form) == Ok(false) {
                     self.emit(Event::Watchdog {
                         outcome: "confirmed",
                     });
@@ -1220,19 +1184,14 @@ impl Dispatcher {
     }
 
     /// One pass over the portfolio.
-    fn prove_piece_inner(
-        &self,
-        variants: &[Variant<'_>],
-        budget: &Budget,
-        ctx: &AttemptCtx<'_>,
-    ) -> Verdict {
+    fn prove_piece_inner(&self, piece: &Piece, budget: &Budget, ctx: &AttemptCtx<'_>) -> Verdict {
         let mut diag = Diagnosis::default();
         // Cheap, fragment-specific provers first.
         for prover in [ProverId::Hol, ProverId::Lia, ProverId::Bapa, ProverId::Smt] {
             let decided = self.guard(prover, budget, &mut diag, ctx, |slice, diag| {
                 portfolio_attempt(
                     prover,
-                    variants,
+                    piece,
                     self.config.fol_iterations,
                     slice,
                     diag,
@@ -1249,7 +1208,7 @@ impl Dispatcher {
         let mut bounded = None;
         if self.config.bmc_bound > 0 {
             match self.guard(ProverId::Bmc, budget, &mut diag, ctx, |slice, diag| {
-                self.bounded_search(variants, slice, diag)
+                self.bounded_search(piece, slice, diag)
             }) {
                 Some(proof @ Verdict::Proved { .. }) => bounded = Some(proof),
                 Some(refuted) => return refuted,
@@ -1259,7 +1218,7 @@ impl Dispatcher {
         let fol = self.guard(ProverId::Fol, budget, &mut diag, ctx, |slice, diag| {
             portfolio_attempt(
                 ProverId::Fol,
-                variants,
+                piece,
                 self.config.fol_iterations,
                 slice,
                 diag,
@@ -1278,60 +1237,56 @@ impl Dispatcher {
         Verdict::Unknown(diag)
     }
 
-    /// The model finder's one pass over a piece's variants, unfolded
-    /// first. Each raw variant is searched over universes `1..=bmc_bound`:
-    /// a counter-model refutes, and exhausting the bound is a bounded
-    /// proof when `bmc_as_validity` is on. A variant outside the boundable
-    /// fragment is weakened into it and searched again; that search can
-    /// prove, but its counter-models may rest on what the weakening
-    /// forgot, so they refute nothing. Once one variant is bounded-valid,
-    /// the rest are searched raw, for a counter-model only.
+    /// The model finder's one pass over a piece: a search over universes
+    /// `1..=bmc_bound`, where a counter-model refutes and exhausting the
+    /// bound is a bounded proof when `bmc_as_validity` is on. A piece
+    /// outside the boundable fragment is weakened into it and searched
+    /// once more; that search can prove, but its counter-models may rest
+    /// on what the weakening forgot, so they refute nothing.
     fn bounded_search(
         &self,
-        variants: &[Variant<'_>],
+        piece: &Piece,
         slice: &Budget,
         diag: &mut Diagnosis,
     ) -> Result<Option<Verdict>, Exhaustion> {
         use jahob_models::ModelsFailure;
+        let (goal, sig) = (&piece.goal.form, &piece.sig);
         let bound = self.config.bmc_bound;
-        let mut proved = false;
-        for (goal, sig) in variants.iter().rev() {
-            self.stats.bump("tried.bmc");
-            match jahob_models::bmc_valid_with_bound_budgeted(goal, sig, bound, slice) {
-                Ok(BmcVerdict::CounterModel(model)) => {
-                    self.stats.bump("refuted.bmc");
-                    return Ok(Some(Verdict::CounterModel(model)));
-                }
-                Ok(BmcVerdict::ValidUpTo(_)) => {
-                    proved |= self.config.bmc_as_validity;
-                    continue;
-                }
-                Err(ModelsFailure::Fragment(_)) => {
-                    diag.record(ProverId::Bmc, FailureReason::Unsupported)
-                }
-                Err(ModelsFailure::Exhausted(why)) => return Err(why),
-            }
-            // Outside the fragment: weaken into it, unless a bounded proof
-            // is already held or bounded proofs are off.
-            if proved || !self.config.bmc_as_validity {
-                continue;
-            }
-            let Some((candidate, cand_sig)) = self.weakened_for_bmc(goal, sig) else {
-                continue;
-            };
-            match jahob_models::bmc_valid_with_bound_budgeted(&candidate, &cand_sig, bound, slice) {
-                Ok(BmcVerdict::ValidUpTo(_)) => proved = true,
-                Ok(BmcVerdict::CounterModel(_)) => {
-                    diag.record(ProverId::Bmc, FailureReason::GaveUp)
-                }
-                Err(ModelsFailure::Fragment(_)) => {}
-                Err(ModelsFailure::Exhausted(why)) => return Err(why),
-            }
-        }
-        Ok(proved.then_some(Verdict::Proved {
+        let proof = Verdict::Proved {
             prover: ProverId::Bmc,
             bound: Some(bound),
-        }))
+        };
+        self.stats.bump("tried.bmc");
+        match jahob_models::bmc_valid_with_bound_budgeted(goal, sig, bound, slice) {
+            Ok(BmcVerdict::CounterModel(model)) => {
+                self.stats.bump("refuted.bmc");
+                return Ok(Some(Verdict::CounterModel(model)));
+            }
+            Ok(BmcVerdict::ValidUpTo(_)) => {
+                return Ok(self.config.bmc_as_validity.then_some(proof))
+            }
+            Err(ModelsFailure::Fragment(_)) => {
+                diag.record(ProverId::Bmc, FailureReason::Unsupported)
+            }
+            Err(ModelsFailure::Exhausted(why)) => return Err(why),
+        }
+        // Outside the fragment: weaken into it, unless bounded proofs are
+        // off.
+        if !self.config.bmc_as_validity {
+            return Ok(None);
+        }
+        let Some((candidate, cand_sig)) = self.weakened_for_bmc(goal, sig) else {
+            return Ok(None);
+        };
+        match jahob_models::bmc_valid_with_bound_budgeted(&candidate, &cand_sig, bound, slice) {
+            Ok(BmcVerdict::ValidUpTo(_)) => Ok(Some(proof)),
+            Ok(BmcVerdict::CounterModel(_)) => {
+                diag.record(ProverId::Bmc, FailureReason::GaveUp);
+                Ok(None)
+            }
+            Err(ModelsFailure::Fragment(_)) => Ok(None),
+            Err(ModelsFailure::Exhausted(why)) => Err(why),
+        }
     }
 
     /// Weaken a goal outside the boundable fragment toward it: opaque
@@ -1398,155 +1353,109 @@ fn filtered(goal: &Form, keep: &mut dyn FnMut(&Form) -> bool) -> Option<Form> {
     Some(seq.to_form())
 }
 
-/// One prover's pass over the goal variants — the body `guard` runs for
-/// hol-auto, Presburger, BAPA, Nelson–Oppen and FOL (the model finder's
-/// is [`Dispatcher::bounded_search`]). It stops only through `slice`.
+/// One prover's attempt at a piece — the body `guard` runs for hol-auto,
+/// Presburger, BAPA, Nelson–Oppen and FOL (the model finder's is
+/// [`Dispatcher::bounded_search`]). Presburger, BAPA and Nelson–Oppen try
+/// the piece, then the piece without the hypotheses they cannot read. It
+/// stops only through `slice`.
 fn portfolio_attempt(
     prover: ProverId,
-    variants: &[Variant<'_>],
+    piece: &Piece,
     fol_iterations: usize,
     slice: &Budget,
     diag: &mut Diagnosis,
     stats: &Stats,
 ) -> Result<Option<Verdict>, Exhaustion> {
+    let (goal, sig) = (&piece.goal.form, &piece.sig);
+    let proved = |name: &str| {
+        stats.bump(name);
+        Ok(Some(Verdict::Proved {
+            prover,
+            bound: None,
+        }))
+    };
     match prover {
         ProverId::Hol => {
-            for (goal, _) in variants {
-                if jahob_hol::auto_proves_governed(goal, slice)? {
-                    stats.bump("proved.hol");
-                    return Ok(Some(Verdict::Proved {
-                        prover: ProverId::Hol,
-                        bound: None,
-                    }));
-                }
-                diag.record(ProverId::Hol, FailureReason::GaveUp);
+            if jahob_hol::auto_proves_governed(goal, slice)? {
+                return proved("proved.hol");
             }
-            Ok(None)
+            diag.record(ProverId::Hol, FailureReason::GaveUp);
         }
         ProverId::Lia => {
-            for (goal, _) in variants {
-                stats.bump("tried.presburger");
-                let mut candidates = vec![(*goal).clone()];
-                if let Some(f) = filtered(goal, &mut |h| {
-                    jahob_presburger::translate::form_to_pform(h).is_ok()
-                }) {
-                    candidates.push(f);
-                }
-                for g in &candidates {
-                    match jahob_presburger::translate::decide_valid_budgeted(g, slice) {
-                        Ok(true) => {
-                            stats.bump("proved.presburger");
-                            return Ok(Some(Verdict::Proved {
-                                prover: ProverId::Lia,
-                                bound: None,
-                            }));
-                        }
-                        Ok(false) => diag.record(ProverId::Lia, FailureReason::GaveUp),
-                        Err(jahob_presburger::PresburgerFailure::Fragment(_)) => {
-                            diag.record(ProverId::Lia, FailureReason::Unsupported)
-                        }
-                        Err(jahob_presburger::PresburgerFailure::Exhausted(why)) => {
-                            return Err(why)
-                        }
+            stats.bump("tried.presburger");
+            let narrowed = filtered(goal, &mut |h| {
+                jahob_presburger::translate::form_to_pform(h).is_ok()
+            });
+            for g in std::iter::once(goal).chain(&narrowed) {
+                match jahob_presburger::translate::decide_valid_budgeted(g, slice) {
+                    Ok(true) => return proved("proved.presburger"),
+                    Ok(false) => diag.record(ProverId::Lia, FailureReason::GaveUp),
+                    Err(jahob_presburger::PresburgerFailure::Fragment(_)) => {
+                        diag.record(ProverId::Lia, FailureReason::Unsupported)
                     }
+                    Err(jahob_presburger::PresburgerFailure::Exhausted(why)) => return Err(why),
                 }
             }
-            Ok(None)
         }
         ProverId::Bapa => {
-            for (goal, sig) in variants {
-                stats.bump("tried.bapa");
-                let mut candidates = vec![(*goal).clone()];
-                if let Some(f) = filtered(goal, &mut |h| jahob_bapa::base_set_count(h, sig).is_ok())
-                {
-                    candidates.push(f);
-                }
-                for g in &candidates {
-                    match jahob_bapa::bapa_valid_budgeted(g, sig, slice) {
-                        Ok(true) => {
-                            stats.bump("proved.bapa");
-                            return Ok(Some(Verdict::Proved {
-                                prover: ProverId::Bapa,
-                                bound: None,
-                            }));
-                        }
-                        Ok(false) => diag.record(ProverId::Bapa, FailureReason::GaveUp),
-                        Err(jahob_bapa::BapaFailure::Fragment(_)) => {
-                            diag.record(ProverId::Bapa, FailureReason::Unsupported)
-                        }
-                        Err(jahob_bapa::BapaFailure::Exhausted(why)) => return Err(why),
+            stats.bump("tried.bapa");
+            let narrowed = filtered(goal, &mut |h| jahob_bapa::base_set_count(h, sig).is_ok());
+            for g in std::iter::once(goal).chain(&narrowed) {
+                match jahob_bapa::bapa_valid_budgeted(g, sig, slice) {
+                    Ok(true) => return proved("proved.bapa"),
+                    Ok(false) => diag.record(ProverId::Bapa, FailureReason::GaveUp),
+                    Err(jahob_bapa::BapaFailure::Fragment(_)) => {
+                        diag.record(ProverId::Bapa, FailureReason::Unsupported)
                     }
+                    Err(jahob_bapa::BapaFailure::Exhausted(why)) => return Err(why),
                 }
             }
-            Ok(None)
         }
         ProverId::Smt => {
-            for (goal, sig) in variants {
-                // The Nelson–Oppen core is for compact ground goals; on big
-                // VC chains the lazy loop + arrangement enumeration
-                // dominates.
-                if goal.size() > 150 {
-                    continue;
-                }
-                stats.bump("tried.smt");
-                let mut candidates = vec![(*goal).clone()];
-                if let Some(f) = filtered(goal, &mut |h| jahob_smt::in_fragment(h, sig)) {
-                    candidates.push(f);
-                }
-                for g in &candidates {
-                    let prepared = jahob_smt::lift_ite(g);
-                    match jahob_smt::smt_valid_budgeted(&prepared, sig, slice) {
-                        Ok(true) => {
-                            stats.bump("proved.smt");
-                            return Ok(Some(Verdict::Proved {
-                                prover: ProverId::Smt,
-                                bound: None,
-                            }));
-                        }
-                        Ok(false) => diag.record(ProverId::Smt, FailureReason::GaveUp),
-                        Err(jahob_smt::SmtFailure::Fragment(_)) => {
-                            diag.record(ProverId::Smt, FailureReason::Unsupported)
-                        }
-                        Err(jahob_smt::SmtFailure::Exhausted(why)) => return Err(why),
+            // The Nelson–Oppen core is for compact ground goals; on big VC
+            // chains the lazy loop + arrangement enumeration dominates.
+            if goal.size() > 150 {
+                return Ok(None);
+            }
+            stats.bump("tried.smt");
+            let narrowed = filtered(goal, &mut |h| jahob_smt::in_fragment(h, sig));
+            for g in std::iter::once(goal).chain(&narrowed) {
+                match jahob_smt::smt_valid_budgeted(g, sig, slice) {
+                    Ok(true) => return proved("proved.smt"),
+                    Ok(false) => diag.record(ProverId::Smt, FailureReason::GaveUp),
+                    Err(jahob_smt::SmtFailure::Fragment(_)) => {
+                        diag.record(ProverId::Smt, FailureReason::Unsupported)
                     }
+                    Err(jahob_smt::SmtFailure::Exhausted(why)) => return Err(why),
                 }
             }
-            Ok(None)
         }
         ProverId::Fol => {
-            for (goal, sig) in variants {
-                stats.bump("tried.fol");
-                let config = jahob_fol::ProverConfig {
-                    max_iterations: fol_iterations,
-                    ..Default::default()
-                };
-                let (prepared, axioms) = jahob_fol::reach::prepare(goal, sig);
-                let negated = Form::not(prepared);
-                let clauses = (|| -> Result<_, jahob_fol::clause::ClausifyError> {
-                    let mut clauses = jahob_fol::clausify(&negated)?;
-                    for ax in &axioms {
-                        clauses.extend(jahob_fol::clausify(ax)?);
-                    }
-                    Ok(clauses)
-                })();
-                match clauses {
-                    Err(_) => diag.record(ProverId::Fol, FailureReason::Unsupported),
-                    Ok(clauses) => match jahob_fol::prove_budgeted(clauses, &config, slice)? {
-                        jahob_fol::ProveResult::Proved => {
-                            stats.bump("proved.fol");
-                            return Ok(Some(Verdict::Proved {
-                                prover: ProverId::Fol,
-                                bound: None,
-                            }));
-                        }
-                        _ => diag.record(ProverId::Fol, FailureReason::GaveUp),
-                    },
+            stats.bump("tried.fol");
+            let config = jahob_fol::ProverConfig {
+                max_iterations: fol_iterations,
+                ..Default::default()
+            };
+            let (prepared, axioms) = jahob_fol::reach::prepare(goal, sig);
+            let negated = Form::not(prepared);
+            let clauses = (|| -> Result<_, jahob_fol::clause::ClausifyError> {
+                let mut clauses = jahob_fol::clausify(&negated)?;
+                for ax in &axioms {
+                    clauses.extend(jahob_fol::clausify(ax)?);
                 }
+                Ok(clauses)
+            })();
+            match clauses {
+                Err(_) => diag.record(ProverId::Fol, FailureReason::Unsupported),
+                Ok(clauses) => match jahob_fol::prove_budgeted(clauses, &config, slice)? {
+                    jahob_fol::ProveResult::Proved => return proved("proved.fol"),
+                    _ => diag.record(ProverId::Fol, FailureReason::GaveUp),
+                },
             }
-            Ok(None)
         }
-        ProverId::Simplifier | ProverId::Bmc => Ok(None),
+        ProverId::Simplifier | ProverId::Bmc => {}
     }
+    Ok(None)
 }
 
 /// Replace every set-valued application (head symbol of sort
@@ -1672,7 +1581,7 @@ mod tests {
             sig.insert(Symbol::intern(n), s);
         }
         sig.insert(Symbol::intern("Object.alloc"), Sort::objset());
-        Dispatcher::new(sig, FxHashMap::default())
+        Dispatcher::new(sig)
     }
 
     fn proved_by(d: &Dispatcher, src: &str) -> Option<ProverId> {
@@ -2075,7 +1984,7 @@ mod tests {
         // defaulted them to `obj`, and over three objects five pairwise
         // distinct ones cannot exist, so the piece came back bounded-valid
         // and the obligation `Proved`. Over the `int`s it is invalid.
-        let d = Dispatcher::new(FxHashMap::default(), FxHashMap::default());
+        let d = Dispatcher::new(FxHashMap::default());
         let goal = form(
             "(u ~= w & u ~= v & u ~= x & u ~= y & w ~= v & w ~= x & w ~= y & v ~= x & v ~= y \
              & x ~= y --> False) & u + w = w + u",
@@ -2089,16 +1998,16 @@ mod tests {
         }
         let v = d.prove(&goal);
         assert!(!v.is_proved(), "{v:?}");
-        // The same through a definition: the piece's unfolded variant is
-        // elaborated against the piece's sorts, not re-typed on its own.
-        let mut defs = FxHashMap::default();
-        defs.insert(Symbol::intern("nothing"), form("False"));
-        let d = Dispatcher::new(FxHashMap::default(), defs);
-        let v = d.prove(&form(
-            "(u ~= w & u ~= v & u ~= x & u ~= y & w ~= v & w ~= x & w ~= y & v ~= x & v ~= y \
-             & x ~= y --> nothing) & u + w = w + u",
-        ));
-        assert!(!v.is_proved(), "{v:?}");
+    }
+
+    #[test]
+    fn default_cache_digest_is_pinned() {
+        // Every goal-cache key folds this in, and so does every persistent
+        // store's manifest: a change re-proves every cached goal.
+        assert_eq!(
+            DispatchConfig::default().cache_digest(),
+            13_111_806_235_464_306_961
+        );
     }
 
     #[test]
@@ -2110,15 +2019,5 @@ mod tests {
         assert!(v.is_proved(), "{v:?}");
         assert_eq!(d.stats.get("goal.pieces"), 2);
         assert_eq!(d.stats.get("proved.simplifier"), 1);
-    }
-
-    #[test]
-    fn vardefs_unfold() {
-        let mut defs = FxHashMap::default();
-        defs.insert(Symbol::intern("mycontent"), form("{e. e : S | e : T}"));
-        let d = Dispatcher::new(dispatcher().sig, defs);
-        // Abstractly unprovable; after unfolding it is BAPA-valid.
-        let v = d.prove(&form("x : S --> x : mycontent"));
-        assert!(v.is_proved(), "{v:?}");
     }
 }

@@ -60,7 +60,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 #[derive(Clone, Debug)]
 pub struct NormalGoal {
     pub form: Form,
-    pub frees: Vec<(String, Symbol)>,
+    pub frees: Vec<(Symbol, Symbol)>,
 }
 
 /// Rewrite `goal` into cache-canonical form:
@@ -90,7 +90,7 @@ struct Normalizer {
     /// Original primed free symbol → canonical `stem#k` symbol.
     primed: FxHashMap<Symbol, Symbol>,
     seen_free: FxHashSet<Symbol>,
-    frees: Vec<(String, Symbol)>,
+    frees: Vec<(Symbol, Symbol)>,
 }
 
 impl Normalizer {
@@ -111,7 +111,7 @@ impl Normalizer {
             None => s,
         };
         if self.seen_free.insert(s) {
-            self.frees.push((canon.as_str().to_owned(), s));
+            self.frees.push((canon, s));
         }
         canon
     }
@@ -186,7 +186,7 @@ pub fn fingerprint(normal: &NormalGoal, sig: &FxHashMap<Symbol, Sort>, config_di
     let mut text = normal.form.to_string();
     text.push('\n');
     for (canon, orig) in &normal.frees {
-        text.push_str(canon);
+        text.push_str(canon.as_str());
         if let Some(sort) = sig.get(orig) {
             text.push(':');
             text.push_str(&sort.to_string());

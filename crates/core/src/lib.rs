@@ -33,8 +33,9 @@
 //!   load-shedding, round-robin client fairness, per-request obs
 //!   streams, and graceful drain. Verdicts and canonical streams
 //!   through the daemon are bit-for-bit identical to one-shot runs.
-//! * [`cli`] — the shared front-door argument parser and exit-code
-//!   ladder used by the `jahob` binary and the `verify_file` example.
+//! * [`cli`] — the front-door argument parser and exit-code ladder of
+//!   the `jahob` binary (`cargo build --release -p jahob-repro` builds
+//!   it as `target/release/jahob`).
 
 pub mod cli;
 pub mod dispatcher;

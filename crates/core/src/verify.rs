@@ -344,8 +344,8 @@ pub struct RequestOptions {
 /// re-parse per run and there is no state worth pinning to live threads
 /// between calls.
 ///
-/// `Verifier` is the one front door: the CLI, the `verify_file`
-/// example, and the verification daemon ([`crate::service`]) all build
+/// `Verifier` is the one front door: the `jahob` binary's one-shot
+/// `verify` and the verification daemon ([`crate::service`]) both build
 /// sessions here and nowhere else.
 pub struct Verifier {
     config: Config,
@@ -417,8 +417,8 @@ impl Verifier {
     /// other, so per-request deadlines never poison the goal cache —
     /// see `DispatchConfig::cache_digest`) and the event sink (where
     /// this request's stream goes, not what it contains). The session's
-    /// warm state — goal cache, persistent store, supervised lanes — is
-    /// shared untouched.
+    /// warm state — goal cache and persistent store — is shared
+    /// untouched.
     pub fn verify_with(
         &self,
         src: &str,
@@ -922,10 +922,10 @@ fn verify_method(
         name: format!("{}.{}", m.class, m.name),
     });
     // The VC generator already unfolded each class's own abstraction
-    // functions; clients reason abstractly, so the dispatcher gets no
-    // definitions (unfolding foreign private vardefs would both break
-    // modularity and blow up client obligations).
-    let mut dispatcher = Dispatcher::new(typed.sig.clone(), jahob_util::FxHashMap::default());
+    // functions; clients reason abstractly about the others (unfolding
+    // foreign private vardefs would both break modularity and blow up
+    // client obligations).
+    let mut dispatcher = Dispatcher::new(typed.sig.clone());
     dispatcher.config = config.dispatch.clone();
     dispatcher.cache = cache.map(Arc::clone);
     dispatcher.recorder = recorder.clone();

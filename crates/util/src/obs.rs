@@ -84,12 +84,9 @@ pub enum Event {
         micros: u64,
     },
     /// One conjunct piece of an obligation enters the portfolio.
-    /// `fingerprint` is the 128-bit cache key when it was computed
-    /// (cache enabled or observability on), `None` otherwise.
-    PieceStart {
-        fingerprint: Option<u128>,
-        size: u64,
-    },
+    /// `fingerprint` is the piece's 128-bit cache key, computed whether
+    /// or not the cache is on.
+    PieceStart { fingerprint: u128, size: u64 },
     /// The piece left the portfolio with this verdict.
     PieceEnd { verdict: &'static str },
     /// Goal-cache consultation for a piece. On a hit, `saved_fuel` is the
@@ -304,11 +301,7 @@ impl Event {
                 }
             }
             Event::PieceStart { fingerprint, size } => {
-                let o = match fingerprint {
-                    Some(fp) => o.u128("fingerprint", *fp),
-                    None => o.raw("fingerprint", "null"),
-                };
-                o.u64("size", *size)
+                o.u128("fingerprint", *fingerprint).u64("size", *size)
             }
             Event::PieceEnd { verdict } => o.str("verdict", verdict),
             Event::CacheLookup {
@@ -495,14 +488,9 @@ impl Event {
             } => {
                 format!("  => {verdict} ({micros}µs)")
             }
-            Event::PieceStart {
-                fingerprint: Some(fp),
-                size,
-            } => format!("    piece {fp:032x} (size {size})"),
-            Event::PieceStart {
-                fingerprint: None,
-                size,
-            } => format!("    piece (size {size})"),
+            Event::PieceStart { fingerprint, size } => {
+                format!("    piece {fingerprint:032x} (size {size})")
+            }
             Event::PieceEnd { verdict } => format!("    piece => {verdict}"),
             Event::CacheLookup {
                 hit, saved_fuel, ..
@@ -999,7 +987,7 @@ mod tests {
     fn piece(fp: u128, hit: bool, attempts: usize) -> Vec<Event> {
         let mut v = vec![
             Event::PieceStart {
-                fingerprint: Some(fp),
+                fingerprint: fp,
                 size: 10,
             },
             Event::CacheLookup {
@@ -1154,7 +1142,7 @@ mod tests {
         stream.extend(piece(0x2, false, 1));
         // A span with no cache lookup at all (cache off).
         stream.push(Event::PieceStart {
-            fingerprint: None,
+            fingerprint: 0x3,
             size: 3,
         });
         stream.push(Event::PieceEnd { verdict: "unknown" });

@@ -28,7 +28,7 @@ fn main() {
     ] {
         sig.insert(Symbol::intern(n), s);
     }
-    let mut dispatcher = jahob::Dispatcher::new(sig, FxHashMap::default());
+    let mut dispatcher = jahob::Dispatcher::new(sig);
     dispatcher.config.obligation_timeout = Some(Duration::from_secs(1));
 
     let goals = [

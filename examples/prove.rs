@@ -24,7 +24,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let dispatcher = jahob::Dispatcher::new(FxHashMap::default(), FxHashMap::default());
+    let dispatcher = jahob::Dispatcher::new(FxHashMap::default());
     println!("goal: {goal}");
     match dispatcher.prove(&goal) {
         jahob::Verdict::Proved {

@@ -8,15 +8,15 @@
 # exactly the baseline verdicts, and (c) leaves the directory reopenable
 # for one more clean round-trip.
 #
-# Usage: scripts/crash_matrix.sh [path-to-verify_file-binary]
-# Defaults to target/release/examples/verify_file.
+# Usage: scripts/crash_matrix.sh [path-to-jahob-binary]
+# Defaults to target/release/jahob.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-BIN="${1:-target/release/examples/verify_file}"
+BIN="${1:-target/release/jahob}"
 if [ ! -x "$BIN" ]; then
   echo "FAIL: verifier binary not found or not executable: $BIN" >&2
-  echo "hint: build it with \`cargo build --release -p jahob --example verify_file\`" >&2
+  echo "hint: build it with \`cargo build --release -p jahob-repro\`" >&2
   echo "      or pass an explicit path: scripts/crash_matrix.sh <binary>" >&2
   exit 2
 fi

@@ -24,12 +24,13 @@
 //!   request's streamed JSONL event lines client-side.
 //! * `status` / `drain` — probe or gracefully stop a running daemon.
 //!
-//! The grammar, environment layering, and exit-code ladder live in
-//! [`jahob::cli`], shared with the `verify_file` example and the
-//! daemon's own rendering: `0` on a completed run (whatever the
-//! verdicts), `1` on a pipeline error or broken daemon conversation,
-//! `2` on unusable arguments, unreadable paths, a refused connection,
-//! or a BUSY admission refusal — always diagnosed, never a panic.
+//! Build it with `cargo build --release -p jahob-repro`; the binary is
+//! `target/release/jahob`. The grammar, environment layering, and
+//! exit-code ladder live in [`jahob::cli`], shared with the daemon's own
+//! rendering: `0` on a completed run (whatever the verdicts), `1` on a
+//! pipeline error or broken daemon conversation, `2` on unusable
+//! arguments, unreadable paths, a refused connection, or a BUSY
+//! admission refusal — always diagnosed, never a panic.
 use jahob::cli::{self, Command};
 use std::process::ExitCode;
 
@@ -37,7 +38,7 @@ fn main() -> ExitCode {
     let program = "jahob";
     let invocation = match cli::parse(std::env::args().skip(1).collect()) {
         Ok(invocation) => invocation,
-        Err(why) => return cli::usage(program, &why, true),
+        Err(why) => return cli::usage(program, &why),
     };
     match &invocation.command {
         Command::Verify { path } => cli::run_verify(program, path, &invocation.opts),

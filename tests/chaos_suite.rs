@@ -74,7 +74,7 @@ fn no_seed_ever_flips_a_verdict() {
     // Fault-free ground truth, one dispatcher reused across goals (breaker
     // state carries over exactly as it would in a real run — with no
     // faults it never trips).
-    let mut baseline = Dispatcher::new(sig(), FxHashMap::default());
+    let mut baseline = Dispatcher::new(sig());
     // Keep the model finder below the 3-object counter-model (and out of
     // bounded-validity mode) so the last battery goal stays a genuine
     // `Unknown` for the portfolio.
@@ -91,7 +91,7 @@ fn no_seed_ever_flips_a_verdict() {
     let base = FaultPlan::from_env().map(|p| p.seed()).unwrap_or(0);
     let mut total_injected = 0u64;
     for seed in base..base + 48 {
-        let mut chaos = Dispatcher::new(sig(), FxHashMap::default());
+        let mut chaos = Dispatcher::new(sig());
         chaos.config.fault_plan = Some(Arc::new(FaultPlan::from_seed(seed)));
         // Paranoid-mode knobs: metered fuel so slow-burn faults bite, the
         // watchdog on so lying provers are cross-checked.
@@ -139,7 +139,7 @@ fn lying_provers_cached_verdict_is_caught_by_cross_check() {
     // Dispatcher 1 runs with the watchdog OFF and HOL compelled to claim
     // `Proved` on every attempt (a targeted quiet plan, so the cache stays
     // active). The lie lands in the shared cache.
-    let mut liar = Dispatcher::new(sig(), FxHashMap::default());
+    let mut liar = Dispatcher::new(sig());
     liar.cache = Some(Arc::clone(&cache));
     liar.config.cross_check = false;
     liar.config.fault_plan = Some(Arc::new(FaultPlan::quiet().inject(
@@ -157,7 +157,7 @@ fn lying_provers_cached_verdict_is_caught_by_cross_check() {
     // Dispatcher 2 is honest (no fault plan) with the watchdog ON. The
     // cache hit replays `Proved [hol-auto]` — and the confirmation pass,
     // which excludes the claiming prover, refutes or fails to confirm it.
-    let mut watchdog = Dispatcher::new(sig(), FxHashMap::default());
+    let mut watchdog = Dispatcher::new(sig());
     watchdog.cache = Some(Arc::clone(&cache));
     watchdog.config.cross_check = true;
     let checked = watchdog.prove(&goal);
@@ -170,7 +170,7 @@ fn lying_provers_cached_verdict_is_caught_by_cross_check() {
     assert!(cache.is_empty(), "the poisoned entry must be evicted");
 
     // With the entry gone, a fresh honest dispatch recomputes the truth.
-    let mut honest = Dispatcher::new(sig(), FxHashMap::default());
+    let mut honest = Dispatcher::new(sig());
     honest.cache = Some(Arc::clone(&cache));
     honest.config.cross_check = true;
     assert_eq!(
@@ -188,7 +188,7 @@ fn lying_provers_cached_verdict_is_caught_by_cross_check() {
 fn chaos_runs_are_deterministic() {
     let goals = goal_battery();
     let run = |seed: u64| -> (Vec<Kind>, Vec<(String, u64)>) {
-        let mut d = Dispatcher::new(sig(), FxHashMap::default());
+        let mut d = Dispatcher::new(sig());
         d.config.fault_plan = Some(Arc::new(FaultPlan::from_seed(seed)));
         d.config.obligation_fuel = 150_000;
         d.config.cross_check = true;

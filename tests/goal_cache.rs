@@ -26,7 +26,7 @@ fn sig() -> FxHashMap<Symbol, Sort> {
 }
 
 fn cached_dispatcher(cache: &Arc<GoalCache>) -> Dispatcher {
-    let mut d = Dispatcher::new(sig(), FxHashMap::default());
+    let mut d = Dispatcher::new(sig());
     d.cache = Some(Arc::clone(cache));
     d
 }
@@ -130,7 +130,7 @@ fn hits_never_flip_a_verdict() {
         Verdict::CounterModel(_) => 'R',
         Verdict::Unknown(_) => 'U',
     };
-    let plain = Dispatcher::new(sig(), FxHashMap::default());
+    let plain = Dispatcher::new(sig());
     let truth: Vec<char> = goals.iter().map(|g| kind(&plain.prove(g))).collect();
 
     let cache = Arc::new(GoalCache::new());

@@ -5,7 +5,9 @@
 //!   obligation in every case study;
 //! * `pieces_<stem>.txt` — what the provers see of each obligation: every
 //!   piece [`Dispatcher::prepare`] splits it into, in normalized form, with
-//!   the sort its signature gives each free symbol.
+//!   the sort its signature gives each free symbol. Rendering them also
+//!   checks that `prepare`, the one place `ite`s are lifted, leaves no
+//!   piece with one to lift.
 //!
 //! The goal cache keys on exactly this normalization, so any change to VC
 //! generation *or* to cache-key normalization shows up here as a
@@ -19,7 +21,7 @@
 
 use jahob_repro::jahob::{normalize, Dispatcher};
 use jahob_repro::javalite::{parse_program, resolve, TypedProgram};
-use jahob_repro::util::{FxHashMap, Symbol};
+use jahob_repro::smt::lift_ite;
 use jahob_repro::vcgen::{method_obligations, MethodVcs};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -71,10 +73,11 @@ fn corpus(path: &str) -> String {
 /// Render the pieces a dispatcher configured as the pipeline's hands the
 /// portfolio for each obligation of one case study: each piece's
 /// normalized text, then each of its free symbols with the sort the
-/// piece's signature gives it (`?` when it gives none).
+/// piece's signature gives it (`?` when it gives none). Panics on a piece
+/// that still has an `ite` to lift: the provers take pieces as they are.
 fn pieces_corpus(path: &str) -> String {
     let (typed, vcs) = obligations(path);
-    let dispatcher = Dispatcher::new(typed.sig.clone(), FxHashMap::default());
+    let dispatcher = Dispatcher::new(typed.sig.clone());
     let mut out = String::new();
     for mv in &vcs {
         for ob in &mv.obligations {
@@ -87,9 +90,17 @@ fn pieces_corpus(path: &str) -> String {
             )
             .unwrap();
             for piece in &prepared.pieces {
+                assert!(
+                    lift_ite(&piece.goal.form) == piece.goal.form,
+                    "{}.{} :: {}: a piece still has an `ite` to lift: {}",
+                    mv.class,
+                    mv.method,
+                    ob.label,
+                    piece.goal.form
+                );
                 writeln!(out, "{}", piece.goal.form).unwrap();
                 for (canon, _) in &piece.goal.frees {
-                    match piece.sig.get(&Symbol::intern(canon)) {
+                    match piece.sig.get(canon) {
                         Some(sort) => writeln!(out, "  {canon}: {sort}").unwrap(),
                         None => writeln!(out, "  {canon}: ?").unwrap(),
                     }

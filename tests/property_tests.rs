@@ -221,7 +221,7 @@ proptest! {
         .collect();
         let syms: Vec<(Symbol, Sort)> =
             sig.iter().map(|(k, v)| (*k, v.clone())).collect();
-        let d = Dispatcher::new(sig.clone(), FxHashMap::default());
+        let d = Dispatcher::new(sig.clone());
         let starved = d.prove_governed(&f, &Budget::with_fuel(fuel));
         match &starved {
             Verdict::Proved { .. } => {
@@ -235,7 +235,7 @@ proptest! {
                     "starved dispatcher proved a refutable goal: {}", f
                 );
                 // … and consistent with the unlimited portfolio.
-                let unlimited = Dispatcher::new(sig, FxHashMap::default());
+                let unlimited = Dispatcher::new(sig);
                 prop_assert!(
                     !matches!(unlimited.prove(&f), Verdict::CounterModel(_)),
                     "starved Proved vs unlimited CounterModel: {}", f
@@ -255,7 +255,7 @@ proptest! {
                     });
                 }
                 prop_assert_eq!(completed.eval_bool(&f), Ok(false));
-                let unlimited = Dispatcher::new(sig, FxHashMap::default());
+                let unlimited = Dispatcher::new(sig);
                 prop_assert!(
                     !unlimited.prove(&f).is_proved(),
                     "starved CounterModel vs unlimited Proved: {}", f
@@ -284,20 +284,20 @@ proptest! {
         .iter()
         .map(|(n, s)| (Symbol::intern(n), s.clone()))
         .collect();
-        let mut chaotic = Dispatcher::new(sig.clone(), FxHashMap::default());
+        let mut chaotic = Dispatcher::new(sig.clone());
         chaotic.config.fault_plan = Some(Arc::new(FaultPlan::from_seed(seed)));
         chaotic.config.obligation_fuel = 150_000;
         chaotic.config.cross_check = true;
         match chaotic.prove(&f) {
             Verdict::Proved { .. } => {
-                let unlimited = Dispatcher::new(sig, FxHashMap::default());
+                let unlimited = Dispatcher::new(sig);
                 prop_assert!(
                     unlimited.prove(&f).is_proved(),
                     "chaos Proved vs fault-free non-Proved (seed {}): {}", seed, f
                 );
             }
             Verdict::CounterModel(_) => {
-                let unlimited = Dispatcher::new(sig, FxHashMap::default());
+                let unlimited = Dispatcher::new(sig);
                 prop_assert!(
                     matches!(unlimited.prove(&f), Verdict::CounterModel(_)),
                     "chaos CounterModel vs fault-free non-refuted (seed {}): {}", seed, f

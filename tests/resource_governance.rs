@@ -29,7 +29,7 @@ fn dispatcher() -> Dispatcher {
         sig.insert(Symbol::intern(n), s);
     }
     sig.insert(Symbol::intern("Object.alloc"), Sort::objset());
-    Dispatcher::new(sig, FxHashMap::default())
+    Dispatcher::new(sig)
 }
 
 #[test]
