@@ -23,7 +23,6 @@ use jahob_util::obs::{self, Event, Recorder};
 use jahob_util::{FxHashMap, Symbol};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,8 +46,7 @@ pub enum ProverId {
 }
 
 impl ProverId {
-    /// Number of portfolio members (the circuit-breaker bank is indexed by
-    /// prover).
+    /// Number of portfolio members.
     pub const COUNT: usize = 7;
 
     /// All portfolio members, in dispatch order.
@@ -62,21 +60,11 @@ impl ProverId {
         ProverId::Bmc,
     ];
 
-    pub(crate) fn index(self) -> usize {
-        match self {
-            ProverId::Simplifier => 0,
-            ProverId::Hol => 1,
-            ProverId::Lia => 2,
-            ProverId::Bapa => 3,
-            ProverId::Smt => 4,
-            ProverId::Fol => 5,
-            ProverId::Bmc => 6,
-        }
-    }
-
-    /// Inverse of the breaker-bank index, for decoding persisted cache
-    /// records. `None` for out-of-range values (a corrupt or future-format
-    /// payload), which callers treat as an unreplayable record.
+    /// The prover at `index` in [`ProverId::ALL`], which is also its
+    /// discriminant: the inverse of `prover as u8`, for decoding persisted
+    /// cache records. `None` for out-of-range values (a corrupt or
+    /// future-format payload), which callers treat as an unreplayable
+    /// record.
     pub fn from_index(index: usize) -> Option<ProverId> {
         ProverId::ALL.get(index).copied()
     }
@@ -136,15 +124,12 @@ impl fmt::Display for VerdictKind {
 }
 
 /// Why one prover's attempt on an obligation ended without a verdict.
-/// Ordered least- to most-severe so merging attempts keeps the most
+/// Ordered least- to most-severe so [`Diagnosis`] keeps the most
 /// informative reason per prover.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FailureReason {
     /// The goal is outside the prover's fragment.
     Unsupported,
-    /// The prover's circuit breaker was open; the attempt was skipped to
-    /// protect the rest of the obligation's budget.
-    CircuitOpen,
     /// The prover ran to completion without deciding the goal.
     GaveUp,
     /// The attempt's fuel allowance ran dry.
@@ -169,7 +154,6 @@ impl fmt::Display for FailureReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FailureReason::Unsupported => f.write_str("unsupported"),
-            FailureReason::CircuitOpen => f.write_str("circuit-open"),
             FailureReason::GaveUp => f.write_str("gave-up"),
             FailureReason::FuelExhausted => f.write_str("fuel-exhausted"),
             FailureReason::Timeout => f.write_str("timeout"),
@@ -205,6 +189,8 @@ pub struct Diagnosis {
 }
 
 impl Diagnosis {
+    /// Record `reason` for `prover`, keeping the most severe reason the
+    /// prover has met in this diagnosis.
     pub(crate) fn record(&mut self, prover: ProverId, reason: FailureReason) {
         match self.attempts.iter_mut().find(|(p, _)| *p == prover) {
             Some((_, r)) => *r = (*r).max(reason),
@@ -220,24 +206,9 @@ impl Diagnosis {
             .map(|(_, r)| *r)
     }
 
-    /// Fold an earlier pass's diagnosis into this one, keeping the most
-    /// severe reason per prover (used when an escalated retry also fails:
-    /// the final diagnosis covers both passes). Merging is keyed on the
-    /// prover, never on arrival position, so folding the same set of
-    /// attempts in any order yields the same per-prover reasons.
-    pub fn merge_from(&mut self, earlier: &Diagnosis) {
-        for (prover, reason) in &earlier.attempts {
-            self.record(*prover, *reason);
-        }
-        self.obligation_spent = self.obligation_spent.max(earlier.obligation_spent);
-    }
-
     /// Structured JSON: the per-prover failure taxonomy plus the
-    /// obligation-budget exhaustion marker, in attempt order. Takes the
-    /// shared [`ReportRender`] switch for signature uniformity with the
-    /// rest of the report tree; a diagnosis has no wall-clock fields,
-    /// so both views render identically.
-    pub fn to_json(&self, _render: crate::verify::ReportRender) -> String {
+    /// obligation-budget exhaustion marker, in attempt order.
+    pub fn to_json(&self) -> String {
         use jahob_util::json::{array, Obj};
         let attempts = array(self.attempts.iter().map(|(prover, reason)| {
             Obj::new()
@@ -371,161 +342,20 @@ impl Default for DispatchConfig {
     }
 }
 
-/// Circuit breaker: consecutive hard failures (`Panicked`/`Timeout`)
-/// before a prover's breaker opens.
-const BREAKER_THRESHOLD: u64 = 3;
-
-/// How many attempts an open breaker skips before half-opening for a
-/// probe. Counted in skipped attempts, not wall-clock, so breaker
-/// behavior is deterministic under test.
-const BREAKER_COOLDOWN: u64 = 2;
-
-/// Fuel granted to a half-open probe when the obligation is otherwise
-/// unmetered; metered obligations cap the probe at this or the normal
-/// slice, whichever is smaller.
-const BREAKER_PROBE_FUEL: u64 = 50_000;
-
-/// First-pass attempts on a metered obligation get `remaining / divisor`
-/// fuel (min 1), so the obligation is never drained by its first prover;
-/// the escalated retry re-runs with everything left.
-const ATTEMPT_FUEL_DIVISOR: u64 = 4;
-
-// ---- circuit breakers ----------------------------------------------------
-
-// Breaker states, stored as `u64` in an atomic cell.
-const BREAKER_CLOSED: u64 = 0;
-const BREAKER_OPEN: u64 = 1;
-const BREAKER_HALF_OPEN: u64 = 2;
-
-#[derive(Debug, Default)]
-struct BreakerCell {
-    /// `BREAKER_CLOSED` / `BREAKER_OPEN` / `BREAKER_HALF_OPEN`.
-    state: AtomicU64,
-    /// Consecutive hard failures observed while closed.
-    consecutive: AtomicU64,
-    /// Attempts left to skip before an open breaker half-opens.
-    cooldown: AtomicU64,
-}
-
-/// What the breaker gate says about the next attempt.
-enum Gate {
-    /// Breaker closed: attempt normally.
-    Pass,
-    /// Breaker half-open: attempt with a small probe budget.
-    Probe,
-    /// Breaker open and cooling down: skip the attempt.
-    Skip,
-}
-
-/// One circuit breaker per portfolio member. A prover that keeps panicking
-/// or timing out stops being offered obligations (protecting the shared
-/// budget from a reasoner that has gone bad), then is probed with a small
-/// budget slice after a cooldown and readmitted if the probe behaves.
-///
-/// State lives in atomics so `&Dispatcher` is shareable across the worker
-/// pool. All counter updates are read-modify-write operations, so
-/// concurrent observers never lose a tick; `Relaxed` ordering is enough
-/// because each cell's fields are independent saturating counters — no
-/// decision reads one atomic to justify writing another with a
-/// happens-before requirement between them.
-#[derive(Debug, Default)]
-pub struct BreakerBank {
-    cells: [BreakerCell; ProverId::COUNT],
-}
-
-impl BreakerBank {
-    fn gate(&self, prover: ProverId) -> Gate {
-        let cell = &self.cells[prover.index()];
-        match cell.state.load(Ordering::Relaxed) {
-            BREAKER_CLOSED => Gate::Pass,
-            // Half-open means a probe is *in flight*: the state is entered
-            // only by the cooldown drainer below and left only by that
-            // probe's `observe`. Admitting every caller who glimpses
-            // half-open would stampede a prover that just crash-looped
-            // with one probe per concurrent worker — exactly one caller
-            // owns the probe; everyone else skips until its verdict is in.
-            BREAKER_HALF_OPEN => Gate::Skip,
-            _ => {
-                // Atomically consume one cooldown tick; whoever drains the
-                // last tick flips the breaker half-open for a probe.
-                let prev = cell
-                    .cooldown
-                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cd| {
-                        Some(cd.saturating_sub(1))
-                    })
-                    .expect("fetch_update closure always returns Some");
-                if prev > 0 {
-                    Gate::Skip
-                } else {
-                    cell.state.store(BREAKER_HALF_OPEN, Ordering::Relaxed);
-                    Gate::Probe
-                }
-            }
-        }
-    }
-
-    /// Feed an attempt's outcome back into the breaker. Returns the state
-    /// transition this caused (`"open"` / `"reopen"` / `"close"`), if any,
-    /// so the caller can emit it as an observability event — the bank
-    /// itself stays a pure state machine.
-    fn observe(
-        &self,
-        prover: ProverId,
-        probing: bool,
-        failure: Option<FailureReason>,
-    ) -> Option<&'static str> {
-        let cell = &self.cells[prover.index()];
-        let hard = matches!(
-            failure,
-            Some(FailureReason::Panicked) | Some(FailureReason::Timeout)
-        );
-        if hard {
-            if probing {
-                // The probe misbehaved too: straight back to open.
-                cell.state.store(BREAKER_OPEN, Ordering::Relaxed);
-                cell.cooldown.store(BREAKER_COOLDOWN, Ordering::Relaxed);
-                Some("reopen")
-            } else {
-                let streak = cell.consecutive.fetch_add(1, Ordering::Relaxed) + 1;
-                if streak >= BREAKER_THRESHOLD {
-                    cell.state.store(BREAKER_OPEN, Ordering::Relaxed);
-                    cell.cooldown.store(BREAKER_COOLDOWN, Ordering::Relaxed);
-                    cell.consecutive.store(0, Ordering::Relaxed);
-                    Some("open")
-                } else {
-                    None
-                }
-            }
-        } else {
-            // Success, or a soft failure (gave up / fragment / fuel): the
-            // prover is behaving; hard-failure streak resets.
-            cell.consecutive.store(0, Ordering::Relaxed);
-            if probing {
-                cell.state.store(BREAKER_CLOSED, Ordering::Relaxed);
-                Some("close")
-            } else {
-                None
-            }
-        }
-    }
-}
-
 /// The dispatcher: signature + portfolio.
 pub struct Dispatcher {
     pub sig: FxHashMap<Symbol, Sort>,
     pub config: DispatchConfig,
     pub stats: Stats,
     /// Structured observability (see [`jahob_util::obs`]): every cache
-    /// consultation, prover attempt, breaker transition, retry escalation,
-    /// chaos injection, and watchdog check is recorded here as a typed
-    /// event. Disabled by default — the disabled check is one pointer test
-    /// per site and event payloads are never built.
+    /// consultation, prover attempt, chaos injection, and watchdog check
+    /// is recorded here as a typed event. Disabled by default — the
+    /// disabled check is one pointer test per site and event payloads are
+    /// never built.
     pub recorder: Recorder,
     /// Run-wide normalized-goal cache, shared (via `Arc`) across the
     /// dispatchers of one verification run. `None` disables caching.
     pub cache: Option<Arc<GoalCache>>,
-    /// Per-prover circuit breakers (state persists across obligations).
-    breakers: BreakerBank,
 }
 
 /// One piece of a split obligation, as the portfolio sees it.
@@ -558,41 +388,6 @@ pub struct Prepared {
     pub pieces: Vec<Piece>,
 }
 
-/// How one pass over the portfolio should behave.
-#[derive(Clone, Copy, Default)]
-struct AttemptCtx<'a> {
-    /// Escalated passes get undivided budget slices.
-    escalated: bool,
-    /// Retry pass: only re-attempt provers whose first-pass reason was
-    /// recoverable (`FuelExhausted`/`Timeout`) or that were never tried.
-    retry_only: Option<&'a Diagnosis>,
-    /// Watchdog confirmation pass: the claiming prover may not confirm
-    /// itself.
-    exclude: Option<ProverId>,
-}
-
-impl<'a> AttemptCtx<'a> {
-    fn first() -> Self {
-        AttemptCtx::default()
-    }
-
-    fn retry(first_pass: &'a Diagnosis) -> Self {
-        AttemptCtx {
-            escalated: true,
-            retry_only: Some(first_pass),
-            exclude: None,
-        }
-    }
-
-    fn confirm(claimer: ProverId) -> Self {
-        AttemptCtx {
-            escalated: true,
-            retry_only: None,
-            exclude: Some(claimer),
-        }
-    }
-}
-
 impl Dispatcher {
     pub fn new(sig: FxHashMap<Symbol, Sort>) -> Self {
         // Stand-alone dispatchers (the `prove` / `governed_prove`
@@ -611,7 +406,6 @@ impl Dispatcher {
             stats: Stats::new(),
             recorder,
             cache: None,
-            breakers: BreakerBank::default(),
         }
     }
 
@@ -620,9 +414,9 @@ impl Dispatcher {
     /// source of truth for those counters, so the stats table and the
     /// event stream cannot disagree. Counters are maintained even when
     /// the recorder is disabled — every call site here is off the
-    /// no-observation fast path (a cache consultation, a breaker
-    /// transition, a finished prover attempt), where building the event
-    /// is noise against the work it describes.
+    /// no-observation fast path (a cache consultation, a finished prover
+    /// attempt, a watchdog check), where building the event is noise
+    /// against the work it describes.
     fn emit(&self, event: Event) {
         event.stat_increments(|name, delta| self.stats.add(name, delta));
         self.recorder.record_with(|| event);
@@ -869,42 +663,11 @@ impl Dispatcher {
                 bound: None,
             };
         }
-        let verdict = self.prove_piece_attempts(piece, budget);
+        let verdict = self.prove_piece_inner(piece, budget, None);
         if self.config.cross_check {
             self.cross_check(piece, verdict, budget)
         } else {
             verdict
-        }
-    }
-
-    /// First pass over the portfolio with divided budget slices; if the
-    /// obligation ended `FuelExhausted`/`Timeout` while budget remains, one
-    /// escalated retry against the surviving provers with everything left.
-    fn prove_piece_attempts(&self, piece: &Piece, budget: &Budget) -> Verdict {
-        let first = self.prove_piece_inner(piece, budget, &AttemptCtx::first());
-        let Verdict::Unknown(diag) = first else {
-            return first;
-        };
-        let recoverable = diag
-            .attempts
-            .iter()
-            .any(|(_, r)| matches!(r, FailureReason::FuelExhausted | FailureReason::Timeout));
-        let budget_left = budget.poll_deadline().is_ok() && budget.fuel_remaining() > 0;
-        if !(recoverable && budget_left) {
-            return Verdict::Unknown(diag);
-        }
-        self.emit(Event::RetryEscalated {
-            fuel: budget.fuel_remaining(),
-        });
-        match self.prove_piece_inner(piece, budget, &AttemptCtx::retry(&diag)) {
-            Verdict::Unknown(mut second) => {
-                second.merge_from(&diag);
-                Verdict::Unknown(second)
-            }
-            decided => {
-                self.emit(Event::RetryRecovered);
-                decided
-            }
         }
     }
 
@@ -919,7 +682,7 @@ impl Dispatcher {
             // re-proving `True` would be circular anyway.
             Verdict::Proved { prover, bound } if prover != ProverId::Simplifier => {
                 self.emit(Event::Watchdog { outcome: "checked" });
-                match self.prove_piece_inner(piece, budget, &AttemptCtx::confirm(prover)) {
+                match self.prove_piece_inner(piece, budget, Some(prover)) {
                     Verdict::Proved { .. } => {
                         self.emit(Event::Watchdog {
                             outcome: "confirmed",
@@ -986,82 +749,28 @@ impl Dispatcher {
         }
     }
 
-    /// Run one prover's attempt in isolation: skip it outright if the
-    /// obligation budget is already spent, gate it through the prover's
-    /// circuit breaker, apply any injected fault from the armed chaos plan,
-    /// catch panics, translate budget exhaustion into the failure taxonomy,
-    /// and charge whatever fuel the attempt burned back to the obligation.
+    /// Run one prover's attempt on the obligation's budget: skip it
+    /// outright if it is the `exclude`d prover or the budget is already
+    /// spent, apply any injected fault from the armed chaos plan, catch
+    /// panics, translate budget exhaustion into the failure taxonomy, and
+    /// record the fuel the attempt burned.
     fn guard(
         &self,
         prover: ProverId,
         budget: &Budget,
         diag: &mut Diagnosis,
-        ctx: &AttemptCtx<'_>,
+        exclude: Option<ProverId>,
         body: impl FnOnce(&Budget, &mut Diagnosis) -> Result<Option<Verdict>, Exhaustion>,
     ) -> Option<Verdict> {
         // Watchdog confirmation: the claimer may not confirm itself.
-        if ctx.exclude == Some(prover) {
+        if exclude == Some(prover) {
             return None;
-        }
-        // Escalated retry: only provers that ran out of budget (or were
-        // never reached) get a second chance; hard or structural failures
-        // would just repeat.
-        if let Some(first_pass) = ctx.retry_only {
-            if let Some(reason) = first_pass.reason(prover) {
-                if !matches!(
-                    reason,
-                    FailureReason::FuelExhausted | FailureReason::Timeout
-                ) {
-                    return None;
-                }
-            }
         }
         // Obligation budget already spent: remaining provers are skipped,
         // not blamed — they were never tried.
         if budget.check().is_err() || budget.poll_deadline().is_err() {
             return None;
         }
-        // Which pass this attempt belongs to, for the event stream.
-        let pass: &'static str = if ctx.exclude.is_some() {
-            "confirm"
-        } else if ctx.retry_only.is_some() {
-            "retry"
-        } else {
-            "first"
-        };
-        // Circuit breaker gate.
-        let mut probing = false;
-        match self.breakers.gate(prover) {
-            Gate::Pass => {}
-            Gate::Probe => {
-                probing = true;
-                self.emit(Event::Breaker {
-                    prover: prover.name(),
-                    transition: "half-open",
-                });
-            }
-            Gate::Skip => {
-                diag.record(prover, FailureReason::CircuitOpen);
-                self.emit(Event::Breaker {
-                    prover: prover.name(),
-                    transition: "skipped",
-                });
-                return None;
-            }
-        }
-        // Slice the obligation budget for this attempt. First-pass slices
-        // are fractional so one prover cannot drain a metered obligation;
-        // escalated passes get everything left; half-open probes get a
-        // deliberately small allowance.
-        let remaining = budget.fuel_remaining();
-        let slice_fuel = if probing {
-            remaining.min(BREAKER_PROBE_FUEL)
-        } else if ctx.escalated || remaining == INFINITE_FUEL {
-            remaining
-        } else {
-            (remaining / ATTEMPT_FUEL_DIVISOR).max(1)
-        };
-        let slice = budget.child(None, slice_fuel);
         // Chaos: decide this attempt's fate from the armed plan.
         let fault = self
             .config
@@ -1074,6 +783,7 @@ impl Dispatcher {
                 fault: fault.to_string(),
             });
         }
+        let fuel_before = budget.fuel_remaining();
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             match fault {
@@ -1081,10 +791,11 @@ impl Dispatcher {
                 Some(Fault::Timeout) => return Err(Exhaustion::Timeout),
                 Some(Fault::Starvation) => return Err(Exhaustion::Fuel),
                 Some(Fault::SlowBurn) => {
-                    // A prover that spins: burn the whole slice, no progress.
-                    let r = slice.fuel_remaining();
+                    // A prover that spins: burn the whole budget, no
+                    // progress.
+                    let r = budget.fuel_remaining();
                     if r != INFINITE_FUEL {
-                        let _ = slice.charge(r);
+                        let _ = budget.charge(r);
                     }
                     return Err(Exhaustion::Fuel);
                 }
@@ -1124,17 +835,10 @@ impl Dispatcher {
                 // rule aiming one at a prover site is inert.
                 Some(Fault::Disk(_)) | Some(Fault::Socket(_)) | None => {}
             }
-            body(&slice, diag)
+            body(budget, diag)
         }));
-        let fuel_spent = if slice_fuel == INFINITE_FUEL {
-            0
-        } else {
-            let spent = slice_fuel - slice.fuel_remaining();
-            // Child fuel is a capped copy, not a reservation: drain the
-            // obligation by what the attempt actually burned.
-            let _ = budget.charge(spent);
-            spent
-        };
+        // Unmetered fuel never moves, so an unmetered attempt records 0.
+        let fuel = fuel_before - budget.fuel_remaining();
         let (verdict, failure) = match outcome {
             // Only the model finder builds counter-models, and it checks
             // each one with the reference evaluator before returning it;
@@ -1169,31 +873,35 @@ impl Dispatcher {
         };
         self.emit(Event::Attempt {
             prover: prover.name(),
-            pass,
+            pass: if exclude.is_some() {
+                "confirm"
+            } else {
+                "first"
+            },
             outcome: outcome_name,
-            fuel: fuel_spent,
+            fuel,
             micros: started.elapsed().as_micros() as u64,
         });
-        if let Some(transition) = self.breakers.observe(prover, probing, failure) {
-            self.emit(Event::Breaker {
-                prover: prover.name(),
-                transition,
-            });
-        }
         verdict
     }
 
-    /// One pass over the portfolio.
-    fn prove_piece_inner(&self, piece: &Piece, budget: &Budget, ctx: &AttemptCtx<'_>) -> Verdict {
+    /// One pass over the portfolio. The watchdog's confirmation pass
+    /// `exclude`s the prover whose `Proved` it is checking.
+    fn prove_piece_inner(
+        &self,
+        piece: &Piece,
+        budget: &Budget,
+        exclude: Option<ProverId>,
+    ) -> Verdict {
         let mut diag = Diagnosis::default();
         // Cheap, fragment-specific provers first.
         for prover in [ProverId::Hol, ProverId::Lia, ProverId::Bapa, ProverId::Smt] {
-            let decided = self.guard(prover, budget, &mut diag, ctx, |slice, diag| {
+            let decided = self.guard(prover, budget, &mut diag, exclude, |budget, diag| {
                 portfolio_attempt(
                     prover,
                     piece,
                     self.config.fol_iterations,
-                    slice,
+                    budget,
                     diag,
                     &self.stats,
                 )
@@ -1207,20 +915,20 @@ impl Dispatcher {
         // is held while FOL tries for an unbounded one.
         let mut bounded = None;
         if self.config.bmc_bound > 0 {
-            match self.guard(ProverId::Bmc, budget, &mut diag, ctx, |slice, diag| {
-                self.bounded_search(piece, slice, diag)
+            match self.guard(ProverId::Bmc, budget, &mut diag, exclude, |budget, diag| {
+                self.bounded_search(piece, budget, diag)
             }) {
                 Some(proof @ Verdict::Proved { .. }) => bounded = Some(proof),
                 Some(refuted) => return refuted,
                 None => {}
             }
         }
-        let fol = self.guard(ProverId::Fol, budget, &mut diag, ctx, |slice, diag| {
+        let fol = self.guard(ProverId::Fol, budget, &mut diag, exclude, |budget, diag| {
             portfolio_attempt(
                 ProverId::Fol,
                 piece,
                 self.config.fol_iterations,
-                slice,
+                budget,
                 diag,
                 &self.stats,
             )
@@ -1246,7 +954,7 @@ impl Dispatcher {
     fn bounded_search(
         &self,
         piece: &Piece,
-        slice: &Budget,
+        budget: &Budget,
         diag: &mut Diagnosis,
     ) -> Result<Option<Verdict>, Exhaustion> {
         use jahob_models::ModelsFailure;
@@ -1257,7 +965,7 @@ impl Dispatcher {
             bound: Some(bound),
         };
         self.stats.bump("tried.bmc");
-        match jahob_models::bmc_valid_with_bound_budgeted(goal, sig, bound, slice) {
+        match jahob_models::bmc_valid_with_bound_budgeted(goal, sig, bound, budget) {
             Ok(BmcVerdict::CounterModel(model)) => {
                 self.stats.bump("refuted.bmc");
                 return Ok(Some(Verdict::CounterModel(model)));
@@ -1278,7 +986,7 @@ impl Dispatcher {
         let Some((candidate, cand_sig)) = self.weakened_for_bmc(goal, sig) else {
             return Ok(None);
         };
-        match jahob_models::bmc_valid_with_bound_budgeted(&candidate, &cand_sig, bound, slice) {
+        match jahob_models::bmc_valid_with_bound_budgeted(&candidate, &cand_sig, bound, budget) {
             Ok(BmcVerdict::ValidUpTo(_)) => Ok(Some(proof)),
             Ok(BmcVerdict::CounterModel(_)) => {
                 diag.record(ProverId::Bmc, FailureReason::GaveUp);
@@ -1357,12 +1065,12 @@ fn filtered(goal: &Form, keep: &mut dyn FnMut(&Form) -> bool) -> Option<Form> {
 /// Presburger, BAPA, Nelson–Oppen and FOL (the model finder's is
 /// [`Dispatcher::bounded_search`]). Presburger, BAPA and Nelson–Oppen try
 /// the piece, then the piece without the hypotheses they cannot read. It
-/// stops only through `slice`.
+/// stops only through `budget`.
 fn portfolio_attempt(
     prover: ProverId,
     piece: &Piece,
     fol_iterations: usize,
-    slice: &Budget,
+    budget: &Budget,
     diag: &mut Diagnosis,
     stats: &Stats,
 ) -> Result<Option<Verdict>, Exhaustion> {
@@ -1376,7 +1084,7 @@ fn portfolio_attempt(
     };
     match prover {
         ProverId::Hol => {
-            if jahob_hol::auto_proves_governed(goal, slice)? {
+            if jahob_hol::auto_proves_governed(goal, budget)? {
                 return proved("proved.hol");
             }
             diag.record(ProverId::Hol, FailureReason::GaveUp);
@@ -1387,7 +1095,7 @@ fn portfolio_attempt(
                 jahob_presburger::translate::form_to_pform(h).is_ok()
             });
             for g in std::iter::once(goal).chain(&narrowed) {
-                match jahob_presburger::translate::decide_valid_budgeted(g, slice) {
+                match jahob_presburger::translate::decide_valid_budgeted(g, budget) {
                     Ok(true) => return proved("proved.presburger"),
                     Ok(false) => diag.record(ProverId::Lia, FailureReason::GaveUp),
                     Err(jahob_presburger::PresburgerFailure::Fragment(_)) => {
@@ -1401,7 +1109,7 @@ fn portfolio_attempt(
             stats.bump("tried.bapa");
             let narrowed = filtered(goal, &mut |h| jahob_bapa::base_set_count(h, sig).is_ok());
             for g in std::iter::once(goal).chain(&narrowed) {
-                match jahob_bapa::bapa_valid_budgeted(g, sig, slice) {
+                match jahob_bapa::bapa_valid_budgeted(g, sig, budget) {
                     Ok(true) => return proved("proved.bapa"),
                     Ok(false) => diag.record(ProverId::Bapa, FailureReason::GaveUp),
                     Err(jahob_bapa::BapaFailure::Fragment(_)) => {
@@ -1420,7 +1128,7 @@ fn portfolio_attempt(
             stats.bump("tried.smt");
             let narrowed = filtered(goal, &mut |h| jahob_smt::in_fragment(h, sig));
             for g in std::iter::once(goal).chain(&narrowed) {
-                match jahob_smt::smt_valid_budgeted(g, sig, slice) {
+                match jahob_smt::smt_valid_budgeted(g, sig, budget) {
                     Ok(true) => return proved("proved.smt"),
                     Ok(false) => diag.record(ProverId::Smt, FailureReason::GaveUp),
                     Err(jahob_smt::SmtFailure::Fragment(_)) => {
@@ -1447,7 +1155,7 @@ fn portfolio_attempt(
             })();
             match clauses {
                 Err(_) => diag.record(ProverId::Fol, FailureReason::Unsupported),
-                Ok(clauses) => match jahob_fol::prove_budgeted(clauses, &config, slice)? {
+                Ok(clauses) => match jahob_fol::prove_budgeted(clauses, &config, budget)? {
                     jahob_fol::ProveResult::Proved => return proved("proved.fol"),
                     _ => diag.record(ProverId::Fol, FailureReason::GaveUp),
                 },
@@ -1722,109 +1430,41 @@ mod tests {
     }
 
     #[test]
-    fn breaker_opens_after_streak_and_recovers_via_probe() {
-        let mut d = dispatcher();
-        // BAPA panics on its first three attempts, then behaves.
-        d.config.fault_plan = Some(Arc::new(FaultPlan::quiet().inject(
-            ProverId::Bapa.site(),
-            0..3,
-            Fault::Panic,
-        )));
-        d.config.bmc_bound = 0;
-        d.config.fol_iterations = 10;
-        let goal = form("card (S Un T) <= card S + card T");
-        // Three panics open the breaker …
-        for _ in 0..3 {
-            assert!(!d.prove(&goal).is_proved());
-        }
-        assert_eq!(d.stats.get("breaker.bapa.open"), 1);
-        // … the cooldown skips BAPA (diagnosed as circuit-open) …
-        for _ in 0..2 {
-            match d.prove(&goal) {
-                Verdict::Unknown(diag) => assert_eq!(
-                    diag.reason(ProverId::Bapa),
-                    Some(FailureReason::CircuitOpen),
-                    "{diag}"
-                ),
-                other => panic!("expected unknown during cooldown, got {other:?}"),
+    fn record_keeps_the_most_severe_reason_per_prover() {
+        // One attempt can record several reasons for its prover: the
+        // Presburger arm records `GaveUp` on the piece and `Unsupported`
+        // on its narrowed form, and `guard` and the watchdog record on top
+        // of whatever the body recorded. In either order the diagnosis
+        // keeps the most severe reason, at the prover's first position.
+        let reasons = [
+            FailureReason::Unsupported,
+            FailureReason::GaveUp,
+            FailureReason::FuelExhausted,
+            FailureReason::Timeout,
+            FailureReason::Panicked,
+            FailureReason::Unconfirmed,
+            FailureReason::Disagreement {
+                claimed: VerdictKind::Proved,
+                witness: VerdictKind::Refuted,
+            },
+        ];
+        for a in reasons {
+            for b in reasons {
+                let mut diag = Diagnosis::default();
+                diag.record(ProverId::Lia, a);
+                diag.record(ProverId::Bapa, FailureReason::GaveUp);
+                diag.record(ProverId::Lia, b);
+                assert_eq!(
+                    diag.attempts,
+                    [
+                        (ProverId::Lia, a.max(b)),
+                        (ProverId::Bapa, FailureReason::GaveUp)
+                    ],
+                    "{a} then {b}"
+                );
+                assert_eq!(diag.reason(ProverId::Lia), Some(a.max(b)));
             }
         }
-        assert_eq!(d.stats.get("breaker.bapa.skipped"), 2);
-        // … and the half-open probe succeeds (fault range is spent), so the
-        // breaker closes and BAPA proves the goal again.
-        let v = d.prove(&goal);
-        assert!(v.is_proved(), "{v:?}");
-        assert_eq!(d.stats.get("breaker.bapa.half-open"), 1);
-        assert_eq!(d.stats.get("breaker.bapa.close"), 1);
-    }
-
-    #[test]
-    fn half_open_admits_exactly_one_probe_across_concurrent_workers() {
-        // Regression: half-open used to answer `Probe` to every caller, so
-        // N workers racing past an expired cooldown all probed a prover
-        // that had just crash-looped. Half-open now means "probe in
-        // flight": the cooldown drainer owns the one probe, everyone else
-        // skips, and the tallies are deterministic at any interleaving.
-        let bank = BreakerBank::default();
-        let cell = &bank.cells[ProverId::Bapa.index()];
-        cell.state.store(BREAKER_OPEN, Ordering::Relaxed);
-        cell.cooldown.store(3, Ordering::Relaxed);
-        let probes = AtomicU64::new(0);
-        let skips = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for _ in 0..4 {
-                        match bank.gate(ProverId::Bapa) {
-                            Gate::Probe => probes.fetch_add(1, Ordering::Relaxed),
-                            Gate::Skip => skips.fetch_add(1, Ordering::Relaxed),
-                            Gate::Pass => panic!("breaker closed without a probe verdict"),
-                        };
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            probes.load(Ordering::Relaxed),
-            1,
-            "exactly one concurrent worker may own the half-open probe"
-        );
-        assert_eq!(skips.load(Ordering::Relaxed), 31);
-
-        // A failed probe reopens the breaker and, after the cooldown, the
-        // next drain hands out exactly one fresh probe — again regardless
-        // of who races.
-        assert_eq!(
-            bank.observe(ProverId::Bapa, true, Some(FailureReason::Panicked)),
-            Some("reopen")
-        );
-        for _ in 0..BREAKER_COOLDOWN {
-            assert!(matches!(bank.gate(ProverId::Bapa), Gate::Skip));
-        }
-        assert!(matches!(bank.gate(ProverId::Bapa), Gate::Probe));
-        assert!(matches!(bank.gate(ProverId::Bapa), Gate::Skip));
-
-        // A well-behaved probe closes the breaker for everyone.
-        assert_eq!(bank.observe(ProverId::Bapa, true, None), Some("close"));
-        assert!(matches!(bank.gate(ProverId::Bapa), Gate::Pass));
-    }
-
-    #[test]
-    fn escalating_retry_recovers_from_starved_first_pass() {
-        let mut d = dispatcher();
-        // BAPA's first attempt reports spurious fuel exhaustion; the
-        // escalated retry (same obligation, leftover budget) succeeds.
-        d.config.fault_plan = Some(Arc::new(FaultPlan::quiet().inject(
-            ProverId::Bapa.site(),
-            0..1,
-            Fault::Starvation,
-        )));
-        d.config.bmc_bound = 0;
-        d.config.fol_iterations = 10;
-        let v = d.prove(&form("card (S Un T) <= card S + card T"));
-        assert!(v.is_proved(), "{v:?}");
-        assert_eq!(d.stats.get("retry.escalated"), 1);
-        assert_eq!(d.stats.get("retry.recovered"), 1);
     }
 
     #[test]

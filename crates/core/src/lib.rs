@@ -13,8 +13,8 @@
 //!   Nelson–Oppen SMT, the bounded model finder (counterexamples +
 //!   bounded validity, one search per piece), and the first-order prover
 //!   with reachability axioms. Every prover is a linked library run
-//!   in-process; each attempt stops only through its cooperative
-//!   [`Budget`] slice.
+//!   in-process; each attempt runs on its obligation's cooperative
+//!   [`Budget`], the only thing that stops it.
 //! * [`goal_cache`] — the run-wide normalized-goal verdict cache:
 //!   alpha-equivalent obligations are dispatched once and every later
 //!   occurrence is a constant-time hit, with in-flight deduplication so

@@ -11,8 +11,8 @@
 //!
 //! Observability: when a [`Sink`] is configured, every run emits a typed
 //! event stream — run / method / obligation / piece spans with prover
-//! attempts, cache consultations, breaker transitions, retry escalations,
-//! chaos injections, and watchdog checks inside them. Events are buffered
+//! attempts, cache consultations, chaos injections, and watchdog checks
+//! inside them. Events are buffered
 //! per method and assembled in submission order, then cache attribution
 //! is rewritten to stream order ([`jahob_util::obs::canonicalize`]), so
 //! the stream is bit-for-bit identical at any worker count. With no sink
@@ -224,7 +224,7 @@ impl ConfigBuilder {
     }
 
     /// Replace the whole portfolio configuration (ablation knobs,
-    /// budgets, breakers, watchdog).
+    /// budgets, fault plan, watchdog).
     pub fn dispatch(mut self, dispatch: DispatchConfig) -> Self {
         self.dispatch = dispatch;
         self
@@ -487,8 +487,10 @@ impl VerdictSummary {
     }
 
     /// Structured JSON: `{"kind": ..., ...}` with the prover/bound on
-    /// proofs and the full failure taxonomy on unknowns.
-    pub fn to_json(&self, render: ReportRender) -> String {
+    /// proofs and the full failure taxonomy on unknowns. A verdict has no
+    /// wall-clock field, so it renders the same in every [`ReportRender`]
+    /// view.
+    pub fn to_json(&self) -> String {
         match self {
             VerdictSummary::Proved { prover, bound } => Obj::new()
                 .str("kind", "proved")
@@ -498,7 +500,7 @@ impl VerdictSummary {
             VerdictSummary::Refuted => Obj::new().str("kind", "refuted").finish(),
             VerdictSummary::Unknown(diag) => Obj::new()
                 .str("kind", "unknown")
-                .raw("diagnosis", &diag.to_json(render))
+                .raw("diagnosis", &diag.to_json())
                 .finish(),
         }
     }
@@ -580,7 +582,7 @@ impl MethodReport {
         let obligations = array(self.obligations.iter().map(|o| {
             let o_json = Obj::new()
                 .str("label", &o.label)
-                .raw("verdict", &o.verdict.to_json(render));
+                .raw("verdict", &o.verdict.to_json());
             if render.timing {
                 o_json.u64("millis", o.millis as u64).finish()
             } else {
@@ -604,7 +606,7 @@ pub struct VerifyReport {
     pub methods: Vec<MethodReport>,
     /// Run-wide dispatcher counters, summed over every method's
     /// dispatcher (cache hits/misses, per-prover outcomes, chaos
-    /// injections, breaker transitions, …) plus the pool's task/steal
+    /// injections, watchdog checks, …) plus the pool's task/steal
     /// tallies when the run was parallel.
     pub stats: BTreeMap<String, u64>,
 }
@@ -890,11 +892,10 @@ fn run_pipeline(
     Ok(report)
 }
 
-/// Verify one method with its own dispatcher (fresh circuit-breaker bank,
-/// so breaker state never couples methods across scheduling orders),
-/// sharing the run-wide goal cache. Returns the method report, the
-/// dispatcher's counter snapshot for run-level aggregation, and the
-/// method's buffered event stream (empty when not observing).
+/// Verify one method with its own dispatcher, sharing the run-wide goal
+/// cache. Returns the method report, the dispatcher's counter snapshot
+/// for run-level aggregation, and the method's buffered event stream
+/// (empty when not observing).
 ///
 /// Per-method graceful degradation: a method whose VC generation or
 /// dispatch dies (error *or* panic) becomes a diagnosed failure in the

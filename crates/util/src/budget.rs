@@ -101,40 +101,9 @@ impl Budget {
         Budget::new(None, fuel)
     }
 
-    /// Construct with an absolute deadline (used by [`Budget::child`]).
-    fn at(deadline: Option<Instant>, fuel: u64) -> Budget {
-        Budget {
-            deadline,
-            fuel: AtomicU64::new(fuel),
-            poll: AtomicU64::new(POLL_INTERVAL),
-            spent: AtomicU64::new(0),
-        }
-    }
-
-    /// Split off a child budget for one prover attempt: the child's deadline
-    /// is the *earlier* of the parent's deadline and `now + time` (so no
-    /// attempt can outlive its obligation), and its fuel is capped by the
-    /// parent's remaining fuel. Fuel spent by the child is not charged back
-    /// to the parent — the parent's deadline is the global bound.
-    pub fn child(&self, time: Option<Duration>, fuel: u64) -> Budget {
-        let deadline = match (self.deadline, time) {
-            (Some(d), Some(t)) => Some(d.min(Instant::now() + t)),
-            (Some(d), None) => Some(d),
-            (None, Some(t)) => Some(Instant::now() + t),
-            (None, None) => None,
-        };
-        Budget::at(deadline, fuel.min(self.fuel_remaining()))
-    }
-
     /// Remaining fuel ([`INFINITE_FUEL`] if unmetered).
     pub fn fuel_remaining(&self) -> u64 {
         self.fuel.load(Ordering::Relaxed)
-    }
-
-    /// Remaining wall-clock time, if a deadline is set.
-    pub fn time_remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// Has this budget already been observed to expire?
@@ -266,28 +235,6 @@ mod tests {
             }
         }
         assert!(saw_timeout, "timeout must surface within one poll interval");
-    }
-
-    #[test]
-    fn child_inherits_tighter_constraints() {
-        let parent = Budget::new(Some(Duration::from_secs(60)), 1000);
-        let child = parent.child(None, 5000);
-        // Fuel capped by the parent's remaining allowance.
-        assert_eq!(child.fuel_remaining(), 1000);
-        // Deadline inherited from the parent.
-        assert!(child.time_remaining().unwrap() <= Duration::from_secs(60));
-
-        let tight = parent.child(Some(Duration::from_millis(10)), 10);
-        assert_eq!(tight.fuel_remaining(), 10);
-        assert!(tight.time_remaining().unwrap() <= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn child_of_unlimited_is_standalone() {
-        let parent = Budget::unlimited();
-        let child = parent.child(Some(Duration::from_secs(1)), 42);
-        assert_eq!(child.fuel_remaining(), 42);
-        assert!(child.time_remaining().is_some());
     }
 
     #[test]

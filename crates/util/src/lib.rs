@@ -19,11 +19,11 @@
 //! * [`budget`] — cooperative resource budgets (deadline + fuel) threaded
 //!   through every prover so no substrate can hang a verification run.
 //! * [`chaos`] — deterministic, seeded fault injection at prover
-//!   boundaries, for testing the dispatcher's recovery machinery under
+//!   boundaries, for testing the dispatcher's fault handling under
 //!   adversarial conditions.
 //! * [`pool`] — a small work-stealing thread pool (panic isolation per
-//!   task, budget-slice inheritance, worker-local state) that the
-//!   verification pipeline uses to fan obligations out across cores.
+//!   task, worker-local state) that the verification pipeline uses to
+//!   fan methods out across cores.
 //! * [`trace`] — the cached `JAHOB_TRACE` diagnostic flag.
 //! * [`obs`] — the structured observability pipeline: typed events for
 //!   run/method/obligation/attempt spans, pluggable sinks, and the

@@ -98,9 +98,10 @@ pub enum Event {
     },
     /// The watchdog failed to re-confirm a cached proof; entry evicted.
     CacheEvict { fingerprint: u128 },
-    /// One governed prover attempt. `pass` is `first`, `retry`, or
-    /// `confirm`; `outcome` is `proved`, `refuted`, `no-decision`, or a
-    /// failure-taxonomy name; `fuel` is what the attempt burned.
+    /// One governed prover attempt. `pass` is `first`, or `confirm` in
+    /// the watchdog's confirmation pass; `outcome` is `proved`, `refuted`,
+    /// `no-decision`, or a failure-taxonomy name; `fuel` is what the
+    /// attempt burned.
     Attempt {
         prover: &'static str,
         pass: &'static str,
@@ -108,16 +109,6 @@ pub enum Event {
         fuel: u64,
         micros: u64,
     },
-    /// A circuit breaker changed state (or skipped an attempt while open).
-    Breaker {
-        prover: &'static str,
-        transition: &'static str,
-    },
-    /// First pass failed on governance; the retry pass got the remaining
-    /// obligation budget (`fuel`).
-    RetryEscalated { fuel: u64 },
-    /// The escalated retry turned a governed failure into a verdict.
-    RetryRecovered,
     /// The fault plan injected a fault at this boundary.
     ChaosInjected { site: String, fault: String },
     /// The seeded liar produced a wrong verdict that chaos suppressed.
@@ -194,9 +185,6 @@ impl Event {
             Event::CacheLookup { .. } => "cache.lookup",
             Event::CacheEvict { .. } => "cache.evict",
             Event::Attempt { .. } => "attempt",
-            Event::Breaker { .. } => "breaker",
-            Event::RetryEscalated { .. } => "retry.escalated",
-            Event::RetryRecovered => "retry.recovered",
             Event::ChaosInjected { .. } => "chaos.injected",
             Event::ChaosLied { .. } => "chaos.lied",
             Event::Watchdog { .. } => "watchdog",
@@ -331,11 +319,6 @@ impl Event {
                     o
                 }
             }
-            Event::Breaker { prover, transition } => {
-                o.str("prover", prover).str("transition", transition)
-            }
-            Event::RetryEscalated { fuel } => o.u64("fuel", *fuel),
-            Event::RetryRecovered => o,
             Event::ChaosInjected { site, fault } => o.str("site", site).str("fault", fault),
             Event::ChaosLied { prover } => o.str("prover", prover),
             Event::Watchdog { outcome } => o.str("outcome", outcome),
@@ -398,11 +381,6 @@ impl Event {
             }
             Event::CacheLookup { hit: false, .. } => bump("cache.miss", 1),
             Event::CacheEvict { .. } => bump("cache.evicted", 1),
-            Event::Breaker { prover, transition } => {
-                bump(&format!("breaker.{prover}.{transition}"), 1)
-            }
-            Event::RetryEscalated { .. } => bump("retry.escalated", 1),
-            Event::RetryRecovered => bump("retry.recovered", 1),
             Event::ChaosInjected { site, fault } if site.starts_with("dispatch.") => {
                 bump(&format!("chaos.injected.{fault}"), 1);
             }
@@ -511,11 +489,6 @@ impl Event {
                 fuel,
                 micros,
             } => format!("      {prover} [{pass}]: {outcome} (fuel {fuel}, {micros}µs)"),
-            Event::Breaker { prover, transition } => {
-                format!("      breaker {prover}: {transition}")
-            }
-            Event::RetryEscalated { fuel } => format!("      retry escalated (fuel {fuel})"),
-            Event::RetryRecovered => "      retry recovered".to_owned(),
             Event::ChaosInjected { site, fault } => {
                 format!("      chaos {fault} @ {site}")
             }
@@ -849,9 +822,9 @@ pub fn record_scoped(make: impl FnOnce() -> Event) {
 /// Rebuild the stats counters a captured event stream implies, using the
 /// same [`Event::stat_increments`] mapping the dispatcher feeds its live
 /// counters through. For the event-backed counter groups (`cache.*`,
-/// `breaker.*`, `retry.*`, `watchdog.*`, `chaos.*`, `failure.*`) the
-/// result agrees with the run report's stats map exactly — the agreement
-/// the observability test suite pins.
+/// `watchdog.*`, `chaos.*`, `failure.*`) the result agrees with the run
+/// report's stats map exactly — the agreement the observability test
+/// suite pins.
 pub fn event_tallies(events: &[Event]) -> std::collections::BTreeMap<String, u64> {
     let mut tallies = std::collections::BTreeMap::new();
     for ev in events {
@@ -1032,8 +1005,8 @@ mod tests {
     fn streaming_recorder_forwards_immediately() {
         let sink = Arc::new(MemorySink::new());
         let rec = Recorder::streaming(sink.clone());
-        rec.record_with(|| Event::RetryRecovered);
-        assert_eq!(sink.events(), vec![Event::RetryRecovered]);
+        rec.record_with(|| Event::PieceEnd { verdict: "proved" });
+        assert_eq!(sink.events(), vec![Event::PieceEnd { verdict: "proved" }]);
         assert!(rec.drain().is_empty(), "streaming mode has no buffer");
     }
 
@@ -1060,7 +1033,7 @@ mod tests {
             let _inner = scope(&Recorder::disabled());
             record_scoped(|| panic!("inner scope is off"));
         }
-        record_scoped(|| Event::RetryRecovered);
+        record_scoped(|| Event::PieceEnd { verdict: "proved" });
         assert_eq!(outer.drain().len(), 1, "outer scope restored");
     }
 
@@ -1154,7 +1127,7 @@ mod tests {
     fn jsonl_redacts_unstable_fields() {
         let ev = Event::Attempt {
             prover: "smt",
-            pass: "retry",
+            pass: "confirm",
             outcome: "timeout".into(),
             fuel: 9,
             micros: 1234,
@@ -1165,7 +1138,7 @@ mod tests {
         assert!(full.contains("\"micros\":1234"), "{full}");
         assert_eq!(
             stable,
-            r#"{"type":"attempt","prover":"smt","pass":"retry","outcome":"timeout","fuel":9}"#
+            r#"{"type":"attempt","prover":"smt","pass":"confirm","outcome":"timeout","fuel":9}"#
         );
     }
 
@@ -1192,13 +1165,13 @@ mod tests {
         let log: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = JsonlSink::to_writer(Box::new(Flaky { log: log.clone() })).deterministic();
         assert!(!sink.failed());
-        sink.emit(&Event::RetryRecovered);
+        sink.emit(&Event::PieceEnd { verdict: "proved" });
         assert!(!sink.failed());
-        sink.emit(&Event::RetryRecovered); // fails → reported once
-        sink.emit(&Event::RetryRecovered); // still failing → silent
+        sink.emit(&Event::PieceEnd { verdict: "proved" }); // fails → reported once
+        sink.emit(&Event::PieceEnd { verdict: "proved" }); // still failing → silent
         assert!(sink.failed());
         let text = String::from_utf8(log.lock().unwrap().clone()).unwrap();
-        assert_eq!(text, "{\"type\":\"retry.recovered\"}\n");
+        assert_eq!(text, "{\"type\":\"piece.end\",\"verdict\":\"proved\"}\n");
     }
 
     #[test]
@@ -1216,7 +1189,7 @@ mod tests {
         let flushes = Arc::new(Mutex::new(0));
         {
             let sink = JsonlSink::to_writer(Box::new(CountFlush(flushes.clone())));
-            sink.emit(&Event::RetryRecovered);
+            sink.emit(&Event::PieceEnd { verdict: "proved" });
         }
         assert!(*flushes.lock().unwrap() >= 1, "drop must flush");
     }
@@ -1274,7 +1247,7 @@ mod tests {
             }
         }
         let sink = JsonlSink::to_writer(Box::new(Shared(buf.clone()))).deterministic();
-        sink.emit(&Event::RetryRecovered);
+        sink.emit(&Event::PieceEnd { verdict: "proved" });
         sink.emit(&Event::Watchdog {
             outcome: "confirmed",
         });
@@ -1282,7 +1255,7 @@ mod tests {
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         assert_eq!(
             text,
-            "{\"type\":\"retry.recovered\"}\n{\"type\":\"watchdog\",\"outcome\":\"confirmed\"}\n"
+            "{\"type\":\"piece.end\",\"verdict\":\"proved\"}\n{\"type\":\"watchdog\",\"outcome\":\"confirmed\"}\n"
         );
     }
 }

@@ -28,9 +28,6 @@ SCHEMA = {
     "cache.lookup": {"fingerprint", "hit", "saved_fuel"},
     "cache.evict": {"fingerprint"},
     "attempt": {"prover", "pass", "outcome", "fuel"},
-    "breaker": {"prover", "transition"},
-    "retry.escalated": {"fuel"},
-    "retry.recovered": set(),
     "chaos.injected": {"site", "fault"},
     "chaos.lied": {"prover"},
     "watchdog": {"outcome"},

@@ -71,9 +71,7 @@ fn kind(v: &Verdict) -> Kind {
 #[test]
 fn no_seed_ever_flips_a_verdict() {
     let goals = goal_battery();
-    // Fault-free ground truth, one dispatcher reused across goals (breaker
-    // state carries over exactly as it would in a real run — with no
-    // faults it never trips).
+    // Fault-free ground truth, one dispatcher reused across goals.
     let mut baseline = Dispatcher::new(sig());
     // Keep the model finder below the 3-object counter-model (and out of
     // bounded-validity mode) so the last battery goal stays a genuine
@@ -199,7 +197,7 @@ fn chaos_runs_are_deterministic() {
             .stats
             .snapshot()
             .into_iter()
-            .filter(|(k, _)| k.starts_with("chaos.") || k.starts_with("breaker."))
+            .filter(|(k, _)| k.starts_with("chaos."))
             .collect();
         stats.sort();
         (kinds, stats)

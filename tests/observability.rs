@@ -195,14 +195,7 @@ fn event_stream_and_report_stats_agree() {
         // And the converse: every event-backed stat group in the report is
         // fully explained by the stream — nothing bumps those counters
         // outside the event path anymore.
-        for group in [
-            "cache.",
-            "breaker.",
-            "retry.",
-            "watchdog.",
-            "chaos.",
-            "failure.",
-        ] {
+        for group in ["cache.", "watchdog.", "chaos.", "failure."] {
             for (name, value) in &report.stats {
                 if !name.starts_with(group) {
                     continue;

@@ -333,33 +333,29 @@ proptest! {
     }
 }
 
-// ---- diagnosis merging under race-order nondeterminism (ISSUE 8) --------
+// ---- the failure taxonomy -------------------------------------------------
 
-use jahob_repro::jahob::{Diagnosis, FailureReason, ProverId, VerdictKind};
-
-/// The most severe reason there is: a watchdog-caught lie.
-fn disagreement() -> FailureReason {
-    FailureReason::Disagreement {
-        claimed: VerdictKind::Proved,
-        witness: VerdictKind::Refuted,
-    }
-}
+use jahob_repro::jahob::{FailureReason, VerdictKind};
 
 /// The severity order is load-bearing API: `Diagnosis::record` keeps the
 /// per-prover *max*, so reordering these variants silently changes every
-/// merged diagnosis. Pin the exact total order, least to most severe.
+/// diagnosis that records more than one reason for a prover. Pin the
+/// exact total order, least to most severe; a watchdog-caught lie is the
+/// most severe reason there is.
 #[test]
 fn failure_reason_severity_order_is_pinned() {
     use FailureReason::*;
     let order = [
         Unsupported,
-        CircuitOpen,
         GaveUp,
         FuelExhausted,
         Timeout,
         Panicked,
         Unconfirmed,
-        disagreement(),
+        Disagreement {
+            claimed: VerdictKind::Proved,
+            witness: VerdictKind::Refuted,
+        },
     ];
     for pair in order.windows(2) {
         assert!(
@@ -367,107 +363,6 @@ fn failure_reason_severity_order_is_pinned() {
             "severity order changed: {:?} must be below {:?}",
             pair[0],
             pair[1]
-        );
-    }
-}
-
-fn any_reason() -> impl Strategy<Value = FailureReason> {
-    use FailureReason::*;
-    prop_oneof![
-        Just(Unsupported),
-        Just(CircuitOpen),
-        Just(GaveUp),
-        Just(FuelExhausted),
-        Just(Timeout),
-        Just(Panicked),
-        Just(Unconfirmed),
-        Just(disagreement()),
-    ]
-}
-
-fn any_prover() -> impl Strategy<Value = ProverId> {
-    (0usize..ProverId::COUNT).prop_map(|i| ProverId::ALL[i])
-}
-
-fn singleton(prover: ProverId, reason: FailureReason) -> Diagnosis {
-    Diagnosis {
-        attempts: vec![(prover, reason)],
-        obligation_spent: None,
-    }
-}
-
-proptest! {
-    /// Merging is keyed on the prover, never on arrival position: folding
-    /// the same set of per-prover attempts in *any* order — wall-clock
-    /// race-finish order included — yields the same per-prover reasons
-    /// (the pointwise max). This is the property that lets speculative
-    /// race losers be merged in canonical portfolio order while threads
-    /// complete in scheduler order.
-    #[test]
-    fn merge_from_is_order_insensitive_per_prover(
-        attempts in proptest::collection::vec((any_prover(), any_reason()), 1..12),
-        order_seed in any::<u64>(),
-    ) {
-        // Canonical fold: attempts in the given order.
-        let mut canonical = Diagnosis::default();
-        for &(p, r) in &attempts {
-            canonical.merge_from(&singleton(p, r));
-        }
-        // Adversarial fold: a seed-shuffled arrival order.
-        let mut shuffled = attempts.clone();
-        let mut state = order_seed | 1;
-        for i in (1..shuffled.len()).rev() {
-            // xorshift is plenty for a permutation; proptest owns the seed.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            shuffled.swap(i, (state as usize) % (i + 1));
-        }
-        let mut raced = Diagnosis::default();
-        for &(p, r) in &shuffled {
-            raced.merge_from(&singleton(p, r));
-        }
-        // Same per-prover verdicts regardless of arrival order…
-        for prover in ProverId::ALL {
-            prop_assert_eq!(
-                canonical.reason(prover),
-                raced.reason(prover),
-                "prover {} disagreed across merge orders", prover.name()
-            );
-        }
-        // …and each recorded reason is exactly the max of that prover's
-        // occurrences.
-        for prover in ProverId::ALL {
-            let expected = attempts
-                .iter()
-                .filter(|(p, _)| *p == prover)
-                .map(|(_, r)| *r)
-                .max();
-            prop_assert_eq!(canonical.reason(prover), expected);
-        }
-    }
-
-    /// `obligation_spent` merges to the most severe marker, and merging
-    /// is idempotent: folding a diagnosis into itself changes nothing.
-    #[test]
-    fn merge_from_obligation_spent_keeps_max_and_is_idempotent(
-        a in prop_oneof![Just(None), any_reason().prop_map(Some)],
-        b in prop_oneof![Just(None), any_reason().prop_map(Some)],
-        attempts in proptest::collection::vec((any_prover(), any_reason()), 0..8),
-    ) {
-        let mut left = Diagnosis { attempts: Vec::new(), obligation_spent: a };
-        for &(p, r) in &attempts {
-            left.merge_from(&singleton(p, r));
-        }
-        let right = Diagnosis { attempts: Vec::new(), obligation_spent: b };
-        left.merge_from(&right);
-        prop_assert_eq!(left.obligation_spent, a.max(b));
-
-        let snapshot = left.clone();
-        left.merge_from(&snapshot);
-        prop_assert_eq!(
-            format!("{left:?}"), format!("{snapshot:?}"),
-            "merge_from must be idempotent"
         );
     }
 }
