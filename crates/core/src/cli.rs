@@ -119,24 +119,25 @@ pub fn parse(args: Vec<String>) -> Result<Invocation, String> {
             path = Some(arg);
             continue;
         }
+        // A flag that takes a value reads it as `--flag=value` or as the
+        // next argument; a flag that takes none accepts neither.
         let (flag, inline) = match arg.split_once('=') {
-            Some((flag, value)) if flag == "--socket" => (flag, Some(value.to_owned())),
-            _ => (arg.as_str(), None),
+            Some((flag, value)) => (flag, Some(value.to_owned())),
+            None => (arg.as_str(), None),
         };
         let known = ["verify", "serve", "submit"]
             .iter()
             .any(|sub| flags_for(sub).contains(&flag));
         if !known {
-            return Err(format!("unknown flag `{arg}`"));
+            return Err(format!("unknown flag `{flag}`"));
         }
         if !flags_for(&word).contains(&flag) {
             return Err(format!("`{word}` does not take `{flag}`"));
         }
-        let takes_value = matches!(flag, "--socket" | "--deadline-ms");
-        let value = if takes_value {
-            inline.or_else(|| iter.next())
-        } else {
-            None
+        let value = match (flag, inline) {
+            ("--socket" | "--deadline-ms", inline) => inline.or_else(|| iter.next()),
+            (_, Some(_)) => return Err(format!("`{flag}` takes no value")),
+            (_, None) => None,
         };
         match flag {
             "--json" => opts.output = OutputMode::Json,
@@ -464,8 +465,13 @@ mod tests {
         );
         assert_eq!(parse(args(&["status"])).unwrap().command, Command::Status);
         assert_eq!(parse(args(&["drain"])).unwrap().command, Command::Drain);
-        let inv = parse(args(&["verify", "--deadline-ms", "250", "a.javax"])).unwrap();
-        assert_eq!(inv.opts.deadline, Some(Duration::from_millis(250)));
+        for argv in [
+            &["verify", "--deadline-ms", "250", "a.javax"][..],
+            &["verify", "--deadline-ms=250", "a.javax"],
+        ] {
+            let inv = parse(args(argv)).unwrap();
+            assert_eq!(inv.opts.deadline, Some(Duration::from_millis(250)));
+        }
     }
 
     #[test]
@@ -476,6 +482,10 @@ mod tests {
         assert!(parse(args(&["--deadline-ms", "zero", "x.javax"])).is_err());
         assert!(parse(args(&["a.javax", "b.javax"])).is_err());
         assert!(parse(args(&["--frobnicate", "x.javax"])).is_err());
+        for (arg, flag) in [("--json=1", "--json"), ("--json-timing=1", "--json-timing")] {
+            let why = parse(args(&[arg, "x.javax"])).unwrap_err();
+            assert_eq!(why, format!("`{flag}` takes no value"));
+        }
     }
 
     #[test]
