@@ -17,16 +17,22 @@
 //!
 //! The region count is `2^(#base sets)`: the exponential that experiment E8
 //! measures. Goals with more than [`MAX_BASE_SETS`] base sets are rejected
-//! (the dispatcher then tries other provers).
+//! (the dispatcher then tries other provers). Translation still enumerates
+//! every region, but the Omega test sees only the regions a disjunct's atoms
+//! tell apart: regions bounded only by `r ≥ 0` that carry the same
+//! coefficient in every other atom become one variable, and those in no
+//! other atom are dropped (exact, since a sum of naturals is a natural).
+//! On game.javax's six-base goals that leaves 11 to 43 of the 64.
 
 use jahob_logic::{BinOp, Form, Sort, UnOp};
 use jahob_presburger::cooper::{self, PAtom, PForm};
 use jahob_presburger::linterm::LinTerm;
-use jahob_presburger::omega::{omega_sat, Constraint, OmegaResult};
+use jahob_presburger::omega::{omega_sat, Constraint, ConstraintKind, OmegaResult};
 use jahob_util::budget::{Budget, Exhaustion};
-use jahob_util::{trace_enabled, FxHashMap, Symbol};
+use jahob_util::{FxHashMap, FxHashSet, Symbol};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// Upper bound on distinct base sets (set variables + singleton-encoded
 /// object variables); regions grow as `2^n`.
@@ -274,13 +280,14 @@ impl<'a> Translator<'a> {
     /// Linear term: the cardinality of a set expression (sum of its
     /// regions' cardinality variables).
     fn card_of(&self, expr: &SetExpr) -> LinTerm {
-        let mut t = LinTerm::constant(0);
-        for m in 0..self.num_regions() {
-            if (expr.contains)(m) {
-                t = t.add(&LinTerm::var(region_var(m)));
-            }
+        let regions = region_vars();
+        LinTerm {
+            coeffs: (0..self.num_regions())
+                .filter(|&m| (expr.contains)(m))
+                .map(|m| (regions[m as usize], 1))
+                .collect(),
+            konst: 0,
         }
-        t
     }
 
     /// `expr` denotes the empty set.
@@ -289,9 +296,15 @@ impl<'a> Translator<'a> {
     }
 }
 
-/// Names for region-cardinality variables: `r#<mask>`.
-fn region_var(mask: u32) -> Symbol {
-    Symbol::intern(&format!("r#{mask}"))
+/// The region-cardinality variables `r#<mask>`, indexed by mask: one for
+/// each region [`MAX_BASE_SETS`] base sets make, interned once.
+fn region_vars() -> &'static [Symbol] {
+    static REGIONS: OnceLock<Vec<Symbol>> = OnceLock::new();
+    REGIONS.get_or_init(|| {
+        (0..1u32 << MAX_BASE_SETS)
+            .map(|m| Symbol::intern(&format!("r#{m}")))
+            .collect()
+    })
 }
 
 /// A lowered atom: region predicates are kept symbolic until the base-set
@@ -466,11 +479,9 @@ fn translate(
     let lowered = lower_form(form, &mut tr)?;
     let matrix = lowered.resolve(&tr);
     let mut wf = Vec::new();
-    for m in 0..tr.num_regions() {
+    for &r in &region_vars()[..tr.num_regions() as usize] {
         // r_m >= 0  ⇔  -r_m <= 0.
-        wf.push(PForm::Atom(PAtom::Le(
-            LinTerm::var(region_var(m)).scale(-1),
-        )));
+        wf.push(PForm::Atom(PAtom::Le(LinTerm::var(r).scale(-1))));
     }
     for (i, base) in tr.bases.iter().enumerate() {
         if matches!(base, Base::ObjVar(_) | Base::Null | Base::ObjTerm(_)) {
@@ -521,17 +532,10 @@ pub fn bapa_valid_budgeted(
     budget: &Budget,
 ) -> Result<bool, BapaFailure> {
     jahob_util::chaos::boundary("bapa.valid", budget).map_err(BapaFailure::Exhausted)?;
-    let trace = trace_enabled();
     let negated = Form::not(form.clone());
-    let (matrix, wf, bases) = translate(&negated, sig).map_err(BapaFailure::Fragment)?;
-    if trace {
-        eprintln!("[bapa] translated: {bases} base sets");
-    }
+    let (matrix, wf, _) = translate(&negated, sig).map_err(BapaFailure::Fragment)?;
     let full = PForm::and(vec![wf, matrix]);
     let sat = pform_sat(&full, budget).map_err(BapaFailure::Exhausted)?;
-    if trace {
-        eprintln!("[bapa] decided: sat={sat}");
-    }
     Ok(!sat)
 }
 
@@ -551,25 +555,10 @@ pub fn base_set_count(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<usiz
 /// per disjunct, falling back to Cooper when DNF would explode or
 /// divisibility atoms appear.
 fn pform_sat(form: &PForm, budget: &Budget) -> Result<bool, Exhaustion> {
-    let trace = trace_enabled();
     match dnf(form, 2048) {
         Some(disjuncts) => {
-            if trace {
-                eprintln!(
-                    "[bapa] dnf: {} disjuncts (sizes {:?}...)",
-                    disjuncts.len(),
-                    disjuncts
-                        .iter()
-                        .take(3)
-                        .map(|d| d.len())
-                        .collect::<Vec<_>>()
-                );
-            }
-            for (i, conj) in disjuncts.iter().enumerate() {
+            for conj in &disjuncts {
                 budget.check()?;
-                if trace && i % 50 == 0 {
-                    eprintln!("[bapa]   conj {i}...");
-                }
                 if conj_sat(conj, budget)? {
                     return Ok(true);
                 }
@@ -589,59 +578,31 @@ fn atom_term(atom: &PAtom) -> &LinTerm {
 /// Satisfiability of one conjunction of atoms via the Omega test. `Neq`
 /// atoms are split by sign enumeration; divisibility falls back to Cooper.
 fn conj_sat(conj: &[PAtom], budget: &Budget) -> Result<bool, Exhaustion> {
-    if conj
-        .iter()
-        .any(|a| matches!(a, PAtom::Dvd(_, _) | PAtom::NotDvd(_, _)))
+    let neqs = conj.iter().filter(|a| matches!(a, PAtom::Neq(_))).count();
+    if neqs > 10
+        || conj
+            .iter()
+            .any(|a| matches!(a, PAtom::Dvd(_, _) | PAtom::NotDvd(_, _)))
     {
         let f = PForm::and(conj.iter().cloned().map(PForm::Atom).collect());
         return cooper::sat_budgeted(&f, budget);
     }
-    let mut vars: Vec<Symbol> = Vec::new();
-    for atom in conj {
-        for v in atom_term(atom).vars() {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-    }
-    let index = |v: Symbol| {
-        vars.iter()
-            .position(|&w| w == v)
-            .expect("`vars` was collected from these same atoms' terms just above")
-    };
-    let to_coeffs = |t: &LinTerm| -> Vec<i64> {
-        let mut c = vec![0i64; vars.len()];
-        for (v, k) in &t.coeffs {
-            c[index(*v)] = *k;
-        }
-        c
-    };
-    let mut fixed: Vec<Constraint> = Vec::new();
-    let mut neqs: Vec<LinTerm> = Vec::new();
-    for a in conj {
-        match a {
-            // t <= 0  ⇔  -t >= 0.
-            PAtom::Le(t) => {
-                let neg = t.scale(-1);
-                fixed.push(Constraint::ge(to_coeffs(&neg), neg.konst));
-            }
-            PAtom::Eq(t) => fixed.push(Constraint::eq(to_coeffs(t), t.konst)),
-            PAtom::Neq(t) => neqs.push(t.clone()),
-            PAtom::Dvd(_, _) | PAtom::NotDvd(_, _) => unreachable!(),
-        }
-    }
-    if neqs.len() > 10 {
-        let f = PForm::and(conj.iter().cloned().map(PForm::Atom).collect());
-        return cooper::sat_budgeted(&f, budget);
-    }
-    // t != 0 splits into t ≥ 1 (mask bit set) or t ≤ −1 (bit clear). When
-    // the fixed atoms already force t ≥ 0, the t ≤ −1 branch is
-    // infeasible, and sign choices that pick it are skipped without
-    // calling Omega. Region-cardinality sums such as `card S` in
-    // `S ~= {}` are always forced, so n of them cost one branch, not 2^n.
+    Rows::of(conj).merged().sat(forced_signs(conj), budget)
+}
+
+/// The `t ≠ 0` atoms of `conj` whose sign the other atoms force, as a mask
+/// over the `Neq` atoms in order. t != 0 splits into t ≥ 1 (mask bit set)
+/// or t ≤ −1 (bit clear). When the fixed atoms already force t ≥ 0, the
+/// t ≤ −1 branch is infeasible, and sign choices that pick it are skipped
+/// without calling Omega. Region-cardinality sums such as `card S` in
+/// `S ~= {}` are always forced, so n of them cost one branch, not 2^n.
+fn forced_signs(conj: &[PAtom]) -> u32 {
     let lower_bounded = zero_lower_bounded(conj);
-    let forced: u32 = neqs
-        .iter()
+    conj.iter()
+        .filter_map(|a| match a {
+            PAtom::Neq(t) => Some(t),
+            _ => None,
+        })
         .enumerate()
         .filter(|(_, t)| {
             t.konst >= 0
@@ -650,32 +611,158 @@ fn conj_sat(conj: &[PAtom], budget: &Budget) -> Result<bool, Exhaustion> {
                     .all(|(v, &k)| k > 0 && lower_bounded.contains(v))
         })
         .map(|(i, _)| 1 << i)
-        .sum();
-    for mask in 0u32..(1 << neqs.len()) {
-        if mask & forced != forced {
-            continue;
+        .sum()
+}
+
+/// One DNF disjunct without divisibility atoms, as dense rows over its
+/// variables (numbered in first-occurrence order).
+struct Rows {
+    width: usize,
+    /// `t ≤ 0` as `−t ≥ 0`, and `t = 0`, in atom order.
+    fixed: Vec<Constraint>,
+    /// The term `t` of each `t ≠ 0`, in atom order: coefficients and
+    /// constant.
+    neqs: Vec<(Vec<i64>, i64)>,
+}
+
+impl Rows {
+    fn of(conj: &[PAtom]) -> Rows {
+        let mut index: FxHashMap<Symbol, usize> = FxHashMap::default();
+        for atom in conj {
+            for v in atom_term(atom).vars() {
+                let next = index.len();
+                index.entry(v).or_insert(next);
+            }
         }
-        budget.check()?;
-        let mut sys = fixed.clone();
-        for (i, t) in neqs.iter().enumerate() {
-            let t = if mask & (1 << i) != 0 {
-                t.clone() // t >= 1
+        let width = index.len();
+        let dense = |t: &LinTerm, sign: i64| {
+            let mut c = vec![0i64; width];
+            for (v, &k) in &t.coeffs {
+                c[index[v]] = sign * k;
+            }
+            c
+        };
+        let mut rows = Rows {
+            width,
+            fixed: Vec::new(),
+            neqs: Vec::new(),
+        };
+        for a in conj {
+            match a {
+                PAtom::Le(t) => rows.fixed.push(Constraint::ge(dense(t, -1), -t.konst)),
+                PAtom::Eq(t) => rows.fixed.push(Constraint::eq(dense(t, 1), t.konst)),
+                PAtom::Neq(t) => rows.neqs.push((dense(t, 1), t.konst)),
+                PAtom::Dvd(_, _) | PAtom::NotDvd(_, _) => unreachable!(),
+            }
+        }
+        rows
+    }
+
+    /// The same disjunct over fewer variables. A variable whose only
+    /// bound of its own is `x ≥ 0` (a region cardinality) is merged with
+    /// every other such variable that has the same coefficient in each
+    /// remaining row, and dropped when it has none. Both are exact: a sum
+    /// of naturals is a natural, and every solution of the merged rows
+    /// splits back into one of the originals (the merged variable's value
+    /// on one member, zero on the rest). Rows and the variables kept stay
+    /// in their order.
+    fn merged(self) -> Rows {
+        let width = self.width;
+        // The variable each `x ≥ 0` row bounds.
+        let nonneg_var = |c: &Constraint| {
+            if c.kind != ConstraintKind::Ge || c.konst != 0 {
+                return None;
+            }
+            let mut vars = c.coeffs.iter().enumerate().filter(|(_, &k)| k != 0);
+            match (vars.next(), vars.next()) {
+                (Some((v, 1)), None) => Some(v),
+                _ => None,
+            }
+        };
+        let bounds: Vec<Option<usize>> = self.fixed.iter().map(nonneg_var).collect();
+        let mut nonneg = vec![false; width];
+        for &v in bounds.iter().flatten() {
+            nonneg[v] = true;
+        }
+        // Each such variable's coefficients in every other row.
+        let mut signatures: Vec<Vec<i64>> = vec![Vec::new(); width];
+        let others = self
+            .fixed
+            .iter()
+            .zip(&bounds)
+            .filter(|(_, b)| b.is_none())
+            .map(|(c, _)| &c.coeffs)
+            .chain(self.neqs.iter().map(|(coeffs, _)| coeffs));
+        for coeffs in others {
+            for v in (0..width).filter(|&v| nonneg[v]) {
+                signatures[v].push(coeffs[v]);
+            }
+        }
+        // The variable each one stands in for: itself, the first with its
+        // signature, or none (dropped).
+        let mut class: Vec<Option<usize>> = (0..width).map(Some).collect();
+        let mut first: FxHashMap<&[i64], usize> = FxHashMap::default();
+        for v in (0..width).filter(|&v| nonneg[v]) {
+            let signature = signatures[v].as_slice();
+            class[v] = if signature.iter().all(|&k| k == 0) {
+                None
             } else {
-                t.scale(-1) // -t >= 1
+                Some(*first.entry(signature).or_insert(v))
             };
-            sys.push(Constraint::ge(to_coeffs(&t), t.konst - 1));
         }
-        if omega_sat(&sys) == OmegaResult::Sat {
-            return Ok(true);
+        let kept: Vec<usize> = (0..width).filter(|&v| class[v] == Some(v)).collect();
+        let project = |coeffs: &[i64]| kept.iter().map(|&v| coeffs[v]).collect::<Vec<i64>>();
+        Rows {
+            width: kept.len(),
+            fixed: self
+                .fixed
+                .iter()
+                .zip(&bounds)
+                .filter(|(_, b)| b.is_none_or(|v| class[v] == Some(v)))
+                .map(|(c, _)| Constraint {
+                    coeffs: project(&c.coeffs),
+                    konst: c.konst,
+                    kind: c.kind,
+                })
+                .collect(),
+            neqs: self
+                .neqs
+                .iter()
+                .map(|(coeffs, konst)| (project(coeffs), *konst))
+                .collect(),
         }
     }
-    Ok(false)
+
+    /// Some choice of signs for the `t ≠ 0` rows, with every bit of
+    /// `forced` set (see [`forced_signs`]), is satisfiable with the fixed
+    /// rows. One unit of fuel per choice handed to Omega.
+    fn sat(&self, forced: u32, budget: &Budget) -> Result<bool, Exhaustion> {
+        for mask in 0u32..(1 << self.neqs.len()) {
+            if mask & forced != forced {
+                continue;
+            }
+            budget.check()?;
+            let mut sys = self.fixed.clone();
+            for (i, (coeffs, konst)) in self.neqs.iter().enumerate() {
+                // t >= 1 when bit i is set, -t >= 1 when it is clear.
+                sys.push(if mask & (1 << i) != 0 {
+                    Constraint::ge(coeffs.clone(), konst - 1)
+                } else {
+                    Constraint::ge(coeffs.iter().map(|k| -k).collect(), -konst - 1)
+                });
+            }
+            if omega_sat(&sys) == OmegaResult::Sat {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 }
 
 /// Variables some atom of `conj` bounds below by zero: `−c·v + k ≤ 0`
 /// with `c > 0` and `k ≥ 0`, i.e. `v ≥ k/c ≥ 0`. Every region cardinality
 /// qualifies through `translate`'s `r ≥ 0`.
-fn zero_lower_bounded(conj: &[PAtom]) -> Vec<Symbol> {
+fn zero_lower_bounded(conj: &[PAtom]) -> FxHashSet<Symbol> {
     conj.iter()
         .filter_map(|a| match a {
             PAtom::Le(t) if t.konst >= 0 && t.coeffs.len() == 1 => {
@@ -709,6 +796,17 @@ fn dnf(form: &PForm, limit: usize) -> Option<Vec<Vec<PAtom>>> {
                 let mut acc: Vec<Vec<PAtom>> = vec![vec![]];
                 for p in ps {
                     let branches = rec(p, limit)?;
+                    // One branch (an atom, say) extends every disjunct in
+                    // place instead of copying them all.
+                    if let [only] = branches.as_slice() {
+                        if acc.len() > limit {
+                            return None;
+                        }
+                        for a in &mut acc {
+                            a.extend_from_slice(only);
+                        }
+                        continue;
+                    }
                     let mut next = Vec::new();
                     for a in &acc {
                         for b in &branches {
@@ -769,6 +867,7 @@ fn negate_atom(a: &PAtom) -> PAtom {
 mod tests {
     use super::*;
     use jahob_logic::form;
+    use proptest::prelude::*;
 
     fn sig_with(entries: &[(&str, Sort)]) -> FxHashMap<Symbol, Sort> {
         entries
@@ -838,6 +937,129 @@ mod tests {
             let full = PForm::and(vec![wf, matrix]);
             assert_eq!(cooper::sat(&full), !want, "{concl}: cooper disagrees");
         }
+    }
+
+    /// Quantifier-free formulas over the sets `S0`–`S2` and the objects
+    /// `x0`, `x1`: membership, `⊆`, set `=` and `~=`, and sums of one or
+    /// two cardinalities compared with a small integer.
+    fn bapa_form() -> impl Strategy<Value = Form> {
+        let set = {
+            let leaf = prop_oneof![
+                (0u8..3).prop_map(|i| Form::v(&format!("S{i}"))),
+                (0u8..2).prop_map(|i| Form::FiniteSet(vec![Form::v(&format!("x{i}"))])),
+                Just(Form::EmptySet),
+            ];
+            leaf.prop_recursive(2, 8, 2, |inner| {
+                prop_oneof![
+                    (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::binop(
+                        BinOp::Union,
+                        a,
+                        b
+                    )),
+                    (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::binop(
+                        BinOp::Inter,
+                        a,
+                        b
+                    )),
+                    (inner.clone(), inner).prop_map(|(a, b)| Form::binop(BinOp::Diff, a, b)),
+                ]
+            })
+        };
+        let card_sum = prop_oneof![
+            set.clone().prop_map(Form::card),
+            (set.clone(), set.clone()).prop_map(|(a, b)| Form::binop(
+                BinOp::Add,
+                Form::card(a),
+                Form::card(b)
+            )),
+        ];
+        let atom = prop_oneof![
+            ((0u8..2), set.clone()).prop_map(|(i, s)| Form::elem(Form::v(&format!("x{i}")), s)),
+            (set.clone(), set.clone()).prop_map(|(a, b)| Form::binop(BinOp::Subseteq, a, b)),
+            (set.clone(), set.clone()).prop_map(|(a, b)| Form::eq(a, b)),
+            (set.clone(), set).prop_map(|(a, b)| Form::ne(a, b)),
+            (card_sum, 0i64..4, 0u8..3).prop_map(|(sum, k, op)| {
+                let op = [BinOp::Le, BinOp::Lt, BinOp::Eq][usize::from(op)];
+                Form::binop(op, sum, Form::int(k))
+            }),
+        ];
+        atom.prop_recursive(2, 8, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::and(vec![a, b])),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::or(vec![a, b])),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Form::implies(a, b)),
+                inner.prop_map(Form::not),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Merging regions is exact. On every DNF disjunct of a random
+        /// formula's translation, Omega decides the merged rows as it
+        /// decides the rows of every region, and `pform_sat` agrees with
+        /// the unmerged disjuncts. Where the formula has at most two base
+        /// sets, Cooper on the whole unmerged translation agrees as well;
+        /// with more, Cooper's elimination multiplies disjuncts per region
+        /// and does not finish on some three-base formulas in seconds.
+        #[test]
+        fn merged_regions_agree_with_every_region(f in bapa_form()) {
+            let sig = sig_with(&[
+                ("S0", Sort::objset()),
+                ("S1", Sort::objset()),
+                ("S2", Sort::objset()),
+                ("x0", Sort::Obj),
+                ("x1", Sort::Obj),
+            ]);
+            let (matrix, wf, bases) = translate(&f, &sig).unwrap_or_else(|e| panic!("{f}: {e}"));
+            let full = PForm::and(vec![wf, matrix]);
+            let unlimited = Budget::unlimited();
+            let mut unmerged = false;
+            for conj in dnf(&full, 2048).unwrap_or_else(|| panic!("{f}: DNF too large")) {
+                let (rows, forced) = (Rows::of(&conj), forced_signs(&conj));
+                let every_region = rows.sat(forced, &unlimited).unwrap();
+                prop_assert_eq!(rows.merged().sat(forced, &unlimited).unwrap(), every_region, "{}", f);
+                unmerged |= every_region;
+            }
+            prop_assert_eq!(pform_sat(&full, &unlimited).unwrap(), unmerged, "{}", f);
+            if bases <= 2 {
+                prop_assert_eq!(cooper::sat(&full), unmerged, "{}", f);
+            }
+        }
+    }
+
+    #[test]
+    fn merging_leaves_omega_the_regions_the_atoms_tell_apart() {
+        // A piece of game.javax's `Game.move` with six base sets: the
+        // objects `null` and `u` and four sets, so 64 regions. The
+        // negated goal's two disjuncts (from `u = null | ...`) tell 19
+        // and 35 of them apart.
+        let sig = sig_with(&[
+            ("Object.alloc", Sort::objset()),
+            ("Game.redUnits", Sort::objset()),
+            ("Game.blueUnits", Sort::objset()),
+            ("Game.captured", Sort::objset()),
+            ("u", Sort::Obj),
+        ]);
+        let goal = form(
+            "u = null | u : Object.alloc --> u ~= null --> u ~: Game.redUnits \
+             --> u ~: Game.blueUnits --> u ~: Game.captured \
+             --> (Game.redUnits Un {u}) Int Game.blueUnits = {}",
+        );
+        let (matrix, wf, bases) = translate(&Form::not(goal.clone()), &sig).unwrap();
+        assert_eq!(bases, 6);
+        let disjuncts = dnf(&PForm::and(vec![wf, matrix]), 2048).unwrap();
+        let widths: Vec<(usize, usize)> = disjuncts
+            .iter()
+            .map(|conj| {
+                let rows = Rows::of(conj);
+                let width = rows.width;
+                (width, rows.merged().width)
+            })
+            .collect();
+        assert_eq!(widths, [(64, 19), (64, 35)]);
+        assert_eq!(bapa_valid(&goal, &sig), Ok(false));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! E8/E9/E10 and the SAT substrate: per-prover scaling benchmarks.
 //!
 //! * E8 — BAPA's Venn-region blowup: the union cardinality bound with a
-//!   growing number of base sets (regions double per set).
+//!   growing number of base sets (regions double per set), and BAPA on
+//!   each piece of game.javax, narrowed as the dispatcher narrows it, in
+//!   µs per piece.
 //! * E9 — the Omega test vs Cooper's QE on the same existential family.
 //! * E10 — Nelson–Oppen on the classic `fⁿ(a) = a` congruence family.
 //! * SAT — pigeonhole instances (the CDCL engine under every prover).
@@ -10,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jahob_bench::{
-    bapa_union_bound, case_study_obligations, elaborate, euf_cycle, lia_interval,
+    bapa_union_bound, case_study_obligations, elaborate, euf_cycle, game_bapa_pieces, lia_interval,
     lia_interval_cooper,
 };
 use jahob_logic::Sort;
@@ -34,6 +36,42 @@ fn bench_bapa(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// BAPA's answer on each of [`game_bapa_pieces`], in order: `V` valid,
+/// `n` not valid, `-` outside the fragment even after narrowing.
+const GAME_BAPA_ANSWERS: &str = "nnnnnnnnnnnnn-------V-n---VV";
+
+fn bench_bapa_game_pieces(c: &mut Criterion) {
+    let pieces = game_bapa_pieces();
+    let mut group = c.benchmark_group("E8/bapa_game_pieces");
+    group.sample_size(20);
+    let mut elapsed = Duration::ZERO;
+    let mut rounds = 0u32;
+    group.bench_function("game", |b| {
+        b.iter(|| {
+            let started = Instant::now();
+            let answers: String = pieces
+                .iter()
+                .map(|(goal, sig)| match jahob_bapa::bapa_valid(goal, sig) {
+                    Ok(true) => 'V',
+                    Ok(false) => 'n',
+                    Err(_) => '-',
+                })
+                .collect();
+            elapsed += started.elapsed();
+            rounds += 1;
+            assert_eq!(answers, GAME_BAPA_ANSWERS);
+        })
+    });
+    group.finish();
+    if rounds > 0 {
+        let per_piece = elapsed.as_micros() as f64 / (f64::from(rounds) * pieces.len() as f64);
+        println!(
+            "bench E8/bapa_game_pieces: {per_piece:.1} µs/piece ({} pieces)",
+            pieces.len()
+        );
+    }
 }
 
 fn bench_presburger(c: &mut Criterion) {
@@ -125,6 +163,7 @@ fn bench_elaboration(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_bapa,
+    bench_bapa_game_pieces,
     bench_presburger,
     bench_smt,
     bench_sat,

@@ -131,6 +131,31 @@ pub fn case_study_obligations() -> Vec<(FxHashMap<Symbol, Sort>, Vec<Form>)> {
     .collect()
 }
 
+/// BAPA on real goals: every piece [`jahob::Dispatcher::prepare`] makes of
+/// game.javax's obligations, in source order, with the piece's signature,
+/// narrowed as the dispatcher's BAPA arm narrows it: `Sequent::of`, then
+/// drop the hypotheses `base_set_count` rejects.
+pub fn game_bapa_pieces() -> Vec<(Form, FxHashMap<Symbol, Sort>)> {
+    let program = jahob_javalite::parse_program(game_source()).expect("game parses");
+    let typed = jahob_javalite::resolve(&program).expect("game resolves");
+    let dispatcher = jahob::Dispatcher::new(typed.sig.clone());
+    let mut pieces = Vec::new();
+    for class in &typed.classes {
+        for m in class.methods.iter().filter(|m| !m.contract.assumed) {
+            let vcs = jahob_vcgen::method_obligations(&typed, m).expect("VC generation");
+            for ob in &vcs.obligations {
+                for piece in dispatcher.prepare(&ob.form).pieces {
+                    let mut seq = jahob_logic::sequent::Sequent::of(&piece.goal.form);
+                    seq.hyps
+                        .retain(|h| jahob_bapa::base_set_count(&h.form, &piece.sig).is_ok());
+                    pieces.push((seq.to_form(), piece.sig));
+                }
+            }
+        }
+    }
+    pieces
+}
+
 /// Elaborate one obligation as the dispatcher does: a sort context primed
 /// with the program signature, `check_bool`, then the resolved signature.
 pub fn elaborate(

@@ -45,6 +45,7 @@ use jahob_util::counters::Stats;
 use jahob_util::obs::{Event, Sink};
 use jahob_util::store::{Record, Store};
 use jahob_util::{FxHashMap, FxHashSet, Symbol};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -93,6 +94,20 @@ struct Normalizer {
     frees: Vec<(Symbol, Symbol)>,
 }
 
+/// The positional binder name `?b<n>`. Each thread interns the names once,
+/// the first time a goal needs that many binders, and looks them up after.
+fn binder_name(n: usize) -> Symbol {
+    thread_local! {
+        static NAMES: RefCell<Vec<Symbol>> = const { RefCell::new(Vec::new()) };
+    }
+    NAMES.with_borrow_mut(|names| {
+        while names.len() <= n {
+            names.push(Symbol::intern(&format!("?b{}", names.len())));
+        }
+        names[n]
+    })
+}
+
 impl Normalizer {
     fn var(&mut self, s: Symbol) -> Symbol {
         if let Some((_, canon)) = self.bound.iter().rev().find(|(orig, _)| *orig == s) {
@@ -120,7 +135,7 @@ impl Normalizer {
         binders
             .iter()
             .map(|(orig, sort)| {
-                let canon = Symbol::intern(&format!("?b{}", self.next_bound));
+                let canon = binder_name(self.next_bound);
                 self.next_bound += 1;
                 self.bound.push((*orig, canon));
                 (canon, sort.clone())

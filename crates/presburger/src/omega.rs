@@ -139,18 +139,72 @@ pub fn omega_sat(constraints: &[Constraint]) -> OmegaResult {
 /// reduce a well-founded measure, but we bound defensively.
 const MAX_DEPTH: u32 = 256;
 
-fn solve(cs: &mut Vec<Constraint>, depth: u32) -> bool {
+/// Charge one unit of work for a level of elimination at `depth`. False
+/// means give up: the work budget is spent (give up proving
+/// unsatisfiability) or the depth guard tripped, which should not happen
+/// on well-formed inputs; either way the answer is unknown-sat, sound for
+/// the *validity* use (the prover answers "can't prove").
+fn enter(depth: u32) -> bool {
     let spent = WORK.with(|w| {
         let v = w.get() + 1;
         w.set(v);
         v
     });
-    if spent > WORK_BUDGET {
-        return true; // budget exhausted: give up proving unsatisfiability
+    spent <= WORK_BUDGET && depth <= MAX_DEPTH
+}
+
+/// How the constraints of a system bound one variable: the number of
+/// lower bounds (positive coefficient), upper bounds (negative), and of
+/// each with a coefficient of magnitude above 1.
+#[derive(Clone, Copy, Default)]
+struct Bounds {
+    lower: isize,
+    upper: isize,
+    steep_lower: isize,
+    steep_upper: isize,
+}
+
+impl Bounds {
+    /// Every variable's bounds in `cs`, in one pass.
+    fn of(cs: &[Constraint], width: usize) -> Vec<Bounds> {
+        let mut bounds = vec![Bounds::default(); width];
+        for c in cs {
+            Bounds::tally(&mut bounds, c, 1);
+        }
+        bounds
     }
-    if depth > MAX_DEPTH {
-        // Should not happen on well-formed inputs; treat as unknown-sat to
-        // stay sound for the *validity* use (prover answers "can't prove").
+
+    /// Add `c`'s bounds to `bounds` (`delta` 1), or take them away (−1).
+    fn tally(bounds: &mut [Bounds], c: &Constraint, delta: isize) {
+        for (b, &k) in bounds.iter_mut().zip(&c.coeffs) {
+            if k > 0 {
+                b.lower += delta;
+                if k > 1 {
+                    b.steep_lower += delta;
+                }
+            } else if k < 0 {
+                b.upper += delta;
+                if k < -1 {
+                    b.steep_upper += delta;
+                }
+            }
+        }
+    }
+
+    /// Bounded on one side only (and used).
+    fn one_sided(&self) -> bool {
+        (self.lower > 0) != (self.upper > 0)
+    }
+
+    /// Fourier–Motzkin on this variable is exact: all its lower or all
+    /// its upper coefficients are ±1.
+    fn exact(&self) -> bool {
+        self.steep_lower == 0 || self.steep_upper == 0
+    }
+}
+
+fn solve(cs: &mut Vec<Constraint>, depth: u32) -> bool {
+    if !enter(depth) {
         return true;
     }
     // Normalize; drop trivial constraints; detect contradictions.
@@ -191,35 +245,33 @@ fn solve(cs: &mut Vec<Constraint>, depth: u32) -> bool {
         return eliminate_equality(cs, idx, depth);
     }
 
-    // Pure inequalities: pick a variable to eliminate.
+    // Pure inequalities. Unbounded variables (only lower or only upper
+    // bounds) can be dropped together with every constraint mentioning
+    // them. Drop them in place, lowest index first, until none is left.
+    // Each drop is charged as one level of elimination (a unit of work
+    // and a level of depth), exactly what recursing on it would cost.
     let width = cs[0].width();
-    let used: Vec<usize> = (0..width)
-        .filter(|&v| cs.iter().any(|c| c.coeffs[v] != 0))
-        .collect();
-    if used.is_empty() {
-        return true;
-    }
-
-    // Unbounded variables (only lower or only upper bounds) can be dropped
-    // together with every constraint mentioning them.
-    for &v in &used {
-        let has_lower = cs.iter().any(|c| c.coeffs[v] > 0);
-        let has_upper = cs.iter().any(|c| c.coeffs[v] < 0);
-        if !(has_lower && has_upper) {
-            let mut rest: Vec<Constraint> =
-                cs.iter().filter(|c| c.coeffs[v] == 0).cloned().collect();
-            return solve(&mut rest, depth + 1);
+    let mut bounds = Bounds::of(cs, width);
+    let mut depth = depth;
+    while let Some(v) = bounds.iter().position(Bounds::one_sided) {
+        cs.retain(|c| {
+            let keep = c.coeffs[v] == 0;
+            if !keep {
+                Bounds::tally(&mut bounds, c, -1);
+            }
+            keep
+        });
+        depth += 1;
+        if !enter(depth) || cs.is_empty() {
+            return true;
         }
     }
 
     // Choose the variable with the cheapest exact elimination, falling back
-    // to fewest lower×upper pairs.
-    let mut best: Option<(usize, bool, usize)> = None;
-    for &v in &used {
-        let lowers = cs.iter().filter(|c| c.coeffs[v] > 0).count();
-        let uppers = cs.iter().filter(|c| c.coeffs[v] < 0).count();
-        let exact = cs.iter().all(|c| c.coeffs[v] >= -1) || cs.iter().all(|c| c.coeffs[v] <= 1);
-        let pairs = lowers * uppers;
+    // to fewest lower×upper pairs. Every variable left has both bounds.
+    let mut best: Option<(usize, bool, isize)> = None;
+    for (v, b) in bounds.iter().enumerate().filter(|(_, b)| b.lower > 0) {
+        let (exact, pairs) = (b.exact(), b.lower * b.upper);
         let candidate = (v, exact, pairs);
         best = match best {
             None => Some(candidate),
@@ -232,8 +284,9 @@ fn solve(cs: &mut Vec<Constraint>, depth: u32) -> bool {
             }
         };
     }
-    let (v, exact, _) =
-        best.expect("`used` is non-empty (checked above), so a candidate was always picked");
+    let (v, exact, _) = best.expect(
+        "`cs` is non-empty and has no constant constraint, so some variable is left to pick",
+    );
 
     // Build shadows.
     let lowers: Vec<Constraint> = cs.iter().filter(|c| c.coeffs[v] > 0).cloned().collect();
@@ -539,6 +592,88 @@ mod tests {
             }
             assert_eq!(sat(&cs), brute, "round {round}: {cs:?}");
         }
+    }
+
+    #[test]
+    fn one_sided_variables_vs_brute_force() {
+        // Columns x0, x1 (boxed in [-3, 3]), then y0 and y1. y0 has lower
+        // bounds only (upper only when mirrored), one of them `y0 ≥ y1`;
+        // y1 is bounded below and, through that row, above, so it turns
+        // one-sided once y0's rows are dropped. Some rounds bound y1 above
+        // on its own as well. Every satisfiable system has a solution with
+        // |y| ≤ 9, so the brute-force box is complete.
+        let mut state = 0x5851_f42d_4c95_7f2du64;
+        let mut rnd = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        // Unsatisfiable in x alone, behind a chain: x0 ≥ 3, x0 ≤ 2,
+        // y0 ≥ y1, y1 ≥ x0.
+        let chain = [
+            Constraint::ge(vec![1, 0, 0, 0], -3),
+            Constraint::ge(vec![-1, 0, 0, 0], 2),
+            Constraint::ge(vec![0, 0, 1, -1], 0),
+            Constraint::ge(vec![-1, 0, 0, 1], 0),
+        ];
+        assert!(!sat(&chain));
+        // Satisfiable once x0 ≤ 3: the chain itself never constrains x.
+        let mut relaxed = chain.to_vec();
+        relaxed[1] = Constraint::ge(vec![-1, 0, 0, 0], 3);
+        assert!(sat(&relaxed));
+        let (mut one_sided_rounds, mut sats) = (0, 0);
+        for round in 0..60 {
+            let mirror = if rnd(2) == 0 { 1 } else { -1 };
+            let mut cs = vec![
+                Constraint::ge(vec![1, 0, 0, 0], 3),
+                Constraint::ge(vec![-1, 0, 0, 0], 3),
+                Constraint::ge(vec![0, 1, 0, 0], 3),
+                Constraint::ge(vec![0, -1, 0, 0], 3),
+            ];
+            for _ in 0..2 {
+                let coeffs = vec![rnd(7) as i64 - 3, rnd(7) as i64 - 3, 0, 0];
+                let k = rnd(11) as i64 - 5;
+                if rnd(4) == 0 {
+                    cs.push(Constraint::eq(coeffs, k));
+                } else {
+                    cs.push(Constraint::ge(coeffs, k));
+                }
+            }
+            for _ in 0..=rnd(2) {
+                let a = mirror * (1 + rnd(2) as i64);
+                let coeffs = vec![rnd(3) as i64 - 1, rnd(3) as i64 - 1, a, 0];
+                cs.push(Constraint::ge(coeffs, rnd(7) as i64 - 3));
+            }
+            cs.push(Constraint::ge(vec![0, 0, mirror, -mirror], 0));
+            cs.push(Constraint::ge(
+                vec![rnd(3) as i64 - 1, 0, 0, mirror],
+                rnd(7) as i64 - 3,
+            ));
+            if rnd(3) == 0 {
+                cs.push(Constraint::ge(
+                    vec![0, rnd(3) as i64 - 1, 0, -mirror],
+                    rnd(7) as i64 - 3,
+                ));
+            } else {
+                one_sided_rounds += 1;
+            }
+            let box_x = -3..=3i64;
+            let box_y = -10..=10i64;
+            let brute = box_x.clone().any(|x0| {
+                box_x.clone().any(|x1| {
+                    box_y.clone().any(|y0| {
+                        box_y
+                            .clone()
+                            .any(|y1| cs.iter().all(|c| c.eval(&[x0, x1, y0, y1])))
+                    })
+                })
+            });
+            assert_eq!(sat(&cs), brute, "round {round}: {cs:?}");
+            sats += usize::from(brute);
+        }
+        assert!(one_sided_rounds > 20, "{one_sided_rounds} chain rounds");
+        assert!((10..50).contains(&sats), "{sats} of 60 rounds satisfiable");
     }
 
     #[test]
