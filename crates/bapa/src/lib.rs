@@ -531,7 +531,6 @@ pub fn bapa_valid_budgeted(
     sig: &FxHashMap<Symbol, Sort>,
     budget: &Budget,
 ) -> Result<bool, BapaFailure> {
-    jahob_util::chaos::boundary("bapa.valid", budget).map_err(BapaFailure::Exhausted)?;
     let negated = Form::not(form.clone());
     let (matrix, wf, _) = translate(&negated, sig).map_err(BapaFailure::Fragment)?;
     let full = PForm::and(vec![wf, matrix]);

@@ -4,9 +4,8 @@
 //! Three measurements: a single prover (BAPA's Venn-region enumeration,
 //! the hottest budgeted loop) with and without a live deadline+fuel
 //! budget, the whole dispatcher portfolio with and without a
-//! per-obligation deadline, and the chaos boundary check with no plan
-//! armed vs a quiet armed plan (the unarmed fast path must be free: one
-//! thread-local load per prover entry).
+//! per-obligation deadline, and the portfolio with no fault plan vs a
+//! quiet one (no plan must be free: one `Option` test per attempt).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jahob_bench::bapa_union_bound;
@@ -78,11 +77,11 @@ fn bench_governed_dispatch(c: &mut Criterion) {
 }
 
 /// Chaos-layer overhead on the dispatch portfolio. `unarmed` is the
-/// shipped configuration — every prover entry crosses a `chaos::boundary`
-/// that must cost one thread-local load; `armed_quiet` arms a plan with
-/// no faults scheduled, pricing the decision path itself. The acceptance
-/// bar is `unarmed` within 1% of the pre-chaos portfolio numbers
-/// (`dispatch_portfolio/ungoverned` above).
+/// shipped configuration — no fault plan, so each attempt's `dispatch.*`
+/// site costs one `Option` test; `armed_quiet` gives the dispatcher a
+/// plan with no faults scheduled, pricing the decision path itself. The
+/// acceptance bar is `unarmed` within 1% of the pre-chaos portfolio
+/// numbers (`dispatch_portfolio/ungoverned` above).
 fn bench_chaos_overhead(c: &mut Criterion) {
     use jahob::FaultPlan;
     use std::sync::Arc;
@@ -130,8 +129,7 @@ fn bench_chaos_overhead(c: &mut Criterion) {
 /// number comes from. Verdicts are identical either way (see
 /// `tests/goal_cache.rs::hits_never_flip_a_verdict`).
 fn bench_goal_cache(c: &mut Criterion) {
-    use jahob::{Config, GoalCache};
-    use std::sync::Arc;
+    use jahob::Config;
     let mut group = c.benchmark_group("governance/goal_cache");
     group.sample_size(10);
     let src = std::fs::read_to_string("../../case_studies/list.javax")
@@ -147,15 +145,16 @@ fn bench_goal_cache(c: &mut Criterion) {
             assert!(report.methods.iter().all(|m| m.error.is_none()));
         })
     });
-    let cache = Arc::new(GoalCache::new());
     // One session, kept warm across iterations: the interactive loop.
     let warm = Config::builder()
         .workers(1)
         .goal_cache(true)
-        .shared_cache(Arc::clone(&cache))
         .build_verifier();
     warm.verify(&src).expect("warm-up run");
-    assert!(!cache.is_empty(), "warm-up must populate the cache");
+    assert!(
+        warm.goal_cache().is_some_and(|cache| !cache.is_empty()),
+        "warm-up must populate the cache"
+    );
     group.bench_function("warm_rerun", |b| {
         b.iter(|| {
             let report = warm.verify(&src).expect("pipeline");

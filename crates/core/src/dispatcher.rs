@@ -69,8 +69,8 @@ impl ProverId {
         ProverId::ALL.get(index).copied()
     }
 
-    /// The chaos-boundary site name for this prover's dispatcher attempt
-    /// (see [`jahob_util::chaos`]). Static so polling a fault plan on the
+    /// The chaos site name for this prover's dispatcher attempt (see
+    /// [`jahob_util::chaos`]). Static so polling a fault plan on the
     /// hot path allocates nothing.
     pub fn site(self) -> &'static str {
         match self {
@@ -499,23 +499,14 @@ impl Dispatcher {
     /// of the portfolio is skipped, and the verdict is `Unknown` — never a
     /// weakened `Proved`.
     pub fn prove_governed(&self, goal: &Form, budget: &Budget) -> Verdict {
-        // Arm the fault plan on this thread so prover entry crates' chaos
-        // boundaries see it too; the guard holds until dispatch returns.
         // Seeded plans pre-designate their lying site from the seed: the
         // single-liar role must not go to whichever prover happens to roll
         // `WrongVerdict` first, or parallel runs diverge by arrival order.
-        let _chaos = self.config.fault_plan.clone().map(|plan| {
-            if plan.is_seeded() {
-                let pick =
-                    (chaos::splitmix64(plan.seed() ^ 0x11a2_0000_11a2) as usize) % ProverId::COUNT;
-                let _ = plan.claim_liar(ProverId::ALL[pick].site());
-            }
-            chaos::arm(plan)
-        });
-        // Scope this dispatcher's recorder on the thread so leaf code with
-        // no dispatcher reference (chaos boundaries inside prover crates)
-        // contributes its events to the same stream.
-        let _obs = obs::scope(&self.recorder);
+        if let Some(plan) = self.config.fault_plan.as_deref().filter(|p| p.is_seeded()) {
+            let pick =
+                (chaos::splitmix64(plan.seed() ^ 0x11a2_0000_11a2) as usize) % ProverId::COUNT;
+            let _ = plan.claim_liar(ProverId::ALL[pick].site());
+        }
         let prepared = self.prepare(goal);
         if prepared.simplified == Form::tt() {
             self.stats.bump("proved.simplifier");
@@ -527,7 +518,7 @@ impl Dispatcher {
         // Key the seeded chaos decisions for this dispatch on the
         // obligation's *content*, so replays and parallel schedules see
         // the same fault sequence per obligation regardless of the order
-        // obligations reach the prover boundaries.
+        // obligations reach the dispatch sites.
         let _scope = self.config.fault_plan.as_ref().map(|_| {
             let normal = goal_cache::normalize(&prepared.simplified);
             let fp = goal_cache::fingerprint(&normal, &prepared.sig, self.config.cache_digest());
@@ -580,8 +571,8 @@ impl Dispatcher {
     }
 
     /// Route one canonicalized piece through the goal cache when one is
-    /// attached. The cache stands down while a *seeded* chaos plan is
-    /// armed: seeded fault decisions are keyed per obligation, so
+    /// attached. The cache stands down under a *seeded* chaos plan:
+    /// seeded fault decisions are keyed per obligation, so
     /// replaying one obligation's (possibly fault-riddled) outcome for
     /// another would leak faults across obligations in schedule-dependent
     /// ways.
@@ -751,7 +742,7 @@ impl Dispatcher {
 
     /// Run one prover's attempt on the obligation's budget: skip it
     /// outright if it is the `exclude`d prover or the budget is already
-    /// spent, apply any injected fault from the armed chaos plan, catch
+    /// spent, apply any injected fault from the chaos plan, catch
     /// panics, translate budget exhaustion into the failure taxonomy, and
     /// record the fuel the attempt burned.
     fn guard(
@@ -771,7 +762,8 @@ impl Dispatcher {
         if budget.check().is_err() || budget.poll_deadline().is_err() {
             return None;
         }
-        // Chaos: decide this attempt's fate from the armed plan.
+        // Chaos: decide this attempt's fate from the plan. This is the
+        // one place a prover fault is decided and applied.
         let fault = self
             .config
             .fault_plan
@@ -1427,6 +1419,84 @@ mod tests {
         // other obligations afterwards.
         let v2 = d.prove(&form("i < j --> i + 1 <= j"));
         assert!(v2.is_proved(), "{v2:?}");
+    }
+
+    #[test]
+    fn injected_exhaustion_ends_the_attempt_at_its_dispatch_site() {
+        // Each fault fires once at `dispatch.hol-auto`, the first prover
+        // of the walk, under a metered budget; BAPA proves the goal when
+        // the walk reaches it.
+        const FUEL: u64 = 1_000_000;
+        let run = |fault: Fault| {
+            let mut d = dispatcher();
+            d.config.obligation_fuel = FUEL;
+            d.config.fault_plan = Some(Arc::new(FaultPlan::quiet().inject(
+                ProverId::Hol.site(),
+                0..1,
+                fault,
+            )));
+            let sink = Arc::new(obs::MemorySink::new());
+            d.recorder = Recorder::streaming(sink.clone());
+            let verdict = d.prove(&form("S Int T <= S"));
+            let attempts: Vec<(&str, String, u64)> = sink
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    Event::Attempt {
+                        prover,
+                        outcome,
+                        fuel,
+                        ..
+                    } => Some((prover, outcome, fuel)),
+                    _ => None,
+                })
+                .collect();
+            (verdict, attempts)
+        };
+        // A spurious timeout or fuel exhaustion burns nothing and blames
+        // only hol-auto: the later provers still run.
+        for (fault, outcome) in [
+            (Fault::Timeout, "timeout"),
+            (Fault::Starvation, "fuel-exhausted"),
+        ] {
+            let (verdict, attempts) = run(fault);
+            assert!(
+                matches!(
+                    verdict,
+                    Verdict::Proved {
+                        prover: ProverId::Bapa,
+                        ..
+                    }
+                ),
+                "{fault}: {verdict:?}"
+            );
+            assert_eq!(attempts[0], ("hol-auto", outcome.to_owned(), 0), "{fault}");
+            let last = attempts.last().map(|(p, o, _)| (*p, o.as_str()));
+            assert_eq!(last, Some(("bapa", "proved")), "{fault}: {attempts:?}");
+        }
+        // A slow burn drains the obligation's fuel (all but the unit the
+        // guard's own budget check drew): every later prover is skipped,
+        // not blamed, and the obligation is spent.
+        let (verdict, attempts) = run(Fault::SlowBurn);
+        match verdict {
+            Verdict::Unknown(diag) => {
+                assert_eq!(
+                    diag.attempts,
+                    [(ProverId::Hol, FailureReason::FuelExhausted)],
+                    "{diag}"
+                );
+                assert_eq!(
+                    diag.obligation_spent,
+                    Some(FailureReason::FuelExhausted),
+                    "{diag}"
+                );
+            }
+            other => panic!("expected a spent obligation, got {other:?}"),
+        }
+        assert_eq!(
+            attempts,
+            [("hol-auto", "fuel-exhausted".to_owned(), FUEL - 1)]
+        );
     }
 
     #[test]

@@ -470,9 +470,6 @@ impl GoalCache {
             segments: report.segments,
             lock: report.lock.label(),
         });
-        persist.emit(Event::StoreLock {
-            state: report.lock.label(),
-        });
         if report.dropped > 0 || report.reset.is_some() {
             persist.emit(Event::StoreRecovered {
                 dropped: report.dropped,

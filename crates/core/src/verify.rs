@@ -59,21 +59,12 @@ pub struct Config {
     /// Share a run-wide normalized-goal cache across methods, so
     /// alpha-equivalent obligations are dispatched once per run.
     pub goal_cache: bool,
-    /// Reuse a cache across *runs* (warm re-verification): a [`Verifier`]
-    /// session keeps this cache alive between `verify` calls so unchanged
-    /// obligations replay their proofs instead of re-dispatching. `None`
-    /// (the default) gives the session a private cache. Only consulted
-    /// when `goal_cache` is on; poisoned entries are still guarded by the
-    /// cross-check watchdog exactly as within a run.
-    pub shared_cache: Option<Arc<GoalCache>>,
     /// Directory for the crash-safe persistent proof cache (see
     /// [`jahob_util::store`]). When set — explicitly or via `JAHOB_CACHE`,
     /// resolved once by the builder — the session's goal cache shadows
     /// this directory: surviving entries replay on open, proofs flush
     /// write-behind, and corruption degrades to a cold cache. Ignored
-    /// when `goal_cache` is off or a `shared_cache` was supplied (the
-    /// shared cache may itself be persistent; see
-    /// [`GoalCache::open_persistent`]).
+    /// when `goal_cache` is off.
     pub cache_path: Option<PathBuf>,
     /// Where the run's event stream goes. `None` disables observability
     /// entirely (the fast path: one pointer test per potential event).
@@ -106,7 +97,6 @@ impl fmt::Debug for Config {
             .field("dispatch", &self.dispatch)
             .field("workers", &self.workers)
             .field("goal_cache", &self.goal_cache)
-            .field("shared_cache", &self.shared_cache)
             .field("cache_path", &self.cache_path)
             .field("sink", &self.sink.as_ref().map(|_| "Sink"))
             .field("isolation", &self.isolation)
@@ -163,7 +153,6 @@ pub struct ConfigBuilder {
     dispatch: DispatchConfig,
     workers: Option<usize>,
     goal_cache: bool,
-    shared_cache: Option<Arc<GoalCache>>,
     cache_path: Option<PathBuf>,
     sink: Option<Arc<dyn Sink>>,
     socket: Option<PathBuf>,
@@ -176,7 +165,6 @@ impl ConfigBuilder {
             dispatch: DispatchConfig::default(),
             workers: None,
             goal_cache: true,
-            shared_cache: None,
             cache_path: None,
             sink: None,
             socket: None,
@@ -206,12 +194,6 @@ impl ConfigBuilder {
     /// Event sink for the run's observability stream.
     pub fn sink(mut self, sink: Arc<dyn Sink>) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Cache shared across sessions/runs (warm re-verification).
-    pub fn shared_cache(mut self, cache: Arc<GoalCache>) -> Self {
-        self.shared_cache = Some(cache);
         self
     }
 
@@ -300,7 +282,6 @@ impl ConfigBuilder {
             dispatch: self.dispatch,
             workers: workers.max(1),
             goal_cache: self.goal_cache,
-            shared_cache: self.shared_cache,
             cache_path,
             sink,
             isolation: Isolation::InProcess,
@@ -349,9 +330,8 @@ pub struct RequestOptions {
 /// sessions here and nowhere else.
 pub struct Verifier {
     config: Config,
-    /// The session cache (present iff `config.goal_cache`): promoted from
-    /// `config.shared_cache` or created fresh, and kept alive across
-    /// `verify` calls.
+    /// The session cache (present iff `config.goal_cache`): persistent
+    /// when `config.cache_path` is set, kept alive across `verify` calls.
     cache: Option<Arc<GoalCache>>,
 }
 
@@ -374,11 +354,7 @@ fn persistent_digest(dispatch: &DispatchConfig) -> u64 {
 impl Verifier {
     pub fn new(config: Config) -> Verifier {
         let cache = config.goal_cache.then(|| {
-            if let Some(shared) = config.shared_cache.clone() {
-                // An explicit shared cache wins; it may itself be
-                // persistent (see `GoalCache::open_persistent`).
-                shared
-            } else if let Some(dir) = &config.cache_path {
+            if let Some(dir) = &config.cache_path {
                 Arc::new(GoalCache::open_persistent(
                     dir,
                     persistent_digest(&config.dispatch),
@@ -396,8 +372,7 @@ impl Verifier {
         &self.config
     }
 
-    /// The session's goal cache, if caching is enabled — pass it to
-    /// another session's builder via `shared_cache` to share warmth.
+    /// The session's goal cache, if caching is enabled.
     pub fn goal_cache(&self) -> Option<&Arc<GoalCache>> {
         self.cache.as_ref()
     }

@@ -19,7 +19,7 @@ pub mod reach;
 pub mod term;
 
 pub use clause::{clausify, Clause, Literal};
-pub use prover::{prove, prove_budgeted, prove_trace, ProveResult, ProverConfig};
+pub use prover::{prove, prove_budgeted, ProveResult, ProverConfig};
 pub use term::{FTerm, Subst};
 
 use jahob_logic::Form;

@@ -255,16 +255,9 @@ fn factors(c: &Clause) -> Vec<Clause> {
     out
 }
 
-/// Like [`prove`] but printing every given clause (debugging aid).
-pub fn prove_trace(input: Vec<Clause>, config: &ProverConfig) -> ProveResult {
-    prove_inner(input, config, true, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted")
-}
-
 /// Run the given-clause loop on the input set (plus equality axioms).
 pub fn prove(input: Vec<Clause>, config: &ProverConfig) -> ProveResult {
-    prove_inner(input, config, false, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted")
+    prove_inner(input, config, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
 }
 
 /// Budgeted given-clause loop: one fuel unit per iteration, with the
@@ -275,14 +268,12 @@ pub fn prove_budgeted(
     config: &ProverConfig,
     budget: &Budget,
 ) -> Result<ProveResult, Exhaustion> {
-    jahob_util::chaos::boundary("fol.prove", budget)?;
-    prove_inner(input, config, false, budget)
+    prove_inner(input, config, budget)
 }
 
 fn prove_inner(
     input: Vec<Clause>,
     config: &ProverConfig,
-    trace: bool,
     budget: &Budget,
 ) -> Result<ProveResult, Exhaustion> {
     let mut passive: BinaryHeap<Queued> = BinaryHeap::new();
@@ -316,11 +307,6 @@ fn prove_inner(
         } else {
             passive.pop().map(|Queued(c)| c)
         };
-        if trace {
-            if let Some(g) = &given {
-                eprintln!("GIVEN: {g}");
-            }
-        }
         let Some(given) = given else {
             // Saturated without the empty clause: consistent input (within
             // the equality axiomatization), so the refutation fails.
@@ -348,9 +334,6 @@ fn prove_inner(
             let Some(c) = c.normalize() else {
                 continue;
             };
-            if trace {
-                eprintln!("  DERIVED: {c}");
-            }
             if c.is_empty() {
                 return Ok(ProveResult::Proved);
             }

@@ -413,7 +413,6 @@ pub fn auto_proves(phi: &Form) -> bool {
 /// Budgeted [`auto_proves`], for portfolio callers that must honor a
 /// per-obligation deadline.
 pub fn auto_proves_governed(phi: &Form, governor: &Budget) -> Result<bool, Exhaustion> {
-    jahob_util::chaos::boundary("hol.auto", governor)?;
     Ok(auto_governed(
         &Goal {
             hyps: Vec::new(),

@@ -966,7 +966,6 @@ pub fn refute_budgeted(
     universe: u32,
     budget: &Budget,
 ) -> Result<Option<Model>, ModelsFailure> {
-    jahob_util::chaos::boundary("models.refute", budget).map_err(ModelsFailure::Exhausted)?;
     find_model_budgeted(&Form::not(goal.clone()), sig, universe, budget)
 }
 

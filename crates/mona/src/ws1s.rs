@@ -553,7 +553,6 @@ pub fn decide(form: &WsForm) -> Result<WsVerdict, WsError> {
 
 /// Budgeted [`decide`].
 pub fn decide_budgeted(form: &WsForm, budget: &Budget) -> Result<WsVerdict, WsFailure> {
-    jahob_util::chaos::boundary("mona.decide", budget).map_err(WsFailure::Exhausted)?;
     let free = form.free_vars();
     if !free.is_empty() {
         return Err(WsFailure::Fragment(WsError(format!(

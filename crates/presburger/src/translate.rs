@@ -137,8 +137,6 @@ impl std::error::Error for PresburgerFailure {}
 /// Budgeted [`decide_valid`], separating "wrong fragment" from "ran out of
 /// resources" so the dispatcher can record an honest failure reason.
 pub fn decide_valid_budgeted(form: &Form, budget: &Budget) -> Result<bool, PresburgerFailure> {
-    jahob_util::chaos::boundary("presburger.decide", budget)
-        .map_err(PresburgerFailure::Exhausted)?;
     let p = form_to_pform(form).map_err(PresburgerFailure::Fragment)?;
     crate::cooper::valid_budgeted(&p, budget).map_err(PresburgerFailure::Exhausted)
 }

@@ -119,7 +119,6 @@ pub fn smt_sat_budgeted(
     sig: &FxHashMap<Symbol, Sort>,
     budget: &Budget,
 ) -> Result<bool, SmtFailure> {
-    jahob_util::chaos::boundary("smt.sat", budget).map_err(SmtFailure::Exhausted)?;
     let prepared = transform::simplify(&lift_ite(form));
     if let Form::BoolLit(b) = &prepared {
         return Ok(*b);

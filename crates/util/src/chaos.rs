@@ -5,21 +5,23 @@
 //! only worth anything if it can be *tested under adversarial conditions*,
 //! so this module provides a seeded, fully reproducible fault injector: a
 //! [`FaultPlan`] derived from a single `u64` seed (no wall clock, no
-//! ambient RNG) decides, at every registered prover boundary, whether that
-//! invocation misbehaves and how.
+//! ambient RNG) decides, at every named site, whether that invocation
+//! misbehaves and how.
 //!
-//! Two layers consult a plan:
+//! Each layer that holds a plan decides at its own sites and applies the
+//! faults of its own domain:
 //!
-//! * **Prover entry crates** register their public budgeted entry point as
-//!   a chaos boundary by calling [`boundary`] first thing. When no plan is
-//!   armed on the current thread this is a single thread-local counter
-//!   load — the fast path the governance benches pin at "no measurable
-//!   overhead". When a plan is armed, the boundary may panic, report a
-//!   spurious exhaustion, or burn the caller's fuel without progress.
-//! * **The dispatcher** polls its own per-prover sites directly (it holds
-//!   the plan in its config) and additionally applies the two faults only
-//!   it can express: *wrong verdict* (a prover lies `Proved`/`Refuted`)
-//!   and fabricated failures in its taxonomy.
+//! * **The dispatcher** is the one place a prover fault is decided and
+//!   applied: each attempt polls its `dispatch.<prover>` site with
+//!   [`FaultPlan::decide`] and, inside the attempt's `catch_unwind`,
+//!   panics, reports a spurious timeout or fuel exhaustion, burns the
+//!   obligation's fuel without progress, or has the prover lie
+//!   (`Proved`/`Refuted`). No reasoning crate mentions chaos: a fault
+//!   before the prover runs is everything a fault at its entry could be.
+//! * **The persistent store** polls its IO sites with
+//!   [`FaultPlan::decide_disk`].
+//! * **The verification daemon** polls its socket sites with
+//!   [`FaultPlan::decide_socket`].
 //!
 //! Determinism: every seeded decision is a pure function of `(seed, site
 //! name, obligation key, per-obligation invocation index)` via splitmix64
@@ -28,7 +30,7 @@
 //! content-derived fingerprint. Scoped keying is what keeps chaos runs
 //! bit-for-bit reproducible when obligations are dispatched *in parallel*:
 //! the faults an obligation sees depend on what the obligation *is*, never
-//! on the order in which worker threads happened to reach the boundary.
+//! on the order in which worker threads happened to reach a site.
 //! Outside any scope, decisions fall back to `(seed, site, global per-site
 //! invocation index)`, which is reproducible for single-threaded use.
 //!
@@ -45,11 +47,9 @@
 //! independent prover — assume independent failures; a portfolio where
 //! *every* member lies has no trusted majority left to appeal to.
 
-use crate::budget::{Budget, Exhaustion};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// Which way a lying prover lies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -135,22 +135,20 @@ impl std::fmt::Display for SocketFault {
 /// The injectable failure modes. The first four exercise the existing
 /// failure taxonomy; `WrongVerdict` is adversarial and only detectable by
 /// cross-checking verdicts; `Disk` faults only apply at the persistent
-/// store's IO boundary (prover boundaries and the dispatcher ignore
-/// them, exactly as the store ignores prover faults).
+/// store's IO boundary (the dispatcher ignores them, exactly as the store
+/// ignores prover faults).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Fault {
-    /// The boundary panics (exercises `catch_unwind` isolation).
+    /// The attempt panics (exercises `catch_unwind` isolation).
     Panic,
-    /// The boundary reports a wall-clock timeout that never happened.
+    /// The attempt reports a wall-clock timeout that never happened.
     Timeout,
-    /// The boundary reports fuel exhaustion without burning any fuel.
+    /// The attempt reports fuel exhaustion without burning any fuel.
     Starvation,
-    /// The boundary burns all the fuel it was given, makes no progress,
+    /// The attempt burns all the fuel it was given, makes no progress,
     /// and then reports honest exhaustion — a prover that spins.
     SlowBurn,
-    /// The boundary fabricates a verdict. Only the dispatcher can apply
-    /// this (entry-crate boundaries ignore it); subject to the
-    /// single-liar rule.
+    /// The prover fabricates a verdict; subject to the single-liar rule.
     WrongVerdict(Lie),
     /// A disk fault at the persistent store's IO boundary. Only the
     /// store applies these (see [`FaultPlan::decide_disk`]).
@@ -197,7 +195,7 @@ enum RawDecision {
 /// A deterministic fault-injection plan.
 ///
 /// Construct with [`FaultPlan::from_seed`] for seeded chaos (every
-/// boundary misbehaves with probability ≈ 1/4, fault kind drawn from the
+/// site misbehaves with probability ≈ 1/4, fault kind drawn from the
 /// seed) or [`FaultPlan::quiet`] + [`FaultPlan::inject`] for surgical,
 /// test-oriented injection at named sites.
 #[derive(Debug, Default)]
@@ -238,7 +236,7 @@ fn site_hash(site: &str) -> u64 {
 }
 
 impl FaultPlan {
-    /// A seeded chaos plan: every boundary invocation misbehaves with
+    /// A seeded chaos plan: every site invocation misbehaves with
     /// probability ≈ 1/4, the fault kind drawn deterministically from
     /// `(seed, site, invocation)`.
     pub fn from_seed(seed: u64) -> FaultPlan {
@@ -296,7 +294,7 @@ impl FaultPlan {
     /// Does this plan inject seeded (probabilistic) faults, as opposed to
     /// only targeted rules? Seeded decisions are keyed per obligation, so
     /// layers that share results *across* obligations (the goal cache)
-    /// stand down while a seeded plan is armed.
+    /// stand down under a seeded plan.
     pub fn is_seeded(&self) -> bool {
         self.rate > 0
     }
@@ -339,8 +337,9 @@ impl FaultPlan {
     /// obligation key, per-obligation index)` when an [`obligation_scope`]
     /// is active on this thread, and on the global counter otherwise.
     ///
-    /// Seeded kinds at prover boundaries never include disk faults —
-    /// those are drawn only by [`FaultPlan::decide_disk`] at store sites.
+    /// Seeded kinds never include disk or socket faults — those are
+    /// drawn only by [`FaultPlan::decide_disk`] at store sites and
+    /// [`FaultPlan::decide_socket`] at service sites.
     pub fn decide(&self, site: &str) -> Option<Fault> {
         match self.raw_decide(site)? {
             RawDecision::Rule(fault) => Some(fault),
@@ -359,7 +358,7 @@ impl FaultPlan {
     /// The seeded distribution maps onto the six [`DiskFault`] kinds;
     /// targeted rules fire only when they name a `Fault::Disk` (a panic
     /// rule aimed at a store site is meaningless and is ignored, exactly
-    /// as prover boundaries ignore wrong-verdict rules).
+    /// as the dispatcher ignores a disk rule aimed at a prover site).
     pub fn decide_disk(&self, site: &str) -> Option<DiskFault> {
         match self.raw_decide(site)? {
             RawDecision::Rule(Fault::Disk(d)) => Some(d),
@@ -418,55 +417,13 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-// ---- thread-local arming -------------------------------------------------
-//
-// Prover entry crates cannot see the dispatcher's config, so the plan is
-// armed on the current thread for the duration of a dispatch. The unarmed
-// fast path must cost next to nothing: one thread-local counter load.
-
-thread_local! {
-    static ARMED_DEPTH: Cell<u32> = const { Cell::new(0) };
-    static ARMED_PLAN: std::cell::RefCell<Vec<Arc<FaultPlan>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Is a fault plan armed on this thread?
-#[inline]
-pub fn armed() -> bool {
-    ARMED_DEPTH.with(|d| d.get() != 0)
-}
-
-/// RAII guard returned by [`arm`]; disarms (one level) on drop.
-pub struct ArmedGuard {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-/// Arm `plan` on the current thread until the returned guard drops.
-/// Nesting is allowed; the innermost plan wins.
-pub fn arm(plan: Arc<FaultPlan>) -> ArmedGuard {
-    ARMED_PLAN.with(|p| p.borrow_mut().push(plan));
-    ARMED_DEPTH.with(|d| d.set(d.get() + 1));
-    ArmedGuard {
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-impl Drop for ArmedGuard {
-    fn drop(&mut self) {
-        ARMED_DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        ARMED_PLAN.with(|p| {
-            p.borrow_mut().pop();
-        });
-    }
-}
-
 // ---- obligation scopes ---------------------------------------------------
 //
 // Seeded chaos decisions must not depend on the order in which worker
-// threads reach a boundary, or parallel runs stop being reproducible. An
+// threads reach a site, or parallel runs stop being reproducible. An
 // obligation scope pins the decision key to the obligation being
 // dispatched: the dispatcher opens a scope keyed on the obligation's
-// content fingerprint, and every boundary crossed until the guard drops
+// content fingerprint, and every site polled until the guard drops
 // draws its faults from `(seed, site, obligation key, local index)` with a
 // fresh per-scope index counter. Two dispatches of the same obligation —
 // on any thread, in any order — therefore see the same fault sequence.
@@ -519,68 +476,6 @@ fn scoped_index(site: &str) -> Option<(u64, u64)> {
         *c += 1;
         Some((frame.key, local))
     })
-}
-
-/// Run `f` against the innermost armed plan, if any.
-pub fn with_armed<R>(f: impl FnOnce(&FaultPlan) -> R) -> Option<R> {
-    if !armed() {
-        return None;
-    }
-    ARMED_PLAN
-        .with(|p| p.borrow().last().cloned())
-        .map(|p| f(&p))
-}
-
-/// Register a prover boundary: the budgeted entry point of a reasoning
-/// substrate calls this first. Unarmed, it is a thread-local load and
-/// nothing else. Armed, the plan may:
-///
-/// * panic (the dispatcher's `catch_unwind` must isolate it),
-/// * report a spurious [`Exhaustion::Timeout`] or [`Exhaustion::Fuel`],
-/// * burn the caller's remaining fuel without progress (slow-burn), then
-///   report exhaustion.
-///
-/// Wrong-verdict faults are ignored here — a generic boundary cannot
-/// fabricate domain verdicts; only the dispatcher applies those.
-#[inline]
-pub fn boundary(site: &str, budget: &Budget) -> Result<(), Exhaustion> {
-    if !armed() {
-        return Ok(());
-    }
-    boundary_slow(site, budget)
-}
-
-#[cold]
-fn boundary_slow(site: &str, budget: &Budget) -> Result<(), Exhaustion> {
-    let fault = with_armed(|plan| plan.decide(site)).flatten();
-    if let Some(fault) = fault {
-        // Contribute to whatever obligation's recorder is scoped on this
-        // thread; boundary sites live inside prover crates that have no
-        // dispatcher reference. Scoped keying of `decide` keeps these
-        // events deterministic under seeded plans.
-        crate::obs::record_scoped(|| crate::obs::Event::ChaosInjected {
-            site: site.to_owned(),
-            fault: fault.to_string(),
-        });
-    }
-    match fault {
-        // Wrong-verdict faults are dispatcher-only; disk faults fire only
-        // at store IO sites via `decide_disk`; socket faults only at
-        // service boundaries via `decide_socket`. All no-ops here.
-        None | Some(Fault::WrongVerdict(_)) | Some(Fault::Disk(_)) | Some(Fault::Socket(_)) => {
-            Ok(())
-        }
-        Some(Fault::Panic) => panic!("chaos: injected panic at boundary `{site}`"),
-        Some(Fault::Timeout) => Err(Exhaustion::Timeout),
-        Some(Fault::Starvation) => Err(Exhaustion::Fuel),
-        Some(Fault::SlowBurn) => {
-            let remaining = budget.fuel_remaining();
-            if remaining != crate::budget::INFINITE_FUEL {
-                let _ = budget.charge(remaining);
-            }
-            Err(Exhaustion::Fuel)
-        }
-    }
 }
 
 /// The process-wide chaos seed from `JAHOB_CHAOS_SEED`, cached like
@@ -649,44 +544,6 @@ mod tests {
         let _ = FaultPlan::quiet()
             .inject("a", 0..1, Fault::WrongVerdict(Lie::ClaimProved))
             .inject("b", 0..1, Fault::WrongVerdict(Lie::ClaimRefuted));
-    }
-
-    #[test]
-    fn unarmed_boundary_is_a_no_op() {
-        let b = Budget::with_fuel(10);
-        assert!(!armed());
-        for _ in 0..100 {
-            assert_eq!(boundary("anywhere", &b), Ok(()));
-        }
-        assert_eq!(b.fuel_remaining(), 10);
-    }
-
-    #[test]
-    fn armed_boundary_applies_faults() {
-        let plan = Arc::new(
-            FaultPlan::quiet()
-                .inject("t.timeout", 0..1, Fault::Timeout)
-                .inject("t.starve", 0..1, Fault::Starvation)
-                .inject("t.burn", 0..1, Fault::SlowBurn),
-        );
-        let _g = arm(plan);
-        assert!(armed());
-        let b = Budget::with_fuel(100);
-        assert_eq!(boundary("t.timeout", &b), Err(Exhaustion::Timeout));
-        assert_eq!(b.fuel_remaining(), 100);
-        assert_eq!(boundary("t.starve", &b), Err(Exhaustion::Fuel));
-        assert_eq!(b.fuel_remaining(), 100, "starvation burns nothing");
-        assert_eq!(boundary("t.burn", &b), Err(Exhaustion::Fuel));
-        assert_eq!(b.fuel_remaining(), 0, "slow-burn drains the budget");
-    }
-
-    #[test]
-    fn arming_guard_restores() {
-        {
-            let _g = arm(Arc::new(FaultPlan::quiet()));
-            assert!(armed());
-        }
-        assert!(!armed());
     }
 
     #[test]
@@ -770,14 +627,9 @@ mod tests {
         );
         // A prover fault aimed at a service site is inert there.
         assert_eq!(plan.decide_socket("service.read"), None);
-        // A socket rule is equally inert at the disk decider, and a
-        // generic boundary treats it as a no-op.
-        let plan =
-            Arc::new(FaultPlan::quiet().inject("s", 0..10, Fault::Socket(SocketFault::Disconnect)));
+        // A socket rule is equally inert at the disk decider.
+        let plan = FaultPlan::quiet().inject("s", 0..10, Fault::Socket(SocketFault::Disconnect));
         assert_eq!(plan.decide_disk("s"), None);
-        let _g = arm(Arc::clone(&plan));
-        let b = Budget::unlimited();
-        assert_eq!(boundary("s", &b), Ok(()));
     }
 
     #[test]
@@ -801,17 +653,5 @@ mod tests {
             4,
             "512 rolls must cover all socket kinds: {kinds:?}"
         );
-    }
-
-    #[test]
-    fn wrong_verdict_ignored_at_generic_boundary() {
-        let plan = Arc::new(FaultPlan::quiet().inject(
-            "t.lie",
-            0..1,
-            Fault::WrongVerdict(Lie::ClaimProved),
-        ));
-        let _g = arm(plan);
-        let b = Budget::unlimited();
-        assert_eq!(boundary("t.lie", &b), Ok(()));
     }
 }

@@ -18,9 +18,10 @@
 //!   harness and the dispatcher report.
 //! * [`budget`] — cooperative resource budgets (deadline + fuel) threaded
 //!   through every prover so no substrate can hang a verification run.
-//! * [`chaos`] — deterministic, seeded fault injection at prover
-//!   boundaries, for testing the dispatcher's fault handling under
-//!   adversarial conditions.
+//! * [`chaos`] — deterministic, seeded fault plans, for testing fault
+//!   handling under adversarial conditions: the dispatcher decides
+//!   prover faults at its `dispatch.*` sites, the store disk faults, and
+//!   the daemon socket faults.
 //! * [`pool`] — a small work-stealing thread pool (panic isolation per
 //!   task, worker-local state) that the verification pipeline uses to
 //!   fan methods out across cores.

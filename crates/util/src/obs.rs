@@ -33,9 +33,7 @@
 //!   at the price of scheduler-dependent interleaving across threads.
 
 use crate::json::Obj;
-use std::cell::RefCell;
 use std::io::Write as _;
-use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
 /// One observation. Variants mirror the span structure of a run:
@@ -109,7 +107,8 @@ pub enum Event {
         fuel: u64,
         micros: u64,
     },
-    /// The fault plan injected a fault at this boundary.
+    /// The fault plan injected a fault at this site (`dispatch.*` in a
+    /// verification run, `service.*` on the daemon's own stream).
     ChaosInjected { site: String, fault: String },
     /// The seeded liar produced a wrong verdict that chaos suppressed.
     ChaosLied { prover: &'static str },
@@ -118,7 +117,8 @@ pub enum Event {
     Watchdog { outcome: &'static str },
     /// The persistent proof store was opened: `entries` records survived
     /// recovery across `segments` segments; `lock` is the advisory-lock
-    /// outcome (`acquired`, `took-over-stale`, `read-only`).
+    /// outcome (`acquired`, `took-over-stale`, `read-only`), tallied as
+    /// `store.lock.<lock>`.
     StoreOpen {
         entries: u64,
         segments: u64,
@@ -136,9 +136,6 @@ pub enum Event {
     StoreRecovered { dropped: u64, reset: Option<String> },
     /// Unreadable segments were quarantined to `*.corrupt` and skipped.
     StoreQuarantined { segments: u64 },
-    /// Advisory-lock outcome on store open (`acquired`,
-    /// `took-over-stale`, `read-only`).
-    StoreLock { state: &'static str },
     /// A store IO operation (`open`, `flush`) failed; persistence
     /// degrades — the verification run itself is unaffected.
     StoreError { op: &'static str, error: String },
@@ -193,7 +190,6 @@ impl Event {
             Event::StoreFlush { .. } => "store.flush",
             Event::StoreRecovered { .. } => "store.recovered",
             Event::StoreQuarantined { .. } => "store.quarantined",
-            Event::StoreLock { .. } => "store.lock",
             Event::StoreError { .. } => "store.error",
             Event::ServiceStart { .. } => "service.start",
             Event::ServiceAccept { .. } => "service.accept",
@@ -336,7 +332,6 @@ impl Event {
                 .u64("dropped", *dropped)
                 .opt_str("reset", reset.as_deref()),
             Event::StoreQuarantined { segments } => o.u64("segments", *segments),
-            Event::StoreLock { state } => o.str("state", state),
             Event::StoreError { op, error } => o.str("op", op).str("error", error),
             Event::ServiceStart { socket } => o.str("socket", socket),
             Event::ServiceAccept { client } => o.u64("client", *client),
@@ -366,9 +361,9 @@ impl Event {
     /// for agreement checks.
     ///
     /// Events with no counter (span starts/ends, notes) report nothing.
-    /// `ChaosInjected` only counts for dispatcher-level sites
-    /// (`dispatch.*`): faults injected at prover-crate boundaries surface
-    /// as the failure the fault provokes, exactly as before observability.
+    /// `ChaosInjected` only counts for the dispatcher's `dispatch.*`
+    /// sites: the daemon's `service.*` injections are connection state,
+    /// and must never reach a report's stats.
     pub fn stat_increments(&self, mut bump: impl FnMut(&str, u64)) {
         match self {
             Event::CacheLookup {
@@ -389,7 +384,10 @@ impl Event {
             // Store counters carry a `store.` prefix on purpose: the
             // verify pipeline marks that whole group unstable, since the
             // counts depend on what was on disk before the run.
-            Event::StoreOpen { .. } => bump("store.open", 1),
+            Event::StoreOpen { lock, .. } => {
+                bump("store.open", 1);
+                bump(&format!("store.lock.{lock}"), 1);
+            }
             Event::StoreLoad { entries } => {
                 bump("store.load", 1);
                 bump("store.load.entries", *entries);
@@ -404,7 +402,6 @@ impl Event {
                 bump("store.recovered.dropped", *dropped);
             }
             Event::StoreQuarantined { segments } => bump("store.quarantined", *segments),
-            Event::StoreLock { state } => bump(&format!("store.lock.{state}"), 1),
             Event::StoreError { .. } => bump("store.error", 1),
             // Service counters carry the `service.` prefix on purpose:
             // they count connection-lifecycle traffic, which is daemon
@@ -514,7 +511,6 @@ impl Event {
             Event::StoreQuarantined { segments } => {
                 format!("store quarantined {segments} segment(s)")
             }
-            Event::StoreLock { state } => format!("store lock: {state}"),
             Event::StoreError { op, error } => format!("store {op} failed: {error}"),
             Event::ServiceStart { socket } => format!("service listening on {socket}"),
             Event::ServiceAccept { client } => format!("service: client {client} connected"),
@@ -734,11 +730,6 @@ impl Recorder {
         }
     }
 
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.mode.is_some()
-    }
-
     /// Record the event produced by `make` — which is not called at all
     /// when the recorder is disabled, so call sites pay no formatting or
     /// allocation cost on the fast path.
@@ -771,52 +762,6 @@ impl std::fmt::Debug for Recorder {
         };
         f.debug_struct("Recorder").field("mode", &mode).finish()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-scoped recorder: lets leaf code with no dispatcher reference
-// (the chaos boundaries inside prover crates) contribute events to the
-// recorder of whatever obligation is running on this thread.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static SCOPED: RefCell<Option<Recorder>> = const { RefCell::new(None) };
-}
-
-/// RAII guard restoring the previously scoped recorder. Deliberately
-/// `!Send`: the guard must drop on the thread that armed it.
-pub struct ScopeGuard {
-    prev: Option<Recorder>,
-    _not_send: PhantomData<*const ()>,
-}
-
-/// Arm `recorder` as this thread's scoped recorder until the guard
-/// drops. Arming a disabled recorder clears the scope (leaf events from
-/// a previous scope must not leak into an unobserved obligation).
-pub fn scope(recorder: &Recorder) -> ScopeGuard {
-    let next = recorder.enabled().then(|| recorder.clone());
-    let prev = SCOPED.with(|s| s.replace(next));
-    ScopeGuard {
-        prev,
-        _not_send: PhantomData,
-    }
-}
-
-impl Drop for ScopeGuard {
-    fn drop(&mut self) {
-        SCOPED.with(|s| *s.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Record into the thread's scoped recorder, if one is armed. `make` is
-/// never called otherwise. Leaf call sites (chaos boundaries) use this;
-/// it is only reached on already-slow paths, so the TLS access is fine.
-pub fn record_scoped(make: impl FnOnce() -> Event) {
-    SCOPED.with(|s| {
-        if let Some(rec) = s.borrow().as_ref() {
-            rec.record_with(make);
-        }
-    });
 }
 
 /// Rebuild the stats counters a captured event stream implies, using the
@@ -985,7 +930,6 @@ mod tests {
     #[test]
     fn disabled_recorder_never_builds_events() {
         let rec = Recorder::disabled();
-        assert!(!rec.enabled());
         rec.record_with(|| panic!("must not be called"));
         assert!(rec.drain().is_empty());
     }
@@ -1008,33 +952,6 @@ mod tests {
         rec.record_with(|| Event::PieceEnd { verdict: "proved" });
         assert_eq!(sink.events(), vec![Event::PieceEnd { verdict: "proved" }]);
         assert!(rec.drain().is_empty(), "streaming mode has no buffer");
-    }
-
-    #[test]
-    fn scoped_recording_is_thread_local_and_restores() {
-        let rec = Recorder::buffered();
-        {
-            let _g = scope(&rec);
-            record_scoped(|| Event::Note { text: "in".into() });
-            // Another thread sees no scope.
-            std::thread::scope(|s| {
-                s.spawn(|| record_scoped(|| panic!("not scoped here")));
-            });
-        }
-        record_scoped(|| panic!("scope ended"));
-        assert_eq!(rec.drain().len(), 1);
-    }
-
-    #[test]
-    fn scoping_a_disabled_recorder_clears_the_scope() {
-        let outer = Recorder::buffered();
-        let _g = scope(&outer);
-        {
-            let _inner = scope(&Recorder::disabled());
-            record_scoped(|| panic!("inner scope is off"));
-        }
-        record_scoped(|| Event::PieceEnd { verdict: "proved" });
-        assert_eq!(outer.drain().len(), 1, "outer scope restored");
     }
 
     #[test]
@@ -1199,11 +1116,11 @@ mod tests {
         let ev = Event::StoreOpen {
             entries: 3,
             segments: 2,
-            lock: "acquired",
+            lock: "read-only",
         };
         assert_eq!(
             ev.to_json(false),
-            r#"{"type":"store.open","entries":3,"segments":2,"lock":"acquired"}"#
+            r#"{"type":"store.open","entries":3,"segments":2,"lock":"read-only"}"#
         );
         let stream = vec![
             ev,
@@ -1217,7 +1134,6 @@ mod tests {
                 reset: None,
             },
             Event::StoreQuarantined { segments: 2 },
-            Event::StoreLock { state: "read-only" },
             Event::StoreError {
                 op: "flush",
                 error: "no space".into(),

@@ -60,8 +60,8 @@
 //! operation and consults [`FaultPlan::decide_disk`] at the `store.load`
 //! / `store.flush` / `store.lock` sites. Each site applies the fault
 //! kinds that are physically meaningful for it (a torn write cannot
-//! happen during a read) and ignores the rest, exactly as prover
-//! boundaries ignore wrong-verdict faults.
+//! happen during a read) and ignores the rest, exactly as the
+//! dispatcher ignores disk faults aimed at its sites.
 
 use crate::chaos::{DiskFault, FaultPlan};
 use std::fs::{self, File, OpenOptions};

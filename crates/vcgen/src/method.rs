@@ -311,12 +311,6 @@ pub fn method_obligations(
     }
 
     // Body.
-    if jahob_util::trace_enabled() {
-        eprintln!(
-            "[vcgen] {}.{}: translating body...",
-            method.class, method.name
-        );
-    }
     translate_stmts(&mut ctx, &method.body, &mut gcs)?;
 
     // Exit obligations.
@@ -337,23 +331,7 @@ pub fn method_obligations(
         });
     }
 
-    if jahob_util::trace_enabled() {
-        eprintln!(
-            "[vcgen] {}.{}: wp over {} commands...",
-            method.class,
-            method.name,
-            gcs.len()
-        );
-    }
     let raw = wp_list(&gcs, posts);
-    if jahob_util::trace_enabled() {
-        eprintln!(
-            "[vcgen] {}.{}: {} raw obligations; finalizing...",
-            method.class,
-            method.name,
-            raw.len()
-        );
-    }
     let obligations = finalize(raw)
         .into_iter()
         .map(|o| Obligation {

@@ -50,7 +50,6 @@ SCHEMA = {
     "store.flush": {"records", "bytes"},
     "store.recovered": {"dropped"},
     "store.quarantined": {"segments"},
-    "store.lock": {"state"},
     "store.error": {"op", "error"},
     "sink.error": {"error"},
 }

@@ -162,6 +162,7 @@ class RejectsMalformedStreams(unittest.TestCase):
             {"type": "supervisor.fallback", "lane": "bapa"},
             {"type": "supervisor.quarantined", "lane": "bapa", "crashes": 3},
             {"type": "supervisor.heartbeat", "lane": "bapa"},
+            {"type": "store.lock", "state": "acquired"},
         ]:
             with self.subTest(event=event["type"]):
                 self.assert_rejected(

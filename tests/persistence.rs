@@ -191,20 +191,18 @@ fn warm_reports_are_worker_invariant() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Satellite: `Verifier` session reuse with `shared_cache` and
-/// persistence enabled together. Hit attribution stays deterministic and
-/// the second `verify()` call never re-proves; dropping the session
-/// flushes the shared store so a later process starts warm.
+/// `Verifier` session reuse with persistence enabled. Hit attribution
+/// stays deterministic and the second `verify()` call never re-proves;
+/// dropping the session flushes its store so a later session on the same
+/// directory starts warm.
 #[test]
 fn session_reuse_with_shared_persistent_cache() {
-    const DIGEST: u64 = 0x6a61_686f_625f_7063; // test-local, only self-consistency matters
     let src = TINY;
     let dir = temp_dir("session");
 
-    let cache = Arc::new(GoalCache::open_persistent(&dir, DIGEST, None, None));
     let verifier = Config::builder()
         .workers(1)
-        .shared_cache(Arc::clone(&cache))
+        .cache_path(&dir)
         .build_verifier();
 
     let first = verifier.verify(src).expect("first call");
@@ -219,7 +217,7 @@ fn session_reuse_with_shared_persistent_cache() {
     assert_eq!(
         fresh_proof_count(&second),
         0,
-        "second call replays the warm shared cache: {:?}",
+        "second call replays the session's warm cache: {:?}",
         second.stats
     );
     // Deterministic hit attribution: the second call hits exactly the
@@ -233,13 +231,15 @@ fn session_reuse_with_shared_persistent_cache() {
         second.stats
     );
 
-    // Drop the session and the cache handle: the write-behind layer
-    // flushes on drop, so a later process starts warm from disk.
+    // Drop the session: the write-behind layer flushes on drop, so a
+    // later session on the same directory starts warm from disk.
     drop(verifier);
-    drop(cache);
-    let reopened = GoalCache::open_persistent(&dir, DIGEST, None, None);
+    let reopened = Config::builder()
+        .workers(1)
+        .cache_path(&dir)
+        .build_verifier();
     assert!(
-        !reopened.is_empty(),
+        reopened.goal_cache().is_some_and(|cache| !cache.is_empty()),
         "dropping the session persisted the proofs"
     );
     drop(reopened);
