@@ -9,11 +9,14 @@
 //! * SAT — pigeonhole instances (the CDCL engine under every prover).
 //! * Elaboration — sort inference over the 98 case-study obligations, the
 //!   one elaboration the dispatcher runs per obligation, in ns per node.
+//! * Front matter — VC generation plus `Dispatcher::prepare` over the five
+//!   case studies, the work a warm recheck repeats before any prover runs,
+//!   in µs per pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jahob_bench::{
-    bapa_union_bound, case_study_obligations, elaborate, euf_cycle, game_bapa_pieces, lia_interval,
-    lia_interval_cooper,
+    bapa_union_bound, case_study_obligations, case_study_programs, case_study_vcs, elaborate,
+    euf_cycle, game_bapa_pieces, lia_interval, lia_interval_cooper,
 };
 use jahob_logic::Sort;
 use jahob_util::{FxHashMap, Symbol};
@@ -160,6 +163,48 @@ fn bench_elaboration(c: &mut Criterion) {
     );
 }
 
+/// XOR of the goal-cache keys of the 117 pieces `prepare` makes of the 98
+/// case-study obligations. A change to VC generation, simplification,
+/// splitting, normalization or fingerprinting that moves any key moves
+/// this, and every persisted cache entry with it.
+const PIECE_KEYS_XOR: u128 = 0xf545_4817_c0b8_7c5b_b696_ae98_f5de_7611;
+
+fn bench_vcgen_prepare(c: &mut Criterion) {
+    let programs = case_study_programs();
+    let dispatchers: Vec<_> = programs
+        .iter()
+        .map(|typed| jahob::Dispatcher::new(typed.sig.clone()))
+        .collect();
+    let mut group = c.benchmark_group("front/vcgen_prepare");
+    group.sample_size(50);
+    let mut elapsed = Duration::ZERO;
+    let mut rounds = 0u32;
+    group.bench_function("case_studies", |b| {
+        b.iter(|| {
+            let started = Instant::now();
+            let (mut obligations, mut pieces, mut keys) = (0, 0, 0u128);
+            for (typed, dispatcher) in programs.iter().zip(&dispatchers) {
+                for vcs in case_study_vcs(typed) {
+                    for ob in &vcs.obligations {
+                        obligations += 1;
+                        for piece in dispatcher.prepare(&ob.form).pieces {
+                            pieces += 1;
+                            keys ^= piece.key;
+                        }
+                    }
+                }
+            }
+            elapsed += started.elapsed();
+            rounds += 1;
+            assert_eq!((obligations, pieces), (98, 117));
+            assert_eq!(keys, PIECE_KEYS_XOR, "piece keys moved: {keys:#x}");
+        })
+    });
+    group.finish();
+    let per_pass = elapsed.as_micros() as f64 / f64::from(rounds);
+    println!("bench front/vcgen_prepare: {per_pass:.0} µs/pass (98 obligations, 117 pieces)");
+}
+
 criterion_group!(
     benches,
     bench_bapa,
@@ -167,6 +212,7 @@ criterion_group!(
     bench_presburger,
     bench_smt,
     bench_sat,
-    bench_elaboration
+    bench_elaboration,
+    bench_vcgen_prepare
 );
 criterion_main!(benches);

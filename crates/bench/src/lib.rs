@@ -104,6 +104,22 @@ pub fn game_source() -> &'static str {
 /// with its `ite`s lifted, exactly as the dispatcher hands it to sort
 /// inference, grouped per program with the program's signature.
 pub fn case_study_obligations() -> Vec<(FxHashMap<Symbol, Sort>, Vec<Form>)> {
+    case_study_programs()
+        .into_iter()
+        .map(|typed| {
+            let goals = case_study_vcs(&typed)
+                .iter()
+                .flat_map(|vcs| &vcs.obligations)
+                .map(|ob| jahob_smt::lift_ite(&ob.form))
+                .collect();
+            (typed.sig, goals)
+        })
+        .collect()
+}
+
+/// The five case studies, parsed and resolved, in the order of
+/// [`case_study_obligations`].
+pub fn case_study_programs() -> Vec<jahob_javalite::TypedProgram> {
     [
         list_source(),
         client_source(),
@@ -114,21 +130,19 @@ pub fn case_study_obligations() -> Vec<(FxHashMap<Symbol, Sort>, Vec<Form>)> {
     .into_iter()
     .map(|src| {
         let program = jahob_javalite::parse_program(src).expect("case study parses");
-        let typed = jahob_javalite::resolve(&program).expect("case study resolves");
-        let mut goals = Vec::new();
-        for class in &typed.classes {
-            for m in class.methods.iter().filter(|m| !m.contract.assumed) {
-                let vcs = jahob_vcgen::method_obligations(&typed, m).expect("VC generation");
-                goals.extend(
-                    vcs.obligations
-                        .iter()
-                        .map(|ob| jahob_smt::lift_ite(&ob.form)),
-                );
-            }
-        }
-        (typed.sig, goals)
+        jahob_javalite::resolve(&program).expect("case study resolves")
     })
     .collect()
+}
+
+/// VC generation over every verified method of a program, in source order.
+pub fn case_study_vcs(typed: &jahob_javalite::TypedProgram) -> Vec<jahob_vcgen::MethodVcs> {
+    typed
+        .classes
+        .iter()
+        .flat_map(|class| class.methods.iter().filter(|m| !m.contract.assumed))
+        .map(|m| jahob_vcgen::method_obligations(typed, m).expect("VC generation"))
+        .collect()
 }
 
 /// BAPA on real goals: every piece [`jahob::Dispatcher::prepare`] makes of

@@ -44,7 +44,7 @@ use jahob_util::chaos::{splitmix64, FaultPlan};
 use jahob_util::counters::Stats;
 use jahob_util::obs::{Event, Sink};
 use jahob_util::store::{Record, Store};
-use jahob_util::{FxHashMap, FxHashSet, Symbol};
+use jahob_util::{FxHashMap, Symbol};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -88,9 +88,11 @@ struct Normalizer {
     /// so shadowing resolves to the innermost binder.
     bound: Vec<(Symbol, Symbol)>,
     next_bound: usize,
-    /// Original primed free symbol → canonical `stem#k` symbol.
-    primed: FxHashMap<Symbol, Symbol>,
-    seen_free: FxHashSet<Symbol>,
+    /// Original free symbol → its canonical name, looked up once per goal
+    /// (reading a symbol's text takes the interner's lock).
+    canonical: FxHashMap<Symbol, Symbol>,
+    /// Primed free symbols seen so far.
+    primed: usize,
     frees: Vec<(Symbol, Symbol)>,
 }
 
@@ -113,21 +115,20 @@ impl Normalizer {
         if let Some((_, canon)) = self.bound.iter().rev().find(|(orig, _)| *orig == s) {
             return *canon;
         }
+        if let Some(canon) = self.canonical.get(&s) {
+            return *canon;
+        }
         let name = s.as_str();
         let canon = match name.find('\'') {
-            Some(cut) => match self.primed.get(&s) {
-                Some(c) => *c,
-                None => {
-                    let c = Symbol::intern(&format!("{}#{}", &name[..cut], self.primed.len()));
-                    self.primed.insert(s, c);
-                    c
-                }
-            },
+            Some(cut) => {
+                let canon = Symbol::intern(&format!("{}#{}", &name[..cut], self.primed));
+                self.primed += 1;
+                canon
+            }
             None => s,
         };
-        if self.seen_free.insert(s) {
-            self.frees.push((canon, s));
-        }
+        self.canonical.insert(s, canon);
+        self.frees.push((canon, s));
         canon
     }
 

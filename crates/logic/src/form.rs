@@ -4,6 +4,11 @@
 //! terms of other sorts, as in HOL. Structural sharing uses `Rc`; all
 //! operations are pure and return new terms.
 //!
+//! Rewrite passes share what they leave alone: a pass returns `None` for a
+//! subtree it does not change, so the parent keeps that subtree's `Rc`s
+//! ([`Form::map_children`]) and a pass allocates only along the path to an
+//! actual rewrite.
+//!
 //! Two interpreted higher-order symbols are kept as ordinary applications and
 //! recognized by name throughout the workspace:
 //!
@@ -361,83 +366,43 @@ impl Form {
 
     /// Capture-avoiding simultaneous substitution of free variables.
     pub fn subst(&self, map: &FxHashMap<Symbol, Form>) -> Form {
-        if map.is_empty() {
-            return self.clone();
-        }
-        // Precompute the free variables of the replacement terms once; binders
-        // clashing with these must be renamed.
-        let mut replacement_frees = FxHashSet::default();
-        for f in map.values() {
-            replacement_frees.extend(f.free_vars());
-        }
-        self.subst_inner(map, &replacement_frees)
+        self.subst_changed(map, false)
+            .unwrap_or_else(|| self.clone())
     }
 
-    fn subst_inner(
+    /// [`Form::subst`] that stops at `old e`: pre-state expressions stay
+    /// frozen while weakest preconditions substitute the current state,
+    /// until the VC generator dissolves `old` at the method entry.
+    pub fn subst_outside_old(&self, map: &FxHashMap<Symbol, Form>) -> Form {
+        self.subst_changed(map, true)
+            .unwrap_or_else(|| self.clone())
+    }
+
+    /// The substitution as a rewrite: `None` when it leaves the term
+    /// unchanged, and otherwise a term that shares every untouched subtree
+    /// with this one. `stop_at_old` leaves `old e` as it is. A binder that
+    /// would capture a free variable of a replacement that can still be
+    /// substituted under it is renamed apart, whether or not that
+    /// replacement occurs.
+    pub(crate) fn subst_changed(
         &self,
         map: &FxHashMap<Symbol, Form>,
-        replacement_frees: &FxHashSet<Symbol>,
-    ) -> Form {
-        match self {
-            Form::Var(s) => map.get(s).cloned().unwrap_or_else(|| self.clone()),
-            Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => self.clone(),
-            Form::Tree(elems) => Form::Tree(
-                elems
-                    .iter()
-                    .map(|e| e.subst_inner(map, replacement_frees))
-                    .collect(),
-            ),
-            Form::FiniteSet(elems) => Form::FiniteSet(
-                elems
-                    .iter()
-                    .map(|e| e.subst_inner(map, replacement_frees))
-                    .collect(),
-            ),
-            Form::And(elems) => Form::and(
-                elems
-                    .iter()
-                    .map(|e| e.subst_inner(map, replacement_frees))
-                    .collect(),
-            ),
-            Form::Or(elems) => Form::or(
-                elems
-                    .iter()
-                    .map(|e| e.subst_inner(map, replacement_frees))
-                    .collect(),
-            ),
-            Form::Unop(op, a) => Form::Unop(*op, Rc::new(a.subst_inner(map, replacement_frees))),
-            Form::Old(a) => Form::Old(Rc::new(a.subst_inner(map, replacement_frees))),
-            Form::Binop(op, a, b) => Form::Binop(
-                *op,
-                Rc::new(a.subst_inner(map, replacement_frees)),
-                Rc::new(b.subst_inner(map, replacement_frees)),
-            ),
-            Form::Ite(c, t, e) => Form::Ite(
-                Rc::new(c.subst_inner(map, replacement_frees)),
-                Rc::new(t.subst_inner(map, replacement_frees)),
-                Rc::new(e.subst_inner(map, replacement_frees)),
-            ),
-            Form::App(head, args) => Form::app(
-                head.subst_inner(map, replacement_frees),
-                args.iter()
-                    .map(|a| a.subst_inner(map, replacement_frees))
-                    .collect(),
-            ),
-            Form::Quant(kind, binders, body) => {
-                let (binders, body) = subst_under_binders(binders, body, map, replacement_frees);
-                Form::Quant(*kind, binders, Rc::new(body))
-            }
-            Form::Lambda(binders, body) => {
-                let (binders, body) = subst_under_binders(binders, body, map, replacement_frees);
-                Form::Lambda(binders, Rc::new(body))
-            }
-            Form::Compr(x, sort, body) => {
-                let binders = vec![(*x, sort.clone())];
-                let (binders, body) = subst_under_binders(&binders, body, map, replacement_frees);
-                let (x, sort) = binders.into_iter().next().unwrap();
-                Form::Compr(x, sort, Rc::new(body))
-            }
+        stop_at_old: bool,
+    ) -> Option<Form> {
+        if map.is_empty() {
+            return None;
         }
+        let mut frees = FxHashSet::default();
+        for replacement in map.values() {
+            replacement.collect_free(&mut Vec::new(), &mut frees);
+        }
+        Subst {
+            map,
+            frees,
+            scope: Vec::new(),
+            stop_at_old,
+        }
+        .go(self)
     }
 
     /// Substitute a single variable.
@@ -493,38 +458,264 @@ impl Form {
             }
         }
     }
-}
 
-/// Substitution under a binder list: drop shadowed entries from the map and
-/// alpha-rename binders that would capture free variables of replacements.
-fn subst_under_binders(
-    binders: &[(Symbol, Sort)],
-    body: &Form,
-    map: &FxHashMap<Symbol, Form>,
-    replacement_frees: &FxHashSet<Symbol>,
-) -> (Vec<(Symbol, Sort)>, Form) {
-    let mut inner_map: FxHashMap<Symbol, Form> = map
-        .iter()
-        .filter(|(k, _)| !binders.iter().any(|(b, _)| b == *k))
-        .map(|(k, v)| (*k, v.clone()))
-        .collect();
-    let mut new_binders = Vec::with_capacity(binders.len());
-    for (name, sort) in binders {
-        if replacement_frees.contains(name) {
-            // Capture risk: rename this binder.
-            let fresh = Symbol::fresh(*name);
-            inner_map.insert(*name, Form::Var(fresh));
-            new_binders.push((fresh, sort.clone()));
-        } else {
-            new_binders.push((*name, sort.clone()));
+    /// Does `name` occur free in the term?
+    pub fn occurs_free(&self, name: Symbol) -> bool {
+        match self {
+            Form::Var(s) => *s == name,
+            Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => false,
+            Form::FiniteSet(elems) | Form::And(elems) | Form::Or(elems) | Form::Tree(elems) => {
+                elems.iter().any(|e| e.occurs_free(name))
+            }
+            Form::Unop(_, a) | Form::Old(a) => a.occurs_free(name),
+            Form::Binop(_, a, b) => a.occurs_free(name) || b.occurs_free(name),
+            Form::Ite(c, t, e) => c.occurs_free(name) || t.occurs_free(name) || e.occurs_free(name),
+            Form::App(head, args) => {
+                head.occurs_free(name) || args.iter().any(|a| a.occurs_free(name))
+            }
+            Form::Quant(_, binders, body) | Form::Lambda(binders, body) => {
+                binders.iter().all(|(b, _)| *b != name) && body.occurs_free(name)
+            }
+            Form::Compr(x, _, body) => *x != name && body.occurs_free(name),
         }
     }
-    let new_body = if inner_map.is_empty() {
-        body.clone()
-    } else {
-        body.subst(&inner_map)
-    };
-    (new_binders, new_body)
+
+    // ---- rewriting with sharing ---------------------------------------------
+
+    /// This node rebuilt around its children rewritten by `f`, which
+    /// returns `None` for a child it leaves unchanged; binder lists are
+    /// kept, and children are visited left to right. Conjunctions,
+    /// disjunctions and applications are rebuilt by their flattening
+    /// constructors ([`Form::and`], [`Form::or`], [`Form::app`]), so a node
+    /// not in their shape (a nested `And`, a `True` conjunct, an
+    /// application of an application) comes back rewritten even when no
+    /// child changed. `None` when nothing changed.
+    pub fn map_children(&self, mut f: impl FnMut(&Form) -> Option<Form>) -> Option<Form> {
+        match self {
+            Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => None,
+            Form::Tree(elems) => changed_copy(elems, f).map(Form::Tree),
+            Form::FiniteSet(elems) => changed_copy(elems, f).map(Form::FiniteSet),
+            Form::And(_) | Form::Or(_) => self.rebuild_junction(f),
+            Form::Unop(op, a) => f(a).map(|a| Form::Unop(*op, Rc::new(a))),
+            Form::Old(a) => f(a).map(|a| Form::Old(Rc::new(a))),
+            Form::Binop(op, a, b) => {
+                let (na, nb) = (f(a), f(b));
+                if na.is_none() && nb.is_none() {
+                    return None;
+                }
+                Some(Form::Binop(*op, keep(na, a), keep(nb, b)))
+            }
+            Form::Ite(c, t, e) => {
+                let (nc, nt) = (f(c), f(t));
+                let ne = f(e);
+                if nc.is_none() && nt.is_none() && ne.is_none() {
+                    return None;
+                }
+                Some(Form::Ite(keep(nc, c), keep(nt, t), keep(ne, e)))
+            }
+            Form::App(head, args) => {
+                let nh = f(head);
+                Form::rebuild_app(head, args, nh, changed_copy(args, f))
+            }
+            Form::Quant(kind, binders, body) => {
+                f(body).map(|b| Form::Quant(*kind, binders.clone(), Rc::new(b)))
+            }
+            Form::Lambda(binders, body) => {
+                f(body).map(|b| Form::Lambda(binders.clone(), Rc::new(b)))
+            }
+            Form::Compr(x, sort, body) => {
+                f(body).map(|b| Form::Compr(*x, sort.clone(), Rc::new(b)))
+            }
+        }
+    }
+
+    /// A conjunction or disjunction rebuilt around its parts rewritten by
+    /// `f`, through its flattening constructor; `None` when no part changed
+    /// and the constructor would return the node as it is.
+    fn rebuild_junction(&self, f: impl FnMut(&Form) -> Option<Form>) -> Option<Form> {
+        let (parts, smart): (_, fn(Vec<Form>) -> Form) = match self {
+            Form::And(parts) => (parts, Form::and),
+            Form::Or(parts) => (parts, Form::or),
+            _ => unreachable!("rebuild_junction on {self:?}"),
+        };
+        if let Some(parts) = changed_copy(parts, f) {
+            return Some(smart(parts));
+        }
+        let flattens = |part: &Form| {
+            matches!(
+                (self, part),
+                (_, Form::BoolLit(_)) | (Form::And(_), Form::And(_)) | (Form::Or(_), Form::Or(_))
+            )
+        };
+        (parts.len() < 2 || parts.iter().any(flattens)).then(|| smart(parts.clone()))
+    }
+
+    /// `~inner` after `inner` was rewritten to `new` (`None`: unchanged),
+    /// rebuilt as [`Form::not`] builds it; `None` when that is the node
+    /// `~inner` itself.
+    pub fn rebuild_not(inner: &Rc<Form>, new: Option<Form>) -> Option<Form> {
+        match new.as_ref().unwrap_or(inner) {
+            Form::BoolLit(b) => Some(Form::BoolLit(!b)),
+            Form::Unop(UnOp::Not, x) => Some(x.as_ref().clone()),
+            _ => new.map(|n| Form::Unop(UnOp::Not, Rc::new(n))),
+        }
+    }
+
+    /// `head args` after its parts were rewritten to `new_head` and
+    /// `new_args` (`None`: unchanged), rebuilt as [`Form::app`] builds it;
+    /// `None` when that is the node `head args` itself.
+    pub(crate) fn rebuild_app(
+        head: &Rc<Form>,
+        args: &[Form],
+        new_head: Option<Form>,
+        new_args: Option<Vec<Form>>,
+    ) -> Option<Form> {
+        if args.is_empty() || matches!(new_head.as_ref().unwrap_or(head), Form::App(..)) {
+            let head = new_head.unwrap_or_else(|| head.as_ref().clone());
+            return Some(Form::app(head, new_args.unwrap_or_else(|| args.to_vec())));
+        }
+        if new_head.is_none() && new_args.is_none() {
+            return None;
+        }
+        Some(Form::App(
+            keep(new_head, head),
+            new_args.unwrap_or_else(|| args.to_vec()),
+        ))
+    }
+}
+
+/// The rewritten subtree, or the original's `Rc` when it came out
+/// unchanged.
+pub(crate) fn keep(new: Option<Form>, old: &Rc<Form>) -> Rc<Form> {
+    new.map_or_else(|| Rc::clone(old), Rc::new)
+}
+
+/// `items` with `f` applied, copied only once some item changes; `None`
+/// when `f` changes none (`f` returns `None` for an unchanged item).
+pub(crate) fn changed_copy<T: Clone>(
+    items: &[T],
+    mut f: impl FnMut(&T) -> Option<T>,
+) -> Option<Vec<T>> {
+    let mut out: Option<Vec<T>> = None;
+    for (i, item) in items.iter().enumerate() {
+        match (f(item), &mut out) {
+            (Some(new), Some(out)) => out.push(new),
+            (Some(new), None) => {
+                let mut changed = Vec::with_capacity(items.len());
+                changed.extend_from_slice(&items[..i]);
+                changed.push(new);
+                out = Some(changed);
+            }
+            (None, Some(out)) => out.push(item.clone()),
+            (None, None) => {}
+        }
+    }
+    out
+}
+
+/// One capture-avoiding substitution in progress ([`Form::subst_changed`]).
+struct Subst<'m> {
+    map: &'m FxHashMap<Symbol, Form>,
+    /// The free variables of every replacement: no other binder can
+    /// capture one.
+    frees: FxHashSet<Symbol>,
+    /// The enclosing binders, innermost last, each with the fresh name it
+    /// was renamed to, if it was.
+    scope: Vec<(Symbol, Option<Symbol>)>,
+    stop_at_old: bool,
+}
+
+impl Subst<'_> {
+    fn go(&mut self, form: &Form) -> Option<Form> {
+        match form {
+            Form::Var(s) => match self.scope.iter().rev().find(|(bound, _)| bound == s) {
+                Some((_, renamed)) => renamed.map(Form::Var),
+                None => self
+                    .map
+                    .get(s)
+                    .filter(|r| !matches!(r, Form::Var(v) if v == s))
+                    .cloned(),
+            },
+            Form::Old(_) if self.stop_at_old => None,
+            Form::Quant(kind, binders, body) => {
+                let (names, body) = self.under(binders.iter().map(|(b, _)| *b), body)?;
+                Some(Form::Quant(*kind, renamed(binders, names), body))
+            }
+            Form::Lambda(binders, body) => {
+                let (names, body) = self.under(binders.iter().map(|(b, _)| *b), body)?;
+                Some(Form::Lambda(renamed(binders, names), body))
+            }
+            Form::Compr(x, sort, body) => {
+                let (names, body) = self.under(std::iter::once(*x), body)?;
+                Some(Form::Compr(names.map_or(*x, |n| n[0]), sort.clone(), body))
+            }
+            _ => form.map_children(|child| self.go(child)),
+        }
+    }
+
+    /// Substitute under a binder list: each binder that would capture a
+    /// free variable of a replacement still live here is renamed to a
+    /// fresh name, in order; the list then shadows the map for the body.
+    /// Returns the new binder names (`None` when none was renamed) and the
+    /// body; `None` when neither changed.
+    fn under(
+        &mut self,
+        names: impl Iterator<Item = Symbol>,
+        body: &Rc<Form>,
+    ) -> Option<(Option<Vec<Symbol>>, Rc<Form>)> {
+        let depth = self.scope.len();
+        let mut any_renamed = false;
+        for name in names {
+            let fresh = self.captures(name, depth).then(|| Symbol::fresh(name));
+            any_renamed |= fresh.is_some();
+            self.scope.push((name, fresh));
+        }
+        let new_body = if self.live() { self.go(body) } else { None };
+        let names = any_renamed.then(|| {
+            self.scope[depth..]
+                .iter()
+                .map(|(name, fresh)| fresh.unwrap_or(*name))
+                .collect()
+        });
+        self.scope.truncate(depth);
+        if names.is_none() && new_body.is_none() {
+            return None;
+        }
+        Some((names, keep(new_body, body)))
+    }
+
+    /// Would a binder `name`, entered with `scope[..depth]` around it,
+    /// capture a free variable of a replacement not shadowed there?
+    fn captures(&self, name: Symbol, depth: usize) -> bool {
+        self.frees.contains(&name)
+            && self.map.iter().any(|(key, replacement)| {
+                self.scope[..depth].iter().all(|(bound, _)| bound != key)
+                    && replacement.occurs_free(name)
+            })
+    }
+
+    /// Can anything still be substituted under the current scope: a key
+    /// no binder shadows, or a renamed binder no inner binder shadows?
+    fn live(&self) -> bool {
+        self.map
+            .keys()
+            .any(|key| self.scope.iter().all(|(bound, _)| bound != key))
+            || self.scope.iter().enumerate().any(|(i, (bound, fresh))| {
+                fresh.is_some() && self.scope[i + 1..].iter().all(|(inner, _)| inner != bound)
+            })
+    }
+}
+
+/// `binders` under the names [`Subst::under`] gave them.
+fn renamed(binders: &[(Symbol, Sort)], names: Option<Vec<Symbol>>) -> Vec<(Symbol, Sort)> {
+    match names {
+        None => binders.to_vec(),
+        Some(names) => names
+            .into_iter()
+            .zip(binders)
+            .map(|(name, (_, sort))| (name, sort.clone()))
+            .collect(),
+    }
 }
 
 /// Well-known interpreted symbol names.
@@ -545,6 +736,35 @@ pub mod sym {
     pub const RESULT: &str = "result";
     /// The receiver pseudo-variable.
     pub const THIS: &str = "this";
+
+    use jahob_util::Symbol;
+    use std::sync::OnceLock;
+
+    /// The interpreted symbols passes match on, interned once, so a match
+    /// compares symbols instead of taking the interner's lock for a string.
+    pub struct Builtins {
+        pub field_write: Symbol,
+        pub field_read: Symbol,
+        pub array_read: Symbol,
+        pub array_write: Symbol,
+        pub rtrancl: Symbol,
+        pub alloc: Symbol,
+        pub this: Symbol,
+    }
+
+    /// The process-wide [`Builtins`] table.
+    pub fn builtins() -> &'static Builtins {
+        static BUILTINS: OnceLock<Builtins> = OnceLock::new();
+        BUILTINS.get_or_init(|| Builtins {
+            field_write: Symbol::intern(FIELD_WRITE),
+            field_read: Symbol::intern(FIELD_READ),
+            array_read: Symbol::intern(ARRAY_READ),
+            array_write: Symbol::intern(ARRAY_WRITE),
+            rtrancl: Symbol::intern(RTRANCL),
+            alloc: Symbol::intern(ALLOC),
+            this: Symbol::intern(THIS),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -667,6 +887,69 @@ mod tests {
             }
             other => panic!("unexpected shape {other:?}"),
         }
+    }
+
+    #[test]
+    fn subst_shares_what_it_leaves_alone() {
+        let f = Form::implies(
+            Form::elem(Form::v("x"), Form::v("S")),
+            Form::eq(Form::v("x"), Form::v("y")),
+        );
+        let Form::Binop(_, hyp, goal) = &f else {
+            panic!("expected -->, got {f:?}")
+        };
+        // `z` occurs nowhere: the result is the input, subtree for subtree.
+        let mut absent = FxHashMap::default();
+        absent.insert(s("z"), Form::Null);
+        assert_eq!(f.subst_changed(&absent, false), None);
+        let Form::Binop(_, hyp2, goal2) = f.subst(&absent) else {
+            panic!("expected -->")
+        };
+        assert!(Rc::ptr_eq(hyp, &hyp2) && Rc::ptr_eq(goal, &goal2));
+        // `y` occurs only in the goal: the hypothesis is shared.
+        let Form::Binop(_, hyp2, goal2) = f.subst1(s("y"), &Form::Null) else {
+            panic!("expected -->")
+        };
+        assert!(Rc::ptr_eq(hyp, &hyp2));
+        assert_eq!(*goal2, Form::eq(Form::v("x"), Form::Null));
+    }
+
+    #[test]
+    fn subst_outside_old_freezes_the_pre_state() {
+        let pre = Rc::new(Form::Old(Rc::new(Form::v("x"))));
+        let f = Form::Binop(BinOp::Eq, Rc::new(Form::v("x")), Rc::clone(&pre));
+        let mut map = FxHashMap::default();
+        map.insert(s("x"), Form::v("y"));
+        let Form::Binop(_, now, old) = f.subst_outside_old(&map) else {
+            panic!("expected =")
+        };
+        assert_eq!(*now, Form::v("y"));
+        assert!(Rc::ptr_eq(&old, &pre));
+        // The plain substitution enters `old`.
+        let entered = Form::Binop(
+            BinOp::Eq,
+            Rc::new(Form::v("y")),
+            Rc::new(Form::Old(Rc::new(Form::v("y")))),
+        );
+        assert_eq!(f.subst(&map), entered);
+    }
+
+    #[test]
+    fn subst_renames_only_binders_a_live_replacement_would_capture() {
+        // {n. ALL n. p n}[n := f n]: the comprehension's `n` would capture
+        // the replacement's `n`, so it is renamed; the inner `n` shadows
+        // every replacement left, so it keeps its name.
+        let inner = Form::forall(
+            vec![(s("n"), Sort::Obj)],
+            Form::app(Form::v("p"), vec![Form::v("n")]),
+        );
+        let f = Form::Compr(s("n"), Sort::Obj, Rc::new(inner.clone()));
+        let g = f.subst1(s("n"), &Form::app(Form::v("f"), vec![Form::v("n")]));
+        let Form::Compr(x, _, body) = &g else {
+            panic!("expected a comprehension, got {g:?}")
+        };
+        assert_ne!(*x, s("n"));
+        assert_eq!(**body, inner);
     }
 
     #[test]

@@ -23,13 +23,13 @@
 //! the formula again in the same order, reads the decisions back, and
 //! returns every subtree that does not change as it is.
 
-use crate::form::{sym, BinOp, Form, UnOp};
+use crate::form::sym::builtins;
+use crate::form::{changed_copy, keep, BinOp, Form, UnOp};
 use crate::parser::unknown_sort;
 use crate::sort::{Sort, SortTable, UnifyError};
 use jahob_util::{FxHashMap, Symbol};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 /// A sort-checking failure.
 #[derive(Debug, Clone)]
@@ -102,30 +102,6 @@ enum Decision {
     Made(BinOp),
     /// Decided once all constraints are in, from this sort variable.
     Pending(u32),
-}
-
-/// The names of the builtins inference treats specially, interned once.
-struct Builtins {
-    field_write: Symbol,
-    field_read: Symbol,
-    array_read: Symbol,
-    array_write: Symbol,
-    rtrancl: Symbol,
-    alloc: Symbol,
-    this: Symbol,
-}
-
-fn builtins() -> &'static Builtins {
-    static BUILTINS: OnceLock<Builtins> = OnceLock::new();
-    BUILTINS.get_or_init(|| Builtins {
-        field_write: Symbol::intern(sym::FIELD_WRITE),
-        field_read: Symbol::intern(sym::FIELD_READ),
-        array_read: Symbol::intern(sym::ARRAY_READ),
-        array_write: Symbol::intern(sym::ARRAY_WRITE),
-        rtrancl: Symbol::intern(sym::RTRANCL),
-        alloc: Symbol::intern(sym::ALLOC),
-        this: Symbol::intern(sym::THIS),
-    })
 }
 
 /// A sort-inference context: a signature of known symbols plus a persistent
@@ -501,10 +477,12 @@ impl SortCx {
             Form::FiniteSet(elems) => self.finalize_all(elems, at).map(Form::FiniteSet),
             Form::And(parts) => self.finalize_all(parts, at).map(Form::And),
             Form::Or(parts) => self.finalize_all(parts, at).map(Form::Or),
-            Form::Unop(op, inner) => self.finalize_rc(inner, at).map(|i| Form::Unop(*op, i)),
-            Form::Old(inner) => self.finalize_rc(inner, at).map(Form::Old),
+            Form::Unop(op, inner) => self
+                .finalize(inner, at)
+                .map(|i| Form::Unop(*op, Rc::new(i))),
+            Form::Old(inner) => self.finalize(inner, at).map(|i| Form::Old(Rc::new(i))),
             Form::Binop(op, lhs, rhs) => {
-                let (l, r) = (self.finalize_rc(lhs, at), self.finalize_rc(rhs, at));
+                let (l, r) = (self.finalize(lhs, at), self.finalize(rhs, at));
                 let resolved = match Overloaded::of(*op) {
                     Some(overloaded) => {
                         let decision = self.decisions[at.decision];
@@ -524,34 +502,22 @@ impl SortCx {
                 Some(Form::Binop(resolved, keep(l, lhs), keep(r, rhs)))
             }
             Form::Ite(c, t, e) => {
-                let (nc, nt) = (self.finalize_rc(c, at), self.finalize_rc(t, at));
-                let ne = self.finalize_rc(e, at);
+                let (nc, nt) = (self.finalize(c, at), self.finalize(t, at));
+                let ne = self.finalize(e, at);
                 if nc.is_none() && nt.is_none() && ne.is_none() {
                     return None;
                 }
                 Some(Form::Ite(keep(nc, c), keep(nt, t), keep(ne, e)))
             }
             Form::App(head, args) => {
-                let (nh, na) = (self.finalize_rc(head, at), self.finalize_all(args, at));
-                if args.is_empty() || matches!(**head, Form::App(..)) {
-                    // `Form::app` flattens a nested application and
-                    // drops an empty one.
-                    let head = Rc::unwrap_or_clone(keep(nh, head));
-                    return Some(Form::app(head, na.unwrap_or_else(|| args.clone())));
-                }
-                if nh.is_none() && na.is_none() {
-                    return None;
-                }
-                Some(Form::App(
-                    keep(nh, head),
-                    na.unwrap_or_else(|| args.clone()),
-                ))
+                let (nh, na) = (self.finalize(head, at), self.finalize_all(args, at));
+                Form::rebuild_app(head, args, nh, na)
             }
             Form::Quant(_, binders, body) | Form::Lambda(binders, body) => {
                 let nb = changed_copy(binders, |(name, sort)| {
                     self.finalize_sort(sort, at).map(|sort| (*name, sort))
                 });
-                let nbody = self.finalize_rc(body, at);
+                let nbody = self.finalize(body, at);
                 if nb.is_none() && nbody.is_none() {
                     return None;
                 }
@@ -562,7 +528,7 @@ impl SortCx {
                 })
             }
             Form::Compr(x, sort, body) => {
-                let (ns, nbody) = (self.finalize_sort(sort, at), self.finalize_rc(body, at));
+                let (ns, nbody) = (self.finalize_sort(sort, at), self.finalize(body, at));
                 if ns.is_none() && nbody.is_none() {
                     return None;
                 }
@@ -573,10 +539,6 @@ impl SortCx {
                 ))
             }
         }
-    }
-
-    fn finalize_rc(&self, form: &Rc<Form>, at: &mut Cursor) -> Option<Rc<Form>> {
-        self.finalize(form, at).map(Rc::new)
     }
 
     fn finalize_all(&self, forms: &[Form], at: &mut Cursor) -> Option<Vec<Form>> {
@@ -596,31 +558,6 @@ impl SortCx {
             Some(self.table.resolve_default(sort))
         }
     }
-}
-
-/// The finalized subtree, or the original one when it came out unchanged.
-fn keep(new: Option<Rc<Form>>, old: &Rc<Form>) -> Rc<Form> {
-    new.unwrap_or_else(|| Rc::clone(old))
-}
-
-/// `items` with `f` applied, copied only once some item changes; `None`
-/// when `f` changes none (`f` returns `None` for an unchanged item).
-fn changed_copy<T: Clone>(items: &[T], mut f: impl FnMut(&T) -> Option<T>) -> Option<Vec<T>> {
-    let mut out: Option<Vec<T>> = None;
-    for (i, item) in items.iter().enumerate() {
-        match (f(item), &mut out) {
-            (Some(new), Some(out)) => out.push(new),
-            (Some(new), None) => {
-                let mut changed = Vec::with_capacity(items.len());
-                changed.extend_from_slice(&items[..i]);
-                changed.push(new);
-                out = Some(changed);
-            }
-            (None, Some(out)) => out.push(item.clone()),
-            (None, None) => {}
-        }
-    }
-    out
 }
 
 /// Where pass 2 is in pass 1's side tables.

@@ -12,7 +12,8 @@
 //!   split a proof obligation into independently provable conjuncts, pushing
 //!   the split under universal quantifiers and implications.
 
-use crate::form::{BinOp, Form, QKind, UnOp};
+use crate::form::sym::builtins;
+use crate::form::{changed_copy, keep, BinOp, Form, QKind, UnOp};
 use crate::sort::Sort;
 use jahob_util::{FxHashMap, Symbol};
 use std::rc::Rc;
@@ -20,184 +21,208 @@ use std::rc::Rc;
 /// Beta-reduce to a fixpoint: `(% xs. e) as` → `e[xs := as]` and
 /// `a : {x. P}` → `P[x := a]`. Also contracts `fieldRead f x` → `f x`.
 pub fn beta_reduce(form: &Form) -> Form {
+    beta_reduced(form).unwrap_or_else(|| form.clone())
+}
+
+/// [`beta_reduce`] as a rewrite: `None` when `form` has no redex.
+fn beta_reduced(form: &Form) -> Option<Form> {
     // Iterate because a contraction can expose new redexes; terminates in
     // practice because Jahob definitions are non-recursive. Bound the number
     // of sweeps defensively.
-    let mut current = form.clone();
-    for _ in 0..64 {
-        let next = beta_once(&current);
-        if next == current {
-            return next;
+    let mut current = beta_once(form)?;
+    for _ in 1..64 {
+        match beta_once(&current) {
+            Some(next) => current = next,
+            None => break,
         }
-        current = next;
     }
-    current
+    Some(current)
 }
 
-fn beta_once(form: &Form) -> Form {
+/// One sweep of contractions; `None` when it contracts nothing.
+fn beta_once(form: &Form) -> Option<Form> {
     match form {
-        Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
-            form.clone()
-        }
-        Form::Tree(elems) => Form::Tree(elems.iter().map(beta_once).collect()),
-        Form::FiniteSet(elems) => Form::FiniteSet(elems.iter().map(beta_once).collect()),
-        Form::And(parts) => Form::and(parts.iter().map(beta_once).collect()),
-        Form::Or(parts) => Form::or(parts.iter().map(beta_once).collect()),
-        Form::Unop(op, inner) => Form::Unop(*op, Rc::new(beta_once(inner))),
-        Form::Old(inner) => Form::Old(Rc::new(beta_once(inner))),
         Form::Binop(BinOp::Elem, lhs, rhs) => {
-            let lhs = beta_once(lhs);
-            let rhs = beta_once(rhs);
-            if let Form::Compr(x, _, body) = &rhs {
-                return body.subst1(*x, &lhs);
+            let (nl, nr) = (beta_once(lhs), beta_once(rhs));
+            if let Form::Compr(x, _, body) = nr.as_ref().unwrap_or(rhs) {
+                return Some(body.subst1(*x, nl.as_ref().unwrap_or(lhs)));
             }
-            Form::binop(BinOp::Elem, lhs, rhs)
+            if nl.is_none() && nr.is_none() {
+                return None;
+            }
+            Some(Form::Binop(BinOp::Elem, keep(nl, lhs), keep(nr, rhs)))
         }
-        Form::Binop(op, lhs, rhs) => Form::binop(*op, beta_once(lhs), beta_once(rhs)),
-        Form::Ite(c, t, e) => Form::Ite(
-            Rc::new(beta_once(c)),
-            Rc::new(beta_once(t)),
-            Rc::new(beta_once(e)),
-        ),
         Form::App(head, args) => {
-            let head = beta_once(head);
-            let args: Vec<Form> = args.iter().map(beta_once).collect();
-            if let Form::Lambda(binders, body) = &head {
-                if args.len() >= binders.len() {
-                    let mut map = FxHashMap::default();
-                    for ((name, _), arg) in binders.iter().zip(args.iter()) {
-                        map.insert(*name, arg.clone());
-                    }
+            let nh = beta_once(head);
+            let na = changed_copy(args, beta_once);
+            let new_args = na.as_deref().unwrap_or(args);
+            match nh.as_ref().unwrap_or(head) {
+                Form::Lambda(binders, body) if new_args.len() >= binders.len() => {
+                    let map: FxHashMap<Symbol, Form> = binders
+                        .iter()
+                        .zip(new_args)
+                        .map(|((name, _), arg)| (*name, arg.clone()))
+                        .collect();
                     let reduced = body.subst(&map);
-                    let rest = args[binders.len()..].to_vec();
-                    return Form::app(reduced, rest);
+                    Some(Form::app(reduced, new_args[binders.len()..].to_vec()))
                 }
-            }
-            // fieldRead f x  ==  f x
-            if let Form::Var(name) = &head {
-                if name.as_str() == crate::form::sym::FIELD_READ && args.len() >= 2 {
-                    let f = args[0].clone();
-                    let rest = args[1..].to_vec();
-                    return Form::app(f, rest);
+                // fieldRead f x  ==  f x
+                Form::Var(name) if *name == builtins().field_read && new_args.len() >= 2 => {
+                    Some(Form::app(new_args[0].clone(), new_args[1..].to_vec()))
                 }
+                _ => Form::rebuild_app(head, args, nh, na),
             }
-            Form::app(head, args)
         }
-        Form::Quant(kind, binders, body) => {
-            Form::Quant(*kind, binders.clone(), Rc::new(beta_once(body)))
-        }
-        Form::Lambda(binders, body) => Form::Lambda(binders.clone(), Rc::new(beta_once(body))),
-        Form::Compr(x, sort, body) => Form::Compr(*x, sort.clone(), Rc::new(beta_once(body))),
+        _ => form.map_children(beta_once),
     }
 }
 
 /// Bottom-up simplification: boolean/integer constant folding and neutral
 /// element identities. Equivalence-preserving.
 pub fn simplify(form: &Form) -> Form {
+    simplified(form).unwrap_or_else(|| form.clone())
+}
+
+/// [`simplify`] as a rewrite: `None` when `form` is already simplified. A
+/// node whose children come back unchanged can still rewrite (`a --> a`,
+/// `~~p`, a binder that does not occur, an `And` that is not flat).
+fn simplified(form: &Form) -> Option<Form> {
     match form {
-        Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
-            form.clone()
+        Form::Unop(UnOp::Not, inner) => Form::rebuild_not(inner, simplified(inner)),
+        Form::Unop(UnOp::Neg, inner) => {
+            let new = simplified(inner);
+            if let Form::IntLit(n) = new.as_ref().unwrap_or(inner) {
+                return Some(Form::IntLit(-n));
+            }
+            new.map(|n| Form::Unop(UnOp::Neg, Rc::new(n)))
         }
-        Form::Tree(elems) => Form::Tree(elems.iter().map(simplify).collect()),
-        Form::FiniteSet(elems) => {
-            let elems: Vec<Form> = elems.iter().map(simplify).collect();
-            Form::FiniteSet(elems)
+        Form::Unop(UnOp::Card, inner) => {
+            let new = simplified(inner);
+            if let Form::EmptySet = new.as_ref().unwrap_or(inner) {
+                return Some(Form::IntLit(0));
+            }
+            new.map(Form::card)
         }
-        Form::And(parts) => Form::and(parts.iter().map(simplify).collect()),
-        Form::Or(parts) => Form::or(parts.iter().map(simplify).collect()),
-        Form::Unop(UnOp::Not, inner) => Form::not(simplify(inner)),
-        Form::Unop(UnOp::Neg, inner) => match simplify(inner) {
-            Form::IntLit(n) => Form::IntLit(-n),
-            other => Form::Unop(UnOp::Neg, Rc::new(other)),
-        },
-        Form::Unop(UnOp::Card, inner) => match simplify(inner) {
-            Form::EmptySet => Form::IntLit(0),
-            other => Form::card(other),
-        },
-        Form::Old(inner) => Form::Old(Rc::new(simplify(inner))),
         Form::Binop(op, lhs, rhs) => {
-            let lhs = simplify(lhs);
-            let rhs = simplify(rhs);
-            simplify_binop(*op, lhs, rhs)
+            let (nl, nr) = (simplified(lhs), simplified(rhs));
+            let folded =
+                simplify_binop(*op, nl.as_ref().unwrap_or(lhs), nr.as_ref().unwrap_or(rhs));
+            if folded.is_some() || (nl.is_none() && nr.is_none()) {
+                return folded;
+            }
+            Some(Form::Binop(*op, keep(nl, lhs), keep(nr, rhs)))
         }
         Form::Ite(c, t, e) => {
-            let c = simplify(c);
-            let t = simplify(t);
-            let e = simplify(e);
-            match c {
-                Form::BoolLit(true) => t,
-                Form::BoolLit(false) => e,
-                _c if t == e => t,
-                c => Form::Ite(Rc::new(c), Rc::new(t), Rc::new(e)),
+            let (nc, nt) = (simplified(c), simplified(t));
+            let ne = simplified(e);
+            let (then, other) = (nt.as_ref().unwrap_or(t), ne.as_ref().unwrap_or(e));
+            match nc.as_ref().unwrap_or(c) {
+                Form::BoolLit(true) => return Some(then.clone()),
+                Form::BoolLit(false) => return Some(other.clone()),
+                _ if then == other => return Some(then.clone()),
+                _ => {}
             }
+            if nc.is_none() && nt.is_none() && ne.is_none() {
+                return None;
+            }
+            Some(Form::Ite(keep(nc, c), keep(nt, t), keep(ne, e)))
         }
-        Form::App(head, args) => Form::app(simplify(head), args.iter().map(simplify).collect()),
+        Form::App(head, args) => {
+            let nh = simplified(head);
+            Form::rebuild_app(head, args, nh, changed_copy(args, simplified))
+        }
         Form::Quant(kind, binders, body) => {
-            let body = simplify(body);
-            match body {
-                Form::BoolLit(b) => Form::BoolLit(b),
-                body => {
-                    // Drop binders that no longer occur (sound for both
-                    // quantifiers because all sorts are non-empty: obj
-                    // contains at least null's companion objects, int is
-                    // infinite, sets contain {}).
-                    let free = body.free_vars();
-                    let kept: Vec<(Symbol, Sort)> = binders
-                        .iter()
-                        .filter(|(name, _)| free.contains(name))
-                        .cloned()
-                        .collect();
-                    Form::quant(*kind, kept, body)
-                }
+            let new = simplified(body);
+            let inner = new.as_ref().unwrap_or(body);
+            if let Form::BoolLit(b) = inner {
+                return Some(Form::BoolLit(*b));
             }
+            // Drop binders that no longer occur (sound for both
+            // quantifiers because all sorts are non-empty: obj contains at
+            // least null's companion objects, int is infinite, sets contain
+            // {}).
+            let all_occur = binders.iter().all(|(name, _)| inner.occurs_free(*name));
+            let merges = matches!(inner, Form::Quant(k, ..) if k == kind);
+            if new.is_none() && all_occur && !binders.is_empty() && !merges {
+                return None;
+            }
+            let kept: Vec<(Symbol, Sort)> = if all_occur {
+                binders.clone()
+            } else {
+                binders
+                    .iter()
+                    .filter(|(name, _)| inner.occurs_free(*name))
+                    .cloned()
+                    .collect()
+            };
+            Some(quant(*kind, kept, keep(new, body)))
         }
-        Form::Lambda(binders, body) => Form::Lambda(binders.clone(), Rc::new(simplify(body))),
-        Form::Compr(x, sort, body) => Form::Compr(*x, sort.clone(), Rc::new(simplify(body))),
+        _ => form.map_children(simplified),
     }
 }
 
-fn simplify_binop(op: BinOp, lhs: Form, rhs: Form) -> Form {
+/// [`Form::quant`] over a shared body: no binders leave the body, and a
+/// same-kind quantifier directly inside merges into this one.
+fn quant(kind: QKind, mut binders: Vec<(Symbol, Sort)>, body: Rc<Form>) -> Form {
+    if binders.is_empty() {
+        return Rc::unwrap_or_clone(body);
+    }
+    match body.as_ref() {
+        Form::Quant(inner_kind, inner_binders, inner_body) if *inner_kind == kind => {
+            binders.extend(inner_binders.iter().cloned());
+            Form::Quant(kind, binders, Rc::clone(inner_body))
+        }
+        _ => Form::Quant(kind, binders, body),
+    }
+}
+
+/// The rewrite `simplify` makes at a binary node whose operands are
+/// already simplified; `None` when the node stays `lhs op rhs`.
+fn simplify_binop(op: BinOp, lhs: &Form, rhs: &Form) -> Option<Form> {
     use BinOp::*;
-    match (op, &lhs, &rhs) {
+    use Form::{BoolLit, EmptySet, FiniteSet, IntLit};
+    Some(match (op, lhs, rhs) {
         (Implies, _, _) if lhs == rhs => Form::tt(),
-        (Implies, _, _) => Form::implies(lhs, rhs),
-        (Iff, Form::BoolLit(true), _) => rhs,
-        (Iff, _, Form::BoolLit(true)) => lhs,
-        (Iff, Form::BoolLit(false), _) => Form::not(rhs),
-        (Iff, _, Form::BoolLit(false)) => Form::not(lhs),
+        (Implies, BoolLit(true), _) => rhs.clone(),
+        (Implies, BoolLit(false), _) | (Implies, _, BoolLit(true)) => Form::tt(),
+        (Implies, _, BoolLit(false)) => Form::not(lhs.clone()),
+        (Iff, BoolLit(true), _) => rhs.clone(),
+        (Iff, _, BoolLit(true)) => lhs.clone(),
+        (Iff, BoolLit(false), _) => Form::not(rhs.clone()),
+        (Iff, _, BoolLit(false)) => Form::not(lhs.clone()),
         (Iff, _, _) if lhs == rhs => Form::tt(),
-        (Eq, Form::IntLit(a), Form::IntLit(b)) => Form::BoolLit(a == b),
-        (Eq, _, _) => Form::eq(lhs, rhs),
-        (Elem, _, Form::EmptySet) => Form::ff(),
-        (Elem, _, Form::FiniteSet(elems)) => Form::or(
+        (Eq, IntLit(a), IntLit(b)) => BoolLit(a == b),
+        (Eq, _, _) if lhs == rhs => Form::tt(),
+        (Elem, _, EmptySet) => Form::ff(),
+        (Elem, _, FiniteSet(elems)) => Form::or(
             elems
                 .iter()
                 .map(|e| Form::eq(lhs.clone(), e.clone()))
                 .collect(),
         ),
-        (Lt, Form::IntLit(a), Form::IntLit(b)) => Form::BoolLit(a < b),
-        (Le, Form::IntLit(a), Form::IntLit(b)) => Form::BoolLit(a <= b),
-        (Subseteq, Form::EmptySet, _) => Form::tt(),
+        (Lt, IntLit(a), IntLit(b)) => BoolLit(a < b),
+        (Le, IntLit(a), IntLit(b)) => BoolLit(a <= b),
+        (Subseteq, EmptySet, _) => Form::tt(),
         (Subseteq, _, _) if lhs == rhs => Form::tt(),
-        (Add, Form::IntLit(a), Form::IntLit(b)) => Form::IntLit(a + b),
-        (Add, Form::IntLit(0), _) => rhs,
-        (Add, _, Form::IntLit(0)) => lhs,
-        (Sub, Form::IntLit(a), Form::IntLit(b)) => Form::IntLit(a - b),
-        (Sub, _, Form::IntLit(0)) => lhs,
-        (Mul, Form::IntLit(a), Form::IntLit(b)) => Form::IntLit(a * b),
-        (Mul, Form::IntLit(1), _) => rhs,
-        (Mul, _, Form::IntLit(1)) => lhs,
-        (Mul, Form::IntLit(0), _) | (Mul, _, Form::IntLit(0)) => Form::IntLit(0),
-        (Union, Form::EmptySet, _) => rhs,
-        (Union, _, Form::EmptySet) => lhs,
-        (Union, _, _) if lhs == rhs => lhs,
-        (Inter, Form::EmptySet, _) | (Inter, _, Form::EmptySet) => Form::EmptySet,
-        (Inter, _, _) if lhs == rhs => lhs,
-        (Diff, _, Form::EmptySet) => lhs,
-        (Diff, Form::EmptySet, _) => Form::EmptySet,
-        (Diff, _, _) if lhs == rhs => Form::EmptySet,
-        _ => Form::binop(op, lhs, rhs),
-    }
+        (Add, IntLit(a), IntLit(b)) => IntLit(a + b),
+        (Add, IntLit(0), _) => rhs.clone(),
+        (Add, _, IntLit(0)) => lhs.clone(),
+        (Sub, IntLit(a), IntLit(b)) => IntLit(a - b),
+        (Sub, _, IntLit(0)) => lhs.clone(),
+        (Mul, IntLit(a), IntLit(b)) => IntLit(a * b),
+        (Mul, IntLit(1), _) => rhs.clone(),
+        (Mul, _, IntLit(1)) => lhs.clone(),
+        (Mul, IntLit(0), _) | (Mul, _, IntLit(0)) => IntLit(0),
+        (Union, EmptySet, _) => rhs.clone(),
+        (Union, _, EmptySet) => lhs.clone(),
+        (Union, _, _) if lhs == rhs => lhs.clone(),
+        (Inter, EmptySet, _) | (Inter, _, EmptySet) => EmptySet,
+        (Inter, _, _) if lhs == rhs => lhs.clone(),
+        (Diff, _, EmptySet) => lhs.clone(),
+        (Diff, EmptySet, _) => EmptySet,
+        (Diff, _, _) if lhs == rhs => EmptySet,
+        _ => return None,
+    })
 }
 
 /// Negation normal form: eliminates `-->` and `Iff`, pushes `~` to atoms,
@@ -411,11 +436,12 @@ pub fn unfold_defs(form: &Form, defs: &FxHashMap<Symbol, Form>) -> Form {
     // accidental cycles.
     let mut current = form.clone();
     for _ in 0..16 {
-        let next = beta_reduce(&current.subst(defs));
-        if next == current {
-            return next;
+        let substituted = current.subst_changed(defs, false);
+        let reduced = beta_reduced(substituted.as_ref().unwrap_or(&current));
+        match reduced.or(substituted) {
+            Some(next) => current = next,
+            None => break,
         }
-        current = next;
     }
     current
 }
@@ -489,6 +515,44 @@ mod tests {
         // Fully constant bodies collapse.
         assert_eq!(simplify(&p("ALL x. True")), Form::tt());
         assert_eq!(simplify(&p("EX x. False")), Form::ff());
+    }
+
+    #[test]
+    fn simplify_shares_an_already_simplified_implication_chain() {
+        let chain = simplify(&p(
+            "x : S --> (ALL y. y : S --> y ~= null) --> card S = n + 1 --> x ~= null",
+        ));
+        let again = simplify(&chain);
+        assert_eq!(again, chain);
+        let (mut before, mut after) = (&chain, &again);
+        loop {
+            let (
+                Form::Binop(BinOp::Implies, hyp, concl),
+                Form::Binop(BinOp::Implies, hyp2, concl2),
+            ) = (before, after)
+            else {
+                panic!("expected a --> chain, got {after:?}")
+            };
+            assert!(Rc::ptr_eq(hyp, hyp2), "hypothesis {hyp} rebuilt");
+            if !matches!(**concl, Form::Binop(BinOp::Implies, ..)) {
+                assert!(Rc::ptr_eq(concl, concl2), "goal {concl} rebuilt");
+                break;
+            }
+            (before, after) = (concl, concl2);
+        }
+    }
+
+    #[test]
+    fn simplify_rewrites_nodes_whose_children_are_unchanged() {
+        let a = Rc::new(p("x : S"));
+        let same = Form::Binop(BinOp::Implies, Rc::clone(&a), Rc::clone(&a));
+        assert_eq!(simplify(&same), Form::tt());
+        let double = Form::Unop(UnOp::Not, Rc::new(Form::Unop(UnOp::Not, Rc::clone(&a))));
+        assert_eq!(simplify(&double), *a);
+        let nested = Form::And(vec![Form::And(vec![p("a"), p("b")]), p("c")]);
+        assert_eq!(simplify(&nested), p("a & b & c"));
+        let unused = Form::Quant(QKind::All, vec![(s("y"), Sort::Obj)], Rc::clone(&a));
+        assert_eq!(simplify(&unused), *a);
     }
 
     #[test]

@@ -31,7 +31,6 @@ use jahob_sat::{CnfBuilder, Lit, SolveResult, Solver, Var};
 use jahob_util::budget::{Budget, Exhaustion};
 use jahob_util::{FxHashMap, Symbol};
 use std::fmt;
-use std::rc::Rc;
 
 pub use theory::TheoryVerdict;
 
@@ -270,12 +269,15 @@ fn check_ground_term(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<(), S
 /// Lift `Ite` nodes out of terms into the boolean structure:
 /// `A[ite(c,t,e)]` becomes `(c ∧ A[t]) ∨ (¬c ∧ A[e])`.
 pub fn lift_ite(form: &Form) -> Form {
-    // Find an Ite in atom position and split; repeat to fixpoint.
-    fn find_ite(form: &Form) -> Option<(Form, Form, Form)> {
+    lifted(form).unwrap_or_else(|| form.clone())
+}
+
+/// [`lift_ite`] as a rewrite: `None` when no `ite` sits in atom position.
+fn lifted(form: &Form) -> Option<Form> {
+    /// The first `ite` inside an atom, in term order.
+    fn find_ite(form: &Form) -> Option<&Form> {
         match form {
-            Form::Ite(c, t, e) => {
-                Some((c.as_ref().clone(), t.as_ref().clone(), e.as_ref().clone()))
-            }
+            Form::Ite(..) => Some(form),
             Form::Unop(_, a) | Form::Old(a) => find_ite(a),
             Form::Binop(_, a, b) => find_ite(a).or_else(|| find_ite(b)),
             Form::App(h, args) => find_ite(h).or_else(|| args.iter().find_map(find_ite)),
@@ -283,67 +285,44 @@ pub fn lift_ite(form: &Form) -> Form {
             _ => None,
         }
     }
-    fn replace_ite(form: &Form, target: &(Form, Form, Form), with: &Form) -> Form {
-        let as_ite = Form::Ite(
-            Rc::new(target.0.clone()),
-            Rc::new(target.1.clone()),
-            Rc::new(target.2.clone()),
-        );
-        replace_term(form, &as_ite, with)
-    }
-    fn replace_term(form: &Form, target: &Form, with: &Form) -> Form {
+    /// `form` with every occurrence of `target` inside it replaced by
+    /// `with`; `None` when there is none.
+    fn replace_term(form: &Form, target: &Form, with: &Form) -> Option<Form> {
         if form == target {
-            return with.clone();
+            return Some(with.clone());
         }
         match form {
-            Form::Unop(op, a) => Form::Unop(*op, Rc::new(replace_term(a, target, with))),
-            Form::Old(a) => Form::Old(Rc::new(replace_term(a, target, with))),
-            Form::Binop(op, a, b) => Form::Binop(
-                *op,
-                Rc::new(replace_term(a, target, with)),
-                Rc::new(replace_term(b, target, with)),
-            ),
-            Form::App(h, args) => Form::app(
-                replace_term(h, target, with),
-                args.iter().map(|a| replace_term(a, target, with)).collect(),
-            ),
-            Form::FiniteSet(elems) => Form::FiniteSet(
-                elems
-                    .iter()
-                    .map(|e| replace_term(e, target, with))
-                    .collect(),
-            ),
-            Form::Ite(c, t, e) => Form::Ite(
-                Rc::new(replace_term(c, target, with)),
-                Rc::new(replace_term(t, target, with)),
-                Rc::new(replace_term(e, target, with)),
-            ),
-            _ => form.clone(),
+            Form::Unop(..)
+            | Form::Old(_)
+            | Form::Binop(..)
+            | Form::App(..)
+            | Form::FiniteSet(_)
+            | Form::Ite(..) => form.map_children(|child| replace_term(child, target, with)),
+            _ => None,
         }
     }
 
     match form {
-        Form::And(parts) => Form::and(parts.iter().map(lift_ite).collect()),
-        Form::Or(parts) => Form::or(parts.iter().map(lift_ite).collect()),
-        Form::Unop(UnOp::Not, a) => Form::not(lift_ite(a)),
-        Form::Binop(op @ (BinOp::Implies | BinOp::Iff), a, b) => {
-            Form::binop(*op, lift_ite(a), lift_ite(b))
+        Form::And(_)
+        | Form::Or(_)
+        | Form::Binop(BinOp::Implies | BinOp::Iff, _, _)
+        | Form::Quant(..) => form.map_children(lifted),
+        Form::Unop(UnOp::Not, a) => Form::rebuild_not(a, lifted(a)),
+        atom => {
+            let ite = find_ite(atom)?;
+            let Form::Ite(c, t, e) = ite else {
+                unreachable!("find_ite returns an ite")
+            };
+            let branch = |with: &Form| {
+                let replaced = replace_term(atom, ite, with).unwrap_or_else(|| atom.clone());
+                lifted(&replaced).unwrap_or(replaced)
+            };
+            let c = lift_ite(c);
+            Some(Form::or(vec![
+                Form::and(vec![c.clone(), branch(t)]),
+                Form::and(vec![Form::not(c), branch(e)]),
+            ]))
         }
-        Form::Quant(kind, binders, body) => {
-            Form::Quant(*kind, binders.clone(), Rc::new(lift_ite(body)))
-        }
-        atom => match find_ite(atom) {
-            None => atom.clone(),
-            Some(ite) => {
-                let then_branch = replace_ite(atom, &ite, &ite.1);
-                let else_branch = replace_ite(atom, &ite, &ite.2);
-                let c = lift_ite(&ite.0);
-                Form::or(vec![
-                    Form::and(vec![c.clone(), lift_ite(&then_branch)]),
-                    Form::and(vec![Form::not(c), lift_ite(&else_branch)]),
-                ])
-            }
-        },
     }
 }
 
@@ -351,6 +330,7 @@ pub fn lift_ite(form: &Form) -> Form {
 mod tests {
     use super::*;
     use jahob_logic::form;
+    use std::rc::Rc;
 
     fn sig() -> FxHashMap<Symbol, Sort> {
         [

@@ -1,6 +1,7 @@
 //! The guarded-command IR and its weakest-precondition transformer.
 
-use jahob_logic::{BinOp, Form, QKind, Sort, UnOp};
+use jahob_logic::form::sym::builtins;
+use jahob_logic::{Form, QKind, Sort};
 use jahob_util::{FxHashMap, Symbol};
 use std::rc::Rc;
 
@@ -38,209 +39,57 @@ impl Obligation {
     }
 }
 
-/// Substitute `map` into `form` without descending under `old` (pre-state
-/// expressions are frozen until the entry point). Capture-avoiding: binders
-/// clashing with free variables of the replacements are renamed (state
-/// updates like `fieldWrite(data, n, o)` routinely flow under comprehension
-/// binders named `n`).
-pub fn subst_outside_old(form: &Form, map: &FxHashMap<Symbol, Form>) -> Form {
-    if map.is_empty() {
-        return form.clone();
-    }
-    let mut replacement_frees: jahob_util::FxHashSet<Symbol> = jahob_util::FxHashSet::default();
-    for f in map.values() {
-        replacement_frees.extend(f.free_vars());
-    }
-    subst_oo(form, map, &replacement_frees)
-}
-
-fn subst_oo(
-    form: &Form,
-    map: &FxHashMap<Symbol, Form>,
-    replacement_frees: &jahob_util::FxHashSet<Symbol>,
-) -> Form {
-    /// Rename binders that would capture replacement free variables, and
-    /// drop shadowed map entries.
-    fn under_binders(
-        binders: &[(Symbol, jahob_logic::Sort)],
-        body: &Form,
-        map: &FxHashMap<Symbol, Form>,
-        replacement_frees: &jahob_util::FxHashSet<Symbol>,
-    ) -> (Vec<(Symbol, jahob_logic::Sort)>, Form) {
-        let mut inner_map: FxHashMap<Symbol, Form> = map
-            .iter()
-            .filter(|(k, _)| !binders.iter().any(|(b, _)| b == *k))
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        let mut new_binders = Vec::with_capacity(binders.len());
-        for (name, sort) in binders {
-            if replacement_frees.contains(name) {
-                let fresh = Symbol::fresh(*name);
-                inner_map.insert(*name, Form::Var(fresh));
-                new_binders.push((fresh, sort.clone()));
-            } else {
-                new_binders.push((*name, sort.clone()));
-            }
-        }
-        let new_body = if inner_map.is_empty() {
-            body.clone()
-        } else {
-            // Renamings may themselves need full capture-avoiding treatment
-            // one level down; recompute frees for the extended map.
-            let mut frees = replacement_frees.clone();
-            for f in inner_map.values() {
-                frees.extend(f.free_vars());
-            }
-            subst_oo(body, &inner_map, &frees)
-        };
-        (new_binders, new_body)
-    }
-    match form {
-        Form::Old(_) => form.clone(),
-        Form::Var(name) => map.get(name).cloned().unwrap_or_else(|| form.clone()),
-        Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => form.clone(),
-        Form::Tree(es) => Form::Tree(
-            es.iter()
-                .map(|e| subst_oo(e, map, replacement_frees))
-                .collect(),
-        ),
-        Form::FiniteSet(es) => Form::FiniteSet(
-            es.iter()
-                .map(|e| subst_oo(e, map, replacement_frees))
-                .collect(),
-        ),
-        Form::And(ps) => Form::and(
-            ps.iter()
-                .map(|p| subst_oo(p, map, replacement_frees))
-                .collect(),
-        ),
-        Form::Or(ps) => Form::or(
-            ps.iter()
-                .map(|p| subst_oo(p, map, replacement_frees))
-                .collect(),
-        ),
-        Form::Unop(op, a) => Form::Unop(*op, Rc::new(subst_oo(a, map, replacement_frees))),
-        Form::Binop(op, a, b) => Form::binop(
-            *op,
-            subst_oo(a, map, replacement_frees),
-            subst_oo(b, map, replacement_frees),
-        ),
-        Form::Ite(c, t, e) => Form::Ite(
-            Rc::new(subst_oo(c, map, replacement_frees)),
-            Rc::new(subst_oo(t, map, replacement_frees)),
-            Rc::new(subst_oo(e, map, replacement_frees)),
-        ),
-        Form::App(h, args) => Form::app(
-            subst_oo(h, map, replacement_frees),
-            args.iter()
-                .map(|a| subst_oo(a, map, replacement_frees))
-                .collect(),
-        ),
-        Form::Quant(k, binders, body) => {
-            let (bs, b) = under_binders(binders, body, map, replacement_frees);
-            Form::Quant(*k, bs, Rc::new(b))
-        }
-        Form::Lambda(binders, body) => {
-            let (bs, b) = under_binders(binders, body, map, replacement_frees);
-            Form::Lambda(bs, Rc::new(b))
-        }
-        Form::Compr(x, s, body) => {
-            let binders = vec![(*x, s.clone())];
-            let (bs, b) = under_binders(&binders, body, map, replacement_frees);
-            let (x2, s2) = bs.into_iter().next().unwrap();
-            Form::Compr(x2, s2, Rc::new(b))
-        }
-    }
-}
-
+/// `form[x := e]` outside `old`: pre-state expressions are frozen until the
+/// entry point. Capture-avoiding: state updates like `fieldWrite(data, n, o)`
+/// routinely flow under comprehension binders named `n`.
 fn subst1_outside_old(form: &Form, x: Symbol, e: &Form) -> Form {
     let mut map = FxHashMap::default();
     map.insert(x, e.clone());
-    subst_outside_old(form, &map)
+    form.subst_outside_old(&map)
 }
 
 /// Dissolve `old e` wrappers (used once the entry point is reached, where
 /// pre-state and current state coincide).
 pub fn strip_old(form: &Form) -> Form {
+    stripped(form).unwrap_or_else(|| form.clone())
+}
+
+/// [`strip_old`] as a rewrite: `None` when `form` has no `old`.
+fn stripped(form: &Form) -> Option<Form> {
     match form {
-        Form::Old(inner) => strip_old(inner),
-        Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
-            form.clone()
-        }
-        Form::Tree(es) => Form::Tree(es.iter().map(strip_old).collect()),
-        Form::FiniteSet(es) => Form::FiniteSet(es.iter().map(strip_old).collect()),
-        Form::And(ps) => Form::and(ps.iter().map(strip_old).collect()),
-        Form::Or(ps) => Form::or(ps.iter().map(strip_old).collect()),
-        Form::Unop(op, a) => Form::Unop(*op, Rc::new(strip_old(a))),
-        Form::Binop(op, a, b) => Form::binop(*op, strip_old(a), strip_old(b)),
-        Form::Ite(c, t, e) => Form::Ite(
-            Rc::new(strip_old(c)),
-            Rc::new(strip_old(t)),
-            Rc::new(strip_old(e)),
-        ),
-        Form::App(h, args) => Form::app(strip_old(h), args.iter().map(strip_old).collect()),
-        Form::Quant(k, bs, body) => Form::Quant(*k, bs.clone(), Rc::new(strip_old(body))),
-        Form::Lambda(bs, body) => Form::Lambda(bs.clone(), Rc::new(strip_old(body))),
-        Form::Compr(x, s, body) => Form::Compr(*x, s.clone(), Rc::new(strip_old(body))),
+        Form::Old(inner) => Some(stripped(inner).unwrap_or_else(|| inner.as_ref().clone())),
+        _ => form.map_children(stripped),
     }
 }
 
 /// Rewrite applied `fieldWrite` chains into `Ite` so downstream provers see
 /// case splits instead of update terms: `fieldWrite f a v x` →
-/// `ite (x = a) v (f x)`. Iterated to a fixpoint: rebuilding applications
-/// flattens curried chains, which can expose new redexes.
+/// `ite (x = a) v (f x)`.
 pub fn expand_field_writes(form: &Form) -> Form {
-    let mut current = form.clone();
-    for _ in 0..16 {
-        let next = expand_fw_once(&current);
-        if next == current {
-            return next;
-        }
-        current = next;
-    }
-    current
+    expanded(form).unwrap_or_else(|| form.clone())
 }
 
-fn expand_fw_once(form: &Form) -> Form {
-    let rewritten = match form {
-        Form::App(head, args) => {
-            let head2 = expand_fw_once(head);
-            let args2: Vec<Form> = args.iter().map(expand_fw_once).collect();
-            if let Form::Var(h) = &head2 {
-                if h.as_str() == jahob_logic::form::sym::FIELD_WRITE && args2.len() == 4 {
-                    let f = args2[0].clone();
-                    let at = args2[1].clone();
-                    let val = args2[2].clone();
-                    let x = args2[3].clone();
-                    return Form::Ite(
-                        Rc::new(Form::eq(x.clone(), at)),
-                        Rc::new(val),
-                        Rc::new(Form::app(f, vec![x])),
-                    );
-                }
-            }
-            Form::app(head2, args2)
-        }
-        Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
-            form.clone()
-        }
-        Form::Tree(es) => Form::Tree(es.iter().map(expand_field_writes).collect()),
-        Form::FiniteSet(es) => Form::FiniteSet(es.iter().map(expand_field_writes).collect()),
-        Form::And(ps) => Form::and(ps.iter().map(expand_field_writes).collect()),
-        Form::Or(ps) => Form::or(ps.iter().map(expand_field_writes).collect()),
-        Form::Unop(op, a) => Form::Unop(*op, Rc::new(expand_fw_once(a))),
-        Form::Old(a) => Form::Old(Rc::new(expand_fw_once(a))),
-        Form::Binop(op, a, b) => Form::binop(*op, expand_fw_once(a), expand_fw_once(b)),
-        Form::Ite(c, t, e) => Form::Ite(
-            Rc::new(expand_fw_once(c)),
-            Rc::new(expand_fw_once(t)),
-            Rc::new(expand_fw_once(e)),
-        ),
-        Form::Quant(k, bs, body) => Form::Quant(*k, bs.clone(), Rc::new(expand_fw_once(body))),
-        Form::Lambda(bs, body) => Form::Lambda(bs.clone(), Rc::new(expand_fw_once(body))),
-        Form::Compr(x, s, body) => Form::Compr(*x, s.clone(), Rc::new(expand_fw_once(body))),
+/// [`expand_field_writes`] as one bottom-up pass: `None` when `form` has no
+/// applied `fieldWrite`. A node's children are expanded first, so the only
+/// redex left is the node itself.
+fn expanded(form: &Form) -> Option<Form> {
+    let rebuilt = form.map_children(expanded);
+    expand_redex(rebuilt.as_ref().unwrap_or(form)).or(rebuilt)
+}
+
+/// `fieldWrite f a v x` → `ite (x = a) v (f x)` at the root of a term whose
+/// subterms are expanded. `f x` is a redex again when `f` is itself an
+/// update (`fieldWrite g b w x`), so it is expanded in turn.
+fn expand_redex(form: &Form) -> Option<Form> {
+    let [f, at, val, x] = form.as_app_of(builtins().field_write)? else {
+        return None;
     };
-    rewritten
+    let read = Form::app(f.clone(), vec![x.clone()]);
+    Some(Form::Ite(
+        Rc::new(Form::eq(x.clone(), at.clone())),
+        Rc::new(val.clone()),
+        Rc::new(expand_redex(&read).unwrap_or(read)),
+    ))
 }
 
 /// Backward weakest-precondition transformation of labeled obligations.
@@ -388,11 +237,6 @@ pub fn assigned_symbols(gcs: &[GC], out: &mut Vec<Symbol>) {
     }
 }
 
-/// Keep `Unop`/`BinOp` imports referenced (they appear in pattern forms via
-/// macro-free code paths above).
-#[allow(dead_code)]
-fn _sort_uses(_u: UnOp, _b: BinOp) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,12 +315,69 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("ite"), "{text}");
         // Applying the case split: when x = a, value is b.
-        let sim = jahob_logic::transform::simplify(&subst_outside_old(&e, &{
-            let mut m = FxHashMap::default();
-            m.insert(Symbol::intern("x"), form("a"));
-            m
-        }));
+        let sim = jahob_logic::transform::simplify(&e.subst1(Symbol::intern("x"), &form("a")));
         assert_eq!(sim, form("b = y"));
+    }
+
+    #[test]
+    fn strip_old_shares_an_old_free_form() {
+        let f = form("(ALL n. n : nodes --> next n ~= null) --> content = {}");
+        let Form::Binop(_, hyp, concl) = &f else {
+            panic!("expected -->, got {f:?}")
+        };
+        let Form::Binop(_, hyp2, concl2) = strip_old(&f) else {
+            panic!("expected -->")
+        };
+        assert!(Rc::ptr_eq(hyp, &hyp2) && Rc::ptr_eq(concl, &concl2));
+        // With `old` on one side only, the other side is shared.
+        let f = form("(ALL n. n : nodes --> next n ~= null) --> content = old content");
+        let Form::Binop(_, hyp, _) = &f else {
+            panic!("expected -->, got {f:?}")
+        };
+        let Form::Binop(_, hyp2, concl2) = strip_old(&f) else {
+            panic!("expected -->")
+        };
+        assert!(Rc::ptr_eq(hyp, &hyp2));
+        assert_eq!(*concl2, form("content = content"));
+    }
+
+    #[test]
+    fn expand_field_writes_under_nested_junctions() {
+        let f = form(
+            "(((fieldWrite (fieldWrite next a b) c d x = y | p) & q) \
+             | fieldWrite next a b z = w) \
+             & (r | fieldWrite (fieldWrite (fieldWrite next a b) c d) e g u = v)",
+        );
+        let ite =
+            |c: &str, t: &str, e: Form| Form::Ite(Rc::new(form(c)), Rc::new(form(t)), Rc::new(e));
+        let eq = |lhs: Form, rhs: &str| Form::binop(jahob_logic::BinOp::Eq, lhs, form(rhs));
+        let expected = Form::and(vec![
+            Form::or(vec![
+                Form::and(vec![
+                    Form::or(vec![
+                        eq(ite("x = c", "d", ite("x = a", "b", form("next x"))), "y"),
+                        form("p"),
+                    ]),
+                    form("q"),
+                ]),
+                eq(ite("z = a", "b", form("next z")), "w"),
+            ]),
+            Form::or(vec![
+                form("r"),
+                eq(
+                    ite(
+                        "u = e",
+                        "g",
+                        ite("u = c", "d", ite("u = a", "b", form("next u"))),
+                    ),
+                    "v",
+                ),
+            ]),
+        ]);
+        let expanded = expand_field_writes(&f);
+        assert_eq!(expanded, expected);
+        // Every update was applied to a fourth argument, so none is left.
+        assert!(!expanded.to_string().contains("fieldWrite"), "{expanded}");
     }
 
     #[test]

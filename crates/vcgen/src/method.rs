@@ -5,7 +5,8 @@ use crate::gc::{
 };
 use jahob_javalite::resolve::TypedMethod;
 use jahob_javalite::{BinaryOp, Expr, JType, LValue, Stmt, TypedProgram, UnaryOp};
-use jahob_logic::{form::sym, BinOp, Form, Sort};
+use jahob_logic::form::sym::{self, builtins};
+use jahob_logic::{BinOp, Form, Sort};
 use jahob_util::{FxHashMap, Symbol};
 use std::fmt;
 
@@ -302,12 +303,18 @@ pub fn method_obligations(
     if let Some(req) = &method.contract.requires {
         gcs.push(GC::Assume(ctx.unfold(&strip_old(req))));
     }
-    let this_sym = Symbol::intern(sym::THIS);
-    for inv in program.invariants(method.class) {
-        if method.is_static && inv.free_vars().contains(&this_sym) {
-            continue;
-        }
-        gcs.push(GC::Assume(ctx.unfold(inv)));
+    // The receiver's invariants, unfolded once: assumed on entry, and
+    // re-established at exit (numbered among all of the class's).
+    let this_sym = builtins().this;
+    let invariants: Vec<(usize, Form)> = program
+        .invariants(method.class)
+        .iter()
+        .enumerate()
+        .filter(|(_, inv)| !(method.is_static && inv.occurs_free(this_sym)))
+        .map(|(i, inv)| (i, ctx.unfold(inv)))
+        .collect();
+    for (_, inv) in &invariants {
+        gcs.push(GC::Assume(inv.clone()));
     }
 
     // Body.
@@ -321,13 +328,10 @@ pub fn method_obligations(
             form: ctx.unfold(ens),
         });
     }
-    for (i, inv) in program.invariants(method.class).iter().enumerate() {
-        if method.is_static && inv.free_vars().contains(&this_sym) {
-            continue;
-        }
+    for (i, inv) in invariants {
         posts.push(Obligation {
             label: format!("{}.{}: invariant {}", method.class, method.name, i + 1),
-            form: ctx.unfold(inv),
+            form: inv,
         });
     }
 
@@ -828,43 +832,14 @@ fn apply_contract(
 /// retain the same value across the call, so their plain names are already
 /// the pre-call values).
 fn replace_old(form: &Form, snap_map: &FxHashMap<Symbol, Form>) -> Form {
+    replaced_old(form, snap_map).unwrap_or_else(|| form.clone())
+}
+
+/// [`replace_old`] as a rewrite: `None` when `form` has no `old`.
+fn replaced_old(form: &Form, snap_map: &FxHashMap<Symbol, Form>) -> Option<Form> {
     match form {
-        Form::Old(inner) => replace_old(inner, snap_map).subst(snap_map),
-        Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
-            form.clone()
-        }
-        Form::Tree(es) => Form::Tree(es.iter().map(|e| replace_old(e, snap_map)).collect()),
-        Form::FiniteSet(es) => {
-            Form::FiniteSet(es.iter().map(|e| replace_old(e, snap_map)).collect())
-        }
-        Form::And(ps) => Form::and(ps.iter().map(|p| replace_old(p, snap_map)).collect()),
-        Form::Or(ps) => Form::or(ps.iter().map(|p| replace_old(p, snap_map)).collect()),
-        Form::Unop(op, a) => Form::Unop(*op, std::rc::Rc::new(replace_old(a, snap_map))),
-        Form::Binop(op, a, b) => {
-            Form::binop(*op, replace_old(a, snap_map), replace_old(b, snap_map))
-        }
-        Form::Ite(c, t, e) => Form::Ite(
-            std::rc::Rc::new(replace_old(c, snap_map)),
-            std::rc::Rc::new(replace_old(t, snap_map)),
-            std::rc::Rc::new(replace_old(e, snap_map)),
-        ),
-        Form::App(h, args) => Form::app(
-            replace_old(h, snap_map),
-            args.iter().map(|a| replace_old(a, snap_map)).collect(),
-        ),
-        Form::Quant(k, bs, body) => Form::Quant(
-            *k,
-            bs.clone(),
-            std::rc::Rc::new(replace_old(body, snap_map)),
-        ),
-        Form::Lambda(bs, body) => {
-            Form::Lambda(bs.clone(), std::rc::Rc::new(replace_old(body, snap_map)))
-        }
-        Form::Compr(x, so, body) => Form::Compr(
-            *x,
-            so.clone(),
-            std::rc::Rc::new(replace_old(body, snap_map)),
-        ),
+        Form::Old(inner) => Some(replace_old(inner, snap_map).subst(snap_map)),
+        _ => form.map_children(|child| replaced_old(child, snap_map)),
     }
 }
 

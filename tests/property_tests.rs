@@ -3,16 +3,18 @@
 //!
 //! * parser/printer round-trips on randomly generated formulas,
 //! * NNF preserves meaning (checked against the reference evaluator),
-//! * simplification is idempotent up to normalization,
+//! * simplification is idempotent up to normalization, and the sharing
+//!   simplifier builds exactly what a rebuild-everything reference builds,
 //! * the CDCL solver agrees with brute force on random CNF,
 //! * BAPA never claims validity of a goal a small model refutes,
 //! * the bounded model finder's verdicts match exhaustive enumeration.
 
 use jahob_repro::jahob::normalize;
 use jahob_repro::logic::model::enumerate_models;
-use jahob_repro::logic::{transform, BinOp, Form, Sort};
+use jahob_repro::logic::{transform, BinOp, Form, QKind, Sort, UnOp};
 use jahob_repro::util::{FxHashMap, Symbol};
 use proptest::prelude::*;
+use std::rc::Rc;
 
 // ---- generators ---------------------------------------------------------
 
@@ -389,6 +391,209 @@ proptest! {
         let refolded = jahob_repro::logic::sequent::Sequent::of(&f).to_form();
         for bits in 0..16u32 {
             prop_assert_eq!(eval_prop(&f, bits), eval_prop(&refolded, bits));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The sharing simplifier against a rebuild-everything reference.
+
+/// Random terms built with the raw constructors, so they include every
+/// shape `simplify` rewrites even when a node's children are already
+/// simplified: nested or one-part `And`/`Or`, `True` conjuncts, `~~p`,
+/// `a --> a`, unused binders, nested same-kind quantifiers, applications
+/// of applications, `{}` and finite sets, and integer constants.
+fn raw_form() -> impl Strategy<Value = Form> {
+    const BINOPS: [BinOp; 13] = [
+        BinOp::Implies,
+        BinOp::Iff,
+        BinOp::Eq,
+        BinOp::Elem,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Subseteq,
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Union,
+        BinOp::Inter,
+        BinOp::Diff,
+    ];
+    const UNOPS: [UnOp; 3] = [UnOp::Not, UnOp::Neg, UnOp::Card];
+    let var = |i: u8| Symbol::intern(&format!("v{i}"));
+    let leaf = prop_oneof![
+        (0u8..3).prop_map(move |i| Form::Var(var(i))),
+        (0i64..3).prop_map(Form::IntLit),
+        any::<bool>().prop_map(Form::BoolLit),
+        Just(Form::EmptySet),
+        Just(Form::Null),
+    ];
+    leaf.prop_recursive(4, 48, 3, move |inner| {
+        let list = |n| proptest::collection::vec(inner.clone(), n);
+        prop_oneof![
+            list(0..4).prop_map(Form::And),
+            list(0..4).prop_map(Form::Or),
+            list(1..3).prop_map(Form::FiniteSet),
+            list(1..3).prop_map(Form::Tree),
+            (0usize..13, inner.clone(), inner.clone()).prop_map(|(op, a, b)| Form::Binop(
+                BINOPS[op],
+                Rc::new(a),
+                Rc::new(b)
+            )),
+            (0usize..3, inner.clone()).prop_map(|(op, a)| Form::Unop(UNOPS[op], Rc::new(a))),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, e)| Form::Ite(
+                Rc::new(c),
+                Rc::new(t),
+                Rc::new(e)
+            )),
+            (inner.clone(), list(0..3)).prop_map(|(head, args)| Form::App(Rc::new(head), args)),
+            (0u8..3, any::<bool>(), inner.clone()).prop_map(move |(i, all, body)| {
+                let kind = if all { QKind::All } else { QKind::Ex };
+                Form::Quant(kind, vec![(var(i), Sort::Obj)], Rc::new(body))
+            }),
+            // Same-kind quantifiers directly nested, over a body that
+            // mentions both binders: simplify merges them.
+            (0u8..3, 0u8..3, any::<bool>(), inner.clone()).prop_map(move |(i, j, all, body)| {
+                let kind = if all { QKind::All } else { QKind::Ex };
+                let body = Form::Or(vec![Form::Var(var(i)), Form::Var(var(j)), body]);
+                let inner = Form::Quant(kind, vec![(var(j), Sort::Obj)], Rc::new(body));
+                Form::Quant(kind, vec![(var(i), Sort::Obj)], Rc::new(inner))
+            }),
+            (0u8..3, inner.clone())
+                .prop_map(move |(i, body)| Form::Lambda(vec![(var(i), Sort::Obj)], Rc::new(body))),
+            (0u8..3, inner.clone()).prop_map(move |(i, body)| Form::Compr(
+                var(i),
+                Sort::Obj,
+                Rc::new(body)
+            )),
+            inner.clone().prop_map(|a| Form::Old(Rc::new(a))),
+        ]
+    })
+}
+
+/// `simplify` as it was written before it shared unchanged subtrees:
+/// every node is rebuilt through the smart constructors. The oracle for
+/// the sharing version, which must produce the same term.
+fn reference_simplify(form: &Form) -> Form {
+    match form {
+        Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
+            form.clone()
+        }
+        Form::Tree(elems) => Form::Tree(elems.iter().map(reference_simplify).collect()),
+        Form::FiniteSet(elems) => Form::FiniteSet(elems.iter().map(reference_simplify).collect()),
+        Form::And(parts) => Form::and(parts.iter().map(reference_simplify).collect()),
+        Form::Or(parts) => Form::or(parts.iter().map(reference_simplify).collect()),
+        Form::Unop(UnOp::Not, inner) => Form::not(reference_simplify(inner)),
+        Form::Unop(UnOp::Neg, inner) => match reference_simplify(inner) {
+            Form::IntLit(n) => Form::IntLit(-n),
+            other => Form::Unop(UnOp::Neg, Rc::new(other)),
+        },
+        Form::Unop(UnOp::Card, inner) => match reference_simplify(inner) {
+            Form::EmptySet => Form::IntLit(0),
+            other => Form::card(other),
+        },
+        Form::Old(inner) => Form::Old(Rc::new(reference_simplify(inner))),
+        Form::Binop(op, lhs, rhs) => {
+            reference_binop(*op, reference_simplify(lhs), reference_simplify(rhs))
+        }
+        Form::Ite(c, t, e) => {
+            let (c, t, e) = (
+                reference_simplify(c),
+                reference_simplify(t),
+                reference_simplify(e),
+            );
+            match c {
+                Form::BoolLit(true) => t,
+                Form::BoolLit(false) => e,
+                _ if t == e => t,
+                c => Form::Ite(Rc::new(c), Rc::new(t), Rc::new(e)),
+            }
+        }
+        Form::App(head, args) => Form::app(
+            reference_simplify(head),
+            args.iter().map(reference_simplify).collect(),
+        ),
+        Form::Quant(kind, binders, body) => match reference_simplify(body) {
+            Form::BoolLit(b) => Form::BoolLit(b),
+            body => {
+                let free = body.free_vars();
+                let kept = binders
+                    .iter()
+                    .filter(|(name, _)| free.contains(name))
+                    .cloned()
+                    .collect();
+                Form::quant(*kind, kept, body)
+            }
+        },
+        Form::Lambda(binders, body) => {
+            Form::Lambda(binders.clone(), Rc::new(reference_simplify(body)))
+        }
+        Form::Compr(x, sort, body) => {
+            Form::Compr(*x, sort.clone(), Rc::new(reference_simplify(body)))
+        }
+    }
+}
+
+fn reference_binop(op: BinOp, lhs: Form, rhs: Form) -> Form {
+    use BinOp::*;
+    match (op, &lhs, &rhs) {
+        (Implies, _, _) if lhs == rhs => Form::tt(),
+        (Implies, _, _) => Form::implies(lhs, rhs),
+        (Iff, Form::BoolLit(true), _) => rhs,
+        (Iff, _, Form::BoolLit(true)) => lhs,
+        (Iff, Form::BoolLit(false), _) => Form::not(rhs),
+        (Iff, _, Form::BoolLit(false)) => Form::not(lhs),
+        (Iff, _, _) if lhs == rhs => Form::tt(),
+        (Eq, Form::IntLit(a), Form::IntLit(b)) => Form::BoolLit(a == b),
+        (Eq, _, _) => Form::eq(lhs, rhs),
+        (Elem, _, Form::EmptySet) => Form::ff(),
+        (Elem, _, Form::FiniteSet(elems)) => Form::or(
+            elems
+                .iter()
+                .map(|e| Form::eq(lhs.clone(), e.clone()))
+                .collect(),
+        ),
+        (Lt, Form::IntLit(a), Form::IntLit(b)) => Form::BoolLit(a < b),
+        (Le, Form::IntLit(a), Form::IntLit(b)) => Form::BoolLit(a <= b),
+        (Subseteq, Form::EmptySet, _) => Form::tt(),
+        (Subseteq, _, _) if lhs == rhs => Form::tt(),
+        (Add, Form::IntLit(a), Form::IntLit(b)) => Form::IntLit(a + b),
+        (Add, Form::IntLit(0), _) => rhs,
+        (Add, _, Form::IntLit(0)) => lhs,
+        (Sub, Form::IntLit(a), Form::IntLit(b)) => Form::IntLit(a - b),
+        (Sub, _, Form::IntLit(0)) => lhs,
+        (Mul, Form::IntLit(a), Form::IntLit(b)) => Form::IntLit(a * b),
+        (Mul, Form::IntLit(1), _) => rhs,
+        (Mul, _, Form::IntLit(1)) => lhs,
+        (Mul, Form::IntLit(0), _) | (Mul, _, Form::IntLit(0)) => Form::IntLit(0),
+        (Union, Form::EmptySet, _) => rhs,
+        (Union, _, Form::EmptySet) => lhs,
+        (Union, _, _) if lhs == rhs => lhs,
+        (Inter, Form::EmptySet, _) | (Inter, _, Form::EmptySet) => Form::EmptySet,
+        (Inter, _, _) if lhs == rhs => lhs,
+        (Diff, _, Form::EmptySet) => lhs,
+        (Diff, Form::EmptySet, _) => Form::EmptySet,
+        (Diff, _, _) if lhs == rhs => Form::EmptySet,
+        _ => Form::binop(op, lhs, rhs),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sharing `simplify` returns exactly the term the
+    /// rebuild-everything reference builds, and simplifying its output
+    /// again hands back the same term.
+    #[test]
+    fn simplify_matches_the_rebuilding_reference(
+        f in prop_form(),
+        g in set_form(),
+        raw in raw_form(),
+    ) {
+        for form in [f, g, raw] {
+            let simplified = transform::simplify(&form);
+            prop_assert_eq!(&simplified, &reference_simplify(&form), "{}", form);
+            prop_assert_eq!(transform::simplify(&simplified), reference_simplify(&simplified));
         }
     }
 }
