@@ -155,24 +155,13 @@ fn simplified(form: &Form) -> Option<Form> {
                     .cloned()
                     .collect()
             };
-            Some(quant(*kind, kept, keep(new, body)))
+            Some(Form::quant(
+                *kind,
+                kept,
+                new.unwrap_or_else(|| body.as_ref().clone()),
+            ))
         }
         _ => form.map_children(simplified),
-    }
-}
-
-/// [`Form::quant`] over a shared body: no binders leave the body, and a
-/// same-kind quantifier directly inside merges into this one.
-fn quant(kind: QKind, mut binders: Vec<(Symbol, Sort)>, body: Rc<Form>) -> Form {
-    if binders.is_empty() {
-        return Rc::unwrap_or_clone(body);
-    }
-    match body.as_ref() {
-        Form::Quant(inner_kind, inner_binders, inner_body) if *inner_kind == kind => {
-            binders.extend(inner_binders.iter().cloned());
-            Form::Quant(kind, binders, Rc::clone(inner_body))
-        }
-        _ => Form::Quant(kind, binders, body),
     }
 }
 
