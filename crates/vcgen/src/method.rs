@@ -728,7 +728,7 @@ fn apply_contract(
     }
     if let Some(t) = target {
         for a in args {
-            if a.free_vars().contains(&t) {
+            if a.occurs_free(t) {
                 return err(format!(
                     "call target `{t}` must not appear among the arguments"
                 ));
