@@ -757,6 +757,9 @@ impl Dispatcher {
         if exclude == Some(prover) {
             return None;
         }
+        // Read before the skip check, so the unit that check draws is
+        // recorded as this attempt's.
+        let fuel_before = budget.fuel_remaining();
         // Obligation budget already spent: remaining provers are skipped,
         // not blamed — they were never tried.
         if budget.check().is_err() || budget.poll_deadline().is_err() {
@@ -775,7 +778,6 @@ impl Dispatcher {
                 fault: fault.to_string(),
             });
         }
-        let fuel_before = budget.fuel_remaining();
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             match fault {
@@ -1453,8 +1455,9 @@ mod tests {
                 .collect();
             (verdict, attempts)
         };
-        // A spurious timeout or fuel exhaustion burns nothing and blames
-        // only hol-auto: the later provers still run.
+        // A spurious timeout or fuel exhaustion burns only the unit the
+        // guard's admission check draws, and blames only hol-auto: the
+        // later provers still run.
         for (fault, outcome) in [
             (Fault::Timeout, "timeout"),
             (Fault::Starvation, "fuel-exhausted"),
@@ -1470,13 +1473,13 @@ mod tests {
                 ),
                 "{fault}: {verdict:?}"
             );
-            assert_eq!(attempts[0], ("hol-auto", outcome.to_owned(), 0), "{fault}");
+            assert_eq!(attempts[0], ("hol-auto", outcome.to_owned(), 1), "{fault}");
             let last = attempts.last().map(|(p, o, _)| (*p, o.as_str()));
             assert_eq!(last, Some(("bapa", "proved")), "{fault}: {attempts:?}");
         }
-        // A slow burn drains the obligation's fuel (all but the unit the
-        // guard's own budget check drew): every later prover is skipped,
-        // not blamed, and the obligation is spent.
+        // A slow burn drains the obligation's fuel, and the attempt records
+        // all of it, the admission unit included: every later prover is
+        // skipped, not blamed, and the obligation is spent.
         let (verdict, attempts) = run(Fault::SlowBurn);
         match verdict {
             Verdict::Unknown(diag) => {
@@ -1493,10 +1496,7 @@ mod tests {
             }
             other => panic!("expected a spent obligation, got {other:?}"),
         }
-        assert_eq!(
-            attempts,
-            [("hol-auto", "fuel-exhausted".to_owned(), FUEL - 1)]
-        );
+        assert_eq!(attempts, [("hol-auto", "fuel-exhausted".to_owned(), FUEL)]);
     }
 
     #[test]
