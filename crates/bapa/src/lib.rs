@@ -538,13 +538,6 @@ pub fn bapa_valid_budgeted(
     Ok(!sat)
 }
 
-/// Decide satisfiability of a quantifier-free BAPA formula.
-pub fn bapa_sat(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<bool, BapaError> {
-    let (matrix, wf, _) = translate(form, sig)?;
-    let full = PForm::and(vec![wf, matrix]);
-    Ok(pform_sat(&full, &Budget::unlimited()).expect("unlimited budget cannot be exhausted"))
-}
-
 /// Number of base sets a goal needs (for benchmarking the Venn blowup).
 pub fn base_set_count(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<usize, BapaError> {
     translate(form, sig).map(|(_, _, n)| n)

@@ -508,14 +508,6 @@ impl GoalCache {
         self.persist.is_some()
     }
 
-    /// `true` when the backing store could not take the advisory lock
-    /// (another live process holds it): entries loaded, writes skipped.
-    pub fn persist_read_only(&self) -> bool {
-        self.persist
-            .as_ref()
-            .is_some_and(|p| lock_or_recover(&p.store).read_only())
-    }
-
     /// Snapshot of the persistence layer's `store.*` counters (empty for
     /// a plain in-memory cache). The verify pipeline merges these into
     /// the report's stats table as unstable entries.

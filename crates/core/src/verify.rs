@@ -457,10 +457,6 @@ pub enum VerdictSummary {
 }
 
 impl VerdictSummary {
-    pub fn is_unknown(&self) -> bool {
-        matches!(self, VerdictSummary::Unknown(_))
-    }
-
     /// Structured JSON: `{"kind": ..., ...}` with the prover/bound on
     /// proofs and the full failure taxonomy on unknowns. A verdict has no
     /// wall-clock field, so it renders the same in every [`ReportRender`]
@@ -920,7 +916,10 @@ fn verify_method(
             None
         }
         Err(panic) => {
-            report.error = Some(format!("VC generation panicked: {}", panic_message(&panic)));
+            report.error = Some(format!(
+                "VC generation panicked: {}",
+                pool::panic_message(&*panic)
+            ));
             None
         }
     };
@@ -942,7 +941,7 @@ fn verify_method(
                     report.error = Some(format!(
                         "dispatch panicked on `{}`: {}",
                         ob.label,
-                        panic_message(&panic)
+                        pool::panic_message(&*panic)
                     ));
                     VerdictSummary::Unknown(Diagnosis::default())
                 }
@@ -966,16 +965,6 @@ fn verify_method(
     });
     let stats = dispatcher.stats.snapshot();
     (report, stats, recorder.drain())
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
-    if let Some(s) = panic.downcast_ref::<&'static str>() {
-        s
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s
-    } else {
-        "non-string panic payload"
-    }
 }
 
 #[cfg(test)]

@@ -89,11 +89,6 @@ impl LinTerm {
         self.konst + self.coeffs.iter().map(|(&v, &c)| c * env(v)).sum::<i64>()
     }
 
-    /// The gcd of all variable coefficients (0 if constant).
-    pub fn coeff_gcd(&self) -> i64 {
-        self.coeffs.values().fold(0, |g, &c| gcd(g, c.abs()))
-    }
-
     /// Free variables.
     pub fn vars(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.coeffs.keys().copied()

@@ -279,13 +279,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Plan from the `JAHOB_CHAOS_SEED` environment variable, if set to a
-    /// parseable `u64`.
-    pub fn from_env() -> Option<FaultPlan> {
-        let raw = std::env::var("JAHOB_CHAOS_SEED").ok()?;
-        raw.trim().parse::<u64>().ok().map(FaultPlan::from_seed)
-    }
-
     /// The seed this plan replays.
     pub fn seed(&self) -> u64 {
         self.seed

@@ -258,11 +258,6 @@ impl Store {
         ))
     }
 
-    /// The advisory-lock outcome this handle opened with.
-    pub fn lock_state(&self) -> LockState {
-        self.lock
-    }
-
     /// `true` when another live process holds the lock; appends are
     /// rejected and the caller should skip flushing.
     pub fn read_only(&self) -> bool {

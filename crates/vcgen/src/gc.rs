@@ -1,7 +1,7 @@
 //! The guarded-command IR and its weakest-precondition transformer.
 
 use jahob_logic::form::sym::builtins;
-use jahob_logic::{Form, QKind, Sort};
+use jahob_logic::Form;
 use jahob_util::{FxHashMap, Symbol};
 use std::rc::Rc;
 
@@ -192,35 +192,6 @@ pub fn finalize(obligations: Vec<Obligation>) -> Vec<Obligation> {
             }
         })
         .collect()
-}
-
-/// Does the formula mention any `Old`? (sanity checks in tests)
-pub fn mentions_old(form: &Form) -> bool {
-    form.contains_old()
-}
-
-/// Universally close an obligation over its free variables of the given
-/// sorts — used when handing obligations to provers that expect sentences.
-pub fn close_universally(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Form {
-    let mut binders: Vec<(Symbol, Sort)> = Vec::new();
-    for v in form.free_vars() {
-        if let Some(sort) = sig.get(&v) {
-            if matches!(sort, Sort::Obj) {
-                binders.push((v, Sort::Obj));
-            }
-        }
-    }
-    if binders.is_empty() {
-        form.clone()
-    } else {
-        Form::Quant(QKind::All, binders, Rc::new(form.clone()))
-    }
-}
-
-/// Negation-safe check used by tests: the obligation list is conjunctively
-/// equivalent to a single formula.
-pub fn conjoin(obligations: &[Obligation]) -> Form {
-    Form::and(obligations.iter().map(|o| o.form.clone()).collect())
 }
 
 /// Collect the state symbols assigned or havocked in a GC (used for loop

@@ -26,19 +26,3 @@ pub mod method;
 
 pub use gc::{Obligation, GC};
 pub use method::{method_obligations, MethodVcs, VcgenError};
-
-use jahob_javalite::TypedProgram;
-
-/// Generate obligations for every non-`assuming` method of the program.
-pub fn program_obligations(program: &TypedProgram) -> Result<Vec<MethodVcs>, VcgenError> {
-    let mut out = Vec::new();
-    for class in &program.classes {
-        for m in &class.methods {
-            if m.contract.assumed {
-                continue;
-            }
-            out.push(method_obligations(program, m)?);
-        }
-    }
-    Ok(out)
-}

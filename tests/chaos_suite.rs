@@ -11,6 +11,7 @@
 
 use jahob_repro::jahob::{Dispatcher, Fault, FaultPlan, GoalCache, Lie, ReportRender, Verdict};
 use jahob_repro::logic::{form, Form, Sort};
+use jahob_repro::util::chaos::env_seed;
 use jahob_repro::util::{FxHashMap, Symbol};
 use std::sync::Arc;
 
@@ -86,7 +87,7 @@ fn no_seed_ever_flips_a_verdict() {
     // CI shifts the sweep window with `JAHOB_CHAOS_SEED=<base>`; locally
     // the suite covers seeds 0..48. Either way a failure names the exact
     // seed to replay.
-    let base = FaultPlan::from_env().map(|p| p.seed()).unwrap_or(0);
+    let base = env_seed().unwrap_or(0);
     let mut total_injected = 0u64;
     for seed in base..base + 48 {
         let mut chaos = Dispatcher::new(sig());
@@ -289,7 +290,7 @@ class Counter {
     let truth = verdicts(&truth_report);
     let truth_kinds = kinds(&truth_report);
 
-    let base = FaultPlan::from_env().map(|p| p.seed()).unwrap_or(0);
+    let base = env_seed().unwrap_or(0);
     let mut store_faults_seen = 0u64;
     for seed in base..base + 16 {
         let dir = scratch.join(format!("seed-{seed}"));

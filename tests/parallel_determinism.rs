@@ -13,6 +13,7 @@
 //! its deterministic serialization, which omits wall-clock fields).
 
 use jahob_repro::jahob::{self, Config, FaultPlan, MemorySink, Verifier};
+use jahob_repro::util::chaos::env_seed;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -94,10 +95,7 @@ fn chaos_runs_agree_across_worker_counts() {
     // so the same obligations draw the same faults no matter which worker
     // dispatches them or in which order. The goal cache stands down
     // automatically while a seeded plan is armed.
-    let base = std::env::var("JAHOB_CHAOS_SEED")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-        .unwrap_or(11);
+    let base = env_seed().unwrap_or(11);
     for path in ["case_studies/list.javax", "case_studies/client.javax"] {
         let src = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{path}: {e}"));
         for seed in [base, base + 1] {
