@@ -13,9 +13,9 @@
 //!   warm runs are byte-for-byte identical to each other at any worker
 //!   count.
 //! * **Corruption degrades, never lies.** Torn tails, flipped bytes,
-//!   deleted manifests, garbage segments, and stale locks all reopen —
-//!   at worst cold — with unchanged verdicts, and the directory stays
-//!   reopenable afterwards.
+//!   deleted manifests, garbage segments, orphaned temp files, and stale
+//!   locks all reopen — at worst cold — with unchanged verdicts, and the
+//!   directory stays reopenable afterwards.
 //! * **Injected disk faults are invisible in verdicts.** Every
 //!   `DiskFault` kind, targeted at every store IO site, completes the
 //!   run with baseline verdicts and leaves the directory reopenable.
@@ -247,8 +247,9 @@ fn session_reuse_with_shared_persistent_cache() {
 }
 
 /// Apply `corrupt` to a populated store directory, then pin: the warm
-/// run still completes with baseline verdicts (at worst cold) and the
-/// directory remains reopenable for one more clean round-trip.
+/// run still completes with baseline verdicts (at worst cold), leaves no
+/// `*.tmp` file behind, and the directory remains reopenable for one more
+/// clean round-trip.
 fn corruption_case(tag: &str, corrupt: impl Fn(&Path)) {
     let src = TINY;
     let dir = temp_dir(tag);
@@ -262,6 +263,12 @@ fn corruption_case(tag: &str, corrupt: impl Fn(&Path)) {
         methods_json(&recovered),
         "{tag}: corruption must never change a verdict"
     );
+    let leftover: Vec<PathBuf> = fs::read_dir(&dir)
+        .expect("read store dir")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|ext| ext == "tmp"))
+        .collect();
+    assert!(leftover.is_empty(), "{tag}: temp files left: {leftover:?}");
 
     // The store must have healed: one more clean round-trip works.
     let again = run(src, Some(&dir), 1);
@@ -323,6 +330,15 @@ fn garbage_segment_is_quarantined() {
     corruption_case("garbage", |dir| {
         let seg = segment_paths(dir).pop().unwrap();
         fs::write(&seg, b"this is not a segment file at all").unwrap();
+    });
+}
+
+#[test]
+fn orphan_tmp_file_is_swept() {
+    corruption_case("orphantmp", |dir| {
+        // A crash between a flush's write and its rename leaves the
+        // half-written segment under its temp name.
+        fs::write(dir.join("seg-99999999.log.tmp"), b"half-written segment").unwrap();
     });
 }
 
