@@ -218,7 +218,10 @@ fn daemon_serves_the_one_shot_report_and_stream() {
     assert_eq!(stable_stream(&client_obs), cold_stream, "client stream");
 
     let warm = json_stdout(&reports[1]);
-    assert!(reports[1..].iter().all(|r| json_stdout(r) == warm));
+    assert!(
+        reports[1..].iter().all(|r| json_stdout(r) == warm),
+        "every warm request reports alike, so the clients' order cannot matter"
+    );
     let clients: Vec<_> = (0..CLIENTS)
         .map(|_| {
             jahob(&submit)
