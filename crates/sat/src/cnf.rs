@@ -8,15 +8,21 @@
 //! deduplicated input literals, so equal gates share one variable and a
 //! lookup hashes one level of structure. Negation is [`Lit::negate`]; a
 //! literal is asserted with [`Solver::add_clause`].
+//!
+//! [`CnfBuilder::mark`] and [`CnfBuilder::rollback`] take the builder and
+//! its solver back together, forgetting the gates and clauses made in
+//! between, so a caller can keep a shared encoding and try one formula
+//! after another on top of it.
 
-use crate::solver::{Lit, Solver};
+use crate::solver::{self, Lit, Solver};
 use jahob_util::FxHashMap;
+use std::rc::Rc;
 
 /// Tseitin gate builder over a [`Solver`]'s literals.
 #[derive(Default)]
 pub struct CnfBuilder {
     /// `and` gates, keyed on their sorted, deduplicated inputs.
-    ands: FxHashMap<Vec<Lit>, Lit>,
+    ands: FxHashMap<Rc<[Lit]>, Lit>,
     /// `iff` gates, keyed on their inputs' positive literals in order; the
     /// inputs' signs are carried outside the gate.
     iffs: FxHashMap<(Lit, Lit), Lit>,
@@ -24,11 +30,60 @@ pub struct CnfBuilder {
     true_lit: Option<Lit>,
     /// Scratch for normalizing `and` inputs.
     scratch: Vec<Lit>,
+    /// The keys of the gates made since the last mark, once one was taken.
+    made: Option<Vec<Gate>>,
+}
+
+/// A gate's key, as `CnfBuilder::made` logs it.
+enum Gate {
+    And(Rc<[Lit]>),
+    Iff((Lit, Lit)),
+}
+
+/// A point a [`CnfBuilder`] and its [`Solver`] can return to together.
+#[derive(Clone, Copy, Debug)]
+pub struct CnfMark {
+    solver: solver::Mark,
+    true_lit: Option<Lit>,
+}
+
+impl CnfMark {
+    /// The number of solver variables at the mark: every literal made
+    /// since has a variable at or above it.
+    pub fn vars(self) -> u32 {
+        self.solver.vars()
+    }
 }
 
 impl CnfBuilder {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The current point of this builder and `solver`, for a later
+    /// [`CnfBuilder::rollback`]. Marks do not nest: a rollback returns to
+    /// the latest mark.
+    pub fn mark(&mut self, solver: &Solver) -> CnfMark {
+        self.made.get_or_insert_with(Vec::new).clear();
+        CnfMark {
+            solver: solver.mark(),
+            true_lit: self.true_lit,
+        }
+    }
+
+    /// Return this builder and `solver` to `mark`, the latest mark: the
+    /// gates made since are forgotten with their variables and clauses
+    /// (see [`Solver::rollback`], whose conditions hold for the gate
+    /// definitions this builder adds).
+    pub fn rollback(&mut self, solver: &mut Solver, mark: CnfMark) {
+        solver.rollback(mark.solver);
+        for gate in self.made.iter_mut().flat_map(|made| made.drain(..)) {
+            match gate {
+                Gate::And(key) => self.ands.remove(&key),
+                Gate::Iff(key) => self.iffs.remove(&key),
+            };
+        }
+        self.true_lit = mark.true_lit;
     }
 
     /// The literal of a constant.
@@ -92,6 +147,9 @@ impl CnfBuilder {
                 solver.add_clause(&[d, pa, pb]);
                 solver.add_clause(&[d, pa.negate(), pb.negate()]);
                 self.iffs.insert(key, d);
+                if let Some(made) = &mut self.made {
+                    made.push(Gate::Iff(key));
+                }
                 d
             }
         };
@@ -142,7 +200,11 @@ impl CnfBuilder {
             let mut clause: Vec<Lit> = lits.iter().map(|l| l.negate()).collect();
             clause.push(d);
             solver.add_clause(&clause);
-            self.ands.insert(lits.clone(), d);
+            let key: Rc<[Lit]> = Rc::from(lits.as_slice());
+            if let Some(made) = &mut self.made {
+                made.push(Gate::And(Rc::clone(&key)));
+            }
+            self.ands.insert(key, d);
             d
         };
         self.scratch = lits;
@@ -309,6 +371,34 @@ mod tests {
             }
             assert_eq!(solve(s, &atoms, root).is_some(), brute, "{f:?}");
         }
+    }
+
+    #[test]
+    fn rollback_forgets_what_the_mark_did_not_see() {
+        let (mut b, mut s, [a0, a1, a2]) = setup();
+        let kept = b.and(&mut s, &[a0, a1]);
+        let mark = b.mark(&s);
+        let t = b.constant(&mut s, true);
+        let later = b.and(&mut s, &[a1, a2]);
+        let iff = b.iff(&mut s, kept, a2);
+        // Asserted under an activation literal that is only assumed.
+        let act = s.new_var().positive();
+        s.add_clause(&[act.negate(), later]);
+        s.add_clause(&[act.negate(), iff.negate()]);
+        assert!(s.solve_with_assumptions(&[act]).is_sat());
+        assert_eq!(s.solve_with_assumptions(&[act, a0]), SolveResult::Unsat);
+        b.rollback(&mut s, mark);
+        assert_eq!(s.num_vars() as u32, mark.vars());
+        // The kept gate is still shared; the forgotten ones are made
+        // afresh, on the variables they had, and `later` binds no more.
+        assert_eq!(b.and(&mut s, &[a1, a0]), kept);
+        assert_eq!(b.constant(&mut s, true), t);
+        assert_eq!(b.and(&mut s, &[a2, a1]), later);
+        assert!(s.solve_with_assumptions(&[a1.negate()]).is_sat());
+        assert_eq!(
+            s.solve_with_assumptions(&[kept, a0.negate()]),
+            SolveResult::Unsat
+        );
     }
 
     #[test]

@@ -8,14 +8,15 @@
 //! propagation, first-UIP learning with clause minimization, VSIDS-style
 //! activity decisions with phase saving, and Luby restarts.
 //!
-//! The solver supports incremental use — clauses added between solves, and
-//! assumptions ([`Solver::solve_with_assumptions`]) — which the model
-//! finder's spurious-model loop and the DPLL(T) theory loop rely on. Both
-//! build their propositional structure through one gate builder,
-//! [`CnfBuilder`].
+//! The solver supports incremental use — clauses added between solves,
+//! assumptions ([`Solver::solve_with_assumptions`]), and a mark to roll
+//! back to ([`Solver::mark`], [`Solver::rollback`]) — which the model
+//! finder's sessions and spurious-model loop and the DPLL(T) theory loop
+//! rely on. Both build their propositional structure through one gate
+//! builder, [`CnfBuilder`], which rolls back with its solver.
 
 pub mod cnf;
 pub mod solver;
 
-pub use cnf::CnfBuilder;
-pub use solver::{Lit, SolveResult, Solver, Var};
+pub use cnf::{CnfBuilder, CnfMark};
+pub use solver::{Lit, Mark, SolveResult, Solver, Var};

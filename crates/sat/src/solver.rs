@@ -138,6 +138,23 @@ struct Watch {
     blocker: Lit,
 }
 
+/// A point a [`Solver`] can return to: its variable, clause and arena
+/// sizes when [`Solver::mark`] took it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Mark {
+    vars: u32,
+    clauses: u32,
+    arena: u32,
+    unsat: bool,
+}
+
+impl Mark {
+    /// The number of variables the solver had at the mark.
+    pub fn vars(self) -> u32 {
+        self.vars
+    }
+}
+
 /// A CDCL SAT solver.
 pub struct Solver {
     /// The literals of every clause, back to back.
@@ -670,6 +687,71 @@ impl Solver {
         }
     }
 
+    /// The current point, for a later [`Solver::rollback`].
+    pub fn mark(&self) -> Mark {
+        Mark {
+            vars: self.num_vars() as u32,
+            clauses: self.clauses.len() as u32,
+            arena: self.arena.len() as u32,
+            unsat: self.unsat,
+        }
+    }
+
+    /// Return to `mark`: forget every variable and every clause, learned
+    /// ones included, made since. Level-0 facts on the kept variables
+    /// stay. They stay sound when each clause added since the mark either
+    /// defines a new variable conservatively (a Tseitin gate: any
+    /// assignment of its inputs extends to it) or contains the negation of
+    /// a literal that is only ever assumed, never asserted: no level-0
+    /// fact can then rest on such a clause, so each follows from the kept
+    /// clauses alone. Activities and saved phases of kept variables keep
+    /// what the search since the mark made of them.
+    pub fn rollback(&mut self, mark: Mark) {
+        self.backtrack(0);
+        let (vars, clauses) = (mark.vars as usize, mark.clauses);
+        let kept = |l: &Lit| (l.var().0 as usize) < vars;
+        let propagated = self.trail[..self.qhead].iter().filter(|l| kept(l)).count();
+        self.trail.retain(kept);
+        self.qhead = propagated;
+        for l in &self.trail {
+            let v = l.var().0 as usize;
+            if self.reason[v] != CLAUSE_NONE && self.reason[v] >= clauses {
+                self.reason[v] = CLAUSE_NONE;
+            }
+        }
+        // A clause is watched on its first two literals: unwatch the
+        // dropped ones on the kept variables, each variable's lists once.
+        let mut touched = std::mem::take(&mut self.to_clear);
+        touched.clear();
+        for span in &self.clauses[clauses as usize..] {
+            for &l in &self.arena[span.start as usize..][..2] {
+                let v = l.var().0 as usize;
+                if v < vars && !self.seen[v] {
+                    self.seen[v] = true;
+                    touched.push(l);
+                }
+            }
+        }
+        for l in &touched {
+            self.seen[l.var().0 as usize] = false;
+            for list in [l.index(), l.negate().index()] {
+                self.watches[list].retain(|w| w.clause < clauses);
+            }
+        }
+        self.to_clear = touched;
+        self.watches.truncate(2 * vars);
+        self.clauses.truncate(clauses as usize);
+        self.arena.truncate(mark.arena as usize);
+        self.order.truncate(vars, &self.activity);
+        self.assign.truncate(vars);
+        self.phase.truncate(vars);
+        self.level.truncate(vars);
+        self.reason.truncate(vars);
+        self.activity.truncate(vars);
+        self.seen.truncate(vars);
+        self.unsat = mark.unsat;
+    }
+
     /// Store the clause in `learnt` and watch it. Returns its index, or
     /// CLAUSE_NONE for a unit clause.
     fn learn(&mut self) -> u32 {
@@ -720,6 +802,16 @@ impl VarHeap {
             self.sift_down(0, activity);
         }
         Some(top)
+    }
+
+    /// Drop the variables from `vars` on and restore the order.
+    fn truncate(&mut self, vars: usize, activity: &[f64]) {
+        self.heap.retain(|&v| (v as usize) < vars);
+        self.pos.truncate(vars);
+        for (i, &v) in self.heap.iter().enumerate() {
+            self.pos[v as usize] = i as u32;
+        }
+        self.rebuild(activity);
     }
 
     /// Restore the order after `v`'s activity grew.
@@ -1085,12 +1177,17 @@ mod tests {
         /// The incremental pattern the spurious-model loop and the theory
         /// loop use: solve, add clauses, solve again, then solve under
         /// assumptions (twice, so an assumption must not outlive its call).
+        /// Then the model finder's session pattern: mark, define a gate
+        /// `g ↔ (1 ∧ n)` and add clauses guarded by an activation literal
+        /// `a`, solve with `a` assumed, roll back, and solve again over
+        /// the clauses still in force.
         #[test]
         fn incremental_solving_matches_brute_force(
             num_vars in 1usize..=12,
             first in proptest::collection::vec(clause(), 0..=40),
             more in proptest::collection::vec(clause(), 0..=20),
             assumed in proptest::collection::vec(clause(), 1..=2),
+            guarded in proptest::collection::vec(clause(), 0..=20),
         ) {
             let fold = |c: &Vec<i32>| -> Vec<i32> {
                 c.iter()
@@ -1116,6 +1213,36 @@ mod tests {
                 check_against_brute_force(&mut s, num_vars, &all, &fold(a));
             }
             check_against_brute_force(&mut s, num_vars, &all, &[]);
+
+            let mark = s.mark();
+            let n = num_vars as i32;
+            let (g, act) = (n + 1, n + 2);
+            let mut extended = all.clone();
+            extended.extend([vec![-g, 1], vec![-g, n], vec![g, -1, -n]]);
+            // The guarded clauses may name the gate: fold over `1..=n + 1`.
+            for c in &guarded {
+                let mut c: Vec<i32> = c
+                    .iter()
+                    .map(|&v| {
+                        let folded = (v.abs() - 1) % (n + 1) + 1;
+                        if v > 0 { folded } else { -folded }
+                    })
+                    .collect();
+                c.push(-act);
+                extended.push(c);
+            }
+            for c in &extended[all.len()..] {
+                add(&mut s, c);
+            }
+            let width = num_vars + 2;
+            check_against_brute_force(&mut s, width, &extended, &[act]);
+            let mut with_assumed = fold(&assumed[0]);
+            with_assumed.push(act);
+            check_against_brute_force(&mut s, width, &extended, &with_assumed);
+            s.rollback(mark);
+            prop_assert_eq!(s.num_vars(), num_vars);
+            check_against_brute_force(&mut s, num_vars, &all, &[]);
+            check_against_brute_force(&mut s, num_vars, &all, &fold(&assumed[0]));
         }
     }
 }
