@@ -12,13 +12,16 @@
 //! * Front matter — VC generation plus `Dispatcher::prepare` over the five
 //!   case studies, the work a warm recheck repeats before any prover runs,
 //!   in µs per pass.
+//! * Model-finder sessions — every case-study piece that reaches the model
+//!   finder, grouped by method, through one session per method and
+//!   through a fresh session per piece, in µs per pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jahob_bench::{
     bapa_union_bound, case_study_obligations, case_study_programs, case_study_vcs, elaborate,
-    euf_cycle, game_bapa_pieces, lia_interval, lia_interval_cooper,
+    euf_cycle, game_bapa_pieces, lia_interval, lia_interval_cooper, model_finder_pieces,
 };
-use jahob_logic::Sort;
+use jahob_logic::{Form, Sort};
 use jahob_util::{FxHashMap, Symbol};
 use std::time::{Duration, Instant};
 
@@ -205,6 +208,61 @@ fn bench_vcgen_prepare(c: &mut Criterion) {
     println!("bench front/vcgen_prepare: {per_pass:.0} µs/pass (98 obligations, 117 pieces)");
 }
 
+/// The model finder's answer on each of [`model_finder_pieces`], in
+/// order: `V` valid up to universe 3, `C` a counter-model, `-` outside
+/// the fragment (the dispatcher then weakens the piece, which this bench
+/// leaves out).
+const MODEL_FINDER_VERDICTS: &str = "VVVVVVVVVVVVVVVCCCCVV-------VVV----VVVVVVVVVVVVVVV";
+
+/// Each piece's answer, one session per method when `shared`, else a
+/// fresh session per piece.
+fn model_finder_verdicts(methods: &[Vec<(Form, FxHashMap<Symbol, Sort>)>], shared: bool) -> String {
+    let budget = jahob_util::budget::Budget::unlimited();
+    let mut verdicts = String::new();
+    for pieces in methods {
+        let mut session = jahob_models::Session::new();
+        for (goal, sig) in pieces {
+            if !shared {
+                session = jahob_models::Session::new();
+            }
+            verdicts.push(match session.bmc_valid(goal, sig, 3, &budget) {
+                Ok(jahob_models::BmcVerdict::ValidUpTo(_)) => 'V',
+                Ok(jahob_models::BmcVerdict::CounterModel(_)) => 'C',
+                Err(_) => '-',
+            });
+        }
+    }
+    verdicts
+}
+
+fn bench_model_sessions(c: &mut Criterion) {
+    let methods = model_finder_pieces();
+    let pieces: usize = methods.iter().map(Vec::len).sum();
+    let mut group = c.benchmark_group("models/method_sessions");
+    group.sample_size(10);
+    for (name, shared) in [("per_method", true), ("per_piece", false)] {
+        let mut elapsed = Duration::ZERO;
+        let mut rounds = 0u32;
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let started = Instant::now();
+                let verdicts = model_finder_verdicts(&methods, shared);
+                elapsed += started.elapsed();
+                rounds += 1;
+                assert_eq!(verdicts, MODEL_FINDER_VERDICTS, "{name}");
+            })
+        });
+        if rounds > 0 {
+            let per_pass = elapsed.as_micros() as f64 / f64::from(rounds);
+            println!(
+                "bench models/method_sessions/{name}: {per_pass:.0} µs/pass ({pieces} pieces in {} methods)",
+                methods.len()
+            );
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_bapa,
@@ -213,6 +271,7 @@ criterion_group!(
     bench_smt,
     bench_sat,
     bench_elaboration,
-    bench_vcgen_prepare
+    bench_vcgen_prepare,
+    bench_model_sessions
 );
 criterion_main!(benches);

@@ -5,7 +5,8 @@
 //! verdicts before it is worth timing).
 
 use jahob_logic::{Form, Sort, SortCx};
-use jahob_util::{FxHashMap, Symbol};
+use jahob_util::{FxHashMap, FxHashSet, Symbol};
+use std::sync::Arc;
 
 /// E8 workload: a valid BAPA family sweeping the number of base sets —
 /// `card(S1 ∪ … ∪ Sk) ≤ card S1 + … + card Sk`.
@@ -168,6 +169,48 @@ pub fn game_bapa_pieces() -> Vec<(Form, FxHashMap<Symbol, Sort>)> {
         }
     }
     pieces
+}
+
+/// The model finder's workload: every piece of the five case studies
+/// that reaches it (no cheaper prover decides it), with its signature,
+/// grouped by method in dispatch order, as a dispatcher feeds its
+/// model-finder session. A piece reaches the model finder when its span
+/// in the dispatcher's event stream holds a `bounded-models` attempt.
+pub fn model_finder_pieces() -> Vec<Vec<(Form, FxHashMap<Symbol, Sort>)>> {
+    let mut methods = Vec::new();
+    for typed in case_study_programs() {
+        for vcs in case_study_vcs(&typed) {
+            let sink = Arc::new(jahob::MemorySink::new());
+            let mut dispatcher = jahob::Dispatcher::new(typed.sig.clone());
+            dispatcher.recorder = jahob::Recorder::streaming(sink.clone());
+            let mut pieces = Vec::new();
+            for ob in &vcs.obligations {
+                pieces.extend(dispatcher.prepare(&ob.form).pieces);
+                let _ = dispatcher.prove(&ob.form);
+            }
+            let mut reached = FxHashSet::default();
+            let mut span = None;
+            for event in sink.events() {
+                match event {
+                    jahob::Event::PieceStart { fingerprint, .. } => span = Some(fingerprint),
+                    jahob::Event::Attempt {
+                        prover: "bounded-models",
+                        ..
+                    } => reached.extend(span),
+                    _ => {}
+                }
+            }
+            let pieces: Vec<_> = pieces
+                .into_iter()
+                .filter(|piece| reached.contains(&piece.key))
+                .map(|piece| (piece.goal.form, piece.sig))
+                .collect();
+            if !pieces.is_empty() {
+                methods.push(pieces);
+            }
+        }
+    }
+    methods
 }
 
 /// Elaborate one obligation as the dispatcher does: a sort context primed

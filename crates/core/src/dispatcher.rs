@@ -14,13 +14,14 @@
 use crate::goal_cache::{self, CachedProof, GoalCache, Lookup, NormalGoal};
 use jahob_logic::transform::{simplify, split_conjuncts};
 use jahob_logic::{Form, Sort, SortCx};
-use jahob_models::BmcVerdict;
+use jahob_models::{BmcVerdict, ModelsFailure};
 use jahob_smt::lift_ite;
 use jahob_util::budget::{Budget, Exhaustion, INFINITE_FUEL};
 use jahob_util::chaos::{self, Fault, FaultPlan, Lie};
 use jahob_util::counters::Stats;
 use jahob_util::obs::{self, Event, Recorder};
 use jahob_util::{FxHashMap, Symbol};
+use std::cell::RefCell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -356,6 +357,10 @@ pub struct Dispatcher {
     /// Run-wide normalized-goal cache, shared (via `Arc`) across the
     /// dispatchers of one verification run. `None` disables caching.
     pub cache: Option<Arc<GoalCache>>,
+    /// The model finder's session: every piece this dispatcher searches
+    /// (one method's, in the pipeline) grounds its hypotheses into it,
+    /// once per universe, and shares them with the pieces after it.
+    models: RefCell<jahob_models::Session>,
 }
 
 /// One piece of a split obligation, as the portfolio sees it.
@@ -406,6 +411,7 @@ impl Dispatcher {
             stats: Stats::new(),
             recorder,
             cache: None,
+            models: RefCell::default(),
         }
     }
 
@@ -944,14 +950,15 @@ impl Dispatcher {
     /// bound is a bounded proof when `bmc_as_validity` is on. A piece
     /// outside the boundable fragment is weakened into it and searched
     /// once more; that search can prove, but its counter-models may rest
-    /// on what the weakening forgot, so they refute nothing.
+    /// on what the weakening forgot, so they refute nothing. Both searches
+    /// go through the dispatcher's session.
     fn bounded_search(
         &self,
         piece: &Piece,
         budget: &Budget,
         diag: &mut Diagnosis,
     ) -> Result<Option<Verdict>, Exhaustion> {
-        use jahob_models::ModelsFailure;
+        let models = &mut *self.models.borrow_mut();
         let (goal, sig) = (&piece.goal.form, &piece.sig);
         let bound = self.config.bmc_bound;
         let proof = Verdict::Proved {
@@ -959,7 +966,7 @@ impl Dispatcher {
             bound: Some(bound),
         };
         self.stats.bump("tried.bmc");
-        match jahob_models::bmc_valid_with_bound_budgeted(goal, sig, bound, budget) {
+        match models.bmc_valid(goal, sig, bound, budget) {
             Ok(BmcVerdict::CounterModel(model)) => {
                 self.stats.bump("refuted.bmc");
                 return Ok(Some(Verdict::CounterModel(model)));
@@ -977,10 +984,10 @@ impl Dispatcher {
         if !self.config.bmc_as_validity {
             return Ok(None);
         }
-        let Some((candidate, cand_sig)) = self.weakened_for_bmc(goal, sig) else {
+        let Some((candidate, cand_sig)) = self.weakened_for_bmc(models, goal, sig) else {
             return Ok(None);
         };
-        match jahob_models::bmc_valid_with_bound_budgeted(&candidate, &cand_sig, bound, budget) {
+        match models.bmc_valid(&candidate, &cand_sig, bound, budget) {
             Ok(BmcVerdict::ValidUpTo(_)) => Ok(Some(proof)),
             Ok(BmcVerdict::CounterModel(_)) => {
                 diag.record(ProverId::Bmc, FailureReason::GaveUp);
@@ -996,14 +1003,17 @@ impl Dispatcher {
     /// variables, so client-level goals ground, and hypotheses that still
     /// do not ground are dropped, each with a `bmc drops hyp` note. Both
     /// steps are sound for validity. `None` when neither changed anything.
+    /// A hypothesis is tried in `models`' universe-1 grounder, which keeps
+    /// the ones that ground for the search of the weakened goal.
     fn weakened_for_bmc(
         &self,
+        models: &mut jahob_models::Session,
         goal: &Form,
         sig: &FxHashMap<Symbol, Sort>,
     ) -> Option<(Form, FxHashMap<Symbol, Sort>)> {
         let (abstracted, abs_sig, was_abstracted) = abstract_set_apps(goal, sig);
         let filtered = filtered(&abstracted, &mut |h| {
-            let ok = jahob_models::in_fragment(h, &abs_sig, 1);
+            let ok = models.grounds(h, &abs_sig);
             if !ok {
                 self.recorder.record_with(|| {
                     let t = h.to_string();

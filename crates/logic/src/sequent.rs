@@ -29,37 +29,37 @@ pub struct Sequent {
     pub goal: Form,
 }
 
+/// The hypotheses and goal of an implication chain, borrowed from it:
+/// what [`Sequent::of`] peels, with neither copies nor names.
+pub fn peel(form: &Form) -> (Vec<&Form>, &Form) {
+    let mut hyps = Vec::new();
+    let mut current = form;
+    while let Form::Binop(BinOp::Implies, h, c) = current {
+        match h.as_ref() {
+            Form::And(parts) => hyps.extend(parts),
+            other => hyps.push(other),
+        }
+        current = c;
+    }
+    (hyps, current)
+}
+
 impl Sequent {
     /// Decompose an implication chain into named hypotheses and a goal.
     /// Non-implications become a sequent with no hypotheses.
     pub fn of(form: &Form) -> Sequent {
-        let mut hyps = Vec::new();
-        let mut current = form.clone();
-        loop {
-            match current {
-                Form::Binop(BinOp::Implies, h, c) => {
-                    match h.as_ref() {
-                        Form::And(parts) => {
-                            for p in parts {
-                                hyps.push(p.clone());
-                            }
-                        }
-                        other => hyps.push(other.clone()),
-                    }
-                    current = c.as_ref().clone();
-                }
-                goal => {
-                    let hyps = hyps
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, form)| Hyp {
-                            name: format!("h{i}"),
-                            form,
-                        })
-                        .collect();
-                    return Sequent { hyps, goal };
-                }
-            }
+        let (hyps, goal) = peel(form);
+        let hyps = hyps
+            .into_iter()
+            .enumerate()
+            .map(|(i, form)| Hyp {
+                name: format!("h{i}"),
+                form: form.clone(),
+            })
+            .collect();
+        Sequent {
+            hyps,
+            goal: goal.clone(),
         }
     }
 

@@ -22,9 +22,8 @@
 //! Integer arithmetic and cardinalities are *not* grounded — those goals
 //! belong to `jahob-presburger`/`jahob-bapa`.
 //!
-//! Two uses, both through [`bmc_valid_with_bound_budgeted`], which the
-//! pipeline runs over universes `1..=bmc_bound` (3 by default), one search
-//! per size:
+//! Two uses, both through [`Session::bmc_valid`], which the pipeline runs
+//! over universes `1..=bmc_bound` (3 by default), one search per size:
 //!
 //! * **Bug finding**: a counter-model at some size refutes the goal. A
 //!   found model is checked against the reference evaluator
@@ -39,12 +38,25 @@
 //! a term whose object the environment fixes (a quantifier, comprehension
 //! or closure instance, or `null`) selects one row or entry instead of
 //! building a disjunction over the universe.
+//!
+//! A [`Session`] keeps one grounder per universe size across the goals it
+//! is given, the pieces of one method in the pipeline. A goal's hypotheses
+//! (its implication chain, peeled with `Sequent::of`) are grounded once per
+//! universe and shared with every later goal that assumes them. Its negated
+//! conclusion is asserted under a fresh activation literal, with
+//! value-precedence clauses that break the symmetry of the proper object
+//! ids, and searched with that literal assumed; before the grounder's
+//! next use, solver and grounder roll back to the mark taken after the
+//! hypotheses. The answer is the one a fresh grounding gives: sessions
+//! change how fast it comes, and which counter-model, never whether one
+//! exists. The free functions are one-goal sessions.
 
 use jahob_logic::model::{Key, Model, Value};
+use jahob_logic::sequent;
 use jahob_logic::{BinOp, Form, QKind, Sort, UnOp};
-use jahob_sat::{CnfBuilder, Lit, SolveResult, Solver, Var};
+use jahob_sat::{CnfBuilder, CnfMark, Lit, SolveResult, Solver, Var};
 use jahob_util::budget::{Budget, Exhaustion};
-use jahob_util::{FxHashMap, Symbol};
+use jahob_util::{FxHashMap, FxHashSet, Symbol};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
@@ -116,12 +128,15 @@ type Matrix = Vec<Vec<Lit>>;
 /// gives the body's other free variables.
 type ClosureKey = (Form, Vec<(Symbol, u32)>);
 
-/// The grounding context for one universe size: the formula is built
+/// The grounding context for one universe size: formulas are built
 /// straight into `solver` through `cnf`, so every subformula is one
 /// hash-consed literal.
-struct Grounder<'a> {
+struct Grounder {
     n: u32,
-    sig: &'a FxHashMap<Symbol, Sort>,
+    /// The sort of every name a formula grounded here mentions, `None` for
+    /// a name its signature lacks. A name keeps its sort: a goal that
+    /// sorts one differently gets a fresh grounder ([`Grounder::adopt`]).
+    sorts: FxHashMap<Symbol, Option<Sort>>,
     solver: Solver,
     cnf: CnfBuilder,
     /// Each declared entity's first solver variable, the rest of its
@@ -132,6 +147,14 @@ struct Grounder<'a> {
     /// Reflexive-transitive closure matrices, one per distinct edge
     /// relation.
     closures: FxHashMap<ClosureKey, Rc<Matrix>>,
+    /// The literal of each hypothesis grounded here, by its number in the
+    /// session.
+    hyps: Vec<Option<Lit>>,
+    /// The mark the last search took after its hypotheses. Its goal stays
+    /// until the grounder is next used ([`Grounder::retract`]), so a
+    /// grounder holds at most one goal, and the last one of a session is
+    /// dropped with it, never rolled back.
+    goal: Option<CnfMark>,
 }
 
 /// Number of object ids (including null).
@@ -146,20 +169,40 @@ fn var_lits(base: u32, count: usize) -> Vec<Lit> {
         .collect()
 }
 
-impl<'a> Grounder<'a> {
-    fn new(n: u32, sig: &'a FxHashMap<Symbol, Sort>) -> Self {
+impl Grounder {
+    fn new(n: u32) -> Self {
         Grounder {
             n,
-            sig,
+            sorts: FxHashMap::default(),
             solver: Solver::new(),
             cnf: CnfBuilder::new(),
             entities: FxHashMap::default(),
             closures: FxHashMap::default(),
+            hyps: Vec::new(),
+            goal: None,
         }
     }
 
+    /// Take the sorts of `names`, the names a goal mentions; `false` when
+    /// one differs from the sort an earlier goal gave it here. Groundings
+    /// depend on the sorts of the names they mention and on nothing else
+    /// in the signature, so while every name keeps its sort, each one made
+    /// for an earlier goal is the one this goal would make.
+    fn adopt(&mut self, names: &[(Symbol, Option<&Sort>)]) -> bool {
+        for &(name, sort) in names {
+            match self.sorts.get(&name) {
+                Some(seen) if seen.as_ref() != sort => return false,
+                Some(_) => {}
+                None => {
+                    self.sorts.insert(name, sort.cloned());
+                }
+            }
+        }
+        true
+    }
+
     fn kind_of(&self, name: Symbol) -> Result<Kind, GroundError> {
-        match self.sig.get(&name) {
+        match self.sorts.get(&name).and_then(Option::as_ref) {
             Some(Sort::Obj) => Ok(Kind::Obj),
             Some(Sort::Bool) => Ok(Kind::Bool),
             Some(Sort::Set(inner)) if **inner == Sort::Obj => Ok(Kind::ObjSet),
@@ -175,6 +218,58 @@ impl<'a> Grounder<'a> {
             }
             Some(other) => err(format!("symbol `{name}` has unboundable sort {other}")),
             None => err(format!("symbol `{name}` not in signature")),
+        }
+    }
+
+    // ---- marks ----------------------------------------------------------------
+
+    fn mark(&mut self) -> CnfMark {
+        self.cnf.mark(&self.solver)
+    }
+
+    /// Return to `mark`, the latest mark: the solver and the gate builder
+    /// forget what was made since, and so do the entity, closure and
+    /// hypothesis tables, whose entries made since name forgotten
+    /// variables.
+    fn rollback(&mut self, mark: CnfMark) {
+        self.cnf.rollback(&mut self.solver, mark);
+        let vars = mark.vars();
+        let kept = |l: &Lit| l.var().0 < vars;
+        self.entities.retain(|_, base| *base < vars);
+        self.closures
+            .retain(|_, matrix| matrix.iter().flatten().all(kept));
+        for lit in &mut self.hyps {
+            *lit = lit.filter(kept);
+        }
+    }
+
+    /// Roll the last search's goal back, if one stays.
+    fn retract(&mut self) {
+        if let Some(mark) = self.goal.take() {
+            self.rollback(mark);
+        }
+    }
+
+    /// The literal of hypothesis `hyp`, numbered `id` in the session,
+    /// grounded on first use. One that does not ground leaves nothing
+    /// behind.
+    fn hypothesis(&mut self, id: usize, hyp: &Form) -> Result<Lit, GroundError> {
+        if let Some(&Some(lit)) = self.hyps.get(id) {
+            return Ok(lit);
+        }
+        let mark = self.mark();
+        match self.bool_lit(hyp, &FxHashMap::default()) {
+            Ok(lit) => {
+                if self.hyps.len() <= id {
+                    self.hyps.resize(id + 1, None);
+                }
+                self.hyps[id] = Some(lit);
+                Ok(lit)
+            }
+            Err(e) => {
+                self.rollback(mark);
+                Err(e)
+            }
         }
     }
 
@@ -814,103 +909,177 @@ fn closure_key(x: Symbol, y: Symbol, body: &Form, env: &FxHashMap<Symbol, u32>) 
     (body, values)
 }
 
-/// Is the formula groundable at the given universe? (Cheap probe used by
-/// the dispatcher's hypothesis filtering — runs the encoder, discards the
-/// output.)
-pub fn in_fragment(form: &Form, sig: &FxHashMap<Symbol, Sort>, universe: u32) -> bool {
-    let mut grounder = Grounder::new(universe, sig);
-    let env = FxHashMap::default();
-    grounder.bool_lit(form, &env).is_ok()
+/// Every name `form` mentions, free or bound (each one a grounder may look
+/// up), with its sort in `sig`.
+fn names<'a>(form: &Form, sig: &'a FxHashMap<Symbol, Sort>) -> Vec<(Symbol, Option<&'a Sort>)> {
+    fn walk(form: &Form, out: &mut FxHashSet<Symbol>) {
+        match form {
+            Form::Var(s) => {
+                out.insert(*s);
+            }
+            Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {}
+            Form::FiniteSet(parts) | Form::And(parts) | Form::Or(parts) | Form::Tree(parts) => {
+                parts.iter().for_each(|p| walk(p, out))
+            }
+            Form::Unop(_, a) | Form::Old(a) => walk(a, out),
+            Form::Binop(_, a, b) => {
+                walk(a, out);
+                walk(b, out);
+            }
+            Form::Ite(c, t, e) => {
+                walk(c, out);
+                walk(t, out);
+                walk(e, out);
+            }
+            Form::App(head, args) => {
+                walk(head, out);
+                args.iter().for_each(|a| walk(a, out));
+            }
+            Form::Quant(_, binders, body) | Form::Lambda(binders, body) => {
+                out.extend(binders.iter().map(|(s, _)| *s));
+                walk(body, out);
+            }
+            Form::Compr(x, _, body) => {
+                out.insert(*x);
+                walk(body, out);
+            }
+        }
+    }
+    let mut seen = FxHashSet::default();
+    walk(form, &mut seen);
+    seen.into_iter().map(|s| (s, sig.get(&s))).collect()
 }
 
-/// Search for a model of `form` with `universe` proper objects. A found
-/// model is re-checked with the reference evaluator before being returned.
-pub fn find_model(
-    form: &Form,
-    sig: &FxHashMap<Symbol, Sort>,
-    universe: u32,
-) -> Result<Option<Model>, GroundError> {
-    match find_model_budgeted(form, sig, universe, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(ModelsFailure::Fragment(e)) => Err(e),
-        Err(ModelsFailure::Exhausted(_)) => unreachable!("unlimited budget"),
+/// One search: hypotheses with their numbers in the session, the formula
+/// that must hold with them, and the whole that a found model is checked
+/// against.
+struct Query<'a> {
+    hyps: Vec<(usize, &'a Form)>,
+    target: Form,
+    whole: Form,
+    names: Vec<(Symbol, Option<&'a Sort>)>,
+}
+
+impl<'a> Query<'a> {
+    /// A search for a model of `form`.
+    fn model_of(form: &Form, sig: &'a FxHashMap<Symbol, Sort>) -> Query<'a> {
+        Query {
+            hyps: Vec::new(),
+            target: form.clone(),
+            whole: form.clone(),
+            names: names(form, sig),
+        }
     }
 }
 
-/// Budgeted [`find_model`]: the grounding SAT searches and the
-/// spurious-model loop consume the caller's budget.
-pub fn find_model_budgeted(
-    form: &Form,
-    sig: &FxHashMap<Symbol, Sort>,
-    universe: u32,
-    budget: &Budget,
-) -> Result<Option<Model>, ModelsFailure> {
-    let mut grounder = encode(form, sig, universe).map_err(ModelsFailure::Fragment)?;
-    // The encoding is designed to be exact, and the test suite checks it on
-    // every supported construct — but any residual over-approximation is
-    // caught here: a SAT model that fails the reference evaluator is
-    // *blocked* and the search continues, so answers stay sound in both
-    // directions (a returned model is genuine; `None` still means the
-    // encoding — a superset of the real models — is empty).
-    const MAX_SPURIOUS: usize = 64;
-    for _ in 0..=MAX_SPURIOUS {
-        budget.check().map_err(ModelsFailure::Exhausted)?;
-        match grounder
-            .solver
-            .solve_budgeted(budget)
-            .map_err(ModelsFailure::Exhausted)?
-        {
-            SolveResult::Unsat => return Ok(None),
-            SolveResult::Sat(model) => {
-                let decoded = grounder.decode(&model);
-                match decoded.eval_bool(form) {
-                    Ok(true) => return Ok(Some(decoded)),
-                    Ok(false) => {
-                        // Spurious: block this assignment of the declared
-                        // entities' variables and retry.
-                        let clause: Vec<Lit> = grounder
-                            .entity_vars()
-                            .map(|v| Var(v).lit(!model[v as usize]))
-                            .collect();
-                        grounder.solver.add_clause(&clause);
-                    }
-                    Err(e) => {
-                        return err(format!("internal: decoded model not evaluable: {e}"))
-                            .map_err(ModelsFailure::Fragment)
+impl Grounder {
+    /// Search for a model of `query`: ground its hypotheses (each once per
+    /// grounder), take a mark, and assert the rest under an activation
+    /// literal and solve with it assumed. The grounder keeps the
+    /// hypotheses; the goal goes at the next [`Grounder::retract`].
+    fn search(&mut self, query: &Query, budget: &Budget) -> Result<Option<Model>, ModelsFailure> {
+        let hyps = query
+            .hyps
+            .iter()
+            .map(|&(id, h)| self.hypothesis(id, h))
+            .collect::<Result<Vec<Lit>, _>>()
+            .map_err(ModelsFailure::Fragment)?;
+        self.goal = Some(self.mark());
+        self.solve(query, &hyps, budget)
+    }
+
+    fn solve(
+        &mut self,
+        query: &Query,
+        hyps: &[Lit],
+        budget: &Budget,
+    ) -> Result<Option<Model>, ModelsFailure> {
+        let target = self
+            .bool_lit(&query.target, &FxHashMap::default())
+            .map_err(ModelsFailure::Fragment)?;
+        let act = self.solver.new_var().positive();
+        for &lit in hyps.iter().chain([&target]) {
+            self.solver.add_clause(&[act.negate(), lit]);
+        }
+        // The query's entities, in entity order.
+        let mut entities: Vec<(Symbol, u32)> = query
+            .names
+            .iter()
+            .filter_map(|&(name, _)| self.entities.get(&name).map(|&base| (name, base)))
+            .collect();
+        entities.sort_unstable_by_key(|&(_, base)| base);
+        self.break_symmetry(act, &entities);
+        // The encoding is designed to be exact, and the test suite checks it
+        // on every supported construct — but any residual
+        // over-approximation is caught here: a SAT model that fails the
+        // reference evaluator is *blocked* and the search continues, so
+        // answers stay sound in both directions (a returned model is
+        // genuine; `None` still means the encoding — a superset of the real
+        // models — is empty).
+        const MAX_SPURIOUS: usize = 64;
+        for _ in 0..=MAX_SPURIOUS {
+            budget.check().map_err(ModelsFailure::Exhausted)?;
+            match self
+                .solver
+                .solve_with_assumptions_budgeted(&[act], budget)
+                .map_err(ModelsFailure::Exhausted)?
+            {
+                SolveResult::Unsat => return Ok(None),
+                SolveResult::Sat(model) => {
+                    let decoded = self.decode(&model, &entities);
+                    match decoded.eval_bool(&query.whole) {
+                        Ok(true) => return Ok(Some(decoded)),
+                        Ok(false) => {
+                            // Spurious: block this assignment of the query's
+                            // entities and retry.
+                            let mut clause = vec![act.negate()];
+                            for &(name, base) in &entities {
+                                clause.extend(
+                                    (base..base + self.entity_width(name))
+                                        .map(|v| Var(v).lit(!model[v as usize])),
+                                );
+                            }
+                            self.solver.add_clause(&clause);
+                        }
+                        Err(e) => {
+                            return err(format!("internal: decoded model not evaluable: {e}"))
+                                .map_err(ModelsFailure::Fragment)
+                        }
                     }
                 }
             }
         }
+        err("internal: too many spurious models (encoding mismatch)")
+            .map_err(ModelsFailure::Fragment)
     }
-    err("internal: too many spurious models (encoding mismatch)").map_err(ModelsFailure::Fragment)
-}
 
-/// Ground `form` at `universe` into a fresh solver, asserting it.
-fn encode<'a>(
-    form: &Form,
-    sig: &'a FxHashMap<Symbol, Sort>,
-    universe: u32,
-) -> Result<Grounder<'a>, GroundError> {
-    let mut grounder = Grounder::new(universe, sig);
-    let root = grounder.bool_lit(form, &FxHashMap::default())?;
-    grounder.solver.add_clause(&[root]);
-    Ok(grounder)
-}
-
-impl Grounder<'_> {
-    /// Every variable of a declared entity.
-    fn entity_vars(&self) -> impl Iterator<Item = u32> + '_ {
-        self.entities
+    /// Value precedence under `act` over the object constants among
+    /// `entities`, in entity order: the k-th may take a proper id j ≥ 2
+    /// only if an earlier one takes j − 1. Proper ids are interchangeable,
+    /// in this encoding and in the reference evaluator alike, so every
+    /// model has a representative that meets this: the one that numbers
+    /// the proper ids in the order the constants first take them.
+    fn break_symmetry(&mut self, act: Lit, entities: &[(Symbol, u32)]) {
+        let constants: Vec<u32> = entities
             .iter()
-            .flat_map(|(&name, &base)| base..base + self.entity_width(name))
+            .filter(|&&(name, _)| self.kind_of(name) == Ok(Kind::Obj))
+            .map(|&(_, base)| base)
+            .collect();
+        for (k, &base) in constants.iter().enumerate() {
+            for j in 2..=self.n {
+                let mut clause = vec![act.negate(), Var(base + j).negative()];
+                clause.extend(constants[..k].iter().map(|&b| Var(b + j - 1).positive()));
+                self.solver.add_clause(&clause);
+            }
+        }
     }
 
-    /// The model a solver assignment denotes.
-    fn decode(&self, model: &[bool]) -> Model {
+    /// The model a solver assignment gives `entities`.
+    fn decode(&self, model: &[bool], entities: &[(Symbol, u32)]) -> Model {
         let w = width(self.n) as u32;
         let mut out = Model::new(self.n);
         let bit = |v: u32| model[v as usize];
-        for (&name, &base) in &self.entities {
+        for &(name, base) in entities {
             match self.kind_of(name).expect("entities have boundable sorts") {
                 Kind::Obj => {
                     let id = (0..w).find(|i| bit(base + i)).unwrap_or(0);
@@ -950,23 +1119,180 @@ impl Grounder<'_> {
     }
 }
 
+/// A model-finder session: one grounder per universe size, kept across the
+/// goals searched through it, so the hypotheses those goals share are
+/// grounded once per universe (see the crate doc). The pipeline keeps one
+/// per method and gives it the method's pieces in dispatch order, on one
+/// thread.
+///
+/// Every answer is the one a fresh session gives: each search asserts only
+/// its own goal, and what the session keeps is gate definitions, which
+/// constrain nothing. Budgets are metered per search, so fuel, like the
+/// counter-model found, may depend on what came before.
+#[derive(Default)]
+pub struct Session {
+    /// Each hypothesis met, with its number: the grounders keep their
+    /// literals by number, so a goal's hypotheses are looked up once, not
+    /// once per universe.
+    hyps: FxHashMap<Form, usize>,
+    /// The grounder of universe `n` at index `n`, made on first use.
+    grounders: Vec<Grounder>,
+    /// Set while a search runs. Still set when the next one starts, the
+    /// last one unwound mid-search, and every grounder is dropped.
+    busy: bool,
+}
+
+impl Session {
+    pub fn new() -> Session {
+        Session::default()
+    }
+
+    /// Bounded validity: one counter-model search per universe
+    /// `1..=bound`, each against the caller's budget, so a deadline can
+    /// stop the climb.
+    pub fn bmc_valid(
+        &mut self,
+        goal: &Form,
+        sig: &FxHashMap<Symbol, Sort>,
+        bound: u32,
+        budget: &Budget,
+    ) -> Result<BmcVerdict, ModelsFailure> {
+        let query = self.refuting(goal, sig);
+        for universe in 1..=bound {
+            if let Some(model) = self.search(&query, universe, budget)? {
+                return Ok(BmcVerdict::CounterModel(Box::new(model)));
+            }
+        }
+        Ok(BmcVerdict::ValidUpTo(bound))
+    }
+
+    /// Search for a counter-model of `goal` with `universe` proper objects.
+    pub fn refute(
+        &mut self,
+        goal: &Form,
+        sig: &FxHashMap<Symbol, Sort>,
+        universe: u32,
+        budget: &Budget,
+    ) -> Result<Option<Model>, ModelsFailure> {
+        let query = self.refuting(goal, sig);
+        self.search(&query, universe, budget)
+    }
+
+    /// Does hypothesis `hyp` ground under `sig`? One that does stays
+    /// grounded at universe 1 for the goals that assume it; one that does
+    /// not leaves nothing behind.
+    pub fn grounds(&mut self, hyp: &Form, sig: &FxHashMap<Symbol, Sort>) -> bool {
+        let id = self.number(hyp);
+        let grounded = self
+            .grounder(1, &names(hyp, sig))
+            .hypothesis(id, hyp)
+            .is_ok();
+        self.busy = false;
+        grounded
+    }
+
+    /// The number of hypothesis `hyp`, given on first meeting.
+    fn number(&mut self, hyp: &Form) -> usize {
+        if let Some(&id) = self.hyps.get(hyp) {
+            return id;
+        }
+        let id = self.hyps.len();
+        self.hyps.insert(hyp.clone(), id);
+        id
+    }
+
+    /// A search for a counter-model of `goal`: the hypotheses of its
+    /// implication chain, peeled as `Sequent::of` peels it, and its
+    /// negated conclusion.
+    fn refuting<'a>(&mut self, goal: &'a Form, sig: &'a FxHashMap<Symbol, Sort>) -> Query<'a> {
+        let (hyps, conclusion) = sequent::peel(goal);
+        Query {
+            hyps: hyps.into_iter().map(|h| (self.number(h), h)).collect(),
+            target: Form::not(conclusion.clone()),
+            whole: Form::not(goal.clone()),
+            names: names(goal, sig),
+        }
+    }
+
+    fn search(
+        &mut self,
+        query: &Query,
+        universe: u32,
+        budget: &Budget,
+    ) -> Result<Option<Model>, ModelsFailure> {
+        let found = self.grounder(universe, &query.names).search(query, budget);
+        self.busy = false;
+        found
+    }
+
+    /// The grounder of `universe`, its last goal retracted, given the
+    /// sorts of `names`: fresh when it is new, when a name's sort differs
+    /// from the one it knows, or when the last search unwound.
+    fn grounder(&mut self, universe: u32, names: &[(Symbol, Option<&Sort>)]) -> &mut Grounder {
+        if std::mem::replace(&mut self.busy, true) {
+            self.grounders.clear();
+        }
+        while self.grounders.len() <= universe as usize {
+            self.grounders
+                .push(Grounder::new(self.grounders.len() as u32));
+        }
+        let grounder = &mut self.grounders[universe as usize];
+        if grounder.adopt(names) {
+            grounder.retract();
+        } else {
+            *grounder = Grounder::new(universe);
+            grounder.adopt(names);
+        }
+        grounder
+    }
+}
+
+/// Search for a model of `form` with `universe` proper objects. A found
+/// model is re-checked with the reference evaluator before being returned.
+pub fn find_model(
+    form: &Form,
+    sig: &FxHashMap<Symbol, Sort>,
+    universe: u32,
+) -> Result<Option<Model>, GroundError> {
+    match find_model_budgeted(form, sig, universe, &Budget::unlimited()) {
+        Ok(v) => Ok(v),
+        Err(ModelsFailure::Fragment(e)) => Err(e),
+        Err(ModelsFailure::Exhausted(_)) => unreachable!("unlimited budget"),
+    }
+}
+
+/// Budgeted [`find_model`], a one-goal session: the SAT searches and the
+/// spurious-model loop consume the caller's budget.
+pub fn find_model_budgeted(
+    form: &Form,
+    sig: &FxHashMap<Symbol, Sort>,
+    universe: u32,
+    budget: &Budget,
+) -> Result<Option<Model>, ModelsFailure> {
+    Session::new().search(&Query::model_of(form, sig), universe, budget)
+}
+
 /// Search for a counter-model of `goal` within the bound.
 pub fn refute(
     goal: &Form,
     sig: &FxHashMap<Symbol, Sort>,
     universe: u32,
 ) -> Result<Option<Model>, GroundError> {
-    find_model(&Form::not(goal.clone()), sig, universe)
+    match refute_budgeted(goal, sig, universe, &Budget::unlimited()) {
+        Ok(v) => Ok(v),
+        Err(ModelsFailure::Fragment(e)) => Err(e),
+        Err(ModelsFailure::Exhausted(_)) => unreachable!("unlimited budget"),
+    }
 }
 
-/// Budgeted [`refute`].
+/// Budgeted [`refute`], a one-goal session.
 pub fn refute_budgeted(
     goal: &Form,
     sig: &FxHashMap<Symbol, Sort>,
     universe: u32,
     budget: &Budget,
 ) -> Result<Option<Model>, ModelsFailure> {
-    find_model_budgeted(&Form::not(goal.clone()), sig, universe, budget)
+    Session::new().refute(goal, sig, universe, budget)
 }
 
 /// Verdict of the bounded-validity check.
@@ -992,21 +1318,15 @@ pub fn bmc_valid_with_bound(
     }
 }
 
-/// Budgeted [`bmc_valid_with_bound`]: each universe size's model search
-/// is one [`refute_budgeted`] call against the caller's budget, so a
-/// deadline can stop the climb.
+/// Budgeted [`bmc_valid_with_bound`]: [`Session::bmc_valid`] in a
+/// one-goal session.
 pub fn bmc_valid_with_bound_budgeted(
     goal: &Form,
     sig: &FxHashMap<Symbol, Sort>,
     bound: u32,
     budget: &Budget,
 ) -> Result<BmcVerdict, ModelsFailure> {
-    for universe in 1..=bound {
-        if let Some(model) = refute_budgeted(goal, sig, universe, budget)? {
-            return Ok(BmcVerdict::CounterModel(Box::new(model)));
-        }
-    }
-    Ok(BmcVerdict::ValidUpTo(bound))
+    Session::new().bmc_valid(goal, sig, bound, budget)
 }
 
 #[cfg(test)]
@@ -1034,8 +1354,23 @@ mod tests {
         .collect()
     }
 
+    /// Ground `form` at `universe` into a fresh grounder and assert it: the
+    /// raw encoding, with no symmetry breaking.
+    fn encode(
+        form: &Form,
+        sig: &FxHashMap<Symbol, Sort>,
+        universe: u32,
+    ) -> Result<Grounder, GroundError> {
+        let mut grounder = Grounder::new(universe);
+        grounder.adopt(&names(form, sig));
+        let root = grounder.bool_lit(form, &FxHashMap::default())?;
+        grounder.solver.add_clause(&[root]);
+        Ok(grounder)
+    }
+
     /// Does `src` have a model at universe `n`? The raw encoding, with no
-    /// evaluator re-check and no spurious-model blocking, must agree.
+    /// evaluator re-check, no spurious-model blocking and no value
+    /// precedence, must agree.
     fn has_model(src: &str, n: u32) -> bool {
         let s = sig();
         let found = find_model(&form(src), &s, n)
@@ -1255,6 +1590,125 @@ mod tests {
         assert!(find_model(&form("k + 1 <= k2"), &s, 2).is_err());
     }
 
+    // ---- sessions ------------------------------------------------------------
+
+    /// `goal`'s bounded verdict: `V` valid up to 3, `C` a counter-model,
+    /// `-` outside the fragment.
+    fn verdict(found: Result<BmcVerdict, ModelsFailure>) -> char {
+        match found {
+            Ok(BmcVerdict::ValidUpTo(_)) => 'V',
+            Ok(BmcVerdict::CounterModel(_)) => 'C',
+            Err(ModelsFailure::Fragment(_)) => '-',
+            Err(ModelsFailure::Exhausted(_)) => 'E',
+        }
+    }
+
+    #[test]
+    fn a_session_grounds_each_hypothesis_once_and_keeps_no_goal() {
+        let s = sig();
+        let unlimited = Budget::unlimited();
+        // Both valid; they share two hypotheses, and `S` and `T` occur only
+        // in the conclusions.
+        let a = form("tree [next] --> x..next = y --> y ~= null --> x ~= y | x : S");
+        let b =
+            form("tree [next] --> x..next = y --> y..next = z --> z ~= null --> x ~= z | z : T");
+        let mut session = Session::new();
+        let mut vars = Vec::new();
+        for goal in [&a, &b, &a] {
+            assert_eq!(verdict(session.bmc_valid(goal, &s, 3, &unlimited)), 'V');
+            let grounder = &mut session.grounders[3];
+            assert!(
+                grounder.goal.is_some(),
+                "the last goal stays until the next use"
+            );
+            grounder.retract();
+            vars.push(grounder.solver.num_vars());
+        }
+        assert_eq!(vars[1], vars[2], "the repeated piece adds nothing");
+        // A grounder given only the hypotheses of `a` and `b` has exactly
+        // the session's variables and entities: no goal stays behind.
+        let mut hyps_only = Grounder::new(3);
+        for goal in [&a, &b] {
+            hyps_only.adopt(&names(goal, &s));
+            for hyp in sequent::peel(goal).0 {
+                hyps_only.bool_lit(hyp, &FxHashMap::default()).unwrap();
+            }
+        }
+        let grounder = &session.grounders[3];
+        assert_eq!(grounder.solver.num_vars(), hyps_only.solver.num_vars());
+        assert_eq!(grounder.entities, hyps_only.entities);
+        assert!(!grounder.entities.contains_key(&Symbol::intern("S")));
+    }
+
+    #[test]
+    fn a_starved_search_leaves_nothing_behind() {
+        let s = sig();
+        // Refuted only at universe 3, so the starved search stops inside a
+        // grounder that later searches reuse.
+        let three = form("x ~= null --> y ~= null --> x ~= y --> z = null | z = x | z = y");
+        let valid = form("x ~= null --> y ~= null --> x ~= y --> x..next = y --> x ~= null");
+        // One unit short of what the whole search takes: the budget runs
+        // out at its last step, in the universe-3 search.
+        let roomy = Budget::with_fuel(1_000_000);
+        assert_eq!(
+            verdict(bmc_valid_with_bound_budgeted(&three, &s, 3, &roomy)),
+            'C'
+        );
+        let starved = Budget::with_fuel(1_000_000 - roomy.fuel_remaining() - 1);
+        let mut session = Session::new();
+        assert_eq!(verdict(session.bmc_valid(&three, &s, 3, &starved)), 'E');
+        assert!(session.grounders[3].goal.is_some());
+        for goal in [&valid, &three] {
+            let fresh = verdict(bmc_valid_with_bound_budgeted(
+                goal,
+                &s,
+                3,
+                &Budget::unlimited(),
+            ));
+            assert_eq!(
+                verdict(session.bmc_valid(goal, &s, 3, &Budget::unlimited())),
+                fresh,
+                "{goal}"
+            );
+        }
+        assert_eq!(
+            verdict(session.bmc_valid(&three, &s, 3, &Budget::unlimited())),
+            'C'
+        );
+    }
+
+    #[test]
+    fn a_symbol_sorted_anew_gets_a_fresh_grounder() {
+        // `x = y` is one hypothesis text: object equality under the first
+        // signature, set equality under the second.
+        let objects = sig();
+        let mut sets = sig();
+        for name in ["x", "y"] {
+            sets.insert(Symbol::intern(name), Sort::objset());
+        }
+        let pieces = [
+            (form("x = y --> x..next = y..next"), &objects, 'V'),
+            (form("x = y --> z : x --> z : y"), &sets, 'V'),
+            (form("x = y --> x = null"), &objects, 'C'),
+            (form("x = y --> x = {}"), &sets, 'C'),
+        ];
+        let mut session = Session::new();
+        for (goal, sig, want) in pieces {
+            let fresh = verdict(bmc_valid_with_bound_budgeted(
+                &goal,
+                sig,
+                3,
+                &Budget::unlimited(),
+            ));
+            assert_eq!(fresh, want, "{goal}");
+            assert_eq!(
+                verdict(session.bmc_valid(&goal, sig, 3, &Budget::unlimited())),
+                want,
+                "{goal}"
+            );
+        }
+    }
+
     // ---- exactness of the raw encoding on the heap fragment ---------------
 
     fn v(name: &str) -> Form {
@@ -1418,6 +1872,54 @@ mod tests {
                     true
                 });
                 prop_assert_eq!(encoded, satisfied, "universe {}: {}", n, f);
+            }
+        }
+
+        /// One session, with value precedence, given implication chains
+        /// that share hypotheses, finds a counter-model at universes 1 and
+        /// 2 exactly when enumeration finds a model (with `next` mapping
+        /// `null` to `null`) of the hypotheses and not the conclusion; and
+        /// each one it finds is such a model.
+        #[test]
+        fn a_session_matches_enumeration(
+            hyps in proptest::collection::vec(heap_form(), 3),
+            goals in proptest::collection::vec(heap_form(), 3),
+        ) {
+            let sig: FxHashMap<Symbol, Sort> = [
+                ("x", Sort::Obj),
+                ("y", Sort::Obj),
+                ("S", Sort::objset()),
+                ("next", Sort::field(Sort::Obj)),
+            ]
+            .iter()
+            .map(|(n, s)| (sym(n), s.clone()))
+            .collect();
+            let mut syms: Vec<(Symbol, Sort)> = sig.iter().map(|(k, s)| (*k, s.clone())).collect();
+            syms.sort_by_key(|(k, _)| k.as_str().to_owned());
+            let null_to_null = Form::eq(Form::app(v("next"), vec![Form::Null]), Form::Null);
+            let mut session = Session::new();
+            // Chain k assumes the first k + 1 hypotheses, so later chains
+            // share the earlier ones.
+            for (k, goal) in goals.iter().enumerate() {
+                let chain = hyps[..=k]
+                    .iter()
+                    .rev()
+                    .fold(goal.clone(), |acc, h| Form::implies(h.clone(), acc));
+                for n in 1..=2 {
+                    let found = session
+                        .refute(&chain, &sig, n, &Budget::unlimited())
+                        .unwrap_or_else(|e| panic!("{chain}: {e}"));
+                    let mut refutable = false;
+                    enumerate_models(n, (0, 0), &syms, &mut |m| {
+                        refutable |= m.eval_bool(&null_to_null) == Ok(true)
+                            && m.eval_bool(&chain) == Ok(false);
+                        !refutable
+                    });
+                    prop_assert_eq!(found.is_some(), refutable, "universe {}: {}", n, chain);
+                    if let Some(m) = found {
+                        prop_assert_eq!(m.eval_bool(&chain), Ok(false), "universe {}: {}", n, chain);
+                    }
+                }
             }
         }
     }
