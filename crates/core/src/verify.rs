@@ -26,7 +26,7 @@ use jahob_util::chaos::FaultPlan;
 use jahob_util::counters::Stats;
 use jahob_util::json::{array, Obj};
 use jahob_util::obs::{self, Event, Recorder, Sink, StderrSink};
-use jahob_util::{pool, trace_enabled, Symbol};
+use jahob_util::{pool, trace_enabled, FreshScope, Symbol};
 use jahob_vcgen::method_obligations;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -882,6 +882,10 @@ fn verify_method(
     cache: Option<&Arc<GoalCache>>,
     observing: bool,
 ) -> (MethodReport, Vec<(String, u64)>, Vec<Event>) {
+    // The method's fresh symbols are scoped to its place in the run: a
+    // daemon that verifies the program again names them alike, so its
+    // interner stops growing with every request.
+    let _fresh = FreshScope::enter(run_index as u32);
     let method_started = Instant::now();
     let m = &typed.classes[class_index].methods[method_index];
     let recorder = if observing {

@@ -8,7 +8,9 @@
 //! strings with a stable address for the lifetime of the process.
 
 use crate::fxhash::FxHashMap;
+use std::cell::Cell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::{Mutex, OnceLock};
 
 /// An interned string. Cheap to copy, compare, and hash.
@@ -69,16 +71,56 @@ impl Symbol {
         self.0
     }
 
-    /// Make a fresh symbol guaranteed distinct from `base` by appending a
-    /// numeric suffix not yet interned with the prefix `base'`.
+    /// Make a fresh symbol: `base'` and a suffix no other `fresh` call
+    /// gives in the same scope. Outside a [`FreshScope`] the suffix is a
+    /// process-wide count (`base'N`); inside scope `id` it is `id_k`, `k`
+    /// counting that scope's calls on this thread from 0.
     ///
     /// Used for alpha-renaming and skolemization. The result is still a
     /// normal interned symbol.
     pub fn fresh(base: Symbol) -> Symbol {
         use std::sync::atomic::{AtomicU64, Ordering};
         static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        Symbol::intern(&format!("{}'{}", base.as_str(), n))
+        let suffix = FRESH_SCOPE.with(|scope| match scope.get() {
+            Some((id, k)) => {
+                scope.set(Some((id, k + 1)));
+                format!("{id}_{k}")
+            }
+            None => COUNTER.fetch_add(1, Ordering::Relaxed).to_string(),
+        });
+        Symbol::intern(&format!("{}'{}", base.as_str(), suffix))
+    }
+}
+
+thread_local! {
+    /// This thread's fresh-name scope and the next count in it.
+    static FRESH_SCOPE: Cell<Option<(u32, u64)>> = const { Cell::new(None) };
+}
+
+/// While it lives, [`Symbol::fresh`] on this thread draws names from one
+/// scope, numbered from 0. The same work in the same scope so names its
+/// fresh symbols alike each time it runs, and a long-running process
+/// interns them once instead of once per run. Names stay distinct within
+/// a scope and between scopes and unscoped names, so work whose formulas
+/// meet must not share a scope id. Dropping the guard restores the
+/// thread's previous scope; it cannot leave its thread.
+pub struct FreshScope {
+    outer: Option<(u32, u64)>,
+    _thread: PhantomData<*const ()>,
+}
+
+impl FreshScope {
+    pub fn enter(id: u32) -> FreshScope {
+        FreshScope {
+            outer: FRESH_SCOPE.with(|scope| scope.replace(Some((id, 0)))),
+            _thread: PhantomData,
+        }
+    }
+}
+
+impl Drop for FreshScope {
+    fn drop(&mut self) {
+        FRESH_SCOPE.with(|scope| scope.set(self.outer));
     }
 }
 
@@ -128,6 +170,32 @@ mod tests {
         assert_ne!(f1, base);
         assert_ne!(f2, base);
         assert_ne!(f1, f2);
+    }
+
+    #[test]
+    fn scoped_fresh_names_repeat_with_their_scope() {
+        let base = Symbol::intern("y");
+        let run = || {
+            let _scope = FreshScope::enter(7);
+            let names = [Symbol::fresh(base), Symbol::fresh(base)];
+            let nested = {
+                let _inner = FreshScope::enter(8);
+                Symbol::fresh(base)
+            };
+            (names, nested, Symbol::fresh(base))
+        };
+        let (names, nested, after) = run();
+        assert_eq!(names[0].as_str(), "y'7_0");
+        assert_ne!(names[0], names[1]);
+        assert_eq!(nested.as_str(), "y'8_0");
+        assert_eq!(after.as_str(), "y'7_2", "the outer scope resumes its count");
+        assert_eq!(
+            run(),
+            (names, nested, after),
+            "a scope names alike each run"
+        );
+        let unscoped = Symbol::fresh(base);
+        assert!(!unscoped.as_str().contains('_'), "{unscoped}");
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use bitset::BitSet;
 pub use budget::{Budget, Exhaustion};
 pub use chaos::{DiskFault, Fault, FaultPlan, Lie, SocketFault};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
-pub use intern::Symbol;
+pub use intern::{FreshScope, Symbol};
 pub use obs::{Event, JsonlSink, MemorySink, NullSink, Recorder, Sink, StderrSink};
 pub use trace::trace_enabled;
 pub use union_find::UnionFind;
