@@ -19,7 +19,6 @@
 use crate::service::{self, Client, Service, SubmitOptions, SubmitOutcome};
 use crate::verify::{Config, ReportRender, RequestOptions, Verifier, VerifyReport};
 use jahob_util::obs::JsonlSink;
-use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -308,9 +307,9 @@ pub fn run_submit(program: &str, path: &str, opts: &CommonOpts) -> ExitCode {
     let Some(socket) = build_config(program, opts).socket else {
         return usage(program, "submit needs --socket <path> or JAHOB_SOCKET");
     };
-    let mut obs = match std::env::var("JAHOB_OBS") {
-        Ok(obs_path) => match std::fs::File::create(&obs_path) {
-            Ok(file) => Some(std::io::BufWriter::new(file)),
+    let obs = match std::env::var("JAHOB_OBS") {
+        Ok(obs_path) => match JsonlSink::create(std::path::Path::new(&obs_path)) {
+            Ok(sink) => Some(sink),
             Err(e) => {
                 eprintln!("{program}: cannot create JAHOB_OBS file `{obs_path}`: {e}");
                 None
@@ -332,13 +331,13 @@ pub fn run_submit(program: &str, path: &str, opts: &CommonOpts) -> ExitCode {
         deadline: opts.deadline,
     };
     let outcome = client.submit(&src, &options, |line| {
-        if let Some(obs) = &mut obs {
-            let _ = writeln!(obs, "{line}");
+        if let Some(obs) = &obs {
+            obs.write_line(line);
         }
     });
-    if let Some(mut obs) = obs {
-        let _ = obs.flush();
-    }
+    // Dropping the sink flushes it, reporting a failure as a one-shot
+    // run's sink does.
+    drop(obs);
     match outcome {
         Ok(SubmitOutcome::Report(text)) => {
             print!("{text}");

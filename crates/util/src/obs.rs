@@ -625,15 +625,20 @@ impl JsonlSink {
     fn writer(&self) -> std::sync::MutexGuard<'_, Box<dyn std::io::Write + Send>> {
         self.out.lock().unwrap_or_else(|poison| poison.into_inner())
     }
-}
 
-impl Sink for JsonlSink {
-    fn emit(&self, event: &Event) {
-        let line = event.to_json(self.include_unstable);
+    /// Write one line rendered elsewhere (`jahob submit` relays the
+    /// daemon's), reporting a failure as [`Sink::emit`] does.
+    pub fn write_line(&self, line: &str) {
         let mut out = self.writer();
         if let Err(e) = writeln!(out, "{line}") {
             self.report_failure(&mut **out, "write failed", &e);
         }
+    }
+}
+
+impl Sink for JsonlSink {
+    fn emit(&self, event: &Event) {
+        self.write_line(&event.to_json(self.include_unstable));
     }
 
     fn flush(&self) {

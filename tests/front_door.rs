@@ -15,6 +15,9 @@
 //!   against an in-process session pair on a second directory.
 //! * **Daemon.** `jahob serve`, one streaming `jahob submit`, concurrent
 //!   warm submits, `status`, `drain`, and the daemon's own stream.
+//! * **Unwritable stream.** One-shot and `submit` with `JAHOB_OBS` on
+//!   `/dev/full` print their report and say on stderr that the stream is
+//!   incomplete.
 
 use jahob_repro::jahob::{Config, MemorySink, ReportRender, Verifier, VerifyReport};
 use std::fs;
@@ -112,6 +115,25 @@ impl Drop for Daemon {
     }
 }
 
+/// Spawn `serve` (a `jahob serve --socket <socket>` command) and wait
+/// until it binds `socket`.
+fn bound(serve: &mut Command, socket: &Path) -> Daemon {
+    let daemon = Daemon(
+        serve
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn jahob serve"),
+    );
+    for _ in 0..500 {
+        if socket.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(socket.exists(), "the daemon never bound its socket");
+    daemon
+}
+
 #[test]
 fn one_shot_json_and_stream_match_the_library() {
     let dir = scratch("oneshot");
@@ -188,20 +210,10 @@ fn daemon_serves_the_one_shot_report_and_stream() {
     let socket = dir.join("d.sock");
     let socket_arg = socket.to_str().expect("utf-8 socket path");
     let (daemon_obs, client_obs) = (dir.join("daemon.jsonl"), dir.join("client.jsonl"));
-    let mut serve = Daemon(
-        jahob(&["serve", "--socket", socket_arg])
-            .env("JAHOB_OBS", &daemon_obs)
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn jahob serve"),
+    let mut serve = bound(
+        jahob(&["serve", "--socket", socket_arg]).env("JAHOB_OBS", &daemon_obs),
+        &socket,
     );
-    for _ in 0..500 {
-        if socket.exists() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert!(socket.exists(), "the daemon never bound its socket");
 
     // The reference: one in-process session serving the same requests in
     // order, a cold one and then CLIENTS warm ones.
@@ -253,5 +265,33 @@ fn daemon_serves_the_one_shot_report_and_stream() {
         requests, joined,
         "the daemon stream without service.* lines"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unwritable_stream_is_reported_by_one_shot_and_submit() {
+    let dir = scratch("full");
+    let socket = dir.join("d.sock");
+    let socket_arg = socket.to_str().expect("utf-8 socket path");
+    let _serve = bound(&mut jahob(&["serve", "--socket", socket_arg]), &socket);
+    let (reports, _) = session(None, 1);
+    let want = json_stdout(&reports[0]);
+    for args in [
+        vec!["--json", LIST],
+        vec!["submit", "--socket", socket_arg, "--json", LIST],
+    ] {
+        let out = jahob(&args)
+            .env("JAHOB_OBS", "/dev/full")
+            .output()
+            .expect("spawn jahob");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {}\n{stderr}", out.status);
+        assert_eq!(String::from_utf8_lossy(&out.stdout), want, "{args:?}");
+        assert!(
+            stderr.contains("[obs] JSONL sink") && stderr.contains("stream is incomplete"),
+            "{args:?} must report the lost stream, stderr: {stderr:?}"
+        );
+    }
+    stdout(&mut jahob(&["drain", "--socket", socket_arg]));
     let _ = fs::remove_dir_all(&dir);
 }
