@@ -162,7 +162,7 @@ pub fn game_bapa_pieces() -> Vec<(Form, FxHashMap<Symbol, Sort>)> {
                 for piece in dispatcher.prepare(&ob.form).pieces {
                     let mut seq = jahob_logic::sequent::Sequent::of(&piece.goal.form);
                     seq.hyps
-                        .retain(|h| jahob_bapa::base_set_count(&h.form, &piece.sig).is_ok());
+                        .retain(|h| jahob_bapa::base_set_count(h, &piece.sig).is_ok());
                     pieces.push((seq.to_form(), piece.sig));
                 }
             }

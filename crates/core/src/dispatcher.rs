@@ -278,7 +278,8 @@ pub struct DispatchConfig {
     /// Accept BMC exhaustion as (bounded) validity. When false the model
     /// finder is used for counterexamples only.
     pub bmc_as_validity: bool,
-    /// Resolution-prover effort.
+    /// Resolution-prover effort: given-clause iterations, by default
+    /// `jahob_fol::ProverConfig`'s.
     pub fol_iterations: usize,
     /// Wall-clock deadline per obligation (`None` = no deadline). When the
     /// deadline expires mid-portfolio the obligation resolves to a
@@ -332,7 +333,7 @@ impl Default for DispatchConfig {
             decompose: true,
             bmc_bound: 3,
             bmc_as_validity: true,
-            fol_iterations: 700,
+            fol_iterations: jahob_fol::ProverConfig::default().max_iterations,
             obligation_timeout: None,
             obligation_fuel: INFINITE_FUEL,
             fault_plan: None,
@@ -455,12 +456,10 @@ impl Dispatcher {
             .iter()
             .map(|piece| {
                 // Canonicalize before dispatch: bound binders go
-                // positional, fresh havoc/snapshot names go
-                // first-occurrence. The provers then never see the global
-                // fresh-counter suffixes — which vary with worker
-                // scheduling — so their search is identical across runs and
-                // thread counts, and the cache key falls out of the same
-                // pass.
+                // positional, fresh havoc/snapshot names (suffixed after
+                // the method that made them) go first-occurrence. One goal
+                // made in two methods is then one formula to the provers,
+                // and one cache key, which falls out of the same pass.
                 let goal = goal_cache::normalize(piece);
                 // A piece is not re-inferred on its own: split away from
                 // the conjunct that fixes its symbols' sorts, it would
@@ -1058,7 +1057,7 @@ fn filtered(goal: &Form, keep: &mut dyn FnMut(&Form) -> bool) -> Option<Form> {
         return None;
     }
     let total = seq.hyps.len();
-    seq.hyps.retain(|h| keep(&h.form));
+    seq.hyps.retain(|h| keep(h));
     if seq.hyps.len() == total {
         return None;
     }
@@ -1148,7 +1147,7 @@ fn portfolio_attempt(
                 max_iterations: fol_iterations,
                 ..Default::default()
             };
-            let (prepared, axioms) = jahob_fol::reach::prepare(goal, sig);
+            let (prepared, axioms) = jahob_fol::reach::prepare(goal);
             let negated = Form::not(prepared);
             let clauses = (|| -> Result<_, jahob_fol::clause::ClausifyError> {
                 let mut clauses = jahob_fol::clausify(&negated)?;
@@ -1176,16 +1175,19 @@ fn portfolio_attempt(
 /// for same-head applications `f t₁ → S₁`, `f t₂ → S₂`, the (valid)
 /// hypothesis `t₁ = t₂ → S₁ = S₂`. Sound for validity: the abstraction
 /// forgets constraints and the added hypotheses are true in every model.
+/// Applications are named `$setapp0`, `$setapp1`, … in first-occurrence
+/// order, and the hypotheses come in that order too, so the weakened goal
+/// does not depend on how symbols happen to hash.
 fn abstract_set_apps(
     goal: &Form,
     sig: &FxHashMap<Symbol, Sort>,
 ) -> (Form, FxHashMap<Symbol, Sort>, bool) {
-    use std::rc::Rc;
     struct Cx<'a> {
         sig: &'a FxHashMap<Symbol, Sort>,
         out_sig: FxHashMap<Symbol, Sort>,
-        map: FxHashMap<Form, Symbol>,
-        changed: bool,
+        /// Each distinct set-valued application with its name, in
+        /// first-occurrence order.
+        apps: Vec<(Form, Symbol)>,
     }
     impl Cx<'_> {
         fn is_set_app(&self, form: &Form) -> bool {
@@ -1198,57 +1200,41 @@ fn abstract_set_apps(
             }
             false
         }
-        fn walk(&mut self, form: &Form) -> Form {
-            if self.is_set_app(form) {
-                let next_id = self.map.len();
-                let name = *self
-                    .map
-                    .entry(form.clone())
-                    .or_insert_with(|| Symbol::intern(&format!("$setapp{next_id}")));
-                self.out_sig.insert(name, Sort::objset());
-                self.changed = true;
-                return Form::Var(name);
+        fn walk(&mut self, form: &Form) -> Option<Form> {
+            if !self.is_set_app(form) {
+                return form.map_children(|child| self.walk(child));
             }
-            match form {
-                Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
-                    form.clone()
+            let name = match self.apps.iter().find(|(app, _)| app == form) {
+                Some((_, name)) => *name,
+                None => {
+                    let name = Symbol::intern(&format!("$setapp{}", self.apps.len()));
+                    self.apps.push((form.clone(), name));
+                    name
                 }
-                Form::Tree(es) => Form::Tree(es.iter().map(|e| self.walk(e)).collect()),
-                Form::FiniteSet(es) => Form::FiniteSet(es.iter().map(|e| self.walk(e)).collect()),
-                Form::And(ps) => Form::and(ps.iter().map(|p| self.walk(p)).collect()),
-                Form::Or(ps) => Form::or(ps.iter().map(|p| self.walk(p)).collect()),
-                Form::Unop(op, a) => Form::Unop(*op, Rc::new(self.walk(a))),
-                Form::Old(a) => Form::Old(Rc::new(self.walk(a))),
-                Form::Binop(op, a, b) => Form::binop(*op, self.walk(a), self.walk(b)),
-                Form::Ite(c, t, e) => Form::Ite(
-                    Rc::new(self.walk(c)),
-                    Rc::new(self.walk(t)),
-                    Rc::new(self.walk(e)),
-                ),
-                Form::App(h, args) => {
-                    Form::app(self.walk(h), args.iter().map(|a| self.walk(a)).collect())
-                }
-                Form::Quant(k, bs, body) => Form::Quant(*k, bs.clone(), Rc::new(self.walk(body))),
-                Form::Lambda(bs, body) => Form::Lambda(bs.clone(), Rc::new(self.walk(body))),
-                Form::Compr(x, s, body) => Form::Compr(*x, s.clone(), Rc::new(self.walk(body))),
-            }
+            };
+            self.out_sig.insert(name, Sort::objset());
+            Some(Form::Var(name))
+        }
+        fn walked(&mut self, form: &Form) -> Form {
+            self.walk(form).unwrap_or_else(|| form.clone())
         }
     }
     let mut cx = Cx {
         sig,
         out_sig: sig.clone(),
-        map: FxHashMap::default(),
-        changed: false,
+        apps: Vec::new(),
     };
-    let walked = cx.walk(goal);
-    if !cx.changed {
+    let walked = cx.walked(goal);
+    if cx.apps.is_empty() {
         return (walked, cx.out_sig, false);
     }
-    // Congruence hypotheses per head symbol.
-    let entries: Vec<(Form, Symbol)> = cx.map.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    // Congruence hypotheses per head symbol, over the applications the goal
+    // names: one nested in an argument, named while the arguments are
+    // walked below, gets none.
+    let apps = cx.apps.clone();
     let mut hyps: Vec<Form> = Vec::new();
-    for (i, (t1, s1)) in entries.iter().enumerate() {
-        for (t2, s2) in entries.iter().skip(i + 1) {
+    for (i, (t1, s1)) in apps.iter().enumerate() {
+        for (t2, s2) in &apps[i + 1..] {
             let (Form::App(h1, a1), Form::App(h2, a2)) = (t1, t2) else {
                 continue;
             };
@@ -1258,7 +1244,7 @@ fn abstract_set_apps(
             let args_eq = Form::and(
                 a1.iter()
                     .zip(a2.iter())
-                    .map(|(x, y)| Form::eq(cx.walk(x), cx.walk(y)))
+                    .map(|(x, y)| Form::eq(cx.walked(x), cx.walked(y)))
                     .collect(),
             );
             hyps.push(Form::implies(
@@ -1718,6 +1704,37 @@ mod tests {
         }
         let v = d.prove(&goal);
         assert!(!v.is_proved(), "{v:?}");
+    }
+
+    #[test]
+    fn congruence_hypotheses_come_in_first_occurrence_order() {
+        // Three applications of one set-valued head, met in several name
+        // orders: the names and the hypotheses follow the order the goal
+        // meets them in, however its symbols hash.
+        let mut sig = FxHashMap::default();
+        sig.insert(Symbol::intern("content"), Sort::field(Sort::objset()));
+        for [a, b, c] in [
+            ["a", "b", "c"],
+            ["c", "b", "a"],
+            ["b", "c", "a"],
+            ["p", "q", "r"],
+        ] {
+            let goal = form(&format!(
+                "x : content {a} --> x : content {b} --> x : content {c}"
+            ));
+            let (abstracted, abs_sig, changed) = abstract_set_apps(&goal, &sig);
+            assert!(changed);
+            assert_eq!(
+                abstracted.to_string(),
+                format!(
+                    "({a} = {b} --> $setapp0 = $setapp1) --> \
+                     ({a} = {c} --> $setapp0 = $setapp2) --> \
+                     ({b} = {c} --> $setapp1 = $setapp2) --> \
+                     x : $setapp0 --> x : $setapp1 --> x : $setapp2"
+                )
+            );
+            assert_eq!(abs_sig[&Symbol::intern("$setapp2")], Sort::objset());
+        }
     }
 
     #[test]

@@ -16,14 +16,16 @@
 //!   fresher budget must not inherit; a `CounterModel` owns an `Rc`-laden
 //!   model that cannot cross threads. Provability, by contrast, is
 //!   context-free: a goal proved once is proved everywhere.
-//! * **Keys are content fingerprints, never interner ids.** Parallel
-//!   workers re-parse the program and `Symbol::fresh` draws from a global
-//!   counter, so interner ids and primed-name suffixes differ from worker
-//!   to worker and run to run. [`normalize`] rewrites bound binders to
-//!   positional names and primed havoc/snapshot symbols to first-occurrence
-//!   indices, and [`fingerprint`] hashes symbol *strings* (plus the free
-//!   symbols' sorts and the dispatch-config digest), so alpha-equivalent
-//!   goals collide on purpose and nothing else does.
+//! * **Keys are content fingerprints, never interner ids.** A symbol's
+//!   interner id depends on which worker, or which earlier daemon request,
+//!   met its name first, and a fresh havoc/snapshot symbol names the
+//!   method that made it (`base'i_k`, `i` the method's place in the run;
+//!   see [`jahob_util::FreshScope`]). [`normalize`] rewrites bound binders
+//!   to positional names and primed symbols to first-occurrence indices,
+//!   and [`fingerprint`] hashes symbol *strings* (plus the free symbols'
+//!   sorts and the dispatch-config digest), so alpha-equivalent goals
+//!   collide on purpose and nothing else does: one goal keeps its key
+//!   across methods and across a daemon's reordered resubmissions.
 //! * **In-flight dedup is schedule-independent.** The first dispatcher to
 //!   ask for a key claims it; concurrent askers block on the claim instead
 //!   of racing to recompute, so the hit/miss tallies in the run report do
@@ -39,6 +41,7 @@
 //! attribution to stream order (`obs::canonicalize`) before emission.
 
 use crate::dispatcher::ProverId;
+use jahob_logic::form::keep;
 use jahob_logic::{Form, Sort};
 use jahob_util::chaos::{splitmix64, FaultPlan};
 use jahob_util::counters::Stats;
@@ -69,13 +72,16 @@ pub struct NormalGoal {
 /// * every bound binder becomes positional `?b0`, `?b1`, … in traversal
 ///   order, so `ALL x. P x` and `ALL y. P y` normalize identically;
 /// * every *free* symbol containing a `'` (the [`Symbol::fresh`] marker
-///   for havoc/snapshot symbols, whose numeric suffix comes from a global
-///   counter and is not reproducible across workers) becomes
-///   `stem#k` where `k` is its first-occurrence index among primed frees;
-/// * everything else is preserved structurally.
+///   for havoc/snapshot symbols, whose suffix says where it was made: `i_k`
+///   in the pipeline's method `i`) becomes `stem#k` where `k` is its
+///   first-occurrence index among primed frees, so one goal made in two
+///   methods, or in a method a daemon's resubmission moved, normalizes
+///   identically;
+/// * everything else is preserved structurally, and a subtree with no
+///   binder and no primed name is shared with `goal`.
 pub fn normalize(goal: &Form) -> NormalGoal {
     let mut n = Normalizer::default();
-    let form = n.go(goal);
+    let form = n.go(goal).unwrap_or_else(|| goal.clone());
     NormalGoal {
         form,
         frees: n.frees,
@@ -132,8 +138,15 @@ impl Normalizer {
         canon
     }
 
-    fn push_binders(&mut self, binders: &[(Symbol, Sort)]) -> Vec<(Symbol, Sort)> {
-        binders
+    /// `binders` under the next positional names, and `body` normalized
+    /// with them in scope.
+    fn under(
+        &mut self,
+        binders: &[(Symbol, Sort)],
+        body: &Rc<Form>,
+    ) -> (Vec<(Symbol, Sort)>, Rc<Form>) {
+        let depth = self.bound.len();
+        let canon = binders
             .iter()
             .map(|(orig, sort)| {
                 let canon = binder_name(self.next_bound);
@@ -141,52 +154,34 @@ impl Normalizer {
                 self.bound.push((*orig, canon));
                 (canon, sort.clone())
             })
-            .collect()
+            .collect();
+        let body = keep(self.go(body), body);
+        self.bound.truncate(depth);
+        (canon, body)
     }
 
-    fn pop_binders(&mut self, n: usize) {
-        self.bound.truncate(self.bound.len() - n);
-    }
-
-    fn go(&mut self, f: &Form) -> Form {
+    /// `f` in canonical form; `None` when that is `f` itself, as for a
+    /// subtree with no binder and no primed name, which the result shares.
+    fn go(&mut self, f: &Form) -> Option<Form> {
         match f {
-            Form::Var(s) => Form::Var(self.var(*s)),
-            Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => f.clone(),
-            Form::FiniteSet(es) => Form::FiniteSet(es.iter().map(|e| self.go(e)).collect()),
-            Form::Unop(op, a) => Form::Unop(*op, Rc::new(self.go(a))),
-            Form::Binop(op, a, b) => Form::Binop(*op, Rc::new(self.go(a)), Rc::new(self.go(b))),
-            Form::And(es) => Form::And(es.iter().map(|e| self.go(e)).collect()),
-            Form::Or(es) => Form::Or(es.iter().map(|e| self.go(e)).collect()),
-            Form::App(h, args) => Form::App(
-                Rc::new(self.go(h)),
-                args.iter().map(|a| self.go(a)).collect(),
-            ),
+            Form::Var(s) => {
+                let canon = self.var(*s);
+                (canon != *s).then_some(Form::Var(canon))
+            }
             Form::Quant(kind, binders, body) => {
-                let canon = self.push_binders(binders);
-                let body = self.go(body);
-                self.pop_binders(binders.len());
-                Form::Quant(*kind, canon, Rc::new(body))
+                let (binders, body) = self.under(binders, body);
+                Some(Form::Quant(*kind, binders, body))
             }
             Form::Lambda(binders, body) => {
-                let canon = self.push_binders(binders);
-                let body = self.go(body);
-                self.pop_binders(binders.len());
-                Form::Lambda(canon, Rc::new(body))
+                let (binders, body) = self.under(binders, body);
+                Some(Form::Lambda(binders, body))
             }
             Form::Compr(x, sort, body) => {
-                let canon = self.push_binders(&[(*x, sort.clone())]);
-                let body = self.go(body);
-                self.pop_binders(1);
-                let (cx, csort) = canon.into_iter().next().expect("one binder");
-                Form::Compr(cx, csort, Rc::new(body))
+                let (mut binder, body) = self.under(&[(*x, sort.clone())], body);
+                let (x, sort) = binder.pop().expect("one binder");
+                Some(Form::Compr(x, sort, body))
             }
-            Form::Old(a) => Form::Old(Rc::new(self.go(a))),
-            Form::Ite(c, t, e) => Form::Ite(
-                Rc::new(self.go(c)),
-                Rc::new(self.go(t)),
-                Rc::new(self.go(e)),
-            ),
-            Form::Tree(fs) => Form::Tree(fs.iter().map(|e| self.go(e)).collect()),
+            _ => f.map_children(|child| self.go(child)),
         }
     }
 }
@@ -659,6 +654,21 @@ mod tests {
         let key_c = fingerprint(&normalize(&c), &FxHashMap::default(), 0);
         let key_d = fingerprint(&normalize(&d), &FxHashMap::default(), 0);
         assert_ne!(key_c, key_d);
+    }
+
+    #[test]
+    fn normalize_shares_subtrees_with_no_binder_and_no_primed_name() {
+        let goal = form("x : S --> (ALL y::obj. y : S) --> g'3 = x");
+        let Form::Binop(_, hyp, rest) = &goal else {
+            panic!("expected -->, got {goal:?}")
+        };
+        let normal = normalize(&goal);
+        let Form::Binop(_, hyp2, rest2) = &normal.form else {
+            panic!("expected -->, got {:?}", normal.form)
+        };
+        assert!(Rc::ptr_eq(hyp, hyp2), "`x : S` comes out as it went in");
+        assert_eq!(rest2.to_string(), "(ALL ?b0::obj. ?b0 : S) --> g#0 = x");
+        assert!(!Rc::ptr_eq(rest, rest2));
     }
 
     #[test]

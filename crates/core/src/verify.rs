@@ -5,9 +5,10 @@
 //! pipeline fans them out across a work-stealing pool and shares one
 //! normalized-goal cache across the run. The parallel report is
 //! bit-for-bit identical to the sequential one: obligations keep their
-//! stable per-method indices, results come back in submission order, and
-//! everything schedule-dependent (fresh-symbol suffixes, chaos decisions)
-//! is keyed on obligation *content* rather than arrival order.
+//! stable per-method indices, results come back in submission order,
+//! fresh symbols are named after their method's place in the run, and
+//! chaos decisions are keyed on obligation *content* rather than arrival
+//! order.
 //!
 //! Observability: when a [`Sink`] is configured, every run emits a typed
 //! event stream — run / method / obligation / piece spans with prover
@@ -764,9 +765,9 @@ fn run_pipeline(
         // worker re-parses and re-resolves its own copy of the program
         // (symbols intern globally, so `Symbol`s agree across workers) and
         // only `Send` report data comes back. Verdicts cannot depend on
-        // which worker ran a method: the dispatcher canonicalizes every
-        // goal before proving, so fresh-counter drift between workers
-        // never reaches a prover.
+        // which worker ran a method: `verify_method` names its fresh
+        // symbols after the method's place in the run, not after the
+        // worker or the order the methods ran in.
         pool::run_with_local_observed(
             workers,
             Some(&run_stats),

@@ -23,17 +23,13 @@ pub use prover::{prove, prove_budgeted, ProveResult, ProverConfig};
 pub use term::{FTerm, Subst};
 
 use jahob_logic::Form;
-use jahob_util::{FxHashMap, Symbol};
 
 /// Top-level entry: try to prove `goal` valid (with free variables read
 /// universally). Reachability atoms are axiomatized per [`reach`].
 /// `Ok(true)` = proved; `Ok(false)` = gave up within limits (NOT a
 /// disproof); `Err` = could not clausify.
-pub fn fol_valid(
-    goal: &Form,
-    sig: &FxHashMap<Symbol, jahob_logic::Sort>,
-) -> Result<bool, clause::ClausifyError> {
-    let (prepared, axioms) = reach::prepare(goal, sig);
+pub fn fol_valid(goal: &Form) -> Result<bool, clause::ClausifyError> {
+    let (prepared, axioms) = reach::prepare(goal);
     // Refutation: clausify ¬goal plus the reachability axioms.
     let negated = Form::not(prepared);
     let mut clauses = clausify(&negated)?;

@@ -9,7 +9,8 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Effort limits for the saturation loop.
 #[derive(Clone, Debug)]
 pub struct ProverConfig {
-    /// Stop after this many given-clause iterations.
+    /// Stop after this many given-clause iterations. The default, 700, is
+    /// also the dispatcher's (`DispatchConfig::fol_iterations`).
     pub max_iterations: usize,
     /// Discard derived clauses larger than this (symbol count).
     pub max_clause_size: usize,
@@ -23,7 +24,7 @@ pub struct ProverConfig {
 impl Default for ProverConfig {
     fn default() -> Self {
         ProverConfig {
-            max_iterations: 4000,
+            max_iterations: 700,
             max_clause_size: 24,
             max_clauses: 20000,
             max_term_depth: 4,

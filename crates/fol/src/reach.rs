@@ -24,20 +24,20 @@
 //! sound in both polarities because an uninterpreted atom only weakens the
 //! derivable consequences.
 
-use jahob_logic::{form::sym, BinOp, Form, Sort};
-use jahob_util::{FxHashMap, Symbol};
-use std::rc::Rc;
+use jahob_logic::form::sym::builtins;
+use jahob_logic::{BinOp, Form, Sort};
+use jahob_util::Symbol;
 
-/// Rewrite reachability/tree atoms and return the needed axioms.
-pub fn prepare(goal: &Form, _sig: &FxHashMap<Symbol, Sort>) -> (Form, Vec<Form>) {
+/// Rewrite reachability/tree atoms and return the needed axioms. The
+/// rewritten goal shares every subtree with no such atom.
+pub fn prepare(goal: &Form) -> (Form, Vec<Form>) {
     let mut cx = ReachCx {
         reach_funs: Vec::new(),
         update_count: 0,
         update_axioms: Vec::new(),
-        tree_count: 0,
     };
-    let rewritten = cx.rewrite(goal);
-    let mut axioms = cx.update_axioms.clone();
+    let rewritten = cx.rewritten(goal);
+    let mut axioms = cx.update_axioms;
     for f in &cx.reach_funs {
         axioms.extend(reach_axioms(*f));
     }
@@ -49,7 +49,6 @@ struct ReachCx {
     reach_funs: Vec<Symbol>,
     update_count: u32,
     update_axioms: Vec<Form>,
-    tree_count: u32,
 }
 
 /// The reachability predicate name for edge function `f`.
@@ -86,7 +85,7 @@ impl ReachCx {
             // f x = y.
             Form::App(head, args) if args.len() == 1 && args[0] == Form::Var(x) => {
                 match head.as_ref() {
-                    Form::Var(f) if f.as_str() == sym::FIELD_WRITE => None,
+                    Form::Var(f) if *f == builtins().field_write => None,
                     Form::Var(f) => {
                         self.register(*f);
                         Some(*f)
@@ -96,10 +95,7 @@ impl ReachCx {
             }
             // fieldWrite f a b x = y.
             Form::App(head, args) if args.len() == 4 && args[3] == Form::Var(x) => {
-                let Form::Var(fw) = head.as_ref() else {
-                    return None;
-                };
-                if fw.as_str() != sym::FIELD_WRITE {
+                if head.as_ref() != &Form::Var(builtins().field_write) {
                     return None;
                 }
                 let Form::Var(base) = &args[0] else {
@@ -114,8 +110,8 @@ impl ReachCx {
                 }
                 let u = Symbol::intern(&format!("$upd{}_{base}", self.update_count));
                 self.update_count += 1;
-                let at = self.rewrite(&args[1]);
-                let val = self.rewrite(&args[2]);
+                let at = self.rewritten(&args[1]);
+                let val = self.rewritten(&args[2]);
                 // u(at) = val.
                 self.update_axioms
                     .push(Form::eq(Form::app(Form::Var(u), vec![at.clone()]), val));
@@ -138,54 +134,33 @@ impl ReachCx {
         }
     }
 
-    fn rewrite(&mut self, form: &Form) -> Form {
-        // Reachability atoms.
-        if let Some(args) = form.as_app_of(Symbol::intern(sym::RTRANCL)) {
-            if args.len() == 3 {
-                if let Some(f) = self.edge_function(&args[0]) {
-                    let s = self.rewrite(&args[1]);
-                    let t = self.rewrite(&args[2]);
-                    return Form::app(Form::Var(reach_pred(f)), vec![s, t]);
-                }
+    /// `form` with its reachability and tree atoms rewritten; `None` when
+    /// it has none.
+    fn rewrite(&mut self, form: &Form) -> Option<Form> {
+        if let Some([edge, s, t]) = form.as_app_of(builtins().rtrancl) {
+            if let Some(f) = self.edge_function(edge) {
+                let (s, t) = (self.rewritten(s), self.rewritten(t));
+                return Some(Form::app(Form::Var(reach_pred(f)), vec![s, t]));
             }
         }
-        match form {
-            Form::Tree(fields) => {
-                // Opaque proposition per tree atom (keyed by the printed
-                // field terms, so syntactically equal atoms coincide).
-                let name: String = fields
-                    .iter()
-                    .map(|f| f.to_string())
-                    .collect::<Vec<_>>()
-                    .join("_")
-                    .chars()
-                    .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                    .collect();
-                self.tree_count += 1;
-                Form::Var(Symbol::intern(&format!("$tree_{name}")))
-            }
-            Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
-                form.clone()
-            }
-            Form::FiniteSet(es) => Form::FiniteSet(es.iter().map(|e| self.rewrite(e)).collect()),
-            Form::And(ps) => Form::and(ps.iter().map(|p| self.rewrite(p)).collect()),
-            Form::Or(ps) => Form::or(ps.iter().map(|p| self.rewrite(p)).collect()),
-            Form::Unop(op, a) => Form::Unop(*op, Rc::new(self.rewrite(a))),
-            Form::Old(a) => Form::Old(Rc::new(self.rewrite(a))),
-            Form::Binop(op, a, b) => Form::binop(*op, self.rewrite(a), self.rewrite(b)),
-            Form::Ite(c, t, e) => Form::Ite(
-                Rc::new(self.rewrite(c)),
-                Rc::new(self.rewrite(t)),
-                Rc::new(self.rewrite(e)),
-            ),
-            Form::App(h, args) => Form::app(
-                self.rewrite(h),
-                args.iter().map(|a| self.rewrite(a)).collect(),
-            ),
-            Form::Quant(k, bs, body) => Form::Quant(*k, bs.clone(), Rc::new(self.rewrite(body))),
-            Form::Lambda(bs, body) => Form::Lambda(bs.clone(), Rc::new(self.rewrite(body))),
-            Form::Compr(x, s, body) => Form::Compr(*x, s.clone(), Rc::new(self.rewrite(body))),
+        if let Form::Tree(fields) = form {
+            // Opaque proposition per tree atom (keyed by the printed field
+            // terms, so syntactically equal atoms coincide).
+            let name: String = fields
+                .iter()
+                .map(|f| f.to_string())
+                .collect::<Vec<_>>()
+                .join("_")
+                .chars()
+                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+                .collect();
+            return Some(Form::Var(Symbol::intern(&format!("$tree_{name}"))));
         }
+        form.map_children(|child| self.rewrite(child))
+    }
+
+    fn rewritten(&mut self, form: &Form) -> Form {
+        self.rewrite(form).unwrap_or_else(|| form.clone())
     }
 }
 
@@ -249,13 +224,10 @@ mod tests {
     use super::*;
     use crate::fol_valid;
     use jahob_logic::form;
-
-    fn sig() -> FxHashMap<Symbol, Sort> {
-        FxHashMap::default()
-    }
+    use std::rc::Rc;
 
     fn valid(src: &str) -> bool {
-        fol_valid(&form(src), &sig()).unwrap_or_else(|e| panic!("{src:?}: {e}"))
+        fol_valid(&form(src)).unwrap_or_else(|e| panic!("{src:?}: {e}"))
     }
 
     #[test]
@@ -316,13 +288,33 @@ mod tests {
 
     #[test]
     fn prepare_produces_axioms() {
-        let (rewritten, axioms) = prepare(
-            &form("rtrancl_pt (% x y. next x = y) a b"),
-            &FxHashMap::default(),
-        );
+        let (rewritten, axioms) = prepare(&form("rtrancl_pt (% x y. next x = y) a b"));
         assert!(rewritten
             .as_app_of(reach_pred(Symbol::intern("next")))
             .is_some());
         assert_eq!(axioms.len(), 5);
+    }
+
+    #[test]
+    fn prepare_shares_what_it_leaves_alone() {
+        let goal = form("x : S --> rtrancl_pt (% x y. next x = y) a b");
+        let Form::Binop(_, hyp, _) = &goal else {
+            panic!("expected -->, got {goal:?}")
+        };
+        let (rewritten, _) = prepare(&goal);
+        let Form::Binop(_, hyp2, concl) = &rewritten else {
+            panic!("expected -->, got {rewritten:?}")
+        };
+        assert!(Rc::ptr_eq(hyp, hyp2), "`x : S` holds no atom to rewrite");
+        assert!(concl
+            .as_app_of(reach_pred(Symbol::intern("next")))
+            .is_some());
+        // A goal with no atom comes back as it went in.
+        let plain = form("x : S --> x ~= null");
+        let (same, _) = prepare(&plain);
+        let (Form::Binop(_, a, b), Form::Binop(_, a2, b2)) = (&plain, &same) else {
+            panic!("expected -->, got {same:?}")
+        };
+        assert!(Rc::ptr_eq(a, a2) && Rc::ptr_eq(b, b2));
     }
 }

@@ -7,7 +7,9 @@
 //! Rewrite passes share what they leave alone: a pass returns `None` for a
 //! subtree it does not change, so the parent keeps that subtree's `Rc`s
 //! ([`Form::map_children`]) and a pass allocates only along the path to an
-//! actual rewrite.
+//! actual rewrite. Read-only walks visit the same children in the same
+//! order through [`Form::children`]. Either way a walk spells out only the
+//! variants it treats specially.
 //!
 //! Two interpreted higher-order symbols are kept as ordinary applications and
 //! recognized by name throughout the workspace:
@@ -322,46 +324,20 @@ impl Form {
     }
 
     fn collect_free(&self, bound: &mut Vec<Symbol>, free: &mut FxHashSet<Symbol>) {
+        let depth = bound.len();
         match self {
-            Form::Var(s) => {
-                if !bound.contains(s) {
-                    free.insert(*s);
-                }
+            Form::Var(s) if !bound.contains(s) => {
+                free.insert(*s);
             }
-            Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {}
-            Form::FiniteSet(elems) | Form::And(elems) | Form::Or(elems) | Form::Tree(elems) => {
-                for e in elems {
-                    e.collect_free(bound, free);
-                }
-            }
-            Form::Unop(_, a) | Form::Old(a) => a.collect_free(bound, free),
-            Form::Binop(_, a, b) => {
-                a.collect_free(bound, free);
-                b.collect_free(bound, free);
-            }
-            Form::Ite(c, t, e) => {
-                c.collect_free(bound, free);
-                t.collect_free(bound, free);
-                e.collect_free(bound, free);
-            }
-            Form::App(head, args) => {
-                head.collect_free(bound, free);
-                for a in args {
-                    a.collect_free(bound, free);
-                }
-            }
-            Form::Quant(_, binders, body) | Form::Lambda(binders, body) => {
-                let n = bound.len();
+            Form::Quant(_, binders, _) | Form::Lambda(binders, _) => {
                 bound.extend(binders.iter().map(|(s, _)| *s));
-                body.collect_free(bound, free);
-                bound.truncate(n);
             }
-            Form::Compr(x, _, body) => {
-                bound.push(*x);
-                body.collect_free(bound, free);
-                bound.pop();
-            }
+            Form::Compr(x, _, _) => bound.push(*x),
+            _ => {}
         }
+        self.children()
+            .for_each(|child| child.collect_free(bound, free));
+        bound.truncate(depth);
     }
 
     /// Capture-avoiding simultaneous substitution of free variables.
@@ -412,72 +388,58 @@ impl Form {
         self.subst(&map)
     }
 
-    /// Count of AST nodes (for prover triage heuristics and benchmarks).
+    /// Count of AST nodes (for prover triage heuristics and benchmarks). A
+    /// `tree [...]` atom counts as one node, whatever its fields.
     pub fn size(&self) -> usize {
-        let mut n = 1;
         match self {
-            Form::Var(_)
-            | Form::IntLit(_)
-            | Form::BoolLit(_)
-            | Form::Null
-            | Form::EmptySet
-            | Form::Tree(_) => {}
-            Form::FiniteSet(elems) | Form::And(elems) | Form::Or(elems) => {
-                n += elems.iter().map(Form::size).sum::<usize>();
-            }
-            Form::Unop(_, a) | Form::Old(a) => n += a.size(),
-            Form::Binop(_, a, b) => n += a.size() + b.size(),
-            Form::Ite(c, t, e) => n += c.size() + t.size() + e.size(),
-            Form::App(head, args) => {
-                n += head.size() + args.iter().map(Form::size).sum::<usize>();
-            }
-            Form::Quant(_, _, body) | Form::Lambda(_, body) | Form::Compr(_, _, body) => {
-                n += body.size();
-            }
+            Form::Tree(_) => 1,
+            _ => 1 + self.children().map(Form::size).sum::<usize>(),
         }
-        n
     }
 
     /// Does `old` occur anywhere in the term?
     pub fn contains_old(&self) -> bool {
-        match self {
-            Form::Old(_) => true,
-            Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
-                false
-            }
-            Form::FiniteSet(elems) | Form::And(elems) | Form::Or(elems) | Form::Tree(elems) => {
-                elems.iter().any(Form::contains_old)
-            }
-
-            Form::Unop(_, a) => a.contains_old(),
-            Form::Binop(_, a, b) => a.contains_old() || b.contains_old(),
-            Form::Ite(c, t, e) => c.contains_old() || t.contains_old() || e.contains_old(),
-            Form::App(head, args) => head.contains_old() || args.iter().any(Form::contains_old),
-            Form::Quant(_, _, body) | Form::Lambda(_, body) | Form::Compr(_, _, body) => {
-                body.contains_old()
-            }
-        }
+        matches!(self, Form::Old(_)) || self.children().any(Form::contains_old)
     }
 
     /// Does `name` occur free in the term?
     pub fn occurs_free(&self, name: Symbol) -> bool {
         match self {
             Form::Var(s) => *s == name,
-            Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => false,
-            Form::FiniteSet(elems) | Form::And(elems) | Form::Or(elems) | Form::Tree(elems) => {
-                elems.iter().any(|e| e.occurs_free(name))
+            Form::Quant(_, binders, _) | Form::Lambda(binders, _)
+                if binders.iter().any(|(b, _)| *b == name) =>
+            {
+                false
             }
-            Form::Unop(_, a) | Form::Old(a) => a.occurs_free(name),
-            Form::Binop(_, a, b) => a.occurs_free(name) || b.occurs_free(name),
-            Form::Ite(c, t, e) => c.occurs_free(name) || t.occurs_free(name) || e.occurs_free(name),
-            Form::App(head, args) => {
-                head.occurs_free(name) || args.iter().any(|a| a.occurs_free(name))
-            }
-            Form::Quant(_, binders, body) | Form::Lambda(binders, body) => {
-                binders.iter().all(|(b, _)| *b != name) && body.occurs_free(name)
-            }
-            Form::Compr(x, _, body) => *x != name && body.occurs_free(name),
+            Form::Compr(x, _, _) if *x == name => false,
+            _ => self.children().any(|child| child.occurs_free(name)),
         }
+    }
+
+    /// The children of this node, left to right, in the order
+    /// [`Form::map_children`] visits them: an application's head before
+    /// its arguments, a binder's body (binder lists are not children).
+    /// Consume it with a folding adaptor (`for_each`, `any`, `sum`): a
+    /// `for` loop steps the chained iterator one `next` at a time, which
+    /// measured slower on `free_vars`.
+    pub fn children(&self) -> impl Iterator<Item = &Form> {
+        let (fixed, listed): ([Option<&Rc<Form>>; 3], &[Form]) = match self {
+            Form::Var(_) | Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {
+                ([None, None, None], &[])
+            }
+            Form::FiniteSet(elems) | Form::And(elems) | Form::Or(elems) | Form::Tree(elems) => {
+                ([None, None, None], elems)
+            }
+            Form::Unop(_, a)
+            | Form::Old(a)
+            | Form::Quant(_, _, a)
+            | Form::Lambda(_, a)
+            | Form::Compr(_, _, a) => ([Some(a), None, None], &[]),
+            Form::Binop(_, a, b) => ([Some(a), Some(b), None], &[]),
+            Form::Ite(c, t, e) => ([Some(c), Some(t), Some(e)], &[]),
+            Form::App(head, args) => ([Some(head), None, None], args),
+        };
+        fixed.into_iter().flatten().map(Rc::as_ref).chain(listed)
     }
 
     // ---- rewriting with sharing ---------------------------------------------
@@ -586,7 +548,7 @@ impl Form {
 
 /// The rewritten subtree, or the original's `Rc` when it came out
 /// unchanged.
-pub(crate) fn keep(new: Option<Form>, old: &Rc<Form>) -> Rc<Form> {
+pub fn keep(new: Option<Form>, old: &Rc<Form>) -> Rc<Form> {
     new.map_or_else(|| Rc::clone(old), Rc::new)
 }
 
@@ -956,6 +918,48 @@ mod tests {
     fn size_counts_nodes() {
         assert_eq!(Form::v("x").size(), 1);
         assert_eq!(Form::eq(Form::v("x"), Form::v("y")).size(), 3);
+        // A backbone atom is one node, whatever its fields: the count
+        // feeds the events' `size` fields and the Nelson–Oppen size gate.
+        let tree = Form::Tree(vec![Form::v("f"), Form::v("g")]);
+        assert_eq!(tree.size(), 1);
+        assert_eq!(Form::implies(tree, Form::v("p")).size(), 3);
+    }
+
+    #[test]
+    fn children_come_in_map_children_order() {
+        let v = Form::v;
+        let leaf = |name: &str| Rc::new(Form::v(name));
+        let binders = vec![(s("x"), Sort::Obj)];
+        // One case per variant, with its number of children.
+        let cases = [
+            (Form::Var(s("x")), 0),
+            (Form::IntLit(1), 0),
+            (Form::BoolLit(true), 0),
+            (Form::Null, 0),
+            (Form::EmptySet, 0),
+            (Form::FiniteSet(vec![v("a"), v("b")]), 2),
+            (Form::Unop(UnOp::Card, leaf("a")), 1),
+            (Form::Binop(BinOp::Elem, leaf("a"), leaf("b")), 2),
+            (Form::And(vec![v("a"), v("b"), v("c")]), 3),
+            (Form::Or(vec![v("a"), v("b")]), 2),
+            (Form::App(leaf("f"), vec![v("a"), v("b")]), 3),
+            (Form::Quant(QKind::All, binders.clone(), leaf("a")), 1),
+            (Form::Lambda(binders, leaf("a")), 1),
+            (Form::Compr(s("x"), Sort::Obj, leaf("a")), 1),
+            (Form::Old(leaf("a")), 1),
+            (Form::Ite(leaf("a"), leaf("b"), leaf("c")), 3),
+            (Form::Tree(vec![v("f"), v("g")]), 2),
+        ];
+        for (form, count) in &cases {
+            let mut visited: Vec<*const Form> = Vec::new();
+            form.map_children(|child| {
+                visited.push(child);
+                None
+            });
+            let yielded: Vec<*const Form> = form.children().map(|c| c as *const Form).collect();
+            assert_eq!(yielded, visited, "{form:?}");
+            assert_eq!(yielded.len(), *count, "{form:?}");
+        }
     }
 
     #[test]

@@ -2,35 +2,26 @@
 //!
 //! A proof obligation piece leaving [`crate::transform::split_conjuncts`]
 //! is an implication chain `H1 --> H2 --> ... --> G`. This module gives
-//! that shape a first-class representation — a [`Sequent`] of named
-//! hypotheses and a goal — so callers can drop hypotheses and refold the
-//! rest. Dropping hypotheses is a weakening (`H, H' ⊢ G` follows from
-//! `H ⊢ G`), so a proof of the smaller sequent is a proof of the full
-//! one; the dispatcher's per-prover fragment filter relies on exactly
-//! that.
+//! that shape a first-class representation — a [`Sequent`] of hypotheses
+//! and a goal — so callers can drop hypotheses and refold the rest.
+//! Dropping hypotheses is a weakening (`H, H' ⊢ G` follows from `H ⊢ G`),
+//! so a proof of the smaller sequent is a proof of the full one; the
+//! dispatcher's per-prover fragment filter relies on exactly that.
 
 use crate::form::{BinOp, Form};
 
-/// One named hypothesis. Names are positional (`h0`, `h1`, …) in source
-/// order, so they are stable across runs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Hyp {
-    pub name: String,
-    pub form: Form,
-}
-
-/// A sequent `h0, h1, ..., hn ⊢ goal`, peeled from an implication chain.
-/// Conjunctive hypotheses are flattened to conjunct granularity, so a
-/// filter can drop one conjunct without taking the rest of its
-/// conjunction down with it.
+/// A sequent `h0, h1, ..., hn ⊢ goal`, peeled from an implication chain,
+/// hypotheses in source order. Conjunctive hypotheses are flattened to
+/// conjunct granularity, so a filter can drop one conjunct without taking
+/// the rest of its conjunction down with it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sequent {
-    pub hyps: Vec<Hyp>,
+    pub hyps: Vec<Form>,
     pub goal: Form,
 }
 
 /// The hypotheses and goal of an implication chain, borrowed from it:
-/// what [`Sequent::of`] peels, with neither copies nor names.
+/// what [`Sequent::of`] peels, without copies.
 pub fn peel(form: &Form) -> (Vec<&Form>, &Form) {
     let mut hyps = Vec::new();
     let mut current = form;
@@ -45,20 +36,12 @@ pub fn peel(form: &Form) -> (Vec<&Form>, &Form) {
 }
 
 impl Sequent {
-    /// Decompose an implication chain into named hypotheses and a goal.
+    /// Decompose an implication chain into hypotheses and a goal.
     /// Non-implications become a sequent with no hypotheses.
     pub fn of(form: &Form) -> Sequent {
         let (hyps, goal) = peel(form);
-        let hyps = hyps
-            .into_iter()
-            .enumerate()
-            .map(|(i, form)| Hyp {
-                name: format!("h{i}"),
-                form: form.clone(),
-            })
-            .collect();
         Sequent {
-            hyps,
+            hyps: hyps.into_iter().cloned().collect(),
             goal: goal.clone(),
         }
     }
@@ -67,9 +50,10 @@ impl Sequent {
     /// Note this normalizes shape: conjunctive hypotheses that [`Sequent::of`]
     /// flattened come back as separate chain links.
     pub fn to_form(&self) -> Form {
-        self.hyps.iter().rev().fold(self.goal.clone(), |acc, h| {
-            Form::implies(h.form.clone(), acc)
-        })
+        self.hyps
+            .iter()
+            .rev()
+            .fold(self.goal.clone(), |acc, h| Form::implies(h.clone(), acc))
     }
 }
 
@@ -85,11 +69,7 @@ mod tests {
     #[test]
     fn of_peels_chain_and_flattens_conjunctions() {
         let seq = Sequent::of(&p("(a & b) --> c --> goal"));
-        let names: Vec<&str> = seq.hyps.iter().map(|h| h.name.as_str()).collect();
-        assert_eq!(names, vec!["h0", "h1", "h2"]);
-        assert_eq!(seq.hyps[0].form, p("a"));
-        assert_eq!(seq.hyps[1].form, p("b"));
-        assert_eq!(seq.hyps[2].form, p("c"));
+        assert_eq!(seq.hyps, vec![p("a"), p("b"), p("c")]);
         assert_eq!(seq.goal, p("goal"));
     }
 

@@ -914,36 +914,15 @@ fn closure_key(x: Symbol, y: Symbol, body: &Form, env: &FxHashMap<Symbol, u32>) 
 fn names<'a>(form: &Form, sig: &'a FxHashMap<Symbol, Sort>) -> Vec<(Symbol, Option<&'a Sort>)> {
     fn walk(form: &Form, out: &mut FxHashSet<Symbol>) {
         match form {
-            Form::Var(s) => {
+            Form::Var(s) | Form::Compr(s, _, _) => {
                 out.insert(*s);
             }
-            Form::IntLit(_) | Form::BoolLit(_) | Form::Null | Form::EmptySet => {}
-            Form::FiniteSet(parts) | Form::And(parts) | Form::Or(parts) | Form::Tree(parts) => {
-                parts.iter().for_each(|p| walk(p, out))
-            }
-            Form::Unop(_, a) | Form::Old(a) => walk(a, out),
-            Form::Binop(_, a, b) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Form::Ite(c, t, e) => {
-                walk(c, out);
-                walk(t, out);
-                walk(e, out);
-            }
-            Form::App(head, args) => {
-                walk(head, out);
-                args.iter().for_each(|a| walk(a, out));
-            }
-            Form::Quant(_, binders, body) | Form::Lambda(binders, body) => {
+            Form::Quant(_, binders, _) | Form::Lambda(binders, _) => {
                 out.extend(binders.iter().map(|(s, _)| *s));
-                walk(body, out);
             }
-            Form::Compr(x, _, body) => {
-                out.insert(*x);
-                walk(body, out);
-            }
+            _ => {}
         }
+        form.children().for_each(|child| walk(child, out));
     }
     let mut seen = FxHashSet::default();
     walk(form, &mut seen);

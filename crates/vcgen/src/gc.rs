@@ -33,7 +33,7 @@ pub struct Obligation {
 impl Obligation {
     /// The obligation as an explicit sequent: the implication chain the
     /// WP transformer built (entry assumptions, background axioms, path
-    /// conditions) peeled into named hypotheses and a goal.
+    /// conditions) peeled into hypotheses and a goal.
     pub fn sequent(&self) -> jahob_logic::sequent::Sequent {
         jahob_logic::sequent::Sequent::of(&self.form)
     }

@@ -66,7 +66,7 @@ fn smt_and_fol_agree_on_euf() {
             Ok(expected),
             "smt on {src}"
         );
-        let fol = jahob_repro::fol::fol_valid(&goal, &empty).unwrap();
+        let fol = jahob_repro::fol::fol_valid(&goal).unwrap();
         if expected {
             assert!(fol, "fol must prove {src}");
         }
