@@ -28,35 +28,14 @@ use jahob_logic::{BinOp, Form, Sort, UnOp};
 use jahob_presburger::cooper::{self, PAtom, PForm};
 use jahob_presburger::linterm::LinTerm;
 use jahob_presburger::omega::{omega_sat, Constraint, ConstraintKind, OmegaResult};
-use jahob_util::budget::{Budget, Exhaustion};
+use jahob_util::budget::{unsupported, Budget, Exhaustion, Failure};
 use jahob_util::{FxHashMap, FxHashSet, Symbol};
-use std::fmt;
 use std::rc::Rc;
 use std::sync::OnceLock;
 
 /// Upper bound on distinct base sets (set variables + singleton-encoded
 /// object variables); regions grow as `2^n`.
 pub const MAX_BASE_SETS: usize = 6;
-
-/// Why a goal is outside the BAPA fragment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BapaError {
-    pub message: String,
-}
-
-impl fmt::Display for BapaError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "not in the BAPA fragment: {}", self.message)
-    }
-}
-
-impl std::error::Error for BapaError {}
-
-fn err<T>(message: impl Into<String>) -> Result<T, BapaError> {
-    Err(BapaError {
-        message: message.into(),
-    })
-}
 
 /// A base-set identifier during translation.
 #[derive(Clone, PartialEq, Debug)]
@@ -132,12 +111,12 @@ impl<'a> Translator<'a> {
         }
     }
 
-    fn base_index(&mut self, b: Base) -> Result<usize, BapaError> {
+    fn base_index(&mut self, b: Base) -> Result<usize, Failure> {
         if let Some(i) = self.bases.iter().position(|x| *x == b) {
             return Ok(i);
         }
         if self.bases.len() >= MAX_BASE_SETS {
-            return err(format!(
+            return unsupported(format!(
                 "more than {MAX_BASE_SETS} base sets (regions would explode)"
             ));
         }
@@ -183,15 +162,15 @@ impl<'a> Translator<'a> {
     }
 
     /// Translate a set term to a region predicate.
-    fn set_expr(&mut self, form: &Form) -> Result<SetExpr, BapaError> {
+    fn set_expr(&mut self, form: &Form) -> Result<SetExpr, Failure> {
         match form {
             Form::EmptySet => Ok(SetExpr::empty()),
             Form::Var(name) => {
                 match self.sort_of(*name) {
                     Some(Sort::Set(inner)) if **inner == Sort::Obj => {}
-                    Some(Sort::Set(_)) => return err("only object sets supported"),
+                    Some(Sort::Set(_)) => return unsupported("only object sets supported"),
                     Some(other) => {
-                        return err(format!("`{name}` has sort {other}, expected objset"))
+                        return unsupported(format!("`{name}` has sort {other}, expected objset"))
                     }
                     // Unknown symbols in set position: assume objset.
                     None => {}
@@ -229,17 +208,17 @@ impl<'a> Translator<'a> {
                     _ => false,
                 };
                 if !ok {
-                    return err(format!("set term expected, found `{app}`"));
+                    return unsupported(format!("set term expected, found `{app}`"));
                 }
                 let i = self.base_index(Base::SetTerm(app.clone()))?;
                 Ok(SetExpr::base(i))
             }
-            other => err(format!("set term expected, found `{other}`")),
+            other => unsupported(format!("set term expected, found `{other}`")),
         }
     }
 
     /// The singleton region predicate for an object-denoting term.
-    fn singleton(&mut self, form: &Form) -> Result<SetExpr, BapaError> {
+    fn singleton(&mut self, form: &Form) -> Result<SetExpr, Failure> {
         match form {
             Form::Null => {
                 let i = self.base_index(Base::Null)?;
@@ -248,7 +227,9 @@ impl<'a> Translator<'a> {
             Form::Var(name) => {
                 match self.sort_of(*name) {
                     Some(Sort::Obj) | None => {}
-                    Some(other) => return err(format!("`{name}` has sort {other}, expected obj")),
+                    Some(other) => {
+                        return unsupported(format!("`{name}` has sort {other}, expected obj"))
+                    }
                 }
                 let i = self.base_index(Base::ObjVar(*name))?;
                 Ok(SetExpr::base(i))
@@ -264,12 +245,12 @@ impl<'a> Translator<'a> {
                     _ => false,
                 };
                 if !ok {
-                    return err(format!("object term expected, found `{app}`"));
+                    return unsupported(format!("object term expected, found `{app}`"));
                 }
                 let i = self.base_index(Base::ObjTerm(app.clone()))?;
                 Ok(SetExpr::base(i))
             }
-            other => err(format!("object variable expected, found `{other}`")),
+            other => unsupported(format!("object variable expected, found `{other}`")),
         }
     }
 
@@ -367,7 +348,7 @@ impl Lowered {
     }
 }
 
-fn lower_form(form: &Form, tr: &mut Translator) -> Result<Lowered, BapaError> {
+fn lower_form(form: &Form, tr: &mut Translator) -> Result<Lowered, Failure> {
     match form {
         Form::BoolLit(true) => Ok(Lowered::True),
         Form::BoolLit(false) => Ok(Lowered::False),
@@ -439,16 +420,16 @@ fn lower_form(form: &Form, tr: &mut Translator) -> Result<Lowered, BapaError> {
                 lower_int(rhs, tr)?,
             )))
         }
-        other => err(format!("outside the BAPA fragment: `{other}`")),
+        other => unsupported(format!("outside the BAPA fragment: `{other}`")),
     }
 }
 
-fn lower_int(form: &Form, tr: &mut Translator) -> Result<IntExpr, BapaError> {
+fn lower_int(form: &Form, tr: &mut Translator) -> Result<IntExpr, Failure> {
     match form {
         Form::IntLit(n) => Ok(IntExpr::Lin(LinTerm::constant(*n))),
         Form::Var(name) => match tr.sort_of(*name) {
             Some(Sort::Int) | None => Ok(IntExpr::Lin(LinTerm::var(*name))),
-            Some(other) => err(format!("`{name}` has sort {other}, expected int")),
+            Some(other) => unsupported(format!("`{name}` has sort {other}, expected int")),
         },
         Form::Unop(UnOp::Card, inner) => Ok(IntExpr::Card(tr.set_expr(inner)?)),
         Form::Unop(UnOp::Neg, inner) => Ok(IntExpr::Scale(-1, Box::new(lower_int(inner, tr)?))),
@@ -463,18 +444,15 @@ fn lower_int(form: &Form, tr: &mut Translator) -> Result<IntExpr, BapaError> {
         Form::Binop(BinOp::Mul, lhs, rhs) => match (&**lhs, &**rhs) {
             (Form::IntLit(k), _) => Ok(IntExpr::Scale(*k, Box::new(lower_int(rhs, tr)?))),
             (_, Form::IntLit(k)) => Ok(IntExpr::Scale(*k, Box::new(lower_int(lhs, tr)?))),
-            _ => err("nonlinear multiplication"),
+            _ => unsupported("nonlinear multiplication"),
         },
-        other => err(format!("non-arithmetic term `{other}`")),
+        other => unsupported(format!("non-arithmetic term `{other}`")),
     }
 }
 
 /// Translate a quantifier-free BAPA formula to a Presburger formula over
 /// region variables plus well-formedness constraints.
-fn translate(
-    form: &Form,
-    sig: &FxHashMap<Symbol, Sort>,
-) -> Result<(PForm, PForm, usize), BapaError> {
+fn translate(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<(PForm, PForm, usize), Failure> {
     let mut tr = Translator::new(sig);
     let lowered = lower_form(form, &mut tr)?;
     let matrix = lowered.resolve(&tr);
@@ -494,52 +472,23 @@ fn translate(
     Ok((matrix, PForm::and(wf), tr.bases.len()))
 }
 
-/// Why a budgeted BAPA decision did not produce an answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BapaFailure {
-    /// The goal is outside the BAPA fragment — route it elsewhere.
-    Fragment(BapaError),
-    /// The budget ran out mid-decision.
-    Exhausted(Exhaustion),
-}
-
-impl fmt::Display for BapaFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BapaFailure::Fragment(e) => e.fmt(f),
-            BapaFailure::Exhausted(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for BapaFailure {}
-
 /// Decide validity of a quantifier-free BAPA goal: translate its negation
-/// and check unsatisfiability over non-negative region cardinalities.
-pub fn bapa_valid(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<bool, BapaError> {
-    match bapa_valid_budgeted(form, sig, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(BapaFailure::Fragment(e)) => Err(e),
-        Err(BapaFailure::Exhausted(_)) => unreachable!("unlimited budget"),
-    }
-}
-
-/// Budgeted [`bapa_valid`]: fuel is charged per Venn-region disjunct and
-/// per sign-enumeration branch, the two places the reduction blows up.
-pub fn bapa_valid_budgeted(
+/// and check unsatisfiability over non-negative region cardinalities. Fuel
+/// is charged per Venn-region disjunct and per sign-enumeration branch,
+/// the two places the reduction blows up.
+pub fn bapa_valid(
     form: &Form,
     sig: &FxHashMap<Symbol, Sort>,
     budget: &Budget,
-) -> Result<bool, BapaFailure> {
+) -> Result<bool, Failure> {
     let negated = Form::not(form.clone());
-    let (matrix, wf, _) = translate(&negated, sig).map_err(BapaFailure::Fragment)?;
+    let (matrix, wf, _) = translate(&negated, sig)?;
     let full = PForm::and(vec![wf, matrix]);
-    let sat = pform_sat(&full, budget).map_err(BapaFailure::Exhausted)?;
-    Ok(!sat)
+    Ok(!pform_sat(&full, budget)?)
 }
 
 /// Number of base sets a goal needs (for benchmarking the Venn blowup).
-pub fn base_set_count(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<usize, BapaError> {
+pub fn base_set_count(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<usize, Failure> {
     translate(form, sig).map(|(_, _, n)| n)
 }
 
@@ -557,7 +506,7 @@ fn pform_sat(form: &PForm, budget: &Budget) -> Result<bool, Exhaustion> {
             }
             Ok(false)
         }
-        None => cooper::sat_budgeted(form, budget),
+        None => cooper::sat(form, budget),
     }
 }
 
@@ -577,7 +526,7 @@ fn conj_sat(conj: &[PAtom], budget: &Budget) -> Result<bool, Exhaustion> {
             .any(|a| matches!(a, PAtom::Dvd(_, _) | PAtom::NotDvd(_, _)))
     {
         let f = PForm::and(conj.iter().cloned().map(PForm::Atom).collect());
-        return cooper::sat_budgeted(&f, budget);
+        return cooper::sat(&f, budget);
     }
     Rows::of(conj).merged().sat(forced_signs(conj), budget)
 }
@@ -882,7 +831,8 @@ mod tests {
     }
 
     fn valid(src: &str) -> bool {
-        bapa_valid(&form(src), &default_sig()).unwrap_or_else(|e| panic!("{src:?}: {e}"))
+        bapa_valid(&form(src), &default_sig(), &Budget::unlimited())
+            .unwrap_or_else(|e| panic!("{src:?}: {e}"))
     }
 
     #[test]
@@ -893,12 +843,12 @@ mod tests {
         );
         let starved = Budget::with_fuel(1);
         assert_eq!(
-            bapa_valid_budgeted(&goal, &default_sig(), &starved),
-            Err(BapaFailure::Exhausted(Exhaustion::Fuel))
+            bapa_valid(&goal, &default_sig(), &starved),
+            Err(Failure::Exhausted(Exhaustion::Fuel))
         );
         // A generous budget agrees with the unlimited entry point.
         let roomy = Budget::with_fuel(10_000_000);
-        assert_eq!(bapa_valid_budgeted(&goal, &default_sig(), &roomy), Ok(true));
+        assert_eq!(bapa_valid(&goal, &default_sig(), &roomy), Ok(true));
     }
 
     #[test]
@@ -920,14 +870,18 @@ mod tests {
             let goal = form(&format!("{hyps} --> {concl}"));
             let budget = Budget::with_fuel(1_000);
             assert_eq!(
-                bapa_valid_budgeted(&goal, &default_sig(), &budget),
+                bapa_valid(&goal, &default_sig(), &budget),
                 Ok(want),
                 "{concl}"
             );
             assert_eq!(1_000 - budget.fuel_remaining(), fuel, "{concl}");
             let (matrix, wf, _) = translate(&Form::not(goal), &default_sig()).unwrap();
             let full = PForm::and(vec![wf, matrix]);
-            assert_eq!(cooper::sat(&full), !want, "{concl}: cooper disagrees");
+            assert_eq!(
+                cooper::sat(&full, &Budget::unlimited()).unwrap(),
+                !want,
+                "{concl}: cooper disagrees"
+            );
         }
     }
 
@@ -1016,7 +970,7 @@ mod tests {
             }
             prop_assert_eq!(pform_sat(&full, &unlimited).unwrap(), unmerged, "{}", f);
             if bases <= 2 {
-                prop_assert_eq!(cooper::sat(&full), unmerged, "{}", f);
+                prop_assert_eq!(cooper::sat(&full, &unlimited).unwrap(), unmerged, "{}", f);
             }
         }
     }
@@ -1051,7 +1005,7 @@ mod tests {
             })
             .collect();
         assert_eq!(widths, [(64, 19), (64, 35)]);
-        assert_eq!(bapa_valid(&goal, &sig), Ok(false));
+        assert_eq!(bapa_valid(&goal, &sig, &Budget::unlimited()), Ok(false));
     }
 
     #[test]
@@ -1091,10 +1045,10 @@ mod tests {
             "cA Int cB = {} & o : cA & cA2 = cA - {o} & cB2 = cB Un {o} \
              --> cA2 Int cB2 = {}",
         );
-        assert_eq!(bapa_valid(&f, &sig), Ok(true));
+        assert_eq!(bapa_valid(&f, &sig, &Budget::unlimited()), Ok(true));
         // Dropping the disjointness hypothesis breaks it.
         let g = form("o : cA & cA2 = cA - {o} & cB2 = cB Un {o} --> cA2 Int cB2 = {}");
-        assert_eq!(bapa_valid(&g, &sig), Ok(false));
+        assert_eq!(bapa_valid(&g, &sig, &Budget::unlimited()), Ok(false));
     }
 
     #[test]
@@ -1135,12 +1089,15 @@ mod tests {
     #[test]
     fn rejects_out_of_fragment() {
         let sig = default_sig();
-        assert!(bapa_valid(&form("rtrancl_pt p x y"), &sig).is_err());
-        assert!(bapa_valid(&form("ALL z. z : S"), &sig).is_err());
+        assert!(bapa_valid(&form("rtrancl_pt p x y"), &sig, &Budget::unlimited()).is_err());
+        assert!(bapa_valid(&form("ALL z. z : S"), &sig, &Budget::unlimited()).is_err());
         // Opaque applications are *abstracted*, not rejected: the equality
         // below is not valid under abstraction (sound), and congruence-free
         // abstraction keeps it unprovable.
-        assert_eq!(bapa_valid(&form("next x = y"), &sig), Ok(false));
+        assert_eq!(
+            bapa_valid(&form("next x = y"), &sig, &Budget::unlimited()),
+            Ok(false)
+        );
     }
 
     #[test]
@@ -1171,7 +1128,7 @@ mod tests {
         .collect();
         for src in goals {
             let f = form(src);
-            let bapa = bapa_valid(&f, &sig).unwrap();
+            let bapa = bapa_valid(&f, &sig, &Budget::unlimited()).unwrap();
             let small_valid = enumerate_models(2, (0, 0), &syms, &mut |m| m.eval_bool(&f).unwrap());
             assert_eq!(
                 bapa, small_valid,

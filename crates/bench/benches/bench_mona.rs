@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jahob_mona::segments::{alternation_ladder, list_segment, subset_chain};
 use jahob_mona::ws1s::{compile_opts, decide, WsVerdict};
+use jahob_util::budget::Budget;
 
 fn bench_subset_chain(c: &mut Criterion) {
     let mut group = c.benchmark_group("E7/subset_chain");
@@ -13,7 +14,10 @@ fn bench_subset_chain(c: &mut Criterion) {
         let formula = subset_chain(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &formula, |b, f| {
             b.iter(|| {
-                assert!(matches!(decide(f).unwrap(), WsVerdict::Valid));
+                assert!(matches!(
+                    decide(f, &Budget::unlimited()).unwrap(),
+                    WsVerdict::Valid
+                ));
             })
         });
     }
@@ -27,7 +31,10 @@ fn bench_alternation(c: &mut Criterion) {
         let formula = alternation_ladder(d);
         group.bench_with_input(BenchmarkId::from_parameter(d), &formula, |b, f| {
             b.iter(|| {
-                assert!(matches!(decide(f).unwrap(), WsVerdict::Valid));
+                assert!(matches!(
+                    decide(f, &Budget::unlimited()).unwrap(),
+                    WsVerdict::Valid
+                ));
             })
         });
     }
@@ -41,7 +48,10 @@ fn bench_list_segment(c: &mut Criterion) {
         let formula = list_segment(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &formula, |b, f| {
             b.iter(|| {
-                assert!(matches!(decide(f).unwrap(), WsVerdict::Valid));
+                assert!(matches!(
+                    decide(f, &Budget::unlimited()).unwrap(),
+                    WsVerdict::Valid
+                ));
             })
         });
     }
@@ -53,10 +63,18 @@ fn bench_minimization_ablation(c: &mut Criterion) {
     group.sample_size(10);
     let formula = subset_chain(6);
     group.bench_function("with_minimize", |b| {
-        b.iter(|| compile_opts(&formula, true).unwrap().2)
+        b.iter(|| {
+            compile_opts(&formula, true, &Budget::unlimited())
+                .unwrap()
+                .2
+        })
     });
     group.bench_function("without_minimize", |b| {
-        b.iter(|| compile_opts(&formula, false).unwrap().2)
+        b.iter(|| {
+            compile_opts(&formula, false, &Budget::unlimited())
+                .unwrap()
+                .2
+        })
     });
     group.finish();
 }

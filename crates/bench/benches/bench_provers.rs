@@ -22,6 +22,7 @@ use jahob_bench::{
     euf_cycle, game_bapa_pieces, lia_interval, lia_interval_cooper, model_finder_pieces,
 };
 use jahob_logic::{Form, Sort};
+use jahob_util::budget::Budget;
 use jahob_util::{FxHashMap, Symbol};
 use std::time::{Duration, Instant};
 
@@ -38,7 +39,12 @@ fn bench_bapa(c: &mut Criterion) {
     for k in [2usize, 3, 4, 5] {
         let goal = bapa_union_bound(k);
         group.bench_with_input(BenchmarkId::from_parameter(k), &goal, |b, g| {
-            b.iter(|| assert_eq!(jahob_bapa::bapa_valid(g, &sig), Ok(true)))
+            b.iter(|| {
+                assert_eq!(
+                    jahob_bapa::bapa_valid(g, &sig, &Budget::unlimited()),
+                    Ok(true)
+                )
+            })
         });
     }
     group.finish();
@@ -59,11 +65,13 @@ fn bench_bapa_game_pieces(c: &mut Criterion) {
             let started = Instant::now();
             let answers: String = pieces
                 .iter()
-                .map(|(goal, sig)| match jahob_bapa::bapa_valid(goal, sig) {
-                    Ok(true) => 'V',
-                    Ok(false) => 'n',
-                    Err(_) => '-',
-                })
+                .map(
+                    |(goal, sig)| match jahob_bapa::bapa_valid(goal, sig, &Budget::unlimited()) {
+                        Ok(true) => 'V',
+                        Ok(false) => 'n',
+                        Err(_) => '-',
+                    },
+                )
                 .collect();
             elapsed += started.elapsed();
             rounds += 1;
@@ -90,7 +98,7 @@ fn bench_presburger(c: &mut Criterion) {
         });
         let quantified = lia_interval_cooper(n);
         group.bench_with_input(BenchmarkId::new("cooper", n), &quantified, |b, q| {
-            b.iter(|| jahob_presburger::decide_closed(q).unwrap())
+            b.iter(|| jahob_presburger::decide_closed(q, &Budget::unlimited()).unwrap())
         });
     }
     group.finish();
@@ -103,7 +111,12 @@ fn bench_smt(c: &mut Criterion) {
     for k in [1usize, 2, 3] {
         let goal = euf_cycle(k);
         group.bench_with_input(BenchmarkId::from_parameter(k), &goal, |b, g| {
-            b.iter(|| assert_eq!(jahob_smt::smt_valid(g, &sig), Ok(true)))
+            b.iter(|| {
+                assert_eq!(
+                    jahob_smt::smt_valid(g, &sig, &Budget::unlimited()),
+                    Ok(true)
+                )
+            })
         });
     }
     group.finish();
@@ -130,7 +143,10 @@ fn bench_sat(c: &mut Criterion) {
                         }
                     }
                 }
-                assert_eq!(s.solve(), jahob_sat::SolveResult::Unsat);
+                assert_eq!(
+                    s.solve(&Budget::unlimited()),
+                    Ok(jahob_sat::SolveResult::Unsat)
+                );
             })
         });
     }
@@ -217,7 +233,7 @@ const MODEL_FINDER_VERDICTS: &str = "VVVVVVVVVVVVVVVCCCCVV-------VVV----VVVVVVVV
 /// Each piece's answer, one session per method when `shared`, else a
 /// fresh session per piece.
 fn model_finder_verdicts(methods: &[Vec<(Form, FxHashMap<Symbol, Sort>)>], shared: bool) -> String {
-    let budget = jahob_util::budget::Budget::unlimited();
+    let budget = Budget::unlimited();
     let mut verdicts = String::new();
     for pieces in methods {
         let mut session = jahob_models::Session::new();

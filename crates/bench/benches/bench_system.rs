@@ -8,6 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jahob_bench::*;
+use jahob_util::budget::Budget;
 
 fn bench_case_studies(c: &mut Criterion) {
     let mut group = c.benchmark_group("E1-E5/case_studies");
@@ -85,10 +86,10 @@ fn bench_shape(c: &mut Criterion) {
                 let kept = jahob_shape::houdini(
                     &candidates,
                     &mut |cand| {
-                        jahob_presburger::translate::decide_valid(&Form::implies(
-                            jahob_logic::form("g = 0"),
-                            cand.clone(),
-                        ))
+                        jahob_presburger::translate::decide_valid(
+                            &Form::implies(jahob_logic::form("g = 0"), cand.clone()),
+                            &Budget::unlimited(),
+                        )
                         .unwrap_or(false)
                     },
                     &mut |kept, cand| {
@@ -99,8 +100,11 @@ fn bench_shape(c: &mut Criterion) {
                                 .chain(std::iter::once(relation.clone()))
                                 .collect(),
                         );
-                        jahob_presburger::translate::decide_valid(&Form::implies(hyp, primed))
-                            .unwrap_or(false)
+                        jahob_presburger::translate::decide_valid(
+                            &Form::implies(hyp, primed),
+                            &Budget::unlimited(),
+                        )
+                        .unwrap_or(false)
                     },
                 );
                 assert!(!kept.is_empty());

@@ -230,6 +230,7 @@ pub fn elaborate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jahob_util::budget::Budget;
 
     #[test]
     fn workloads_have_expected_verdicts() {
@@ -244,7 +245,7 @@ mod tests {
             .collect();
         for k in 2..=4 {
             assert_eq!(
-                jahob_bapa::bapa_valid(&bapa_union_bound(k), &sig),
+                jahob_bapa::bapa_valid(&bapa_union_bound(k), &sig, &Budget::unlimited()),
                 Ok(true),
                 "k={k}"
             );
@@ -253,7 +254,10 @@ mod tests {
         for n in 1..=6 {
             let omega =
                 jahob_presburger::omega_sat(&lia_interval(n)) == jahob_presburger::OmegaResult::Sat;
-            let cooper = jahob_presburger::decide_closed(&lia_interval_cooper(n)).unwrap();
+            let cooper =
+                jahob_presburger::decide_closed(&lia_interval_cooper(n), &Budget::unlimited())
+                    .unwrap()
+                    .unwrap();
             assert_eq!(omega, cooper, "n={n}");
             assert_eq!(omega, n % 2 == 0, "n={n}");
         }
@@ -271,7 +275,7 @@ mod tests {
         let esig = jahob_util::FxHashMap::default();
         for k in 0..=2 {
             assert_eq!(
-                jahob_smt::smt_valid(&euf_cycle(k), &esig),
+                jahob_smt::smt_valid(&euf_cycle(k), &esig, &Budget::unlimited()),
                 Ok(true),
                 "k={k}"
             );

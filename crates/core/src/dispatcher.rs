@@ -14,9 +14,9 @@
 use crate::goal_cache::{self, CachedProof, GoalCache, Lookup, NormalGoal};
 use jahob_logic::transform::{simplify, split_conjuncts};
 use jahob_logic::{Form, Sort, SortCx};
-use jahob_models::{BmcVerdict, ModelsFailure};
+use jahob_models::BmcVerdict;
 use jahob_smt::lift_ite;
-use jahob_util::budget::{Budget, Exhaustion, INFINITE_FUEL};
+use jahob_util::budget::{Budget, Exhaustion, Failure, INFINITE_FUEL};
 use jahob_util::chaos::{self, Fault, FaultPlan, Lie};
 use jahob_util::counters::Stats;
 use jahob_util::obs::{self, Event, Recorder};
@@ -973,10 +973,8 @@ impl Dispatcher {
             Ok(BmcVerdict::ValidUpTo(_)) => {
                 return Ok(self.config.bmc_as_validity.then_some(proof))
             }
-            Err(ModelsFailure::Fragment(_)) => {
-                diag.record(ProverId::Bmc, FailureReason::Unsupported)
-            }
-            Err(ModelsFailure::Exhausted(why)) => return Err(why),
+            Err(Failure::Unsupported(_)) => diag.record(ProverId::Bmc, FailureReason::Unsupported),
+            Err(Failure::Exhausted(why)) => return Err(why),
         }
         // Outside the fragment: weaken into it, unless bounded proofs are
         // off.
@@ -992,8 +990,8 @@ impl Dispatcher {
                 diag.record(ProverId::Bmc, FailureReason::GaveUp);
                 Ok(None)
             }
-            Err(ModelsFailure::Fragment(_)) => Ok(None),
-            Err(ModelsFailure::Exhausted(why)) => Err(why),
+            Err(Failure::Unsupported(_)) => Ok(None),
+            Err(Failure::Exhausted(why)) => Err(why),
         }
     }
 
@@ -1064,11 +1062,48 @@ fn filtered(goal: &Form, keep: &mut dyn FnMut(&Form) -> bool) -> Option<Form> {
     Some(seq.to_form())
 }
 
+/// A prover that tries a piece and then, unless that proved it, the piece
+/// without the hypotheses outside its fragment: its counters, the fragment
+/// test a hypothesis must pass to stay, and its entry point.
+struct Narrowing {
+    prover: ProverId,
+    tried: &'static str,
+    proved: &'static str,
+    reads: fn(&Form, &FxHashMap<Symbol, Sort>) -> bool,
+    decide: Decide,
+}
+
+/// A prover's entry point: the validity of a goal under its signature.
+type Decide = fn(&Form, &FxHashMap<Symbol, Sort>, &Budget) -> Result<bool, Failure>;
+
+/// Presburger, BAPA and Nelson–Oppen, in dispatch order.
+const NARROWING: [Narrowing; 3] = [
+    Narrowing {
+        prover: ProverId::Lia,
+        tried: "tried.presburger",
+        proved: "proved.presburger",
+        reads: |h, _| jahob_presburger::form_to_pform(h).is_ok(),
+        decide: |g, _, budget| jahob_presburger::translate::decide_valid(g, budget),
+    },
+    Narrowing {
+        prover: ProverId::Bapa,
+        tried: "tried.bapa",
+        proved: "proved.bapa",
+        reads: |h, sig| jahob_bapa::base_set_count(h, sig).is_ok(),
+        decide: jahob_bapa::bapa_valid,
+    },
+    Narrowing {
+        prover: ProverId::Smt,
+        tried: "tried.smt",
+        proved: "proved.smt",
+        reads: jahob_smt::in_fragment,
+        decide: jahob_smt::smt_valid,
+    },
+];
+
 /// One prover's attempt at a piece — the body `guard` runs for hol-auto,
 /// Presburger, BAPA, Nelson–Oppen and FOL (the model finder's is
-/// [`Dispatcher::bounded_search`]). Presburger, BAPA and Nelson–Oppen try
-/// the piece, then the piece without the hypotheses they cannot read. It
-/// stops only through `budget`.
+/// [`Dispatcher::bounded_search`]). It stops only through `budget`.
 fn portfolio_attempt(
     prover: ProverId,
     piece: &Piece,
@@ -1078,95 +1113,55 @@ fn portfolio_attempt(
     stats: &Stats,
 ) -> Result<Option<Verdict>, Exhaustion> {
     let (goal, sig) = (&piece.goal.form, &piece.sig);
-    let proved = |name: &str| {
-        stats.bump(name);
-        Ok(Some(Verdict::Proved {
-            prover,
-            bound: None,
-        }))
+    // Whether one decision proved the goal. One that did not is recorded
+    // against the prover; exhaustion ends the attempt.
+    let mut proves = |decided: Result<bool, Failure>| {
+        let reason = match decided {
+            Ok(true) => return Ok(true),
+            Ok(false) => FailureReason::GaveUp,
+            Err(Failure::Unsupported(_)) => FailureReason::Unsupported,
+            Err(Failure::Exhausted(why)) => return Err(why),
+        };
+        diag.record(prover, reason);
+        Ok(false)
     };
-    match prover {
-        ProverId::Hol => {
-            if jahob_hol::auto_proves_governed(goal, budget)? {
-                return proved("proved.hol");
-            }
-            diag.record(ProverId::Hol, FailureReason::GaveUp);
-        }
-        ProverId::Lia => {
-            stats.bump("tried.presburger");
-            let narrowed = filtered(goal, &mut |h| {
-                jahob_presburger::translate::form_to_pform(h).is_ok()
-            });
-            for g in std::iter::once(goal).chain(&narrowed) {
-                match jahob_presburger::translate::decide_valid_budgeted(g, budget) {
-                    Ok(true) => return proved("proved.presburger"),
-                    Ok(false) => diag.record(ProverId::Lia, FailureReason::GaveUp),
-                    Err(jahob_presburger::PresburgerFailure::Fragment(_)) => {
-                        diag.record(ProverId::Lia, FailureReason::Unsupported)
-                    }
-                    Err(jahob_presburger::PresburgerFailure::Exhausted(why)) => return Err(why),
-                }
-            }
-        }
-        ProverId::Bapa => {
-            stats.bump("tried.bapa");
-            let narrowed = filtered(goal, &mut |h| jahob_bapa::base_set_count(h, sig).is_ok());
-            for g in std::iter::once(goal).chain(&narrowed) {
-                match jahob_bapa::bapa_valid_budgeted(g, sig, budget) {
-                    Ok(true) => return proved("proved.bapa"),
-                    Ok(false) => diag.record(ProverId::Bapa, FailureReason::GaveUp),
-                    Err(jahob_bapa::BapaFailure::Fragment(_)) => {
-                        diag.record(ProverId::Bapa, FailureReason::Unsupported)
-                    }
-                    Err(jahob_bapa::BapaFailure::Exhausted(why)) => return Err(why),
-                }
-            }
-        }
-        ProverId::Smt => {
-            // The Nelson–Oppen core is for compact ground goals; on big VC
-            // chains the lazy loop + arrangement enumeration dominates.
-            if goal.size() > 150 {
-                return Ok(None);
-            }
-            stats.bump("tried.smt");
-            let narrowed = filtered(goal, &mut |h| jahob_smt::in_fragment(h, sig));
-            for g in std::iter::once(goal).chain(&narrowed) {
-                match jahob_smt::smt_valid_budgeted(g, sig, budget) {
-                    Ok(true) => return proved("proved.smt"),
-                    Ok(false) => diag.record(ProverId::Smt, FailureReason::GaveUp),
-                    Err(jahob_smt::SmtFailure::Fragment(_)) => {
-                        diag.record(ProverId::Smt, FailureReason::Unsupported)
-                    }
-                    Err(jahob_smt::SmtFailure::Exhausted(why)) => return Err(why),
-                }
-            }
-        }
+    let proved = match prover {
+        ProverId::Hol => proves(jahob_hol::auto_proves(goal, budget).map_err(Failure::from))?
+            .then_some("proved.hol"),
         ProverId::Fol => {
             stats.bump("tried.fol");
             let config = jahob_fol::ProverConfig {
                 max_iterations: fol_iterations,
                 ..Default::default()
             };
-            let (prepared, axioms) = jahob_fol::reach::prepare(goal);
-            let negated = Form::not(prepared);
-            let clauses = (|| -> Result<_, jahob_fol::clause::ClausifyError> {
-                let mut clauses = jahob_fol::clausify(&negated)?;
-                for ax in &axioms {
-                    clauses.extend(jahob_fol::clausify(ax)?);
-                }
-                Ok(clauses)
-            })();
-            match clauses {
-                Err(_) => diag.record(ProverId::Fol, FailureReason::Unsupported),
-                Ok(clauses) => match jahob_fol::prove_budgeted(clauses, &config, budget)? {
-                    jahob_fol::ProveResult::Proved => return proved("proved.fol"),
-                    _ => diag.record(ProverId::Fol, FailureReason::GaveUp),
-                },
-            }
+            proves(jahob_fol::fol_valid(goal, &config, budget))?.then_some("proved.fol")
         }
-        ProverId::Simplifier | ProverId::Bmc => {}
-    }
-    Ok(None)
+        // The Nelson–Oppen core is for compact ground goals; on big VC
+        // chains the lazy loop + arrangement enumeration dominates.
+        ProverId::Smt if goal.size() > 150 => None,
+        _ => {
+            let Some(n) = NARROWING.iter().find(|n| n.prover == prover) else {
+                return Ok(None);
+            };
+            stats.bump(n.tried);
+            let narrowed = filtered(goal, &mut |h| (n.reads)(h, sig));
+            let mut proved = None;
+            for g in std::iter::once(goal).chain(&narrowed) {
+                if proves((n.decide)(g, sig, budget))? {
+                    proved = Some(n.proved);
+                    break;
+                }
+            }
+            proved
+        }
+    };
+    Ok(proved.map(|counter| {
+        stats.bump(counter);
+        Verdict::Proved {
+            prover,
+            bound: None,
+        }
+    }))
 }
 
 /// Replace every set-valued application (head symbol of sort

@@ -7,6 +7,7 @@
 
 use crate::term::FTerm;
 use jahob_logic::{transform, BinOp, Form, QKind, UnOp};
+use jahob_util::budget::{unsupported, Failure};
 use jahob_util::{FxHashMap, FxHashSet, Symbol};
 use std::fmt;
 
@@ -140,33 +141,13 @@ impl fmt::Display for Clause {
     }
 }
 
-/// Clausification failure (construct outside first-order logic).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClausifyError {
-    pub message: String,
-}
-
-impl fmt::Display for ClausifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cannot clausify: {}", self.message)
-    }
-}
-
-impl std::error::Error for ClausifyError {}
-
-fn err<T>(message: impl Into<String>) -> Result<T, ClausifyError> {
-    Err(ClausifyError {
-        message: message.into(),
-    })
-}
-
 /// Upper bound on generated clauses per input formula (CNF distribution can
 /// explode; refuse rather than drown the prover).
 const MAX_CLAUSES: usize = 2000;
 
 /// Clausify a formula read as an *assertion* (satisfiability direction —
 /// callers negate goals themselves).
-pub fn clausify(form: &Form) -> Result<Vec<Clause>, ClausifyError> {
+pub fn clausify(form: &Form) -> Result<Vec<Clause>, Failure> {
     let simplified = transform::simplify(form);
     let (skolemized, _) = transform::skolemize(&simplified);
     let mut ctx = Clausifier {
@@ -211,7 +192,7 @@ impl Clausifier {
         }
     }
 
-    fn cnf(&mut self, form: &Form) -> Result<Vec<Vec<Literal>>, ClausifyError> {
+    fn cnf(&mut self, form: &Form) -> Result<Vec<Vec<Literal>>, Failure> {
         match form {
             Form::BoolLit(true) => Ok(vec![]),
             Form::BoolLit(false) => Ok(vec![vec![]]),
@@ -220,7 +201,7 @@ impl Clausifier {
                 for p in parts {
                     out.extend(self.cnf(p)?);
                     if out.len() > MAX_CLAUSES {
-                        return err("clause explosion");
+                        return unsupported("clause explosion");
                     }
                 }
                 Ok(out)
@@ -236,7 +217,7 @@ impl Clausifier {
                             c.extend(b.iter().cloned());
                             next.push(c);
                             if next.len() > MAX_CLAUSES {
-                                return err("clause explosion");
+                                return unsupported("clause explosion");
                             }
                         }
                     }
@@ -249,7 +230,7 @@ impl Clausifier {
                 let stripped = self.strip_universals(form);
                 self.cnf(&stripped)
             }
-            Form::Quant(QKind::Ex, _, _) => err("unskolemized existential"),
+            Form::Quant(QKind::Ex, _, _) => unsupported("unskolemized existential"),
             Form::Unop(UnOp::Not, inner) => {
                 let lit = self.literal(inner, false)?;
                 Ok(vec![vec![lit]])
@@ -261,7 +242,7 @@ impl Clausifier {
         }
     }
 
-    fn literal(&mut self, atom: &Form, positive: bool) -> Result<Literal, ClausifyError> {
+    fn literal(&mut self, atom: &Form, positive: bool) -> Result<Literal, Failure> {
         match atom {
             Form::Binop(BinOp::Eq | BinOp::Iff, a, b) => Ok(Literal {
                 positive,
@@ -276,14 +257,14 @@ impl Clausifier {
                         pred,
                         args,
                     }),
-                    FTerm::Var(_) => err("variable in predicate position"),
+                    FTerm::Var(_) => unsupported("variable in predicate position"),
                 }
             }
-            other => err(format!("atom outside first-order logic: `{other}`")),
+            other => unsupported(format!("atom outside first-order logic: `{other}`")),
         }
     }
 
-    fn term(&mut self, form: &Form) -> Result<FTerm, ClausifyError> {
+    fn term(&mut self, form: &Form) -> Result<FTerm, Failure> {
         match form {
             Form::Var(name) => {
                 // Clause variable if bound by a stripped universal; else a
@@ -303,7 +284,7 @@ impl Clausifier {
             Form::App(head, args) => {
                 let f = match head.as_ref() {
                     Form::Var(name) => *name,
-                    other => return err(format!("higher-order head `{other}`")),
+                    other => return unsupported(format!("higher-order head `{other}`")),
                 };
                 let mut ts = Vec::with_capacity(args.len());
                 for a in args {
@@ -311,7 +292,7 @@ impl Clausifier {
                 }
                 Ok(FTerm::Fun(f, ts))
             }
-            other => err(format!("term outside first-order logic: `{other}`")),
+            other => unsupported(format!("term outside first-order logic: `{other}`")),
         }
     }
 }

@@ -19,16 +19,18 @@ pub mod reach;
 pub mod term;
 
 pub use clause::{clausify, Clause, Literal};
-pub use prover::{prove, prove_budgeted, ProveResult, ProverConfig};
+pub use prover::{prove, ProveResult, ProverConfig};
 pub use term::{FTerm, Subst};
 
 use jahob_logic::Form;
+use jahob_util::budget::{Budget, Failure};
 
 /// Top-level entry: try to prove `goal` valid (with free variables read
-/// universally). Reachability atoms are axiomatized per [`reach`].
-/// `Ok(true)` = proved; `Ok(false)` = gave up within limits (NOT a
-/// disproof); `Err` = could not clausify.
-pub fn fol_valid(goal: &Form) -> Result<bool, clause::ClausifyError> {
+/// universally) within `config`'s effort limits and `budget`.
+/// Reachability atoms are axiomatized per [`reach`]. `Ok(true)` = proved;
+/// `Ok(false)` = gave up within limits (NOT a disproof); `Unsupported` =
+/// could not clausify.
+pub fn fol_valid(goal: &Form, config: &ProverConfig, budget: &Budget) -> Result<bool, Failure> {
     let (prepared, axioms) = reach::prepare(goal);
     // Refutation: clausify ¬goal plus the reachability axioms.
     let negated = Form::not(prepared);
@@ -36,6 +38,5 @@ pub fn fol_valid(goal: &Form) -> Result<bool, clause::ClausifyError> {
     for axiom in &axioms {
         clauses.extend(clausify(axiom)?);
     }
-    let result = prove(clauses, &ProverConfig::default());
-    Ok(matches!(result, ProveResult::Proved))
+    Ok(prove(clauses, config, budget)? == ProveResult::Proved)
 }

@@ -256,23 +256,11 @@ fn factors(c: &Clause) -> Vec<Clause> {
     out
 }
 
-/// Run the given-clause loop on the input set (plus equality axioms).
-pub fn prove(input: Vec<Clause>, config: &ProverConfig) -> ProveResult {
-    prove_inner(input, config, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
-}
-
-/// Budgeted given-clause loop: one fuel unit per iteration, with the
-/// deadline polled cooperatively. `Err` means the budget ran dry before the
-/// configured effort limits did — distinguishable from an honest `GaveUp`.
-pub fn prove_budgeted(
-    input: Vec<Clause>,
-    config: &ProverConfig,
-    budget: &Budget,
-) -> Result<ProveResult, Exhaustion> {
-    prove_inner(input, config, budget)
-}
-
-fn prove_inner(
+/// Run the given-clause loop on the input set (plus equality axioms): one
+/// fuel unit per iteration, with the deadline polled cooperatively. `Err`
+/// means the budget ran dry before the configured effort limits did —
+/// distinguishable from an honest `GaveUp`.
+pub fn prove(
     input: Vec<Clause>,
     config: &ProverConfig,
     budget: &Budget,
@@ -377,7 +365,7 @@ mod tests {
             clauses.extend(clausify(&form(h)).unwrap());
         }
         clauses.extend(clausify(&Form::not(form(goal))).unwrap());
-        prove(clauses, &ProverConfig::default()) == ProveResult::Proved
+        prove(clauses, &ProverConfig::default(), &Budget::unlimited()) == Ok(ProveResult::Proved)
     }
 
     #[test]
@@ -430,8 +418,8 @@ mod tests {
         let goal = form("EX x. p x --> (ALL y. p y)");
         let clauses = clausify(&Form::not(goal)).unwrap();
         assert_eq!(
-            prove(clauses, &ProverConfig::default()),
-            ProveResult::Proved
+            prove(clauses, &ProverConfig::default(), &Budget::unlimited()),
+            Ok(ProveResult::Proved)
         );
     }
 
@@ -475,11 +463,11 @@ mod tests {
         clauses.extend(clausify(&Form::not(form("r a d"))).unwrap());
         let tiny = Budget::with_fuel(1);
         assert_eq!(
-            prove_budgeted(clauses.clone(), &ProverConfig::default(), &tiny),
+            prove(clauses.clone(), &ProverConfig::default(), &tiny),
             Err(Exhaustion::Fuel)
         );
         assert_eq!(
-            prove_budgeted(clauses, &ProverConfig::default(), &Budget::unlimited()),
+            prove(clauses, &ProverConfig::default(), &Budget::unlimited()),
             Ok(ProveResult::Proved)
         );
     }

@@ -222,12 +222,14 @@ fn reach_axioms(f: Symbol) -> Vec<Form> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fol_valid;
+    use crate::{fol_valid, ProverConfig};
     use jahob_logic::form;
+    use jahob_util::budget::Budget;
     use std::rc::Rc;
 
     fn valid(src: &str) -> bool {
-        fol_valid(&form(src)).unwrap_or_else(|e| panic!("{src:?}: {e}"))
+        fol_valid(&form(src), &ProverConfig::default(), &Budget::unlimited())
+            .unwrap_or_else(|e| panic!("{src:?}: {e}"))
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! witnesses a natural-deduction derivation of `hypotheses ⊢ conclusion`
 //! through the ~10 rules below — the LCF discipline.
 //!
-//! The tactics do not build `Thm`s yet. [`auto_governed`], the only entry
-//! point the dispatcher calls, returns an unchecked [`TacticResult::Proved`],
-//! and no `Thm` is built outside this crate's unit tests. So the trusted
+//! The tactics do not build `Thm`s yet. [`auto`], behind the
+//! [`auto_proves`] entry the dispatcher calls, returns an unchecked
+//! [`TacticResult::Proved`], and no `Thm` is built outside this crate's
+//! unit tests. So the trusted
 //! base for a hol-auto proof today is the tactic code plus
 //! [`jahob_logic::transform::simplify`], not the kernel.
 
@@ -230,27 +231,18 @@ pub enum TacticResult {
 /// disjunctions. Complete for the propositional structure of Jahob's
 /// residual obligations; anything deeper is left to the decision procedures.
 ///
-/// Search is budgeted: case-splitting over many disjunctive hypotheses is
+/// Search is bounded: case-splitting over many disjunctive hypotheses is
 /// exponential, and `auto` is the cheap front of a portfolio — it must fail
-/// fast rather than search hard.
-pub fn auto(goal: &Goal, depth: u32) -> TacticResult {
-    auto_governed(goal, depth, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
+/// fast rather than search hard. Every expansion charges the caller's
+/// [`Budget`], so a portfolio deadline can cut the tactic short; the
+/// internal 800-step fail-fast bound is independent of it and still yields
+/// `Stuck`, not exhaustion.
+pub fn auto(goal: &Goal, depth: u32, governor: &Budget) -> Result<TacticResult, Exhaustion> {
+    let mut steps = 800usize;
+    search(goal, depth, &mut steps, governor)
 }
 
-/// Budgeted [`auto`]: the same search, but every expansion also charges the
-/// caller's [`Budget`] so a portfolio deadline can cut the tactic short. The
-/// internal 800-step fail-fast fuel is independent of the caller's budget
-/// and still yields `Stuck`, not exhaustion.
-pub fn auto_governed(
-    goal: &Goal,
-    depth: u32,
-    governor: &Budget,
-) -> Result<TacticResult, Exhaustion> {
-    let mut budget = 800usize;
-    auto_budgeted(goal, depth, &mut budget, governor)
-}
-
-fn auto_budgeted(
+fn search(
     goal: &Goal,
     depth: u32,
     budget: &mut usize,
@@ -305,9 +297,7 @@ fn auto_budgeted(
                         hyps: g.hyps.clone(),
                         target: p,
                     };
-                    if let TacticResult::Stuck(mut s) =
-                        auto_budgeted(&sub, depth - 1, budget, governor)?
-                    {
+                    if let TacticResult::Stuck(mut s) = search(&sub, depth - 1, budget, governor)? {
                         stuck.append(&mut s);
                     }
                 }
@@ -371,7 +361,7 @@ fn auto_budgeted(
                 hyps,
                 target: g.target.clone(),
             };
-            if let TacticResult::Stuck(mut s) = auto_budgeted(&sub, depth - 1, budget, governor)? {
+            if let TacticResult::Stuck(mut s) = search(&sub, depth - 1, budget, governor)? {
                 stuck.append(&mut s);
             }
         }
@@ -388,7 +378,7 @@ fn auto_budgeted(
                 hyps: g.hyps.clone(),
                 target: p.clone(),
             };
-            if auto_budgeted(&sub, depth - 1, budget, governor)? == TacticResult::Proved {
+            if search(&sub, depth - 1, budget, governor)? == TacticResult::Proved {
                 return Ok(TacticResult::Proved);
             }
         }
@@ -399,21 +389,9 @@ fn auto_budgeted(
     )]))
 }
 
-/// Convenience: is `φ` provable by `auto` from no hypotheses?
-pub fn auto_proves(phi: &Form) -> bool {
-    auto(
-        &Goal {
-            hyps: Vec::new(),
-            target: phi.clone(),
-        },
-        16,
-    ) == TacticResult::Proved
-}
-
-/// Budgeted [`auto_proves`], for portfolio callers that must honor a
-/// per-obligation deadline.
-pub fn auto_proves_governed(phi: &Form, governor: &Budget) -> Result<bool, Exhaustion> {
-    Ok(auto_governed(
+/// Is `φ` provable by `auto` from no hypotheses, within `governor`?
+pub fn auto_proves(phi: &Form, governor: &Budget) -> Result<bool, Exhaustion> {
+    Ok(auto(
         &Goal {
             hyps: Vec::new(),
             target: phi.clone(),
@@ -488,24 +466,26 @@ mod tests {
 
     #[test]
     fn auto_structural() {
-        assert!(auto_proves(&form("p --> p")));
-        assert!(auto_proves(&form("p & q --> q & p")));
-        assert!(auto_proves(&form("p --> p | q")));
-        assert!(auto_proves(&form(
-            "(p | q) --> (p --> r) --> (q --> r) --> r"
-        )));
-        assert!(auto_proves(&form("a & (b & c) --> c")));
-        assert!(!auto_proves(&form("p --> q")));
-        assert!(!auto_proves(&form("p | q --> p")));
+        assert!(auto_proves(&form("p --> p"), &Budget::unlimited()).unwrap());
+        assert!(auto_proves(&form("p & q --> q & p"), &Budget::unlimited()).unwrap());
+        assert!(auto_proves(&form("p --> p | q"), &Budget::unlimited()).unwrap());
+        assert!(auto_proves(
+            &form("(p | q) --> (p --> r) --> (q --> r) --> r"),
+            &Budget::unlimited()
+        )
+        .unwrap());
+        assert!(auto_proves(&form("a & (b & c) --> c"), &Budget::unlimited()).unwrap());
+        assert!(!auto_proves(&form("p --> q"), &Budget::unlimited()).unwrap());
+        assert!(!auto_proves(&form("p | q --> p"), &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn governor_cuts_auto_short() {
         let phi = form("(p | q) --> (p --> r) --> (q --> r) --> r");
         let starved = Budget::with_fuel(1);
-        assert_eq!(auto_proves_governed(&phi, &starved), Err(Exhaustion::Fuel));
+        assert_eq!(auto_proves(&phi, &starved), Err(Exhaustion::Fuel));
         let roomy = Budget::with_fuel(1_000_000);
-        assert_eq!(auto_proves_governed(&phi, &roomy), Ok(true));
+        assert_eq!(auto_proves(&phi, &roomy), Ok(true));
     }
 
     #[test]
@@ -513,15 +493,17 @@ mod tests {
         // Regression: modus ponens on `p --> q & r` derives `q & r`, which
         // enters the hypotheses only as its flattened parts — saturation
         // used to re-derive it every round and never reach its fixpoint.
-        assert!(auto_proves(&form("p & (p --> q & r) --> q")));
-        assert!(!auto_proves(&form("p & (p --> q & r) --> s")));
+        assert!(auto_proves(&form("p & (p --> q & r) --> q"), &Budget::unlimited()).unwrap());
+        assert!(!auto_proves(&form("p & (p --> q & r) --> s"), &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn auto_with_sets() {
         // Structural reasoning over opaque set atoms.
-        assert!(auto_proves(&form(
-            "x : S & S Int T = {} --> (S Int T = {} & x : S)"
-        )));
+        assert!(auto_proves(
+            &form("x : S & S Int T = {} --> (S Int T = {} & x : S)"),
+            &Budget::unlimited()
+        )
+        .unwrap());
     }
 }

@@ -49,57 +49,16 @@
 //! next use, solver and grounder roll back to the mark taken after the
 //! hypotheses. The answer is the one a fresh grounding gives: sessions
 //! change how fast it comes, and which counter-model, never whether one
-//! exists. The free functions are one-goal sessions.
+//! exists. [`find_model`], the one free search, is a one-goal session.
 
 use jahob_logic::model::{Key, Model, Value};
 use jahob_logic::sequent;
 use jahob_logic::{BinOp, Form, QKind, Sort, UnOp};
 use jahob_sat::{CnfBuilder, CnfMark, Lit, SolveResult, Solver, Var};
-use jahob_util::budget::{Budget, Exhaustion};
+use jahob_util::budget::{unsupported, Budget, Failure};
 use jahob_util::{FxHashMap, FxHashSet, Symbol};
 use std::collections::BTreeSet;
-use std::fmt;
 use std::rc::Rc;
-
-/// Grounding failure: construct outside the boundable fragment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroundError {
-    pub message: String,
-}
-
-impl fmt::Display for GroundError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cannot ground: {}", self.message)
-    }
-}
-
-impl std::error::Error for GroundError {}
-
-/// Why a budgeted model search did not produce an answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ModelsFailure {
-    /// The goal is outside the boundable fragment — route it elsewhere.
-    Fragment(GroundError),
-    /// The budget ran out mid-search.
-    Exhausted(Exhaustion),
-}
-
-impl fmt::Display for ModelsFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ModelsFailure::Fragment(e) => e.fmt(f),
-            ModelsFailure::Exhausted(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for ModelsFailure {}
-
-fn err<T>(message: impl Into<String>) -> Result<T, GroundError> {
-    Err(GroundError {
-        message: message.into(),
-    })
-}
 
 /// What a symbol is, for encoding purposes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -201,7 +160,7 @@ impl Grounder {
         true
     }
 
-    fn kind_of(&self, name: Symbol) -> Result<Kind, GroundError> {
+    fn kind_of(&self, name: Symbol) -> Result<Kind, Failure> {
         match self.sorts.get(&name).and_then(Option::as_ref) {
             Some(Sort::Obj) => Ok(Kind::Obj),
             Some(Sort::Bool) => Ok(Kind::Bool),
@@ -216,8 +175,8 @@ impl Grounder {
             {
                 Ok(Kind::ObjPred)
             }
-            Some(other) => err(format!("symbol `{name}` has unboundable sort {other}")),
-            None => err(format!("symbol `{name}` not in signature")),
+            Some(other) => unsupported(format!("symbol `{name}` has unboundable sort {other}")),
+            None => unsupported(format!("symbol `{name}` not in signature")),
         }
     }
 
@@ -253,7 +212,7 @@ impl Grounder {
     /// The literal of hypothesis `hyp`, numbered `id` in the session,
     /// grounded on first use. One that does not ground leaves nothing
     /// behind.
-    fn hypothesis(&mut self, id: usize, hyp: &Form) -> Result<Lit, GroundError> {
+    fn hypothesis(&mut self, id: usize, hyp: &Form) -> Result<Lit, Failure> {
         if let Some(&Some(lit)) = self.hyps.get(id) {
             return Ok(lit);
         }
@@ -393,7 +352,7 @@ impl Grounder {
     // ---- term encodings -----------------------------------------------------
 
     /// Encode an object term. `env` maps binders to concrete object ids.
-    fn obj(&mut self, form: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Obj, GroundError> {
+    fn obj(&mut self, form: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Obj, Failure> {
         match form {
             Form::Null => Ok(Obj::Const(0)),
             Form::Var(name) => {
@@ -402,7 +361,7 @@ impl Grounder {
                 }
                 match self.kind_of(*name)? {
                     Kind::Obj => Ok(Obj::Bits(self.obj_var_bits(*name))),
-                    other => err(format!("`{name}` used as object but is {other:?}")),
+                    other => unsupported(format!("`{name}` used as object but is {other:?}")),
                 }
             }
             Form::App(head, args) => {
@@ -417,7 +376,7 @@ impl Grounder {
                 } else if args.len() == 1 {
                     (self.fun_matrix_term(head, env)?, &args[0])
                 } else {
-                    return err(format!("non-unary application `{form}`"));
+                    return unsupported(format!("non-unary application `{form}`"));
                 };
                 let arg = self.obj(arg_term, env)?;
                 Ok(Obj::Bits(match arg {
@@ -443,7 +402,7 @@ impl Grounder {
                         .collect(),
                 ))
             }
-            other => err(format!("object term expected: `{other}`")),
+            other => unsupported(format!("object term expected: `{other}`")),
         }
     }
 
@@ -453,11 +412,11 @@ impl Grounder {
         &mut self,
         form: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Matrix, GroundError> {
+    ) -> Result<Matrix, Failure> {
         match form {
             Form::Var(name) => match self.kind_of(*name)? {
                 Kind::Field => Ok(self.field_matrix(*name)),
-                other => err(format!("`{name}` used as field but is {other:?}")),
+                other => unsupported(format!("`{name}` used as field but is {other:?}")),
             },
             Form::App(head, args) => {
                 // fieldWrite f at val — possibly nested.
@@ -482,24 +441,20 @@ impl Grounder {
                         return Ok(out);
                     }
                 }
-                err(format!("function-valued term expected: `{form}`"))
+                unsupported(format!("function-valued term expected: `{form}`"))
             }
-            other => err(format!("function-valued term expected: `{other}`")),
+            other => unsupported(format!("function-valued term expected: `{other}`")),
         }
     }
 
     /// Encode a set term as a membership vector.
-    fn set_bits(
-        &mut self,
-        form: &Form,
-        env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Vec<Lit>, GroundError> {
+    fn set_bits(&mut self, form: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Vec<Lit>, Failure> {
         let w = width(self.n);
         match form {
             Form::EmptySet => Ok(vec![self.constant(false); w]),
             Form::Var(name) => match self.kind_of(*name)? {
                 Kind::ObjSet => Ok(self.entity(*name).0),
-                other => err(format!("`{name}` used as set but is {other:?}")),
+                other => unsupported(format!("`{name}` used as set but is {other:?}")),
             },
             Form::FiniteSet(elems) => {
                 let mut cases: Vec<Vec<Lit>> = vec![Vec::new(); w];
@@ -534,7 +489,7 @@ impl Grounder {
                 }
                 Ok(out)
             }
-            other => err(format!("set term expected: `{other}`")),
+            other => unsupported(format!("set term expected: `{other}`")),
         }
     }
 
@@ -542,12 +497,12 @@ impl Grounder {
         &mut self,
         parts: &[Form],
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Vec<Lit>, GroundError> {
+    ) -> Result<Vec<Lit>, Failure> {
         parts.iter().map(|p| self.bool_lit(p, env)).collect()
     }
 
     /// Encode a boolean formula.
-    fn bool_lit(&mut self, form: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Lit, GroundError> {
+    fn bool_lit(&mut self, form: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Lit, Failure> {
         let w = width(self.n);
         match form {
             Form::BoolLit(b) => Ok(self.constant(*b)),
@@ -589,7 +544,7 @@ impl Grounder {
                 let mut expanded = vec![env.clone()];
                 for (name, sort) in binders {
                     if !matches!(sort, Sort::Obj | Sort::Var(_)) {
-                        return err(format!("quantifier over non-obj binder `{name}`"));
+                        return unsupported(format!("quantifier over non-obj binder `{name}`"));
                     }
                     let mut next = Vec::with_capacity(expanded.len() * w);
                     for e in &expanded {
@@ -625,13 +580,13 @@ impl Grounder {
                         }
                     }
                 }
-                err(format!("unsupported atom `{form}`"))
+                unsupported(format!("unsupported atom `{form}`"))
             }
             Form::Var(name) => match self.kind_of(*name)? {
                 Kind::Bool => Ok(self.entity(*name).0[0]),
-                other => err(format!("`{name}` used as boolean but is {other:?}")),
+                other => unsupported(format!("`{name}` used as boolean but is {other:?}")),
             },
-            other => err(format!("unsupported formula `{other}`")),
+            other => unsupported(format!("unsupported formula `{other}`")),
         }
     }
 
@@ -640,7 +595,7 @@ impl Grounder {
         a: &Form,
         b: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Lit, GroundError> {
+    ) -> Result<Lit, Failure> {
         // Try object equality first, then set, then function, then bool.
         if let (Ok(ab), Ok(bb)) = (self.obj_try(a, env), self.obj_try(b, env)) {
             return Ok(match (ab, bb) {
@@ -667,7 +622,7 @@ impl Grounder {
         Ok(self.iff(ap, bp))
     }
 
-    fn obj_try(&mut self, f: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Obj, GroundError> {
+    fn obj_try(&mut self, f: &Form, env: &FxHashMap<Symbol, u32>) -> Result<Obj, Failure> {
         // Cheap syntactic pre-check to avoid committing variable kinds
         // incorrectly.
         match f {
@@ -676,7 +631,7 @@ impl Grounder {
                 if env.contains_key(name) || self.kind_of(*name)? == Kind::Obj {
                     self.obj(f, env)
                 } else {
-                    err("not an object")
+                    unsupported("not an object")
                 }
             }
             Form::App(head, args) if args.len() == 1 => {
@@ -689,7 +644,7 @@ impl Grounder {
                     {
                         self.obj(f, env)
                     }
-                    _ => err("not an object application"),
+                    _ => unsupported("not an object application"),
                 }
             }
             Form::App(head, args) if args.len() == 4 => {
@@ -700,10 +655,10 @@ impl Grounder {
                         let rebuilt = Form::App(Rc::new(fun), vec![args[3].clone()]);
                         self.obj(&rebuilt, env)
                     }
-                    _ => err("not an object application"),
+                    _ => unsupported("not an object application"),
                 }
             }
-            _ => err("not an object term"),
+            _ => unsupported("not an object term"),
         }
     }
 
@@ -711,14 +666,14 @@ impl Grounder {
         &mut self,
         f: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Vec<Lit>, GroundError> {
+    ) -> Result<Vec<Lit>, Failure> {
         match f {
             Form::EmptySet
             | Form::FiniteSet(_)
             | Form::Compr(_, _, _)
             | Form::Binop(BinOp::Union | BinOp::Inter | BinOp::Diff, _, _) => self.set_bits(f, env),
             Form::Var(name) if self.kind_of(*name) == Ok(Kind::ObjSet) => self.set_bits(f, env),
-            _ => err("not a set term"),
+            _ => unsupported("not a set term"),
         }
     }
 
@@ -726,7 +681,7 @@ impl Grounder {
         &mut self,
         f: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Matrix, GroundError> {
+    ) -> Result<Matrix, Failure> {
         match f {
             Form::Var(name) if self.kind_of(*name) == Ok(Kind::Field) => {
                 self.fun_matrix_term(f, env)
@@ -735,9 +690,9 @@ impl Grounder {
                 Form::Var(h) if h.as_str() == jahob_logic::form::sym::FIELD_WRITE => {
                     self.fun_matrix_term(f, env)
                 }
-                _ => err("not a function term"),
+                _ => unsupported("not a function term"),
             },
-            _ => err("not a function term"),
+            _ => unsupported("not a function term"),
         }
     }
 
@@ -750,12 +705,12 @@ impl Grounder {
         from: &Form,
         to: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Lit, GroundError> {
+    ) -> Result<Lit, Failure> {
         let Form::Lambda(binders, body) = lambda else {
-            return err("rtrancl_pt needs a lambda edge");
+            return unsupported("rtrancl_pt needs a lambda edge");
         };
         if binders.len() != 2 {
-            return err("rtrancl_pt lambda must be binary");
+            return unsupported("rtrancl_pt lambda must be binary");
         }
         let r = self.closure(binders[0].0, binders[1].0, body, env)?;
         let fb = self.obj(from, env)?;
@@ -787,7 +742,7 @@ impl Grounder {
         y: Symbol,
         body: &Form,
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Rc<Matrix>, GroundError> {
+    ) -> Result<Rc<Matrix>, Failure> {
         let key = closure_key(x, y, body, env);
         if let Some(r) = self.closures.get(&key) {
             return Ok(Rc::clone(r));
@@ -845,7 +800,7 @@ impl Grounder {
         &mut self,
         fields: &[Form],
         env: &FxHashMap<Symbol, u32>,
-    ) -> Result<Lit, GroundError> {
+    ) -> Result<Lit, Failure> {
         let w = width(self.n);
         let matrices = fields
             .iter()
@@ -956,13 +911,12 @@ impl Grounder {
     /// grounder), take a mark, and assert the rest under an activation
     /// literal and solve with it assumed. The grounder keeps the
     /// hypotheses; the goal goes at the next [`Grounder::retract`].
-    fn search(&mut self, query: &Query, budget: &Budget) -> Result<Option<Model>, ModelsFailure> {
+    fn search(&mut self, query: &Query, budget: &Budget) -> Result<Option<Model>, Failure> {
         let hyps = query
             .hyps
             .iter()
             .map(|&(id, h)| self.hypothesis(id, h))
-            .collect::<Result<Vec<Lit>, _>>()
-            .map_err(ModelsFailure::Fragment)?;
+            .collect::<Result<Vec<Lit>, _>>()?;
         self.goal = Some(self.mark());
         self.solve(query, &hyps, budget)
     }
@@ -972,10 +926,8 @@ impl Grounder {
         query: &Query,
         hyps: &[Lit],
         budget: &Budget,
-    ) -> Result<Option<Model>, ModelsFailure> {
-        let target = self
-            .bool_lit(&query.target, &FxHashMap::default())
-            .map_err(ModelsFailure::Fragment)?;
+    ) -> Result<Option<Model>, Failure> {
+        let target = self.bool_lit(&query.target, &FxHashMap::default())?;
         let act = self.solver.new_var().positive();
         for &lit in hyps.iter().chain([&target]) {
             self.solver.add_clause(&[act.negate(), lit]);
@@ -997,12 +949,8 @@ impl Grounder {
         // models — is empty).
         const MAX_SPURIOUS: usize = 64;
         for _ in 0..=MAX_SPURIOUS {
-            budget.check().map_err(ModelsFailure::Exhausted)?;
-            match self
-                .solver
-                .solve_with_assumptions_budgeted(&[act], budget)
-                .map_err(ModelsFailure::Exhausted)?
-            {
+            budget.check()?;
+            match self.solver.solve_with_assumptions(&[act], budget)? {
                 SolveResult::Unsat => return Ok(None),
                 SolveResult::Sat(model) => {
                     let decoded = self.decode(&model, &entities);
@@ -1021,15 +969,15 @@ impl Grounder {
                             self.solver.add_clause(&clause);
                         }
                         Err(e) => {
-                            return err(format!("internal: decoded model not evaluable: {e}"))
-                                .map_err(ModelsFailure::Fragment)
+                            return unsupported(format!(
+                                "internal: decoded model not evaluable: {e}"
+                            ))
                         }
                     }
                 }
             }
         }
-        err("internal: too many spurious models (encoding mismatch)")
-            .map_err(ModelsFailure::Fragment)
+        unsupported("internal: too many spurious models (encoding mismatch)")
     }
 
     /// Value precedence under `act` over the object constants among
@@ -1135,7 +1083,7 @@ impl Session {
         sig: &FxHashMap<Symbol, Sort>,
         bound: u32,
         budget: &Budget,
-    ) -> Result<BmcVerdict, ModelsFailure> {
+    ) -> Result<BmcVerdict, Failure> {
         let query = self.refuting(goal, sig);
         for universe in 1..=bound {
             if let Some(model) = self.search(&query, universe, budget)? {
@@ -1152,7 +1100,7 @@ impl Session {
         sig: &FxHashMap<Symbol, Sort>,
         universe: u32,
         budget: &Budget,
-    ) -> Result<Option<Model>, ModelsFailure> {
+    ) -> Result<Option<Model>, Failure> {
         let query = self.refuting(goal, sig);
         self.search(&query, universe, budget)
     }
@@ -1198,7 +1146,7 @@ impl Session {
         query: &Query,
         universe: u32,
         budget: &Budget,
-    ) -> Result<Option<Model>, ModelsFailure> {
+    ) -> Result<Option<Model>, Failure> {
         let found = self.grounder(universe, &query.names).search(query, budget);
         self.busy = false;
         found
@@ -1226,52 +1174,17 @@ impl Session {
     }
 }
 
-/// Search for a model of `form` with `universe` proper objects. A found
-/// model is re-checked with the reference evaluator before being returned.
+/// Search for a model of `form` with `universe` proper objects, a
+/// one-goal session: the SAT searches and the spurious-model loop consume
+/// the caller's budget. A found model is re-checked with the reference
+/// evaluator before being returned.
 pub fn find_model(
     form: &Form,
     sig: &FxHashMap<Symbol, Sort>,
     universe: u32,
-) -> Result<Option<Model>, GroundError> {
-    match find_model_budgeted(form, sig, universe, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(ModelsFailure::Fragment(e)) => Err(e),
-        Err(ModelsFailure::Exhausted(_)) => unreachable!("unlimited budget"),
-    }
-}
-
-/// Budgeted [`find_model`], a one-goal session: the SAT searches and the
-/// spurious-model loop consume the caller's budget.
-pub fn find_model_budgeted(
-    form: &Form,
-    sig: &FxHashMap<Symbol, Sort>,
-    universe: u32,
     budget: &Budget,
-) -> Result<Option<Model>, ModelsFailure> {
+) -> Result<Option<Model>, Failure> {
     Session::new().search(&Query::model_of(form, sig), universe, budget)
-}
-
-/// Search for a counter-model of `goal` within the bound.
-pub fn refute(
-    goal: &Form,
-    sig: &FxHashMap<Symbol, Sort>,
-    universe: u32,
-) -> Result<Option<Model>, GroundError> {
-    match refute_budgeted(goal, sig, universe, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(ModelsFailure::Fragment(e)) => Err(e),
-        Err(ModelsFailure::Exhausted(_)) => unreachable!("unlimited budget"),
-    }
-}
-
-/// Budgeted [`refute`], a one-goal session.
-pub fn refute_budgeted(
-    goal: &Form,
-    sig: &FxHashMap<Symbol, Sort>,
-    universe: u32,
-    budget: &Budget,
-) -> Result<Option<Model>, ModelsFailure> {
-    Session::new().refute(goal, sig, universe, budget)
 }
 
 /// Verdict of the bounded-validity check.
@@ -1284,35 +1197,12 @@ pub enum BmcVerdict {
     CounterModel(Box<Model>),
 }
 
-/// Bounded validity at an explicit bound.
-pub fn bmc_valid_with_bound(
-    goal: &Form,
-    sig: &FxHashMap<Symbol, Sort>,
-    bound: u32,
-) -> Result<BmcVerdict, GroundError> {
-    match bmc_valid_with_bound_budgeted(goal, sig, bound, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(ModelsFailure::Fragment(e)) => Err(e),
-        Err(ModelsFailure::Exhausted(_)) => unreachable!("unlimited budget"),
-    }
-}
-
-/// Budgeted [`bmc_valid_with_bound`]: [`Session::bmc_valid`] in a
-/// one-goal session.
-pub fn bmc_valid_with_bound_budgeted(
-    goal: &Form,
-    sig: &FxHashMap<Symbol, Sort>,
-    bound: u32,
-    budget: &Budget,
-) -> Result<BmcVerdict, ModelsFailure> {
-    Session::new().bmc_valid(goal, sig, bound, budget)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use jahob_logic::form;
     use jahob_logic::model::enumerate_models;
+    use jahob_util::budget::Exhaustion;
     use proptest::prelude::*;
 
     fn sig() -> FxHashMap<Symbol, Sort> {
@@ -1339,7 +1229,7 @@ mod tests {
         form: &Form,
         sig: &FxHashMap<Symbol, Sort>,
         universe: u32,
-    ) -> Result<Grounder, GroundError> {
+    ) -> Result<Grounder, Failure> {
         let mut grounder = Grounder::new(universe);
         grounder.adopt(&names(form, sig));
         let root = grounder.bool_lit(form, &FxHashMap::default())?;
@@ -1352,10 +1242,15 @@ mod tests {
     /// precedence, must agree.
     fn has_model(src: &str, n: u32) -> bool {
         let s = sig();
-        let found = find_model(&form(src), &s, n)
+        let found = find_model(&form(src), &s, n, &Budget::unlimited())
             .unwrap_or_else(|e| panic!("{src:?}: {e}"))
             .is_some();
-        let raw = encode(&form(src), &s, n).unwrap().solver.solve().is_sat();
+        let raw = encode(&form(src), &s, n)
+            .unwrap()
+            .solver
+            .solve(&Budget::unlimited())
+            .unwrap()
+            .is_sat();
         assert_eq!(raw, found, "{src:?}: the encoding is not exact");
         found
     }
@@ -1365,14 +1260,14 @@ mod tests {
         let goal = form("x ~= null & y ~= null & z ~= null & x ~= y & y ~= z & x ~= z");
         let starved = Budget::with_fuel(1);
         assert_eq!(
-            find_model_budgeted(&goal, &sig(), 3, &starved)
+            find_model(&goal, &sig(), 3, &starved)
                 .map(|m| m.is_some())
-                .map_err(|e| matches!(e, ModelsFailure::Exhausted(Exhaustion::Fuel))),
+                .map_err(|e| matches!(e, Failure::Exhausted(Exhaustion::Fuel))),
             Err(true)
         );
         let roomy = Budget::with_fuel(50_000_000);
         assert_eq!(
-            find_model_budgeted(&goal, &sig(), 3, &roomy).map(|m| m.is_some()),
+            find_model(&goal, &sig(), 3, &roomy).map(|m| m.is_some()),
             Ok(true)
         );
     }
@@ -1517,12 +1412,28 @@ mod tests {
     fn bmc_validity_verdicts() {
         let s = sig();
         // Valid: congruence.
-        match bmc_valid_with_bound(&form("x = y --> x..next = y..next"), &s, 3).unwrap() {
+        match Session::new()
+            .bmc_valid(
+                &form("x = y --> x..next = y..next"),
+                &s,
+                3,
+                &Budget::unlimited(),
+            )
+            .unwrap()
+        {
             BmcVerdict::ValidUpTo(_) => {}
             BmcVerdict::CounterModel(m) => panic!("spurious counter-model {m:?}"),
         }
         // Invalid with a genuine counter-model.
-        match bmc_valid_with_bound(&form("x..next = y..next --> x = y"), &s, 3).unwrap() {
+        match Session::new()
+            .bmc_valid(
+                &form("x..next = y..next --> x = y"),
+                &s,
+                3,
+                &Budget::unlimited(),
+            )
+            .unwrap()
+        {
             BmcVerdict::CounterModel(_) => {}
             BmcVerdict::ValidUpTo(b) => panic!("should find counter-model within {b}"),
         }
@@ -1538,7 +1449,10 @@ mod tests {
             "tree [next] & first ~= null & x ~= null & x ~= first & x..next = null \
              --> rtrancl_pt (% a c. fieldWrite next x first a = c) x first",
         );
-        match bmc_valid_with_bound(&goal, &s, 4).unwrap() {
+        match Session::new()
+            .bmc_valid(&goal, &s, 4, &Budget::unlimited())
+            .unwrap()
+        {
             BmcVerdict::ValidUpTo(_) => {}
             BmcVerdict::CounterModel(m) => panic!("spurious counter-model: {m:?}"),
         }
@@ -1558,27 +1472,29 @@ mod tests {
         // plumbing end to end on a nontrivial formula).
         let s = sig();
         let f = form("x ~= null & x : S & S <= T & rtrancl_pt (% a c. a..next = c) first x");
-        let m = find_model(&f, &s, 3).unwrap().expect("satisfiable");
+        let m = find_model(&f, &s, 3, &Budget::unlimited())
+            .unwrap()
+            .expect("satisfiable");
         assert_eq!(m.eval_bool(&f), Ok(true));
     }
 
     #[test]
     fn rejects_unboundable() {
         let s = sig();
-        assert!(find_model(&form("card S = 2"), &s, 2).is_err());
-        assert!(find_model(&form("k + 1 <= k2"), &s, 2).is_err());
+        assert!(find_model(&form("card S = 2"), &s, 2, &Budget::unlimited()).is_err());
+        assert!(find_model(&form("k + 1 <= k2"), &s, 2, &Budget::unlimited()).is_err());
     }
 
     // ---- sessions ------------------------------------------------------------
 
     /// `goal`'s bounded verdict: `V` valid up to 3, `C` a counter-model,
     /// `-` outside the fragment.
-    fn verdict(found: Result<BmcVerdict, ModelsFailure>) -> char {
+    fn verdict(found: Result<BmcVerdict, Failure>) -> char {
         match found {
             Ok(BmcVerdict::ValidUpTo(_)) => 'V',
             Ok(BmcVerdict::CounterModel(_)) => 'C',
-            Err(ModelsFailure::Fragment(_)) => '-',
-            Err(ModelsFailure::Exhausted(_)) => 'E',
+            Err(Failure::Unsupported(_)) => '-',
+            Err(Failure::Exhausted(_)) => 'E',
         }
     }
 
@@ -1630,7 +1546,7 @@ mod tests {
         // out at its last step, in the universe-3 search.
         let roomy = Budget::with_fuel(1_000_000);
         assert_eq!(
-            verdict(bmc_valid_with_bound_budgeted(&three, &s, 3, &roomy)),
+            verdict(Session::new().bmc_valid(&three, &s, 3, &roomy)),
             'C'
         );
         let starved = Budget::with_fuel(1_000_000 - roomy.fuel_remaining() - 1);
@@ -1638,12 +1554,7 @@ mod tests {
         assert_eq!(verdict(session.bmc_valid(&three, &s, 3, &starved)), 'E');
         assert!(session.grounders[3].goal.is_some());
         for goal in [&valid, &three] {
-            let fresh = verdict(bmc_valid_with_bound_budgeted(
-                goal,
-                &s,
-                3,
-                &Budget::unlimited(),
-            ));
+            let fresh = verdict(Session::new().bmc_valid(goal, &s, 3, &Budget::unlimited()));
             assert_eq!(
                 verdict(session.bmc_valid(goal, &s, 3, &Budget::unlimited())),
                 fresh,
@@ -1673,12 +1584,7 @@ mod tests {
         ];
         let mut session = Session::new();
         for (goal, sig, want) in pieces {
-            let fresh = verdict(bmc_valid_with_bound_budgeted(
-                &goal,
-                sig,
-                3,
-                &Budget::unlimited(),
-            ));
+            let fresh = verdict(Session::new().bmc_valid(&goal, sig, 3, &Budget::unlimited()));
             assert_eq!(fresh, want, "{goal}");
             assert_eq!(
                 verdict(session.bmc_valid(&goal, sig, 3, &Budget::unlimited())),
@@ -1838,13 +1744,13 @@ mod tests {
             let null_to_null = Form::eq(Form::app(v("next"), vec![Form::Null]), Form::Null);
             for n in 1..=2 {
                 let mut grounder = encode(&f, &sig, n).unwrap_or_else(|e| panic!("{f}: {e}"));
-                let encoded = grounder.solver.solve().is_sat();
+                let encoded = grounder.solver.solve(&Budget::unlimited()).unwrap().is_sat();
                 let mut satisfied = false;
                 enumerate_models(n, (0, 0), &syms, &mut |m| {
                     if m.eval_bool(&null_to_null) == Ok(true) {
                         let holds = m.eval_bool(&f) == Ok(true);
                         let fixed = fixed_to(&grounder, m);
-                        let sat = grounder.solver.solve_with_assumptions(&fixed).is_sat();
+                        let sat = grounder.solver.solve_with_assumptions(&fixed, &Budget::unlimited()).unwrap().is_sat();
                         assert_eq!(sat, holds, "universe {n} at {:?}: {f}", m.interp);
                         satisfied |= holds;
                     }

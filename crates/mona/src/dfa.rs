@@ -78,15 +78,10 @@ impl Dfa {
         self.accept[q as usize]
     }
 
-    /// Product construction combining acceptance with `combine`.
-    pub fn product(&self, other: &Dfa, combine: impl Fn(bool, bool) -> bool) -> Dfa {
-        self.product_budgeted(other, combine, &Budget::unlimited())
-            .expect("unlimited budget cannot be exhausted")
-    }
-
-    /// Budgeted [`Dfa::product`]: fuel is charged per explored product
-    /// state, the unit in which the construction blows up.
-    pub fn product_budgeted(
+    /// Product construction combining acceptance with `combine`: fuel is
+    /// charged per explored product state, the unit in which the
+    /// construction blows up.
+    pub fn product(
         &self,
         other: &Dfa,
         combine: impl Fn(bool, bool) -> bool,
@@ -132,27 +127,17 @@ impl Dfa {
             accept,
             init: 0,
         }
-        .minimize_budgeted(budget)
+        .minimize(budget)
     }
 
     /// Intersection.
-    pub fn intersect(&self, other: &Dfa) -> Dfa {
-        self.product(other, |a, b| a && b)
-    }
-
-    /// Budgeted intersection.
-    pub fn intersect_budgeted(&self, other: &Dfa, budget: &Budget) -> Result<Dfa, Exhaustion> {
-        self.product_budgeted(other, |a, b| a && b, budget)
+    pub fn intersect(&self, other: &Dfa, budget: &Budget) -> Result<Dfa, Exhaustion> {
+        self.product(other, |a, b| a && b, budget)
     }
 
     /// Union.
-    pub fn union(&self, other: &Dfa) -> Dfa {
-        self.product(other, |a, b| a || b)
-    }
-
-    /// Budgeted union.
-    pub fn union_budgeted(&self, other: &Dfa, budget: &Budget) -> Result<Dfa, Exhaustion> {
-        self.product_budgeted(other, |a, b| a || b, budget)
+    pub fn union(&self, other: &Dfa, budget: &Budget) -> Result<Dfa, Exhaustion> {
+        self.product(other, |a, b| a || b, budget)
     }
 
     /// Complement (automata are complete, so flip acceptance).
@@ -174,14 +159,10 @@ impl Dfa {
     /// The projected automaton keeps the same number of tracks, with track
     /// `t` becoming irrelevant (both values of the bit behave identically).
     /// Keeping track indices stable simplifies the logic layer.
-    pub fn project(&self, t: usize) -> Dfa {
-        self.project_budgeted(t, &Budget::unlimited())
-            .expect("unlimited budget cannot be exhausted")
-    }
-
-    /// Budgeted [`Dfa::project`]: fuel is charged per explored subset state
-    /// of the determinization, where the exponential lives.
-    pub fn project_budgeted(&self, t: usize, budget: &Budget) -> Result<Dfa, Exhaustion> {
+    ///
+    /// Fuel is charged per explored subset state of the determinization,
+    /// where the exponential lives.
+    pub fn project(&self, t: usize, budget: &Budget) -> Result<Dfa, Exhaustion> {
         assert!(t < self.num_tracks);
         let sigma = self.alphabet();
         let bit = 1u32 << t;
@@ -262,15 +243,9 @@ impl Dfa {
     }
 
     /// Moore's minimization (partition refinement). Also removes
-    /// unreachable states.
-    pub fn minimize(&self) -> Dfa {
-        self.minimize_budgeted(&Budget::unlimited())
-            .expect("unlimited budget cannot be exhausted")
-    }
-
-    /// Budgeted [`Dfa::minimize`]: fuel is charged per state signature per
+    /// unreachable states. Fuel is charged per state signature per
     /// refinement round.
-    pub fn minimize_budgeted(&self, budget: &Budget) -> Result<Dfa, Exhaustion> {
+    pub fn minimize(&self, budget: &Budget) -> Result<Dfa, Exhaustion> {
         // Reachable states first.
         let mut reachable = vec![false; self.num_states()];
         let mut queue = VecDeque::new();
@@ -430,16 +405,19 @@ mod tests {
     fn product_intersection_union() {
         let a = even_ones();
         let b = contains_one();
-        let both = a.intersect(&b);
+        let both = a.intersect(&b, &Budget::unlimited()).unwrap();
         assert!(both.accepts(&[1, 1]));
         assert!(!both.accepts(&[1]));
         assert!(!both.accepts(&[]));
-        let either = a.union(&b);
+        let either = a.union(&b, &Budget::unlimited()).unwrap();
         assert!(either.accepts(&[]));
         assert!(either.accepts(&[1]));
         assert!(either.accepts(&[1, 1]));
         assert_eq!(
-            either.union(&Dfa::none(1)).accepts(&[1]),
+            either
+                .union(&Dfa::none(1), &Budget::unlimited())
+                .unwrap()
+                .accepts(&[1]),
             either.accepts(&[1]),
             "union with the empty language is identity"
         );
@@ -466,7 +444,7 @@ mod tests {
             accept: vec![true, false, true, false],
             init: 0,
         };
-        let m = d.minimize();
+        let m = d.minimize(&Budget::unlimited()).unwrap();
         assert_eq!(m.num_states(), 2);
         for w in [&[][..], &[1][..], &[1, 1][..], &[0, 1, 0, 1][..]] {
             assert_eq!(m.accepts(w), d.accepts(w));
@@ -481,7 +459,7 @@ mod tests {
             accept: vec![true, false],
             init: 0,
         };
-        let m = d.minimize();
+        let m = d.minimize(&Budget::unlimited()).unwrap();
         assert_eq!(m.num_states(), 1);
         assert!(m.accepts(&[1, 0]));
     }
@@ -492,7 +470,11 @@ mod tests {
         // or 11 only). Projecting track 1 should accept every word over
         // track 0 (any bit pattern can be matched).
         let eq = Dfa::letterwise(2, |l| (l & 1 != 0) == (l & 2 != 0));
-        let proj = eq.project(1).minimize();
+        let proj = eq
+            .project(1, &Budget::unlimited())
+            .unwrap()
+            .minimize(&Budget::unlimited())
+            .unwrap();
         assert!(proj.accepts(&[0b00, 0b01, 0b01]));
         assert!(proj.accepts(&[]));
         // Language: track1 has a 1 somewhere AND track0 empty. After
@@ -505,8 +487,10 @@ mod tests {
             init: 0,
         };
         let t0_empty = Dfa::letterwise(2, |l| l & 1 == 0);
-        let conj = t1_nonempty.intersect(&t0_empty);
-        let proj = conj.project(1);
+        let conj = t1_nonempty
+            .intersect(&t0_empty, &Budget::unlimited())
+            .unwrap();
+        let proj = conj.project(1, &Budget::unlimited()).unwrap();
         // Without zero closure, the empty word is rejected (no position for
         // the witness)...
         assert!(!proj.accepts(&[]));
@@ -524,7 +508,9 @@ mod tests {
         assert_eq!(Dfa::all(1).shortest_accepting(), Some(vec![]));
         let d = contains_one();
         assert_eq!(d.shortest_accepting(), Some(vec![1]));
-        let inter = even_ones().intersect(&contains_one());
+        let inter = even_ones()
+            .intersect(&contains_one(), &Budget::unlimited())
+            .unwrap();
         let w = inter.shortest_accepting().unwrap();
         assert_eq!(w.iter().filter(|&&l| l == 1).count() % 2, 0);
         assert!(w.contains(&1));
@@ -536,8 +522,8 @@ mod tests {
         // length 6 over one track.
         let a = even_ones();
         let b = contains_one();
-        let inter = a.intersect(&b);
-        let union = a.union(&b);
+        let inter = a.intersect(&b, &Budget::unlimited()).unwrap();
+        let union = a.union(&b, &Budget::unlimited()).unwrap();
         for len in 0..=6usize {
             for bits in 0..(1u32 << len) {
                 let word: Vec<u32> = (0..len).map(|i| (bits >> i) & 1).collect();

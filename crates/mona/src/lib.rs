@@ -29,4 +29,4 @@ pub mod segments;
 pub mod ws1s;
 
 pub use dfa::Dfa;
-pub use ws1s::{decide, decide_budgeted, WsFailure, WsForm, WsVerdict};
+pub use ws1s::{decide, WsForm, WsVerdict};

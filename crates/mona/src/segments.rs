@@ -104,9 +104,10 @@ pub fn partition_family(n: usize) -> WsForm {
 mod tests {
     use super::*;
     use crate::ws1s::{decide, WsVerdict};
+    use jahob_util::budget::Budget;
 
     fn valid(f: &WsForm) -> bool {
-        matches!(decide(f).unwrap(), WsVerdict::Valid)
+        matches!(decide(f, &Budget::unlimited()).unwrap(), WsVerdict::Valid)
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! words of the negation.
 
 use crate::dfa::Dfa;
-use jahob_util::budget::{Budget, Exhaustion};
+use jahob_util::budget::{unsupported, Budget, Exhaustion, Failure};
 use jahob_util::{FxHashMap, Symbol};
-use std::fmt;
 
 /// A WS1S formula. First-order (position) variables are written lowercase by
 /// convention; they are singleton-constrained at their binder. Free
@@ -207,39 +206,6 @@ pub enum WsVerdict {
     Invalid(FxHashMap<Symbol, Vec<usize>>),
 }
 
-/// Errors from the compiler.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WsError(pub String);
-
-impl fmt::Display for WsError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ws1s error: {}", self.0)
-    }
-}
-
-impl std::error::Error for WsError {}
-
-/// Why a budgeted WS1S decision did not produce an answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WsFailure {
-    /// The formula is outside what the compiler supports (e.g. too many
-    /// tracks, free variables in `decide`).
-    Fragment(WsError),
-    /// The budget ran out mid-compilation.
-    Exhausted(Exhaustion),
-}
-
-impl fmt::Display for WsFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WsFailure::Fragment(e) => e.fmt(f),
-            WsFailure::Exhausted(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for WsFailure {}
-
 /// Hard cap on tracks: alphabet is `2^tracks`.
 pub const MAX_TRACKS: usize = 14;
 
@@ -260,7 +226,7 @@ impl Compiler<'_> {
         *self
             .tracks
             .get(&v)
-            .expect("compile_opts_budgeted assigns a track to every collected variable (free and bound) before compiling")
+            .expect("compile_opts assigns a track to every collected variable (free and bound) before compiling")
     }
 
     fn bit(&self, v: Symbol) -> u32 {
@@ -269,7 +235,7 @@ impl Compiler<'_> {
 
     fn note(&mut self, d: Dfa) -> Result<Dfa, Exhaustion> {
         let d = if self.minimize {
-            d.minimize_budgeted(self.budget)?
+            d.minimize(self.budget)?
         } else {
             d
         };
@@ -319,7 +285,7 @@ impl Compiler<'_> {
                 let sing = self.singleton_dfa(*x);
                 let (bx, by) = (self.bit(*x), self.bit(*y));
                 let sub = Dfa::letterwise(k, move |l| (l & bx == 0) || (l & by != 0));
-                let d = sing.intersect_budgeted(&sub, self.budget)?;
+                let d = sing.intersect(&sub, self.budget)?;
                 self.note(d)?
             }
             WsForm::Succ(x, y) => {
@@ -396,7 +362,7 @@ impl Compiler<'_> {
                 let mut acc = Dfa::all(k);
                 for p in parts {
                     let d = self.compile(p)?;
-                    acc = self.note(acc.intersect_budgeted(&d, self.budget)?)?;
+                    acc = self.note(acc.intersect(&d, self.budget)?)?;
                 }
                 acc
             }
@@ -404,7 +370,7 @@ impl Compiler<'_> {
                 let mut acc = Dfa::none(k);
                 for p in parts {
                     let d = self.compile(p)?;
-                    acc = self.note(acc.union_budgeted(&d, self.budget)?)?;
+                    acc = self.note(acc.union(&d, self.budget)?)?;
                 }
                 acc
             }
@@ -415,20 +381,20 @@ impl Compiler<'_> {
             WsForm::Implies(a, b) => {
                 let da = self.compile(a)?.complement();
                 let db = self.compile(b)?;
-                let d = da.union_budgeted(&db, self.budget)?;
+                let d = da.union(&db, self.budget)?;
                 self.note(d)?
             }
             WsForm::Iff(a, b) => {
                 let da = self.compile(a)?;
                 let db = self.compile(b)?;
-                let d = da.product_budgeted(&db, |x, y| x == y, self.budget)?;
+                let d = da.product(&db, |x, y| x == y, self.budget)?;
                 self.note(d)?
             }
             WsForm::Ex2(vs, p) => {
                 let mut d = self.compile(p)?;
                 for v in vs {
                     let t = self.track(*v);
-                    d = self.note(d.project_budgeted(t, self.budget)?.zero_closure())?;
+                    d = self.note(d.project(t, self.budget)?.zero_closure())?;
                 }
                 d
             }
@@ -451,7 +417,7 @@ impl Compiler<'_> {
                 let mut d = self.compile(&body)?;
                 for v in vs {
                     let t = self.track(*v);
-                    d = self.note(d.project_budgeted(t, self.budget)?.zero_closure())?;
+                    d = self.note(d.project(t, self.budget)?.zero_closure())?;
                 }
                 d
             }
@@ -486,41 +452,25 @@ impl Compiler<'_> {
     }
 }
 
-/// Compile a formula to its automaton. The returned DFA is over one track
-/// per *distinct variable name* in the formula (bound names must therefore
-/// be distinct from each other and from free names — use fresh names).
-/// Returns the automaton and the track assignment.
-pub fn compile(form: &WsForm) -> Result<(Dfa, FxHashMap<Symbol, usize>), WsError> {
-    compile_opts(form, true).map(|(d, t, _)| (d, t))
-}
-
-/// Compile with an option to disable intermediate minimization (the E7
-/// ablation). Also returns the peak intermediate automaton size.
+/// Compile a formula to its automaton, with an option to disable
+/// intermediate minimization (the E7 ablation). The returned DFA is over
+/// one track per *distinct variable name* in the formula (bound names must
+/// therefore be distinct from each other and from free names — use fresh
+/// names). Returns the automaton, the track assignment and the peak
+/// intermediate automaton size. Every automaton product, determinization
+/// and minimization along the way charges the caller's budget.
 pub fn compile_opts(
     form: &WsForm,
     minimize: bool,
-) -> Result<(Dfa, FxHashMap<Symbol, usize>, usize), WsError> {
-    match compile_opts_budgeted(form, minimize, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(WsFailure::Fragment(e)) => Err(e),
-        Err(WsFailure::Exhausted(_)) => unreachable!("unlimited budget"),
-    }
-}
-
-/// Budgeted [`compile_opts`]: every automaton product, determinization and
-/// minimization along the way charges the caller's budget.
-pub fn compile_opts_budgeted(
-    form: &WsForm,
-    minimize: bool,
     budget: &Budget,
-) -> Result<(Dfa, FxHashMap<Symbol, usize>, usize), WsFailure> {
+) -> Result<(Dfa, FxHashMap<Symbol, usize>, usize), Failure> {
     let mut vars = Vec::new();
     form.collect_vars(&mut vars);
     if vars.len() > MAX_TRACKS {
-        return Err(WsFailure::Fragment(WsError(format!(
+        return unsupported(format!(
             "{} variables exceed the {MAX_TRACKS}-track limit",
             vars.len()
-        ))));
+        ));
     }
     let tracks: FxHashMap<Symbol, usize> = vars.iter().enumerate().map(|(i, &v)| (v, i)).collect();
     let mut compiler = Compiler {
@@ -530,11 +480,9 @@ pub fn compile_opts_budgeted(
         minimize,
         budget,
     };
-    let dfa = compiler.compile(form).map_err(WsFailure::Exhausted)?;
+    let dfa = compiler.compile(form)?;
     let peak = compiler.peak_states.max(dfa.num_states());
-    let minimized = dfa
-        .minimize_budgeted(budget)
-        .map_err(WsFailure::Exhausted)?;
+    let minimized = dfa.minimize(budget)?;
     Ok((minimized, tracks, peak))
 }
 
@@ -543,21 +491,10 @@ pub fn compile_opts_budgeted(
 /// variables of the *outermost universal block*: those stay free in the
 /// negated matrix, so their tracks survive in the shortest refuting word
 /// (inner quantified tracks are projected away and carry no information).
-pub fn decide(form: &WsForm) -> Result<WsVerdict, WsError> {
-    match decide_budgeted(form, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(WsFailure::Fragment(e)) => Err(e),
-        Err(WsFailure::Exhausted(_)) => unreachable!("unlimited budget"),
-    }
-}
-
-/// Budgeted [`decide`].
-pub fn decide_budgeted(form: &WsForm, budget: &Budget) -> Result<WsVerdict, WsFailure> {
+pub fn decide(form: &WsForm, budget: &Budget) -> Result<WsVerdict, Failure> {
     let free = form.free_vars();
     if !free.is_empty() {
-        return Err(WsFailure::Fragment(WsError(format!(
-            "sentence expected; free variables: {free:?}"
-        ))));
+        return unsupported(format!("sentence expected; free variables: {free:?}"));
     }
     // Peel leading universal quantifiers; remember first-order ones so the
     // counter-model search stays singleton-constrained.
@@ -586,7 +523,7 @@ pub fn decide_budgeted(form: &WsForm, budget: &Budget) -> Result<WsVerdict, WsFa
     let mut refutation_parts = vec![WsForm::not(matrix)];
     refutation_parts.extend(sing_constraints);
     let refutation = WsForm::And(refutation_parts);
-    let (dfa, tracks, _) = compile_opts_budgeted(&refutation, true, budget)?;
+    let (dfa, tracks, _) = compile_opts(&refutation, true, budget)?;
     match dfa.shortest_accepting() {
         None => Ok(WsVerdict::Valid),
         Some(word) => {
@@ -608,18 +545,9 @@ pub fn decide_budgeted(form: &WsForm, budget: &Budget) -> Result<WsVerdict, WsFa
 
 /// Is the formula satisfiable (some assignment to free second-order
 /// variables makes it true)? Free variables are existentially closed.
-pub fn satisfiable(form: &WsForm) -> Result<bool, WsError> {
-    match satisfiable_budgeted(form, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(WsFailure::Fragment(e)) => Err(e),
-        Err(WsFailure::Exhausted(_)) => unreachable!("unlimited budget"),
-    }
-}
-
-/// Budgeted [`satisfiable`].
-pub fn satisfiable_budgeted(form: &WsForm, budget: &Budget) -> Result<bool, WsFailure> {
+pub fn satisfiable(form: &WsForm, budget: &Budget) -> Result<bool, Failure> {
     let closed = WsForm::Ex2(form.free_vars(), Box::new(form.clone()));
-    let (dfa, _, _) = compile_opts_budgeted(&closed, true, budget)?;
+    let (dfa, _, _) = compile_opts(&closed, true, budget)?;
     Ok(!dfa.is_empty())
 }
 
@@ -632,7 +560,7 @@ mod tests {
     }
 
     fn valid(f: &WsForm) -> bool {
-        matches!(decide(f).unwrap(), WsVerdict::Valid)
+        matches!(decide(f, &Budget::unlimited()).unwrap(), WsVerdict::Valid)
     }
 
     #[test]
@@ -819,7 +747,7 @@ mod tests {
     fn counter_model_extraction() {
         // ∀X,Y. X ⊆ Y — invalid; the counter-model must witness X ⊄ Y.
         let f = WsForm::all2(&["CX", "CY"], WsForm::Sub(s("CX"), s("CY")));
-        match decide(&f).unwrap() {
+        match decide(&f, &Budget::unlimited()).unwrap() {
             WsVerdict::Invalid(_) => {}
             WsVerdict::Valid => panic!("should be invalid"),
         }
@@ -828,21 +756,21 @@ mod tests {
             WsForm::Sub(s("MX"), s("MY")),
             WsForm::not(WsForm::Empty(s("MX"))),
         ]);
-        assert!(satisfiable(&g).unwrap());
+        assert!(satisfiable(&g, &Budget::unlimited()).unwrap());
         // Unsatisfiable: X ⊆ Y ∧ Y = ∅ ∧ X ≠ ∅.
         let h = WsForm::and(vec![
             WsForm::Sub(s("NX"), s("NY")),
             WsForm::Empty(s("NY")),
             WsForm::not(WsForm::Empty(s("NX"))),
         ]);
-        assert!(!satisfiable(&h).unwrap());
+        assert!(!satisfiable(&h, &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn counter_model_is_genuine() {
         // ∀X. X = ∅ is invalid; counter-model assigns some nonempty X.
         let f = WsForm::all2(&["DX"], WsForm::Empty(s("DX")));
-        match decide(&f).unwrap() {
+        match decide(&f, &Budget::unlimited()).unwrap() {
             WsVerdict::Invalid(model) => {
                 let xs = model.get(&s("DX")).unwrap();
                 assert!(!xs.is_empty(), "counter-model must be nonempty: {model:?}");
@@ -884,7 +812,7 @@ mod tests {
     #[test]
     fn rejects_free_variables_in_decide() {
         let f = WsForm::Sub(s("FX"), s("FY"));
-        assert!(decide(&f).is_err());
+        assert!(decide(&f, &Budget::unlimited()).is_err());
     }
 
     #[test]
@@ -906,11 +834,11 @@ mod tests {
         );
         let starved = Budget::with_fuel(10);
         assert_eq!(
-            decide_budgeted(&f, &starved),
-            Err(WsFailure::Exhausted(Exhaustion::Fuel))
+            decide(&f, &starved),
+            Err(Failure::Exhausted(Exhaustion::Fuel))
         );
         let roomy = Budget::with_fuel(50_000_000);
-        assert_eq!(decide_budgeted(&f, &roomy), Ok(WsVerdict::Valid));
+        assert_eq!(decide(&f, &roomy), Ok(WsVerdict::Valid));
     }
 
     #[test]
@@ -925,8 +853,8 @@ mod tests {
                 ),
             ),
         );
-        let (with_min, _, peak_min) = compile_opts(&f, true).unwrap();
-        let (without_min, _, peak_nomin) = compile_opts(&f, false).unwrap();
+        let (with_min, _, peak_min) = compile_opts(&f, true, &Budget::unlimited()).unwrap();
+        let (without_min, _, peak_nomin) = compile_opts(&f, false, &Budget::unlimited()).unwrap();
         assert_eq!(
             with_min.complement().is_empty(),
             without_min.complement().is_empty()

@@ -276,16 +276,11 @@ impl PForm {
     }
 }
 
-/// Eliminate all quantifiers; the result is quantifier-free and equivalent.
-pub fn eliminate_quantifiers(form: &PForm) -> PForm {
-    eliminate_quantifiers_budgeted(form, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted")
-}
-
-/// Budgeted quantifier elimination: fuel is charged per constructed
-/// disjunct, so deeply alternating formulas (the worst-case exponential
-/// path) stop cooperatively instead of exhausting memory or time.
-pub fn eliminate_quantifiers_budgeted(form: &PForm, budget: &Budget) -> Result<PForm, Exhaustion> {
+/// Eliminate all quantifiers; the result is quantifier-free and
+/// equivalent. Fuel is charged per constructed disjunct, so deeply
+/// alternating formulas (the worst-case exponential path) stop
+/// cooperatively instead of exhausting memory or time.
+pub fn eliminate_quantifiers(form: &PForm, budget: &Budget) -> Result<PForm, Exhaustion> {
     let nnf = form.nnf(true);
     Ok(eliminate_rec(&nnf, budget)?.simplify())
 }
@@ -575,17 +570,11 @@ fn infinity_limit(form: &PForm, x: Symbol, plus: bool) -> PForm {
 
 /// Decide a closed (sentence) Presburger formula. Returns `None` if the
 /// formula has free variables.
-pub fn decide_closed(form: &PForm) -> Option<bool> {
-    decide_closed_budgeted(form, &Budget::unlimited())
-        .expect("unlimited budget cannot be exhausted")
-}
-
-/// Budgeted [`decide_closed`].
-pub fn decide_closed_budgeted(form: &PForm, budget: &Budget) -> Result<Option<bool>, Exhaustion> {
+pub fn decide_closed(form: &PForm, budget: &Budget) -> Result<Option<bool>, Exhaustion> {
     if !form.free_vars().is_empty() {
         return Ok(None);
     }
-    Ok(match eliminate_quantifiers_budgeted(form, budget)? {
+    Ok(match eliminate_quantifiers(form, budget)? {
         PForm::True => Some(true),
         PForm::False => Some(false),
         other => {
@@ -600,32 +589,22 @@ pub fn decide_closed_budgeted(form: &PForm, budget: &Budget) -> Result<Option<bo
 }
 
 /// Decide validity: universally close the free variables.
-pub fn valid(form: &PForm) -> bool {
-    valid_budgeted(form, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
-}
-
-/// Budgeted [`valid`].
-pub fn valid_budgeted(form: &PForm, budget: &Budget) -> Result<bool, Exhaustion> {
+pub fn valid(form: &PForm, budget: &Budget) -> Result<bool, Exhaustion> {
     let mut closed = form.clone();
     for v in form.free_vars() {
         closed = PForm::All(v, Box::new(closed));
     }
-    Ok(decide_closed_budgeted(&closed, budget)?
+    Ok(decide_closed(&closed, budget)?
         .expect("every free variable was universally closed above, so QE leaves a constant"))
 }
 
 /// Decide satisfiability: existentially close the free variables.
-pub fn sat(form: &PForm) -> bool {
-    sat_budgeted(form, &Budget::unlimited()).expect("unlimited budget cannot be exhausted")
-}
-
-/// Budgeted [`sat`].
-pub fn sat_budgeted(form: &PForm, budget: &Budget) -> Result<bool, Exhaustion> {
+pub fn sat(form: &PForm, budget: &Budget) -> Result<bool, Exhaustion> {
     let mut closed = form.clone();
     for v in form.free_vars() {
         closed = PForm::Ex(v, Box::new(closed));
     }
-    Ok(decide_closed_budgeted(&closed, budget)?
+    Ok(decide_closed(&closed, budget)?
         .expect("every free variable was existentially closed above, so QE leaves a constant"))
 }
 
@@ -651,11 +630,20 @@ mod tests {
 
     #[test]
     fn ground_decisions() {
-        assert_eq!(decide_closed(&PForm::le(k(1), k(2))), Some(true));
-        assert_eq!(decide_closed(&PForm::le(k(3), k(2))), Some(false));
-        assert_eq!(decide_closed(&PForm::Atom(PAtom::Dvd(3, k(9)))), Some(true));
         assert_eq!(
-            decide_closed(&PForm::Atom(PAtom::Dvd(3, k(-7)))),
+            decide_closed(&PForm::le(k(1), k(2)), &Budget::unlimited()).unwrap(),
+            Some(true)
+        );
+        assert_eq!(
+            decide_closed(&PForm::le(k(3), k(2)), &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
+        assert_eq!(
+            decide_closed(&PForm::Atom(PAtom::Dvd(3, k(9))), &Budget::unlimited()).unwrap(),
+            Some(true)
+        );
+        assert_eq!(
+            decide_closed(&PForm::Atom(PAtom::Dvd(3, k(-7))), &Budget::unlimited()).unwrap(),
             Some(false)
         );
     }
@@ -664,19 +652,22 @@ mod tests {
     fn exists_simple() {
         // Ex x. x = 5.
         let f = PForm::Ex(s("x"), Box::new(PForm::eq(x(), k(5))));
-        assert_eq!(decide_closed(&f), Some(true));
+        assert_eq!(decide_closed(&f, &Budget::unlimited()).unwrap(), Some(true));
         // Ex x. x <= 3 & 5 <= x  — unsat.
         let g = PForm::Ex(
             s("x"),
             Box::new(PForm::and(vec![PForm::le(x(), k(3)), PForm::le(k(5), x())])),
         );
-        assert_eq!(decide_closed(&g), Some(false));
+        assert_eq!(
+            decide_closed(&g, &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
         // Ex x. x <= 3 & 3 <= x  — sat (x = 3).
         let h = PForm::Ex(
             s("x"),
             Box::new(PForm::and(vec![PForm::le(x(), k(3)), PForm::le(k(3), x())])),
         );
-        assert_eq!(decide_closed(&h), Some(true));
+        assert_eq!(decide_closed(&h, &Budget::unlimited()).unwrap(), Some(true));
     }
 
     #[test]
@@ -691,7 +682,10 @@ mod tests {
                 PForm::le(x(), k(11)),
             ])),
         );
-        assert_eq!(decide_closed(&f), Some(false));
+        assert_eq!(
+            decide_closed(&f, &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
         // Widen to x <= 12: sat.
         let g = PForm::Ex(
             s("x"),
@@ -702,17 +696,20 @@ mod tests {
                 PForm::le(x(), k(12)),
             ])),
         );
-        assert_eq!(decide_closed(&g), Some(true));
+        assert_eq!(decide_closed(&g, &Budget::unlimited()).unwrap(), Some(true));
     }
 
     #[test]
     fn coefficient_normalization() {
         // Ex x. 2x = 7 — unsat (7 odd).
         let f = PForm::Ex(s("x"), Box::new(PForm::eq(x().scale(2), k(7))));
-        assert_eq!(decide_closed(&f), Some(false));
+        assert_eq!(
+            decide_closed(&f, &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
         // Ex x. 2x = 8 — sat.
         let g = PForm::Ex(s("x"), Box::new(PForm::eq(x().scale(2), k(8))));
-        assert_eq!(decide_closed(&g), Some(true));
+        assert_eq!(decide_closed(&g, &Budget::unlimited()).unwrap(), Some(true));
         // Ex x. 3x <= 10 & 10 <= 4x — x=3: 9<=10, 10<=12. sat.
         let h = PForm::Ex(
             s("x"),
@@ -721,17 +718,20 @@ mod tests {
                 PForm::le(k(10), x().scale(4)),
             ])),
         );
-        assert_eq!(decide_closed(&h), Some(true));
+        assert_eq!(decide_closed(&h, &Budget::unlimited()).unwrap(), Some(true));
     }
 
     #[test]
     fn universal_quantifier() {
         // ALL x. x <= x + 1: valid.
         let f = PForm::All(s("x"), Box::new(PForm::le(x(), x().add(&k(1)))));
-        assert_eq!(decide_closed(&f), Some(true));
+        assert_eq!(decide_closed(&f, &Budget::unlimited()).unwrap(), Some(true));
         // ALL x. 0 <= x: invalid.
         let g = PForm::All(s("x"), Box::new(PForm::le(k(0), x())));
-        assert_eq!(decide_closed(&g), Some(false));
+        assert_eq!(
+            decide_closed(&g, &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
     }
 
     #[test]
@@ -741,19 +741,25 @@ mod tests {
             s("x"),
             Box::new(PForm::Ex(s("y"), Box::new(PForm::eq(y(), x().add(&k(1)))))),
         );
-        assert_eq!(decide_closed(&f), Some(true));
+        assert_eq!(decide_closed(&f, &Budget::unlimited()).unwrap(), Some(true));
         // EX y. ALL x. x <= y: invalid (no max integer).
         let g = PForm::Ex(
             s("y"),
             Box::new(PForm::All(s("x"), Box::new(PForm::le(x(), y())))),
         );
-        assert_eq!(decide_closed(&g), Some(false));
+        assert_eq!(
+            decide_closed(&g, &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
         // ALL x. EX y. 2y = x: invalid (odd x).
         let h = PForm::All(
             s("x"),
             Box::new(PForm::Ex(s("y"), Box::new(PForm::eq(y().scale(2), x())))),
         );
-        assert_eq!(decide_closed(&h), Some(false));
+        assert_eq!(
+            decide_closed(&h, &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
         // ALL x. EX y. 2y = x | 2y = x + 1: valid.
         let i = PForm::All(
             s("x"),
@@ -765,7 +771,7 @@ mod tests {
                 ])),
             )),
         );
-        assert_eq!(decide_closed(&i), Some(true));
+        assert_eq!(decide_closed(&i, &Budget::unlimited()).unwrap(), Some(true));
     }
 
     #[test]
@@ -778,22 +784,25 @@ mod tests {
                 PForm::Atom(PAtom::Dvd(2, x().add(&k(1)))),
             ])),
         );
-        assert_eq!(decide_closed(&f), Some(true));
+        assert_eq!(decide_closed(&f, &Budget::unlimited()).unwrap(), Some(true));
         // ALL x. 2|x: invalid.
         let g = PForm::All(s("x"), Box::new(PForm::Atom(PAtom::Dvd(2, x()))));
-        assert_eq!(decide_closed(&g), Some(false));
+        assert_eq!(
+            decide_closed(&g, &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
     }
 
     #[test]
     fn validity_with_free_vars() {
         // x <= y | y <= x is valid.
         let f = PForm::or(vec![PForm::le(x(), y()), PForm::le(y(), x())]);
-        assert!(valid(&f));
-        assert!(sat(&f));
+        assert!(valid(&f, &Budget::unlimited()).unwrap());
+        assert!(sat(&f, &Budget::unlimited()).unwrap());
         // x < y & y < x is unsat.
         let g = PForm::and(vec![PForm::lt(x(), y()), PForm::lt(y(), x())]);
-        assert!(!sat(&g));
-        assert!(!valid(&g));
+        assert!(!sat(&g, &Budget::unlimited()).unwrap());
+        assert!(!valid(&g, &Budget::unlimited()).unwrap());
     }
 
     #[test]
@@ -806,7 +815,7 @@ mod tests {
                 PForm::le(x(), k(6)),
             ])),
         );
-        assert_eq!(decide_closed(&f), Some(true));
+        assert_eq!(decide_closed(&f, &Budget::unlimited()).unwrap(), Some(true));
         // Ex x. ~(x <= 5) & x <= 5 — unsat.
         let g = PForm::Ex(
             s("x"),
@@ -815,7 +824,10 @@ mod tests {
                 PForm::le(x(), k(5)),
             ])),
         );
-        assert_eq!(decide_closed(&g), Some(false));
+        assert_eq!(
+            decide_closed(&g, &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
     }
 
     #[test]
@@ -829,7 +841,7 @@ mod tests {
                 PForm::le(x(), k(1)),
             ])),
         );
-        assert_eq!(decide_closed(&f), Some(true));
+        assert_eq!(decide_closed(&f, &Budget::unlimited()).unwrap(), Some(true));
         // Ex x. x != 0 & 0 <= x & x <= 0 — unsat.
         let g = PForm::Ex(
             s("x"),
@@ -839,7 +851,10 @@ mod tests {
                 PForm::le(x(), k(0)),
             ])),
         );
-        assert_eq!(decide_closed(&g), Some(false));
+        assert_eq!(
+            decide_closed(&g, &Budget::unlimited()).unwrap(),
+            Some(false)
+        );
     }
 
     #[test]
@@ -871,14 +886,11 @@ mod tests {
         // Fuel is charged per visited node and per constructed disjunct;
         // five units cannot even traverse the eight quantifier layers.
         let tiny = Budget::with_fuel(5);
-        assert_eq!(
-            decide_closed_budgeted(&closed, &tiny),
-            Err(Exhaustion::Fuel)
-        );
+        assert_eq!(decide_closed(&closed, &tiny), Err(Exhaustion::Fuel));
         // With room to finish, the verdict matches the unlimited run.
         assert_eq!(
-            decide_closed_budgeted(&closed, &Budget::with_fuel(10_000_000)),
-            Ok(decide_closed(&closed))
+            decide_closed(&closed, &Budget::with_fuel(10_000_000)),
+            Ok(decide_closed(&closed, &Budget::unlimited()).unwrap())
         );
     }
 
@@ -889,8 +901,8 @@ mod tests {
             Box::new(PForm::Ex(s("y"), Box::new(PForm::eq(y(), x().add(&k(1)))))),
         );
         let roomy = Budget::with_fuel(1_000_000);
-        assert_eq!(decide_closed_budgeted(&f, &roomy), Ok(Some(true)));
-        assert_eq!(decide_closed(&f), Some(true));
+        assert_eq!(decide_closed(&f, &roomy), Ok(Some(true)));
+        assert_eq!(decide_closed(&f, &Budget::unlimited()).unwrap(), Some(true));
     }
 
     #[test]
@@ -951,7 +963,9 @@ mod tests {
                 }
             }
             let closed = PForm::Ex(s("x"), Box::new(PForm::Ex(s("y"), Box::new(full.clone()))));
-            let got = decide_closed(&closed).unwrap();
+            let got = decide_closed(&closed, &Budget::unlimited())
+                .unwrap()
+                .unwrap();
             assert_eq!(got, brute, "round {round}: {full:?}");
         }
     }

@@ -21,10 +21,7 @@ pub mod linterm;
 pub mod omega;
 pub mod translate;
 
-pub use cooper::{
-    decide_closed, decide_closed_budgeted, eliminate_quantifiers, eliminate_quantifiers_budgeted,
-    PAtom, PForm,
-};
+pub use cooper::{decide_closed, eliminate_quantifiers, PAtom, PForm};
 pub use linterm::LinTerm;
 pub use omega::{omega_sat, Constraint, ConstraintKind, OmegaResult};
-pub use translate::{form_to_pform, PresburgerFailure, TranslateError};
+pub use translate::form_to_pform;

@@ -681,7 +681,7 @@ mod tests {
         // The same systems decided by both engines must agree.
         use crate::cooper::{self, PForm};
         use crate::linterm::LinTerm;
-        use jahob_util::Symbol;
+        use jahob_util::{Budget, Symbol};
 
         let names = ["ox", "oy"];
         let mut state = 0x1111_2222_3333_4444u64;
@@ -717,7 +717,7 @@ mod tests {
                 conj.push(PForm::Atom(atom));
             }
             let body = PForm::and(conj);
-            let cooper_sat = cooper::sat(&body);
+            let cooper_sat = cooper::sat(&body, &Budget::unlimited()).unwrap();
             let omega = sat(&cs);
             assert_eq!(omega, cooper_sat, "round {round}: {cs:?}");
         }

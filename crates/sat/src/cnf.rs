@@ -216,6 +216,7 @@ impl CnfBuilder {
 mod tests {
     use super::*;
     use crate::solver::{SolveResult, Var};
+    use jahob_util::budget::Budget;
 
     /// A builder and solver with three atom variables.
     fn setup() -> (CnfBuilder, Solver, [Lit; 3]) {
@@ -227,7 +228,7 @@ mod tests {
     /// The atoms' values in a model of `root`, or `None` when unsatisfiable.
     fn solve(mut solver: Solver, atoms: &[Lit], root: Lit) -> Option<Vec<bool>> {
         solver.add_clause(&[root]);
-        match solver.solve() {
+        match solver.solve(&Budget::unlimited()).unwrap() {
             SolveResult::Sat(model) => {
                 Some(atoms.iter().map(|a| model[a.var().0 as usize]).collect())
             }
@@ -290,8 +291,14 @@ mod tests {
         assert_eq!(b.or(&mut s, &[]), f);
         assert_eq!(b.iff(&mut s, f, a0), a0.negate());
         assert_eq!(b.implies(&mut s, f, f), t);
-        assert!(s.solve_with_assumptions(&[t]).is_sat());
-        assert!(!s.solve_with_assumptions(&[f]).is_sat());
+        assert!(s
+            .solve_with_assumptions(&[t], &Budget::unlimited())
+            .unwrap()
+            .is_sat());
+        assert!(!s
+            .solve_with_assumptions(&[f], &Budget::unlimited())
+            .unwrap()
+            .is_sat());
     }
 
     /// A formula over three atoms, for the exhaustive check.
@@ -361,12 +368,21 @@ mod tests {
             let (mut b, mut s, atoms) = setup();
             let root = f.build(&mut b, &mut s, &atoms);
             let brute = (0u32..8).any(|mask| f.eval(mask));
-            assert_eq!(s.solve_with_assumptions(&[root]).is_sat(), brute, "{f:?}");
+            assert_eq!(
+                s.solve_with_assumptions(&[root], &Budget::unlimited())
+                    .unwrap()
+                    .is_sat(),
+                brute,
+                "{f:?}"
+            );
             for mask in 0u32..8 {
                 let mut assumptions: Vec<Lit> =
                     (0..3).map(|i| Var(i).lit(mask & (1 << i) != 0)).collect();
                 assumptions.push(root);
-                let sat = s.solve_with_assumptions(&assumptions).is_sat();
+                let sat = s
+                    .solve_with_assumptions(&assumptions, &Budget::unlimited())
+                    .unwrap()
+                    .is_sat();
                 assert_eq!(sat, f.eval(mask), "{f:?} at {mask:03b}");
             }
             assert_eq!(solve(s, &atoms, root).is_some(), brute, "{f:?}");
@@ -385,8 +401,15 @@ mod tests {
         let act = s.new_var().positive();
         s.add_clause(&[act.negate(), later]);
         s.add_clause(&[act.negate(), iff.negate()]);
-        assert!(s.solve_with_assumptions(&[act]).is_sat());
-        assert_eq!(s.solve_with_assumptions(&[act, a0]), SolveResult::Unsat);
+        assert!(s
+            .solve_with_assumptions(&[act], &Budget::unlimited())
+            .unwrap()
+            .is_sat());
+        assert_eq!(
+            s.solve_with_assumptions(&[act, a0], &Budget::unlimited())
+                .unwrap(),
+            SolveResult::Unsat
+        );
         b.rollback(&mut s, mark);
         assert_eq!(s.num_vars() as u32, mark.vars());
         // The kept gate is still shared; the forgotten ones are made
@@ -394,9 +417,13 @@ mod tests {
         assert_eq!(b.and(&mut s, &[a1, a0]), kept);
         assert_eq!(b.constant(&mut s, true), t);
         assert_eq!(b.and(&mut s, &[a2, a1]), later);
-        assert!(s.solve_with_assumptions(&[a1.negate()]).is_sat());
+        assert!(s
+            .solve_with_assumptions(&[a1.negate()], &Budget::unlimited())
+            .unwrap()
+            .is_sat());
         assert_eq!(
-            s.solve_with_assumptions(&[kept, a0.negate()]),
+            s.solve_with_assumptions(&[kept, a0.negate()], &Budget::unlimited())
+                .unwrap(),
             SolveResult::Unsat
         );
     }

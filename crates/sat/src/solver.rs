@@ -578,29 +578,18 @@ impl Solver {
         None
     }
 
-    /// Solve with no assumptions.
-    pub fn solve(&mut self) -> SolveResult {
-        self.solve_with_assumptions(&[])
+    /// Solve with no assumptions. On exhaustion the solver state stays
+    /// valid (trail rewound to level 0) and the call can be retried with a
+    /// fresh budget.
+    pub fn solve(&mut self, budget: &Budget) -> Result<SolveResult, Exhaustion> {
+        self.solve_with_assumptions(&[], budget)
     }
 
-    /// Solve under temporary assumptions (literals forced true for this call
-    /// only). Returns `Unsat` if the assumptions conflict with the clauses.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.solve_with_assumptions_budgeted(assumptions, &Budget::unlimited())
-            .expect("unlimited budget cannot be exhausted")
-    }
-
-    /// Budgeted solve with no assumptions. On exhaustion the solver state
-    /// stays valid (trail rewound to level 0) and the call can be retried
-    /// with a fresh budget.
-    pub fn solve_budgeted(&mut self, budget: &Budget) -> Result<SolveResult, Exhaustion> {
-        self.solve_with_assumptions_budgeted(&[], budget)
-    }
-
-    /// Budgeted solve under assumptions: one fuel unit per conflict and per
-    /// decision, so the budget bounds the CDCL search itself rather than
-    /// wall-clock alone.
-    pub fn solve_with_assumptions_budgeted(
+    /// Solve under temporary assumptions (literals forced true for this
+    /// call only); `Unsat` if the assumptions conflict with the clauses.
+    /// One fuel unit per conflict and per decision, so the budget bounds
+    /// the CDCL search itself rather than wall-clock alone.
+    pub fn solve_with_assumptions(
         &mut self,
         assumptions: &[Lit],
         budget: &Budget,
@@ -907,7 +896,7 @@ mod tests {
     fn trivial_sat() {
         let mut s = Solver::new();
         add(&mut s, &[1]);
-        match s.solve() {
+        match s.solve(&Budget::unlimited()).unwrap() {
             SolveResult::Sat(m) => assert!(m[0]),
             other => panic!("expected sat, got {other:?}"),
         }
@@ -918,21 +907,21 @@ mod tests {
         let mut s = Solver::new();
         add(&mut s, &[1]);
         add(&mut s, &[-1]);
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve(&Budget::unlimited()).unwrap(), SolveResult::Unsat);
     }
 
     #[test]
     fn empty_clause_unsat() {
         let mut s = Solver::new();
         assert!(!s.add_clause(&[]));
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve(&Budget::unlimited()).unwrap(), SolveResult::Unsat);
     }
 
     #[test]
     fn tautology_ignored() {
         let mut s = Solver::new();
         add(&mut s, &[1, -1]);
-        assert!(s.solve().is_sat());
+        assert!(s.solve(&Budget::unlimited()).unwrap().is_sat());
     }
 
     #[test]
@@ -943,7 +932,7 @@ mod tests {
         for v in 1..50 {
             add(&mut s, &[-v, v + 1]);
         }
-        match s.solve() {
+        match s.solve(&Budget::unlimited()).unwrap() {
             SolveResult::Sat(m) => assert!(m.iter().take(50).all(|&b| b)),
             other => panic!("expected sat, got {other:?}"),
         }
@@ -964,7 +953,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve(&Budget::unlimited()).unwrap(), SolveResult::Unsat);
     }
 
     #[test]
@@ -982,7 +971,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve(&Budget::unlimited()).unwrap(), SolveResult::Unsat);
         assert!(s.conflicts > 0, "must have required real search");
     }
 
@@ -1003,9 +992,9 @@ mod tests {
         }
         // A couple of fuel units cannot finish the pigeonhole search.
         let tiny = Budget::with_fuel(2);
-        assert_eq!(s.solve_budgeted(&tiny), Err(Exhaustion::Fuel));
+        assert_eq!(s.solve(&tiny), Err(Exhaustion::Fuel));
         // The solver remains usable: a fresh unlimited run still decides it.
-        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.solve(&Budget::unlimited()).unwrap(), SolveResult::Unsat);
     }
 
     #[test]
@@ -1024,7 +1013,7 @@ mod tests {
         for c in &clauses {
             add(&mut s, c);
         }
-        match s.solve() {
+        match s.solve(&Budget::unlimited()).unwrap() {
             SolveResult::Sat(m) => {
                 for c in &clauses {
                     assert!(
@@ -1046,14 +1035,21 @@ mod tests {
         add(&mut s, &[1, 2]);
         add(&mut s, &[-1, 2]);
         // Satisfiable overall...
-        assert!(s.solve().is_sat());
+        assert!(s.solve(&Budget::unlimited()).unwrap().is_sat());
         // ...but not with 2 assumed false.
         let a = lit(&mut s, -2);
-        assert_eq!(s.solve_with_assumptions(&[a]), SolveResult::Unsat);
+        assert_eq!(
+            s.solve_with_assumptions(&[a], &Budget::unlimited())
+                .unwrap(),
+            SolveResult::Unsat
+        );
         // Solver remains usable and satisfiable afterwards.
-        assert!(s.solve().is_sat());
+        assert!(s.solve(&Budget::unlimited()).unwrap().is_sat());
         let b = lit(&mut s, 2);
-        assert!(s.solve_with_assumptions(&[b]).is_sat());
+        assert!(s
+            .solve_with_assumptions(&[b], &Budget::unlimited())
+            .unwrap()
+            .is_sat());
     }
 
     #[test]
@@ -1062,8 +1058,12 @@ mod tests {
         add(&mut s, &[1, 2, 3]);
         let a1 = lit(&mut s, 1);
         let a2 = lit(&mut s, -1);
-        assert_eq!(s.solve_with_assumptions(&[a1, a2]), SolveResult::Unsat);
-        assert!(s.solve().is_sat());
+        assert_eq!(
+            s.solve_with_assumptions(&[a1, a2], &Budget::unlimited())
+                .unwrap(),
+            SolveResult::Unsat
+        );
+        assert!(s.solve(&Budget::unlimited()).unwrap().is_sat());
     }
 
     #[test]
@@ -1122,7 +1122,7 @@ mod tests {
             for c in &clauses {
                 add(&mut s, c);
             }
-            let got = s.solve().is_sat();
+            let got = s.solve(&Budget::unlimited()).unwrap().is_sat();
             assert_eq!(got, expected, "instance {instance}: {clauses:?}");
         }
     }
@@ -1148,7 +1148,10 @@ mod tests {
         let mut constrained = clauses.to_vec();
         constrained.extend(assumptions.iter().map(|&v| vec![v]));
         let expected = brute_force(num_vars, &constrained);
-        match s.solve_with_assumptions(&lits) {
+        match s
+            .solve_with_assumptions(&lits, &Budget::unlimited())
+            .unwrap()
+        {
             SolveResult::Sat(model) => {
                 assert!(expected, "SAT, brute force says UNSAT: {constrained:?}");
                 assert!(

@@ -227,6 +227,7 @@ mod tests {
     use super::*;
     use jahob_logic::form;
     use jahob_presburger::translate::decide_valid;
+    use jahob_util::budget::Budget;
 
     /// A LIA oracle for the integer tests: `kept ∧ body-relation → cand'`.
     fn lia_preserved(kept: &[Form], cand: &Form, relation: &Form) -> bool {
@@ -238,7 +239,7 @@ mod tests {
                 .chain(std::iter::once(relation.clone()))
                 .collect(),
         );
-        decide_valid(&Form::implies(hyp, primed)).unwrap_or(false)
+        decide_valid(&Form::implies(hyp, primed), &Budget::unlimited()).unwrap_or(false)
     }
 
     #[test]
@@ -253,7 +254,13 @@ mod tests {
         ];
         let kept = houdini(
             &candidates,
-            &mut |c| decide_valid(&Form::implies(form("g = 0"), c.clone())).unwrap_or(false),
+            &mut |c| {
+                decide_valid(
+                    &Form::implies(form("g = 0"), c.clone()),
+                    &Budget::unlimited(),
+                )
+                .unwrap_or(false)
+            },
             &mut |kept, c| lia_preserved(kept, c, &relation),
         );
         assert!(kept.contains(&form("0 <= g")), "{kept:?}");
@@ -281,7 +288,7 @@ mod tests {
                     .chain(std::iter::once(relation.clone()))
                     .collect(),
             );
-            decide_valid(&Form::implies(hyp, primed)).unwrap_or(false)
+            decide_valid(&Form::implies(hyp, primed), &Budget::unlimited()).unwrap_or(false)
         });
         assert_eq!(kept.len(), 2, "{kept:?}");
     }
@@ -336,10 +343,13 @@ mod tests {
         let mut oracle = |pre: &Form, post: &Form| {
             // May transition unless provably impossible under g2 = g + 1.
             let post2 = post.subst1(jahob_util::Symbol::intern("g"), &Form::v("g2"));
-            let impossible = decide_valid(&Form::implies(
-                Form::and(vec![pre.clone(), form("g2 = g + 1")]),
-                Form::not(post2),
-            ))
+            let impossible = decide_valid(
+                &Form::implies(
+                    Form::and(vec![pre.clone(), form("g2 = g + 1")]),
+                    Form::not(post2),
+                ),
+                &Budget::unlimited(),
+            )
             .unwrap_or(false);
             !impossible
         };

@@ -28,71 +28,21 @@ mod theory;
 
 use jahob_logic::{transform, BinOp, Form, Sort, UnOp};
 use jahob_sat::{CnfBuilder, Lit, SolveResult, Solver, Var};
-use jahob_util::budget::{Budget, Exhaustion};
+use jahob_util::budget::{unsupported, Budget, Failure};
 use jahob_util::{FxHashMap, Symbol};
-use std::fmt;
 
 pub use theory::TheoryVerdict;
 
-/// Why a goal is outside the ground EUF+LIA fragment.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SmtError {
-    pub message: String,
-}
-
-impl fmt::Display for SmtError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "not in the ground EUF+LIA fragment: {}", self.message)
-    }
-}
-
-impl std::error::Error for SmtError {}
-
-fn err<T>(message: impl Into<String>) -> Result<T, SmtError> {
-    Err(SmtError {
-        message: message.into(),
-    })
-}
-
-/// Why a budgeted SMT decision did not produce an answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SmtFailure {
-    /// The goal is outside the ground EUF+LIA fragment — route it elsewhere.
-    Fragment(SmtError),
-    /// The budget ran out mid-decision.
-    Exhausted(Exhaustion),
-}
-
-impl fmt::Display for SmtFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SmtFailure::Fragment(e) => e.fmt(f),
-            SmtFailure::Exhausted(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for SmtFailure {}
-
 /// Decide validity of a ground (quantifier-free, set-free) goal in the
-/// combination EUF + LIA. `Err` means "not my fragment".
-pub fn smt_valid(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<bool, SmtError> {
-    match smt_valid_budgeted(form, sig, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(SmtFailure::Fragment(e)) => Err(e),
-        Err(SmtFailure::Exhausted(_)) => unreachable!("unlimited budget"),
-    }
-}
-
-/// Budgeted [`smt_valid`]: fuel is charged per lazy-loop round, and the
+/// combination EUF + LIA. Fuel is charged per lazy-loop round, and the
 /// underlying CDCL search runs against the same budget.
-pub fn smt_valid_budgeted(
+pub fn smt_valid(
     form: &Form,
     sig: &FxHashMap<Symbol, Sort>,
     budget: &Budget,
-) -> Result<bool, SmtFailure> {
+) -> Result<bool, Failure> {
     let negated = Form::not(form.clone());
-    Ok(!smt_sat_budgeted(&negated, sig, budget)?)
+    Ok(!smt_sat(&negated, sig, budget)?)
 }
 
 /// Is the formula inside the ground EUF+LIA fragment? (Cheap syntactic
@@ -102,29 +52,20 @@ pub fn in_fragment(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> bool {
     Skeleton::new(sig).lit(&prepared).is_ok()
 }
 
-/// Satisfiability of a ground EUF+LIA formula.
-pub fn smt_sat(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<bool, SmtError> {
-    match smt_sat_budgeted(form, sig, &Budget::unlimited()) {
-        Ok(v) => Ok(v),
-        Err(SmtFailure::Fragment(e)) => Err(e),
-        Err(SmtFailure::Exhausted(_)) => unreachable!("unlimited budget"),
-    }
-}
-
-/// Budgeted [`smt_sat`]: the lazy DPLL(T) loop and the CDCL searches inside
-/// it both consume the caller's budget.
-pub fn smt_sat_budgeted(
+/// Satisfiability of a ground EUF+LIA formula: the lazy DPLL(T) loop and
+/// the CDCL searches inside it both consume the caller's budget.
+pub fn smt_sat(
     form: &Form,
     sig: &FxHashMap<Symbol, Sort>,
     budget: &Budget,
-) -> Result<bool, SmtFailure> {
+) -> Result<bool, Failure> {
     let prepared = transform::simplify(&lift_ite(form));
     if let Form::BoolLit(b) = &prepared {
         return Ok(*b);
     }
     // Collect atoms and build the propositional skeleton.
     let mut skeleton = Skeleton::new(sig);
-    let root = skeleton.lit(&prepared).map_err(SmtFailure::Fragment)?;
+    let root = skeleton.lit(&prepared)?;
     let Skeleton {
         atoms, mut solver, ..
     } = skeleton;
@@ -133,11 +74,8 @@ pub fn smt_sat_budgeted(
     // Lazy theory loop.
     const MAX_ROUNDS: usize = 400;
     for _ in 0..MAX_ROUNDS {
-        budget.check().map_err(SmtFailure::Exhausted)?;
-        match solver
-            .solve_budgeted(budget)
-            .map_err(SmtFailure::Exhausted)?
-        {
+        budget.check()?;
+        match solver.solve(budget)? {
             SolveResult::Unsat => return Ok(false),
             SolveResult::Sat(model) => {
                 // The literal set this model commits to.
@@ -188,7 +126,7 @@ impl<'a> Skeleton<'a> {
         }
     }
 
-    fn atom(&mut self, form: &Form) -> Result<Lit, SmtError> {
+    fn atom(&mut self, form: &Form) -> Result<Lit, Failure> {
         check_ground_term(form, self.sig)?;
         if let Some(&var) = self.index.get(form) {
             return Ok(var.positive());
@@ -199,11 +137,11 @@ impl<'a> Skeleton<'a> {
         Ok(var.positive())
     }
 
-    fn lits(&mut self, parts: &[Form]) -> Result<Vec<Lit>, SmtError> {
+    fn lits(&mut self, parts: &[Form]) -> Result<Vec<Lit>, Failure> {
         parts.iter().map(|p| self.lit(p)).collect()
     }
 
-    fn lit(&mut self, form: &Form) -> Result<Lit, SmtError> {
+    fn lit(&mut self, form: &Form) -> Result<Lit, Failure> {
         match form {
             Form::BoolLit(b) => Ok(self.cnf.constant(&mut self.solver, *b)),
             Form::And(parts) => {
@@ -227,14 +165,14 @@ impl<'a> Skeleton<'a> {
             Form::Binop(BinOp::Eq | BinOp::Le | BinOp::Lt, _, _) => self.atom(form),
             // A boolean variable or predicate application.
             Form::Var(_) | Form::App(_, _) => self.atom(form),
-            other => err(format!("unsupported in ground goals: `{other}`")),
+            other => unsupported(format!("unsupported in ground goals: `{other}`")),
         }
     }
 }
 
 /// Reject non-ground / out-of-fragment terms early.
 #[allow(clippy::only_used_in_recursion)] // `sig` kept for parity with the other checkers
-fn check_ground_term(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<(), SmtError> {
+fn check_ground_term(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<(), Failure> {
     match form {
         Form::Var(_) | Form::IntLit(_) | Form::Null | Form::BoolLit(_) => Ok(()),
         Form::Unop(UnOp::Neg, a) => check_ground_term(a, sig),
@@ -247,22 +185,22 @@ fn check_ground_term(form: &Form, sig: &FxHashMap<Symbol, Sort>) -> Result<(), S
         Form::App(head, args) => {
             match head.as_ref() {
                 Form::Var(_) => {}
-                other => return err(format!("higher-order head `{other}`")),
+                other => return unsupported(format!("higher-order head `{other}`")),
             }
             for a in args {
                 check_ground_term(a, sig)?;
             }
             Ok(())
         }
-        Form::Quant(_, _, _) => err("quantifier in ground goal"),
-        Form::And(_) | Form::Or(_) => err("boolean structure inside a term"),
-        Form::EmptySet | Form::FiniteSet(_) => err("set term (BAPA territory)"),
-        Form::Binop(op, _, _) => err(format!("operator {op:?} (BAPA territory)")),
-        Form::Unop(UnOp::Card, _) => err("card (BAPA territory)"),
-        Form::Lambda(_, _) | Form::Compr(_, _, _) => err("binder in ground goal"),
-        Form::Old(_) => err("old outside VC generation"),
-        Form::Ite(_, _, _) => err("ite should have been lifted"),
-        Form::Tree(_) => err("tree invariant (shape territory)"),
+        Form::Quant(_, _, _) => unsupported("quantifier in ground goal"),
+        Form::And(_) | Form::Or(_) => unsupported("boolean structure inside a term"),
+        Form::EmptySet | Form::FiniteSet(_) => unsupported("set term (BAPA territory)"),
+        Form::Binop(op, _, _) => unsupported(format!("operator {op:?} (BAPA territory)")),
+        Form::Unop(UnOp::Card, _) => unsupported("card (BAPA territory)"),
+        Form::Lambda(_, _) | Form::Compr(_, _, _) => unsupported("binder in ground goal"),
+        Form::Old(_) => unsupported("old outside VC generation"),
+        Form::Ite(_, _, _) => unsupported("ite should have been lifted"),
+        Form::Tree(_) => unsupported("tree invariant (shape territory)"),
     }
 }
 
@@ -330,6 +268,7 @@ fn lifted(form: &Form) -> Option<Form> {
 mod tests {
     use super::*;
     use jahob_logic::form;
+    use jahob_util::budget::Exhaustion;
     use std::rc::Rc;
 
     fn sig() -> FxHashMap<Symbol, Sort> {
@@ -350,7 +289,8 @@ mod tests {
     }
 
     fn valid(src: &str) -> bool {
-        smt_valid(&form(src), &sig()).unwrap_or_else(|e| panic!("{src:?}: {e}"))
+        smt_valid(&form(src), &sig(), &Budget::unlimited())
+            .unwrap_or_else(|e| panic!("{src:?}: {e}"))
     }
 
     #[test]
@@ -427,15 +367,15 @@ mod tests {
         );
         // b1 --> ite(b1,i,j) = i.
         let goal = Form::implies(form("b1"), f);
-        assert!(smt_valid(&goal, &sig()).unwrap());
+        assert!(smt_valid(&goal, &sig(), &Budget::unlimited()).unwrap());
     }
 
     #[test]
     fn fragment_rejections() {
         let s = sig();
-        assert!(smt_valid(&form("ALL q. q = x"), &s).is_err());
-        assert!(smt_valid(&form("x : someset"), &s).is_err());
-        assert!(smt_valid(&form("card c1 = 0"), &s).is_err());
+        assert!(smt_valid(&form("ALL q. q = x"), &s, &Budget::unlimited()).is_err());
+        assert!(smt_valid(&form("x : someset"), &s, &Budget::unlimited()).is_err());
+        assert!(smt_valid(&form("card c1 = 0"), &s, &Budget::unlimited()).is_err());
     }
 
     #[test]
@@ -443,11 +383,11 @@ mod tests {
         let goal = form("f (f (f x)) = x & f (f (f (f (f x)))) = x --> f x = x");
         let starved = Budget::with_fuel(1);
         assert_eq!(
-            smt_valid_budgeted(&goal, &sig(), &starved),
-            Err(SmtFailure::Exhausted(Exhaustion::Fuel))
+            smt_valid(&goal, &sig(), &starved),
+            Err(Failure::Exhausted(Exhaustion::Fuel))
         );
         let roomy = Budget::with_fuel(10_000_000);
-        assert_eq!(smt_valid_budgeted(&goal, &sig(), &roomy), Ok(true));
+        assert_eq!(smt_valid(&goal, &sig(), &roomy), Ok(true));
     }
 
     #[test]
@@ -474,7 +414,7 @@ mod tests {
         .collect();
         for src in goals {
             let f = form(src);
-            let smt = smt_valid(&f, &s).unwrap();
+            let smt = smt_valid(&f, &s, &Budget::unlimited()).unwrap();
             let small = enumerate_models(2, (0, 0), &syms, &mut |m| m.eval_bool(&f).unwrap());
             assert_eq!(smt, small, "{src}");
         }

@@ -56,6 +56,40 @@ impl fmt::Display for Exhaustion {
 
 impl std::error::Error for Exhaustion {}
 
+/// Why a decision procedure returned no answer: the goal is outside its
+/// fragment, or its budget ran out. Every prover entry that can meet both
+/// returns this, so `budget.check()?` converts through [`From`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Failure {
+    /// The goal is outside the procedure's fragment; the message says
+    /// which construct put it there.
+    Unsupported(String),
+    /// The budget ran out.
+    Exhausted(Exhaustion),
+}
+
+impl From<Exhaustion> for Failure {
+    fn from(why: Exhaustion) -> Failure {
+        Failure::Exhausted(why)
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Unsupported(message) => write!(f, "unsupported: {message}"),
+            Failure::Exhausted(why) => why.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for Failure {}
+
+/// `Err(Failure::Unsupported(message))`: a fragment check's answer.
+pub fn unsupported<T>(message: impl Into<String>) -> Result<T, Failure> {
+    Err(Failure::Unsupported(message.into()))
+}
+
 /// A cooperative resource budget: an optional wall-clock deadline plus an
 /// optional fuel counter. Passed by shared reference into prover loops;
 /// all mutation is interior and atomic.

@@ -53,7 +53,7 @@ pub mod trace;
 pub mod union_find;
 
 pub use bitset::BitSet;
-pub use budget::{Budget, Exhaustion};
+pub use budget::{Budget, Exhaustion, Failure};
 pub use chaos::{DiskFault, Fault, FaultPlan, Lie, SocketFault};
 pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
 pub use intern::{FreshScope, Symbol};

@@ -847,6 +847,7 @@ fn replaced_old(form: &Form, snap_map: &FxHashMap<Symbol, Form>) -> Option<Form>
 mod tests {
     use super::*;
     use jahob_javalite::{parse_program, resolve};
+    use jahob_util::budget::Budget;
 
     fn vcs_for(src: &str, class: &str, method: &str) -> MethodVcs {
         let prog = parse_program(src).unwrap();
@@ -916,7 +917,7 @@ class C {
         // And each surviving obligation is LIA-valid.
         for o in &vcs.obligations {
             assert_eq!(
-                jahob_presburger::translate::decide_valid(&o.form),
+                jahob_presburger::translate::decide_valid(&o.form, &Budget::unlimited()),
                 Ok(true),
                 "{}: {}",
                 o.label,
@@ -1009,8 +1010,8 @@ class C {
         // flattening — dispatching it must prove identically.
         let refolded = seq.to_form();
         assert_eq!(
-            jahob_presburger::translate::decide_valid(&refolded),
-            jahob_presburger::translate::decide_valid(&assert_ob.form),
+            jahob_presburger::translate::decide_valid(&refolded, &Budget::unlimited()),
+            jahob_presburger::translate::decide_valid(&assert_ob.form, &Budget::unlimited()),
         );
     }
 

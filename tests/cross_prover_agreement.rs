@@ -3,7 +3,7 @@
 
 use jahob_repro::logic::model::enumerate_models;
 use jahob_repro::logic::{form, Sort};
-use jahob_repro::util::{FxHashMap, Symbol};
+use jahob_repro::util::{Budget, FxHashMap, Symbol};
 
 fn sig() -> FxHashMap<Symbol, Sort> {
     [
@@ -37,12 +37,14 @@ fn bapa_bmc_and_models_agree() {
         let goal = form(src);
         // BAPA.
         assert_eq!(
-            jahob_repro::bapa::bapa_valid(&goal, &s),
+            jahob_repro::bapa::bapa_valid(&goal, &s, &Budget::unlimited()),
             Ok(expected),
             "bapa on {src}"
         );
         // Bounded model finder.
-        let bmc = jahob_repro::models::refute(&goal, &s, 2).unwrap();
+        let bmc = jahob_repro::models::Session::new()
+            .refute(&goal, &s, 2, &Budget::unlimited())
+            .unwrap();
         assert_eq!(bmc.is_none(), expected, "bmc on {src}");
         // Exhaustive enumeration (the semantics).
         let all = enumerate_models(2, (0, 0), &syms, &mut |m| m.eval_bool(&goal).unwrap());
@@ -62,11 +64,12 @@ fn smt_and_fol_agree_on_euf() {
     for (src, expected) in goals {
         let goal = form(src);
         assert_eq!(
-            jahob_repro::smt::smt_valid(&goal, &empty),
+            jahob_repro::smt::smt_valid(&goal, &empty, &Budget::unlimited()),
             Ok(expected),
             "smt on {src}"
         );
-        let fol = jahob_repro::fol::fol_valid(&goal).unwrap();
+        let fol =
+            jahob_repro::fol::fol_valid(&goal, &Default::default(), &Budget::unlimited()).unwrap();
         if expected {
             assert!(fol, "fol must prove {src}");
         }
@@ -89,12 +92,12 @@ fn cooper_and_smt_agree_on_lia() {
     for (src, expected) in goals {
         let goal = form(src);
         assert_eq!(
-            jahob_repro::presburger::translate::decide_valid(&goal),
+            jahob_repro::presburger::translate::decide_valid(&goal, &Budget::unlimited()),
             Ok(expected),
             "cooper on {src}"
         );
         assert_eq!(
-            jahob_repro::smt::smt_valid(&goal, &s),
+            jahob_repro::smt::smt_valid(&goal, &s, &Budget::unlimited()),
             Ok(expected),
             "smt on {src}"
         );
@@ -118,10 +121,17 @@ fn ws1s_agrees_with_bapa_on_set_facts() {
             WsForm::Sub(s("WX"), s("WZ")),
         )),
     );
-    assert!(matches!(decide(&ws).unwrap(), WsVerdict::Valid));
+    assert!(matches!(
+        decide(&ws, &Budget::unlimited()).unwrap(),
+        WsVerdict::Valid
+    ));
     // ...and in BAPA.
     assert_eq!(
-        jahob_repro::bapa::bapa_valid(&form("S <= T & T <= U --> S <= U"), &sig()),
+        jahob_repro::bapa::bapa_valid(
+            &form("S <= T & T <= U --> S <= U"),
+            &sig(),
+            &Budget::unlimited()
+        ),
         Ok(true)
     );
 }

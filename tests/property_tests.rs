@@ -12,7 +12,7 @@
 use jahob_repro::jahob::normalize;
 use jahob_repro::logic::model::enumerate_models;
 use jahob_repro::logic::{transform, BinOp, Form, QKind, Sort, UnOp};
-use jahob_repro::util::{FxHashMap, Symbol};
+use jahob_repro::util::{Budget, FxHashMap, Symbol};
 use proptest::prelude::*;
 use std::rc::Rc;
 
@@ -162,7 +162,7 @@ proptest! {
                 .collect();
             solver.add_clause(&lits);
         }
-        let got = solver.solve() == SolveResult::Unsat;
+        let got = solver.solve(&Budget::unlimited()) == Ok(SolveResult::Unsat);
         let brute_unsat = (0u32..64).all(|mask| {
             !clauses.iter().all(|clause| {
                 clause
@@ -188,7 +188,7 @@ proptest! {
         .iter()
         .map(|(n, s)| (Symbol::intern(n), s.clone()))
         .collect();
-        if let Ok(valid) = jahob_repro::bapa::bapa_valid(&f, &sig) {
+        if let Ok(valid) = jahob_repro::bapa::bapa_valid(&f, &sig, &Budget::unlimited()) {
             let syms: Vec<(Symbol, Sort)> =
                 sig.iter().map(|(k, v)| (*k, v.clone())).collect();
             let small = enumerate_models(2, (0, 0), &syms, &mut |m| {
@@ -325,7 +325,7 @@ proptest! {
         .collect();
         let syms: Vec<(Symbol, Sort)> =
             sig.iter().map(|(k, v)| (*k, v.clone())).collect();
-        let found = jahob_repro::models::find_model(&f, &sig, 2)
+        let found = jahob_repro::models::find_model(&f, &sig, 2, &Budget::unlimited())
             .expect("set fragment grounds")
             .is_some();
         let exists = !enumerate_models(2, (0, 0), &syms, &mut |m| {
