@@ -178,7 +178,8 @@ impl From<Exhaustion> for FailureReason {
 
 /// Per-obligation failure taxonomy: which provers were tried and why each
 /// one stopped. Attached to [`Verdict::Unknown`] so "unknown" is never a
-/// bare shrug.
+/// bare shrug: every attempt the budget admitted that ended without a
+/// verdict is in it, with a reason.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Diagnosis {
     /// One entry per prover that was actually attempted, carrying its most
@@ -970,8 +971,10 @@ impl Dispatcher {
                 self.stats.bump("refuted.bmc");
                 return Ok(Some(Verdict::CounterModel(model)));
             }
+            Ok(BmcVerdict::ValidUpTo(_)) if self.config.bmc_as_validity => return Ok(Some(proof)),
             Ok(BmcVerdict::ValidUpTo(_)) => {
-                return Ok(self.config.bmc_as_validity.then_some(proof))
+                diag.record(ProverId::Bmc, FailureReason::GaveUp);
+                return Ok(None);
             }
             Err(Failure::Unsupported(_)) => diag.record(ProverId::Bmc, FailureReason::Unsupported),
             Err(Failure::Exhausted(why)) => return Err(why),
@@ -1138,7 +1141,10 @@ fn portfolio_attempt(
         }
         // The Nelson–Oppen core is for compact ground goals; on big VC
         // chains the lazy loop + arrangement enumeration dominates.
-        ProverId::Smt if goal.size() > 150 => None,
+        ProverId::Smt if goal.size() > 150 => {
+            diag.record(prover, FailureReason::Unsupported);
+            None
+        }
         _ => {
             let Some(n) = NARROWING.iter().find(|n| n.prover == prover) else {
                 return Ok(None);
@@ -1381,6 +1387,40 @@ mod tests {
             "ALL a b c. a ~= null & b ~= null & c ~= null --> a = b | b = c | a = c",
         ));
         assert!(matches!(v, Verdict::Unknown(_)), "{v:?}");
+        // The model finder ran out its bound without a counter-model: with
+        // bounded proofs off, that decides nothing, and says so.
+        let Verdict::Unknown(diag) = v else {
+            unreachable!()
+        };
+        assert!(
+            diag.to_string().contains("bounded-models: gave-up"),
+            "{diag}"
+        );
+    }
+
+    #[test]
+    fn oversized_pieces_are_outside_nelson_oppen() {
+        // `S0 <= S1 --> ... --> S40 <= S0`: 163 nodes, past Nelson–Oppen's
+        // 150-node gate, and invalid, so nothing proves it.
+        let mut d = dispatcher();
+        d.config.bmc_bound = 0;
+        d.config.fol_iterations = 50;
+        for k in 0..=40 {
+            d.sig
+                .insert(Symbol::intern(&format!("S{k}")), Sort::objset());
+        }
+        let goal = (0..40).rev().fold(form("S40 <= S0"), |acc, k| {
+            Form::implies(form(&format!("S{k} <= S{}", k + 1)), acc)
+        });
+        let prepared = d.prepare(&goal);
+        assert!(prepared.pieces.iter().all(|p| p.goal.form.size() > 150));
+        match d.prove(&goal) {
+            Verdict::Unknown(diag) => assert!(
+                diag.to_string().contains("nelson-oppen: unsupported"),
+                "{diag}"
+            ),
+            other => panic!("expected a diagnosed unknown, got {other:?}"),
+        }
     }
 
     #[test]
