@@ -1312,6 +1312,22 @@ mod tests {
     }
 
     #[test]
+    fn fragment_provers_retry_without_foreign_hypotheses() {
+        // Each goal follows only from its conclusion's fragment, and one
+        // hypothesis outside that fragment keeps the whole piece out: its
+        // prover proves it on the retry without that hypothesis, before
+        // any later prover is tried.
+        let d = dispatcher();
+        for (goal, prover) in [
+            ("x : S --> i < j --> i + 1 <= j", ProverId::Lia),
+            ("next x = y --> S Int T <= S", ProverId::Bapa),
+            ("x : S --> x = y --> next x = next y", ProverId::Smt),
+        ] {
+            assert_eq!(proved_by(&d, goal), Some(prover), "{goal}");
+        }
+    }
+
+    #[test]
     fn bounded_proof_takes_one_model_search_and_is_held_through_fol() {
         // Acyclicity of a `tree` backbone: only the model finder proves it.
         // One search finds the bounded proof before FOL, and FOL still
