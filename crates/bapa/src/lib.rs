@@ -1,7 +1,7 @@
 //! `jahob-bapa`: Boolean Algebra with Presburger Arithmetic.
 //!
 //! Implements the decision procedure of Kuncak, Nguyen & Rinard (CADE-20,
-//! [43] in the paper): formulas mixing set algebra over an unbounded finite
+//! \[43\] in the paper): formulas mixing set algebra over an unbounded finite
 //! universe of objects with integer arithmetic over set cardinalities are
 //! decided by *Venn-region reduction*. Every Boolean combination of the base
 //! sets is a region; one non-negative integer variable stands for each

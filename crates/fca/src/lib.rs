@@ -1,5 +1,5 @@
 //! `jahob-fca`: field constraint analysis (Wies, Kuncak, Lam, Podelski,
-//! Rinard — VMCAI'06, [80] in the paper).
+//! Rinard — VMCAI'06, \[80\] in the paper).
 //!
 //! Backbone fields (`next`) generate decidable reachability structure;
 //! *derived* fields (`data`) do not — but they are usually constrained by an

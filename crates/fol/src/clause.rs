@@ -12,7 +12,7 @@ use jahob_util::{FxHashMap, FxHashSet, Symbol};
 use std::fmt;
 
 /// A literal: possibly negated atom `Pred(args)`. Equality uses the
-/// distinguished predicate [`EQ`].
+/// distinguished predicate [`eq_pred`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Literal {
     pub positive: bool,

@@ -1,15 +1,15 @@
 //! `jahob-fol`: a saturation-based first-order theorem prover.
 //!
 //! Jahob's fallback for obligations outside every decidable fragment was an
-//! off-the-shelf automated theorem prover (the paper cites Vampire [78]) and
-//! the first-order *simulation* of reachability from Lev-Ami et al. [52].
+//! off-the-shelf automated theorem prover (the paper cites Vampire \[78\]) and
+//! the first-order *simulation* of reachability from Lev-Ami et al. \[52\].
 //! This crate is the from-scratch substitute: a refutation prover using
 //! binary resolution with factoring over clausified goals, equality handled
 //! by axiom instantiation (reflexivity/symmetry/transitivity plus congruence
 //! schemas for the symbols in the problem), forward subsumption, and a
 //! given-clause saturation loop with effort limits.
 //!
-//! [`reach`] adds the [52]-style axiomatization of `rtrancl_pt` atoms so
+//! [`reach`] adds the \[52\]-style axiomatization of `rtrancl_pt` atoms so
 //! transitive-reachability obligations over linked structures can be
 //! discharged in pure first-order logic.
 

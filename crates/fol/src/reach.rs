@@ -1,4 +1,4 @@
-//! First-order axiomatization of reachability — the [52] component.
+//! First-order axiomatization of reachability — the \[52\] component.
 //!
 //! `rtrancl_pt (% x y. f x = y) s t` atoms are replaced by applications of a
 //! fresh reachability predicate `$reach_f(s, t)`, and axiom schemas that are
@@ -12,7 +12,7 @@
 //! 5. `∀x y z. R(x,y) ∧ R(x,z) → R(y,z) ∨ R(z,y)`     (chain linearity —
 //!    sound because `f` is a function)
 //!
-//! Full transitive closure is not first-order axiomatizable ([61], [52]); the
+//! Full transitive closure is not first-order axiomatizable (\[61\], \[52\]); the
 //! schemas make the prover *incomplete but sound*: derived refutations hold
 //! in every model of the axioms, which include all intended heap models.
 //!

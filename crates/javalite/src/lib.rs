@@ -21,7 +21,7 @@
 //!   not verified — how the paper's game case study is "partially
 //!   verified").
 //!
-//! [`resolve`] typechecks the program, builds the global logical signature
+//! [`resolve()`] typechecks the program, builds the global logical signature
 //! (fields and per-instance specvars become `obj => T` functions) and
 //! qualifies the names in annotations. It runs no sort inference: the
 //! overloaded operators leave the frontend as parsed. `jahob-logic`'s sort

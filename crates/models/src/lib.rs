@@ -1,6 +1,6 @@
 //! `jahob-models`: a SAT-based bounded model finder — the Alloy substitute.
 //!
-//! The paper's related-work section points at the Alloy Analyzer [34] as the
+//! The paper's related-work section points at the Alloy Analyzer \[34\] as the
 //! finite-model-finding complement to verification ("bug finding can be
 //! combined with verification in productive ways"). This crate implements
 //! that component from scratch: a specification-logic formula is *grounded*

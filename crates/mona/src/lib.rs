@@ -1,7 +1,7 @@
 //! `jahob-mona`: a WS1S decision procedure — the MONA substitute.
 //!
 //! Jahob used "monadic second-order logic over trees to reason about
-//! reachability in linked data structures" via the MONA tool [40]. This
+//! reachability in linked data structures" via the MONA tool \[40\]. This
 //! crate reimplements the automata-theoretic decision procedure for **WS1S**
 //! (weak monadic second-order logic of one successor), which suffices for
 //! the *list* backbones every case study in the paper uses: a singly-linked

@@ -1,7 +1,7 @@
 //! `jahob-shape`: symbolic shape analysis and loop-invariant inference.
 //!
 //! The paper: "The system can infer loop invariants using new symbolic shape
-//! analysis" (abstract; [65] Boolean heaps, [79] Wies' symbolic shape
+//! analysis" (abstract; \[65\] Boolean heaps, \[79\] Wies' symbolic shape
 //! analysis) and "it is also able to leverage loop invariant inference
 //! engines, including speculative engines that may generate incorrect loop
 //! invariants. Any incorrect loop invariants would be detected and rejected
@@ -10,14 +10,14 @@
 //! Two engines:
 //!
 //! * [`houdini`] — the speculative candidate-refutation scheme (Flanagan &
-//!   Leino [21], cited in §4): start from a finite candidate vocabulary,
+//!   Leino \[21\], cited in §4): start from a finite candidate vocabulary,
 //!   repeatedly drop candidates not preserved by the loop body until a
 //!   fixpoint; the surviving conjunction is inductive *by construction of
 //!   the check*, and the final verification run re-checks it anyway.
 //! * [`bool_heap`] — a Boolean-heap abstract domain: an abstract state is a
 //!   set of bit-vectors over heap predicates; the abstract post is computed
 //!   with an entailment oracle, exactly the "decision procedures drive the
-//!   abstract transformer" idea of [65]/[84].
+//!   abstract transformer" idea of \[65\]/\[84\].
 
 use jahob_logic::Form;
 use jahob_util::BitSet;
