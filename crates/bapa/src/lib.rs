@@ -23,6 +23,9 @@
 //! coefficient in every other atom become one variable, and those in no
 //! other atom are dropped (exact, since a sum of naturals is a natural).
 //! On game.javax's six-base goals that leaves 11 to 43 of the 64.
+//!
+//! [`bapa_valid`] is the one entry: it charges the caller's [`Budget`] and
+//! answers [`Failure::Unsupported`] for a goal outside the fragment.
 
 use jahob_logic::{BinOp, Form, Sort, UnOp};
 use jahob_presburger::cooper::{self, PAtom, PForm};

@@ -12,6 +12,11 @@
 //! [`reach`] adds the \[52\]-style axiomatization of `rtrancl_pt` atoms so
 //! transitive-reachability obligations over linked structures can be
 //! discharged in pure first-order logic.
+//!
+//! [`fol_valid`] is the entry the dispatcher calls: it clausifies, adds
+//! the reachability axioms and runs [`prove`] within the configured
+//! effort and the caller's [`Budget`], answering
+//! [`Failure::Unsupported`] for a goal it cannot clausify.
 
 pub mod clause;
 pub mod prover;

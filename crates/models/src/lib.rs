@@ -49,7 +49,9 @@
 //! next use, solver and grounder roll back to the mark taken after the
 //! hypotheses. The answer is the one a fresh grounding gives: sessions
 //! change how fast it comes, and which counter-model, never whether one
-//! exists. [`find_model`], the one free search, is a one-goal session.
+//! exists. [`Session`] and [`find_model`], a one-goal session, are the
+//! search API; every search charges the caller's [`Budget`] and answers
+//! [`Failure::Unsupported`] for a goal outside the boundable fragment.
 
 use jahob_logic::model::{Key, Model, Value};
 use jahob_logic::sequent;

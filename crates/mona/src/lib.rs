@@ -23,6 +23,12 @@
 //! * [`segments`] — the bridge used by the heap provers: encodings of
 //!   list-segment reasoning (reachability along one functional field) as
 //!   WS1S sentences, used by E7's benchmark families.
+//!
+//! Every automaton construction and [`ws1s::decide`],
+//! [`ws1s::satisfiable`] and [`ws1s::compile_opts`] take the caller's
+//! [`Budget`](jahob_util::Budget); the last three answer
+//! [`Failure::Unsupported`](jahob_util::Failure::Unsupported) past the
+//! track limit or, for `decide`, on a formula with free variables.
 
 pub mod dfa;
 pub mod segments;

@@ -15,6 +15,13 @@
 //!   VC generator mostly emits; benchmarked against Cooper in E9.
 //! * [`translate`] — mapping the linear-integer-arithmetic fragment of the
 //!   specification logic (`jahob_logic::Form`) into [`cooper::PForm`].
+//!
+//! Each procedure has one entry, and it takes the caller's
+//! [`Budget`](jahob_util::Budget): Cooper's [`cooper::valid`],
+//! [`cooper::sat`] and [`decide_closed`] answer or report exhaustion, and
+//! [`translate::decide_valid`], the dispatcher's entry, also answers
+//! [`Failure::Unsupported`](jahob_util::Failure::Unsupported) for a goal
+//! outside the fragment.
 
 pub mod cooper;
 pub mod linterm;

@@ -14,6 +14,10 @@
 //! finder's sessions and spurious-model loop and the DPLL(T) theory loop
 //! rely on. Both build their propositional structure through one gate
 //! builder, [`CnfBuilder`], which rolls back with its solver.
+//!
+//! [`Solver::solve`] and [`Solver::solve_with_assumptions`] take the
+//! caller's [`Budget`](jahob_util::Budget), charged per conflict and per
+//! decision.
 
 pub mod cnf;
 pub mod solver;

@@ -22,6 +22,10 @@
 //! falsehood. Since LIA over ℤ is non-convex, the combination additionally
 //! performs a bounded case-split on shared-variable equalities when the
 //! definite propagation reaches a fixpoint without a conflict.
+//!
+//! [`smt_valid`] and [`smt_sat`] take the caller's [`Budget`] and answer
+//! [`Failure::Unsupported`] for a goal outside the ground EUF+LIA
+//! fragment.
 
 mod purify;
 mod theory;
