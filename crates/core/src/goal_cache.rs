@@ -46,13 +46,14 @@ use jahob_logic::{Form, Sort};
 use jahob_util::chaos::{splitmix64, FaultPlan};
 use jahob_util::counters::Stats;
 use jahob_util::obs::{Event, Sink};
-use jahob_util::store::{Record, Store};
+use jahob_util::store::{Entry, Store};
 use jahob_util::{FxHashMap, Symbol};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 // ---- normalization -------------------------------------------------------
@@ -269,12 +270,11 @@ pub struct Claim<'c> {
 impl Claim<'_> {
     pub fn fill(mut self, proof: CachedProof) {
         self.filled = true;
-        self.cache
-            .queue_record(Record::entry(self.key, encode_proof(&proof)));
         let mut slots = self.cache.lock();
         slots.insert(self.key, Slot::Done(proof));
         drop(slots);
         self.cache.ready.notify_all();
+        self.cache.note_change();
     }
 }
 
@@ -291,26 +291,21 @@ impl Drop for Claim<'_> {
 
 // ---- persistence ---------------------------------------------------------
 
-/// Write-behind flush watermarks: a flush goes out when either trips.
-/// Small enough that a crash loses little, large enough that a busy run
-/// does not write a segment per goal.
+/// Unsaved changes that trigger a save mid-run: few enough that a crash
+/// loses little, enough that a busy run does not rewrite the snapshot
+/// for every goal.
 const FLUSH_RECORDS: usize = 128;
-const FLUSH_BYTES: u64 = 32 * 1024;
 
-/// Proof records queued for the next write-behind flush.
-#[derive(Default)]
-struct PendingWrites {
-    records: Vec<Record>,
-    bytes: u64,
-}
-
-/// The on-disk shadow of a [`GoalCache`]: a crash-safe segment store (see
-/// [`jahob_util::store`]) plus the write-behind queue feeding it. All
-/// store failures degrade — an entry that fails to persist is simply
-/// re-proved by the next process; it never affects this run's verdicts.
+/// The on-disk shadow of a [`GoalCache`]: its snapshot store (see
+/// [`jahob_util::store`]) and the count of changes, fills and
+/// evictions, that the snapshot on disk lacks. Every store failure
+/// degrades: an entry that fails to persist is re-proved by the next
+/// process; it never affects this run's verdicts.
 struct PersistLayer {
+    /// Locked across a save, so this cache's saves never share the
+    /// store's one temp file.
     store: Mutex<Store>,
-    pending: Mutex<PendingWrites>,
+    unsaved: AtomicUsize,
     sink: Option<Arc<dyn Sink>>,
     stats: Stats,
 }
@@ -323,44 +318,6 @@ impl PersistLayer {
         event.stat_increments(|name, delta| self.stats.add(name, delta));
         if let Some(sink) = &self.sink {
             sink.emit(&event);
-        }
-    }
-
-    fn queue(&self, record: Record) {
-        let should_flush = {
-            let mut pending = lock_or_recover(&self.pending);
-            pending.bytes += record.frame_len();
-            pending.records.push(record);
-            pending.records.len() >= FLUSH_RECORDS || pending.bytes >= FLUSH_BYTES
-        };
-        if should_flush {
-            self.flush();
-        }
-    }
-
-    /// Write every queued record as one new segment. On failure the
-    /// records are dropped (not re-queued): the store module guarantees
-    /// the directory stays consistent, and unpersisted proofs just cost
-    /// a re-prove next process.
-    fn flush(&self) {
-        let batch = {
-            let mut pending = lock_or_recover(&self.pending);
-            pending.bytes = 0;
-            std::mem::take(&mut pending.records)
-        };
-        if batch.is_empty() {
-            return;
-        }
-        let result = lock_or_recover(&self.store).append(&batch);
-        match result {
-            Ok(bytes) => self.emit(Event::StoreFlush {
-                records: batch.len() as u64,
-                bytes,
-            }),
-            Err(e) => self.emit(Event::StoreError {
-                op: "flush",
-                error: e.to_string(),
-            }),
         }
     }
 }
@@ -406,8 +363,8 @@ fn decode_proof(payload: &[u8]) -> Option<CachedProof> {
 pub struct GoalCache {
     slots: Mutex<HashMap<u128, Slot>>,
     ready: Condvar,
-    /// `Some` when this cache shadows an on-disk store. Fills queue proof
-    /// records, evictions queue tombstones, drops flush.
+    /// `Some` when this cache shadows an on-disk store. Fills and
+    /// evictions count as unsaved changes; run end and drop save them.
     persist: Option<PersistLayer>,
 }
 
@@ -424,23 +381,23 @@ impl GoalCache {
         GoalCache::default()
     }
 
-    /// Open a cache shadowed by the crash-safe store at `dir`, replaying
-    /// every surviving entry recorded under the same semantic `digest`.
+    /// Open a cache shadowed by the snapshot store at `dir`, loading every
+    /// entry of a snapshot saved under the same semantic `digest`.
     ///
-    /// **Never fails.** Every store-level problem — unreadable directory,
-    /// corrupt segments, a live lock held elsewhere — degrades to a
-    /// colder cache (at worst a plain in-memory one) with a diagnosed
-    /// `store.error` event; verification verdicts are never affected.
-    /// Disk-fault injection from `plan` applies at the store's IO
-    /// boundary; store events go to `sink` and the layer's stats.
+    /// **Never fails.** Every store-level problem — an unusable
+    /// directory, a rejected snapshot — degrades to a colder cache (at
+    /// worst a plain in-memory one) with a diagnosed `store.error` or
+    /// `store.recovered` event; verification verdicts are never
+    /// affected. Disk-fault injection from `plan` applies at the store's
+    /// IO boundary; store events go to `sink` and the layer's stats.
     pub fn open_persistent(
         dir: &Path,
         digest: u64,
         plan: Option<Arc<FaultPlan>>,
         sink: Option<Arc<dyn Sink>>,
     ) -> GoalCache {
-        let (store, report) = match Store::open(dir, digest, plan) {
-            Ok(opened) => opened,
+        let store = match Store::open(dir, digest, plan) {
+            Ok(store) => store,
             Err(e) => {
                 // The directory itself is unusable: run with a plain
                 // in-memory cache and say so.
@@ -454,39 +411,21 @@ impl GoalCache {
                 return GoalCache::new();
             }
         };
-
         let persist = PersistLayer {
             store: Mutex::new(store),
-            pending: Mutex::new(PendingWrites::default()),
+            unsaved: AtomicUsize::new(0),
             sink,
             stats: Stats::new(),
         };
-        persist.emit(Event::StoreOpen {
-            entries: report.records.len() as u64,
-            segments: report.segments,
-            lock: report.lock.label(),
+        let loaded = lock_or_recover(&persist.store).load();
+        let entries = loaded.unwrap_or_else(|reason| {
+            persist.emit(Event::StoreRecovered { reason });
+            Vec::new()
         });
-        if report.dropped > 0 || report.reset.is_some() {
-            persist.emit(Event::StoreRecovered {
-                dropped: report.dropped,
-                reset: report.reset.clone(),
-            });
-        }
-        if report.quarantined > 0 {
-            persist.emit(Event::StoreQuarantined {
-                segments: report.quarantined,
-            });
-        }
-
-        // Replay in record order: later records win, tombstones erase.
-        let mut slots: HashMap<u128, Slot> = HashMap::new();
-        for record in &report.records {
-            if record.tombstone {
-                slots.remove(&record.key);
-            } else if let Some(proof) = decode_proof(&record.payload) {
-                slots.insert(record.key, Slot::Done(proof));
-            }
-        }
+        let slots: HashMap<u128, Slot> = entries
+            .iter()
+            .filter_map(|(key, payload)| Some((*key, Slot::Done(decode_proof(payload)?))))
+            .collect();
         persist.emit(Event::StoreLoad {
             entries: slots.len() as u64,
         });
@@ -513,15 +452,45 @@ impl GoalCache {
             .unwrap_or_default()
     }
 
-    /// Force every queued record to disk now. Called on session drop;
-    /// exposed for tests and deliberate checkpoints.
+    /// Rewrite the snapshot from every completed entry, if it lacks a
+    /// change. Called at run end and on drop; exposed for tests and
+    /// deliberate checkpoints. A failed save is a `store.error` event.
     pub fn flush_persistent(&self) {
+        let Some(persist) = &self.persist else {
+            return;
+        };
+        let store = lock_or_recover(&persist.store);
+        if persist.unsaved.swap(0, Ordering::AcqRel) == 0 {
+            return;
+        }
+        let mut entries: Vec<Entry> = self
+            .lock()
+            .iter()
+            .filter_map(|(key, slot)| match slot {
+                Slot::Done(proof) => Some((*key, encode_proof(proof))),
+                Slot::InFlight => None,
+            })
+            .collect();
+        entries.sort_unstable_by_key(|(key, _)| *key);
+        persist.emit(match store.save(&entries) {
+            Ok(bytes) => Event::StoreFlush {
+                records: entries.len() as u64,
+                bytes,
+            },
+            Err(e) => Event::StoreError {
+                op: "flush",
+                error: e.to_string(),
+            },
+        });
+    }
+
+    /// Count one fill or eviction against the snapshot, saving at
+    /// [`FLUSH_RECORDS`] unsaved changes (a no-op for a plain in-memory
+    /// cache).
+    fn note_change(&self) {
         if let Some(persist) = &self.persist {
-            // A read-only layer queues nothing, but guard anyway: append
-            // on a read-only store is a diagnosed error we'd rather not
-            // emit once per drop.
-            if !lock_or_recover(&persist.store).read_only() {
-                persist.flush();
+            if persist.unsaved.fetch_add(1, Ordering::AcqRel) + 1 >= FLUSH_RECORDS {
+                self.flush_persistent();
             }
         }
     }
@@ -563,23 +532,13 @@ impl GoalCache {
     }
 
     /// Drop a completed entry (the watchdog evicts entries it could not
-    /// re-confirm). On a persistent cache the eviction is tombstoned on
-    /// disk, so the unconfirmable proof is never replayed by a later
-    /// process either.
+    /// re-confirm). On a persistent cache the eviction is a change the
+    /// next save writes, so the unconfirmable proof is never replayed by
+    /// a later process either.
     pub fn evict(&self, key: u128) {
-        self.queue_record(Record::tombstone(key));
         self.lock().remove(&key);
         self.ready.notify_all();
-    }
-
-    /// Queue `record` for the next write-behind flush (no-op for plain
-    /// in-memory caches and read-only stores).
-    fn queue_record(&self, record: Record) {
-        if let Some(persist) = &self.persist {
-            if !lock_or_recover(&persist.store).read_only() {
-                persist.queue(record);
-            }
-        }
+        self.note_change();
     }
 
     /// Number of completed or in-flight entries.
@@ -594,10 +553,10 @@ impl GoalCache {
 
 impl Drop for GoalCache {
     fn drop(&mut self) {
-        // Write-behind durability floor: whatever the watermarks left
-        // queued goes to disk when the session (or shared cache's last
-        // owner) lets go. A crash before this point loses at most the
-        // queued tail — never corrupts what was already flushed.
+        // Durability floor: whatever the last save missed goes to disk
+        // when the session (or shared cache's last owner) lets go. A
+        // crash before this point loses at most those changes, never
+        // what an earlier save published.
         self.flush_persistent();
     }
 }
@@ -770,7 +729,7 @@ mod tests {
     }
 
     #[test]
-    fn persistent_cache_survives_reopen_with_tombstones() {
+    fn persistent_cache_survives_reopen_without_evicted_entries() {
         let dir = temp_dir("reopen");
         let proof = CachedProof {
             prover: ProverId::Lia,
@@ -787,11 +746,11 @@ mod tests {
                 }
             }
             cache.evict(2);
-            // Drop flushes the queued records + tombstone.
+            // Drop saves the snapshot, without the evicted entry.
         }
         let cache = GoalCache::open_persistent(&dir, 5, None, None);
         assert_eq!(cache.peek(1), Some(proof.clone()));
-        assert_eq!(cache.peek(2), None, "tombstone erases on replay");
+        assert_eq!(cache.peek(2), None, "an evicted entry is not saved");
         assert_eq!(cache.peek(3), Some(proof));
         assert_eq!(cache.len(), 2);
         let stats = cache.persist_stats();

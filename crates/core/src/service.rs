@@ -728,8 +728,8 @@ fn dispatch_loop(shared: Arc<Shared>, config: Config) {
         });
         shared.finish_request();
     }
-    // Warm state survives the drain: flush write-behind proofs now, not
-    // at some process-exit hook that a SIGKILL would skip.
+    // Warm state survives the drain: save the cache's unsaved proofs
+    // now, not at some process-exit hook that a SIGKILL would skip.
     if let Some(cache) = verifier.goal_cache() {
         cache.flush_persistent();
     }

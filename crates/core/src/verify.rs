@@ -63,9 +63,9 @@ pub struct Config {
     /// Directory for the crash-safe persistent proof cache (see
     /// [`jahob_util::store`]). When set — explicitly or via `JAHOB_CACHE`,
     /// resolved once by the builder — the session's goal cache shadows
-    /// this directory: surviving entries replay on open, proofs flush
-    /// write-behind, and corruption degrades to a cold cache. Ignored
-    /// when `goal_cache` is off.
+    /// this directory's snapshot: its entries load on open, new proofs
+    /// are saved in batches and at run end, and corruption degrades to a
+    /// cold cache. Ignored when `goal_cache` is off.
     pub cache_path: Option<PathBuf>,
     /// Where the run's event stream goes. `None` disables observability
     /// entirely (the fast path: one pointer test per potential event).
@@ -336,29 +336,18 @@ pub struct Verifier {
     cache: Option<Arc<GoalCache>>,
 }
 
-/// The invalidation key for persisted cache entries: the semantic
-/// dispatch-config digest folded with the store format version and the
-/// crate version, so entries recorded by a different prover configuration
-/// *or a different build of the code* are never replayed. (Fingerprints
-/// already fold the config digest; the manifest-level key adds the
-/// code-version axis and makes the reset observable instead of silently
-/// missing on every key.)
-fn persistent_digest(dispatch: &DispatchConfig) -> u64 {
-    use jahob_util::chaos::splitmix64;
-    let mut d = dispatch.cache_digest() ^ splitmix64(jahob_util::store::FORMAT_VERSION as u64);
-    for b in env!("CARGO_PKG_VERSION").bytes() {
-        d = splitmix64(d ^ b as u64);
-    }
-    d
-}
-
 impl Verifier {
     pub fn new(config: Config) -> Verifier {
         let cache = config.goal_cache.then(|| {
             if let Some(dir) = &config.cache_path {
+                // The snapshot is keyed on the semantic dispatch-config
+                // digest, so one saved under another prover configuration
+                // loads cold and says so instead of missing on every key.
+                // A build that withdraws proofs bumps the store's
+                // `FORMAT_VERSION` instead.
                 Arc::new(GoalCache::open_persistent(
                     dir,
-                    persistent_digest(&config.dispatch),
+                    config.dispatch.cache_digest(),
                     config.dispatch.fault_plan.clone(),
                     config.sink.clone(),
                 ))

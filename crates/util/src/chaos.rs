@@ -62,29 +62,25 @@ pub enum Lie {
 
 /// On-disk failure modes for the persistent store's IO boundary (see
 /// [`crate::store`]). Each models one way real storage betrays a cache:
-/// a crash mid-append, silent media corruption, a filesystem that stops
-/// cooperating, or a lock file orphaned by a dead process. The store's
-/// recovery ladder must degrade every one of them to a cold (or partial)
-/// cache — never to a wrong verdict, a panic, or an unopenable directory.
+/// a crash mid-save, silent media corruption, or a filesystem that stops
+/// cooperating. The store must degrade every one of them to a cold cache
+/// — never to a wrong verdict, a panic, or an unopenable directory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DiskFault {
-    /// An append writes only a prefix of the record batch before the
-    /// "crash": the segment lands on disk with a torn tail.
+    /// A save writes only a prefix of the snapshot before the "crash",
+    /// and its rename still lands: the snapshot on disk is torn.
     TornWrite,
-    /// One bit of the encoded batch flips after checksumming — silent
-    /// media corruption that only the per-record CRC can catch.
+    /// One bit of the snapshot flips after checksumming — silent media
+    /// corruption that only the snapshot's CRC can catch.
     BitFlip,
-    /// A segment read returns fewer bytes than the file holds (the tail
+    /// A snapshot read returns fewer bytes than the file holds (the tail
     /// vanishes mid-read).
     ShortRead,
     /// The write fails with ENOSPC-style storage exhaustion.
     NoSpace,
-    /// The temp file writes fine but the atomic rename fails, stranding
-    /// a `*.tmp` orphan.
+    /// The temp file writes fine but the atomic rename fails, leaving
+    /// the old snapshot in place and the new one under the temp name.
     RenameFail,
-    /// A lock file from a dead process blocks the directory until the
-    /// stale-lock takeover path reclaims it.
-    StaleLock,
 }
 
 impl std::fmt::Display for DiskFault {
@@ -95,7 +91,6 @@ impl std::fmt::Display for DiskFault {
             DiskFault::ShortRead => "short-read",
             DiskFault::NoSpace => "no-space",
             DiskFault::RenameFail => "rename-fail",
-            DiskFault::StaleLock => "stale-lock",
         })
     }
 }
@@ -348,7 +343,7 @@ impl FaultPlan {
     }
 
     /// Decide the fate of the next IO operation at store site `site`.
-    /// The seeded distribution maps onto the six [`DiskFault`] kinds;
+    /// The seeded distribution maps onto the five [`DiskFault`] kinds;
     /// targeted rules fire only when they name a `Fault::Disk` (a panic
     /// rule aimed at a store site is meaningless and is ignored, exactly
     /// as the dispatcher ignores a disk rule aimed at a prover site).
@@ -356,13 +351,12 @@ impl FaultPlan {
         match self.raw_decide(site)? {
             RawDecision::Rule(Fault::Disk(d)) => Some(d),
             RawDecision::Rule(_) => None,
-            RawDecision::Seeded(kind) => Some(match kind % 6 {
+            RawDecision::Seeded(kind) => Some(match kind % 5 {
                 0 => DiskFault::TornWrite,
                 1 => DiskFault::BitFlip,
                 2 => DiskFault::ShortRead,
                 3 => DiskFault::NoSpace,
-                4 => DiskFault::RenameFail,
-                _ => DiskFault::StaleLock,
+                _ => DiskFault::RenameFail,
             }),
         }
     }

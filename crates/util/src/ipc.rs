@@ -14,7 +14,7 @@
 //! * `len` is the body length (kind byte included) and is bounded by the
 //!   reader's `max_len`, so a corrupt length can never trigger an
 //!   unbounded allocation.
-//! * `crc32` covers the body, reusing the same CRC-32 the segment store
+//! * `crc32` covers the body, reusing the same CRC-32 the snapshot store
 //!   uses ([`crate::store::crc32`]); a bit-flipped or truncated frame is
 //!   rejected, never half-parsed.
 //!

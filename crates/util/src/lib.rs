@@ -31,9 +31,9 @@
 //!   recorder the dispatcher threads through the hot path.
 //! * [`json`] — a tiny hand-rolled JSON writer backing [`obs`] and the
 //!   verification report serialization (the workspace has no deps).
-//! * [`store`] — a crash-safe, checksummed, append-only segment store
-//!   that persists the goal cache across processes; corruption degrades
-//!   to a cold cache, never a wrong answer.
+//! * [`store`] — a crash-safe, checksummed snapshot file that persists
+//!   the goal cache across processes; corruption degrades to a cold
+//!   cache, never a wrong answer.
 //! * [`ipc`] — the length-prefixed, CRC-framed protocol spoken between
 //!   the verification daemon and its clients, plus the little binary
 //!   codec the frames carry.

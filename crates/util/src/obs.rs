@@ -115,27 +115,17 @@ pub enum Event {
     /// Soundness watchdog activity: `checked`, `confirmed`,
     /// `unconfirmed`, or `disagreement`.
     Watchdog { outcome: &'static str },
-    /// The persistent proof store was opened: `entries` records survived
-    /// recovery across `segments` segments; `lock` is the advisory-lock
-    /// outcome (`acquired`, `took-over-stale`, `read-only`), tallied as
-    /// `store.lock.<lock>`.
-    StoreOpen {
-        entries: u64,
-        segments: u64,
-        lock: &'static str,
-    },
-    /// Surviving store records were replayed into the goal cache.
+    /// The persistent proof store's snapshot loaded `entries` proofs
+    /// into the goal cache (none for a fresh directory).
     StoreLoad { entries: u64 },
-    /// A write-behind flush persisted `records` records as one new
-    /// segment of `bytes` bytes.
+    /// A save rewrote the snapshot with `records` entries in `bytes`
+    /// bytes.
     StoreFlush { records: u64, bytes: u64 },
-    /// Recovery dropped torn/corrupt tail records, or reset the store
-    /// outright (`reset` names why: digest change, format bump, missing
-    /// manifest). Corruption degrades to a cold cache, so this event is
-    /// diagnostic, never an error.
-    StoreRecovered { dropped: u64, reset: Option<String> },
-    /// Unreadable segments were quarantined to `*.corrupt` and skipped.
-    StoreQuarantined { segments: u64 },
+    /// The snapshot was rejected and the cache started cold; `reason`
+    /// names why (digest change, format bump, checksum mismatch,
+    /// truncation). Corruption degrades to a cold cache, so this event
+    /// is diagnostic, never an error.
+    StoreRecovered { reason: String },
     /// A store IO operation (`open`, `flush`) failed; persistence
     /// degrades — the verification run itself is unaffected.
     StoreError { op: &'static str, error: String },
@@ -185,11 +175,9 @@ impl Event {
             Event::ChaosInjected { .. } => "chaos.injected",
             Event::ChaosLied { .. } => "chaos.lied",
             Event::Watchdog { .. } => "watchdog",
-            Event::StoreOpen { .. } => "store.open",
             Event::StoreLoad { .. } => "store.load",
             Event::StoreFlush { .. } => "store.flush",
             Event::StoreRecovered { .. } => "store.recovered",
-            Event::StoreQuarantined { .. } => "store.quarantined",
             Event::StoreError { .. } => "store.error",
             Event::ServiceStart { .. } => "service.start",
             Event::ServiceAccept { .. } => "service.accept",
@@ -318,20 +306,9 @@ impl Event {
             Event::ChaosInjected { site, fault } => o.str("site", site).str("fault", fault),
             Event::ChaosLied { prover } => o.str("prover", prover),
             Event::Watchdog { outcome } => o.str("outcome", outcome),
-            Event::StoreOpen {
-                entries,
-                segments,
-                lock,
-            } => o
-                .u64("entries", *entries)
-                .u64("segments", *segments)
-                .str("lock", lock),
             Event::StoreLoad { entries } => o.u64("entries", *entries),
             Event::StoreFlush { records, bytes } => o.u64("records", *records).u64("bytes", *bytes),
-            Event::StoreRecovered { dropped, reset } => o
-                .u64("dropped", *dropped)
-                .opt_str("reset", reset.as_deref()),
-            Event::StoreQuarantined { segments } => o.u64("segments", *segments),
+            Event::StoreRecovered { reason } => o.str("reason", reason),
             Event::StoreError { op, error } => o.str("op", op).str("error", error),
             Event::ServiceStart { socket } => o.str("socket", socket),
             Event::ServiceAccept { client } => o.u64("client", *client),
@@ -384,10 +361,6 @@ impl Event {
             // Store counters carry a `store.` prefix on purpose: the
             // verify pipeline marks that whole group unstable, since the
             // counts depend on what was on disk before the run.
-            Event::StoreOpen { lock, .. } => {
-                bump("store.open", 1);
-                bump(&format!("store.lock.{lock}"), 1);
-            }
             Event::StoreLoad { entries } => {
                 bump("store.load", 1);
                 bump("store.load.entries", *entries);
@@ -397,11 +370,7 @@ impl Event {
                 bump("store.flush.records", *records);
                 bump("store.flush.bytes", *bytes);
             }
-            Event::StoreRecovered { dropped, .. } => {
-                bump("store.recovered", 1);
-                bump("store.recovered.dropped", *dropped);
-            }
-            Event::StoreQuarantined { segments } => bump("store.quarantined", *segments),
+            Event::StoreRecovered { .. } => bump("store.recovered", 1),
             Event::StoreError { .. } => bump("store.error", 1),
             // Service counters carry the `service.` prefix on purpose:
             // they count connection-lifecycle traffic, which is daemon
@@ -491,26 +460,11 @@ impl Event {
             }
             Event::ChaosLied { prover } => format!("      chaos liar: {prover}"),
             Event::Watchdog { outcome } => format!("      watchdog {outcome}"),
-            Event::StoreOpen {
-                entries,
-                segments,
-                lock,
-            } => format!("store open: {entries} entries from {segments} segments ({lock})"),
             Event::StoreLoad { entries } => format!("store load: {entries} entries into cache"),
             Event::StoreFlush { records, bytes } => {
                 format!("store flush: {records} records ({bytes} bytes)")
             }
-            Event::StoreRecovered {
-                dropped,
-                reset: Some(why),
-            } => format!("store reset ({why}), {dropped} records dropped"),
-            Event::StoreRecovered {
-                dropped,
-                reset: None,
-            } => format!("store recovered: {dropped} torn records dropped"),
-            Event::StoreQuarantined { segments } => {
-                format!("store quarantined {segments} segment(s)")
-            }
+            Event::StoreRecovered { reason } => format!("store started cold: {reason}"),
             Event::StoreError { op, error } => format!("store {op} failed: {error}"),
             Event::ServiceStart { socket } => format!("service listening on {socket}"),
             Event::ServiceAccept { client } => format!("service: client {client} connected"),
@@ -1118,14 +1072,12 @@ mod tests {
 
     #[test]
     fn store_events_serialize_and_tally() {
-        let ev = Event::StoreOpen {
-            entries: 3,
-            segments: 2,
-            lock: "read-only",
+        let ev = Event::StoreRecovered {
+            reason: "checksum mismatch".into(),
         };
         assert_eq!(
             ev.to_json(false),
-            r#"{"type":"store.open","entries":3,"segments":2,"lock":"read-only"}"#
+            r#"{"type":"store.recovered","reason":"checksum mismatch"}"#
         );
         let stream = vec![
             ev,
@@ -1134,23 +1086,15 @@ mod tests {
                 records: 4,
                 bytes: 120,
             },
-            Event::StoreRecovered {
-                dropped: 1,
-                reset: None,
-            },
-            Event::StoreQuarantined { segments: 2 },
             Event::StoreError {
                 op: "flush",
                 error: "no space".into(),
             },
         ];
         let tallies = event_tallies(&stream);
-        assert_eq!(tallies["store.open"], 1);
+        assert_eq!(tallies["store.recovered"], 1);
         assert_eq!(tallies["store.load.entries"], 3);
         assert_eq!(tallies["store.flush.records"], 4);
-        assert_eq!(tallies["store.recovered.dropped"], 1);
-        assert_eq!(tallies["store.quarantined"], 2);
-        assert_eq!(tallies["store.lock.read-only"], 1);
         assert_eq!(tallies["store.error"], 1);
     }
 

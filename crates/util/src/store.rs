@@ -1,8 +1,9 @@
-//! Crash-safe append-only segment store for the persistent goal cache.
+//! Crash-safe snapshot store for the persistent goal cache.
 //!
-//! The store persists opaque `(key, payload)` records — the goal cache's
-//! proved entries and eviction tombstones — across process boundaries,
-//! with one non-negotiable invariant mirrored from the chaos suite:
+//! The store persists opaque `(key, payload)` entries — the goal cache's
+//! completed proofs — across processes in one file per directory,
+//! `proofs.bin`, with one non-negotiable invariant mirrored from the
+//! chaos suite:
 //!
 //! > corruption, torn writes, ENOSPC, vanished files, or concurrent
 //! > processes degrade to a **cold cache**, never to a wrong verdict or
@@ -11,624 +12,243 @@
 //! # On-disk layout
 //!
 //! ```text
-//! <dir>/MANIFEST            format version + semantic-config digest
-//! <dir>/LOCK                advisory PID lock (held while a writer is open)
-//! <dir>/seg-00000000.log    append-only record segments, replayed in order
-//! <dir>/seg-00000001.log
-//! <dir>/seg-00000003.log.corrupt   quarantined unreadable segment
+//! magic    8 bytes   "JHPROOFS"
+//! version  u32 LE    FORMAT_VERSION
+//! digest   u64 LE    the caller's semantic digest
+//! count    u32 LE    number of entries
+//! entries  count × [key: u128 LE][len: u32 LE][payload: len bytes]
+//! crc      u32 LE    CRC-32 of every byte before it
 //! ```
 //!
-//! Every segment starts with an 8-byte magic and then a sequence of
-//! records framed as `[len: u32 LE][crc32: u32 LE][body]` where the body
-//! is `[key: u128 LE][flags: u8][payload bytes]` (flag bit 0 marks a
-//! tombstone). The CRC covers the body; `len` is the body length and is
-//! sanity-capped, so a torn tail is detected by length, checksum, or
-//! truncation and simply dropped. Segments are never modified in place:
-//! each flush serializes a fresh segment to `*.tmp`, fsyncs it, and
-//! atomically renames it into place, so readers never observe a
-//! half-written segment under a crash at any instruction boundary.
+//! # Load
 //!
-//! # Invalidation
+//! [`Store::load`] accepts the snapshot only if its magic, version,
+//! digest, CRC and exact length all check. Every length is checked
+//! against the bytes read before it is used, so a corrupt header can
+//! neither read past the file nor allocate more than the file holds.
+//! Anything else starts cold, and the caller learns why. A directory
+//! with no `proofs.bin` — a fresh one, or one in an older layout, whose
+//! files are left alone — loads empty.
 //!
-//! The `MANIFEST` records the store [`FORMAT_VERSION`] and a caller
-//! -supplied semantic digest (prover configuration + code version). A
-//! mismatch on open resets the store: entries proved under different
-//! semantics are never replayed. Resetting cached data is always safe —
-//! the next run just re-proves.
+//! # Save
 //!
-//! # Recovery ladder (on open)
-//!
-//! 1. orphaned `*.tmp` files from interrupted flushes are deleted;
-//! 2. a missing/garbled/mismatched `MANIFEST` resets the store;
-//! 3. each segment is scanned record-by-record: a bad length, CRC
-//!    mismatch, or truncation drops that record and the rest of the
-//!    segment (torn tail);
-//! 4. a segment that cannot be read at all, or whose magic is wrong, is
-//!    quarantined by renaming to `*.corrupt` and skipped;
-//! 5. whatever records survive are replayed in segment order.
+//! [`Store::save`] rewrites the whole snapshot: it writes
+//! `proofs.bin.tmp`, fsyncs it, renames it over `proofs.bin` and fsyncs
+//! the directory, so a crash at any point leaves the old snapshot or the
+//! new one. An entry the caller dropped is simply absent from the next
+//! snapshot.
 //!
 //! # Concurrency
 //!
-//! A `LOCK` file holding the writer's PID provides advisory mutual
-//! exclusion. A lock whose PID is no longer alive (checked via
-//! `/proc/<pid>`) is stale and taken over; a live holder demotes this
-//! open to read-only — entries load, flushes are skipped.
+//! Nothing excludes two processes on one directory: the last rename
+//! wins, so one process can lose the other's new entries, and two saves
+//! that overlap on the temp file can publish a mix of both, which the
+//! next load rejects. Either way the cache only gets colder.
 //!
 //! # Fault injection
 //!
-//! The store threads an optional [`FaultPlan`] through every IO
-//! operation and consults [`FaultPlan::decide_disk`] at the `store.load`
-//! / `store.flush` / `store.lock` sites. Each site applies the fault
-//! kinds that are physically meaningful for it (a torn write cannot
-//! happen during a read) and ignores the rest, exactly as the
-//! dispatcher ignores disk faults aimed at its sites.
+//! The store consults an optional [`FaultPlan`] through
+//! [`FaultPlan::decide_disk`] at its `store.load` and `store.flush`
+//! sites. Each site applies the fault kinds that are physically
+//! meaningful for it (a torn write cannot happen during a read) and
+//! ignores the rest, exactly as the dispatcher ignores disk faults aimed
+//! at its sites.
 
 use crate::chaos::{DiskFault, FaultPlan};
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::fs::{self, File};
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// Bumped whenever the record framing or manifest layout changes; a
-/// mismatch on open resets the store rather than misparsing old bytes.
-pub const FORMAT_VERSION: u32 = 1;
+/// Bumped whenever the snapshot layout changes, and whenever a change
+/// withdraws proofs a prover used to give: a snapshot written under
+/// another version loads cold, so no older build's proof is replayed.
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Magic bytes opening every segment file. A segment without them is not
-/// ours (or had its head destroyed) and is quarantined wholesale.
-const SEGMENT_MAGIC: &[u8; 8] = b"JHSEG\x00\x00\x01";
+/// Magic bytes opening every snapshot.
+const MAGIC: &[u8; 8] = b"JHPROOFS";
 
-/// Upper bound on a single record body; anything larger is framing
-/// corruption, not data (goal-cache payloads are ~30 bytes).
-const MAX_RECORD_LEN: u32 = 1 << 20;
+/// The least bytes an entry takes: its key and its payload length.
+const ENTRY_HEAD: usize = 16 + 4;
 
-/// Chaos sites for the store's three IO boundaries.
+/// The snapshot and the one name every save writes it under first.
+const SNAPSHOT: &str = "proofs.bin";
+const TEMP: &str = "proofs.bin.tmp";
+
+/// Chaos sites for the store's two IO boundaries.
 const SITE_LOAD: &str = "store.load";
 const SITE_FLUSH: &str = "store.flush";
-const SITE_LOCK: &str = "store.lock";
 
-/// One persisted cache operation: a proved entry (`tombstone == false`,
-/// payload = encoded proof metadata) or an eviction (`tombstone == true`,
-/// empty payload). Replay applies records in order; later records win.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Record {
-    /// The goal-cache fingerprint this record is keyed on.
-    pub key: u128,
-    /// `true` erases `key` on replay (watchdog-evicted entry).
-    pub tombstone: bool,
-    /// Opaque payload; the goal cache owns the encoding.
-    pub payload: Vec<u8>,
-}
+/// One persisted entry: a goal-cache fingerprint and its opaque payload
+/// (the goal cache owns the encoding).
+pub type Entry = (u128, Vec<u8>);
 
-impl Record {
-    /// A proved-entry record.
-    pub fn entry(key: u128, payload: Vec<u8>) -> Record {
-        Record {
-            key,
-            tombstone: false,
-            payload,
-        }
-    }
-
-    /// An eviction tombstone.
-    pub fn tombstone(key: u128) -> Record {
-        Record {
-            key,
-            tombstone: true,
-            payload: Vec::new(),
-        }
-    }
-
-    /// Serialized frame size of this record (header + body).
-    pub fn frame_len(&self) -> u64 {
-        8 + 17 + self.payload.len() as u64
-    }
-}
-
-/// How the advisory lock was (or wasn't) acquired on open.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LockState {
-    /// The lock was free and is now held by this store.
-    Acquired,
-    /// A stale lock (dead PID) was removed and the lock re-acquired.
-    TookOverStale,
-    /// Another live process holds the lock; this store loads entries but
-    /// never writes.
-    ReadOnly,
-}
-
-impl LockState {
-    /// Short stable label for observability events.
-    pub fn label(self) -> &'static str {
-        match self {
-            LockState::Acquired => "acquired",
-            LockState::TookOverStale => "took-over-stale",
-            LockState::ReadOnly => "read-only",
-        }
-    }
-}
-
-/// What [`Store::open`] found and did, for observability and tests.
-#[derive(Debug)]
-pub struct OpenReport {
-    /// Surviving records in replay order (across segments).
-    pub records: Vec<Record>,
-    /// Segments read successfully (fully or up to a torn tail).
-    pub segments: u64,
-    /// Records dropped to torn/corrupt tails.
-    pub dropped: u64,
-    /// Segments quarantined to `*.corrupt`.
-    pub quarantined: u64,
-    /// `Some(reason)` when the store was reset (version/digest mismatch,
-    /// unreadable manifest); existing segments were discarded.
-    pub reset: Option<String>,
-    /// Advisory-lock outcome.
-    pub lock: LockState,
-}
-
-/// A handle on an open store directory. Dropping the handle releases the
-/// advisory lock. All mutation goes through [`Store::append`], which
-/// writes a whole new segment atomically.
+/// The snapshot store of one directory, keyed by the caller's semantic
+/// digest.
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    next_segment: u64,
-    lock: LockState,
+    digest: u64,
     plan: Option<Arc<FaultPlan>>,
 }
 
 impl Store {
-    /// Open (creating if necessary) the store at `dir`, keyed by the
-    /// caller's semantic `digest`. Never replays entries recorded under a
-    /// different digest or format version. Hard-errors only when the
-    /// directory itself cannot be created or listed — every data-level
-    /// problem degrades per the recovery ladder and is reported in the
-    /// [`OpenReport`].
-    pub fn open(
-        dir: &Path,
-        digest: u64,
-        plan: Option<Arc<FaultPlan>>,
-    ) -> io::Result<(Store, OpenReport)> {
+    /// The store at `dir`, created if missing, keyed by `digest`: a
+    /// snapshot saved under another digest never loads. Errs only when
+    /// the directory cannot be created.
+    pub fn open(dir: &Path, digest: u64, plan: Option<Arc<FaultPlan>>) -> io::Result<Store> {
         fs::create_dir_all(dir)?;
-        let lock = acquire_lock(dir, plan.as_deref())?;
+        Ok(Store {
+            dir: dir.to_owned(),
+            digest,
+            plan,
+        })
+    }
 
-        // Sweep orphaned temp files from interrupted flushes. Only when
-        // we hold the lock: a live writer's in-flight temp is not ours.
-        if lock != LockState::ReadOnly {
-            for path in list_dir(dir)? {
-                if path.extension().is_some_and(|e| e == "tmp") {
-                    let _ = fs::remove_file(&path);
-                }
-            }
-        }
-
-        let reset = check_manifest(dir, digest, lock)?;
-        let mut report = OpenReport {
-            records: Vec::new(),
-            segments: 0,
-            dropped: 0,
-            quarantined: 0,
-            reset,
-            lock,
+    /// The snapshot's entries, in the order they were saved: none when
+    /// there is no snapshot, `Err(reason)` when there is one and it is
+    /// rejected.
+    pub fn load(&self) -> Result<Vec<Entry>, String> {
+        let mut bytes = match fs::read(self.dir.join(SNAPSHOT)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(format!("unreadable: {e}")),
         };
-
-        let mut segments: Vec<(u64, PathBuf)> = Vec::new();
-        for path in list_dir(dir)? {
-            if let Some(index) = segment_index(&path) {
-                segments.push((index, path));
-            }
-        }
-        segments.sort();
-        let next_segment = segments.last().map_or(0, |(i, _)| i + 1);
-
-        if report.reset.is_some() {
-            // A reset with the lock held already deleted the segments; a
-            // read-only reset cannot, but must still refuse to replay
-            // entries recorded under foreign semantics.
-            segments.clear();
-        }
-        for (_, path) in segments {
-            match read_segment(&path, plan.as_deref()) {
-                Ok((records, dropped)) => {
-                    report.segments += 1;
-                    report.dropped += dropped;
-                    report.records.extend(records);
-                }
-                Err(_) => {
-                    // Unreadable or wrong magic: quarantine. If even the
-                    // rename fails the segment is simply skipped — it will
-                    // be retried (and likely re-quarantined) next open.
-                    let mut corrupt = path.clone().into_os_string();
-                    corrupt.push(".corrupt");
-                    if lock != LockState::ReadOnly && fs::rename(&path, &corrupt).is_ok() {
-                        report.quarantined += 1;
-                    }
+        match self.plan.as_deref().and_then(|p| p.decide_disk(SITE_LOAD)) {
+            // A truncated read: a bad sector, a vanished tail.
+            Some(DiskFault::ShortRead) => bytes.truncate(bytes.len() / 2),
+            // Silent media corruption on the read path.
+            Some(DiskFault::BitFlip) => {
+                let at = bytes.len() / 2;
+                if let Some(b) = bytes.get_mut(at) {
+                    *b ^= 0x04;
                 }
             }
+            _ => {} // write-side kinds cannot happen on a read
         }
-
-        Ok((
-            Store {
-                dir: dir.to_owned(),
-                next_segment,
-                lock,
-                plan,
-            },
-            report,
-        ))
+        decode(&bytes, self.digest)
     }
 
-    /// `true` when another live process holds the lock; appends are
-    /// rejected and the caller should skip flushing.
-    pub fn read_only(&self) -> bool {
-        self.lock == LockState::ReadOnly
-    }
-
-    /// Append `records` as one new segment, written atomically
-    /// (temp + fsync + rename). Returns the bytes written. An empty batch
-    /// writes nothing. Errors leave the store directory consistent: the
-    /// worst outcome of a failed append is an orphaned temp file (swept
-    /// on next open) or a torn segment tail (dropped on next open).
-    pub fn append(&mut self, records: &[Record]) -> io::Result<u64> {
-        if records.is_empty() {
-            return Ok(0);
-        }
-        if self.read_only() {
-            return Err(io::Error::new(
-                io::ErrorKind::PermissionDenied,
-                "store is read-only: another live process holds the lock",
-            ));
-        }
-
+    /// Replace the snapshot with `entries`, returning the bytes written.
+    /// A failed save leaves the old snapshot, a stray temp file that the
+    /// next save replaces, or (under an injected torn write) a torn
+    /// snapshot that the next load rejects.
+    pub fn save(&self, entries: &[Entry]) -> io::Result<u64> {
         let fault = self
             .plan
             .as_deref()
             .and_then(|plan| plan.decide_disk(SITE_FLUSH));
-        if matches!(fault, Some(DiskFault::NoSpace)) {
-            // Model ENOSPC at write time: nothing lands on disk.
+        if fault == Some(DiskFault::NoSpace) {
+            // ENOSPC at write time: nothing lands on disk.
             return Err(io::Error::new(
                 io::ErrorKind::StorageFull,
                 "chaos: injected ENOSPC at store.flush",
             ));
         }
-
-        let mut buf: Vec<u8> = Vec::with_capacity(
-            SEGMENT_MAGIC.len()
-                + records
-                    .iter()
-                    .map(|r| r.frame_len() as usize)
-                    .sum::<usize>(),
-        );
-        buf.extend_from_slice(SEGMENT_MAGIC);
-        for record in records {
-            encode_record(record, &mut buf);
-        }
-
-        if matches!(fault, Some(DiskFault::BitFlip)) {
-            // Flip one payload bit AFTER checksumming, modeling silent
-            // media corruption: the write "succeeds" and the damage is
-            // caught by CRC on the next open.
-            let at = SEGMENT_MAGIC.len() + 8 + 4; // first record's body
-            if at < buf.len() {
-                buf[at] ^= 0x10;
+        let mut bytes = encode(entries, self.digest);
+        match fault {
+            // Silent media corruption after checksumming: the save
+            // "succeeds" and the next load's CRC catches it.
+            Some(DiskFault::BitFlip) => {
+                let at = bytes.len() / 2;
+                bytes[at] ^= 0x10;
             }
-        }
-        if matches!(fault, Some(DiskFault::TornWrite)) {
-            // Model a crash mid-write: only a prefix reaches the disk,
-            // but the rename completed (journal reordering). The torn
-            // tail must be dropped by the next open.
-            let keep = SEGMENT_MAGIC.len() + (buf.len() - SEGMENT_MAGIC.len()) / 2;
-            buf.truncate(keep.max(SEGMENT_MAGIC.len() + 9));
+            // A crash mid-write whose rename still landed (journal
+            // reordering): only a prefix reaches the disk.
+            Some(DiskFault::TornWrite) => bytes.truncate(bytes.len() / 2),
+            _ => {}
         }
 
-        let name = format!("seg-{:08}.log", self.next_segment);
-        let tmp = self.dir.join(format!("{name}.tmp"));
-        let dst = self.dir.join(&name);
-        let written = buf.len() as u64;
+        let temp = self.dir.join(TEMP);
         {
-            let mut file = File::create(&tmp)?;
-            file.write_all(&buf)?;
+            let mut file = File::create(&temp)?;
+            file.write_all(&bytes)?;
             file.sync_all()?;
         }
-        if matches!(fault, Some(DiskFault::RenameFail)) {
-            // The temp file is complete but never published; it is swept
-            // as an orphan on the next open.
+        if fault == Some(DiskFault::RenameFail) {
             return Err(io::Error::other(
                 "chaos: injected rename failure at store.flush",
             ));
         }
-        fs::rename(&tmp, &dst)?;
+        fs::rename(&temp, self.dir.join(SNAPSHOT))?;
         // Publishing the rename durably requires fsyncing the directory.
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
+        if let Ok(dir) = File::open(&self.dir) {
+            let _ = dir.sync_all();
         }
-        self.next_segment += 1;
-
-        if matches!(fault, Some(DiskFault::TornWrite)) {
-            // The torn prefix is on disk under the final name; surface
-            // the failure so the caller can count it.
+        if fault == Some(DiskFault::TornWrite) {
             return Err(io::Error::new(
                 io::ErrorKind::WriteZero,
                 "chaos: injected torn write at store.flush",
             ));
         }
-        Ok(written)
-    }
-
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Ok(bytes.len() as u64)
     }
 }
 
-impl Drop for Store {
-    fn drop(&mut self) {
-        if self.lock != LockState::ReadOnly {
-            let _ = fs::remove_file(self.dir.join("LOCK"));
-        }
+fn encode(entries: &[Entry], digest: u64) -> Vec<u8> {
+    let size = entries
+        .iter()
+        .map(|(_, p)| ENTRY_HEAD + p.len())
+        .sum::<usize>();
+    let mut out = Vec::with_capacity(MAGIC.len() + 16 + size + 4);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&digest.to_le_bytes());
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (key, payload) in entries {
+        out.extend_from_slice(&key.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
     }
+    let crc = crc32(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
 }
 
-// ---------------------------------------------------------------------
-// Record framing
-
-fn encode_record(record: &Record, out: &mut Vec<u8>) {
-    let mut body = Vec::with_capacity(17 + record.payload.len());
-    body.extend_from_slice(&record.key.to_le_bytes());
-    body.push(record.tombstone as u8);
-    body.extend_from_slice(&record.payload);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-}
-
-/// Decode records from `bytes` (after the segment magic). Returns the
-/// surviving records and the count of dropped torn-tail records (0 or 1
-/// detectable frames — everything after the first bad frame is
-/// unframeable, so the drop count tallies frames we *know* were lost,
-/// which is what the obs events report).
-fn decode_records(mut bytes: &[u8]) -> (Vec<Record>, u64) {
-    let mut records = Vec::new();
-    while !bytes.is_empty() {
-        if bytes.len() < 8 {
-            return (records, 1); // torn header
-        }
-        let len = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-        let crc = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
-        if !(17..=MAX_RECORD_LEN).contains(&len) || bytes.len() < 8 + len as usize {
-            return (records, 1); // corrupt length or truncated body
-        }
-        let body = &bytes[8..8 + len as usize];
-        if crc32(body) != crc {
-            return (records, 1); // checksum mismatch
-        }
-        let mut key = [0u8; 16];
-        key.copy_from_slice(&body[..16]);
-        records.push(Record {
-            key: u128::from_le_bytes(key),
-            tombstone: body[16] & 1 != 0,
-            payload: body[17..].to_vec(),
-        });
-        bytes = &bytes[8 + len as usize..];
+/// The entries of snapshot `bytes` saved under `digest`, or why the
+/// snapshot is rejected.
+fn decode(bytes: &[u8], digest: u64) -> Result<Vec<Entry>, String> {
+    let truncated = || format!("truncated at {} bytes", bytes.len());
+    let (mut rest, crc) = bytes.split_last_chunk::<4>().ok_or_else(truncated)?;
+    if take(&mut rest, MAGIC.len()) != Some(&MAGIC[..]) {
+        return Err("bad magic".to_owned());
     }
-    (records, 0)
-}
-
-/// Read one segment file. `Err` means the segment is unreadable or not
-/// ours (wrong magic) — the caller quarantines it. A torn tail is NOT an
-/// error: the readable prefix is returned with the drop count.
-fn read_segment(path: &Path, plan: Option<&FaultPlan>) -> io::Result<(Vec<Record>, u64)> {
-    let fault = plan.and_then(|p| p.decide_disk(SITE_LOAD));
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    match fault {
-        Some(DiskFault::ShortRead) => {
-            // Model a truncated read (bad sector, vanished tail).
-            bytes.truncate(bytes.len() / 2);
-        }
-        Some(DiskFault::BitFlip) => {
-            // Model silent media corruption on the read path.
-            let at = bytes.len().saturating_sub(1) / 2;
-            if let Some(b) = bytes.get_mut(at) {
-                *b ^= 0x04;
-            }
-        }
-        _ => {} // write-side and lock-side kinds are meaningless here
+    let version = u32::from_le_bytes(le(&mut rest).ok_or_else(truncated)?);
+    if version != FORMAT_VERSION {
+        return Err(format!("format version {version} != {FORMAT_VERSION}"));
     }
-    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad segment magic",
-        ));
+    if u64::from_le_bytes(le(&mut rest).ok_or_else(truncated)?) != digest {
+        return Err("config digest changed".to_owned());
     }
-    Ok(decode_records(&bytes[SEGMENT_MAGIC.len()..]))
-}
-
-fn segment_index(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    let digits = name.strip_prefix("seg-")?.strip_suffix(".log")?;
-    if digits.len() == 8 && digits.bytes().all(|b| b.is_ascii_digit()) {
-        digits.parse().ok()
-    } else {
-        None
+    if crc32(&bytes[..bytes.len() - 4]) != u32::from_le_bytes(*crc) {
+        return Err("checksum mismatch".to_owned());
     }
-}
-
-fn list_dir(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .collect();
-    paths.sort();
-    Ok(paths)
-}
-
-// ---------------------------------------------------------------------
-// Manifest
-
-/// Validate (or initialize) the manifest. Returns `Some(reason)` when the
-/// store had to be reset: segments deleted, fresh manifest written.
-fn check_manifest(dir: &Path, digest: u64, lock: LockState) -> io::Result<Option<String>> {
-    let path = dir.join("MANIFEST");
-    let have_segments = list_dir(dir)?.iter().any(|p| segment_index(p).is_some());
-    let reason = match fs::read_to_string(&path) {
-        Ok(text) => match parse_manifest(&text) {
-            Some((FORMAT_VERSION, d)) if d == digest => None,
-            Some((FORMAT_VERSION, _)) => Some("config digest changed".to_owned()),
-            Some((v, _)) => Some(format!("format version {v} != {FORMAT_VERSION}")),
-            None => Some("unreadable manifest".to_owned()),
-        },
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            if have_segments {
-                // Segments without a manifest cannot be trusted: the
-                // digest they were recorded under is unknown.
-                Some("manifest missing with segments present".to_owned())
-            } else {
-                // Pristine directory: initialize silently.
-                if lock != LockState::ReadOnly {
-                    write_manifest(dir, digest)?;
-                }
-                None
-            }
-        }
-        Err(e) => Some(format!("manifest unreadable: {e}")),
-    };
-    if reason.is_some() && lock != LockState::ReadOnly {
-        // A read-only open cannot reset someone else's store; it just
-        // refuses to replay (segments are skipped because `reason` is
-        // reported and the caller starts cold anyway).
-        for path in list_dir(dir)? {
-            if segment_index(&path).is_some() {
-                let _ = fs::remove_file(&path);
-            }
-        }
-        write_manifest(dir, digest)?;
+    let count = u32::from_le_bytes(le(&mut rest).ok_or_else(truncated)?) as usize;
+    // Every entry takes at least `ENTRY_HEAD` bytes, so a corrupt count
+    // cannot reserve more than the file holds.
+    let mut entries = Vec::with_capacity(count.min(rest.len() / ENTRY_HEAD));
+    for _ in 0..count {
+        let key = u128::from_le_bytes(le(&mut rest).ok_or_else(truncated)?);
+        let len = u32::from_le_bytes(le(&mut rest).ok_or_else(truncated)?);
+        let payload = take(&mut rest, len as usize).ok_or_else(truncated)?;
+        entries.push((key, payload.to_vec()));
     }
-    Ok(reason)
-}
-
-fn parse_manifest(text: &str) -> Option<(u32, u64)> {
-    let mut version = None;
-    let mut digest = None;
-    for line in text.lines() {
-        if let Some(v) = line.strip_prefix("format ") {
-            version = v.trim().parse::<u32>().ok();
-        } else if let Some(d) = line.strip_prefix("digest ") {
-            digest = u64::from_str_radix(d.trim(), 16).ok();
-        }
+    if !rest.is_empty() {
+        return Err(format!("{} bytes after the last entry", rest.len()));
     }
-    Some((version?, digest?))
+    Ok(entries)
 }
 
-fn write_manifest(dir: &Path, digest: u64) -> io::Result<()> {
-    let tmp = dir.join("MANIFEST.tmp");
-    let dst = dir.join("MANIFEST");
-    {
-        let mut file = File::create(&tmp)?;
-        write!(
-            file,
-            "jahob-store\nformat {FORMAT_VERSION}\ndigest {digest:016x}\n"
-        )?;
-        file.sync_all()?;
-    }
-    fs::rename(&tmp, &dst)
+/// Split `n` bytes off the front of `rest`; `None` when fewer remain.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, tail) = rest.split_at_checked(n)?;
+    *rest = tail;
+    Some(head)
 }
 
-// ---------------------------------------------------------------------
-// Advisory lock
-
-/// Acquire the advisory PID lock at `<dir>/LOCK`. A missing lock is
-/// created; a lock naming a dead PID is stale and taken over (once); a
-/// live holder demotes to [`LockState::ReadOnly`].
-fn acquire_lock(dir: &Path, plan: Option<&FaultPlan>) -> io::Result<LockState> {
-    acquire_lock_with(dir, plan, &pid_alive)
-}
-
-/// [`acquire_lock`] with an injectable liveness probe, so the takeover
-/// and demotion paths are testable without fabricating real PIDs.
-fn acquire_lock_with(
-    dir: &Path,
-    plan: Option<&FaultPlan>,
-    probe: &dyn Fn(u32) -> bool,
-) -> io::Result<LockState> {
-    if let Some(DiskFault::StaleLock) = plan.and_then(|p| p.decide_disk(SITE_LOCK)) {
-        // Fabricate a crashed writer: a LOCK naming a PID that is long
-        // dead, forcing this open through the takeover path.
-        let _ = fs::write(dir.join("LOCK"), "999999999\n");
-    }
-    let path = dir.join("LOCK");
-    for attempt in 0..2 {
-        match OpenOptions::new().write(true).create_new(true).open(&path) {
-            Ok(mut file) => {
-                let _ = writeln!(file, "{}", std::process::id());
-                let _ = file.sync_all();
-                return Ok(if attempt == 0 {
-                    LockState::Acquired
-                } else {
-                    LockState::TookOverStale
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                let holder = fs::read_to_string(&path)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u32>().ok());
-                let stale = match holder {
-                    // Our own PID means another handle in this very
-                    // process holds the lock — definitely alive.
-                    Some(pid) if pid == std::process::id() => false,
-                    Some(pid) => !probe(pid),
-                    // An unparseable lock body is a torn lock write from
-                    // a crashed holder: stale.
-                    None => true,
-                };
-                if stale && attempt == 0 {
-                    let _ = fs::remove_file(&path);
-                    continue;
-                }
-                return Ok(LockState::ReadOnly);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(LockState::ReadOnly)
-}
-
-/// Is the lock-holding PID still alive? Compile-time dispatch: the
-/// `/proc` probe only exists on Linux, so other platforms must not use
-/// it — a `/proc`-less OS would report every holder dead and let two
-/// live processes both take write ownership of the same segment dir.
-#[cfg(target_os = "linux")]
-fn pid_alive(pid: u32) -> bool {
-    Path::new(&format!("/proc/{pid}")).exists()
-}
-
-/// Non-Linux unix: probe with `kill(pid, 0)`. The raw syscall is
-/// declared inline because the workspace has no deps (no `libc`).
-/// `0` or `EPERM` (the process exists but belongs to someone else)
-/// both mean alive; only `ESRCH` proves the holder is gone. Any other
-/// errno is "can't tell", which conservatively counts as alive — we
-/// demote to read-only rather than risk corrupting a live writer.
-#[cfg(all(unix, not(target_os = "linux")))]
-fn pid_alive(pid: u32) -> bool {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    let pid = match i32::try_from(pid) {
-        Ok(p) if p > 0 => p,
-        _ => return true, // unrepresentable holder: can't tell, assume live
-    };
-    if unsafe { kill(pid, 0) } == 0 {
-        return true;
-    }
-    const ESRCH: i32 = 3; // same value on every unix we could run on
-    std::io::Error::last_os_error().raw_os_error() != Some(ESRCH)
-}
-
-/// No portable liveness probe at all: every holder looks alive, so a
-/// crashed writer's lock pins later opens to read-only until removed by
-/// hand. Safe (never corrupts), merely conservative.
-#[cfg(not(unix))]
-fn pid_alive(_pid: u32) -> bool {
-    true
+/// The next `N` bytes of `rest`, for a little-endian integer.
+fn le<const N: usize>(rest: &mut &[u8]) -> Option<[u8; N]> {
+    take(rest, N)?.try_into().ok()
 }
 
 // ---------------------------------------------------------------------
@@ -677,11 +297,21 @@ mod tests {
         dir
     }
 
-    fn sample(n: u8) -> Record {
-        Record::entry(
+    fn sample(n: u8) -> Entry {
+        (
             0x1111_0000_0000_0000_0000_0000_0000_0000u128 + n as u128,
             vec![n; 5],
         )
+    }
+
+    /// The directory's file names, sorted.
+    fn files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -693,202 +323,106 @@ mod tests {
     #[test]
     fn roundtrip_across_reopen() {
         let dir = temp_dir("roundtrip");
-        {
-            let (mut store, report) = Store::open(&dir, 7, None).unwrap();
-            assert_eq!(report.lock, LockState::Acquired);
-            assert!(report.records.is_empty());
-            store.append(&[sample(1), sample(2)]).unwrap();
-            store
-                .append(&[Record::tombstone(sample(1).key), sample(3)])
-                .unwrap();
-        }
-        let (_store, report) = Store::open(&dir, 7, None).unwrap();
-        assert_eq!(report.segments, 2);
-        assert_eq!(report.dropped, 0);
-        assert_eq!(report.reset, None);
-        assert_eq!(report.records.len(), 4);
-        assert!(report.records[2].tombstone);
+        let store = Store::open(&dir, 7, None).unwrap();
+        assert_eq!(store.load(), Ok(Vec::new()), "a fresh directory is empty");
+        store.save(&[sample(1), sample(2)]).unwrap();
+        // A save replaces the snapshot: an entry left out is gone.
+        store.save(&[sample(2), sample(3)]).unwrap();
+        let store = Store::open(&dir, 7, None).unwrap();
+        assert_eq!(store.load(), Ok(vec![sample(2), sample(3)]));
+        assert_eq!(files(&dir), ["proofs.bin"]);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn digest_mismatch_resets() {
         let dir = temp_dir("digest");
-        {
-            let (mut store, _) = Store::open(&dir, 7, None).unwrap();
-            store.append(&[sample(1)]).unwrap();
-        }
-        let (_store, report) = Store::open(&dir, 8, None).unwrap();
-        assert!(report.reset.is_some(), "digest change must reset");
-        assert!(report.records.is_empty());
-        drop(_store);
-        // And the reset is durable: reopening under the new digest is clean.
-        let (_store, report) = Store::open(&dir, 8, None).unwrap();
-        assert_eq!(report.reset, None);
+        Store::open(&dir, 7, None)
+            .unwrap()
+            .save(&[sample(1)])
+            .unwrap();
+        let store = Store::open(&dir, 8, None).unwrap();
+        assert_eq!(store.load(), Err("config digest changed".to_owned()));
+        // The next save under the new digest replaces the snapshot.
+        store.save(&[sample(2)]).unwrap();
+        assert_eq!(store.load(), Ok(vec![sample(2)]));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn torn_tail_is_dropped_not_fatal() {
+    fn torn_snapshot_loads_cold() {
         let dir = temp_dir("torn");
-        {
-            let (mut store, _) = Store::open(&dir, 7, None).unwrap();
-            store.append(&[sample(1), sample(2), sample(3)]).unwrap();
-        }
-        // Chop the last 10 bytes off the segment, as a crash mid-write
-        // would (if rename had still landed).
-        let seg = dir.join("seg-00000000.log");
-        let bytes = fs::read(&seg).unwrap();
-        fs::write(&seg, &bytes[..bytes.len() - 10]).unwrap();
-        let (_store, report) = Store::open(&dir, 7, None).unwrap();
-        assert_eq!(report.records.len(), 2);
-        assert_eq!(report.dropped, 1);
+        let store = Store::open(&dir, 7, None).unwrap();
+        store.save(&[sample(1), sample(2), sample(3)]).unwrap();
+        // Chop the last 10 bytes off, as a crash mid-write would if the
+        // rename had still landed: the whole snapshot goes cold.
+        let path = dir.join(SNAPSHOT);
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() - 10]).unwrap();
+        assert_eq!(store.load(), Err("checksum mismatch".to_owned()));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn bitflip_is_caught_by_crc() {
         let dir = temp_dir("flip");
-        {
-            let (mut store, _) = Store::open(&dir, 7, None).unwrap();
-            store.append(&[sample(1)]).unwrap();
-        }
-        let seg = dir.join("seg-00000000.log");
-        let mut bytes = fs::read(&seg).unwrap();
-        let at = bytes.len() - 3;
+        let store = Store::open(&dir, 7, None).unwrap();
+        store.save(&[sample(1)]).unwrap();
+        let path = dir.join(SNAPSHOT);
+        let mut bytes = fs::read(&path).unwrap();
+        let at = bytes.len() - 6;
         bytes[at] ^= 0x40;
-        fs::write(&seg, &bytes).unwrap();
-        let (_store, report) = Store::open(&dir, 7, None).unwrap();
-        assert_eq!(report.records.len(), 0);
-        assert_eq!(report.dropped, 1);
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(store.load(), Err("checksum mismatch".to_owned()));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn garbage_segment_is_quarantined() {
+    fn garbage_snapshot_loads_cold_until_the_next_save() {
         let dir = temp_dir("garbage");
-        {
-            let (mut store, _) = Store::open(&dir, 7, None).unwrap();
-            store.append(&[sample(1)]).unwrap();
+        let store = Store::open(&dir, 7, None).unwrap();
+        fs::write(dir.join(SNAPSHOT), b"not a snapshot at all").unwrap();
+        assert_eq!(store.load(), Err("bad magic".to_owned()));
+        store.save(&[sample(1)]).unwrap();
+        assert_eq!(store.load(), Ok(vec![sample(1)]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_lengths_never_over_read_or_over_allocate() {
+        let bytes = encode(&[sample(1), sample(2)], 7);
+        let count_at = MAGIC.len() + 4 + 8;
+        let first_len_at = count_at + 4 + 16;
+        for (at, value) in [
+            (count_at, u32::MAX),
+            (first_len_at, u32::MAX),
+            (count_at, 1),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            // Re-seal the CRC, so only the length checks stand between
+            // the corrupt header and the allocator.
+            let body = bad.len() - 4;
+            let crc = crc32(&bad[..body]);
+            bad[body..].copy_from_slice(&crc.to_le_bytes());
+            assert!(decode(&bad, 7).is_err(), "length {value} at byte {at}");
         }
-        fs::write(dir.join("seg-00000001.log"), b"not a segment at all").unwrap();
-        let (_store, report) = Store::open(&dir, 7, None).unwrap();
-        assert_eq!(report.records.len(), 1, "good segment still loads");
-        assert_eq!(report.quarantined, 1);
-        assert!(dir.join("seg-00000001.log.corrupt").exists());
-        drop(_store);
-        // The quarantined file never comes back.
-        let (_store, report) = Store::open(&dir, 7, None).unwrap();
-        assert_eq!(report.quarantined, 0);
-        assert_eq!(report.records.len(), 1);
-        let _ = fs::remove_dir_all(&dir);
+        for len in 0..bytes.len() {
+            assert!(decode(&bytes[..len], 7).is_err(), "prefix of {len} bytes");
+        }
+        assert_eq!(decode(&bytes, 7), Ok(vec![sample(1), sample(2)]));
     }
 
     #[test]
-    fn live_lock_demotes_to_read_only() {
-        let dir = temp_dir("lock");
-        let (mut writer, report) = Store::open(&dir, 7, None).unwrap();
-        assert_eq!(report.lock, LockState::Acquired);
-        writer.append(&[sample(1)]).unwrap();
-        // Second open while the first handle is alive: read-only, but the
-        // entries still load.
-        let (mut reader, report) = Store::open(&dir, 7, None).unwrap();
-        assert_eq!(report.lock, LockState::ReadOnly);
-        assert_eq!(report.records.len(), 1);
-        assert!(reader.append(&[sample(2)]).is_err());
-        drop(reader);
-        // The reader's drop must NOT release the writer's lock.
-        assert!(dir.join("LOCK").exists());
-        drop(writer);
-        assert!(!dir.join("LOCK").exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stale_lock_is_taken_over() {
-        let dir = temp_dir("stale");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("LOCK"), "999999999\n").unwrap();
-        let (_store, report) = Store::open(&dir, 7, None).unwrap();
-        assert_eq!(report.lock, LockState::TookOverStale);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn probe_says_dead_takes_over_stale_lock() {
-        // Through the probe seam, independent of the host OS's notion of
-        // PID liveness: a holder the probe declares dead is taken over.
-        let dir = temp_dir("seam-dead");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("LOCK"), "12345\n").unwrap();
-        let state = acquire_lock_with(&dir, None, &|_| false).unwrap();
-        assert_eq!(state, LockState::TookOverStale);
-        // The takeover rewrote the lock with our own PID.
-        let body = fs::read_to_string(dir.join("LOCK")).unwrap();
-        assert_eq!(body.trim().parse::<u32>().unwrap(), std::process::id());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn probe_says_alive_demotes_to_read_only() {
-        // "Can't tell" and "alive" both report true from the probe (the
-        // non-Linux fallbacks): the open must demote, never steal.
-        let dir = temp_dir("seam-live");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("LOCK"), "12345\n").unwrap();
-        let state = acquire_lock_with(&dir, None, &|_| true).unwrap();
-        assert_eq!(state, LockState::ReadOnly);
-        // The live holder's lock file is untouched.
-        let body = fs::read_to_string(dir.join("LOCK")).unwrap();
-        assert_eq!(body.trim(), "12345");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn torn_lock_is_stale_without_consulting_the_probe() {
-        use std::cell::Cell;
-        let dir = temp_dir("seam-torn");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("LOCK"), "not a pid").unwrap();
-        let asked = Cell::new(false);
-        let state = acquire_lock_with(&dir, None, &|_| {
-            asked.set(true);
-            true
-        })
-        .unwrap();
-        assert_eq!(state, LockState::TookOverStale);
-        assert!(!asked.get(), "torn lock bodies are stale by definition");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn own_pid_holder_is_live_without_consulting_the_probe() {
-        use std::cell::Cell;
-        let dir = temp_dir("seam-own");
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("LOCK"), format!("{}\n", std::process::id())).unwrap();
-        let asked = Cell::new(false);
-        let state = acquire_lock_with(&dir, None, &|_| {
-            asked.set(true);
-            false
-        })
-        .unwrap();
-        assert_eq!(state, LockState::ReadOnly);
-        assert!(!asked.get(), "our own PID is alive by definition");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn orphan_tmp_files_are_swept() {
+    fn stray_temp_file_is_never_read() {
+        // And the next save replaces it.
         let dir = temp_dir("orphan");
-        {
-            let (mut store, _) = Store::open(&dir, 7, None).unwrap();
-            store.append(&[sample(1)]).unwrap();
-        }
-        fs::write(dir.join("seg-00000099.log.tmp"), b"half-written").unwrap();
-        let (_store, report) = Store::open(&dir, 7, None).unwrap();
-        assert_eq!(report.records.len(), 1);
-        assert!(!dir.join("seg-00000099.log.tmp").exists());
+        let store = Store::open(&dir, 7, None).unwrap();
+        store.save(&[sample(1)]).unwrap();
+        fs::write(dir.join(TEMP), encode(&[sample(9)], 7)).unwrap();
+        assert_eq!(store.load(), Ok(vec![sample(1)]));
+        store.save(&[sample(2)]).unwrap();
+        assert_eq!(files(&dir), ["proofs.bin"]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -901,30 +435,26 @@ mod tests {
             DiskFault::ShortRead,
             DiskFault::NoSpace,
             DiskFault::RenameFail,
-            DiskFault::StaleLock,
         ] {
             let dir = temp_dir("chaos");
-            // Seed the store cleanly first.
-            {
-                let (mut store, _) = Store::open(&dir, 7, None).unwrap();
-                store.append(&[sample(1), sample(2)]).unwrap();
-            }
+            Store::open(&dir, 7, None)
+                .unwrap()
+                .save(&[sample(1), sample(2)])
+                .unwrap();
             let plan = Arc::new(
                 FaultPlan::quiet()
                     .inject(SITE_FLUSH, 0..u64::MAX, Fault::Disk(fault))
-                    .inject(SITE_LOAD, 0..u64::MAX, Fault::Disk(fault))
-                    .inject(SITE_LOCK, 0..u64::MAX, Fault::Disk(fault)),
+                    .inject(SITE_LOAD, 0..u64::MAX, Fault::Disk(fault)),
             );
-            // Open under the fault: never panics, never hard-errors.
-            let (mut store, _report) = Store::open(&dir, 7, Some(Arc::clone(&plan))).unwrap();
-            // Appending may fail (ENOSPC, torn write, rename) but must
-            // not panic and must leave the directory reopenable.
-            let _ = store.append(&[sample(3)]);
-            drop(store);
-            let (_store, report) = Store::open(&dir, 7, None).unwrap();
-            // Whatever survived is well-formed; the store works again.
-            for r in &report.records {
-                assert!(r.payload.len() <= 5, "fault {fault} corrupted a payload");
+            // Under the fault a load may start cold and a save may fail,
+            // but neither panics nor hard-errors.
+            let store = Store::open(&dir, 7, Some(plan)).unwrap();
+            let _ = store.load();
+            let _ = store.save(&[sample(3)]);
+            // Without it the directory loads a whole snapshot or none.
+            if let Ok(entries) = Store::open(&dir, 7, None).unwrap().load() {
+                let old = entries == [sample(1), sample(2)];
+                assert!(old || entries == [sample(3)], "fault {fault}: {entries:?}");
             }
             let _ = fs::remove_dir_all(&dir);
         }

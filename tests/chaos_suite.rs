@@ -311,15 +311,10 @@ class Counter {
                     ),
                 }
             }
-            store_faults_seen += ["store.error", "store.recovered", "store.quarantined"]
+            store_faults_seen += ["store.error", "store.recovered"]
                 .iter()
                 .map(|k| report.stats.get(*k).copied().unwrap_or(0))
-                .sum::<u64>()
-                + report
-                    .stats
-                    .get("store.lock.took-over-stale")
-                    .copied()
-                    .unwrap_or(0);
+                .sum::<u64>();
         }
 
         // However the faults left the directory, it reopens cleanly and

@@ -1,8 +1,9 @@
-//! Crash-safe persistent proof cache (ISSUE 6) — cross-process pins.
+//! Crash-safe persistent proof cache — cross-process pins.
 //!
 //! Each test opens the cache the way a real second process would: a fresh
 //! `Verifier` (or a fresh `GoalCache::open_persistent`) pointed at the
-//! same directory. The invariants:
+//! same directory, whose one data file is the snapshot `proofs.bin`. The
+//! invariants:
 //!
 //! * **Warm restarts replay, never re-prove.** A second session over the
 //!   same source discharges every previously-proved goal from the store —
@@ -12,21 +13,25 @@
 //!   byte-for-byte the run with persistence off, at 1, 2, and 8 workers;
 //!   warm runs are byte-for-byte identical to each other at any worker
 //!   count.
-//! * **Corruption degrades, never lies.** Torn tails, flipped bytes,
-//!   deleted manifests, garbage segments, orphaned temp files, and stale
-//!   locks all reopen — at worst cold — with unchanged verdicts, and the
-//!   directory stays reopenable afterwards.
+//! * **Corruption degrades, never lies.** Truncated, bit-flipped and
+//!   garbage snapshots, a directory in the old segment layout, stray temp
+//!   files, leftover lock files and two sessions saving at once all
+//!   reopen — at worst cold — with unchanged verdicts, and the next save
+//!   leaves a whole snapshot.
 //! * **Injected disk faults are invisible in verdicts.** Every
 //!   `DiskFault` kind, targeted at every store IO site, completes the
 //!   run with baseline verdicts and leaves the directory reopenable.
+//! * **One file.** However long the edit history, the directory holds
+//!   one snapshot between saves.
 
 use jahob_repro::jahob::goal_cache::{CachedProof, Lookup};
 use jahob_repro::jahob::{Config, GoalCache, ProverId, ReportRender, VerifyReport};
+use jahob_repro::util::store::Store;
 use jahob_repro::util::{DiskFault, Fault, FaultPlan};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// A unique per-test scratch directory (no tempfile crate in the tree).
 fn temp_dir(tag: &str) -> PathBuf {
@@ -47,7 +52,7 @@ fn source() -> String {
 
 /// A two-method counter class: a handful of quick LIA obligations, all
 /// proved — enough to exercise populate/replay without the cost of a
-/// full case study. Used by the 6-kind × 3-site fault-injection matrix.
+/// full case study. Used by the 5-kind × 2-site fault-injection matrix.
 const TINY: &str = r#"
 class Tiny {
    /*:
@@ -231,7 +236,7 @@ fn session_reuse_with_shared_persistent_cache() {
         second.stats
     );
 
-    // Drop the session: the write-behind layer flushes on drop, so a
+    // Drop the session: the cache saves what it lacks on drop, so a
     // later session on the same directory starts warm from disk.
     drop(verifier);
     let reopened = Config::builder()
@@ -246,11 +251,39 @@ fn session_reuse_with_shared_persistent_cache() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Apply `corrupt` to a populated store directory, then pin: the warm
-/// run still completes with baseline verdicts (at worst cold), leaves no
-/// `*.tmp` file behind, and the directory remains reopenable for one more
-/// clean round-trip.
-fn corruption_case(tag: &str, corrupt: impl Fn(&Path)) {
+/// The directory's file names, sorted.
+fn files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .expect("read store dir")
+        .map(|e| e.expect("dir entry").file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// What the store makes of `dir`'s snapshot under the default
+/// configuration: its entry count, or why it is rejected.
+fn load(dir: &Path) -> Result<usize, String> {
+    let digest = Config::builder().build().dispatch.cache_digest();
+    let store = Store::open(dir, digest, None).expect("open store");
+    store.load().map(|entries| entries.len())
+}
+
+/// How the first run after a corruption must start.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Start {
+    /// Nothing loads and every proof is fresh.
+    Cold,
+    /// The snapshot loads and nothing is re-proved.
+    Warm,
+}
+
+/// Apply `corrupt` to a directory holding one session's snapshot, then
+/// pin: the next run keeps the baseline verdicts, starts as `start`
+/// says and leaves no temp file, and the run after it re-proves nothing,
+/// because the last save left a whole snapshot. Returns the directory,
+/// for the caller's own checks and removal, and the first run's report.
+fn corruption_case(tag: &str, start: Start, corrupt: impl Fn(&Path)) -> (PathBuf, VerifyReport) {
     let src = TINY;
     let dir = temp_dir(tag);
     let baseline = run(src, Some(&dir), 1);
@@ -263,92 +296,131 @@ fn corruption_case(tag: &str, corrupt: impl Fn(&Path)) {
         methods_json(&recovered),
         "{tag}: corruption must never change a verdict"
     );
-    let leftover: Vec<PathBuf> = fs::read_dir(&dir)
-        .expect("read store dir")
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|ext| ext == "tmp"))
+    match start {
+        Start::Cold => {
+            assert_eq!(stat(&recovered, "store.load.entries"), 0, "{tag}");
+            assert_eq!(
+                fresh_proof_count(&recovered),
+                fresh_proof_count(&baseline),
+                "{tag}: a cold start re-proves everything"
+            );
+        }
+        Start::Warm => assert_eq!(fresh_proof_count(&recovered), 0, "{tag}"),
+    }
+    let leftover: Vec<String> = files(&dir)
+        .into_iter()
+        .filter(|name| name.ends_with(".tmp"))
         .collect();
     assert!(leftover.is_empty(), "{tag}: temp files left: {leftover:?}");
 
-    // The store must have healed: one more clean round-trip works.
+    // The store must have healed: one more run replays everything.
     let again = run(src, Some(&dir), 1);
     assert_eq!(
         methods_json(&baseline),
         methods_json(&again),
         "{tag}: directory must stay reopenable after recovery"
     );
+    assert_eq!(
+        fresh_proof_count(&again),
+        0,
+        "{tag}: the last save left a whole snapshot: {:?}",
+        again.stats
+    );
+    (dir, recovered)
+}
+
+/// A truncated `proofs.bin` loads cold, and the next save replaces it.
+#[test]
+fn truncated_segment_tail_is_dropped() {
+    let (dir, recovered) = corruption_case("truncate", Start::Cold, |dir| {
+        let path = dir.join("proofs.bin");
+        let bytes = fs::read(&path).unwrap();
+        fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        assert!(load(dir).is_err(), "a torn snapshot is rejected");
+    });
+    assert_eq!(stat(&recovered, "store.recovered"), 1);
     let _ = fs::remove_dir_all(&dir);
 }
 
-fn segment_paths(dir: &Path) -> Vec<PathBuf> {
-    let mut segments: Vec<PathBuf> = fs::read_dir(dir)
-        .expect("read store dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("seg-") && n.ends_with(".log"))
-        })
-        .collect();
-    segments.sort();
-    assert!(!segments.is_empty(), "populated store has segments");
-    segments
-}
-
-#[test]
-fn truncated_segment_tail_is_dropped() {
-    corruption_case("truncate", |dir| {
-        let seg = segment_paths(dir).pop().unwrap();
-        let bytes = fs::read(&seg).unwrap();
-        // Tear mid-record: keep the magic plus half of the remainder.
-        let keep = 8 + (bytes.len() - 8) / 2;
-        fs::write(&seg, &bytes[..keep]).unwrap();
-    });
-}
-
+/// One flipped byte in `proofs.bin` is caught by the file's CRC, and the
+/// snapshot loads cold.
 #[test]
 fn flipped_byte_is_caught_by_the_record_crc() {
-    corruption_case("bitflip", |dir| {
-        let seg = segment_paths(dir).pop().unwrap();
-        let mut bytes = fs::read(&seg).unwrap();
-        let mid = 8 + (bytes.len() - 8) / 2;
+    let (dir, recovered) = corruption_case("bitflip", Start::Cold, |dir| {
+        let path = dir.join("proofs.bin");
+        let mut bytes = fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        fs::write(&seg, bytes).unwrap();
+        fs::write(&path, bytes).unwrap();
+        assert_eq!(load(dir), Err("checksum mismatch".to_owned()));
     });
+    assert_eq!(stat(&recovered, "store.recovered"), 1);
+    let _ = fs::remove_dir_all(&dir);
 }
 
+/// A directory in the old segment layout (`MANIFEST`, `LOCK`,
+/// `seg-*.log`, no `proofs.bin`) opens cold, and the next save lands
+/// beside the old files, which are left as they were.
 #[test]
 fn missing_manifest_resets_to_cold() {
-    corruption_case("manifest", |dir| {
-        fs::remove_file(dir.join("MANIFEST")).unwrap();
+    let old = [
+        (
+            "MANIFEST",
+            "jahob-store\nformat 1\ndigest 0123456789abcdef\n",
+        ),
+        ("LOCK", "999999999\n"),
+        ("seg-00000000.log", "JHSEG\0\0\x01 old records"),
+    ];
+    let (dir, recovered) = corruption_case("oldlayout", Start::Cold, |dir| {
+        fs::remove_file(dir.join("proofs.bin")).unwrap();
+        for (name, body) in old {
+            fs::write(dir.join(name), body).unwrap();
+        }
     });
+    assert_eq!(
+        stat(&recovered, "store.recovered"),
+        0,
+        "no snapshot, no reset"
+    );
+    for (name, body) in old {
+        assert_eq!(fs::read_to_string(dir.join(name)).unwrap(), body, "{name}");
+    }
+    assert!(load(&dir).is_ok_and(|entries| entries > 0));
+    let _ = fs::remove_dir_all(&dir);
 }
 
+/// A garbage `proofs.bin` loads cold, and the next save replaces it.
 #[test]
 fn garbage_segment_is_quarantined() {
-    corruption_case("garbage", |dir| {
-        let seg = segment_paths(dir).pop().unwrap();
-        fs::write(&seg, b"this is not a segment file at all").unwrap();
+    let (dir, recovered) = corruption_case("garbage", Start::Cold, |dir| {
+        fs::write(dir.join("proofs.bin"), b"this is not a snapshot at all").unwrap();
+        assert_eq!(load(dir), Err("bad magic".to_owned()));
     });
+    assert_eq!(stat(&recovered, "store.recovered"), 1);
+    let _ = fs::remove_dir_all(&dir);
 }
 
+/// An orphaned temp file is never read, and the next save replaces it.
 #[test]
 fn orphan_tmp_file_is_swept() {
-    corruption_case("orphantmp", |dir| {
-        // A crash between a flush's write and its rename leaves the
-        // half-written segment under its temp name.
-        fs::write(dir.join("seg-99999999.log.tmp"), b"half-written segment").unwrap();
+    let (dir, _) = corruption_case("orphantmp", Start::Cold, |dir| {
+        // A save whose rename never happened leaves a whole snapshot
+        // under the temp name, and here no published one beside it.
+        fs::rename(dir.join("proofs.bin"), dir.join("proofs.bin.tmp")).unwrap();
     });
+    assert_eq!(files(&dir), ["proofs.bin"]);
+    let _ = fs::remove_dir_all(&dir);
 }
 
+/// A leftover `LOCK` file changes nothing: the snapshot loads warm.
 #[test]
 fn stale_lock_is_taken_over() {
-    corruption_case("stalelock", |dir| {
+    let (dir, _) = corruption_case("stalelock", Start::Warm, |dir| {
         // A PID that is certainly not alive: the kernel's pid_max caps
         // real PIDs well below this.
         fs::write(dir.join("LOCK"), "999999999\n").unwrap();
     });
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -388,10 +460,9 @@ fn injected_store_faults_never_change_verdicts() {
         DiskFault::ShortRead,
         DiskFault::NoSpace,
         DiskFault::RenameFail,
-        DiskFault::StaleLock,
     ];
     for kind in kinds {
-        for site in ["store.load", "store.flush", "store.lock"] {
+        for site in ["store.load", "store.flush"] {
             let dir = temp_dir("inject");
             let plan = || Arc::new(FaultPlan::quiet().inject(site, 0..64, Fault::Disk(kind)));
 
@@ -421,30 +492,114 @@ fn injected_store_faults_never_change_verdicts() {
     }
 }
 
+/// Two live sessions on one directory exclude each other no more: both
+/// load, both save (the last rename wins), and a third session reopens
+/// the directory with baseline verdicts and re-proves nothing.
 #[test]
 fn read_only_fallback_when_lock_is_held() {
     let src = TINY;
-    let dir = temp_dir("readonly");
-    run(src, Some(&dir), 1); // populate
+    let baseline = methods_json(&run(src, None, 1));
+    let dir = temp_dir("twosessions");
+    let session = || {
+        Config::builder()
+            .workers(1)
+            .cache_path(&dir)
+            .build_verifier()
+    };
+    let (first, second) = (session(), session());
+    for verifier in [&first, &second] {
+        let report = verifier.verify(src).expect("pipeline must complete");
+        assert_eq!(methods_json(&report), baseline);
+        assert!(
+            stat(&report, "store.flush.records") > 0,
+            "each session saves: {:?}",
+            report.stats
+        );
+    }
+    drop((first, second));
 
-    // Hold the lock the way a live sibling process would (same process
-    // counts: the store sees its own live PID and demotes to read-only).
-    fs::write(dir.join("LOCK"), format!("{}\n", std::process::id())).unwrap();
-
-    let warm = run(src, Some(&dir), 1);
+    let third = run(src, Some(&dir), 1);
+    assert_eq!(methods_json(&third), baseline);
     assert_eq!(
-        fresh_proof_count(&warm),
+        fresh_proof_count(&third),
         0,
-        "read-only mode still replays persisted proofs: {:?}",
-        warm.stats
+        "the last save holds every proof: {:?}",
+        third.stats
     );
-    assert_eq!(
-        stat(&warm, "store.lock.read-only"),
-        1,
-        "the demotion is observable: {:?}",
-        warm.stats
-    );
+    let _ = fs::remove_dir_all(&dir);
+}
 
-    fs::remove_file(dir.join("LOCK")).unwrap();
+/// Two sessions in two threads save into one directory at once, round
+/// after round. However the saves interleave, every run keeps the
+/// baseline verdicts, and each reopen loads a whole snapshot, re-proving
+/// nothing, or starts cold.
+#[test]
+fn concurrent_saves_leave_a_whole_snapshot_or_none() {
+    let src = TINY;
+    let baseline = methods_json(&run(src, None, 1));
+    let dir = temp_dir("twowriters");
+    for round in 0..24 {
+        let _ = fs::remove_file(dir.join("proofs.bin"));
+        let barrier = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let verifier = Config::builder()
+                        .workers(1)
+                        .cache_path(&dir)
+                        .build_verifier();
+                    barrier.wait();
+                    let report = verifier.verify(src).expect("pipeline must complete");
+                    assert_eq!(methods_json(&report), baseline, "round {round}");
+                });
+            }
+        });
+        let reopened = run(src, Some(&dir), 1);
+        assert_eq!(methods_json(&reopened), baseline, "round {round}");
+        let whole = fresh_proof_count(&reopened) == 0;
+        let cold = stat(&reopened, "store.load.entries") == 0;
+        assert!(
+            whole || cold,
+            "round {round}: part of a snapshot loaded: {:?}",
+            reopened.stats
+        );
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An edit-and-recheck history: twenty sessions, each on the source of
+/// the last plus one method with one new provable goal, leave exactly one
+/// data file, and a last session replays every goal with no fresh proof.
+#[test]
+fn edit_history_leaves_one_snapshot() {
+    let dir = temp_dir("history");
+    let class = TINY.trim_end().strip_suffix('}').expect("class body");
+    let mut methods = String::new();
+    for k in 1..=20 {
+        methods.push_str(&format!(
+            r#"
+   public static void add{k}()
+   /*: requires "0 <= count" modifies count ensures "count = old count + {k}" */
+   {{
+      c = c + {k};
+      //: count := "count + {k}";
+   }}
+"#
+        ));
+        let report = run(&format!("{class}{methods}}}"), Some(&dir), 1);
+        assert!(
+            fresh_proof_count(&report) > 0,
+            "edit {k} proves its new goal: {:?}",
+            report.stats
+        );
+        assert_eq!(files(&dir), ["proofs.bin"], "after edit {k}");
+    }
+    let last = run(&format!("{class}{methods}}}"), Some(&dir), 1);
+    assert_eq!(
+        fresh_proof_count(&last),
+        0,
+        "every goal replays: {:?}",
+        last.stats
+    );
     let _ = fs::remove_dir_all(&dir);
 }
