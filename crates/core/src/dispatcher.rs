@@ -1137,7 +1137,7 @@ fn portfolio_attempt(
                 max_iterations: fol_iterations,
                 ..Default::default()
             };
-            proves(jahob_fol::fol_valid(goal, &config, budget))?.then_some("proved.fol")
+            proves(jahob_fol::fol_valid(goal, sig, &config, budget))?.then_some("proved.fol")
         }
         // The Nelson–Oppen core is for compact ground goals; on big VC
         // chains the lazy loop + arrangement enumeration dominates.
@@ -1309,6 +1309,22 @@ mod tests {
             ),
             Some(ProverId::Fol)
         );
+    }
+
+    #[test]
+    fn a_bound_on_the_objects_never_bounds_the_integers() {
+        // FOL erases sorts, so it must refuse a problem over two of them:
+        // `null` plus one object and the integers 0, 1, 2 refute both.
+        let mut d = dispatcher();
+        d.sig.insert(Symbol::intern("k"), Sort::Int);
+        for goal in [
+            "(ALL x::obj y::obj z::obj. x = y | y = z | x = z) \
+             --> (ALL i::int j::int k::int. i = j | j = k | i = k)",
+            "(ALL x::obj y::obj z::obj. x = y | y = z | x = z) --> i = j | j = k | i = k",
+        ] {
+            let v = d.prove(&form(goal));
+            assert!(!v.is_proved(), "{goal}: {v:?}");
+        }
     }
 
     #[test]

@@ -228,8 +228,14 @@ mod tests {
     use std::rc::Rc;
 
     fn valid(src: &str) -> bool {
-        fol_valid(&form(src), &ProverConfig::default(), &Budget::unlimited())
-            .unwrap_or_else(|e| panic!("{src:?}: {e}"))
+        let sig = jahob_util::FxHashMap::default();
+        fol_valid(
+            &form(src),
+            &sig,
+            &ProverConfig::default(),
+            &Budget::unlimited(),
+        )
+        .unwrap_or_else(|e| panic!("{src:?}: {e}"))
     }
 
     #[test]

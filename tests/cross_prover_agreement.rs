@@ -69,7 +69,8 @@ fn smt_and_fol_agree_on_euf() {
             "smt on {src}"
         );
         let fol =
-            jahob_repro::fol::fol_valid(&goal, &Default::default(), &Budget::unlimited()).unwrap();
+            jahob_repro::fol::fol_valid(&goal, &empty, &Default::default(), &Budget::unlimited())
+                .unwrap();
         if expected {
             assert!(fol, "fol must prove {src}");
         }
