@@ -729,6 +729,17 @@ mod tests {
     }
 
     #[test]
+    fn payload_prover_byte_is_the_index_in_all() {
+        // The byte `encode_proof` writes is `prover as u8`, and
+        // `decode_proof` reads it back through `ProverId::ALL`: reordering
+        // `ALL` must fail here, not re-attribute every persisted proof.
+        for i in 0..=6 {
+            assert_eq!(ProverId::ALL[i] as usize, i);
+            assert_eq!(ProverId::from_index(i), Some(ProverId::ALL[i]));
+        }
+    }
+
+    #[test]
     fn persistent_cache_survives_reopen_without_evicted_entries() {
         let dir = temp_dir("reopen");
         let proof = CachedProof {
