@@ -43,8 +43,9 @@ fn bench_worker_scaling(c: &mut Criterion) {
 }
 
 /// Pool plumbing priced in isolation: fan 64 trivial tasks out on 1 vs 8
-/// threads. The sequential fast path (`workers <= 1`) must stay free of
-/// thread spawns entirely.
+/// threads. `pool::run` spawns at least one thread even at `workers <= 1`;
+/// the thread-free sequential path is `run_pipeline`'s, which never calls
+/// the pool at one worker.
 fn bench_pool_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel/pool_overhead");
     group.sample_size(10);

@@ -34,7 +34,7 @@ pub enum ProverId {
     Simplifier,
     /// The HOL `auto` tactic (structural reasoning).
     Hol,
-    /// Presburger arithmetic (Cooper / Omega).
+    /// Presburger arithmetic, decided by Cooper's procedure.
     Lia,
     /// Boolean Algebra with Presburger Arithmetic.
     Bapa,
@@ -50,7 +50,10 @@ impl ProverId {
     /// Number of portfolio members.
     pub const COUNT: usize = 7;
 
-    /// All portfolio members, in dispatch order.
+    /// All portfolio members, in declaration order. That is not the
+    /// dispatch walk's order (it runs bounded-models before
+    /// fol-resolution), but it is fixed: a member's index here is the
+    /// prover byte of a persisted proof and the seeded liar's pick.
     pub const ALL: [ProverId; ProverId::COUNT] = [
         ProverId::Simplifier,
         ProverId::Hol,

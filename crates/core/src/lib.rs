@@ -9,7 +9,7 @@
 //! * [`dispatcher`] — goal decomposition ("a simple goal decomposition
 //!   technique to prove different conjuncts in the goal using different
 //!   decision procedures", §3) and the prover portfolio, in walk order:
-//!   simplifier, HOL `auto`, Presburger (Cooper/Omega), BAPA,
+//!   simplifier, HOL `auto`, Presburger (Cooper), BAPA,
 //!   Nelson–Oppen SMT, the bounded model finder (counterexamples +
 //!   bounded validity, one search per piece), and the first-order prover
 //!   with reachability axioms. Every prover is a linked library run
