@@ -33,12 +33,19 @@
 //!   cacheable verdict (or panics) abandons the claim and wakes the
 //!   waiters, one of which re-claims.
 //!
-//! Observability: the cache itself emits nothing. Every consultation is
-//! observed at the dispatcher's call sites as `cache.lookup` /
-//! `cache.evict` events (see [`jahob_util::obs`]), keyed by the same
-//! [`fingerprint`] this module computes — which worker *physically* won a
-//! shared entry is scheduler-dependent, so the pipeline rewrites hit/miss
-//! attribution to stream order (`obs::canonicalize`) before emission.
+//! Persistence: [`GoalCache::open_persistent`] shadows the cache with a
+//! directory's snapshot file (see [`jahob_util::store`]). The snapshot
+//! loads on open; fills and evictions count as unsaved changes, and the
+//! whole snapshot is rewritten at 128 of them, at run end and on drop.
+//! A rejected or unwritable snapshot only makes the cache colder.
+//!
+//! Observability: apart from the store's `store.*` events the cache
+//! emits nothing. Every consultation is observed at the dispatcher's
+//! call sites as `cache.lookup` / `cache.evict` events (see
+//! [`jahob_util::obs`]), keyed by the same [`fingerprint`] this module
+//! computes — which worker *physically* won a shared entry is
+//! scheduler-dependent, so the pipeline rewrites hit/miss attribution to
+//! stream order (`obs::canonicalize`) before emission.
 
 use crate::dispatcher::ProverId;
 use jahob_logic::form::keep;
