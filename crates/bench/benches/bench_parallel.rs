@@ -1,6 +1,6 @@
 //! Parallel pipeline scaling: the whole `Verifier` front door at 1 vs 8
-//! workers, and the raw pool overhead (threaded-vs-sequential on
-//! trivial tasks, pricing thread spawn + channel traffic).
+//! workers, and the raw pool overhead (threaded-vs-inline on trivial
+//! tasks, pricing thread spawn and the shared counter).
 //!
 //! On a single-core container the 8-worker number degenerates to the
 //! sequential one plus scheduling overhead — CI's multi-core `parallel`
@@ -43,9 +43,10 @@ fn bench_worker_scaling(c: &mut Criterion) {
 }
 
 /// Pool plumbing priced in isolation: fan 64 trivial tasks out on 1 vs 8
-/// threads. `pool::run` spawns at least one thread even at `workers <= 1`;
-/// the thread-free sequential path is `run_pipeline`'s, which never calls
-/// the pool at one worker.
+/// threads. At one worker `pool::run` spawns nothing and the calling
+/// thread runs every task, as `run_pipeline` does at one worker; at 8 it
+/// spawns 7 threads that each take their next index from one atomic
+/// counter.
 fn bench_pool_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel/pool_overhead");
     group.sample_size(10);
@@ -56,8 +57,13 @@ fn bench_pool_overhead(c: &mut Criterion) {
             &workers,
             |b, &workers| {
                 b.iter(|| {
-                    let out =
-                        pool::run(workers, items.clone(), |_cx, n| n.wrapping_mul(2654435761));
+                    let out = pool::run(
+                        workers,
+                        &items,
+                        &(),
+                        || (),
+                        |(), _, n| n.wrapping_mul(2654435761),
+                    );
                     assert!(out.iter().all(|r| r.is_ok()) && out.len() == items.len());
                 })
             },

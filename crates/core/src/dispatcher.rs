@@ -366,6 +366,10 @@ pub struct Dispatcher {
     /// (one method's, in the pipeline) grounds its hypotheses into it,
     /// once per universe, and shares them with the pieces after it.
     models: RefCell<jahob_models::Session>,
+    /// The chaos scope of the obligation being proved: `prove_governed`
+    /// sets it, keyed on the obligation's content, and `guard` decides
+    /// each attempt's fault under it.
+    chaos_scope: RefCell<chaos::Scope>,
 }
 
 /// One piece of a split obligation, as the portfolio sees it.
@@ -417,6 +421,7 @@ impl Dispatcher {
             recorder,
             cache: None,
             models: RefCell::default(),
+            chaos_scope: RefCell::default(),
         }
     }
 
@@ -528,11 +533,11 @@ impl Dispatcher {
         // obligation's *content*, so replays and parallel schedules see
         // the same fault sequence per obligation regardless of the order
         // obligations reach the dispatch sites.
-        let _scope = self.config.fault_plan.as_ref().map(|_| {
+        if self.config.fault_plan.is_some() {
             let normal = goal_cache::normalize(&prepared.simplified);
             let fp = goal_cache::fingerprint(&normal, &prepared.sig, self.config.cache_digest());
-            chaos::obligation_scope(goal_cache::obligation_key(fp))
-        });
+            *self.chaos_scope.borrow_mut() = chaos::Scope::new(goal_cache::obligation_key(fp));
+        }
         self.stats.add("goal.pieces", prepared.pieces.len() as u64);
         let mut worst_bound: Option<u32> = None;
         let mut weakest: Option<ProverId> = None;
@@ -774,13 +779,14 @@ impl Dispatcher {
         if budget.check().is_err() || budget.poll_deadline().is_err() {
             return None;
         }
-        // Chaos: decide this attempt's fate from the plan. This is the
-        // one place a prover fault is decided and applied.
+        // Chaos: decide this attempt's fate from the plan, under the
+        // obligation's scope. This is the one place a prover fault is
+        // decided and applied.
         let fault = self
             .config
             .fault_plan
             .as_deref()
-            .and_then(|plan| plan.decide(prover.site()));
+            .and_then(|plan| plan.decide(prover.site(), &mut self.chaos_scope.borrow_mut()));
         if let Some(fault) = fault {
             self.emit(Event::ChaosInjected {
                 site: prover.site().to_owned(),

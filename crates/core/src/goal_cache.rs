@@ -215,8 +215,8 @@ pub fn fingerprint(normal: &NormalGoal, sig: &FxHashMap<Symbol, Sort>, config_di
     hash128(config_digest, text.as_bytes())
 }
 
-/// Fold a 128-bit fingerprint to the 64-bit obligation key used by
-/// [`jahob_util::chaos::obligation_scope`].
+/// Fold a 128-bit fingerprint to the 64-bit key of the
+/// [`jahob_util::chaos::Scope`] the dispatcher sets per obligation.
 pub fn obligation_key(fp: u128) -> u64 {
     (fp >> 64) as u64 ^ fp as u64
 }

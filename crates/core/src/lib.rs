@@ -20,8 +20,9 @@
 //!   occurrence is a constant-time hit, with in-flight deduplication so
 //!   parallel workers never race to prove the same goal twice.
 //! * [`verify`] — the end-to-end pipeline: parse → resolve → generate VCs →
-//!   dispatch → report, fanning methods out across a work-stealing pool
-//!   while keeping reports bit-for-bit identical to sequential runs. The
+//!   dispatch → report, fanning methods out across worker threads
+//!   ([`jahob_util::pool::run`], the calling thread among them) while
+//!   keeping reports bit-for-bit identical at any worker count. The
 //!   front door is a [`Verifier`] session built via [`Config::builder`];
 //!   it owns the event sink and the goal cache across calls, and every
 //!   run can emit a deterministic structured event stream

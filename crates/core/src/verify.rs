@@ -2,13 +2,13 @@
 //! API.
 //!
 //! Methods are independent verification units (§3 of the paper), so the
-//! pipeline fans them out across a work-stealing pool and shares one
-//! normalized-goal cache across the run. The parallel report is
-//! bit-for-bit identical to the sequential one: obligations keep their
-//! stable per-method indices, results come back in submission order,
-//! fresh symbols are named after their method's place in the run, and
-//! chaos decisions are keyed on obligation *content* rather than arrival
-//! order.
+//! pipeline fans them out through [`jahob_util::pool::run`], with the
+//! calling thread among the workers, and shares one normalized-goal
+//! cache across the run. The report is bit-for-bit identical at any
+//! worker count: obligations keep their stable per-method indices,
+//! results come back in submission order, fresh symbols are named after
+//! their method's place in the run, and chaos decisions are keyed on
+//! obligation *content* rather than arrival order.
 //!
 //! Observability: when a [`Sink`] is configured, every run emits a typed
 //! event stream — run / method / obligation / piece spans with prover
@@ -24,7 +24,6 @@ use crate::dispatcher::{Diagnosis, DispatchConfig, Dispatcher, ProverId, Verdict
 use crate::goal_cache::GoalCache;
 use jahob_javalite::{parse_program, resolve, TypedProgram};
 use jahob_util::chaos::FaultPlan;
-use jahob_util::counters::Stats;
 use jahob_util::json::{array, Obj};
 use jahob_util::obs::{self, Event, Recorder, Sink, StderrSink};
 use jahob_util::{pool, trace_enabled, FreshScope, Symbol};
@@ -369,7 +368,7 @@ impl Verifier {
 
     /// Verify a `.javax` source: parse, resolve, generate obligations,
     /// dispatch each to the portfolio — fanning methods out across the
-    /// worker pool when the session is configured wider than one.
+    /// session's worker count, the calling thread among them.
     pub fn verify(&self, src: &str) -> Result<VerifyReport, VerifyError> {
         self.verify_with(src, &RequestOptions::default())
     }
@@ -567,23 +566,20 @@ pub struct VerifyReport {
     pub methods: Vec<MethodReport>,
     /// Run-wide dispatcher counters, summed over every method's
     /// dispatcher (cache hits/misses, per-prover outcomes, chaos
-    /// injections, watchdog checks, …) plus the pool's task/steal
-    /// tallies when the run was parallel.
+    /// injections, watchdog checks, …).
     pub stats: BTreeMap<String, u64>,
 }
 
-/// A stat name whose value legitimately varies run-to-run or with the
-/// worker count: wall-clock tallies, the pool's scheduling counters, and
-/// the persistence layer's `store.*`/`sink.*` counters (those depend on
-/// what was on disk *before* the run, so a warm report keeps its stable
-/// sections identical to a cold one).
+/// A stat whose value legitimately varies run-to-run: the `time.*`
+/// wall-clock tallies, and the persistence layer's `store.*`/`sink.*`
+/// counters (those depend on what was on disk *before* the run, so a
+/// warm report keeps its stable sections identical to a cold one). The
+/// groups are named exactly: `chaos.injected.timeout` and
+/// `failure.<prover>.timeout` are deterministic and stay.
 fn unstable_stat(name: &str) -> bool {
-    name.contains("time")
-        || name.contains("micros")
-        || name.contains("millis")
-        || name.starts_with("pool.")
-        || name.starts_with("store.")
-        || name.starts_with("sink.")
+    ["time.", "store.", "sink."]
+        .iter()
+        .any(|group| name.starts_with(group))
 }
 
 impl VerifyReport {
@@ -594,10 +590,9 @@ impl VerifyReport {
     /// Schedule-independent view of the report, for asserting that two
     /// runs (sequential vs. parallel, different worker counts) agree:
     /// methods, obligations, verdicts, diagnoses, pipeline errors, and
-    /// every order-free counter. Wall-clock and pool-scheduling counters
-    /// are excluded — per-obligation `millis`, any stat whose name
-    /// mentions `time`/`micros`/`millis`, and the `pool.*` group
-    /// legitimately vary between runs.
+    /// every order-free counter. Per-obligation `millis` and the
+    /// `time.*`, `store.*` and `sink.*` groups legitimately vary between
+    /// runs and are excluded.
     pub fn deterministic_lines(&self) -> Vec<String> {
         let mut lines = Vec::new();
         for m in &self.methods {
@@ -726,7 +721,7 @@ fn run_pipeline(
 
     // Stable job list: (class index, method index) in source order. The
     // pool returns results in submission order, so the report layout is
-    // identical no matter which worker ran what.
+    // identical no matter which thread ran what.
     let jobs: Vec<(usize, usize)> = typed
         .classes
         .iter()
@@ -742,66 +737,56 @@ fn run_pipeline(
         .collect();
     let workers = config.effective_workers().min(jobs.len().max(1));
 
-    let run_stats = Stats::new();
-    type MethodOutcome = (MethodReport, Vec<(String, u64)>, Vec<Event>);
-    let results: Vec<MethodOutcome> = if workers <= 1 {
-        jobs.iter()
-            .enumerate()
-            .map(|(i, &(ci, mi))| verify_method(&typed, ci, mi, i, config, cache, observing))
-            .collect()
-    } else {
-        // Formula ASTs are `Rc`-based and must not cross threads, so each
-        // worker re-parses and re-resolves its own copy of the program
-        // (symbols intern globally, so `Symbol`s agree across workers) and
-        // only `Send` report data comes back. Verdicts cannot depend on
-        // which worker ran a method: `verify_method` names its fresh
-        // symbols after the method's place in the run, not after the
-        // worker or the order the methods ran in.
-        pool::run_with_local_observed(
-            workers,
-            Some(&run_stats),
-            jobs.iter().copied().enumerate().collect(),
-            |_worker| {
-                let program = parse_program(src).expect("parsed on the caller thread");
-                resolve(&program).expect("resolved on the caller thread")
-            },
-            |typed, _cx, (i, (ci, mi))| verify_method(typed, ci, mi, i, config, cache, observing),
-        )
-        .into_iter()
-        .enumerate()
-        .map(|(i, outcome)| {
-            outcome.unwrap_or_else(|task_panic| {
-                // The pool isolates a panicking method; degrade it to a
-                // diagnosed failure just like the sequential path does.
-                let (ci, mi) = jobs[i];
-                let m = &typed.classes[ci].methods[mi];
-                let error = format!("worker panicked: {}", task_panic.message);
-                let mut events = Vec::new();
-                if observing {
-                    events.push(Event::MethodStart {
-                        index: i as u64,
-                        name: format!("{}.{}", m.class, m.name),
-                    });
-                    events.push(Event::MethodEnd {
-                        index: i as u64,
-                        error: Some(error.clone()),
-                        micros: 0,
-                    });
-                }
-                (
-                    MethodReport {
-                        class: m.class,
-                        method: m.name,
-                        obligations: Vec::new(),
-                        error: Some(error),
-                    },
-                    Vec::new(),
-                    events,
-                )
-            })
+    // Formula ASTs are `Rc`-based and must not cross threads: the calling
+    // thread works with the program it resolved, and each spawned thread
+    // re-parses and re-resolves its own copy (symbols intern globally, so
+    // `Symbol`s agree across threads). Only `Send` report data comes back.
+    // Verdicts cannot depend on which thread ran a method: `verify_method`
+    // names its fresh symbols after the method's place in the run, not
+    // after the thread or the order the methods ran in.
+    let results = pool::run(
+        workers,
+        &jobs,
+        &typed,
+        || {
+            let program = parse_program(src).expect("parsed on the caller thread");
+            resolve(&program).expect("resolved on the caller thread")
+        },
+        |typed, i, &(ci, mi)| verify_method(typed, ci, mi, i, config, cache, observing),
+    )
+    .into_iter()
+    .enumerate()
+    .map(|(i, outcome)| {
+        outcome.unwrap_or_else(|task_panic| {
+            // A method that panics past `verify_method`'s own guards
+            // degrades to a diagnosed failure.
+            let (ci, mi) = jobs[i];
+            let m = &typed.classes[ci].methods[mi];
+            let error = format!("worker panicked: {}", task_panic.message);
+            let mut events = Vec::new();
+            if observing {
+                events.push(Event::MethodStart {
+                    index: i as u64,
+                    name: format!("{}.{}", m.class, m.name),
+                });
+                events.push(Event::MethodEnd {
+                    index: i as u64,
+                    error: Some(error.clone()),
+                    micros: 0,
+                });
+            }
+            (
+                MethodReport {
+                    class: m.class,
+                    method: m.name,
+                    obligations: Vec::new(),
+                    error: Some(error),
+                },
+                Vec::new(),
+                events,
+            )
         })
-        .collect()
-    };
+    });
 
     let mut methods = Vec::new();
     let mut stats = BTreeMap::new();
@@ -818,9 +803,6 @@ fn run_pipeline(
             *stats.entry(name).or_insert(0) += value;
         }
         events.extend(method_events);
-    }
-    for (name, value) in run_stats.snapshot() {
-        *stats.entry(name).or_insert(0) += value;
     }
     // Persistence counters are session-cumulative (the store outlives
     // individual runs), so they overwrite rather than accumulate; they
@@ -1155,6 +1137,37 @@ class Counter {
             "{}",
             json[1]
         );
+    }
+
+    /// A counter whose name merely contains `time` is deterministic and
+    /// belongs to both stable views: seed 0 injects timeouts into
+    /// globalset.javax, and the dispatcher counts each attempt they end
+    /// as `failure.<prover>.timeout`.
+    #[test]
+    fn timeout_counters_reach_both_stable_views() {
+        let report = Config::builder()
+            .workers(1)
+            .fault_plan(Arc::new(FaultPlan::from_seed(0)))
+            .build_verifier()
+            .verify(include_str!("../../../case_studies/globalset.javax"))
+            .unwrap();
+        let timeouts: Vec<_> = report
+            .stats
+            .iter()
+            .filter(|(name, _)| name.ends_with(".timeout"))
+            .collect();
+        let named = |prefix: &str| timeouts.iter().any(|(name, _)| name.starts_with(prefix));
+        assert!(
+            named("chaos.injected.") && named("failure."),
+            "{timeouts:?}"
+        );
+        let json = report.to_json(ReportRender::STABLE);
+        let lines = report.deterministic_lines();
+        for (name, value) in timeouts {
+            assert!(json.contains(&format!("\"{name}\":{value}")), "{json}");
+            assert!(lines.contains(&format!("stat {name} = {value}")), "{name}");
+        }
+        assert!(!json.contains("time.micros"), "{json}");
     }
 
     #[test]

@@ -1317,6 +1317,31 @@ mod tests {
         assert!(!has_model("(EX o. o : S) & S = {}", 2));
     }
 
+    /// Universe `n` is `null` plus `n` proper objects, so every model the
+    /// search visits has two objects or more: `ALL x y. x = y` is false
+    /// in each, and a goal that assumes it holds up to the bound, though
+    /// `b --> c` on its own is refuted at universe 1.
+    #[test]
+    fn every_universe_holds_null_and_a_proper_object() {
+        let sig: FxHashMap<Symbol, Sort> = [("b", Sort::Bool), ("c", Sort::Bool)]
+            .iter()
+            .map(|(n, s)| (Symbol::intern(n), s.clone()))
+            .collect();
+        let unlimited = Budget::unlimited();
+        let goal = form("(ALL x::obj y::obj. x = y) --> (b --> c)");
+        assert!(matches!(
+            Session::new().bmc_valid(&goal, &sig, 3, &unlimited),
+            Ok(BmcVerdict::ValidUpTo(3))
+        ));
+        for src in ["ALL x::obj y::obj. x = y", "b --> c"] {
+            let found = Session::new().refute(&form(src), &sig, 1, &unlimited);
+            assert!(
+                matches!(found, Ok(Some(_))),
+                "{src}: no counter-model at universe 1"
+            );
+        }
+    }
+
     #[test]
     fn comprehensions() {
         // S = {o. o ~= null} forces S to be all proper objects.

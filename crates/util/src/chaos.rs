@@ -13,26 +13,29 @@
 //!
 //! * **The dispatcher** is the one place a prover fault is decided and
 //!   applied: each attempt polls its `dispatch.<prover>` site with
-//!   [`FaultPlan::decide`] and, inside the attempt's `catch_unwind`,
+//!   [`FaultPlan::decide`], passing the obligation's [`Scope`], and,
+//!   inside the attempt's `catch_unwind`,
 //!   panics, reports a spurious timeout or fuel exhaustion, burns the
 //!   obligation's fuel without progress, or has the prover lie
 //!   (`Proved`/`Refuted`). No reasoning crate mentions chaos: a fault
 //!   before the prover runs is everything a fault at its entry could be.
 //! * **The persistent store** polls its IO sites with
-//!   [`FaultPlan::decide_disk`].
+//!   [`FaultPlan::decide_disk`], naming the kinds each site can suffer.
 //! * **The verification daemon** polls its socket sites with
 //!   [`FaultPlan::decide_socket`].
 //!
-//! Determinism: every seeded decision is a pure function of `(seed, site
-//! name, obligation key, per-obligation invocation index)` via splitmix64
-//! whenever an [`obligation_scope`] is active on the current thread — the
-//! dispatcher opens one per obligation, keyed on the obligation's
-//! content-derived fingerprint. Scoped keying is what keeps chaos runs
-//! bit-for-bit reproducible when obligations are dispatched *in parallel*:
-//! the faults an obligation sees depend on what the obligation *is*, never
-//! on the order in which worker threads happened to reach a site.
-//! Outside any scope, decisions fall back to `(seed, site, global per-site
-//! invocation index)`, which is reproducible for single-threaded use.
+//! Determinism: a seeded decision at a prover site is a pure function of
+//! `(seed, site name, obligation key, per-obligation invocation index)`
+//! via splitmix64. The key and the per-obligation counters are a
+//! [`Scope`], a plain value the dispatcher owns: it sets a fresh one per
+//! obligation, keyed on the obligation's content-derived fingerprint.
+//! That keying is what keeps chaos runs bit-for-bit reproducible when
+//! obligations are dispatched *in parallel*: the faults an obligation
+//! sees depend on what the obligation *is*, never on the order in which
+//! worker threads happened to reach a site. Store and service sites
+//! have no obligation; their decisions are keyed on `(seed, site, global
+//! per-site invocation index)`, which is reproducible for
+//! single-threaded use.
 //!
 //! Targeted [`FaultPlan::inject`] rules always match against the global
 //! per-site invocation counter (tests that drive a dispatcher sequentially
@@ -170,8 +173,8 @@ impl std::fmt::Display for Fault {
 }
 
 /// A targeted injection rule: fault `fault` fires at site `site` for the
-/// invocation indices in `range` (indices count `decide` calls per site,
-/// starting at 0).
+/// invocation indices in `range` (indices count the decisions made at
+/// the site, starting at 0).
 #[derive(Clone, Debug)]
 struct Rule {
     site: String,
@@ -185,6 +188,25 @@ struct Rule {
 enum RawDecision {
     Rule(Fault),
     Seeded(u64),
+}
+
+/// The key of one obligation's seeded decisions, with a count per site
+/// of the decisions drawn under it so far. The dispatcher owns one and
+/// sets a fresh one per obligation; see the module doc.
+#[derive(Debug, Default)]
+pub struct Scope {
+    key: u64,
+    counters: HashMap<String, u64>,
+}
+
+impl Scope {
+    /// A scope keyed on `key` with no decisions drawn yet.
+    pub fn new(key: u64) -> Scope {
+        Scope {
+            key,
+            counters: HashMap::new(),
+        }
+    }
 }
 
 /// A deterministic fault-injection plan.
@@ -289,9 +311,10 @@ impl FaultPlan {
 
     /// The shared decision core: bump the per-site counter, check targeted
     /// rules (which always match on the global counter), then roll the
-    /// seeded distribution. Returns either the matched rule's fault or the
-    /// raw seeded kind for the caller to map onto its fault domain.
-    fn raw_decide(&self, site: &str) -> Option<RawDecision> {
+    /// seeded distribution, keyed on `scope` when one is given and on the
+    /// global counter otherwise. Returns either the matched rule's fault
+    /// or the raw seeded kind for the caller to map onto its fault domain.
+    fn raw_decide(&self, site: &str, scope: Option<&mut Scope>) -> Option<RawDecision> {
         let index = {
             let mut counters = lock(&self.counters);
             let c = counters.entry(site.to_owned()).or_insert(0);
@@ -307,10 +330,17 @@ impl FaultPlan {
         if self.rate == 0 {
             return None;
         }
-        let roll = match scoped_index(site) {
-            Some((key, local)) => splitmix64(
-                splitmix64(self.seed ^ site_hash(site)) ^ splitmix64(key) ^ local.rotate_left(32),
-            ),
+        let roll = match scope {
+            Some(scope) => {
+                let c = scope.counters.entry(site.to_owned()).or_insert(0);
+                let local = *c;
+                *c += 1;
+                splitmix64(
+                    splitmix64(self.seed ^ site_hash(site))
+                        ^ splitmix64(scope.key)
+                        ^ local.rotate_left(32),
+                )
+            }
             None => splitmix64(self.seed ^ site_hash(site) ^ splitmix64(index)),
         };
         if (roll & 0xff) as u16 >= self.rate {
@@ -319,17 +349,17 @@ impl FaultPlan {
         Some(RawDecision::Seeded(splitmix64(roll)))
     }
 
-    /// Decide the fate of the next invocation of `site`. Targeted rules
-    /// match the global per-site invocation counter (which always
-    /// advances); the seeded distribution is keyed on `(seed, site,
-    /// obligation key, per-obligation index)` when an [`obligation_scope`]
-    /// is active on this thread, and on the global counter otherwise.
+    /// Decide the fate of the next invocation of prover site `site` for
+    /// the obligation `scope` keys. Targeted rules match the global
+    /// per-site invocation counter (which always advances); the seeded
+    /// distribution is keyed on `(seed, site, scope key, per-scope
+    /// index)`.
     ///
     /// Seeded kinds never include disk or socket faults — those are
     /// drawn only by [`FaultPlan::decide_disk`] at store sites and
     /// [`FaultPlan::decide_socket`] at service sites.
-    pub fn decide(&self, site: &str) -> Option<Fault> {
-        match self.raw_decide(site)? {
+    pub fn decide(&self, site: &str, scope: &mut Scope) -> Option<Fault> {
+        match self.raw_decide(site, Some(scope))? {
             RawDecision::Rule(fault) => Some(fault),
             RawDecision::Seeded(kind) => Some(match kind % 6 {
                 0 => Fault::Panic,
@@ -342,22 +372,18 @@ impl FaultPlan {
         }
     }
 
-    /// Decide the fate of the next IO operation at store site `site`.
-    /// The seeded distribution maps onto the five [`DiskFault`] kinds;
-    /// targeted rules fire only when they name a `Fault::Disk` (a panic
-    /// rule aimed at a store site is meaningless and is ignored, exactly
-    /// as the dispatcher ignores a disk rule aimed at a prover site).
-    pub fn decide_disk(&self, site: &str) -> Option<DiskFault> {
-        match self.raw_decide(site)? {
+    /// Decide the fate of the next IO operation at store site `site`,
+    /// which can suffer the (non-empty) `kinds`: the seeded distribution
+    /// draws only from them, so every seeded fault is one the site
+    /// applies. Targeted rules fire whenever they name a `Fault::Disk`,
+    /// of any kind (a panic rule aimed at a store site is meaningless and
+    /// is ignored, exactly as the dispatcher ignores a disk rule aimed at
+    /// a prover site).
+    pub fn decide_disk(&self, site: &str, kinds: &[DiskFault]) -> Option<DiskFault> {
+        match self.raw_decide(site, None)? {
             RawDecision::Rule(Fault::Disk(d)) => Some(d),
             RawDecision::Rule(_) => None,
-            RawDecision::Seeded(kind) => Some(match kind % 5 {
-                0 => DiskFault::TornWrite,
-                1 => DiskFault::BitFlip,
-                2 => DiskFault::ShortRead,
-                3 => DiskFault::NoSpace,
-                _ => DiskFault::RenameFail,
-            }),
+            RawDecision::Seeded(kind) => Some(kinds[(kind % kinds.len() as u64) as usize]),
         }
     }
 
@@ -368,7 +394,7 @@ impl FaultPlan {
     /// rule kinds aimed at a service site are ignored, exactly as store
     /// sites ignore prover faults).
     pub fn decide_socket(&self, site: &str) -> Option<SocketFault> {
-        match self.raw_decide(site)? {
+        match self.raw_decide(site, None)? {
             RawDecision::Rule(Fault::Socket(s)) => Some(s),
             RawDecision::Rule(_) => None,
             RawDecision::Seeded(kind) => Some(match kind % 4 {
@@ -404,67 +430,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-// ---- obligation scopes ---------------------------------------------------
-//
-// Seeded chaos decisions must not depend on the order in which worker
-// threads reach a site, or parallel runs stop being reproducible. An
-// obligation scope pins the decision key to the obligation being
-// dispatched: the dispatcher opens a scope keyed on the obligation's
-// content fingerprint, and every site polled until the guard drops
-// draws its faults from `(seed, site, obligation key, local index)` with a
-// fresh per-scope index counter. Two dispatches of the same obligation —
-// on any thread, in any order — therefore see the same fault sequence.
-
-thread_local! {
-    static SCOPES: std::cell::RefCell<Vec<ScopeFrame>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-struct ScopeFrame {
-    key: u64,
-    counters: HashMap<String, u64>,
-}
-
-/// RAII guard returned by [`obligation_scope`]; closes the scope on drop.
-pub struct ObligationScope {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-/// Open an obligation scope keyed on `key` (typically the obligation's
-/// normalized-goal fingerprint). Nesting is allowed; the innermost scope
-/// wins.
-pub fn obligation_scope(key: u64) -> ObligationScope {
-    SCOPES.with(|s| {
-        s.borrow_mut().push(ScopeFrame {
-            key,
-            counters: HashMap::new(),
-        })
-    });
-    ObligationScope {
-        _not_send: std::marker::PhantomData,
-    }
-}
-
-impl Drop for ObligationScope {
-    fn drop(&mut self) {
-        SCOPES.with(|s| {
-            s.borrow_mut().pop();
-        });
-    }
-}
-
-/// The innermost scope's `(key, next per-site index)` for `site`, if a
-/// scope is active on this thread. Advances the scope-local counter.
-fn scoped_index(site: &str) -> Option<(u64, u64)> {
-    SCOPES.with(|s| {
-        let mut scopes = s.borrow_mut();
-        let frame = scopes.last_mut()?;
-        let c = frame.counters.entry(site.to_owned()).or_insert(0);
-        let local = *c;
-        *c += 1;
-        Some((frame.key, local))
-    })
-}
-
 /// The process-wide chaos seed from `JAHOB_CHAOS_SEED`, cached like
 /// `trace_enabled`. `None` when unset or unparseable.
 pub fn env_seed() -> Option<u64> {
@@ -479,14 +444,24 @@ pub fn env_seed() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{FLUSH_FAULTS, LOAD_FAULTS};
 
+    /// Two plans of one seed, each deciding under its own scope of one
+    /// key, make the same decisions.
     #[test]
     fn decisions_are_reproducible() {
         let a = FaultPlan::from_seed(42);
         let b = FaultPlan::from_seed(42);
+        let (mut sa, mut sb) = (Scope::new(9), Scope::new(9));
         for _ in 0..200 {
-            assert_eq!(a.decide("dispatch.bapa"), b.decide("dispatch.bapa"));
-            assert_eq!(a.decide("mona.decide"), b.decide("mona.decide"));
+            assert_eq!(
+                a.decide("dispatch.bapa", &mut sa),
+                b.decide("dispatch.bapa", &mut sb)
+            );
+            assert_eq!(
+                a.decide("dispatch.smt", &mut sa),
+                b.decide("dispatch.smt", &mut sb)
+            );
         }
     }
 
@@ -494,15 +469,19 @@ mod tests {
     fn different_seeds_differ() {
         let a = FaultPlan::from_seed(1);
         let b = FaultPlan::from_seed(2);
-        let seq_a: Vec<_> = (0..256).map(|_| a.decide("s")).collect();
-        let seq_b: Vec<_> = (0..256).map(|_| b.decide("s")).collect();
+        let (mut sa, mut sb) = (Scope::new(0), Scope::new(0));
+        let seq_a: Vec<_> = (0..256).map(|_| a.decide("s", &mut sa)).collect();
+        let seq_b: Vec<_> = (0..256).map(|_| b.decide("s", &mut sb)).collect();
         assert_ne!(seq_a, seq_b);
     }
 
     #[test]
     fn seeded_rate_is_roughly_a_quarter() {
         let plan = FaultPlan::from_seed(7);
-        let fired = (0..4096).filter(|_| plan.decide("x").is_some()).count();
+        let mut scope = Scope::new(0);
+        let fired = (0..4096)
+            .filter(|_| plan.decide("x", &mut scope).is_some())
+            .count();
         // 1/4 ± generous slack.
         assert!((512..=1536).contains(&fired), "fired {fired}/4096");
     }
@@ -510,11 +489,12 @@ mod tests {
     #[test]
     fn targeted_rules_fire_exactly_in_range() {
         let plan = FaultPlan::quiet().inject("dispatch.lia", 1..3, Fault::Panic);
-        assert_eq!(plan.decide("dispatch.lia"), None); // invocation 0
-        assert_eq!(plan.decide("dispatch.lia"), Some(Fault::Panic)); // 1
-        assert_eq!(plan.decide("dispatch.lia"), Some(Fault::Panic)); // 2
-        assert_eq!(plan.decide("dispatch.lia"), None); // 3
-        assert_eq!(plan.decide("dispatch.other"), None);
+        let mut scope = Scope::default();
+        assert_eq!(plan.decide("dispatch.lia", &mut scope), None); // invocation 0
+        assert_eq!(plan.decide("dispatch.lia", &mut scope), Some(Fault::Panic)); // 1
+        assert_eq!(plan.decide("dispatch.lia", &mut scope), Some(Fault::Panic)); // 2
+        assert_eq!(plan.decide("dispatch.lia", &mut scope), None); // 3
+        assert_eq!(plan.decide("dispatch.other", &mut scope), None);
     }
 
     #[test]
@@ -533,70 +513,59 @@ mod tests {
             .inject("b", 0..1, Fault::WrongVerdict(Lie::ClaimRefuted));
     }
 
+    /// Scoped decisions depend on the scope, never on how many decisions
+    /// the plan made before it.
     #[test]
     fn scoped_decisions_ignore_global_arrival_order() {
         // Burn the global counter on plan `a` so the two plans' global
-        // per-site counters disagree wildly; inside matching scopes the
-        // decisions must still replay identically.
+        // per-site counters disagree wildly; under fresh scopes of one key
+        // the decisions must still replay identically.
         let a = FaultPlan::from_seed(99);
         let b = FaultPlan::from_seed(99);
+        let mut other = Scope::new(1);
         for _ in 0..137 {
-            let _ = a.decide("warmup");
-            let _ = a.decide("dispatch.smt");
+            let _ = a.decide("warmup", &mut other);
+            let _ = a.decide("dispatch.smt", &mut other);
         }
-        let seq_a: Vec<_> = {
-            let _scope = obligation_scope(0xfeed);
-            (0..32).map(|_| a.decide("dispatch.smt")).collect()
-        };
-        let seq_b: Vec<_> = {
-            let _scope = obligation_scope(0xfeed);
-            (0..32).map(|_| b.decide("dispatch.smt")).collect()
-        };
+        let (mut sa, mut sb) = (Scope::new(0xfeed), Scope::new(0xfeed));
+        let seq_a: Vec<_> = (0..32).map(|_| a.decide("dispatch.smt", &mut sa)).collect();
+        let seq_b: Vec<_> = (0..32).map(|_| b.decide("dispatch.smt", &mut sb)).collect();
         assert_eq!(seq_a, seq_b);
     }
 
     #[test]
     fn scoped_decisions_differ_across_keys() {
         let plan = FaultPlan::from_seed(5);
-        let seq_a: Vec<_> = {
-            let _scope = obligation_scope(1);
-            (0..256).map(|_| plan.decide("s")).collect()
-        };
-        let seq_b: Vec<_> = {
-            let _scope = obligation_scope(2);
-            (0..256).map(|_| plan.decide("s")).collect()
-        };
+        let (mut s1, mut s2) = (Scope::new(1), Scope::new(2));
+        let seq_a: Vec<_> = (0..256).map(|_| plan.decide("s", &mut s1)).collect();
+        let seq_b: Vec<_> = (0..256).map(|_| plan.decide("s", &mut s2)).collect();
         assert_ne!(seq_a, seq_b);
     }
 
+    /// A scoped decision advances the plan's global per-site counter too,
+    /// so two plans that made the same scoped decisions key their
+    /// unscoped (store and service) decisions alike afterwards.
     #[test]
     fn scope_guard_restores_global_keying() {
         let a = FaultPlan::from_seed(21);
         let b = FaultPlan::from_seed(21);
-        {
-            let _scope = obligation_scope(7);
-            // Scoped decisions advance the scope-local counter only; the
-            // global counter still advances for targeted rules.
-            let _ = a.decide("site");
-        }
-        {
-            let _scope = obligation_scope(7);
-            let _ = b.decide("site");
-        }
-        // Back outside any scope: both plans have identical global
-        // counters, so the global-keyed stream agrees again.
-        let seq_a: Vec<_> = (0..64).map(|_| a.decide("site")).collect();
-        let seq_b: Vec<_> = (0..64).map(|_| b.decide("site")).collect();
+        let _ = a.decide("site", &mut Scope::new(7));
+        let _ = b.decide("site", &mut Scope::new(7));
+        let seq_a: Vec<_> = (0..64).map(|_| a.decide_socket("site")).collect();
+        let seq_b: Vec<_> = (0..64).map(|_| b.decide_socket("site")).collect();
         assert_eq!(seq_a, seq_b);
     }
 
     #[test]
     fn targeted_rules_match_global_counter_even_inside_scopes() {
         let plan = FaultPlan::quiet().inject("t.rule", 1..2, Fault::Panic);
-        let _scope = obligation_scope(42);
-        assert_eq!(plan.decide("t.rule"), None); // global invocation 0
-        assert_eq!(plan.decide("t.rule"), Some(Fault::Panic)); // 1
-        assert_eq!(plan.decide("t.rule"), None); // 2
+        let mut scope = Scope::new(42);
+        assert_eq!(plan.decide("t.rule", &mut scope), None); // global invocation 0
+        assert_eq!(
+            plan.decide("t.rule", &mut Scope::new(43)),
+            Some(Fault::Panic)
+        ); // 1
+        assert_eq!(plan.decide("t.rule", &mut scope), None); // 2
     }
 
     #[test]
@@ -616,19 +585,17 @@ mod tests {
         assert_eq!(plan.decide_socket("service.read"), None);
         // A socket rule is equally inert at the disk decider.
         let plan = FaultPlan::quiet().inject("s", 0..10, Fault::Socket(SocketFault::Disconnect));
-        assert_eq!(plan.decide_disk("s"), None);
+        assert_eq!(plan.decide_disk("s", FLUSH_FAULTS), None);
     }
 
+    /// Seeded socket decisions are keyed on the global per-site counter:
+    /// two plans of one seed replay them, and 512 rolls cover every kind.
     #[test]
     fn seeded_socket_decisions_replay_and_cover_every_kind() {
         let seed = env_seed().unwrap_or(0) ^ 0x50c7;
-        let site = "service.write";
         let roll = |plan: &FaultPlan| -> Vec<Option<SocketFault>> {
             (0..512)
-                .map(|i| {
-                    let _scope = obligation_scope(i);
-                    plan.decide_socket(site)
-                })
+                .map(|_| plan.decide_socket("service.write"))
                 .collect()
         };
         let seq_a = roll(&FaultPlan::from_seed(seed));
@@ -640,5 +607,23 @@ mod tests {
             4,
             "512 rolls must cover all socket kinds: {kinds:?}"
         );
+    }
+
+    /// Seeded disk decisions at a store site replay, draw only the kinds
+    /// the site applies, and over 512 rolls cover every one of them.
+    #[test]
+    fn seeded_disk_decisions_replay_and_cover_every_kind() {
+        let seed = env_seed().unwrap_or(0) ^ 0xd15c;
+        for (site, kinds) in [("store.load", LOAD_FAULTS), ("store.flush", FLUSH_FAULTS)] {
+            let roll = |plan: &FaultPlan| -> Vec<Option<DiskFault>> {
+                (0..512).map(|_| plan.decide_disk(site, kinds)).collect()
+            };
+            let seq_a = roll(&FaultPlan::from_seed(seed));
+            let seq_b = roll(&FaultPlan::from_seed(seed));
+            assert_eq!(seq_a, seq_b, "{site}: seeded disk decisions must replay");
+            let drawn: std::collections::HashSet<_> = seq_a.into_iter().flatten().collect();
+            let allowed: std::collections::HashSet<_> = kinds.iter().copied().collect();
+            assert_eq!(drawn, allowed, "{site}: 512 rolls draw exactly its kinds");
+        }
     }
 }

@@ -20,11 +20,14 @@
 //!   through every prover so no substrate can hang a verification run.
 //! * [`chaos`] — deterministic, seeded fault plans, for testing fault
 //!   handling under adversarial conditions: the dispatcher decides
-//!   prover faults at its `dispatch.*` sites, the store disk faults, and
-//!   the daemon socket faults.
-//! * [`pool`] — a small work-stealing thread pool (panic isolation per
-//!   task, worker-local state) that the verification pipeline uses to
-//!   fan methods out across cores.
+//!   prover faults at its `dispatch.*` sites under a per-obligation
+//!   [`chaos::Scope`] it owns, the store disk faults, and the daemon
+//!   socket faults.
+//! * [`pool`] — one function, [`pool::run`], that runs a task per item
+//!   on a number of threads, the calling thread among them, taking
+//!   indices from one shared counter (panic isolation per task,
+//!   thread-local state); the verification pipeline fans methods out
+//!   through it.
 //! * [`trace`] — the cached `JAHOB_TRACE` diagnostic flag.
 //! * [`obs`] — the structured observability pipeline: typed events for
 //!   run/method/obligation/attempt spans, pluggable sinks, and the

@@ -49,10 +49,11 @@
 //!
 //! The store consults an optional [`FaultPlan`] through
 //! [`FaultPlan::decide_disk`] at its `store.load` and `store.flush`
-//! sites. Each site applies the fault kinds that are physically
-//! meaningful for it (a torn write cannot happen during a read) and
-//! ignores the rest, exactly as the dispatcher ignores disk faults aimed
-//! at its sites.
+//! sites. Each site names the fault kinds that are physically
+//! meaningful for it (a torn write cannot happen during a read), so a
+//! seeded roll draws only those; a targeted rule of another kind is
+//! ignored, exactly as the dispatcher ignores disk faults aimed at its
+//! sites.
 
 use crate::chaos::{DiskFault, FaultPlan};
 use std::fs::{self, File};
@@ -75,9 +76,18 @@ const ENTRY_HEAD: usize = 16 + 4;
 const SNAPSHOT: &str = "proofs.bin";
 const TEMP: &str = "proofs.bin.tmp";
 
-/// Chaos sites for the store's two IO boundaries.
+/// Chaos sites for the store's two IO boundaries, and the disk faults
+/// each applies: a read can come back short or flipped, a write can tear,
+/// flip, run out of space or fail to rename.
 const SITE_LOAD: &str = "store.load";
 const SITE_FLUSH: &str = "store.flush";
+pub(crate) const LOAD_FAULTS: &[DiskFault] = &[DiskFault::ShortRead, DiskFault::BitFlip];
+pub(crate) const FLUSH_FAULTS: &[DiskFault] = &[
+    DiskFault::TornWrite,
+    DiskFault::BitFlip,
+    DiskFault::NoSpace,
+    DiskFault::RenameFail,
+];
 
 /// One persisted entry: a goal-cache fingerprint and its opaque payload
 /// (the goal cache owns the encoding).
@@ -114,7 +124,11 @@ impl Store {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(format!("unreadable: {e}")),
         };
-        match self.plan.as_deref().and_then(|p| p.decide_disk(SITE_LOAD)) {
+        let fault = self
+            .plan
+            .as_deref()
+            .and_then(|plan| plan.decide_disk(SITE_LOAD, LOAD_FAULTS));
+        match fault {
             // A truncated read: a bad sector, a vanished tail.
             Some(DiskFault::ShortRead) => bytes.truncate(bytes.len() / 2),
             // Silent media corruption on the read path.
@@ -124,7 +138,7 @@ impl Store {
                     *b ^= 0x04;
                 }
             }
-            _ => {} // write-side kinds cannot happen on a read
+            _ => {} // a targeted write-side kind cannot happen on a read
         }
         decode(&bytes, self.digest)
     }
@@ -137,7 +151,7 @@ impl Store {
         let fault = self
             .plan
             .as_deref()
-            .and_then(|plan| plan.decide_disk(SITE_FLUSH));
+            .and_then(|plan| plan.decide_disk(SITE_FLUSH, FLUSH_FAULTS));
         if fault == Some(DiskFault::NoSpace) {
             // ENOSPC at write time: nothing lands on disk.
             return Err(io::Error::new(
