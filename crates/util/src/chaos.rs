@@ -14,11 +14,11 @@
 //! * **The dispatcher** is the one place a prover fault is decided and
 //!   applied: each attempt polls its `dispatch.<prover>` site with
 //!   [`FaultPlan::decide`], passing the obligation's [`Scope`], and,
-//!   inside the attempt's `catch_unwind`,
-//!   panics, reports a spurious timeout or fuel exhaustion, burns the
-//!   obligation's fuel without progress, or has the prover lie
-//!   (`Proved`/`Refuted`). No reasoning crate mentions chaos: a fault
-//!   before the prover runs is everything a fault at its entry could be.
+//!   inside the attempt's `catch_unwind`, panics, reports a spurious
+//!   timeout or fuel exhaustion, burns the obligation's fuel without
+//!   progress, or has the prover lie (`Proved`/`Refuted`). No reasoning
+//!   crate mentions chaos: a fault before the prover runs is everything
+//!   a fault at its entry could be.
 //! * **The persistent store** polls its IO sites with
 //!   [`FaultPlan::decide_disk`], naming the kinds each site can suffer.
 //! * **The verification daemon** polls its socket sites with

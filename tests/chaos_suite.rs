@@ -326,8 +326,11 @@ class Counter {
             "seed {seed}: battered directory must reopen to correct verdicts"
         );
     }
-    // At a ≈25% per-site injection rate over 16 seeds × 2 faulted runs ×
-    // 3+ store sites, silence means the disk-fault path was never armed.
+    // Each faulted run polls one store site, `store.load` (a seeded plan
+    // stands the goal cache down, so nothing is saved), and both runs of
+    // a seed replay its decision: at a ≈25% injection rate, 16 quiet
+    // seeds happen about once in a hundred windows. Silence means the
+    // disk-fault path was never armed.
     assert!(
         store_faults_seen > 0,
         "suspiciously quiet sweep: no store fault ever surfaced"
